@@ -11,6 +11,7 @@ use rsj_bench::{fig_name, record_json};
 use rsj_common::hash::{fx_hash_columns, fx_hash_columns_scalar};
 use rsj_common::rng::RsjRng;
 use rsj_common::{fx_hash_one, Key, KeyMap};
+use rsj_core::exact_result_count;
 use rsj_datagen::GraphConfig;
 use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
 use rsj_queries::line_k;
@@ -69,10 +70,45 @@ fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
     );
 }
 
-fn loaded_index() -> DynamicIndex {
+/// [`bench`] for cases whose headline is **allocator calls per
+/// iteration**: times `iters` runs of `f` (the caller warms up) and
+/// records the calls of the timed loop in the record's `inserts` field,
+/// with `engine` naming the variant measured.
+fn bench_allocs(name: &str, engine: &str, iters: u32, mut f: impl FnMut()) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    let total = start.elapsed();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let label = match engine {
+        "-" => name.to_string(),
+        _ => format!("{name}[{engine}]"),
+    };
+    println!(
+        "{label:<36} {:>12.2?}/iter  ({iters} iters, {:.1} allocs/iter)",
+        total / iters,
+        allocs as f64 / iters as f64
+    );
+    record_json(
+        &fig_name(),
+        name,
+        engine,
+        iters as usize,
+        total.as_nanos(),
+        Some(iters as f64 / total.as_secs_f64().max(f64::MIN_POSITIVE)),
+        Some((allocs, 0)),
+        None,
+        false,
+    );
+}
+
+/// A line-3 index loaded with `edges` Zipf edges per relation.
+fn loaded_index(edges: usize) -> DynamicIndex {
     let edges = GraphConfig {
         nodes: 1000,
-        edges: 8000,
+        edges,
         zipf: 1.0,
         seed: 42,
     }
@@ -104,7 +140,7 @@ fn bench_index_insert() {
 }
 
 fn bench_full_sample() {
-    let idx = loaded_index();
+    let idx = loaded_index(8000);
     let sampler = FullSampler::default();
     let mut rng = RsjRng::seed_from_u64(1);
     bench("full_query_sample", 10_000, || {
@@ -113,7 +149,7 @@ fn bench_full_sample() {
 }
 
 fn bench_delta_retrieve() {
-    let idx = loaded_index();
+    let idx = loaded_index(8000);
     // Pick a tuple of relation 0 with a non-empty batch.
     let mut target = None;
     for tid in 0..idx.database().relation(0).num_slots() as u32 {
@@ -218,32 +254,31 @@ fn bench_columnar_steady_state() {
     let batch = ColumnarBatch::from_rows(&rows);
     let mut idx = DynamicIndex::new(w.query.clone(), IndexOptions::default()).unwrap();
     idx.insert_columnar(&batch); // warm: dedup sets filled, scratch grown
-    let iters = 200u32;
     idx.insert_columnar(&batch); // bench()'s warmup, outside the count
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    for _ in 0..iters {
+    bench_allocs("columnar_reingest_steady_state_8k", "-", 200, || {
         black_box(idx.insert_columnar(&batch));
-    }
-    let total = start.elapsed();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    let per_iter = total / iters;
-    println!(
-        "{:<36} {per_iter:>12.2?}/iter  ({iters} iters, {:.1} allocs/iter)",
-        "columnar_reingest_steady_state_8k",
-        allocs as f64 / iters as f64
+    });
+}
+
+/// Exact `|Q(R)|` on line-3 at N = 15k (the `svc_churn_durable` shape),
+/// by both kernels: the index-resident pass over the index's own groups
+/// (`DynamicIndex::exact_count`) and the `Database` message pass
+/// (`exact_result_count`, which plans and hashes from scratch). One record
+/// per kernel, `engine` naming it, with the allocator calls of the timed
+/// loop in `inserts` like the columnar case above — CI gates the index
+/// kernel's allocations per count, a counted bound rather than a timed one.
+fn bench_exact_count() {
+    let idx = loaded_index(5000);
+    assert_eq!(
+        idx.exact_count(),
+        exact_result_count(idx.query(), idx.database())
     );
-    record_json(
-        &fig_name(),
-        "columnar_reingest_steady_state_8k",
-        "-",
-        iters as usize,
-        total.as_nanos(),
-        Some(iters as f64 / total.as_secs_f64().max(f64::MIN_POSITIVE)),
-        Some((allocs, 0)),
-        None,
-        false,
-    );
+    bench_allocs("exact_count_line3_15k", "index", 200, || {
+        black_box(idx.exact_count());
+    });
+    bench_allocs("exact_count_line3_15k", "database", 200, || {
+        black_box(exact_result_count(idx.query(), idx.database()));
+    });
 }
 
 fn main() {
@@ -255,4 +290,5 @@ fn main() {
     bench_columnar_hash();
     bench_keymap_grouped_probe();
     bench_columnar_steady_state();
+    bench_exact_count();
 }

@@ -1,23 +1,29 @@
-//! Exact `|Q(R)|` counting — the shared sidecar behind the sharded merge
-//! and the turnstile reservoir repair.
+//! Exact `|Q(R)|` counting over raw tuples — the sidecar for owners that
+//! have no dynamic index to ask.
 //!
-//! Acyclic queries count by one bottom-up message pass over the join tree
-//! (`O(N)` with hashing); queries without a join tree fall back to
+//! A sampler that owns a [`DynamicIndex`](rsj_index::DynamicIndex) reads
+//! its count from the index itself (`DynamicIndex::exact_count`, a pass
+//! over the index's own groups). This module is the kernel for everything
+//! else: acyclic queries count by one bottom-up message pass over the join
+//! tree (`O(N)` with hashing); queries without a join tree fall back to
 //! backtracking enumeration. Two frontends share the walk:
 //!
 //! * [`exact_result_count`] counts directly over a [`Database`] (live
-//!   tuples only — tombstones are skipped), used by `ReservoirJoin`'s
-//!   deletion repair to recalibrate the reservoir against the exact live
-//!   population;
-//! * `JoinCounter` (crate-internal, used by the sharded workers) owns its
-//!   tuple sets — the workers have no relation access through the
-//!   `JoinSampler` interface — and counts on demand, with deletions
-//!   removing from the sets.
+//!   tuples only — tombstones are skipped): the reference the index kernel
+//!   is tested against, and the oracle of the repo benchmark;
+//! * `JoinCounter` (crate-internal, used by the sharded workers and the
+//!   service's boxed members) owns its tuple sets — those owners have no
+//!   relation access through the `JoinSampler` interface — builds its plan
+//!   once, and counts on demand, with deletions removing from the sets.
+//!
+//! Both saturate: the result is `min(|Q(R)|, u128::MAX)`.
 
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::{FxHashMap, FxHashSet, Value};
+use rsj_common::value::MAX_KEY_ARITY;
+use rsj_common::{FxHashMap, FxHashSet, Key, Value};
 use rsj_query::{JoinTree, Query};
 use rsj_storage::Database;
+use std::hash::Hash;
 
 /// The rooted message-passing schedule for acyclic counting.
 pub(crate) struct CountPlan {
@@ -79,22 +85,42 @@ impl CountPlan {
     }
 
     /// One bottom-up message pass; `tuples_of(rel)` yields the live tuples
-    /// of each relation.
-    fn count<'a>(
+    /// of each relation. Messages are keyed by the inline [`Key`] wherever
+    /// every shared-attribute set fits one; a query joining on more than
+    /// [`MAX_KEY_ARITY`] attributes (legal here — only the dynamic index
+    /// caps key width) keys them by `Vec<Value>` instead.
+    fn count<'a, I>(&self, tuples_of: impl Fn(usize) -> I) -> u128
+    where
+        I: Iterator<Item = &'a [Value]>,
+    {
+        if self.up.iter().all(|pos| pos.len() <= MAX_KEY_ARITY) {
+            self.count_keyed(tuples_of, Key::project)
+        } else {
+            self.count_keyed(tuples_of, |t, pos| {
+                pos.iter().map(|&p| t[p]).collect::<Vec<Value>>()
+            })
+        }
+    }
+
+    fn count_keyed<'a, I, K>(
         &self,
-        n: usize,
-        tuples_of: impl Fn(usize) -> Box<dyn Iterator<Item = &'a [Value]> + 'a>,
-    ) -> u128 {
+        tuples_of: impl Fn(usize) -> I,
+        project: impl Fn(&[Value], &[usize]) -> K,
+    ) -> u128
+    where
+        I: Iterator<Item = &'a [Value]>,
+        K: Hash + Eq,
+    {
         // msgs[c]: sum of subtree weights of c's tuples, grouped by the
         // projection onto the attributes shared with c's parent.
-        let mut msgs: Vec<FxHashMap<Vec<Value>, u128>> = vec![FxHashMap::default(); n];
+        let mut msgs: Vec<FxHashMap<K, u128>> =
+            self.order.iter().map(|_| Default::default()).collect();
         let mut total: u128 = 0;
         for &r in self.order.iter().rev() {
             for t in tuples_of(r) {
                 let mut w: u128 = 1;
                 for (c, pos) in &self.down[r] {
-                    let key: Vec<Value> = pos.iter().map(|&p| t[p]).collect();
-                    match msgs[*c].get(&key) {
+                    match msgs[*c].get(&project(t, pos)) {
                         Some(&s) => w = w.saturating_mul(s),
                         None => {
                             w = 0;
@@ -107,8 +133,7 @@ impl CountPlan {
                 }
                 match self.parent[r] {
                     Some(_) => {
-                        let key: Vec<Value> = self.up[r].iter().map(|&p| t[p]).collect();
-                        let slot = msgs[r].entry(key).or_insert(0);
+                        let slot = msgs[r].entry(project(t, &self.up[r])).or_insert(0);
                         *slot = slot.saturating_add(w);
                     }
                     None => total = total.saturating_add(w),
@@ -122,14 +147,14 @@ impl CountPlan {
 /// Exact `|Q(R)|` over the live tuples of `db`.
 ///
 /// One `O(N)` join-tree message pass for acyclic queries, backtracking
-/// enumeration otherwise. Tombstoned (deleted) tuples are skipped — this is
-/// the exact post-delete population the turnstile reservoir repair
-/// recalibrates against.
+/// enumeration otherwise. Tombstoned (deleted) tuples are skipped, so this
+/// is the exact post-delete population. Saturates at `u128::MAX`.
+///
+/// Plans and hashes from scratch on every call; a sampler that owns a
+/// dynamic index asks the index instead (`DynamicIndex::exact_count`).
 pub fn exact_result_count(query: &Query, db: &Database) -> u128 {
     match JoinTree::build(query) {
-        Some(tree) => CountPlan::new(query, &tree).count(query.num_relations(), |r| {
-            Box::new(db.relation(r).iter().map(|(_, t)| t))
-        }),
+        Some(tree) => CountPlan::new(query, &tree).count(|r| db.relation(r).iter().map(|(_, t)| t)),
         None => {
             let seen: Vec<Vec<Vec<Value>>> = (0..query.num_relations())
                 .map(|r| db.relation(r).iter().map(|(_, t)| t.to_vec()).collect())
@@ -242,9 +267,7 @@ impl JoinCounter {
     /// Exact `|Q_i|` over the live accepted tuples.
     pub(crate) fn count(&self) -> u128 {
         match &self.plan {
-            Some(plan) => plan.count(self.query.num_relations(), |r| {
-                Box::new(self.seen[r].iter().map(|t| t.as_slice()))
-            }),
+            Some(plan) => plan.count(|r| self.seen[r].iter().map(|t| t.as_slice())),
             None => {
                 let seen: Vec<Vec<Vec<Value>>> = self
                     .seen
@@ -338,6 +361,43 @@ mod tests {
             counter.remove(*rel, t);
         }
         assert_eq!(exact_result_count(&q, &db), counter.count());
+    }
+
+    /// Regression: only the dynamic index caps join keys at
+    /// `MAX_KEY_ARITY`; the sidecar serves index-less engines on any
+    /// query, so a five-attribute shared set must take the `Vec` keys
+    /// instead of truncating (release) or asserting (debug) in
+    /// `Key::project`.
+    #[test]
+    fn join_keys_wider_than_the_inline_key_count_exactly() {
+        let mut qb = QueryBuilder::new();
+        qb.relation("R", &["A", "B", "C", "D", "E", "X"]);
+        qb.relation("S", &["A", "B", "C", "D", "E", "Y"]);
+        let q = qb.build().unwrap();
+        assert!(q.shared_attrs(0, 1).len() > MAX_KEY_ARITY);
+        let mut counter = JoinCounter::new(q.clone());
+        // Keys that agree on the first four attributes and differ on the
+        // fifth: a truncated key would join all of them.
+        for e in 0..3u64 {
+            for x in 0..=e {
+                counter.insert(0, vec![1, 2, 3, 4, e, x]);
+            }
+            for y in 0..2 {
+                counter.insert(1, vec![1, 2, 3, 4, e, 10 + y]);
+            }
+        }
+        // Per e: (e + 1) R-tuples x 2 S-tuples.
+        assert_eq!(counter.count(), 2 * (1 + 2 + 3));
+        counter.remove(1, &[1, 2, 3, 4, 2, 10]);
+        assert_eq!(counter.count(), 2 * (1 + 2) + 3);
+        let mut db = Database::new();
+        for r in q.relations() {
+            db.add_relation(r.name.clone(), r.attrs.len());
+        }
+        db.relation_mut(0).insert(&[1, 2, 3, 4, 5, 0]);
+        db.relation_mut(1).insert(&[1, 2, 3, 4, 5, 0]);
+        db.relation_mut(1).insert(&[1, 2, 3, 4, 6, 0]);
+        assert_eq!(exact_result_count(&q, &db), 1);
     }
 
     #[test]

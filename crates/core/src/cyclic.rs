@@ -171,11 +171,11 @@ impl CyclicReservoirJoin {
         self.deletes
     }
 
-    /// Exact live `|Q(R)|`, computed on demand from the inner driver's
-    /// bag-level relations (`O(N^w)` in the worst case — the same walk the
-    /// delete repair uses).
+    /// Exact live `|Q(R)|`, computed on demand by the inner driver's index
+    /// over its bag-level groups (`O(N^w)` in the worst case — the same
+    /// pass the delete repair uses).
     pub fn exact_result_count(&self) -> u128 {
-        crate::count::exact_result_count(self.inner.index().query(), self.inner.index().database())
+        self.inner.index().exact_count()
     }
 
     /// Serializes the full dynamic state: bag trie contents, the stream

@@ -605,10 +605,10 @@ impl FkReservoirJoin {
         &mut self.inner
     }
 
-    /// Exact live `|Q(R)|`, computed on demand from the inner driver's
-    /// stored relations (`O(N)` — same walk the delete repair uses).
+    /// Exact live `|Q(R)|`, computed on demand by the inner driver's index
+    /// over its own groups (`O(N)` — the same pass the delete repair uses).
     pub fn exact_result_count(&self) -> u128 {
-        crate::count::exact_result_count(self.inner.index().query(), self.inner.index().database())
+        self.inner.index().exact_count()
     }
 
     /// Serializes the full dynamic state: combiner registries, then the

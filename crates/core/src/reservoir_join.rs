@@ -20,9 +20,12 @@
 //!    simple random sampling, so the sample set is exactly uniform without
 //!    replacement over the post-delete `Q(R)`.
 //! 3. **Recalibrate** the skip state `(w, q)` against the *exact* live
-//!    `|Q(R)|` (one `O(N)` message-passing count), so subsequent inserts
-//!    are weighted as if the reservoir had run over the live population
-//!    from the start.
+//!    `|Q(R)|`, so subsequent inserts are weighted as if the reservoir had
+//!    run over the live population from the start. The count is served by
+//!    the index ([`DynamicIndex::exact_count`]: one pass over the groups
+//!    and posting lists it already maintains — no re-planning, no tuple
+//!    hashing, no allocation per tuple); inside the sampler service the
+//!    members of an index group share one such pass per accepted op.
 //!
 //! Step 3 is the expensive one and runs only at *repair points*: deletes
 //! that evicted a sample, plus a forced refresh every `~|Q(R)|/4k`
@@ -34,7 +37,6 @@
 //! `SymmetricHashJoin`) afford recalibration on *every* delete and carry
 //! no such drift; see ARCHITECTURE.md, "Update model".
 
-use crate::count::exact_result_count;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::hash::fx_hash_columns;
 use rsj_common::rng::{child_seed, RsjRng};
@@ -273,8 +275,16 @@ impl SamplerCore {
     /// The reservoir side of a deletion `index` has already applied:
     /// evict samples using the tuple, then repair if the eviction damaged
     /// the sample or the repair period elapsed (see the [module
-    /// docs](self)).
-    pub(crate) fn apply_delete(&mut self, index: &DynamicIndex, rel: usize, tuple: &[Value]) {
+    /// docs](self)). `population` yields the exact live `|Q(R)|` of
+    /// `index` and is only called at a repair point — the caller decides
+    /// whether that is a fresh count or one shared with other cores.
+    pub(crate) fn apply_delete(
+        &mut self,
+        index: &DynamicIndex,
+        rel: usize,
+        tuple: &[Value],
+        population: impl FnOnce() -> u128,
+    ) {
         self.deletes += 1;
         self.deletes_since_repair += 1;
         // A materialized sample used the deleted tuple iff its projection
@@ -285,7 +295,7 @@ impl SamplerCore {
             .reservoir
             .evict_where(|s| attrs.iter().enumerate().all(|(pos, &a)| s[a] == tuple[pos]));
         if evicted > 0 || self.deletes_since_repair >= self.repair_period() {
-            self.repair(index);
+            self.repair(index, population());
         }
     }
 
@@ -295,7 +305,7 @@ impl SamplerCore {
     /// `~1/4k`. When the population is small (`<= 4k`) the period is 1 and
     /// every delete is a repair point, making the sample exactly uniform
     /// in precisely the regime where a single delete matters; for large
-    /// populations the `O(N)` count amortizes to `O(k)` per delete.
+    /// populations the count pass amortizes to `O(k)` per delete.
     pub(crate) fn repair_period(&self) -> u64 {
         1u64.max(
             (self.last_population / (4 * self.reservoir.capacity().max(1) as u128))
@@ -303,11 +313,10 @@ impl SamplerCore {
         )
     }
 
-    /// A repair point: exact live count, sample backfill to
-    /// `min(k, |Q(R)|)` distinct uniform results, skip-state
-    /// recalibration.
-    pub(crate) fn repair(&mut self, index: &DynamicIndex) {
-        let population = exact_result_count(index.query(), index.database());
+    /// A repair point: sample backfill to `min(k, |Q(R)|)` distinct
+    /// uniform results and skip-state recalibration against `population`,
+    /// the exact live `|Q(R)|` of `index`.
+    pub(crate) fn repair(&mut self, index: &DynamicIndex, population: u128) {
         self.last_population = population;
         self.deletes_since_repair = 0;
         let target = (self.reservoir.capacity() as u128).min(population) as usize;
@@ -525,7 +534,9 @@ impl ReservoirJoin {
     /// (set semantics — no effect).
     pub fn delete(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
         let tid = self.index.delete(rel, tuple)?;
-        self.core.apply_delete(&self.index, rel, tuple);
+        let index = &self.index;
+        self.core
+            .apply_delete(index, rel, tuple, || index.exact_count());
         Some(tid)
     }
 
@@ -535,7 +546,7 @@ impl ReservoirJoin {
     /// repair-period deletes (see the [module docs](self)); exposed so
     /// turnstile pipelines can buy back exactness before a read.
     pub fn refresh(&mut self) {
-        self.core.repair(&self.index);
+        self.core.repair(&self.index, self.index.exact_count());
     }
 
     /// Re-evaluates the plan against statistics observed from the stored
@@ -629,7 +640,7 @@ impl ReservoirJoin {
         // recalibrate the skip state — the reservoir continues as if it had
         // sampled the live population through the new orientation all
         // along.
-        self.core.repair(&self.index);
+        self.core.repair(&self.index, self.index.exact_count());
         true
     }
 

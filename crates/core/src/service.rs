@@ -47,10 +47,19 @@
 //! [`SampleReader::snapshot`] retries on epoch mismatch and therefore
 //! always observes the state at some single published LSN — a reader can
 //! never pair one epoch's reservoir with another epoch's count
-//! (ARCHITECTURE.md, invariant 10). Exact `|Q(R)|` is computed once per
-//! *group* per publish point and shared by all members.
+//! (ARCHITECTURE.md, invariant 10).
+//!
+//! # One count per op per group
+//!
+//! Exact `|Q(R)|` is a property of an index state, and every member of a
+//! group looks at the same index. Each group therefore memoizes it: the
+//! first consumer after an accepted op — a member's delete repair, a
+//! publish point, an [`exact_count`](SamplerService::exact_count) call —
+//! pays one [`DynamicIndex::exact_count`] pass, every later one reads the
+//! number, and the next accepted op on that index forgets it. The memo is
+//! transient: never serialized, rebuilt on demand after a restore.
 
-use crate::count::{exact_result_count, JoinCounter};
+use crate::count::JoinCounter;
 use crate::exec::JoinSampler;
 use crate::reservoir_join::{DeltaCache, SamplerCore};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
@@ -61,15 +70,18 @@ use rsj_index::dynamic::IndexError;
 use rsj_index::{DynamicIndex, IndexOptions};
 use rsj_query::{JoinTree, Plan, Query};
 use rsj_storage::{ColumnarBatch, OpStream, SharedStore, SharedStoreError, StreamOp};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Service-wide configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceOpts {
     /// Ops between automatic publish points (`0` = publish only on
-    /// explicit [`publish`](SamplerService::publish) calls). Each publish
-    /// point costs one exact `|Q(R)|` count per index group, so the
-    /// cadence trades reader freshness against ingest overhead.
+    /// explicit [`publish`](SamplerService::publish) calls). A publish
+    /// point copies every member's reservoir into its cell and needs each
+    /// index group's exact `|Q(R)|` — at most one pass over the group's
+    /// index, none when a delete repair of the same op already counted —
+    /// so the cadence trades reader freshness against ingest overhead.
     pub publish_every: u64,
 }
 
@@ -208,6 +220,25 @@ struct Group {
     /// every op, never serialized). Only exercised with two or more
     /// members; a lone member keeps the standalone zero-allocation path.
     cache: DeltaCache,
+    /// Exact `|Q(R)|` of the index's current state, if anyone has asked
+    /// since the last accepted op (transient — never serialized). See the
+    /// [module docs](self), "One count per op per group".
+    population: Cell<Option<u128>>,
+}
+
+impl Group {
+    /// The memoized exact count of `index`, paying (and tallying in
+    /// `passes`) one index pass when its current state has not been
+    /// counted yet. Takes the group's fields apart because the ingest loop
+    /// calls it while holding the members mutably.
+    fn population(index: &DynamicIndex, memo: &Cell<Option<u128>>, passes: &Cell<u64>) -> u128 {
+        memo.get().unwrap_or_else(|| {
+            passes.set(passes.get() + 1);
+            let population = index.exact_count();
+            memo.set(Some(population));
+            population
+        })
+    }
 }
 
 /// One boxed-engine member: resident and backfilled, but unshared.
@@ -254,6 +285,11 @@ pub struct SamplerService {
     next_id: u64,
     publish_every: u64,
     ops_since_publish: u64,
+    /// Index count passes performed so far (transient; the sharing tests
+    /// read it to pin "at most one pass per accepted op per group").
+    count_passes: Cell<u64>,
+    /// Reused payload buffer of [`publish`](SamplerService::publish).
+    publish_words: Vec<u64>,
 }
 
 impl SamplerService {
@@ -277,6 +313,8 @@ impl SamplerService {
             next_id: 1,
             publish_every: opts.publish_every,
             ops_since_publish: 0,
+            count_passes: Cell::new(0),
+            publish_words: Vec::new(),
         }
     }
 
@@ -389,6 +427,7 @@ impl SamplerService {
                         cell: Arc::new(EpochCell::new(0)),
                     }],
                     cache: DeltaCache::default(),
+                    population: Cell::new(None),
                 });
                 self.groups.len() - 1
             }
@@ -464,7 +503,8 @@ impl SamplerService {
             let t = op.tuple();
             if op.is_delete() {
                 if index.delete(t.relation, &t.values).is_some() {
-                    core.apply_delete(index, t.relation, &t.values);
+                    let index = &*index;
+                    core.apply_delete(index, t.relation, &t.values, || index.exact_count());
                 }
             } else if let Some(tid) = index.insert(t.relation, &t.values) {
                 core.consume_delta(index, t.relation, tid);
@@ -587,20 +627,27 @@ impl SamplerService {
         let lsn = self.store.append_owned(op).map_err(ServiceError::Store)?;
         let op = &self.store.history().ops()[lsn as usize];
         let t = op.tuple();
+        let passes = &self.count_passes;
         for g in &mut self.groups {
             let Group {
                 index,
                 members,
                 cache,
+                population,
                 ..
             } = g;
             if op.is_delete() {
                 if index.delete(t.relation, &t.values).is_some() {
+                    population.set(None);
+                    let index = &*index;
                     for m in members.iter_mut() {
-                        m.core.apply_delete(index, t.relation, &t.values);
+                        m.core.apply_delete(index, t.relation, &t.values, || {
+                            Group::population(index, population, passes)
+                        });
                     }
                 }
             } else if let Some(tid) = index.insert(t.relation, &t.values) {
+                population.set(None);
                 Self::consume_group(index, members, cache, t.relation, tid);
             }
         }
@@ -689,6 +736,7 @@ impl SamplerService {
                 index,
                 members,
                 cache,
+                population,
                 ..
             } = g;
             for &(rel, r) in batch.arrivals() {
@@ -697,6 +745,7 @@ impl SamplerService {
                 if let Some(tid) =
                     index.insert_hashed(rel as usize, &row, hashes[rel as usize][r as usize])
                 {
+                    population.set(None);
                     Self::consume_group(index, members, cache, rel as usize, tid);
                 }
             }
@@ -721,25 +770,34 @@ impl SamplerService {
     }
 
     /// Publishes every member's `(lsn, |Q(R)|, samples)` to its epoch
-    /// cell — the only write side of the reader path. Exact counts are
-    /// computed once per index group and shared by its members.
+    /// cell — the only write side of the reader path. A group's exact
+    /// count comes from its memo (see the [module docs](self)), so a
+    /// publish point right after a delete repair counts nothing again.
     pub fn publish(&mut self) {
         self.ops_since_publish = 0;
         let lsn = self.store.lsn();
+        let words = &mut self.publish_words;
         for g in &self.groups {
-            let population = exact_result_count(g.index.query(), g.index.database());
+            let population = Group::population(&g.index, &g.population, &self.count_passes);
             for m in &g.members {
-                Self::publish_cell(&m.cell, lsn, population, m.core.samples());
+                Self::publish_cell(words, &m.cell, lsn, population, m.core.samples());
             }
         }
         for b in &self.boxed {
             let samples = b.sampler.samples();
-            Self::publish_cell(&b.cell, lsn, b.counter.count(), &samples);
+            Self::publish_cell(words, &b.cell, lsn, b.counter.count(), &samples);
         }
     }
 
-    fn publish_cell(cell: &EpochCell, lsn: u64, population: u128, samples: &[Vec<Value>]) {
-        let mut words = Vec::with_capacity(cell.capacity());
+    fn publish_cell(
+        words: &mut Vec<u64>,
+        cell: &EpochCell,
+        lsn: u64,
+        population: u128,
+        samples: &[Vec<Value>],
+    ) {
+        words.clear();
+        words.reserve(cell.capacity());
         words.push(lsn);
         words.push(population as u64);
         words.push((population >> 64) as u64);
@@ -747,7 +805,7 @@ impl SamplerService {
         for s in samples {
             words.extend_from_slice(s);
         }
-        cell.publish(&words);
+        cell.publish(words);
     }
 
     /// A clonable, thread-safe reader over the registration's epoch cell.
@@ -785,11 +843,17 @@ impl SamplerService {
         }
     }
 
-    /// Exact live `|Q(R)|` for the registration (an `O(N)` count).
+    /// Exact live `|Q(R)|` for the registration. Shared registrations read
+    /// their group's memo — one index pass per accepted op however many
+    /// handles ask; boxed ones run their sidecar's `O(N)` count.
     pub fn exact_count(&self, handle: QueryHandle) -> Result<u128, ServiceError> {
         if let Some((gi, _)) = self.find_shared(handle.0) {
             let g = &self.groups[gi];
-            Ok(exact_result_count(g.index.query(), g.index.database()))
+            Ok(Group::population(
+                &g.index,
+                &g.population,
+                &self.count_passes,
+            ))
         } else if let Some(bi) = self.find_boxed(handle.0) {
             Ok(self.boxed[bi].counter.count())
         } else {
@@ -916,6 +980,7 @@ impl SamplerService {
                 index,
                 members,
                 cache: DeltaCache::default(),
+                population: Cell::new(None),
             });
         }
         let nboxed = dec.seq_len(1)?;
@@ -1104,17 +1169,36 @@ mod tests {
     #[test]
     fn members_share_one_index_and_match_standalone() {
         let q = line3();
-        let mut svc = SamplerService::new(q.clone());
-        let handles: Vec<QueryHandle> = (0..4)
+        // The default cadence would publish (and count) on its own
+        // schedule; this test places its publish points itself.
+        let mut svc = SamplerService::with_opts(q.clone(), ServiceOpts { publish_every: 0 });
+        let handles: Vec<QueryHandle> = (0..8)
             .map(|i| {
                 svc.register(&q, &QueryOpts::new(4 + i, 100 + i as u64))
                     .unwrap()
             })
             .collect();
-        assert_eq!(svc.num_queries(), 4);
+        assert_eq!(svc.num_queries(), 8);
         assert_eq!(svc.num_groups(), 1, "same tree, same options: one index");
         let ops = turnstile_ops(300, 7);
-        svc.process_op_stream(&ops).unwrap();
+        let mut repairing_deletes = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let before = svc.count_passes.get();
+            svc.process_op(op).unwrap();
+            if i % 64 == 63 {
+                // A mid-stream publish point and eight owner-side reads
+                // are all served by the op's one count.
+                svc.publish();
+                for h in &handles {
+                    svc.exact_count(*h).unwrap();
+                }
+                svc.publish();
+            }
+            let passes = svc.count_passes.get() - before;
+            assert!(passes <= 1, "op {i}: {passes} count passes for one op");
+            repairing_deletes += u64::from(op.is_delete() && passes == 1);
+        }
+        assert!(repairing_deletes > 0, "no delete ever repaired");
         for (i, h) in handles.iter().enumerate() {
             let mut rj = standalone(&q, 4 + i, 100 + i as u64);
             rj.process_op_stream(&ops).unwrap();
@@ -1123,6 +1207,7 @@ mod tests {
                 crate::exec::JoinSampler::samples(&rj),
                 "member {i} diverged from its standalone twin"
             );
+            assert_eq!(svc.exact_count(*h).unwrap(), rj.index().exact_count());
         }
     }
 

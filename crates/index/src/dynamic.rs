@@ -274,7 +274,7 @@ pub struct DynamicIndex {
     pub(crate) infos: Vec<NodeInfo>,
     /// Per configuration: the configurations of its children (child `c`
     /// parented by this relation), parallel to `infos[cfg].children`.
-    child_cfgs: Vec<Vec<u32>>,
+    pub(crate) child_cfgs: Vec<Vec<u32>>,
     /// Per configuration `(e, p)`: the parent configurations its `cnt~`
     /// changes propagate into — every configuration of `p` not parented
     /// by `e`, with the child index of `e` inside it.

@@ -28,6 +28,7 @@
 //! with multiplicity `feq`) instead of base tuples, shrinking propagation
 //! fan-out.
 
+mod count;
 pub mod dynamic;
 pub mod retrieve;
 pub mod sampler;
