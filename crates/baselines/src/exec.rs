@@ -7,9 +7,8 @@ use crate::sjoin::{SJoin, SJoinOpt};
 use crate::symmetric::SymmetricHashJoin;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{FxHashSet, Value};
-use rsj_core::exec::{DeleteUnsupported, JoinSampler, SamplerStats};
+use rsj_core::exec::{JoinSampler, SamplerStats};
 use rsj_query::Query;
-use rsj_storage::StreamOp;
 
 impl JoinSampler for NaiveRebuild {
     fn name(&self) -> &'static str {
@@ -24,17 +23,9 @@ impl JoinSampler for NaiveRebuild {
         NaiveRebuild::process(self, rel, tuple);
     }
 
-    /// Trivially fully dynamic: every op rebuilds and redraws.
-    fn supports_deletes(&self) -> bool {
-        true
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        match op {
-            StreamOp::Insert(t) => NaiveRebuild::process(self, t.relation, &t.values),
-            StreamOp::Delete(t) => NaiveRebuild::delete(self, t.relation, &t.values),
-        }
-        Ok(())
+    /// Trivially dynamic: every op rebuilds and redraws.
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        NaiveRebuild::delete(self, rel, tuple);
     }
 
     fn samples(&self) -> Vec<Vec<Value>> {
@@ -43,10 +34,6 @@ impl JoinSampler for NaiveRebuild {
 
     fn k(&self) -> usize {
         NaiveRebuild::k(self)
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -75,22 +62,10 @@ impl JoinSampler for SJoin {
         SJoin::process(self, rel, tuple);
     }
 
-    /// Fully dynamic with exact per-delete recalibration (the exact index
-    /// maintains `|Q(R)|` in `O(1)`).
-    fn supports_deletes(&self) -> bool {
-        true
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        match op {
-            StreamOp::Insert(t) => {
-                SJoin::process(self, t.relation, &t.values);
-            }
-            StreamOp::Delete(t) => {
-                SJoin::delete(self, t.relation, &t.values);
-            }
-        }
-        Ok(())
+    /// Exact per-delete recalibration (the exact index maintains
+    /// `|Q(R)|` in `O(1)`).
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        SJoin::delete(self, rel, tuple);
     }
 
     fn samples(&self) -> Vec<Vec<Value>> {
@@ -110,10 +85,6 @@ impl JoinSampler for SJoin {
             exact_results: Some(self.index().total_results()),
             ..SamplerStats::default()
         }
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -138,8 +109,19 @@ impl JoinSampler for SJoinOpt {
         self.rewritten_query()
     }
 
+    fn input_query(&self) -> &Query {
+        &self.query
+    }
+
     fn process(&mut self, rel: usize, tuple: &[Value]) {
         SJoinOpt::process(self, rel, tuple);
+    }
+
+    /// The foreign-key combiner retracts combined tuples as signed deltas
+    /// and the inner SJoin repairs its reservoir against the exact live
+    /// count.
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        SJoinOpt::delete(self, rel, tuple);
     }
 
     fn samples(&self) -> Vec<Vec<Value>> {
@@ -148,25 +130,6 @@ impl JoinSampler for SJoinOpt {
 
     fn k(&self) -> usize {
         SJoinOpt::k(self)
-    }
-
-    /// Fully dynamic since PR 10: the foreign-key combiner retracts
-    /// combined tuples as signed deltas and the inner SJoin repairs its
-    /// reservoir against the exact live count.
-    fn supports_deletes(&self) -> bool {
-        true
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        match op {
-            StreamOp::Insert(t) => {
-                SJoinOpt::process(self, t.relation, &t.values);
-            }
-            StreamOp::Delete(t) => {
-                SJoinOpt::delete(self, t.relation, &t.values);
-            }
-        }
-        Ok(())
     }
 
     fn stats(&self) -> SamplerStats {
@@ -178,10 +141,6 @@ impl JoinSampler for SJoinOpt {
             exact_results: Some(self.inner().index().total_results()),
             ..SamplerStats::default()
         }
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -274,34 +233,22 @@ impl JoinSampler for SymmetricSampler {
         }
     }
 
-    /// Fully dynamic and exact: the operator maintains the exact live
-    /// result count, so the classic reservoir recalibrates on every
-    /// delete.
-    fn supports_deletes(&self) -> bool {
-        true
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        match op {
-            StreamOp::Insert(t) => JoinSampler::process(self, t.relation, &t.values),
-            StreamOp::Delete(t) => {
-                let rel = t.relation;
-                assert!(
-                    rel < 2,
-                    "relation index {rel} out of range for 2-table join"
-                );
-                if !self.seen[rel].remove(&t.values) {
-                    return Ok(());
-                }
-                self.deletes += 1;
-                if rel == 0 {
-                    self.inner.delete_left(&t.values);
-                } else {
-                    self.inner.delete_right(&t.values);
-                }
-            }
+    /// Exact: the operator maintains the exact live result count, so the
+    /// classic reservoir recalibrates on every delete.
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        assert!(
+            rel < 2,
+            "relation index {rel} out of range for 2-table join"
+        );
+        if !self.seen[rel].remove(tuple) {
+            return;
         }
-        Ok(())
+        self.deletes += 1;
+        if rel == 0 {
+            self.inner.delete_left(tuple);
+        } else {
+            self.inner.delete_right(tuple);
+        }
     }
 
     fn samples(&self) -> Vec<Vec<Value>> {
@@ -334,10 +281,6 @@ impl JoinSampler for SymmetricSampler {
             exact_results: Some(self.inner.live_results()),
             ..SamplerStats::default()
         }
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -420,7 +363,7 @@ mod tests {
     #[test]
     fn trait_level_snapshots_round_trip_for_all_baselines() {
         use rsj_common::rng::RsjRng;
-        use rsj_storage::InputTuple;
+        use rsj_storage::{InputTuple, StreamOp};
         let q = two_table();
         let build = |which: usize| -> Box<dyn JoinSampler> {
             match which {
@@ -432,7 +375,6 @@ mod tests {
         };
         for which in 0..4 {
             let mut engine = build(which);
-            assert!(engine.supports_snapshot(), "{}", engine.name());
             let mut rng = RsjRng::seed_from_u64(61);
             let mut ops = Vec::new();
             for i in 0..120u64 {

@@ -17,7 +17,7 @@ use crate::fenwick::Fenwick;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{FxHashMap, Key, TupleId, Value};
 use rsj_query::{Query, RootedTree};
-use rsj_storage::{Database, TupleStream};
+use rsj_storage::Database;
 use rsj_stream::{FnBatch, Reservoir};
 
 /// Instrumentation counters for SJoin.
@@ -626,13 +626,6 @@ impl SJoin {
         Some(tid)
     }
 
-    /// Processes a whole stream.
-    pub fn process_stream(&mut self, stream: &TupleStream) {
-        for t in stream.iter() {
-            self.process(t.relation, &t.values);
-        }
-    }
-
     /// Deletes one input tuple; `None` if absent. Exact turnstile repair:
     /// evict dead samples, backfill with distinct exact positional draws,
     /// re-draw the skip state against the exact live `|Q(R)|`.
@@ -718,6 +711,8 @@ impl SJoin {
 
 /// `SJoin_opt`: SJoin behind the foreign-key combination rewrite.
 pub struct SJoinOpt {
+    /// The original query, whose relations the input stream addresses.
+    pub(crate) query: Query,
     combiner: rsj_core::FkCombiner,
     inner: SJoin,
 }
@@ -733,6 +728,7 @@ impl SJoinOpt {
         let plan = rsj_query::CombinePlan::build(query, fks).map_err(|e| e.to_string())?;
         let inner = SJoin::new(plan.rewritten.clone(), k, seed)?;
         Ok(SJoinOpt {
+            query: query.clone(),
             combiner: rsj_core::FkCombiner::new(plan),
             inner,
         })

@@ -71,10 +71,6 @@ fn main() {
         }
         .weave(&w.stream);
         for engine in &engines {
-            assert!(
-                engine.supports_deletes(),
-                "{engine} must be fully dynamic to enter this sweep"
-            );
             let mut sampler = engine
                 .build(&w.query, k, 3, &EngineOpts::default())
                 .unwrap_or_else(|e| panic!("{engine}: {e}"));

@@ -6,8 +6,10 @@
 //! `SJoin_opt` / `SymmetricHashJoin` baselines. Each historically exposed
 //! its own ad-hoc `process` method, so every test, bench and example
 //! re-implemented the same driver loop per engine. [`JoinSampler`] is the
-//! shared operator interface: feed original-stream tuples in arrival
-//! order, read back the current uniform sample, inspect instrumentation.
+//! shared operator interface: insert and delete original-stream tuples in
+//! arrival order, read back the current uniform sample, snapshot and
+//! restore the full state, inspect instrumentation. Every engine honours
+//! all of it — there is no capability to probe.
 //!
 //! Implementations for the three paper engines live here; the baselines
 //! implement the trait in `rsj-baselines`, and the `Engine` factory that
@@ -20,7 +22,7 @@ use crate::reservoir_join::ReservoirJoin;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::Value;
 use rsj_query::Query;
-use rsj_storage::{ColumnarBatch, InputTuple, OpStream, StreamOp, TupleStream};
+use rsj_storage::{ColumnarBatch, InputTuple, SharedStoreError, StreamOp};
 
 /// Uniform instrumentation snapshot across engines.
 ///
@@ -33,7 +35,7 @@ pub struct SamplerStats {
     /// [`deletes`](SamplerStats::deletes) for the live count.
     pub inserts: Option<u64>,
     /// Tuples deleted (present at deletion time; absent-tuple deletes are
-    /// no-ops and not counted). Always zero for insert-only engines.
+    /// no-ops and not counted).
     pub deletes: Option<u64>,
     /// Predicate-evaluating reservoir stops, each costing one retrieve.
     pub reservoir_stops: Option<u64>,
@@ -53,36 +55,44 @@ pub struct SamplerStats {
     pub degraded: Option<u64>,
 }
 
-/// A [`StreamOp::Delete`] was fed to an engine that only supports
-/// insert-only streams (see [`JoinSampler::supports_deletes`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeleteUnsupported {
-    /// [`JoinSampler::name`] of the rejecting engine.
-    pub engine: &'static str,
+/// Checks one op against `query`'s schema: the relation must exist and
+/// the tuple must be exactly as wide as the relation.
+pub(crate) fn check_op(query: &Query, op: &StreamOp) -> Result<(), SharedStoreError> {
+    let t = op.tuple();
+    let arity = query.relations().get(t.relation).map(|r| r.attrs.len());
+    SharedStoreError::check(t.relation, arity, t.values.len())
 }
 
-impl std::fmt::Display for DeleteUnsupported {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} is insert-only: it cannot process StreamOp::Delete",
-            self.engine
-        )
+/// Applies an already-checked op through the engine's ingest primitives.
+fn apply_op<S: JoinSampler + ?Sized>(sampler: &mut S, op: &StreamOp) {
+    let t = op.tuple();
+    match op {
+        StreamOp::Insert(_) => sampler.process(t.relation, &t.values),
+        StreamOp::Delete(_) => sampler.delete(t.relation, &t.values),
     }
 }
 
-impl std::error::Error for DeleteUnsupported {}
-
 /// A streaming join-sampling engine: maintains `k` uniform samples without
-/// replacement of `Q(R)` while tuples of `R` stream in.
+/// replacement of `Q(R)` while tuples of `R` are inserted and deleted.
 ///
-/// The unit of work is [`process`](JoinSampler::process): one tuple of the
-/// *original* query's stream. Engines that internally rewrite the query
-/// (foreign-key combination, GHD bag-level queries) still accept original
-/// relation indices and translate internally; their samples are tuples of
+/// Every engine is fully dynamic and snapshot-capable — that is the
+/// contract, not a capability to probe. The ingest primitives are
+/// [`process`](JoinSampler::process) and [`delete`](JoinSampler::delete):
+/// one tuple of the *original* query's stream in, or out. Engines that
+/// internally rewrite the query (foreign-key combination, GHD bag-level
+/// queries) still accept original relation indices — those of
+/// [`input_query`](JoinSampler::input_query) — and translate internally;
+/// their samples are tuples of
 /// [`output_query`](JoinSampler::output_query), which may order attributes
 /// differently from the original. [`samples_named`](JoinSampler::samples_named)
 /// is the engine-independent view used for cross-engine comparison.
+///
+/// The primitives trust their caller: a relation index or tuple width
+/// that does not fit `input_query` is a caller bug and panics. Input from
+/// outside the program (a log, a socket) goes through
+/// [`process_op`](JoinSampler::process_op) /
+/// [`process_op_batch`](JoinSampler::process_op_batch), which check the
+/// schema first and return the rejection as a value.
 pub trait JoinSampler {
     /// Short display name (`"RSJoin"`, `"SJoin_opt"`, ...).
     fn name(&self) -> &'static str;
@@ -93,30 +103,34 @@ pub trait JoinSampler {
     /// original query's.
     fn output_query(&self) -> &Query;
 
-    /// Feeds one tuple of the original stream. Duplicate tuples are no-ops
-    /// (set semantics).
+    /// The query whose relation indices and arities
+    /// [`process`](JoinSampler::process) and
+    /// [`delete`](JoinSampler::delete) accept — the original query the
+    /// engine was built for. Differs from
+    /// [`output_query`](JoinSampler::output_query) only for the rewriting
+    /// engines.
+    fn input_query(&self) -> &Query {
+        self.output_query()
+    }
+
+    /// Inserts one tuple of the original stream. Duplicate tuples are
+    /// no-ops (set semantics).
     fn process(&mut self, rel: usize, tuple: &[Value]);
 
-    /// Feeds a delta batch of original-stream tuples in arrival order.
-    ///
-    /// Semantically identical to calling [`process`](JoinSampler::process)
-    /// per tuple (samples are byte-identical for a fixed seed). The
-    /// sharded executor's workers feed each channel batch to their inner
-    /// engine through this entry point, so the `RSJoin` family keeps its
-    /// projection scratch and materialization buffers hot across the
-    /// whole batch.
+    /// Deletes one tuple of the original stream and repairs the
+    /// maintained sample so it stays uniform over the post-delete `Q(R)`.
+    /// Deleting an absent tuple is a no-op (set semantics).
+    fn delete(&mut self, rel: usize, tuple: &[Value]);
+
+    /// Inserts a delta batch of original-stream tuples in arrival order —
+    /// identical to calling [`process`](JoinSampler::process) per tuple.
     fn process_batch(&mut self, batch: &[InputTuple]) {
         for t in batch {
             self.process(t.relation, &t.values);
         }
     }
 
-    /// Feeds an entire stream in arrival order.
-    fn process_stream(&mut self, stream: &TupleStream) {
-        self.process_batch(stream.tuples());
-    }
-
-    /// Feeds a columnar (struct-of-arrays) batch.
+    /// Inserts a columnar (struct-of-arrays) batch.
     ///
     /// The default adapter shreds the batch back to rows in arrival order
     /// through [`process`](JoinSampler::process) — byte-identical to having
@@ -128,67 +142,38 @@ pub trait JoinSampler {
         batch.shred(|rel, t| self.process(rel, t));
     }
 
-    /// Whether this engine accepts [`StreamOp::Delete`] — the capability
-    /// probe of the update-model contract (see ARCHITECTURE.md, "Update
-    /// model"). Insert-only engines keep the default `false` and
-    /// [`process_op`](JoinSampler::process_op) rejects deletes for them.
-    fn supports_deletes(&self) -> bool {
-        false
+    /// Feeds one turnstile stream op: checks it against
+    /// [`input_query`](JoinSampler::input_query), then applies it through
+    /// [`process`](JoinSampler::process) or
+    /// [`delete`](JoinSampler::delete). An op naming an unknown relation
+    /// or carrying a tuple of the wrong width is rejected with nothing
+    /// applied.
+    fn process_op(&mut self, op: &StreamOp) -> Result<(), SharedStoreError> {
+        check_op(self.input_query(), op)?;
+        apply_op(self, op);
+        Ok(())
     }
 
-    /// Feeds one turnstile stream op. Inserts behave exactly like
-    /// [`process`](JoinSampler::process); deletes remove the tuple (set
-    /// semantics — deleting an absent tuple is a no-op) and repair the
-    /// maintained sample so it stays uniform over the post-delete `Q(R)`.
-    ///
-    /// The default implementation handles inserts and errors on deletes;
-    /// fully-dynamic engines override it together with
-    /// [`supports_deletes`](JoinSampler::supports_deletes).
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        match op {
-            StreamOp::Insert(t) => {
-                self.process(t.relation, &t.values);
-                Ok(())
-            }
-            StreamOp::Delete(_) => Err(DeleteUnsupported {
-                engine: self.name(),
-            }),
-        }
-    }
-
-    /// Feeds a batch of turnstile ops in arrival order. The batch is
-    /// atomic with respect to capability: it is pre-scanned, and a batch
-    /// containing any delete an insert-only engine cannot process is
-    /// rejected *before any op is applied*, leaving the sampler
-    /// byte-identical to its pre-batch state (the same contract the
-    /// service layer enforces per batch).
+    /// Feeds a batch of turnstile ops in arrival order. The whole slice
+    /// is schema-checked before anything is applied, so a rejected batch
+    /// leaves the sampler byte-identical to its pre-batch state.
     ///
     /// Delete-free windows are routed through the columnar ingest path
     /// ([`process_columnar`](JoinSampler::process_columnar)) — identical
     /// samples and stats, batch-amortized hashing for engines with the
     /// fast path. Windows containing any delete stay on the per-op path
     /// (the columnar layout is insert-only).
-    fn process_op_batch(&mut self, ops: &[StreamOp]) -> Result<(), DeleteUnsupported> {
+    fn process_op_batch(&mut self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        let query = self.input_query();
+        ops.iter().try_for_each(|op| check_op(query, op))?;
         if let Some(batch) = ColumnarBatch::from_insert_ops(ops) {
             self.process_columnar(&batch);
             return Ok(());
         }
-        // The batch contains at least one delete: reject it up front if
-        // this engine is insert-only, so no prefix of the batch lands.
-        if !self.supports_deletes() {
-            return Err(DeleteUnsupported {
-                engine: self.name(),
-            });
-        }
         for op in ops {
-            self.process_op(op)?;
+            apply_op(self, op);
         }
         Ok(())
-    }
-
-    /// Feeds an entire turnstile stream in arrival order.
-    fn process_op_stream(&mut self, stream: &OpStream) -> Result<(), DeleteUnsupported> {
-        self.process_op_batch(stream.ops())
     }
 
     /// Re-evaluates the engine's execution plan against statistics
@@ -222,36 +207,24 @@ pub trait JoinSampler {
         SamplerStats::default()
     }
 
-    /// Whether this engine supports full-state snapshot/restore — the
-    /// capability probe of the durability layer (see ARCHITECTURE.md,
-    /// "Durability"). Engines that keep the default `false` cannot be
-    /// wrapped in the facade's `Persistent` checkpoint/WAL driver.
-    fn supports_snapshot(&self) -> bool {
-        false
-    }
-
-    /// Serializes the engine's complete dynamic state, or `None` for
-    /// engines without snapshot support. The encoding captures everything
-    /// future behavior depends on — index physical layout, sample slots,
-    /// RNG positions, counters — so restoring it into a freshly built
-    /// engine with identical construction parameters reproduces the
-    /// original byte-for-byte on any further stream.
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        None
-    }
+    /// Serializes the engine's complete dynamic state. The encoding
+    /// captures everything future behavior depends on — index physical
+    /// layout, sample slots, RNG positions, counters — so restoring it
+    /// into a freshly built engine with identical construction parameters
+    /// reproduces the original byte-for-byte on any further stream.
+    ///
+    /// `None` means exactly one thing: the engine has no canonical image
+    /// *right now*. Only a sharded executor that lost a shard past its
+    /// restart budget returns it; callers (checkpointing, the service)
+    /// report it as a failed snapshot and keep their previous one.
+    fn snapshot_state(&self) -> Option<Vec<u8>>;
 
     /// Restores state produced by
     /// [`snapshot_state`](JoinSampler::snapshot_state) into `self`, which
     /// must have been built with the same construction parameters (query,
     /// `k`, seed, options). Any prior dynamic state of `self` is
-    /// discarded. The default rejects — insert-only engines without the
-    /// capability stay honest about it.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let _ = bytes;
-        Err(CodecError::Corrupt(
-            "engine does not support state snapshots",
-        ))
-    }
+    /// discarded.
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError>;
 
     /// Samples as sorted `(attribute name, value)` pairs — identical
     /// across engines regardless of internal attribute order, so
@@ -274,10 +247,11 @@ pub trait JoinSampler {
     }
 }
 
-/// Boxed engines forward every method to the boxee, so `Box<dyn
-/// JoinSampler + Send>` (what the `Engine` factory hands out) satisfies
-/// generic bounds like the facade's `Persistent<S: JoinSampler>` without
-/// unwrapping.
+/// Boxed engines forward the required methods and the ones some engine
+/// overrides, so `Box<dyn JoinSampler + Send>` (what the `Engine` factory
+/// hands out) satisfies generic bounds like the facade's
+/// `Persistent<S: JoinSampler>` without unwrapping. The remaining provided
+/// methods are the same adapters over these on either side of the box.
 impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -287,36 +261,20 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
         (**self).output_query()
     }
 
+    fn input_query(&self) -> &Query {
+        (**self).input_query()
+    }
+
     fn process(&mut self, rel: usize, tuple: &[Value]) {
         (**self).process(rel, tuple)
     }
 
-    fn process_batch(&mut self, batch: &[InputTuple]) {
-        (**self).process_batch(batch)
-    }
-
-    fn process_stream(&mut self, stream: &TupleStream) {
-        (**self).process_stream(stream)
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        (**self).delete(rel, tuple)
     }
 
     fn process_columnar(&mut self, batch: &ColumnarBatch) {
         (**self).process_columnar(batch)
-    }
-
-    fn supports_deletes(&self) -> bool {
-        (**self).supports_deletes()
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        (**self).process_op(op)
-    }
-
-    fn process_op_batch(&mut self, ops: &[StreamOp]) -> Result<(), DeleteUnsupported> {
-        (**self).process_op_batch(ops)
-    }
-
-    fn process_op_stream(&mut self, stream: &OpStream) -> Result<(), DeleteUnsupported> {
-        (**self).process_op_stream(stream)
     }
 
     fn replan(&mut self) -> bool {
@@ -335,20 +293,12 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
         (**self).stats()
     }
 
-    fn supports_snapshot(&self) -> bool {
-        (**self).supports_snapshot()
-    }
-
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         (**self).snapshot_state()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         (**self).restore_state(bytes)
-    }
-
-    fn samples_named(&self) -> Vec<Vec<(String, Value)>> {
-        (**self).samples_named()
     }
 }
 
@@ -365,8 +315,10 @@ impl JoinSampler for ReservoirJoin {
         ReservoirJoin::process(self, rel, tuple);
     }
 
-    fn process_batch(&mut self, batch: &[InputTuple]) {
-        ReservoirJoin::process_batch(self, batch);
+    /// Deletions mirror insertions in the index and repair the reservoir
+    /// by eviction-and-backfill (see `rsj_core::reservoir_join`).
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        ReservoirJoin::delete(self, rel, tuple);
     }
 
     /// Columnar fast path: column-hashed dedup, per-tuple application —
@@ -387,25 +339,6 @@ impl JoinSampler for ReservoirJoin {
         ReservoirJoin::k(self)
     }
 
-    /// Fully dynamic: deletions mirror insertions in the index and repair
-    /// the reservoir by eviction-and-backfill (see
-    /// `rsj_core::reservoir_join`).
-    fn supports_deletes(&self) -> bool {
-        true
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        match op {
-            StreamOp::Insert(t) => {
-                ReservoirJoin::process(self, t.relation, &t.values);
-            }
-            StreamOp::Delete(t) => {
-                ReservoirJoin::delete(self, t.relation, &t.values);
-            }
-        }
-        Ok(())
-    }
-
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.inserts()),
@@ -415,10 +348,6 @@ impl JoinSampler for ReservoirJoin {
             exact_results: None,
             ..SamplerStats::default()
         }
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -443,8 +372,19 @@ impl JoinSampler for FkReservoirJoin {
         self.rewritten_query()
     }
 
+    fn input_query(&self) -> &Query {
+        &self.query
+    }
+
     fn process(&mut self, rel: usize, tuple: &[Value]) {
         FkReservoirJoin::process(self, rel, tuple);
+    }
+
+    /// The foreign-key combiner is a signed delta pipeline: retractions
+    /// withdraw combined tuples (and re-park rewound facts), and the inner
+    /// acyclic driver repairs its reservoir by eviction-and-backfill.
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        FkReservoirJoin::delete(self, rel, tuple);
     }
 
     /// Re-plans the *rewritten* query's orientation (the foreign-key
@@ -461,26 +401,6 @@ impl JoinSampler for FkReservoirJoin {
         self.inner().k()
     }
 
-    /// Fully dynamic since PR 10: the foreign-key combiner is a signed
-    /// delta pipeline — retractions withdraw combined tuples (and re-park
-    /// rewound facts), and the inner acyclic driver repairs its reservoir
-    /// by eviction-and-backfill.
-    fn supports_deletes(&self) -> bool {
-        true
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        match op {
-            StreamOp::Insert(t) => {
-                FkReservoirJoin::process(self, t.relation, &t.values);
-            }
-            StreamOp::Delete(t) => {
-                FkReservoirJoin::delete(self, t.relation, &t.values);
-            }
-        }
-        Ok(())
-    }
-
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.combiner().inserts()),
@@ -492,10 +412,6 @@ impl JoinSampler for FkReservoirJoin {
             exact_results: Some(self.exact_result_count()),
             ..SamplerStats::default()
         }
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -520,8 +436,18 @@ impl JoinSampler for CyclicReservoirJoin {
         self.inner().index().query()
     }
 
+    fn input_query(&self) -> &Query {
+        self.query()
+    }
+
     fn process(&mut self, rel: usize, tuple: &[Value]) {
         CyclicReservoirJoin::process(self, rel, tuple);
+    }
+
+    /// Deletions enumerate the bag's dead delta and forward it, signed,
+    /// into the inner acyclic driver's delete path.
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        CyclicReservoirJoin::delete(self, rel, tuple);
     }
 
     /// Re-plans the inner acyclic driver over the *bag-level* query (the
@@ -538,24 +464,6 @@ impl JoinSampler for CyclicReservoirJoin {
         self.inner().k()
     }
 
-    /// Fully dynamic since PR 10: deletions enumerate the bag's dead delta
-    /// and forward it, signed, into the inner acyclic driver's delete path.
-    fn supports_deletes(&self) -> bool {
-        true
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        match op {
-            StreamOp::Insert(t) => {
-                CyclicReservoirJoin::process(self, t.relation, &t.values);
-            }
-            StreamOp::Delete(t) => {
-                CyclicReservoirJoin::delete(self, t.relation, &t.values);
-            }
-        }
-        Ok(())
-    }
-
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.inserts()),
@@ -567,10 +475,6 @@ impl JoinSampler for CyclicReservoirJoin {
             exact_results: Some(self.exact_result_count()),
             ..SamplerStats::default()
         }
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -590,6 +494,7 @@ impl JoinSampler for CyclicReservoirJoin {
 mod tests {
     use super::*;
     use rsj_query::QueryBuilder;
+    use rsj_storage::{OpStream, TupleStream};
 
     fn two_table() -> Query {
         let mut qb = QueryBuilder::new();
@@ -604,7 +509,7 @@ mod tests {
         let mut stream = TupleStream::new();
         stream.push(0, vec![1, 2]);
         stream.push(1, vec![2, 3]);
-        s.process_stream(&stream);
+        s.process_batch(stream.tuples());
         assert_eq!(s.samples(), vec![vec![1, 2, 3]]);
         assert_eq!(s.k(), 10);
         assert_eq!(s.name(), "RSJoin");
@@ -615,85 +520,14 @@ mod tests {
     #[test]
     fn op_stream_round_trip_through_trait() {
         let mut s: Box<dyn JoinSampler> = Box::new(ReservoirJoin::new(two_table(), 10, 1).unwrap());
-        assert!(s.supports_deletes());
         let mut ops = OpStream::new();
         ops.push_insert(0, vec![1, 2]);
         ops.push_insert(1, vec![2, 3]);
         ops.push_delete(0, vec![1, 2]);
-        s.process_op_stream(&ops).unwrap();
+        s.process_op_batch(ops.ops()).unwrap();
         assert!(s.samples().is_empty());
         assert_eq!(s.stats().inserts, Some(2));
         assert_eq!(s.stats().deletes, Some(1));
-    }
-
-    /// Minimal insert-only engine: every real engine is fully dynamic now,
-    /// so the default-impl contracts (delete rejection, batch atomicity)
-    /// are exercised through a stub that keeps the trait defaults.
-    struct InsertOnlyStub {
-        query: Query,
-        applied: Vec<(usize, Vec<Value>)>,
-    }
-
-    impl InsertOnlyStub {
-        fn new() -> InsertOnlyStub {
-            InsertOnlyStub {
-                query: two_table(),
-                applied: Vec::new(),
-            }
-        }
-    }
-
-    impl JoinSampler for InsertOnlyStub {
-        fn name(&self) -> &'static str {
-            "InsertOnlyStub"
-        }
-        fn output_query(&self) -> &Query {
-            &self.query
-        }
-        fn process(&mut self, rel: usize, tuple: &[Value]) {
-            self.applied.push((rel, tuple.to_vec()));
-        }
-        fn samples(&self) -> Vec<Vec<Value>> {
-            Vec::new()
-        }
-        fn k(&self) -> usize {
-            1
-        }
-    }
-
-    #[test]
-    fn insert_only_engines_reject_deletes() {
-        let mut s: Box<dyn JoinSampler> = Box::new(InsertOnlyStub::new());
-        assert!(!s.supports_deletes());
-        assert!(s.process_op(&StreamOp::insert(0, vec![1, 2])).is_ok());
-        let err = s.process_op(&StreamOp::delete(0, vec![1, 2])).unwrap_err();
-        assert_eq!(err.engine, "InsertOnlyStub");
-        assert!(err.to_string().contains("insert-only"));
-    }
-
-    #[test]
-    fn rejected_op_batch_applies_nothing() {
-        // Regression: the default `process_op_batch` used to apply ops one
-        // at a time, leaving the inserts before a mid-batch unsupported
-        // delete applied behind the error. The batch must be atomic with
-        // respect to the capability check.
-        let mut s = InsertOnlyStub::new();
-        let ops = vec![
-            StreamOp::insert(0, vec![1, 2]),
-            StreamOp::insert(1, vec![2, 3]),
-            StreamOp::delete(0, vec![1, 2]),
-            StreamOp::insert(0, vec![4, 5]),
-        ];
-        let err = s.process_op_batch(&ops).unwrap_err();
-        assert_eq!(err.engine, "InsertOnlyStub");
-        assert!(
-            s.applied.is_empty(),
-            "rejected batch left partial state: {:?}",
-            s.applied
-        );
-        // Delete-free batches still apply in full.
-        s.process_op_batch(&ops[..2]).unwrap();
-        assert_eq!(s.applied.len(), 2);
     }
 
     #[test]

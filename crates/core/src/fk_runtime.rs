@@ -529,6 +529,8 @@ impl From<rsj_index::dynamic::IndexError> for FkBuildError {
 /// `RSJoin_opt`: a [`super::ReservoirJoin`] over the FK-rewritten query,
 /// fed through an [`FkCombiner`].
 pub struct FkReservoirJoin {
+    /// The original query, whose relations the input stream addresses.
+    pub(crate) query: Query,
     combiner: FkCombiner,
     inner: super::ReservoirJoin,
 }
@@ -557,6 +559,7 @@ impl FkReservoirJoin {
         let plan = CombinePlan::build(query, fks)?;
         let inner = super::ReservoirJoin::with_options(plan.rewritten.clone(), k, seed, options)?;
         Ok(FkReservoirJoin {
+            query: query.clone(),
             combiner: FkCombiner::new(plan),
             inner,
         })

@@ -41,7 +41,7 @@ pub mod wcoj;
 
 pub use count::exact_result_count;
 pub use cyclic::CyclicReservoirJoin;
-pub use exec::{DeleteUnsupported, JoinSampler, SamplerStats};
+pub use exec::{JoinSampler, SamplerStats};
 pub use fk_runtime::{FkBuildError, FkCombiner, FkReservoirJoin};
 pub use reservoir_join::{ReplanPolicy, ReservoirJoin};
 pub use sampler_facade::DynamicSampleIndex;

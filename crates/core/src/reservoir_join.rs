@@ -43,7 +43,7 @@ use rsj_common::rng::{child_seed, RsjRng};
 use rsj_common::{FxHashMap, TupleId, Value};
 use rsj_index::{DeltaBatch, DynamicIndex, FullSampler, IndexOptions, IndexStats};
 use rsj_query::{Plan, Planner, Query};
-use rsj_storage::{ColumnarBatch, InputTuple, TableStatistics, TupleStream};
+use rsj_storage::{ColumnarBatch, TableStatistics};
 use rsj_stream::{FnBatch, Reservoir};
 
 /// The root with the smallest observed implicit array `|J_root|` —
@@ -478,21 +478,6 @@ impl ReservoirJoin {
             self.replan_checked_at = self.core.inserts;
             self.replan();
         }
-    }
-
-    /// Processes a delta batch of input tuples in arrival order. Same
-    /// samples as per-tuple [`process`](ReservoirJoin::process) calls; the
-    /// index's projection scratch and the reservoir's materialization
-    /// buffer stay hot across the batch.
-    pub fn process_batch(&mut self, batch: &[InputTuple]) {
-        for t in batch {
-            self.process(t.relation, &t.values);
-        }
-    }
-
-    /// Processes an entire stream in arrival order.
-    pub fn process_stream(&mut self, stream: &TupleStream) {
-        self.process_batch(stream.tuples());
     }
 
     /// Processes a columnar batch, byte-identically to shredding it

@@ -33,9 +33,9 @@
 //! Engines other than the shared `RSJoin` core enter through
 //! [`register_sampler`](SamplerService::register_sampler): resident, with
 //! backfill and epoch reads, but no storage sharing (they own their state
-//! behind [`JoinSampler`]). Their delete capability is probed at
-//! registration; a delete op is rejected **before** it is applied to
-//! anyone, so the service never half-applies an op.
+//! behind [`JoinSampler`]). Every op is schema-checked against the
+//! universe **before** it is applied to anyone, so the service never
+//! half-applies an op.
 //!
 //! # The epoch-read invariant
 //!
@@ -60,7 +60,7 @@
 //! transient: never serialized, rebuilt on demand after a restore.
 
 use crate::count::JoinCounter;
-use crate::exec::JoinSampler;
+use crate::exec::{check_op, JoinSampler};
 use crate::reservoir_join::{DeltaCache, SamplerCore};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::hash::fx_hash_columns;
@@ -158,13 +158,10 @@ pub enum ServiceError {
     Store(SharedStoreError),
     /// The handle names no live registration.
     UnknownHandle(u64),
-    /// A delete op (or a history containing deletes, at registration)
-    /// reached an insert-only boxed engine; the named engine rejected it
-    /// before the op was applied to any member.
-    DeleteUnsupported(&'static str),
-    /// A service snapshot was requested while the named boxed engine
-    /// (without snapshot support) was registered.
-    SnapshotUnsupported(&'static str),
+    /// A service snapshot was requested while the named boxed engine had
+    /// no canonical image (a sharded executor serving degraded); nothing
+    /// was written.
+    SnapshotUnavailable(&'static str),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -183,14 +180,8 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Index(e) => write!(f, "index construction failed: {e}"),
             ServiceError::Store(e) => write!(f, "op rejected: {e}"),
             ServiceError::UnknownHandle(id) => write!(f, "no live registration with id {id}"),
-            ServiceError::DeleteUnsupported(engine) => {
-                write!(
-                    f,
-                    "{engine} is insert-only: delete rejected before application"
-                )
-            }
-            ServiceError::SnapshotUnsupported(engine) => {
-                write!(f, "{engine} does not support state snapshots")
+            ServiceError::SnapshotUnavailable(engine) => {
+                write!(f, "{engine} has no state image to snapshot right now")
             }
         }
     }
@@ -248,8 +239,6 @@ struct BoxedMember {
     /// Exact `|Q(R)|` sidecar over the universe (the trait exposes no
     /// relation access — same trade as the sharded executor's counter).
     counter: JoinCounter,
-    /// Capability captured at registration, checked before any op applies.
-    supports_deletes: bool,
     cell: Arc<EpochCell>,
 }
 
@@ -450,28 +439,28 @@ impl SamplerService {
     /// Registers an arbitrary engine (any [`JoinSampler`] built over the
     /// service universe) as a resident member: backfilled from the
     /// retained history and published to its own epoch cell, but with no
-    /// storage sharing. The engine's delete capability is captured here;
-    /// a history already containing deletes rejects an insert-only engine
-    /// immediately.
+    /// storage sharing.
     pub fn register_sampler(
         &mut self,
         mut sampler: Box<dyn JoinSampler + Send>,
     ) -> Result<QueryHandle, ServiceError> {
-        let supports_deletes = sampler.supports_deletes();
-        if !supports_deletes && self.store.history().num_deletes() > 0 {
-            return Err(ServiceError::DeleteUnsupported(sampler.name()));
-        }
+        self.check_universe(sampler.input_query())?;
         if sampler.k() == 0 {
             return Err(ServiceError::ZeroCapacity);
         }
         let mut counter = JoinCounter::new(self.universe.clone());
+        // The history was checked against the universe op by op, and the
+        // engine takes exactly the universe's tuples.
         for op in self.store.history().iter() {
-            sampler
-                .process_op(op)
-                .expect("delete capability checked against the history");
             match op {
-                StreamOp::Insert(t) => counter.insert(t.relation, t.values.clone()),
-                StreamOp::Delete(t) => counter.remove(t.relation, &t.values),
+                StreamOp::Insert(t) => {
+                    sampler.process(t.relation, &t.values);
+                    counter.insert(t.relation, t.values.clone());
+                }
+                StreamOp::Delete(t) => {
+                    sampler.delete(t.relation, &t.values);
+                    counter.remove(t.relation, &t.values);
+                }
             }
         }
         for rel in 0..self.universe.num_relations() {
@@ -487,7 +476,6 @@ impl SamplerService {
             id,
             sampler,
             counter,
-            supports_deletes,
             cell,
         });
         self.publish();
@@ -574,46 +562,16 @@ impl SamplerService {
         self.boxed.iter().position(|b| b.id == id)
     }
 
-    /// The engine that would reject a delete, if any — probed before an
-    /// op is applied to anyone.
-    fn delete_blocker(&self) -> Option<&'static str> {
-        self.boxed
-            .iter()
-            .find(|b| !b.supports_deletes)
-            .map(|b| b.sampler.name())
-    }
-
     /// The checks [`process_op`](SamplerService::process_op) performs
     /// before any mutation, without applying anything — what the
     /// durability wrapper runs before logging an op, so nothing ever
     /// reaches the WAL that replay would reject.
     pub fn validate_op(&self, op: &StreamOp) -> Result<(), ServiceError> {
-        if op.is_delete() {
-            if let Some(engine) = self.delete_blocker() {
-                return Err(ServiceError::DeleteUnsupported(engine));
-            }
-        }
-        let t = op.tuple();
-        let Some(schema) = self.universe.relations().get(t.relation) else {
-            return Err(ServiceError::Store(SharedStoreError::UnknownRelation(
-                t.relation,
-            )));
-        };
-        if t.values.len() != schema.attrs.len() {
-            return Err(ServiceError::Store(SharedStoreError::ArityMismatch {
-                relation: t.relation,
-                expected: schema.attrs.len(),
-                got: t.values.len(),
-            }));
-        }
-        Ok(())
+        check_op(&self.universe, op).map_err(ServiceError::Store)
     }
 
     /// Ingests one op: validate, retain, apply to every registration,
     /// publish if the cadence elapsed. Returns the op's LSN (0-based).
-    ///
-    /// A delete is rejected **before** application when any registered
-    /// engine is insert-only, so no op is ever half-applied.
     pub fn process_op(&mut self, op: &StreamOp) -> Result<u64, ServiceError> {
         self.process_owned(op.clone())
     }
@@ -652,12 +610,15 @@ impl SamplerService {
             }
         }
         for b in &mut self.boxed {
-            b.sampler
-                .process_op(op)
-                .expect("delete capability probed before application");
             match op {
-                StreamOp::Insert(t) => b.counter.insert(t.relation, t.values.clone()),
-                StreamOp::Delete(t) => b.counter.remove(t.relation, &t.values),
+                StreamOp::Insert(t) => {
+                    b.sampler.process(t.relation, &t.values);
+                    b.counter.insert(t.relation, t.values.clone());
+                }
+                StreamOp::Delete(t) => {
+                    b.sampler.delete(t.relation, &t.values);
+                    b.counter.remove(t.relation, &t.values);
+                }
             }
         }
         self.ops_since_publish += 1;
@@ -675,14 +636,6 @@ impl SamplerService {
         self.process_owned(StreamOp::delete(rel, tuple.to_vec()))
     }
 
-    /// Ingests an entire op stream in arrival order.
-    pub fn process_op_stream(&mut self, ops: &OpStream) -> Result<(), ServiceError> {
-        for op in ops.iter() {
-            self.process_op(op)?;
-        }
-        Ok(())
-    }
-
     /// Ingests a columnar batch: each row's relation dedup hash is
     /// computed once by the vectorized column kernel and shared by every
     /// index group, so the batch amortization compounds with the storage
@@ -692,20 +645,11 @@ impl SamplerService {
     /// cadence check runs once, after the whole batch.
     pub fn process_columnar(&mut self, batch: &ColumnarBatch) -> Result<(), ServiceError> {
         let nrels = batch.num_relations();
-        if nrels > self.universe.num_relations() {
-            return Err(ServiceError::Store(SharedStoreError::UnknownRelation(
-                nrels - 1,
-            )));
-        }
         for rel in 0..nrels {
             let rc = batch.relation(rel);
-            let expected = self.universe.relation(rel).attrs.len();
-            if rc.rows() > 0 && rc.arity() != expected {
-                return Err(ServiceError::Store(SharedStoreError::ArityMismatch {
-                    relation: rel,
-                    expected,
-                    got: rc.arity(),
-                }));
+            if rc.rows() > 0 {
+                let arity = self.universe.relations().get(rel).map(|r| r.attrs.len());
+                SharedStoreError::check(rel, arity, rc.arity()).map_err(ServiceError::Store)?;
             }
         }
         // Retain first (the store is the authority every backfill and
@@ -883,12 +827,18 @@ impl SamplerService {
 
     /// Serializes the whole service: store, groups (options, tree, index
     /// state, member cores), and boxed members (engine state bytes).
-    /// Fails with [`ServiceError::SnapshotUnsupported`] if any boxed
-    /// engine lacks snapshot support.
+    /// Fails with [`ServiceError::SnapshotUnavailable`], before the first
+    /// byte reaches `enc`, if any boxed engine has no image right now.
     pub fn snapshot_to(&self, enc: &mut Encoder) -> Result<(), ServiceError> {
-        if let Some(b) = self.boxed.iter().find(|b| !b.sampler.supports_snapshot()) {
-            return Err(ServiceError::SnapshotUnsupported(b.sampler.name()));
-        }
+        let boxed_states = self
+            .boxed
+            .iter()
+            .map(|b| {
+                b.sampler
+                    .snapshot_state()
+                    .ok_or(ServiceError::SnapshotUnavailable(b.sampler.name()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         self.store.snapshot_to(enc);
         enc.put_u64(self.next_id);
         enc.put_u64(self.publish_every);
@@ -905,15 +855,11 @@ impl SamplerService {
             }
         }
         enc.put_usize(self.boxed.len());
-        for b in &self.boxed {
+        for (b, state) in self.boxed.iter().zip(&boxed_states) {
             enc.put_u64(b.id);
             enc.put_str(b.sampler.name());
             enc.put_usize(b.sampler.k());
-            let state = b
-                .sampler
-                .snapshot_state()
-                .expect("snapshot support checked above");
-            enc.put_bytes(&state);
+            enc.put_bytes(state);
         }
         Ok(())
     }
@@ -993,7 +939,8 @@ impl SamplerService {
             let mut sampler = rebuild(&name, k).ok_or(CodecError::Corrupt(
                 "no builder for boxed engine in snapshot",
             ))?;
-            if sampler.name() != name || sampler.k() != k {
+            let fits = self.check_universe(sampler.input_query()).is_ok();
+            if sampler.name() != name || sampler.k() != k || !fits {
                 return Err(CodecError::Corrupt(
                     "rebuilt engine does not match snapshot",
                 ));
@@ -1006,14 +953,12 @@ impl SamplerService {
                     StreamOp::Delete(t) => counter.remove(t.relation, &t.values),
                 }
             }
-            let supports_deletes = sampler.supports_deletes();
             let arity = sampler.output_query().num_attrs();
             let cell = Arc::new(EpochCell::new(4 + k * arity));
             boxed.push(BoxedMember {
                 id,
                 sampler,
                 counter,
-                supports_deletes,
                 cell,
             });
         }
@@ -1201,7 +1146,7 @@ mod tests {
         assert!(repairing_deletes > 0, "no delete ever repaired");
         for (i, h) in handles.iter().enumerate() {
             let mut rj = standalone(&q, 4 + i, 100 + i as u64);
-            rj.process_op_stream(&ops).unwrap();
+            rj.process_op_batch(ops.ops()).unwrap();
             assert_eq!(
                 svc.samples(*h).unwrap(),
                 crate::exec::JoinSampler::samples(&rj),
@@ -1359,42 +1304,40 @@ mod tests {
             svc.register(&q, &QueryOpts::new(0, 1)),
             Err(ServiceError::ZeroCapacity)
         ));
-        // Insert-only boxed member + a later delete: rejected before any
-        // member sees the op. Every real engine is fully dynamic now, so
-        // the blocker is a stub that keeps the trait's insert-only
-        // defaults.
-        struct InsertOnlyStub {
-            query: Query,
-        }
-        impl JoinSampler for InsertOnlyStub {
-            fn name(&self) -> &'static str {
-                "InsertOnlyStub"
-            }
-            fn output_query(&self) -> &Query {
-                &self.query
-            }
-            fn process(&mut self, _rel: usize, _tuple: &[Value]) {}
-            fn samples(&self) -> Vec<Vec<Value>> {
-                Vec::new()
-            }
-            fn k(&self) -> usize {
-                1
-            }
-        }
+        // A boxed engine built for another schema never becomes a member.
+        assert!(matches!(
+            svc.register_sampler(Box::new(ReservoirJoin::new(other, 4, 1).unwrap())),
+            Err(ServiceError::UniverseMismatch)
+        ));
+        // A malformed op is rejected before any member (shared or boxed)
+        // sees it, by the row path and the columnar path alike.
         let mut svc2 = SamplerService::new(q.clone());
-        svc2.register_sampler(Box::new(InsertOnlyStub { query: q.clone() }))
+        svc2.register_sampler(Box::new(ReservoirJoin::new(q.clone(), 4, 3).unwrap()))
             .unwrap();
         let h = svc2.register(&q, &QueryOpts::new(4, 2)).unwrap();
         svc2.process(0, &[1, 2]).unwrap();
         let before = svc2.samples(h).unwrap();
         assert!(matches!(
-            svc2.delete(0, &[1, 2]),
-            Err(ServiceError::DeleteUnsupported("InsertOnlyStub"))
+            svc2.delete(3, &[1, 2]),
+            Err(ServiceError::Store(SharedStoreError::UnknownRelation(3)))
+        ));
+        assert!(matches!(
+            svc2.process(1, &[1, 2, 3]),
+            Err(ServiceError::Store(SharedStoreError::ArityMismatch {
+                relation: 1,
+                expected: 2,
+                got: 3
+            }))
+        ));
+        let mut wide = ColumnarBatch::new();
+        wide.push(0, &[7, 8]);
+        wide.push(3, &[1, 2]);
+        assert!(matches!(
+            svc2.process_columnar(&wide),
+            Err(ServiceError::Store(SharedStoreError::UnknownRelation(3)))
         ));
         assert_eq!(svc2.samples(h).unwrap(), before, "no half-applied op");
-        assert_eq!(svc2.lsn(), 1, "rejected op is not retained");
-        svc2.deregister(h).unwrap();
-        svc2.delete(0, &[1, 2]).unwrap_err(); // blocker still registered
+        assert_eq!(svc2.lsn(), 1, "rejected ops are not retained");
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //! [`ShardHealth::Degraded`].
 
 use crate::count::JoinCounter;
-use crate::exec::{DeleteUnsupported, JoinSampler, SamplerStats};
+use crate::exec::{JoinSampler, SamplerStats};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::hash::fx_hash_words;
 use rsj_common::rng::{child_seed, RsjRng};
@@ -126,15 +126,14 @@ impl std::error::Error for ShardError {}
 pub struct SupervisorPolicy {
     /// Take a fresh `ShardImage` once a shard's replay buffer holds this
     /// many ops (`0` = never snapshot mid-stream; restarts replay from the
-    /// beginning of the stream). Only effective for snapshot-capable inner
-    /// engines.
+    /// beginning of the stream).
     pub snapshot_every: u64,
     /// Restarts allowed per shard before it degrades. `0` disables healing
     /// entirely — no replay buffer is kept, and any death degrades.
     pub max_restarts: u64,
-    /// Hard cap on a shard's replay buffer (ops). Snapshot-capable engines
-    /// take an image when they hit it; engines without snapshots become
-    /// unhealable past it (their next death degrades).
+    /// Hard cap on a shard's replay buffer (ops). A shard takes an image
+    /// when it hits it; if its engine has none to give at that moment the
+    /// shard becomes unhealable (its next death degrades).
     pub replay_cap: u64,
 }
 
@@ -280,8 +279,8 @@ enum Msg {
     /// anything changed.
     Replan(mpsc::Sender<bool>),
     /// Serialize the worker's durable state: the inner engine's snapshot
-    /// (`None` if it has no snapshot capability) paired with the counter's
-    /// live tuple sets.
+    /// (`None` when it has no canonical image right now) paired with the
+    /// counter's live tuple sets.
     Snapshot(mpsc::Sender<Option<ShardImage>>),
     /// Overlay a previously captured `(engine, counter)` state pair onto
     /// the worker's engine and counter.
@@ -305,12 +304,12 @@ fn worker_loop(
                 cached_count = None;
                 // One batched call into the engine (the RSJoin family keeps
                 // its scratch hot across the whole delta batch), then the
-                // tuples move into the counter. Deletes were
-                // capability-checked on the routing side, so a rejection
-                // here is a bug, not a user error.
+                // tuples move into the counter. A malformed op fed
+                // through the unchecked primitives dies here, under
+                // supervision, like any other inner-engine panic.
                 sampler
                     .process_op_batch(&batch)
-                    .expect("inner engine rejected a delete past the capability check");
+                    .expect("op does not fit the inner engine's schema");
                 for op in batch {
                     match op {
                         StreamOp::Insert(t) => counter.insert(t.relation, t.values),
@@ -408,8 +407,8 @@ struct Slot {
     restarts: u64,
     /// Dead past the restart budget: ops are dropped, reads skip it.
     dead: bool,
-    /// The replay buffer no longer covers the full history and the engine
-    /// cannot snapshot: the next death cannot be healed.
+    /// The replay buffer overflowed and the engine had no image to cut it
+    /// at: the next death cannot be healed.
     unhealable: bool,
 }
 
@@ -435,8 +434,6 @@ struct State {
     query: Query,
     seed: u64,
     policy: SupervisorPolicy,
-    /// Whether the inner engine can produce a [`ShardImage`].
-    snapshot_capable: bool,
     build: BuildFn,
 }
 
@@ -526,11 +523,9 @@ impl State {
         if !(due || overflow) {
             return;
         }
-        if self.snapshot_capable {
-            self.take_image(shard);
-        } else if overflow {
-            // Replay can no longer cover the full history and the engine
-            // cannot snapshot: from here on a death degrades.
+        if !self.take_image(shard) && overflow {
+            // The replay buffer is at its cap and the worker had no image
+            // to cut it at: from here on a death degrades.
             let slot = &mut self.slots[shard];
             slot.unhealable = true;
             slot.replay.clear();
@@ -539,16 +534,17 @@ impl State {
     }
 
     /// Synchronously snapshots one worker and resets its replay buffer.
-    fn take_image(&mut self, shard: usize) {
+    /// Returns false only when a live worker answered that it has no
+    /// image; a worker that died instead was healed (or degraded) from
+    /// image + replay and the next cadence check retries.
+    fn take_image(&mut self, shard: usize) -> bool {
         if !self.flush(shard) {
-            return;
+            return true;
         }
         let (rtx, rrx) = mpsc::channel();
         if self.slots[shard].tx.send(Msg::Snapshot(rtx)).is_err() {
-            // Died right here; heal (state is image+replay) and let the
-            // next cadence check retry the snapshot.
             let _ = self.on_dead(shard);
-            return;
+            return true;
         }
         match rrx.recv() {
             Ok(Some(img)) => {
@@ -556,10 +552,12 @@ impl State {
                 slot.image = Some(img);
                 slot.replay.clear();
                 slot.replay_ops = 0;
+                true
             }
-            Ok(None) => {}
+            Ok(None) => false,
             Err(_) => {
                 let _ = self.on_dead(shard);
+                true
             }
         }
     }
@@ -712,17 +710,13 @@ impl State {
 /// Constructed directly from any engine builder, or through the factory as
 /// `Engine::Sharded { inner, shards }` in the `rsjoin` facade.
 pub struct ShardedSampler {
+    /// The original query (the supervisor's `State` keeps its own copy
+    /// behind the `RefCell` for restarts).
+    query: Query,
     output_query: Query,
     k: usize,
     merge_seed: u64,
     plan: ShardPlan,
-    /// Whether the inner engine accepts deletes, captured at construction
-    /// so the routing side can reject turnstile ops *before* they cross a
-    /// channel (workers have no error path back to the caller).
-    inner_supports_deletes: bool,
-    /// Whether the inner engine can serialize its state, captured at
-    /// construction for the same reason.
-    inner_supports_snapshot: bool,
     state: RefCell<State>,
 }
 
@@ -802,14 +796,10 @@ impl ShardedSampler {
         let build: BuildFn = Box::new(build);
         let mut slots = Vec::with_capacity(shards);
         let mut output_query = None;
-        let mut inner_supports_deletes = false;
-        let mut inner_supports_snapshot = false;
         for s in 0..shards {
             let sampler = build(child_seed(seed, s as u64)).map_err(ShardError::Build)?;
             if output_query.is_none() {
                 output_query = Some(sampler.output_query().clone());
-                inner_supports_deletes = sampler.supports_deletes();
-                inner_supports_snapshot = sampler.supports_snapshot();
             }
             let counter = JoinCounter::new(query.clone());
             let (tx, rx) = mpsc::channel();
@@ -827,11 +817,10 @@ impl ShardedSampler {
             });
         }
         Ok(ShardedSampler {
+            query: query.clone(),
             output_query: output_query.expect("shards >= 1"),
             k,
             merge_seed: child_seed(seed, shards as u64),
-            inner_supports_deletes,
-            inner_supports_snapshot,
             plan,
             state: RefCell::new(State {
                 slots,
@@ -840,7 +829,6 @@ impl ShardedSampler {
                 query: query.clone(),
                 seed,
                 policy,
-                snapshot_capable: inner_supports_snapshot,
                 build,
             }),
         })
@@ -981,8 +969,21 @@ impl JoinSampler for ShardedSampler {
         &self.output_query
     }
 
+    /// The routing side sees original-stream tuples, whatever the inner
+    /// engine rewrites them to.
+    fn input_query(&self) -> &Query {
+        &self.query
+    }
+
     fn process(&mut self, rel: usize, tuple: &[Value]) {
         self.route_op(StreamOp::insert(rel, tuple.to_vec()));
+    }
+
+    /// A delete routes like the matching insert (same partition attribute,
+    /// same broadcast set), so it reaches precisely the shards holding the
+    /// tuple.
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        self.route_op(StreamOp::delete(rel, tuple.to_vec()));
     }
 
     /// Routes a whole columnar batch in one pass: every partitioned
@@ -998,12 +999,16 @@ impl JoinSampler for ShardedSampler {
     fn process_columnar(&mut self, batch: &ColumnarBatch) {
         let shards = self.plan.shards();
         // Bulk-hash each partitioned relation's partition column once; a
-        // broadcast relation keeps an empty digest column.
+        // broadcast relation keeps an empty digest column, and so does a
+        // relation with no rows in this batch (it has no columns at all).
         let mut owners: Vec<Vec<u64>> = Vec::with_capacity(batch.num_relations());
         for rel in 0..batch.num_relations() {
             let mut hs = Vec::new();
-            if let Some(&Some(pos)) = self.plan.positions.get(rel) {
-                fx_hash_words(batch.relation(rel).column(pos), &mut hs);
+            let rc = batch.relation(rel);
+            if rc.rows() > 0 {
+                if let Some(&Some(pos)) = self.plan.positions.get(rel) {
+                    fx_hash_words(rc.column(pos), &mut hs);
+                }
             }
             owners.push(hs);
         }
@@ -1029,24 +1034,6 @@ impl JoinSampler for ShardedSampler {
                 st.send_columnar(shard, sub);
             }
         }
-    }
-
-    /// The sharded executor is fully dynamic exactly when its inner engine
-    /// is: a delete routes like the matching insert (same partition
-    /// attribute, same broadcast set), so it reaches precisely the shards
-    /// holding the tuple.
-    fn supports_deletes(&self) -> bool {
-        self.inner_supports_deletes
-    }
-
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), DeleteUnsupported> {
-        if op.is_delete() && !self.inner_supports_deletes {
-            return Err(DeleteUnsupported {
-                engine: self.name(),
-            });
-        }
-        self.route_op(op.clone());
-        Ok(())
     }
 
     /// Forwards the re-planning request to every shard's inner engine
@@ -1115,19 +1102,12 @@ impl JoinSampler for ShardedSampler {
         self.k
     }
 
-    fn supports_snapshot(&self) -> bool {
-        self.inner_supports_snapshot
-    }
-
     /// Serializes the sharded topology (shard count, partition attribute,
     /// routed-tuple count) plus each worker's engine snapshot and counter
-    /// state — a canonical byte image when the inner engine's own snapshot
-    /// is canonical. A degraded sampler has no canonical image and returns
+    /// state — a canonical byte image, because every inner engine's own
+    /// snapshot is. A degraded sampler has no canonical image and returns
     /// `None`.
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        if !self.inner_supports_snapshot {
-            return None;
-        }
         let mut st = self.state.borrow_mut();
         if st.slots.iter().any(|s| s.dead) {
             return None;

@@ -59,6 +59,23 @@ impl std::fmt::Display for SharedStoreError {
 
 impl std::error::Error for SharedStoreError {}
 
+impl SharedStoreError {
+    /// The schema check every ingest entry point shares: a tuple `got`
+    /// values wide addressed to `relation`, whose declared arity is
+    /// `arity` (`None` when the index is outside the universe).
+    pub fn check(relation: usize, arity: Option<usize>, got: usize) -> Result<(), Self> {
+        let expected = arity.ok_or(SharedStoreError::UnknownRelation(relation))?;
+        if got != expected {
+            return Err(SharedStoreError::ArityMismatch {
+                relation,
+                expected,
+                got,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// One retained copy of the op history plus per-relation registration
 /// reference counts. See the [module docs](self).
 #[derive(Clone, Debug)]
@@ -95,17 +112,8 @@ impl SharedStore {
     /// producer pays one allocation (building the op), not two.
     pub fn append_owned(&mut self, op: StreamOp) -> Result<u64, SharedStoreError> {
         let t = op.tuple();
-        let (_, arity) = self
-            .schema
-            .get(t.relation)
-            .ok_or(SharedStoreError::UnknownRelation(t.relation))?;
-        if t.values.len() != *arity {
-            return Err(SharedStoreError::ArityMismatch {
-                relation: t.relation,
-                expected: *arity,
-                got: t.values.len(),
-            });
-        }
+        let arity = self.schema.get(t.relation).map(|&(_, arity)| arity);
+        SharedStoreError::check(t.relation, arity, t.values.len())?;
         let lsn = self.history.len() as u64;
         self.history.push(op);
         Ok(lsn)

@@ -133,7 +133,7 @@ pub fn inclusion_counts(
         let mut s = engine
             .build(q, k, seed, opts)
             .unwrap_or_else(|e| panic!("{engine}: {e}"));
-        s.process_stream(stream);
+        s.process_batch(stream.tuples());
         let named = s.samples_named();
         if expect_full {
             assert_eq!(named.len(), k, "{engine} seed {seed}");
@@ -162,7 +162,7 @@ pub fn op_inclusion_counts(
         let mut s = engine
             .build(q, k, seed, opts)
             .unwrap_or_else(|e| panic!("{engine}: {e}"));
-        s.process_op_stream(ops)
+        s.process_op_batch(ops.ops())
             .unwrap_or_else(|e| panic!("{engine}: {e}"));
         let named = s.samples_named();
         assert_eq!(named.len(), k.min(expect.len()), "{engine} seed {seed}");

@@ -80,7 +80,7 @@ fn main() {
         .build(&query, k, 7, &EngineOpts::default())
         .expect("sharding supports whatever its inner engine supports");
     let t0 = Instant::now();
-    sampler.process_stream(&stream);
+    sampler.process_batch(stream.tuples());
     let st = sampler.stats();
     let elapsed = t0.elapsed();
     let opt = |v: Option<String>| v.unwrap_or_else(|| "—".into());

@@ -33,7 +33,7 @@ fn main() {
     // --- Length-3 paths -------------------------------------------------
     let w = line_k(3, &edges, 1);
     let mut rj = ReservoirJoin::new(w.query.clone(), 20, 7).expect("line-3 acyclic");
-    rj.process_stream(&w.stream);
+    rj.process_batch(w.stream.tuples());
     let bound = FullSampler::default().implicit_size(rj.index());
     println!(
         "\nline-3: ~{bound} length-3 paths; N = {} streamed tuples; \

@@ -26,7 +26,7 @@
 //!         continue;
 //!     }
 //!     let mut s = engine.build(&query, 10, 7, &EngineOpts::default()).unwrap();
-//!     s.process_stream(&stream);
+//!     s.process_batch(stream.tuples());
 //!     assert_eq!(s.samples_named().len(), 1, "{engine}");
 //! }
 //! ```
@@ -166,27 +166,6 @@ impl Engine {
             Engine::SJoinOpt => "SJoin_opt",
             Engine::Symmetric => "SymmetricHashJoin",
             Engine::Sharded { .. } => "Sharded",
-        }
-    }
-
-    /// Whether the engine this descriptor builds accepts
-    /// `StreamOp::Delete` — the static side of the update-model contract
-    /// (ARCHITECTURE.md, "Update model"). Matches
-    /// `JoinSampler::supports_deletes` on the built sampler.
-    ///
-    /// Every engine family is fully dynamic: `RSJoin` repairs by
-    /// eviction-and-backfill, `SJoin` and `SymmetricHashJoin` recalibrate
-    /// against their exact live counts, `NaiveRebuild` rebuilds, the
-    /// `_opt` rewrites run their foreign-key combiner as a signed delta
-    /// pipeline (retractions withdraw combined tuples and re-park rewound
-    /// facts), and the cyclic GHD driver forwards each bag's dead delta
-    /// into its inner acyclic driver's delete path. `Sharded` mirrors its
-    /// inner engine, so the whole matrix reduces to this one method — the
-    /// doc table in ARCHITECTURE.md is checked against it by test.
-    pub fn supports_deletes(&self) -> bool {
-        match self {
-            Engine::Sharded { inner, .. } => inner.supports_deletes(),
-            _ => true,
         }
     }
 
@@ -433,7 +412,7 @@ mod tests {
             let mut s = engine
                 .build(&q, 1 << 20, 3, &EngineOpts::default())
                 .unwrap();
-            s.process_stream(&stream);
+            s.process_batch(stream.tuples());
             s.samples_named()
                 .into_iter()
                 .collect::<std::collections::BTreeSet<_>>()
@@ -497,7 +476,7 @@ mod tests {
                     ..EngineOpts::default()
                 };
                 let mut s = engine.build(&q, 1 << 20, 1, &opts).unwrap();
-                s.process_stream(&stream);
+                s.process_batch(stream.tuples());
                 s.samples_named()
                     .into_iter()
                     .collect::<std::collections::BTreeSet<_>>()

@@ -77,17 +77,17 @@ pub mod prelude {
     pub use rsj_common::EpochCell;
     pub use rsj_common::{Key, TupleId, Value};
     pub use rsj_core::{
-        CyclicReservoirJoin, DeleteUnsupported, DynamicSampleIndex, FkReservoirJoin, JoinSampler,
-        QueryHandle, QueryOpts, ReplanPolicy, ReservoirJoin, SampleReader, SampleSnapshot,
-        SamplerService, SamplerStats, ServiceError, ServiceOpts, ShardError, ShardFault,
-        ShardHealth, ShardPlan, ShardedSampler, SupervisorPolicy, INJECTED_FAULT,
+        CyclicReservoirJoin, DynamicSampleIndex, FkReservoirJoin, JoinSampler, QueryHandle,
+        QueryOpts, ReplanPolicy, ReservoirJoin, SampleReader, SampleSnapshot, SamplerService,
+        SamplerStats, ServiceError, ServiceOpts, ShardError, ShardFault, ShardHealth, ShardPlan,
+        ShardedSampler, SupervisorPolicy, INJECTED_FAULT,
     };
     pub use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
     pub use rsj_query::{FkSchema, Ghd, JoinTree, Plan, PlanCost, Planner, Query, QueryBuilder};
     pub use rsj_storage::wal::{Checkpoint, RetryPolicy, Wal, WalError, WalFs, WalOptions};
     pub use rsj_storage::{
-        ColumnarBatch, Database, InputTuple, OpStream, RelationColumns, StreamOp, TableStatistics,
-        TupleStream,
+        ColumnarBatch, Database, InputTuple, OpStream, RelationColumns, SharedStoreError, StreamOp,
+        TableStatistics, TupleStream,
     };
     pub use rsj_stream::{Batch, ClassicReservoir, FnBatch, Reservoir, SliceBatch};
 }

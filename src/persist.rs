@@ -1,5 +1,5 @@
 //! The durability layer: a write-ahead log plus periodic checkpoints
-//! around any snapshot-capable [`JoinSampler`].
+//! around any [`JoinSampler`].
 //!
 //! [`Persistent`] wraps an engine and gives its turnstile stream crash
 //! recovery with **byte-identical** semantics: every op is appended to a
@@ -27,7 +27,7 @@
 
 use rsj_core::{JoinSampler, RebuildFn, SamplerService, SamplerStats};
 use rsj_storage::wal::{Checkpoint, Sleeper, Wal, WalError, WalFs, WalOptions};
-use rsj_storage::StreamOp;
+use rsj_storage::{SharedStoreError, StreamOp};
 use std::path::{Path, PathBuf};
 
 /// File name of the checkpoint inside the durability directory.
@@ -71,9 +71,10 @@ pub enum DurabilityHealth {
 /// Why a durable operation failed.
 #[derive(Debug)]
 pub enum PersistError {
-    /// The wrapped engine has no snapshot capability
-    /// (`JoinSampler::supports_snapshot` is `false`).
-    Unsupported(&'static str),
+    /// The named engine had no state image to checkpoint
+    /// (`JoinSampler::snapshot_state` returned `None`: a sharded executor
+    /// serving degraded). The previous checkpoint and the log stay valid.
+    NoImage(&'static str),
     /// WAL or checkpoint I/O / integrity failure.
     Wal(WalError),
     /// The engine rejected restored state or a replayed op.
@@ -83,8 +84,8 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::Unsupported(engine) => {
-                write!(f, "engine {engine} does not support state snapshots")
+            PersistError::NoImage(engine) => {
+                write!(f, "engine {engine} has no state image to checkpoint")
             }
             PersistError::Wal(e) => write!(f, "wal failure: {e}"),
             PersistError::Engine(m) => write!(f, "engine failure: {m}"),
@@ -128,11 +129,11 @@ impl<S: JoinSampler> Persistent<S> {
     /// the original run), then the log suffix is replayed; a log without a
     /// checkpoint is replayed from the beginning.
     ///
-    /// Fails with [`PersistError::Unsupported`] when the engine cannot
-    /// snapshot, with [`PersistError::Wal`] on unrecoverable log damage
-    /// (a torn tail on the final segment is fine — it is truncated), and
+    /// Fails with [`PersistError::Wal`] on unrecoverable log damage (a
+    /// torn tail on the final segment is fine — it is truncated), and
     /// with [`PersistError::Engine`] when the checkpoint belongs to a
-    /// different engine or the state bytes do not fit.
+    /// different engine, the state bytes do not fit, or a logged op does
+    /// not fit the engine's schema (a log written for another query).
     pub fn open(
         inner: S,
         dir: impl AsRef<Path>,
@@ -161,9 +162,6 @@ impl<S: JoinSampler> Persistent<S> {
         sleeper: Box<dyn Sleeper>,
     ) -> Result<Persistent<S>, PersistError> {
         let mut inner = inner;
-        if !inner.supports_snapshot() {
-            return Err(PersistError::Unsupported(inner.name()));
-        }
         let dir = dir.as_ref();
         let mut wal = Wal::open_with(dir.join("wal"), opts, fs, sleeper)?;
         let checkpoint_path = dir.join(CHECKPOINT_FILE);
@@ -212,8 +210,14 @@ impl<S: JoinSampler> Persistent<S> {
     /// about the lost durability. Subsequent ops skip the log silently,
     /// are counted as lost, and keep serving reads; a later successful
     /// checkpoint heals the wrapper (its snapshot covers the unlogged
-    /// ops). Any other WAL error is returned without applying the op.
+    /// ops). Any other WAL error is returned without applying the op, and
+    /// an op that does not fit the engine's schema is rejected before it
+    /// is logged — nothing reaches the WAL that replay would reject.
     pub fn process_op(&mut self, op: &StreamOp) -> Result<(), PersistError> {
+        let t = op.tuple();
+        let arity = self.inner.input_query().relations().get(t.relation);
+        SharedStoreError::check(t.relation, arity.map(|r| r.attrs.len()), t.values.len())
+            .map_err(|e| PersistError::Engine(e.to_string()))?;
         let mut just_degraded: Option<WalError> = None;
         if self.lost_since.is_some() {
             self.lost_ops += 1;
@@ -256,23 +260,23 @@ impl<S: JoinSampler> Persistent<S> {
     /// writes it atomically (tmp + rename), then truncates the log so it
     /// holds only ops after the checkpoint.
     ///
-    /// A failed attempt never damages recoverability: the write is atomic,
-    /// so the previous checkpoint (and the log) stay valid, the failure is
+    /// A failed attempt — an I/O error, or an engine with no image to give
+    /// — never damages recoverability: the write is atomic, so the
+    /// previous checkpoint (and the log) stay valid, the failure is
     /// counted ([`checkpoint_failures`](Persistent::checkpoint_failures)),
     /// and the policy window is re-armed so a later attempt retries. A
     /// successful checkpoint also heals a degraded wrapper — its snapshot
     /// includes any ops that were applied without log coverage.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
-        let state = self
-            .inner
-            .snapshot_state()
-            .ok_or(PersistError::Unsupported(self.inner.name()))?;
-        let cp = Checkpoint {
-            engine: self.inner.name().to_string(),
-            lsn: self.wal.next_lsn(),
-            state,
-        };
         let attempt = (|| -> Result<(), PersistError> {
+            let cp = Checkpoint {
+                engine: self.inner.name().to_string(),
+                lsn: self.wal.next_lsn(),
+                state: self
+                    .inner
+                    .snapshot_state()
+                    .ok_or(PersistError::NoImage(self.inner.name()))?,
+            };
             self.wal
                 .write_atomic(&self.checkpoint_path, &cp.to_bytes())?;
             self.wal.truncate_at_checkpoint()?;
@@ -499,9 +503,11 @@ impl PersistentService {
 
     /// Takes a checkpoint of the whole service now (atomic write, then
     /// log truncation). Fails without damaging recoverability when a
-    /// registered boxed engine cannot snapshot or on I/O errors — the
-    /// previous checkpoint and the log stay valid.
+    /// registered boxed engine has no image to give or on I/O errors — the
+    /// previous checkpoint and the log stay valid, and the policy window
+    /// re-arms either way.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
+        self.ops_since_checkpoint = 0;
         let mut enc = rsj_common::codec::Encoder::new();
         self.inner
             .snapshot_to(&mut enc)
@@ -511,7 +517,6 @@ impl PersistentService {
             lsn: self.wal.next_lsn(),
             state: enc.into_bytes(),
         };
-        self.ops_since_checkpoint = 0;
         self.wal
             .write_atomic(&self.checkpoint_path, &cp.to_bytes())?;
         self.wal.truncate_at_checkpoint()?;

@@ -93,7 +93,7 @@ fn six_relation_chain() {
         let mut s = engine
             .build(&q, 1 << 20, seed, &EngineOpts::default())
             .unwrap();
-        s.process_stream(&stream);
+        s.process_batch(stream.tuples());
         s.samples_named()
             .into_iter()
             .collect::<std::collections::BTreeSet<_>>()
@@ -151,7 +151,7 @@ fn skew_flip_flop() {
         let mut s = engine
             .build(&q, 1 << 22, seed, &EngineOpts::default())
             .unwrap();
-        s.process_stream(&stream);
+        s.process_batch(stream.tuples());
         let set: std::collections::BTreeSet<_> = s.samples_named().into_iter().collect();
         (set, s.stats().exact_results)
     };

@@ -176,7 +176,7 @@ fn kill_families() -> Vec<(Engine, Query)> {
     ]
 }
 
-/// The snapshot-capable engine families the WAL fault sweep rotates
+/// The engine families the WAL fault sweep rotates
 /// through (the recovery suite's matrix).
 fn persist_families() -> Vec<(Engine, Query)> {
     vec![
@@ -591,6 +591,68 @@ fn degraded_samples_are_uniform_over_the_surviving_population() {
         survivors.len(),
         "degraded sharded sampler",
     );
+}
+
+/// A degraded sharded engine has no state image. Its checkpoints must
+/// fail like any other failed attempt — counted, window re-armed, the
+/// previous checkpoint and the log left valid — not silently re-attempt
+/// on every subsequent op.
+#[test]
+fn imageless_checkpoints_are_counted_and_rearm_the_window() {
+    quiet_injected_panics();
+    let query = line3();
+    let ops = turnstile_ops(&query, 200, 5, 3);
+    let scratch = Scratch::new("noimage");
+    let no_restarts = SupervisorPolicy {
+        max_restarts: 0,
+        ..SupervisorPolicy::default()
+    };
+    let mut p = Persistent::open(
+        sharded(&Engine::Reservoir, &query, 2, no_restarts, 7),
+        scratch.path(),
+        CheckpointPolicy::EveryOps(40),
+    )
+    .unwrap();
+    for op in &ops[..100] {
+        p.process_op(op).unwrap();
+    }
+    assert_eq!(p.checkpoint_failures(), 0, "two healthy checkpoints so far");
+    p.engine_mut().inject_fault(1, ShardFault::Panic);
+    let _ = p.engine().samples(); // the read discovers the death
+    assert!(matches!(p.engine().health(), ShardHealth::Degraded { .. }));
+
+    assert!(matches!(
+        p.checkpoint(),
+        Err(PersistError::NoImage("Sharded"))
+    ));
+    assert_eq!(p.checkpoint_failures(), 1);
+    assert_eq!(p.ops_since_checkpoint(), 0, "a failed attempt re-arms");
+    for (i, op) in ops[100..].iter().enumerate() {
+        p.process_op(op).unwrap();
+        assert_eq!(p.ops_since_checkpoint(), (i as u64 + 1) % 40, "op {i}");
+    }
+    assert_eq!(
+        p.checkpoint_failures(),
+        3,
+        "100 ops at a 40-op window are two more attempts, not one per op"
+    );
+    p.flush().unwrap();
+    drop(p);
+
+    // The last good checkpoint (lsn 80) plus the log recover the whole
+    // stream into a healthy engine, byte-identical to a fault-free twin.
+    let r = Persistent::open(
+        sharded(&Engine::Reservoir, &query, 2, no_restarts, 7),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+    )
+    .unwrap();
+    assert_eq!(r.next_lsn(), 200);
+    let mut twin = sharded(&Engine::Reservoir, &query, 2, no_restarts, 7);
+    for op in &ops {
+        twin.process_op(op).unwrap();
+    }
+    assert_eq!(digest(&r.engine().samples()), digest(&twin.samples()));
 }
 
 // ---------------------------------------------------------------------------

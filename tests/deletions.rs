@@ -1,12 +1,12 @@
 //! Turnstile correctness across the engine matrix.
 //!
 //! The update-model contract (ARCHITECTURE.md, "Update model") promises
-//! that every fully-dynamic engine keeps its maintained sample uniform
-//! over the *post-delete* `Q(R)`. These tests drive interleaved
+//! that every engine keeps its maintained sample uniform over the
+//! *post-delete* `Q(R)`. These tests drive interleaved
 //! insert/delete streams end-to-end through the executor trait and check:
 //! validity (every sample is a live join result), cardinality
 //! (`min(k, |Q(R)|)` samples), statistical uniformity at a 20% delete
-//! ratio, delete-then-reinsert round trips, and the capability probe.
+//! ratio, and delete-then-reinsert round trips.
 //! The counting/brute-force/chi-square machinery is `rsj-testutil`'s; the
 //! multi-engine uniformity family runs Bonferroni-corrected (one
 //! comparison per dynamic engine).
@@ -73,8 +73,7 @@ fn turnstile_end_to_end_across_the_engine_matrix() {
                 let mut s = engine
                     .build(&query, 1 << 16, 9, &EngineOpts::default())
                     .unwrap_or_else(|e| panic!("{engine}: {e}"));
-                assert!(s.supports_deletes(), "{engine}");
-                s.process_op_stream(&ops).unwrap();
+                s.process_op_batch(ops.ops()).unwrap();
                 let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
                 // k >= |Q(R)|: the maintained sample must be exactly the
                 // live result set — insertions collected, deletions'
@@ -101,7 +100,7 @@ fn sample_cardinality_tracks_live_population() {
     // 12 results now; delete the middle tuple -> 0; re-add -> 12.
     for engine in dynamic_engines(&query) {
         let mut s = engine.build(&query, k, 2, &EngineOpts::default()).unwrap();
-        s.process_op_stream(&ops).unwrap();
+        s.process_op_batch(ops.ops()).unwrap();
         assert_eq!(s.samples().len(), k, "{engine} full");
         s.process_op(&StreamOp::delete(1, vec![1, 2])).unwrap();
         assert_eq!(s.samples().len(), 0, "{engine} emptied");
@@ -187,152 +186,17 @@ fn delete_then_reinsert_matches_fresh_insert_only_run() {
         let mut fresh = engine
             .build(&query, 1 << 16, 3, &EngineOpts::default())
             .unwrap();
-        fresh.process_stream(&stream);
+        fresh.process_batch(stream.tuples());
         let fresh_set: FxHashSet<Vec<(String, Value)>> =
             fresh.samples_named().into_iter().collect();
         assert_eq!(fresh_set, expect, "{engine} fresh");
         let mut rt = engine
             .build(&query, 1 << 16, 3, &EngineOpts::default())
             .unwrap();
-        rt.process_op_stream(&round_trip).unwrap();
+        rt.process_op_batch(round_trip.ops()).unwrap();
         let rt_set: FxHashSet<Vec<(String, Value)>> = rt.samples_named().into_iter().collect();
         assert_eq!(rt_set, expect, "{engine} round-trip");
     }
-}
-
-#[test]
-fn capability_matrix_is_consistent() {
-    let q = two_table();
-    for engine in Engine::ALL {
-        assert!(
-            engine.supports_deletes(),
-            "{engine}: the capability matrix must be all-green"
-        );
-        let built = engine.build(&q, 8, 1, &EngineOpts::default()).unwrap();
-        assert_eq!(
-            built.supports_deletes(),
-            engine.supports_deletes(),
-            "{engine}: static matrix disagrees with the built sampler"
-        );
-    }
-    // The sharded wrapper mirrors its inner engine — all-green inner
-    // engines make the wrapper all-green too, including the families that
-    // were insert-only before the signed delta pipelines.
-    for inner in [Engine::Reservoir, Engine::SJoinOpt, Engine::Cyclic] {
-        let sharded = Engine::sharded(inner, 2);
-        assert!(sharded.supports_deletes(), "{sharded}");
-        let built = sharded.build(&q, 8, 1, &EngineOpts::default()).unwrap();
-        assert!(built.supports_deletes(), "{sharded}: built wrapper");
-    }
-}
-
-/// ARCHITECTURE.md's "Engine × update-model capability matrix" documents
-/// `Engine::supports_deletes`; this test parses the doc table so the two
-/// can never silently disagree again (the table once claimed the `_opt`
-/// engines were insert-only after the code had moved on).
-#[test]
-fn architecture_capability_table_matches_code() {
-    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/ARCHITECTURE.md"))
-        .expect("ARCHITECTURE.md at the repo root");
-    let section = doc
-        .split("### Engine × update-model capability matrix")
-        .nth(1)
-        .expect("capability-matrix section present")
-        .split("\n### ")
-        .next()
-        .unwrap();
-    // Rows look like `| `Name` | update model | guarantee |`; the
-    // guarantee column may itself contain pipes (`|Q(R)|`), so only the
-    // first two cells are parsed.
-    let mut models: std::collections::HashMap<&str, &str> = Default::default();
-    for line in section.lines() {
-        let mut cells = line.split('|').map(str::trim);
-        let (Some(""), Some(name), Some(model)) = (cells.next(), cells.next(), cells.next()) else {
-            continue;
-        };
-        if name.starts_with('`') && name.ends_with('`') {
-            models.insert(name.trim_matches('`'), model);
-        }
-    }
-    for engine in Engine::ALL {
-        let model = models.get(engine.name()).unwrap_or_else(|| {
-            panic!("{engine}: missing from the ARCHITECTURE.md capability table")
-        });
-        assert_eq!(
-            !model.contains("insert-only"),
-            engine.supports_deletes(),
-            "{engine}: ARCHITECTURE.md update-model table drifted from \
-             Engine::supports_deletes (doc says {model:?})"
-        );
-    }
-    assert!(
-        models
-            .get("Sharded { inner }")
-            .is_some_and(|m| m.contains("mirrors")),
-        "sharded wrapper row missing from the capability table"
-    );
-}
-
-/// Capability rejection is still a contract even with every real engine
-/// family dynamic: an insert-only `JoinSampler` (third-party, or a future
-/// engine mid-bringup) must reject a delete-bearing batch *atomically* —
-/// nothing applied, state byte-identical to pre-batch.
-#[test]
-fn rejected_batches_leave_samplers_byte_identical() {
-    struct InsertOnlyStub {
-        query: Query,
-        applied: Vec<(usize, Vec<Value>)>,
-    }
-    impl JoinSampler for InsertOnlyStub {
-        fn name(&self) -> &'static str {
-            "InsertOnlyStub"
-        }
-        fn output_query(&self) -> &Query {
-            &self.query
-        }
-        fn process(&mut self, rel: usize, tuple: &[Value]) {
-            self.applied.push((rel, tuple.to_vec()));
-        }
-        fn samples(&self) -> Vec<Vec<Value>> {
-            Vec::new()
-        }
-        fn k(&self) -> usize {
-            1
-        }
-        fn supports_snapshot(&self) -> bool {
-            true
-        }
-        fn snapshot_state(&self) -> Option<Vec<u8>> {
-            let mut bytes = Vec::new();
-            for (rel, t) in &self.applied {
-                bytes.extend_from_slice(&(*rel as u64).to_le_bytes());
-                bytes.extend_from_slice(&(t.len() as u64).to_le_bytes());
-                for &v in t {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Some(bytes)
-        }
-    }
-
-    let mut s = InsertOnlyStub {
-        query: two_table(),
-        applied: Vec::new(),
-    };
-    s.process_op(&StreamOp::insert(0, vec![1, 2])).unwrap();
-    let before = s.snapshot_state().unwrap();
-    let ops = vec![
-        StreamOp::insert(0, vec![3, 4]),
-        StreamOp::delete(0, vec![1, 2]),
-        StreamOp::insert(1, vec![5, 6]),
-    ];
-    let err = s.process_op_batch(&ops).unwrap_err();
-    assert_eq!(err.engine, "InsertOnlyStub");
-    assert_eq!(
-        s.snapshot_state().unwrap(),
-        before,
-        "rejected batch mutated sampler state"
-    );
 }
 
 /// The engines that report `exact_results` must agree with the
@@ -357,7 +221,7 @@ fn exact_result_counts_survive_turnstile() {
         Engine::SJoin,
     ] {
         let mut s = engine.build(&query, 8, 5, &EngineOpts::default()).unwrap();
-        s.process_op_stream(&ops).unwrap();
+        s.process_op_batch(ops.ops()).unwrap();
         let st = s.stats();
         assert_eq!(st.exact_results, Some(expect), "{engine}");
         assert!(st.deletes.unwrap() > 0, "{engine}: no deletes counted");
@@ -402,7 +266,7 @@ fn fk_combining_engines_stay_exact_under_pk_turnstile() {
     };
     for engine in [Engine::FkReservoir, Engine::SJoinOpt] {
         let mut s = engine.build(&query, 1 << 16, 7, &opts).unwrap();
-        s.process_op_stream(&ops).unwrap();
+        s.process_op_batch(ops.ops()).unwrap();
         let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
         assert_eq!(got, expect, "{engine}");
         let st = s.stats();
@@ -427,7 +291,7 @@ fn deletes_interleave_with_sharded_batching() {
     let mut s = Engine::sharded(Engine::Reservoir, 3)
         .build(&query, 1 << 16, 7, &EngineOpts::default())
         .unwrap();
-    s.process_op_stream(&ops).unwrap();
+    s.process_op_batch(ops.ops()).unwrap();
     let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
     assert_eq!(got, expect);
     assert_eq!(s.stats().exact_results, Some(expect.len() as u128));

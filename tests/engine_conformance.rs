@@ -22,7 +22,7 @@ fn collect(engine: &Engine, query: &Query, opts: &EngineOpts, stream: &TupleStre
     let mut sampler = engine
         .build(query, K_ALL, 7, opts)
         .unwrap_or_else(|e| panic!("{engine}: {e}"));
-    sampler.process_stream(stream);
+    sampler.process_batch(stream.tuples());
     sampler.samples_named().into_iter().collect()
 }
 
@@ -204,7 +204,7 @@ fn sharded_stats_report_exact_results() {
     let mut s = Engine::sharded(Engine::Reservoir, 3)
         .build(&q, 10, 1, &EngineOpts::default())
         .unwrap();
-    s.process_stream(&stream);
+    s.process_batch(stream.tuples());
     assert_eq!(s.stats().exact_results, Some(truth.len() as u128));
 }
 
@@ -231,15 +231,208 @@ fn stats_flow_through_the_trait() {
     let stream = random_stream(2, 100, 5, 1);
     for engine in [Engine::Reservoir, Engine::SJoin, Engine::Symmetric] {
         let mut s = engine.build(&q, 10, 1, &EngineOpts::default()).unwrap();
-        s.process_stream(&stream);
+        s.process_batch(stream.tuples());
         let st = s.stats();
         assert!(st.inserts.unwrap() > 0, "{engine} tracks accepted tuples");
     }
     // SJoin and the symmetric join maintain exact counts; they must agree.
     let run = |engine: Engine| {
         let mut s = engine.build(&q, 10, 1, &EngineOpts::default()).unwrap();
-        s.process_stream(&stream);
+        s.process_batch(stream.tuples());
         s.stats().exact_results.unwrap()
     };
     assert_eq!(run(Engine::SJoin), run(Engine::Symmetric));
+}
+
+// ---------------------------------------------------------------------------
+// One contract, every entry point
+// ---------------------------------------------------------------------------
+
+fn two_table() -> Query {
+    let mut qb = QueryBuilder::new();
+    qb.relation("R", &["X", "Y"]);
+    qb.relation("S", &["Y", "Z"]);
+    qb.build().unwrap()
+}
+
+/// All seven engine families plus the sharded wrapper.
+fn every_engine() -> Vec<Engine> {
+    let mut engines = Engine::ALL.to_vec();
+    engines.push(Engine::sharded(Engine::Reservoir, 2));
+    engines
+}
+
+/// A quarter of the ops delete a live tuple, so every path below
+/// exercises repair as well as ingest.
+fn turnstile_ops(rels: usize, n: usize, dom: u64, seed: u64) -> Vec<StreamOp> {
+    let config = rsjoin::datagen::TurnstileConfig {
+        delete_ratio: 0.25,
+        policy: rsjoin::datagen::VictimPolicy::Uniform,
+        seed,
+    };
+    config
+        .weave(&random_stream(rels, n, dom, seed))
+        .ops()
+        .to_vec()
+}
+
+fn feed_primitives<S: JoinSampler + ?Sized>(s: &mut S, ops: &[StreamOp]) {
+    for op in ops {
+        let t = op.tuple();
+        match op {
+            StreamOp::Insert(_) => s.process(t.relation, &t.values),
+            StreamOp::Delete(_) => s.delete(t.relation, &t.values),
+        }
+    }
+}
+
+/// Ragged chunks, so delete-free windows (columnar path) and mixed
+/// windows (per-op path) both occur at varying offsets.
+fn feed_batches<S: JoinSampler + ?Sized>(s: &mut S, ops: &[StreamOp]) {
+    let mut rest = ops;
+    for len in [1usize, 7, 64, 3, 29].into_iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at(len.min(rest.len()));
+        s.process_op_batch(chunk).unwrap();
+        rest = tail;
+    }
+}
+
+/// Samples, stats and state image. `heap_bytes` is left out: it estimates
+/// allocated capacity, which a restore sizes exactly and a long-running
+/// engine has grown by doubling.
+fn observe<S: JoinSampler + ?Sized>(s: &S) -> (Vec<Vec<Value>>, SamplerStats, Vec<u8>) {
+    let stats = SamplerStats {
+        heap_bytes: None,
+        ..s.stats()
+    };
+    let image = s.snapshot_state().expect("healthy engines have an image");
+    (s.samples(), stats, image)
+}
+
+/// The same turnstile stream through the primitives, through
+/// `process_op`, through ragged `process_op_batch` chunks, and through
+/// the `Box` forwarding impl leaves every engine in the same bytes —
+/// samples, stats and state image — and an engine restored from that
+/// image continues identically.
+#[test]
+fn every_ingest_path_yields_identical_bytes() {
+    let q = two_table();
+    let ops = turnstile_ops(2, 320, 6, 77);
+    let (head, tail) = ops.split_at(200);
+    assert!(tail.iter().any(StreamOp::is_delete));
+    for engine in every_engine() {
+        let build = || engine.build(&q, 6, 11, &EngineOpts::default()).unwrap();
+
+        let mut reference = build();
+        feed_primitives(&mut *reference, head);
+        let want = observe(&*reference);
+
+        let mut via_ops = build();
+        for op in head {
+            via_ops.process_op(op).unwrap();
+        }
+        assert_eq!(observe(&*via_ops), want, "{engine}: process_op");
+
+        let mut via_batches = build();
+        feed_batches(&mut *via_batches, head);
+        assert_eq!(observe(&*via_batches), want, "{engine}: process_op_batch");
+
+        // `S = Box<dyn JoinSampler + Send>`: the forwarding impl, with the
+        // provided methods running on the outside of the box.
+        let mut boxed = build();
+        feed_batches(&mut boxed, head);
+        assert_eq!(observe(&boxed), want, "{engine}: through Box");
+
+        let mut restored = build();
+        restored.restore_state(&want.2).unwrap();
+        feed_primitives(&mut *reference, tail);
+        feed_batches(&mut restored, tail);
+        assert_eq!(
+            observe(&restored),
+            observe(&*reference),
+            "{engine}: restored engine diverged on the tail"
+        );
+    }
+}
+
+/// Malformed ops — unknown relation, short tuple, long tuple — come back
+/// as the typed error from `process_op`, sink a whole `process_op_batch`
+/// when one sits in the middle, and leave the state image byte-identical.
+/// The rewriting engines are checked on queries they actually rewrite:
+/// relation 2 exists in their *input* query but not in the single-relation
+/// rewrite / single-bag decomposition they index.
+#[test]
+fn malformed_ops_return_a_typed_error_and_apply_nothing() {
+    let mut qb = QueryBuilder::new();
+    qb.relation("fact", &["K", "M"]);
+    qb.relation("c", &["K", "HD"]);
+    qb.relation("d", &["HD", "IB"]);
+    let chain = qb.build().unwrap();
+    let fk_opts = EngineOpts {
+        fks: Some(FkSchema::none(3).with_pk(1, vec![0]).with_pk(2, vec![2])),
+        ..EngineOpts::default()
+    };
+    let mut qb = QueryBuilder::new();
+    qb.relation("R1", &["X", "Y"]);
+    qb.relation("R2", &["Y", "Z"]);
+    qb.relation("R3", &["Z", "X"]);
+    let triangle = qb.build().unwrap();
+    let plain = EngineOpts::default();
+    let mut cases: Vec<(Engine, Query, &EngineOpts)> = every_engine()
+        .into_iter()
+        .map(|e| (e, two_table(), &plain))
+        .collect();
+    cases.push((Engine::FkReservoir, chain.clone(), &fk_opts));
+    cases.push((Engine::SJoinOpt, chain.clone(), &fk_opts));
+    cases.push((Engine::sharded(Engine::FkReservoir, 2), chain, &fk_opts));
+    cases.push((Engine::Cyclic, triangle, &plain));
+
+    for (engine, q, opts) in cases {
+        let nrels = q.num_relations();
+        let mut s = engine.build(&q, 6, 3, opts).unwrap();
+        assert_eq!(s.input_query().num_relations(), nrels, "{engine}");
+        if nrels == 3 {
+            assert!(
+                s.output_query().num_relations() < 3,
+                "{engine} must rewrite"
+            );
+        }
+        let valid = StreamOp::insert(nrels - 1, vec![40, 41]);
+        s.process_op(&valid).unwrap();
+        let before = s.snapshot_state().unwrap();
+
+        let unknown = StreamOp::insert(nrels, vec![1, 2]);
+        let short = StreamOp::insert(0, vec![1]);
+        let long = StreamOp::delete(nrels - 1, vec![1, 2, 3]);
+        let arity = |relation, got| SharedStoreError::ArityMismatch {
+            relation,
+            expected: 2,
+            got,
+        };
+        for (bad, want) in [
+            (&unknown, SharedStoreError::UnknownRelation(nrels)),
+            (&short, arity(0, 1)),
+            (&long, arity(nrels - 1, 3)),
+        ] {
+            assert_eq!(s.process_op(bad), Err(want), "{engine}");
+            // Mid-batch, on the columnar (delete-free) route and on the
+            // per-op route alike.
+            let inserts = [valid.clone(), bad.clone(), valid.clone()];
+            assert!(s.process_op_batch(&inserts).is_err(), "{engine}");
+            let mixed = [StreamOp::delete(0, vec![40, 41]), bad.clone()];
+            assert!(s.process_op_batch(&mixed).is_err(), "{engine}");
+        }
+        assert_eq!(
+            s.snapshot_state().unwrap(),
+            before,
+            "{engine}: a rejected op or batch mutated the engine"
+        );
+        // ... and the engine keeps working.
+        s.process_op_batch(&[StreamOp::insert(0, vec![50, 51])])
+            .unwrap();
+        assert_ne!(s.snapshot_state().unwrap(), before, "{engine}");
+    }
 }

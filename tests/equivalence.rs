@@ -17,7 +17,7 @@ fn collect(engine: Engine, q: &Query, opts: &EngineOpts, stream: &TupleStream) -
     let mut s = engine
         .build(q, K_ALL, 7, opts)
         .unwrap_or_else(|e| panic!("{engine}: {e}"));
-    s.process_stream(stream);
+    s.process_batch(stream.tuples());
     s.samples_named().into_iter().collect()
 }
 

@@ -133,7 +133,7 @@ fn row_shaped_ingest_reproduces_columnar_digests() {
             .build(&w.query, 64, 0xD15EA5E, &workload_opts(&w))
             .unwrap();
         s.process_batch(&w.preload);
-        s.process_stream(&w.stream);
+        s.process_batch(w.stream.tuples());
         assert_eq!(digest(&s.samples()), expect, "{name}: row-shaped ingest");
     }
 }
@@ -185,7 +185,7 @@ fn post_delete_reservoirs_are_pinned() {
         }
         .weave(&w.stream);
         assert!(ops.num_deletes() > 0, "{name}: weave produced no deletes");
-        s.process_op_stream(&ops).unwrap();
+        s.process_op_batch(ops.ops()).unwrap();
         let d = digest(&s.samples());
         if std::env::var_os("RSJ_PIN_PLANS").is_some() {
             println!("{name}: 0x{d:016X}");
@@ -370,7 +370,7 @@ fn planner_default_choices_are_pinned() {
 
 /// The turnstile machinery must be invisible to insert-only runs: driving
 /// the identical insert-only stream through the `StreamOp` path
-/// (`process_op_stream`) consumes the same randomness and must reproduce
+/// (`process_op_batch`) consumes the same randomness and must reproduce
 /// the exact pinned digest — repair RNGs exist but are never touched.
 #[test]
 fn op_stream_path_reproduces_insert_only_digests() {
@@ -386,7 +386,7 @@ fn op_stream_path_reproduces_insert_only_digests() {
             .chain(w.stream.iter())
             .map(|t| rsj_storage::StreamOp::Insert(t.clone()))
             .collect();
-        s.process_op_stream(&ops).unwrap();
+        s.process_op_batch(ops.ops()).unwrap();
         s
     };
     assert_eq!(

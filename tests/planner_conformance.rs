@@ -43,7 +43,7 @@ fn all_engines_agree_with_exact_counts_on_planner_workloads() {
             let mut s = engine
                 .build(&w.query, 1 << 18, 11, &workload_opts(w))
                 .unwrap_or_else(|e| panic!("{}: {engine}: {e}", w.name));
-            s.process_stream(&stream);
+            s.process_batch(stream.tuples());
             let got: FxHashSet<NamedSample> = s.samples_named().into_iter().collect();
             assert_eq!(got, expect, "{}: {engine}", w.name);
             if let Some(reported) = s.stats().exact_results {

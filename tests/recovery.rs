@@ -420,40 +420,59 @@ fn recovery_rejects_checkpoint_from_different_engine() {
     );
 }
 
-/// Engines without snapshot support are rejected up front, before any
-/// files are written. Every real engine family snapshots now, so the
-/// probe is exercised through a minimal snapshotless stub — the contract
-/// still protects third-party samplers and engines mid-bringup.
+/// A log is input from outside the program: replaying one written for a
+/// different query is a typed [`PersistError::Engine`] on every engine
+/// family, never an unwinding index or arity panic — and the live path
+/// rejects a malformed op before it can reach the log at all.
 #[test]
-fn snapshotless_engines_are_rejected() {
-    struct Snapshotless(Query);
-    impl JoinSampler for Snapshotless {
-        fn name(&self) -> &'static str {
-            "Snapshotless"
-        }
-        fn output_query(&self) -> &Query {
-            &self.0
-        }
-        fn process(&mut self, _rel: usize, _tuple: &[Value]) {}
-        fn samples(&self) -> Vec<Vec<Value>> {
-            Vec::new()
-        }
-        fn k(&self) -> usize {
-            1
-        }
+fn log_written_for_another_query_is_rejected_not_replayed() {
+    let wide = line3();
+    let narrow = two_rel();
+    let ops = turnstile_ops(&wide, 60, 5, 29);
+    assert!(ops.iter().any(|op| op.tuple().relation == 2));
+    let scratch = Scratch::new("schema");
+    let reopen = || {
+        Persistent::open(
+            build(&Engine::Reservoir, &wide),
+            scratch.path(),
+            CheckpointPolicy::Manual,
+        )
+        .unwrap()
+    };
+    let mut p = reopen();
+    for op in &ops {
+        p.process_op(op).unwrap();
     }
-    let scratch = Scratch::new("unsupported");
-    let err = Persistent::open(
-        Box::new(Snapshotless(line3())) as Box<dyn JoinSampler + Send>,
-        scratch.path().join("nested"),
-        CheckpointPolicy::Manual,
-    )
-    .err()
-    .expect("snapshotless engines must be rejected");
-    assert!(matches!(err, PersistError::Unsupported(_)));
-    assert!(
-        !scratch.path().join("nested").exists(),
-        "rejection must precede directory creation"
+    // Malformed live ops: typed error, nothing logged.
+    for bad in [
+        StreamOp::insert(3, vec![1, 2]),
+        StreamOp::delete(0, vec![1, 2, 3]),
+    ] {
+        assert!(matches!(p.process_op(&bad), Err(PersistError::Engine(_))));
+    }
+    assert_eq!(p.next_lsn(), ops.len() as u64, "rejected ops were logged");
+    p.flush().unwrap();
+    drop(p);
+
+    let mut engines: Vec<Engine> = Engine::ALL.to_vec();
+    engines.push(Engine::sharded(Engine::Reservoir, 2));
+    for engine in engines {
+        let err = Persistent::open(
+            build(&engine, &narrow),
+            scratch.path(),
+            CheckpointPolicy::Manual,
+        )
+        .err()
+        .unwrap_or_else(|| panic!("{engine}: foreign log must not replay"));
+        assert!(
+            matches!(err, PersistError::Engine(ref m) if m.contains("relation 2")),
+            "{engine}: unexpected error: {err}"
+        );
+    }
+    // The rejections left the log intact: its own engine still recovers.
+    assert_eq!(
+        digest(&reopen().engine().samples()),
+        uninterrupted_digest(&Engine::Reservoir, &wide, &ops)
     );
 }
 

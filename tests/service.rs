@@ -133,10 +133,12 @@ fn shared_members_conform_to_standalone_samplers() {
         .map(|&(k, seed)| svc.register(&q, &QueryOpts::new(k, seed)).unwrap())
         .collect();
     assert_eq!(svc.num_groups(), 1, "identical tree + options must share");
-    svc.process_op_stream(&ops).unwrap();
+    for op in ops.iter() {
+        svc.process_op(op).unwrap();
+    }
     for (&(k, seed), h) in params.iter().zip(&handles) {
         let mut twin = standalone(&q, k, seed);
-        twin.process_op_stream(&ops).unwrap();
+        twin.process_op_batch(ops.ops()).unwrap();
         assert_eq!(
             digest(&svc.samples(*h).unwrap()),
             digest(&JoinSampler::samples(&twin)),
@@ -172,7 +174,7 @@ fn mid_stream_registration_is_byte_identical_to_early() {
         svc.process_op(op).unwrap();
     }
     let mut twin = standalone(&q, 8, 42);
-    twin.process_op_stream(&ops).unwrap();
+    twin.process_op_batch(ops.ops()).unwrap();
     let want = digest(&JoinSampler::samples(&twin));
     assert_eq!(digest(&svc.samples(early).unwrap()), want);
     assert_eq!(digest(&svc.samples(late).unwrap()), want);
@@ -246,10 +248,7 @@ fn boxed_engine_matrix_conforms_to_direct_execution() {
         Engine::Cyclic,
     ];
     for engine in &engines {
-        // Insert-only engines get an insert-only history (a history with
-        // deletes rejects them at registration — by design).
-        let del_every = if engine.supports_deletes() { 5 } else { 0 };
-        let ops = turnstile_ops(&q, 240, 6, del_every, 47);
+        let ops = turnstile_ops(&q, 240, 6, 5, 47);
         let mut svc = SamplerService::new(q.clone());
         for op in ops.iter().take(150) {
             svc.process_op(op).unwrap();
@@ -261,7 +260,7 @@ fn boxed_engine_matrix_conforms_to_direct_execution() {
             svc.process_op(op).unwrap();
         }
         let mut twin = engine.build(&q, 7, 9, &EngineOpts::default()).unwrap();
-        twin.process_op_stream(&ops).unwrap();
+        twin.process_op_batch(ops.ops()).unwrap();
         assert_eq!(
             digest(&svc.samples(h).unwrap()),
             digest(&twin.samples()),
@@ -686,5 +685,95 @@ fn persistent_service_round_trips_checkpoint_and_wal() {
     let brute = brute_of_ops(&q, &ops);
     assert_eq!(svc.exact_count(shared).unwrap(), brute.len() as u128);
     assert_eq!(svc.exact_count(boxed).unwrap(), brute.len() as u128);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A boxed member with no state image — a sharded executor that lost a
+/// shard past its restart budget — fails the service snapshot with a typed
+/// error before a byte is written; the durable wrapper's checkpoint fails
+/// the same way, the previous checkpoint still restores, and ingest and
+/// reads carry on.
+#[test]
+fn degraded_boxed_member_fails_the_snapshot_not_the_service() {
+    let q = two_table();
+    let dir = std::env::temp_dir().join(format!("rsj-service-degraded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ops = turnstile_ops(&q, 220, 6, 5, 17);
+    fn sharded() -> ShardedSampler {
+        let policy = SupervisorPolicy {
+            max_restarts: 0,
+            ..SupervisorPolicy::default()
+        };
+        ShardedSampler::with_policy(&two_table(), 5, 9, 2, None, policy, |seed| {
+            Engine::Reservoir
+                .build(&two_table(), 5, seed, &EngineOpts::default())
+                .map_err(|e| e.to_string())
+        })
+        .unwrap()
+    }
+    let mut rebuild = |name: &str, _k: usize| -> Option<Box<dyn JoinSampler + Send>> {
+        (name == "Sharded").then(|| Box::new(sharded()) as Box<dyn JoinSampler + Send>)
+    };
+
+    let mut ps = PersistentService::open(
+        SamplerService::new(q.clone()),
+        &dir,
+        CheckpointPolicy::Manual,
+        &mut rebuild,
+    )
+    .unwrap();
+    let shared = ps
+        .service_mut()
+        .register(&q, &QueryOpts::new(8, 4))
+        .unwrap();
+    let healthy = ps
+        .service_mut()
+        .register_sampler(Box::new(sharded()))
+        .unwrap();
+    for op in ops.iter().take(120) {
+        ps.process_op(op).unwrap();
+    }
+    ps.checkpoint().unwrap();
+
+    // The fault lands on the worker now; the backfill's closing read
+    // discovers the death, and a zero restart budget degrades the shard.
+    let mut doomed = sharded();
+    doomed.inject_fault(0, ShardFault::Panic);
+    let dead = ps.service_mut().register_sampler(Box::new(doomed)).unwrap();
+
+    let mut enc = rsjoin::common::codec::Encoder::new();
+    assert!(matches!(
+        ps.service().snapshot_to(&mut enc),
+        Err(ServiceError::SnapshotUnavailable("Sharded"))
+    ));
+    assert!(enc.into_bytes().is_empty(), "a failed snapshot wrote bytes");
+    for op in ops.iter().skip(120).take(40) {
+        ps.process_op(op).unwrap();
+    }
+    assert!(matches!(ps.checkpoint(), Err(PersistError::Engine(_))));
+    assert_eq!(ps.ops_since_checkpoint(), 0, "a failed attempt re-arms");
+    for op in ops.iter().skip(160) {
+        ps.process_op(op).unwrap();
+    }
+    assert!(ps.service().samples(dead).unwrap().len() <= 5);
+    ps.flush().unwrap();
+    let want_shared = digest(&ps.service().samples(shared).unwrap());
+    let want_healthy = digest(&ps.service().samples(healthy).unwrap());
+    let want_lsn = ps.service().lsn();
+    drop(ps);
+
+    let restored = PersistentService::open(
+        SamplerService::new(q.clone()),
+        &dir,
+        CheckpointPolicy::Manual,
+        &mut rebuild,
+    )
+    .unwrap();
+    let svc = restored.service();
+    assert_eq!(svc.lsn(), want_lsn, "WAL suffix not replayed");
+    assert_eq!(svc.num_queries(), 2, "the last good checkpoint's members");
+    assert_eq!(digest(&svc.samples(shared).unwrap()), want_shared);
+    assert_eq!(digest(&svc.samples(healthy).unwrap()), want_healthy);
     let _ = std::fs::remove_dir_all(&dir);
 }

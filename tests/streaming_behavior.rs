@@ -96,7 +96,7 @@ fn heavy_duplicates_are_no_ops_everywhere() {
         }
         let mut s = engine.build(&q, 100, 1, &EngineOpts::default()).unwrap();
         for round in 0..5 {
-            s.process_stream(&stream);
+            s.process_batch(stream.tuples());
             if let Some(n) = s.stats().inserts {
                 assert_eq!(n, 4, "{engine} round {round}");
             }
