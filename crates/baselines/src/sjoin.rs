@@ -18,7 +18,7 @@ use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{FxHashMap, Key, TupleId, Value};
 use rsj_query::{Query, RootedTree};
 use rsj_storage::Database;
-use rsj_stream::{FnBatch, Reservoir};
+use rsj_stream::{FnBatch, Reservoir, Rows};
 
 /// Instrumentation counters for SJoin.
 #[derive(Clone, Copy, Debug, Default)]
@@ -312,20 +312,19 @@ impl SJoinIndex {
 
     /// Materializes a result into a full-width value tuple.
     pub fn materialize(&self, result: &[(usize, TupleId)]) -> Vec<Value> {
-        let mut out = Vec::new();
+        let mut out = vec![0; self.query.num_attrs()];
         self.materialize_into(result, &mut out);
         out
     }
 
-    /// Materializes a result into a caller-provided buffer (cleared and
-    /// refilled), avoiding a fresh allocation per retrieved sample.
-    pub fn materialize_into(&self, result: &[(usize, TupleId)], out: &mut Vec<Value>) {
-        out.clear();
-        out.resize(self.query.num_attrs(), 0);
+    /// Materializes a result into `row`, a full-width value tuple (a
+    /// sample row of the reservoir's flat buffer). A result names every
+    /// relation, so all of `row` is overwritten.
+    pub fn materialize_into(&self, result: &[(usize, TupleId)], row: &mut [Value]) {
         for &(rel, tid) in result {
             let tuple = self.db.tuple(rel, tid);
             for (pos, &attr) in self.query.relation(rel).attrs.iter().enumerate() {
-                out[attr] = tuple[pos];
+                row[attr] = tuple[pos];
             }
         }
     }
@@ -586,9 +585,8 @@ fn exact_retrieve_group(
 /// never hit a dummy).
 pub struct SJoin {
     index: SJoinIndex,
-    reservoir: Reservoir<Vec<Value>>,
-    /// Reusable materialization buffer (see the in-place reservoir path).
-    scratch: Vec<Value>,
+    /// The samples: full-width value rows of the query.
+    reservoir: Reservoir,
     /// RNG for turnstile backfill draws (untouched on insert-only runs).
     repair_rng: rsj_common::rng::RsjRng,
 }
@@ -597,9 +595,8 @@ impl SJoin {
     /// Creates the driver.
     pub fn new(query: Query, k: usize, seed: u64) -> Result<SJoin, String> {
         Ok(SJoin {
+            reservoir: Reservoir::new(k, query.num_attrs(), seed),
             index: SJoinIndex::new(query)?,
-            reservoir: Reservoir::new(k, seed),
-            scratch: Vec::new(),
             repair_rng: rsj_common::rng::RsjRng::seed_from_u64(rsj_common::rng::child_seed(
                 seed,
                 u64::from_le_bytes(*b"turnstil"),
@@ -612,16 +609,12 @@ impl SJoin {
         let tid = self.index.insert(rel, tuple)?;
         let size = self.index.delta_size(rel, tid);
         if size > 0 {
+            // Exact positions: every stop is a real result.
             let index = &self.index;
-            let mut fb = FnBatch::new(size, |z| index.delta_retrieve(rel, tid, z));
-            self.reservoir.process_batch_in_place(
-                &mut fb,
-                |r, buf| {
-                    index.materialize_into(&r, buf);
-                    true
-                },
-                &mut self.scratch,
-            );
+            let mut positions = FnBatch::new(size, std::convert::identity);
+            self.reservoir.process_batch(&mut positions, |z, slot| {
+                index.materialize_into(&index.delta_retrieve(rel, tid, z), slot.accept());
+            });
         }
         Some(tid)
     }
@@ -642,17 +635,19 @@ impl SJoin {
         // only covers distinctness rejection, worst around O(k) when the
         // population barely exceeds the sample.
         let per_slot = (4096 + 256 * self.reservoir.capacity()).min(1 << 24);
-        let filled = self.reservoir.backfill_distinct(target, per_slot, || {
+        let filled = self.reservoir.backfill_distinct(target, per_slot, |row| {
             let z = rng.below_u128(population);
-            Some(index.materialize(&index.result_at(z)))
+            index.materialize_into(&index.result_at(z), row);
+            true
         });
         debug_assert!(filled, "backfill exhausted its rejection cap");
         self.reservoir.recalibrate(population);
         Some(tid)
     }
 
-    /// Current samples.
-    pub fn samples(&self) -> &[Vec<Value>] {
+    /// Current samples: a borrowed view of the flat sample buffer,
+    /// iterated as `&[Value]` rows.
+    pub fn samples(&self) -> Rows<'_> {
         self.reservoir.samples()
     }
 
@@ -671,38 +666,37 @@ impl SJoin {
         &self.index
     }
 
-    /// Estimated heap bytes.
+    /// Estimated heap bytes (index + the sample buffer's whole capacity).
     pub fn heap_size(&self) -> usize {
-        self.index.heap_size()
-            + self
-                .samples()
-                .iter()
-                .map(|s| s.capacity() * 8)
-                .sum::<usize>()
+        self.index.heap_size() + self.reservoir.heap_size()
     }
 
     /// Serializes the full dynamic state: exact index, reservoir (samples,
     /// skip state, RNG), and the turnstile repair RNG.
     pub fn snapshot_to(&self, enc: &mut Encoder) {
         self.index.snapshot_to(enc);
-        self.reservoir.snapshot_to(enc, |e, s| e.put_u64s(s));
+        self.reservoir.snapshot_to(enc);
         for w in self.repair_rng.state() {
             enc.put_u64(w);
         }
     }
 
     /// Restores from a [`SJoin::snapshot_to`] image taken by a driver built
-    /// with the same `(query, k)`. On error the receiver may be partially
-    /// overwritten and must be discarded.
+    /// with the same `(query, k)`. A rejected image — wrong `k`, a sample
+    /// row not as wide as the query's attribute set — leaves the receiver
+    /// unchanged.
     pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        self.index.restore_from_snapshot(dec)?;
-        let reservoir = Reservoir::restore_from(dec, |d| d.u64s())?;
+        let query = self.index.query();
+        let mut index = SJoinIndex::new(query.clone()).expect("acyclic: it built this driver");
+        index.restore_from_snapshot(dec)?;
+        let reservoir = Reservoir::restore_from(dec, query.num_attrs())?;
         if reservoir.capacity() != self.reservoir.capacity() {
             return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
         }
         let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
         let repair_rng = rsj_common::rng::RsjRng::restore_state(s)
             .ok_or(CodecError::Corrupt("rng state is the zero fixed point"))?;
+        self.index = index;
         self.reservoir = reservoir;
         self.repair_rng = repair_rng;
         Ok(())
@@ -770,7 +764,7 @@ impl SJoinOpt {
     }
 
     /// Current samples (rewritten-query attribute order).
-    pub fn samples(&self) -> &[Vec<Value>] {
+    pub fn samples(&self) -> Rows<'_> {
         self.inner.samples()
     }
 
@@ -882,7 +876,7 @@ mod tests {
                 tuples.push((rel, t));
             }
         }
-        let got: FxHashSet<Vec<u64>> = sj.samples().iter().cloned().collect();
+        let got: FxHashSet<Vec<u64>> = sj.samples().iter().map(<[u64]>::to_vec).collect();
         assert_eq!(got, brute_line3(&tuples));
     }
 
@@ -905,7 +899,7 @@ mod tests {
                 sj.process(*rel, t);
             }
             for s in sj.samples() {
-                *counts.entry(s.clone()).or_default() += 1;
+                *counts.entry(s.to_vec()).or_default() += 1;
             }
         }
         assert_eq!(counts.len(), 6);
@@ -1024,7 +1018,7 @@ mod tests {
             plain.process(*rel, t);
             opt.process(*rel, t);
         }
-        let norm = |samples: &[Vec<u64>], query: &Query| -> FxHashSet<Vec<(String, u64)>> {
+        let norm = |samples: Rows<'_>, query: &Query| -> FxHashSet<Vec<(String, u64)>> {
             samples
                 .iter()
                 .map(|s| {
@@ -1079,7 +1073,7 @@ mod tests {
         apply(false, 0, &[0, 0]);
         apply(false, 0, &[3, 3]);
         apply(true, 1, &[2, 202]);
-        let norm = |samples: &[Vec<u64>], query: &Query| -> FxHashSet<Vec<(String, u64)>> {
+        let norm = |samples: Rows<'_>, query: &Query| -> FxHashSet<Vec<(String, u64)>> {
             samples
                 .iter()
                 .map(|s| {

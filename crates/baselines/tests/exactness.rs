@@ -111,7 +111,7 @@ fn sjoin_reservoir_prefix_validity() {
         }
         if step % 40 == 39 {
             let truth = brute_line4(&tuples);
-            let got: FxHashSet<Vec<Value>> = sj.samples().iter().cloned().collect();
+            let got: FxHashSet<Vec<Value>> = sj.samples().iter().map(<[u64]>::to_vec).collect();
             assert_eq!(got, truth, "prefix at {step}");
         }
     }

@@ -9,7 +9,7 @@
 use rsj_bench::*;
 use rsj_common::stats::Summary;
 use rsj_datagen::{levenshtein_within, StringStream, StringStreamConfig};
-use rsj_stream::{ClassicReservoir, Reservoir, SliceBatch};
+use rsj_stream::{ClassicReservoir, FnBatch, Reservoir};
 use std::time::Instant;
 
 fn main() {
@@ -51,14 +51,17 @@ fn main() {
     let mut rswp_times = Vec::new();
     let mut evals = 0u64;
     {
-        let mut r = Reservoir::new(k, 1);
+        // A width-1 reservoir: the sample is the string's stream position.
+        let mut r = Reservoir::new(k, 1, 1);
         let start = Instant::now();
         let mut prev = 0;
         for &cp in &checkpoints {
-            let mut batch = SliceBatch::new(&s.items[prev..cp]);
-            r.process_batch(&mut batch, |item| {
+            let mut batch = FnBatch::new((cp - prev) as u128, |z| prev + z as usize);
+            r.process_batch(&mut batch, |i, slot| {
                 evals += 1;
-                levenshtein_within(&s.query, &item, cfg.threshold).map(|_| item)
+                if levenshtein_within(&s.query, &s.items[i], cfg.threshold).is_some() {
+                    slot.accept()[0] = i as u64;
+                }
             });
             rswp_times.push(start.elapsed());
             prev = cp;

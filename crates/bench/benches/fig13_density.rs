@@ -7,7 +7,7 @@
 
 use rsj_bench::*;
 use rsj_datagen::{levenshtein_within, StringStream, StringStreamConfig};
-use rsj_stream::{ClassicReservoir, Reservoir, SliceBatch};
+use rsj_stream::{ClassicReservoir, FnBatch, Reservoir};
 use std::time::Instant;
 
 fn main() {
@@ -41,10 +41,13 @@ fn main() {
         let rs_time = t0.elapsed();
 
         let t0 = Instant::now();
-        let mut rswp = Reservoir::new(k, 1);
-        let mut batch = SliceBatch::new(&s.items);
-        rswp.process_batch(&mut batch, |item| {
-            levenshtein_within(&s.query, &item, cfg.threshold).map(|_| item)
+        // A width-1 reservoir: the sample is the string's stream position.
+        let mut rswp = Reservoir::new(k, 1, 1);
+        let mut batch = FnBatch::new(s.items.len() as u128, |z| z as usize);
+        rswp.process_batch(&mut batch, |i, slot| {
+            if levenshtein_within(&s.query, &s.items[i], cfg.threshold).is_some() {
+                slot.accept()[0] = i as u64;
+            }
         });
         let rswp_time = t0.elapsed();
 

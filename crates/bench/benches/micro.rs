@@ -11,10 +11,10 @@ use rsj_bench::{fig_name, record_json};
 use rsj_common::hash::{fx_hash_columns, fx_hash_columns_scalar};
 use rsj_common::rng::RsjRng;
 use rsj_common::{fx_hash_one, Key, KeyMap};
-use rsj_core::exact_result_count;
+use rsj_core::{exact_result_count, ReplanPolicy, ReservoirJoin};
 use rsj_datagen::GraphConfig;
 use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
-use rsj_queries::line_k;
+use rsj_queries::{line_k, star_k};
 use rsj_storage::ColumnarBatch;
 use rsj_stream::{Reservoir, SliceBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -170,9 +170,9 @@ fn bench_delta_retrieve() {
 fn bench_reservoir_skip() {
     let items: Vec<u64> = (0..1_000_000).collect();
     bench("reservoir_1m_items_k100", 10, || {
-        let mut r = Reservoir::new(100, 7);
+        let mut r = Reservoir::new(100, 1, 7);
         let mut batch = SliceBatch::new(&items);
-        r.process_batch(&mut batch, Some);
+        r.process_batch(&mut batch, |x, slot| slot.accept()[0] = x);
         black_box(r.stops());
     });
 }
@@ -281,6 +281,72 @@ fn bench_exact_count() {
     });
 }
 
+/// A reservoir stop and a repair draw allocate nothing (the slice-writing
+/// retrieval kernel + the flat sample arena). Star-4 at `k` well under
+/// `|Q(R)|`: once the reservoir is full its buffer stops growing, and every
+/// later `process` call is an index insert plus a batch of stops. Three
+/// records, allocator calls in `inserts`: `engine` — a warm loop of
+/// `ReservoirJoin::process`; `index` — the same inserts into a bare twin
+/// index, so `engine − index` is what the stops allocated; `draw` —
+/// full-query sampler trials materialized into a row, the repair
+/// backfill's draw. CI gates `engine == index` and `draw == 0`: counts, no
+/// wall-clock ratio.
+fn bench_stop_allocations() {
+    let edges = GraphConfig {
+        nodes: 400,
+        edges: 2000,
+        zipf: 1.0,
+        seed: 42,
+    }
+    .generate();
+    let w = star_k(4, &edges, 1);
+    let (warm, timed) = w.stream.tuples().split_at(6000);
+    let mut rj = ReservoirJoin::new(w.query.clone(), 20_000, 7).unwrap();
+    // The planner allocates; it is not what this case counts.
+    rj.set_replan_policy(ReplanPolicy {
+        auto: false,
+        min_inserts: u64::MAX,
+    });
+    let mut twin =
+        DynamicIndex::with_tree(w.query.clone(), &rj.plan().tree, rj.index().options()).unwrap();
+    for t in warm {
+        rj.process(t.relation, &t.values);
+        twin.insert(t.relation, &t.values);
+    }
+    assert_eq!(rj.samples().len(), rj.k(), "the reservoir must be full");
+    let stops = rj.reservoir_stops();
+    let mut next = timed.iter();
+    bench_allocs("reservoir_stop_star4", "engine", timed.len() as u32, || {
+        let t = next.next().expect("one tuple per iteration");
+        black_box(rj.process(t.relation, &t.values));
+    });
+    let stops = rj.reservoir_stops() - stops;
+    assert!(
+        stops >= timed.len() as u64,
+        "{stops} stops over {} process calls: the case measures nothing",
+        timed.len()
+    );
+    println!("{:<36} {stops} stops in the timed loop", "");
+    let mut next = timed.iter();
+    bench_allocs("reservoir_stop_star4", "index", timed.len() as u32, || {
+        let t = next.next().expect("one tuple per iteration");
+        black_box(twin.insert(t.relation, &t.values));
+    });
+    let sampler = FullSampler::default();
+    let mut rng = RsjRng::seed_from_u64(5);
+    let mut ids = vec![0; w.query.num_relations()];
+    let mut row = vec![0; w.query.num_attrs()];
+    let mut real = 0u32;
+    bench_allocs("reservoir_stop_star4", "draw", 10_000, || {
+        if sampler.try_sample_into(&twin, &mut rng, &mut ids) {
+            twin.materialize_ids(&ids, &mut row);
+            real += 1;
+        }
+        black_box(&row);
+    });
+    assert!(real > 0, "every draw hit a dummy");
+}
+
 fn main() {
     println!("micro — primitive-operation costs\n");
     bench_index_insert();
@@ -291,4 +357,5 @@ fn main() {
     bench_keymap_grouped_probe();
     bench_columnar_steady_state();
     bench_exact_count();
+    bench_stop_allocations();
 }

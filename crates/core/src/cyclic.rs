@@ -19,6 +19,7 @@ use crate::wcoj::BagJoin;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::Value;
 use rsj_query::{Ghd, Query};
+use rsj_stream::Rows;
 
 /// Reservoir sampling over a cyclic (or any) join query.
 pub struct CyclicReservoirJoin {
@@ -212,7 +213,7 @@ impl CyclicReservoirJoin {
     /// Current samples, as value tuples indexed by the bag-level query's
     /// attribute ids (same attribute *names* as the original query; use
     /// [`Self::sample_named`] for name–value pairs).
-    pub fn samples(&self) -> &[Vec<Value>] {
+    pub fn samples(&self) -> Rows<'_> {
         self.inner.samples()
     }
 
@@ -355,7 +356,7 @@ mod tests {
             }
             assert_eq!(crj.samples().len(), 2);
             for s in crj.samples() {
-                *counts.entry(s.clone()).or_default() += 1;
+                *counts.entry(s.to_vec()).or_default() += 1;
             }
         }
         assert_eq!(counts.len(), 3, "expected 3 triangles: {counts:?}");

@@ -194,9 +194,11 @@ pub trait JoinSampler {
     /// [`output_query`](JoinSampler::output_query): uniform without
     /// replacement over `Q(R)`, fewer than `k` while `|Q(R)| < k`.
     ///
-    /// Returns an owned vector because some engines materialize on demand;
-    /// hot paths needing zero-copy access should use the engine's inherent
-    /// accessors.
+    /// Returns owned rows, one `Vec` each, whatever the engine stores: the
+    /// `RSJoin` family and `SJoin` keep one flat buffer and copy out of
+    /// it here, the sharded executor merges its shards' samples on demand.
+    /// Readers that want the rows in place use the engine's inherent
+    /// `samples()`, which borrows them as `&[Value]` slices.
     fn samples(&self) -> Vec<Vec<Value>>;
 
     /// Reservoir capacity `k`.

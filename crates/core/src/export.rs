@@ -144,7 +144,7 @@ mod tests {
         rj.process(0, &[1, 2]);
         rj.process(1, &[2, 3]);
         rj.process(1, &[2, 4]);
-        let buf = encode_samples(rj.samples(), arity);
-        assert_eq!(decode_samples(&buf).unwrap(), rj.samples());
+        let buf = encode_samples(&rj.samples().to_vec(), arity);
+        assert_eq!(decode_samples(&buf).unwrap(), rj.samples().to_vec());
     }
 }

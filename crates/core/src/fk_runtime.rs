@@ -26,6 +26,7 @@ use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{FxHashMap, Key, Value};
 use rsj_query::foreign_key::{CombinePlan, Routing};
 use rsj_query::Query;
+use rsj_stream::Rows;
 
 /// One registered fact tuple of a combined relation.
 #[derive(Clone, Debug)]
@@ -583,7 +584,7 @@ impl FkReservoirJoin {
 
     /// Current samples, as value tuples of the *rewritten* query (attribute
     /// names are preserved; use [`Self::rewritten_query`] to interpret).
-    pub fn samples(&self) -> &[Vec<Value>] {
+    pub fn samples(&self) -> Rows<'_> {
         self.inner.samples()
     }
 
@@ -931,7 +932,7 @@ mod tests {
         }
         // Compare as sets of (attr name -> value) maps, since the rewritten
         // query orders attributes differently.
-        let project = |samples: &[Vec<u64>], query: &Query| -> FxHashSet<Vec<(String, u64)>> {
+        let project = |samples: Rows<'_>, query: &Query| -> FxHashSet<Vec<(String, u64)>> {
             samples
                 .iter()
                 .map(|s| {
@@ -989,7 +990,7 @@ mod tests {
         apply(false, 0, &[0, 0]);
         apply(false, 0, &[3, 3]);
         apply(false, 2, &[1, 10]);
-        let project = |samples: &[Vec<u64>], query: &Query| -> FxHashSet<Vec<(String, u64)>> {
+        let project = |samples: Rows<'_>, query: &Query| -> FxHashSet<Vec<(String, u64)>> {
             samples
                 .iter()
                 .map(|s| {

@@ -44,7 +44,8 @@ use rsj_common::{FxHashMap, TupleId, Value};
 use rsj_index::{DeltaBatch, DynamicIndex, FullSampler, IndexOptions, IndexStats};
 use rsj_query::{Plan, Planner, Query};
 use rsj_storage::{ColumnarBatch, TableStatistics};
-use rsj_stream::{FnBatch, Reservoir};
+use rsj_stream::{FnBatch, Reservoir, Rows};
+use std::collections::hash_map::Entry;
 
 /// The root with the smallest observed implicit array `|J_root|` —
 /// measured rejection slack, one O(1) lookup per root. `proposed` (the
@@ -104,7 +105,9 @@ impl Default for ReplanPolicy {
 /// an acyclic query over a fully-dynamic (insert + delete) tuple stream.
 ///
 /// Samples are materialized full-width value tuples (indexed by the query's
-/// attribute ids), so they stay valid as the stream continues.
+/// attribute ids), so they stay valid as the stream continues. They live
+/// back to back in one flat buffer; [`samples`](ReservoirJoin::samples)
+/// hands out `&[Value]` row slices of it.
 ///
 /// ```
 /// use rsj_query::QueryBuilder;
@@ -116,7 +119,7 @@ impl Default for ReplanPolicy {
 /// let mut rj = ReservoirJoin::new(qb.build().unwrap(), 10, 42).unwrap();
 /// rj.process(0, &[1, 2]);
 /// rj.process(1, &[2, 3]);
-/// assert_eq!(rj.samples(), &[vec![1, 2, 3]]);
+/// assert_eq!(rj.samples().to_vec(), [[1, 2, 3]]);
 /// rj.delete(1, &[2, 3]);
 /// assert!(rj.samples().is_empty());
 /// ```
@@ -138,31 +141,52 @@ pub struct ReservoirJoin {
 /// service index group. Within one op every member walks the *same*
 /// implicit batch (same index state, same generating tuple), so the first
 /// member to touch position `z` pays the `O(log N)` retrieval and
-/// materialization; the rest clone the cached row. The win concentrates
-/// in the fill phase, where every still-filling member scans the batch
-/// prefix position by position.
+/// materialization; the rest copy the cached row into their own slot. The
+/// win concentrates in the fill phase, where every still-filling member
+/// scans the batch prefix position by position.
 ///
-/// Cleared per op ([`begin_op`](DeltaCache::begin_op)); the map's
-/// allocation is retained, so steady-state ingest stays allocation-free
-/// on the cache side.
+/// Rows sit back to back in one buffer, found by position through the
+/// map. Cleared per op ([`begin_op`](DeltaCache::begin_op)) with both
+/// allocations retained, so steady-state ingest stays allocation-free on
+/// the cache side.
 #[derive(Default)]
 pub(crate) struct DeltaCache {
-    rows: FxHashMap<u128, Option<Vec<Value>>>,
+    /// Batch position → offset of its row in `rows`, [`DUMMY`] for a
+    /// dummy position.
+    offsets: FxHashMap<u128, usize>,
+    rows: Vec<Value>,
+    ids: Vec<TupleId>,
 }
+
+/// [`DeltaCache`] offset of a position that retrieved as a dummy.
+const DUMMY: usize = usize::MAX;
 
 impl DeltaCache {
     /// Forgets the previous op's rows (the batch they came from is gone).
     pub(crate) fn begin_op(&mut self) {
+        self.offsets.clear();
         self.rows.clear();
     }
 
     /// The materialized row at batch position `z`, or `None` for a dummy —
-    /// retrieved on first touch, cloned out on every later one.
-    fn row(&mut self, index: &DynamicIndex, batch: &DeltaBatch<'_>, z: u128) -> Option<Vec<Value>> {
-        self.rows
-            .entry(z)
-            .or_insert_with(|| batch.retrieve(z).map(|r| index.materialize(&r)))
-            .clone()
+    /// retrieved on first touch, served from the buffer on every later one.
+    fn row(&mut self, index: &DynamicIndex, batch: &DeltaBatch<'_>, z: u128) -> Option<&[Value]> {
+        let width = index.query().num_attrs();
+        let offset = match self.offsets.entry(z) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.ids.resize(index.query().num_relations(), 0);
+                *e.insert(if batch.retrieve_into(z, &mut self.ids) {
+                    let offset = self.rows.len();
+                    self.rows.resize(offset + width, 0);
+                    index.materialize_ids(&self.ids, &mut self.rows[offset..]);
+                    offset
+                } else {
+                    DUMMY
+                })
+            }
+        };
+        (offset != DUMMY).then(|| &self.rows[offset..offset + width])
     }
 }
 
@@ -181,11 +205,12 @@ pub(crate) struct SamplerCore {
     /// The orientation the index is materialized over, plus the preferred
     /// sampling root repair draws go through.
     pub(crate) plan: Plan,
-    pub(crate) reservoir: Reservoir<Vec<Value>>,
-    /// Reusable materialization buffer for the in-place reservoir path:
-    /// an evicted sample's allocation becomes the next retrieve's scratch,
-    /// so steady-state sampling performs no per-sample allocations.
-    pub(crate) scratch: Vec<Value>,
+    /// The samples: full-width value rows of the query, `num_attrs` words
+    /// each.
+    pub(crate) reservoir: Reservoir,
+    /// The retrieval in flight, one tuple id per relation: the index
+    /// writes it, and it is materialized straight into the sample row.
+    ids: Vec<TupleId>,
     /// RNG for repair backfill draws, independent of the reservoir's skip
     /// stream (insert-only runs never touch it, keeping their reservoirs
     /// byte-identical across this feature).
@@ -200,14 +225,14 @@ pub(crate) struct SamplerCore {
 }
 
 impl SamplerCore {
-    /// A fresh core over `plan` with reservoir capacity `k` and the given
-    /// seed — exactly the reservoir-side state [`ReservoirJoin::with_plan`]
-    /// starts from.
-    pub(crate) fn new(plan: Plan, k: usize, seed: u64) -> SamplerCore {
+    /// A fresh core sampling `query` over `plan` with reservoir capacity
+    /// `k` and the given seed — exactly the reservoir-side state
+    /// [`ReservoirJoin::with_plan`] starts from.
+    pub(crate) fn new(query: &Query, plan: Plan, k: usize, seed: u64) -> SamplerCore {
         SamplerCore {
             plan,
-            reservoir: Reservoir::new(k, seed),
-            scratch: Vec::new(),
+            reservoir: Reservoir::new(k, query.num_attrs(), seed),
+            ids: vec![0; query.num_relations()],
             repair_rng: RsjRng::seed_from_u64(child_seed(seed, u64::from_le_bytes(*b"turnstil"))),
             inserts: 0,
             deletes: 0,
@@ -223,18 +248,13 @@ impl SamplerCore {
         self.inserts += 1;
         let batch = index.delta_batch(rel, tid);
         if batch.size() > 0 && !self.reservoir.try_skip(batch.size()) {
-            let mut fb = FnBatch::new(batch.size(), |z| batch.retrieve(z));
-            self.reservoir.process_batch_in_place(
-                &mut fb,
-                |item, buf| match item {
-                    Some(r) => {
-                        index.materialize_into(&r, buf);
-                        true
-                    }
-                    None => false,
-                },
-                &mut self.scratch,
-            );
+            let ids = &mut self.ids;
+            let mut positions = FnBatch::new(batch.size(), std::convert::identity);
+            self.reservoir.process_batch(&mut positions, |z, slot| {
+                if batch.retrieve_into(z, ids) {
+                    index.materialize_ids(ids, slot.accept());
+                }
+            });
         }
     }
 
@@ -248,7 +268,7 @@ impl SamplerCore {
     /// retrieval is a pure function of the index state. The sharing win is
     /// in the fill phase, where every still-filling member scans the same
     /// batch prefix: the first member pays the `O(log N)` retrieval per
-    /// position, the rest clone the cached row.
+    /// position, the rest copy the cached row.
     pub(crate) fn consume_delta_cached(
         &mut self,
         index: &DynamicIndex,
@@ -257,18 +277,12 @@ impl SamplerCore {
     ) {
         self.inserts += 1;
         if batch.size() > 0 && !self.reservoir.try_skip(batch.size()) {
-            let mut fb = FnBatch::new(batch.size(), |z| cache.row(index, batch, z));
-            self.reservoir.process_batch_in_place(
-                &mut fb,
-                |item, buf| match item {
-                    Some(row) => {
-                        *buf = row;
-                        true
-                    }
-                    None => false,
-                },
-                &mut self.scratch,
-            );
+            let mut positions = FnBatch::new(batch.size(), std::convert::identity);
+            self.reservoir.process_batch(&mut positions, |z, slot| {
+                if let Some(row) = cache.row(index, batch, z) {
+                    slot.accept().copy_from_slice(row);
+                }
+            });
         }
     }
 
@@ -324,7 +338,7 @@ impl SamplerCore {
             root: self.plan.root,
             ..FullSampler::default()
         };
-        let rng = &mut self.repair_rng;
+        let (rng, ids) = (&mut self.repair_rng, &mut self.ids);
         // Rejection sampling to distinctness: each accepted draw is
         // uniform over the live results not yet in the sample, which is
         // exactly sequential SRS. The per-slot budget covers the two
@@ -335,24 +349,20 @@ impl SamplerCore {
         let per_slot = (4096 + 256 * self.reservoir.capacity())
             .saturating_mul(1usize << (2 * (nrels.max(1) - 1)).min(16))
             .min(1 << 24);
-        let filled = self.reservoir.backfill_distinct(target, per_slot, || {
-            full.try_sample(index, rng).map(|r| index.materialize(&r))
+        let filled = self.reservoir.backfill_distinct(target, per_slot, |row| {
+            let real = full.try_sample_into(index, rng, ids);
+            if real {
+                index.materialize_ids(ids, row);
+            }
+            real
         });
         debug_assert!(filled, "backfill exhausted its rejection cap");
         self.reservoir.recalibrate(population);
     }
 
     /// The current samples (uniform without replacement over `Q(R)`).
-    pub(crate) fn samples(&self) -> &[Vec<Value>] {
+    pub(crate) fn samples(&self) -> Rows<'_> {
         self.reservoir.samples()
-    }
-
-    /// Heap bytes held by the materialized sample slots.
-    pub(crate) fn sample_heap_size(&self) -> usize {
-        self.samples()
-            .iter()
-            .map(|s| s.capacity() * std::mem::size_of::<Value>())
-            .sum::<usize>()
     }
 
     /// Serializes the core: plan, reservoir (slots, skip state, RNG),
@@ -361,7 +371,7 @@ impl SamplerCore {
     /// field order and does not call this.
     pub(crate) fn snapshot_to(&self, enc: &mut Encoder) {
         self.plan.snapshot_to(enc);
-        self.reservoir.snapshot_to(enc, |e, s| e.put_u64s(s));
+        self.reservoir.snapshot_to(enc);
         for w in self.repair_rng.state() {
             enc.put_u64(w);
         }
@@ -371,26 +381,28 @@ impl SamplerCore {
         enc.put_u64(self.deletes_since_repair);
     }
 
-    /// Restores a core written by [`snapshot_to`](SamplerCore::snapshot_to).
-    /// `num_relations` guards the plan against cross-query snapshots.
+    /// Restores a core of `query` written by
+    /// [`snapshot_to`](SamplerCore::snapshot_to). The query's shape guards
+    /// against cross-query snapshots: the plan must span its relations and
+    /// every sample row must be as wide as its attribute set.
     pub(crate) fn restore_from(
         dec: &mut Decoder,
-        num_relations: usize,
+        query: &Query,
     ) -> Result<SamplerCore, CodecError> {
         let plan = Plan::restore_from(dec)?;
-        if plan.tree.len() != num_relations {
+        if plan.tree.len() != query.num_relations() {
             return Err(CodecError::Corrupt(
                 "core snapshot plan is for another query",
             ));
         }
-        let reservoir = Reservoir::restore_from(dec, |d| d.u64s())?;
+        let reservoir = Reservoir::restore_from(dec, query.num_attrs())?;
         let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
         let repair_rng = RsjRng::restore_state(s)
             .ok_or(CodecError::Corrupt("rng state is the zero fixed point"))?;
         Ok(SamplerCore {
             plan,
             reservoir,
-            scratch: Vec::new(),
+            ids: vec![0; query.num_relations()],
             repair_rng,
             inserts: dec.u64()?,
             deletes: dec.u64()?,
@@ -433,9 +445,10 @@ impl ReservoirJoin {
         options: IndexOptions,
         plan: Plan,
     ) -> Result<ReservoirJoin, rsj_index::dynamic::IndexError> {
+        let core = SamplerCore::new(&query, plan, k, seed);
         Ok(ReservoirJoin {
-            index: DynamicIndex::with_tree(query, &plan.tree, options)?,
-            core: SamplerCore::new(plan, k, seed),
+            index: DynamicIndex::with_tree(query, &core.plan.tree, options)?,
+            core,
             planner: Planner::default(),
             replan_policy: ReplanPolicy::default(),
             rebuilds: 0,
@@ -675,8 +688,9 @@ impl ReservoirJoin {
     }
 
     /// The current samples: uniform without replacement over `Q(R)`, fewer
-    /// than `k` while `|Q(R)| < k`.
-    pub fn samples(&self) -> &[Vec<Value>] {
+    /// than `k` while `|Q(R)| < k`. A borrowed view of the flat sample
+    /// buffer — iterate it for `&[Value]` rows.
+    pub fn samples(&self) -> Rows<'_> {
         self.core.samples()
     }
 
@@ -726,7 +740,7 @@ impl ReservoirJoin {
     pub fn snapshot_to(&self, enc: &mut Encoder) {
         self.core.plan.snapshot_to(enc);
         self.index.snapshot_state_to(enc);
-        self.core.reservoir.snapshot_to(enc, |e, s| e.put_u64s(s));
+        self.core.reservoir.snapshot_to(enc);
         for w in self.core.repair_rng.state() {
             enc.put_u64(w);
         }
@@ -743,8 +757,9 @@ impl ReservoirJoin {
     /// parameters. The index is rebuilt over the snapshot's join tree (the
     /// snapshot may have re-rooted or re-oriented since construction) and
     /// its dynamic state overlaid; shape mismatches (wrong query, wrong
-    /// `k`) reject the snapshot. The planner and replan policy are
-    /// configuration, not state — they keep `self`'s current values.
+    /// `k`, a sample row of the wrong width) reject the snapshot and leave
+    /// `self` unchanged. The planner and replan policy are configuration,
+    /// not state — they keep `self`'s current values.
     pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
         let plan = Plan::restore_from(dec)?;
         if plan.tree.len() != self.index.query().num_relations() {
@@ -754,7 +769,7 @@ impl ReservoirJoin {
             DynamicIndex::with_tree(self.index.query().clone(), &plan.tree, self.index.options())
                 .map_err(|_| CodecError::Corrupt("snapshot plan tree is not a join tree"))?;
         index.restore_state_from(dec)?;
-        let reservoir = Reservoir::restore_from(dec, |d| d.u64s())?;
+        let reservoir = Reservoir::restore_from(dec, self.index.query().num_attrs())?;
         if reservoir.capacity() != self.core.reservoir.capacity() {
             return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
         }
@@ -780,9 +795,10 @@ impl ReservoirJoin {
         Ok(())
     }
 
-    /// Estimated heap bytes of index + reservoir.
+    /// Estimated heap bytes of index + reservoir (the sample buffer's
+    /// whole capacity).
     pub fn heap_size(&self) -> usize {
-        self.index.heap_size() + self.core.sample_heap_size()
+        self.index.heap_size() + self.core.reservoir.heap_size()
     }
 }
 
@@ -831,7 +847,7 @@ mod tests {
             }
         }
         let expect = brute_line3(&tuples);
-        let got: FxHashSet<Vec<u64>> = rj.samples().iter().cloned().collect();
+        let got: FxHashSet<Vec<u64>> = rj.samples().iter().map(<[u64]>::to_vec).collect();
         assert_eq!(got.len(), rj.samples().len(), "duplicates in reservoir");
         assert_eq!(got, expect);
     }
@@ -885,7 +901,7 @@ mod tests {
             }
             assert_eq!(rj.samples().len(), k);
             for s in rj.samples() {
-                *counts.entry(s.clone()).or_default() += 1;
+                *counts.entry(s.to_vec()).or_default() += 1;
             }
         }
         assert_eq!(counts.len(), 12);
@@ -953,7 +969,7 @@ mod tests {
         let mut rj = ReservoirJoin::new(qb.build().unwrap(), 10, 42).unwrap();
         rj.process(0, &[1, 2]);
         rj.process(1, &[2, 3]);
-        assert_eq!(rj.samples(), &[vec![1, 2, 3]]);
+        assert_eq!(rj.samples().to_vec(), [[1, 2, 3]]);
     }
 
     #[test]
@@ -992,7 +1008,7 @@ mod tests {
         rj.replan();
         assert_eq!(rj.rebuilds(), 0);
         assert_eq!(rj.plan().tree.canonical_edges(), edges);
-        assert_eq!(rj.samples(), before.as_slice());
+        assert_eq!(rj.samples().to_vec(), before);
     }
 
     #[test]
@@ -1057,7 +1073,7 @@ mod tests {
         for (rel, t) in &stream {
             rj.process(*rel, t);
         }
-        let before: FxHashSet<Vec<u64>> = rj.samples().iter().cloned().collect();
+        let before: FxHashSet<Vec<u64>> = rj.samples().iter().map(<[u64]>::to_vec).collect();
         let live = crate::count::exact_result_count(rj.index().query(), rj.index().database());
         assert_eq!(before.len() as u128, live, "k >= |Q| collects everything");
         rj.set_planner(rsj_query::Planner {
@@ -1067,7 +1083,7 @@ mod tests {
         let changed = rj.replan();
         assert!(changed, "greedy replan must leave the degenerate start");
         assert_eq!(rj.rebuilds(), 1, "tree change rebuilds the index");
-        let after: FxHashSet<Vec<u64>> = rj.samples().iter().cloned().collect();
+        let after: FxHashSet<Vec<u64>> = rj.samples().iter().map(<[u64]>::to_vec).collect();
         assert_eq!(after, before, "replan altered Q(R)");
         assert_eq!(
             crate::count::exact_result_count(rj.index().query(), rj.index().database()),
@@ -1117,7 +1133,7 @@ mod tests {
                 }
             }
         }
-        let got: FxHashSet<Vec<u64>> = rj.samples().iter().cloned().collect();
+        let got: FxHashSet<Vec<u64>> = rj.samples().iter().map(<[u64]>::to_vec).collect();
         let population =
             crate::count::exact_result_count(rj.index().query(), rj.index().database());
         assert_eq!(

@@ -17,6 +17,8 @@ pub struct DynamicSampleIndex {
     index: DynamicIndex,
     sampler: FullSampler,
     rng: RsjRng,
+    /// The draw in flight: one tuple id per relation.
+    ids: Vec<TupleId>,
 }
 
 impl DynamicSampleIndex {
@@ -26,6 +28,7 @@ impl DynamicSampleIndex {
         seed: u64,
     ) -> Result<DynamicSampleIndex, rsj_index::dynamic::IndexError> {
         Ok(DynamicSampleIndex {
+            ids: vec![0; query.num_relations()],
             index: DynamicIndex::new(query, IndexOptions::default())?,
             sampler: FullSampler::default(),
             rng: RsjRng::seed_from_u64(seed),
@@ -62,13 +65,15 @@ impl DynamicSampleIndex {
     /// sample in a loop can reuse one buffer instead of allocating per
     /// sample.
     pub fn sample_into(&mut self, out: &mut Vec<Value>) -> bool {
-        match self.sampler.sample(&self.index, &mut self.rng) {
-            Some(r) => {
-                self.index.materialize_into(&r, out);
-                true
-            }
-            None => false,
+        let drawn = self
+            .sampler
+            .sample_into(&self.index, &mut self.rng, &mut self.ids);
+        if drawn {
+            out.clear();
+            out.resize(self.index.query().num_attrs(), 0);
+            self.index.materialize_ids(&self.ids, out);
         }
+        drawn
     }
 
     /// Draws `n` independent uniform samples (with replacement).

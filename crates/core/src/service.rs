@@ -383,7 +383,7 @@ impl SamplerService {
                 // adjacency order fixes the config discovery order shared
                 // state depends on.
                 plan.tree = self.groups[gi].tree.clone();
-                let mut core = SamplerCore::new(plan, opts.k, opts.seed);
+                let mut core = SamplerCore::new(query, plan, opts.k, opts.seed);
                 // Backfill through a throwaway index: delta batches need
                 // the historical index state at each op, and replaying the
                 // same ops in the same order rebuilds exactly the states
@@ -403,7 +403,7 @@ impl SamplerService {
                 let mut index = DynamicIndex::with_tree(query.clone(), &plan.tree, opts.index)
                     .map_err(ServiceError::Index)?;
                 let tree = plan.tree.clone();
-                let mut core = SamplerCore::new(plan, opts.k, opts.seed);
+                let mut core = SamplerCore::new(query, plan, opts.k, opts.seed);
                 Self::replay(&mut index, &mut core, self.store.history());
                 self.groups.push(Group {
                     edges,
@@ -716,7 +716,9 @@ impl SamplerService {
     /// Publishes every member's `(lsn, |Q(R)|, samples)` to its epoch
     /// cell — the only write side of the reader path. A group's exact
     /// count comes from its memo (see the [module docs](self)), so a
-    /// publish point right after a delete repair counts nothing again.
+    /// publish point right after a delete repair counts nothing again. A
+    /// shared member's payload is the four header words plus one copy of
+    /// its flat sample buffer.
     pub fn publish(&mut self) {
         self.ops_since_publish = 0;
         let lsn = self.store.lsn();
@@ -724,32 +726,37 @@ impl SamplerService {
         for g in &self.groups {
             let population = Group::population(&g.index, &g.population, &self.count_passes);
             for m in &g.members {
-                Self::publish_cell(words, &m.cell, lsn, population, m.core.samples());
+                let samples = m.core.samples();
+                Self::begin_payload(words, &m.cell, lsn, population, samples.len());
+                words.extend_from_slice(samples.flat());
+                m.cell.publish(words);
             }
         }
         for b in &self.boxed {
             let samples = b.sampler.samples();
-            Self::publish_cell(words, &b.cell, lsn, b.counter.count(), &samples);
+            Self::begin_payload(words, &b.cell, lsn, b.counter.count(), samples.len());
+            for s in &samples {
+                words.extend_from_slice(s);
+            }
+            b.cell.publish(words);
         }
     }
 
-    fn publish_cell(
+    /// Starts `cell`'s next payload in `words`: the four header words the
+    /// sample rows follow.
+    fn begin_payload(
         words: &mut Vec<u64>,
         cell: &EpochCell,
         lsn: u64,
         population: u128,
-        samples: &[Vec<Value>],
+        samples: usize,
     ) {
         words.clear();
         words.reserve(cell.capacity());
         words.push(lsn);
         words.push(population as u64);
         words.push((population >> 64) as u64);
-        words.push(samples.len() as u64);
-        for s in samples {
-            words.extend_from_slice(s);
-        }
-        cell.publish(words);
+        words.push(samples as u64);
     }
 
     /// A clonable, thread-safe reader over the registration's epoch cell.
@@ -814,7 +821,7 @@ impl SamplerService {
         for g in &self.groups {
             total += g.index.heap_size();
             for m in &g.members {
-                total += m.core.sample_heap_size() + m.cell.heap_size();
+                total += m.core.reservoir.heap_size() + m.cell.heap_size();
             }
         }
         for b in &self.boxed {
@@ -915,7 +922,7 @@ impl SamplerService {
             let mut members = Vec::with_capacity(nmembers);
             for _ in 0..nmembers {
                 let id = dec.u64()?;
-                let core = SamplerCore::restore_from(dec, nrels)?;
+                let core = SamplerCore::restore_from(dec, &self.universe)?;
                 let cell = Arc::new(EpochCell::new(4 + core.reservoir.capacity() * num_attrs));
                 members.push(Member { id, core, cell });
             }

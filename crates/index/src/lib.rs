@@ -35,5 +35,5 @@ pub mod sampler;
 pub mod state;
 
 pub use dynamic::{DynamicIndex, IndexOptions, IndexStats};
-pub use retrieve::{materialize, materialize_into, DeltaBatch, JoinResult, ProbeBatch};
+pub use retrieve::{materialize, DeltaBatch, JoinResult, ProbeBatch};
 pub use sampler::FullSampler;

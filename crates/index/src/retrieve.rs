@@ -13,13 +13,22 @@
 //! * **grouped-node case** (Algorithm 11): within an item's sub-batch of
 //!   size `feq~ · Π cnt~`, the high digits select the base tuple (dummy if
 //!   `>= feq`) and the low digits recurse into the children.
+//!
+//! All three are one kernel (`retrieve_in_group` / `retrieve_below`,
+//! mutually recursive) that writes the result as one tuple id per relation
+//! into a caller-provided slice and allocates nothing: every reservoir
+//! stop, repair draw and probe goes through it. The `Vec`-returning
+//! `retrieve` / `sample` methods are adapters over the same kernel.
 
 use crate::dynamic::DynamicIndex;
+use crate::state::GroupId;
+use rsj_common::pow2::level_of;
 use rsj_common::{fx_hash_one, Key, TupleId, Value};
 use rsj_storage::Database;
 
-/// A join result: one tuple id per relation, in relation order... more
-/// precisely, the `(relation, tuple)` pairs it combines (unsorted).
+/// A join result as `(relation, tuple id)` pairs in relation order: one
+/// pair per relation of the query (a [`ProbeBatch`] result leaves out the
+/// probed relation, whose tuple is hypothetical).
 pub type JoinResult = Vec<(usize, TupleId)>;
 
 impl DynamicIndex {
@@ -44,38 +53,35 @@ impl DynamicIndex {
         materialize(self.query(), self.database(), result)
     }
 
-    /// Materializes a join result into a caller-provided buffer (cleared
-    /// and refilled), avoiding a fresh allocation per retrieved sample.
-    pub fn materialize_into(&self, result: &JoinResult, out: &mut Vec<Value>) {
-        materialize_into(self.query(), self.database(), result, out)
-    }
-}
-
-/// Materializes a join result against a query and database.
-pub fn materialize(query: &rsj_query::Query, db: &Database, result: &JoinResult) -> Vec<Value> {
-    let mut out = Vec::new();
-    materialize_into(query, db, result, &mut out);
-    out
-}
-
-/// Materializes a join result into `out` (cleared and refilled). The
-/// buffer's capacity is reused, so engines that export one sample at a
-/// time — reservoir replacements, ad-hoc `sample()` calls — can keep a
-/// persistent scratch and stop allocating one `Vec` per retrieved sample.
-pub fn materialize_into(
-    query: &rsj_query::Query,
-    db: &Database,
-    result: &JoinResult,
-    out: &mut Vec<Value>,
-) {
-    out.clear();
-    out.resize(query.num_attrs(), 0);
-    for &(rel, tid) in result {
-        let tuple = db.relation(rel).tuple(tid);
-        for (pos, &attr) in query.relation(rel).attrs.iter().enumerate() {
-            out[attr] = tuple[pos];
+    /// Materializes a join result given as one tuple id per relation (what
+    /// the `*_into` retrieval methods write) into `row`, a full-width value
+    /// tuple indexed by the query's attribute ids. Every attribute belongs
+    /// to some relation, so all of `row` is overwritten.
+    pub fn materialize_ids(&self, ids: &[TupleId], row: &mut [Value]) {
+        debug_assert_eq!(ids.len(), self.query().num_relations());
+        debug_assert_eq!(row.len(), self.query().num_attrs());
+        for (rel, &tid) in ids.iter().enumerate() {
+            place(self.query(), self.database(), rel, tid, row);
         }
     }
+}
+
+/// Copies tuple `tid` of `rel` into its attributes' slots of `row`.
+fn place(query: &rsj_query::Query, db: &Database, rel: usize, tid: TupleId, row: &mut [Value]) {
+    let tuple = db.relation(rel).tuple(tid);
+    for (pos, &attr) in query.relation(rel).attrs.iter().enumerate() {
+        row[attr] = tuple[pos];
+    }
+}
+
+/// Materializes a join result against a query and database. Attributes of
+/// relations the result leaves out read 0.
+pub fn materialize(query: &rsj_query::Query, db: &Database, result: &JoinResult) -> Vec<Value> {
+    let mut out = vec![0; query.num_attrs()];
+    for &(rel, tid) in result {
+        place(query, db, rel, tid, &mut out);
+    }
+    out
 }
 
 /// The implicit delta batch of one inserted tuple.
@@ -103,12 +109,24 @@ impl DeltaBatch<'_> {
         self.tid
     }
 
-    /// The element at position `z`: a real join result or `None` (dummy).
+    /// The element at position `z`, written as one tuple id per relation
+    /// into `ids` (length: the query's relation count). Returns `false`
+    /// for a dummy position, leaving `ids` unspecified.
     ///
-    /// `O(log N)` (Theorem 4.2(2), Algorithm 9).
-    pub fn retrieve(&self, z: u128) -> Option<JoinResult> {
+    /// `O(log N)` and allocation-free (Theorem 4.2(2), Algorithm 9).
+    pub fn retrieve_into(&self, z: u128, ids: &mut [TupleId]) -> bool {
         debug_assert!(z < self.size, "position out of batch");
-        retrieve_tuple(self.index, self.rel, self.rel, self.tid, z)
+        ids[self.rel] = self.tid;
+        let tuple = self.index.database().relation(self.rel).tuple(self.tid);
+        retrieve_below(self.index, self.rel, self.rel, tuple, z, ids)
+    }
+
+    /// The element at position `z`: a real join result or `None` (dummy).
+    /// Allocating adapter over [`retrieve_into`](DeltaBatch::retrieve_into).
+    pub fn retrieve(&self, z: u128) -> Option<JoinResult> {
+        let mut ids = vec![0; self.index.query().num_relations()];
+        self.retrieve_into(z, &mut ids)
+            .then(|| ids.into_iter().enumerate().collect())
     }
 }
 
@@ -123,9 +141,6 @@ pub struct ProbeBatch<'a> {
     index: &'a DynamicIndex,
     rel: usize,
     values: Vec<Value>,
-    /// Child keys (projections of `values`) and their `cnt~` levels, in
-    /// child order; `None` overall size when some child group is empty.
-    child_levels: Vec<u32>,
     size: u128,
 }
 
@@ -142,31 +157,23 @@ impl DynamicIndex {
             "probe arity mismatch"
         );
         let info = self.info_at(rel, rel);
-        let mut child_levels = Vec::with_capacity(info.children.len());
-        let mut size = Some(0u32);
-        for (ci, positions) in info.child_key_positions.iter().enumerate() {
-            let key = Key::project(tuple, positions);
-            let child_rel = info.children[ci];
-            match self
-                .state_at(rel, child_rel)
-                .tilde_level_of(fx_hash_one(&key), &key)
-            {
-                Some(l) => {
-                    child_levels.push(l);
-                    size = size.map(|s| s + l);
-                }
-                None => {
-                    child_levels.push(0);
-                    size = None;
-                }
-            }
-        }
+        // Π over root children of cnt~; 0 when some child group is empty.
+        let level = info
+            .child_key_positions
+            .iter()
+            .zip(&info.children)
+            .try_fold(0u32, |sum, (positions, &child)| {
+                let key = Key::project(tuple, positions);
+                let l = self
+                    .state_at(rel, child)
+                    .tilde_level_of(fx_hash_one(&key), &key)?;
+                Some(sum + l)
+            });
         ProbeBatch {
             index: self,
             rel,
             values: tuple.to_vec(),
-            child_levels,
-            size: size.map_or(0, |s| 1u128 << s),
+            size: level.map_or(0, |l| 1u128 << l),
         }
     }
 }
@@ -178,121 +185,111 @@ impl ProbeBatch<'_> {
         self.size
     }
 
+    /// The element at position `z` as one tuple id per relation; the
+    /// probed relation's own slot is left untouched (the probe tuple is
+    /// not part of any relation). Returns `false` for a dummy position;
+    /// every position at or past [`size`](ProbeBatch::size) is one (an
+    /// empty batch has a child group missing — nothing to descend).
+    pub fn retrieve_into(&self, z: u128, ids: &mut [TupleId]) -> bool {
+        z < self.size && retrieve_below(self.index, self.rel, self.rel, &self.values, z, ids)
+    }
+
     /// The element at position `z`: the would-be join result (partner
-    /// tuples only — the probe tuple itself is not part of any relation),
-    /// or `None` for a dummy position.
+    /// tuples only), or `None` for a dummy position. Allocating adapter
+    /// over [`retrieve_into`](ProbeBatch::retrieve_into).
     pub fn retrieve(&self, z: u128) -> Option<JoinResult> {
-        debug_assert!(z < self.size, "position out of probe batch");
-        let info = self.index.info_at(self.rel, self.rel);
-        let mut out: JoinResult = Vec::new();
-        let mut rest = z;
-        let mut coords = vec![0u128; info.children.len()];
-        for ci in (0..info.children.len()).rev() {
-            let level = self.child_levels[ci];
-            coords[ci] = rest & ((1u128 << level) - 1);
-            rest >>= level;
-        }
-        debug_assert_eq!(rest, 0);
-        for (ci, positions) in info.child_key_positions.iter().enumerate() {
-            let key = Key::project(&self.values, positions);
-            let child_rel = info.children[ci];
-            let sub = retrieve_group(self.index, self.rel, child_rel, &key, coords[ci])?;
-            out.extend(sub);
-        }
-        Some(out)
+        let mut ids = vec![0; self.index.query().num_relations()];
+        self.retrieve_into(z, &mut ids).then(|| {
+            let partners = ids.into_iter().enumerate();
+            partners.filter(|&(rel, _)| rel != self.rel).collect()
+        })
     }
 
     /// Exact number of real results the insert would create (enumerates
     /// the batch: `O(|ΔJ| log N)`).
     pub fn exact_count(&self) -> u128 {
+        let mut ids = vec![0; self.index.query().num_relations()];
         (0..self.size)
-            .filter(|&z| self.retrieve(z).is_some())
+            .filter(|&z| self.retrieve_into(z, &mut ids))
             .count() as u128
     }
 }
 
-/// Algorithm 9, tuple case (`t ∈ R_e`): split `z` into child coordinates and
-/// recurse; prepend `(rel, tid)` itself. `root` names the rooted-tree view
-/// resolving each relation to its configuration.
-pub(crate) fn retrieve_tuple(
+/// Algorithm 9, tuple case (`t ∈ R_e`): `tuple` is a tuple of node `rel`
+/// (stored or hypothetical) whose children are all live, `z` a position in
+/// the row-major product of its children's group batches. Later children
+/// are the low digits, so each child's coordinate is peeled off `z` as the
+/// walk reaches it — one `KeyMap` probe per join edge. `root` names the
+/// rooted-tree view resolving each relation to its configuration.
+pub(crate) fn retrieve_below(
     idx: &DynamicIndex,
     root: usize,
     rel: usize,
-    tid: TupleId,
+    tuple: &[Value],
     z: u128,
-) -> Option<JoinResult> {
+    ids: &mut [TupleId],
+) -> bool {
     let info = idx.info_at(root, rel);
-    if info.children.is_empty() {
-        debug_assert_eq!(z, 0, "leaf sub-batch has exactly one slot");
-        return Some(vec![(rel, tid)]);
-    }
-    let db = idx.database();
-    let tuple = db.relation(rel).tuple(tid);
-    let mut out: JoinResult = vec![(rel, tid)];
-    // Row-major decomposition: later children are the low digits.
     let mut rest = z;
-    let mut coords = vec![0u128; info.children.len()];
-    for (ci, positions) in info.child_key_positions.iter().enumerate().rev() {
+    for (positions, &child) in info.child_key_positions.iter().zip(&info.children).rev() {
         let key = Key::project(tuple, positions);
-        let child_rel = info.children[ci];
-        let level = idx
-            .state_at(root, child_rel)
-            .tilde_level_of(fx_hash_one(&key), &key)
+        let ns = idx.state_at(root, child);
+        let g = ns
+            .group_id(fx_hash_one(&key), &key)
             .expect("bucketed tuple has live children");
-        coords[ci] = rest & ((1u128 << level) - 1);
+        let level = ns
+            .group(g)
+            .tilde_level()
+            .expect("bucketed tuple has live children");
+        let coord = rest & ((1u128 << level) - 1);
         rest >>= level;
+        if !retrieve_in_group(idx, root, child, g, coord, ids) {
+            return false;
+        }
     }
     debug_assert_eq!(rest, 0, "z within batch size");
-    for (ci, positions) in info.child_key_positions.iter().enumerate() {
-        let key = Key::project(tuple, positions);
-        let child_rel = info.children[ci];
-        let sub = retrieve_group(idx, root, child_rel, &key, coords[ci])?;
-        out.extend(sub);
-    }
-    Some(out)
+    true
 }
 
 /// Algorithm 9 group case / Algorithm 11 grouped case
-/// (`t ∈ π_key(e) R_e`): find the item owning position `z`, then descend.
-pub(crate) fn retrieve_group(
+/// (`t ∈ π_key(e) R_e`): find the item of group `g` of node `rel` owning
+/// position `z < cnt~`, record its tuple in `ids[rel]`, then descend.
+pub(crate) fn retrieve_in_group(
     idx: &DynamicIndex,
     root: usize,
     rel: usize,
-    key: &Key,
+    g: GroupId,
     z: u128,
-) -> Option<JoinResult> {
+    ids: &mut [TupleId],
+) -> bool {
     let ns = idx.state_at(root, rel);
-    let g = ns.group_id(fx_hash_one(key), key)?;
     let group = ns.group(g);
     if z >= group.cnt {
-        return None; // padding up to cnt~ — dummy
+        return false; // padding up to cnt~ — dummy
     }
-    let (item, within) = group.locate(&ns.postings, z);
-    if !ns.grouped {
-        return retrieve_tuple(idx, root, rel, item as TupleId, within);
+    let (item, mut within) = group.locate(&ns.postings, z);
+    let mut tid = item as TupleId;
+    if ns.grouped {
+        // Grouped node (Algorithm 11 lines 13–23): the item is a group
+        // tuple whose sub-batch interleaves feq~ copies of the children
+        // product. Its bucket level is log2(feq~) plus the children's
+        // levels, so the split point needs no child probe.
+        let feq = ns.grouped_data.feq[item as usize];
+        let level = ns.item_pos[item as usize].level();
+        let children = level.expect("located item is bucketed")
+            - level_of(feq as u128).expect("bucketed group tuple has members");
+        let idx_in_base = within >> children;
+        if idx_in_base >= feq as u128 {
+            return false; // feq~ rounding slack — dummy
+        }
+        within &= (1u128 << children) - 1;
+        tid = ns
+            .postings
+            .get(ns.grouped_data.base[item as usize], idx_in_base as u32);
     }
-    // Grouped node (Algorithm 11 lines 13–23): the item is a group tuple
-    // whose sub-batch interleaves feq~ copies of the children product `h`.
-    let info = idx.info_at(root, rel);
-    let ebar = ns.grouped_data.ebar_vals[item as usize];
-    let mut child_sum = 0u32;
-    for (ci, positions) in info.child_key_positions_in_ebar.iter().enumerate() {
-        let k = Key::project(ebar.as_slice(), positions);
-        let child_rel = info.children[ci];
-        child_sum += idx
-            .state_at(root, child_rel)
-            .tilde_level_of(fx_hash_one(&k), &k)
-            .expect("bucketed group tuple has live children");
-    }
-    let idx_in_base = (within >> child_sum) as usize;
-    let f = within & ((1u128 << child_sum) - 1);
-    if idx_in_base >= ns.grouped_data.feq[item as usize] as usize {
-        return None; // feq~ rounding slack — dummy
-    }
-    let tid = ns
-        .postings
-        .get(ns.grouped_data.base[item as usize], idx_in_base as u32);
-    retrieve_tuple(idx, root, rel, tid, f)
+    ids[rel] = tid;
+    let tuple = idx.database().relation(rel).tuple(tid);
+    retrieve_below(idx, root, rel, tuple, within, ids)
 }
 
 #[cfg(test)]
@@ -347,30 +344,35 @@ mod tests {
         out
     }
 
-    /// Enumerate a delta batch fully, asserting each real result appears
-    /// exactly once and matches brute force.
+    /// Enumerate a delta batch fully through the slice kernel, asserting
+    /// at every position that the allocating adapter agrees with it, and
+    /// overall that each real result appears exactly once and the set
+    /// matches brute force.
     fn check_delta(idx: &DynamicIndex, rel: usize, tid: TupleId) {
         let batch = idx.delta_batch(rel, tid);
         let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-        let mut reals = 0u128;
+        let mut ids = vec![TupleId::MAX; idx.query().num_relations()];
+        let mut row = vec![0; idx.query().num_attrs()];
         for z in 0..batch.size() {
-            if let Some(res) = batch.retrieve(z) {
-                let m = idx.materialize(&res);
-                assert!(seen.insert(m), "duplicate result at z={z}");
-                reals += 1;
-            }
+            let real = batch.retrieve_into(z, &mut ids);
+            let adapted = batch.retrieve(z);
+            assert_eq!(real, adapted.is_some(), "dummy disagreement at z={z}");
+            let Some(res) = adapted else { continue };
+            let expect: JoinResult = ids.iter().copied().enumerate().collect();
+            assert_eq!(res, expect, "adapter pairs at z={z}");
+            assert_eq!(ids[rel], tid, "generating tuple at z={z}");
+            idx.materialize_ids(&ids, &mut row);
+            assert_eq!(row, idx.materialize(&res), "materialization at z={z}");
+            assert!(seen.insert(row.clone()), "duplicate result at z={z}");
         }
         let expect = brute_delta(idx, rel, tid);
-        assert_eq!(reals as usize, expect.len(), "delta cardinality");
         assert_eq!(seen, expect, "delta contents");
-        // Density: dummies are at most a constant fraction. With |T_e| = 3
-        // the bound is (1/2)^(2*3-2); check the much tighter practical
-        // bound of >= 1/16 to catch regressions without overfitting.
-        if batch.size() > 0 && expect.is_empty() {
-            // all-dummy batches can only arise from empty sub-joins, which
-            // cannot happen: batch size 0 in that case.
-            panic!("non-empty batch with zero real results");
-        }
+        // All-dummy batches can only arise from empty sub-joins, and then
+        // the batch size is 0.
+        assert!(
+            batch.size() == 0 || !expect.is_empty(),
+            "non-empty batch with zero real results"
+        );
     }
 
     #[test]
@@ -568,6 +570,8 @@ mod tests {
                     all
                 };
                 assert_eq!(enumerate(&with), enumerate(&without));
+                check_delta(&with, rel, tid);
+                check_delta(&without, rel, tid);
             }
         }
     }

@@ -8,9 +8,10 @@
 //! time — the dynamic counterpart of the static indexes of [12, 30].
 
 use crate::dynamic::DynamicIndex;
-use crate::retrieve::{retrieve_group, JoinResult};
+use crate::retrieve::{retrieve_in_group, JoinResult};
+use crate::state::GroupId;
 use rsj_common::rng::RsjRng;
-use rsj_common::{fx_hash_one, Key};
+use rsj_common::{fx_hash_one, Key, TupleId};
 
 /// A sampler over the full current result `Q(R)`.
 ///
@@ -35,39 +36,65 @@ impl Default for FullSampler {
 }
 
 impl FullSampler {
+    /// The root group — the implicit array `J` — and its size, if any
+    /// root tuple was ever inserted.
+    fn array(&self, idx: &DynamicIndex) -> Option<(GroupId, u128)> {
+        let ns = idx.state_at(self.root, self.root);
+        let g = ns.group_id(fx_hash_one(&Key::EMPTY), &Key::EMPTY)?;
+        Some((g, ns.group(g).cnt))
+    }
+
     /// The size `|J|` of the implicit array (an upper bound on `|Q(R)|`,
     /// within a constant factor of it).
     pub fn implicit_size(&self, idx: &DynamicIndex) -> u128 {
-        let ns = idx.state_at(self.root, self.root);
-        ns.group_id(fx_hash_one(&Key::EMPTY), &Key::EMPTY)
-            .map_or(0, |g| ns.group(g).cnt)
+        self.array(idx).map_or(0, |(_, size)| size)
+    }
+
+    /// One sampling trial: a uniform position of the implicit array,
+    /// retrieved into `ids` (one tuple id per relation). Returns `false`
+    /// if it hit a dummy or the result is empty — an empty result draws
+    /// nothing from `rng`. Allocation-free.
+    pub fn try_sample_into(
+        &self,
+        idx: &DynamicIndex,
+        rng: &mut RsjRng,
+        ids: &mut [TupleId],
+    ) -> bool {
+        match self.array(idx) {
+            Some((g, size)) if size > 0 => {
+                let z = rng.below_u128(size);
+                retrieve_in_group(idx, self.root, self.root, g, z, ids)
+            }
+            _ => false,
+        }
     }
 
     /// One sampling trial: uniform position, `None` if it hit a dummy (or
-    /// the result is empty).
+    /// the result is empty). Allocating adapter over
+    /// [`try_sample_into`](FullSampler::try_sample_into).
     pub fn try_sample(&self, idx: &DynamicIndex, rng: &mut RsjRng) -> Option<JoinResult> {
-        let size = self.implicit_size(idx);
-        if size == 0 {
-            return None;
-        }
-        let z = rng.below_u128(size);
-        retrieve_group(idx, self.root, self.root, &Key::EMPTY, z)
+        let mut ids = vec![0; idx.query().num_relations()];
+        self.try_sample_into(idx, rng, &mut ids)
+            .then(|| ids.into_iter().enumerate().collect())
     }
 
-    /// Samples one uniform join result, retrying dummies up to `max_tries`.
+    /// Samples one uniform join result into `ids` (one tuple id per
+    /// relation), retrying dummies up to `max_tries`. Allocation-free.
     ///
-    /// Returns `None` only when `Q(R)` is empty (or the defensive cap is
+    /// Returns `false` only when `Q(R)` is empty (or the defensive cap is
     /// hit, which would indicate a density-invariant violation).
+    pub fn sample_into(&self, idx: &DynamicIndex, rng: &mut RsjRng, ids: &mut [TupleId]) -> bool {
+        self.implicit_size(idx) > 0
+            && (0..self.max_tries).any(|_| self.try_sample_into(idx, rng, ids))
+    }
+
+    /// Samples one uniform join result, `None` where
+    /// [`sample_into`](FullSampler::sample_into) returns `false`.
+    /// Allocating adapter over it.
     pub fn sample(&self, idx: &DynamicIndex, rng: &mut RsjRng) -> Option<JoinResult> {
-        if self.implicit_size(idx) == 0 {
-            return None;
-        }
-        for _ in 0..self.max_tries {
-            if let Some(r) = self.try_sample(idx, rng) {
-                return Some(r);
-            }
-        }
-        None
+        let mut ids = vec![0; idx.query().num_relations()];
+        self.sample_into(idx, rng, &mut ids)
+            .then(|| ids.into_iter().enumerate().collect())
     }
 
     /// Unbiased estimate of `|Q(R)|` from `trials` sampling probes.
@@ -83,8 +110,9 @@ impl FullSampler {
         if size == 0 || trials == 0 {
             return 0.0;
         }
+        let mut ids = vec![0; idx.query().num_relations()];
         let hits = (0..trials)
-            .filter(|_| self.try_sample(idx, rng).is_some())
+            .filter(|_| self.try_sample_into(idx, rng, &mut ids))
             .count();
         size as f64 * hits as f64 / trials as f64
     }
@@ -104,6 +132,15 @@ mod tests {
         qb.relation("G2", &["B", "C"]);
         qb.relation("G3", &["C", "D"]);
         DynamicIndex::new(qb.build().unwrap(), IndexOptions::default()).unwrap()
+    }
+
+    /// Exact `|Q(R)|` by enumerating root 0's whole implicit array.
+    fn real_positions(idx: &DynamicIndex) -> u128 {
+        let (g, size) = FullSampler::default().array(idx).expect("root group");
+        let mut ids = [0; 3];
+        (0..size)
+            .filter(|&z| retrieve_in_group(idx, 0, 0, g, z, &mut ids))
+            .count() as u128
     }
 
     #[test]
@@ -133,11 +170,27 @@ mod tests {
         // 3*2 + 1 = 7 results.
         let s = FullSampler::default();
         let mut rng = RsjRng::seed_from_u64(2);
+        let mut expect: Vec<Vec<u64>> = vec![vec![9, 5, 6, 7]];
+        for a in 0..3u64 {
+            for d in 0..2u64 {
+                expect.push(vec![a, 1, 2, d]);
+            }
+        }
         let mut counts: FxHashMap<Vec<u64>, u64> = FxHashMap::default();
         let trials = 14_000;
+        let (mut ids, mut row) = ([0; 3], [0; 4]);
         for _ in 0..trials {
+            // The allocating adapter and the slice kernel, fed the same
+            // random stream, land on the same id tuple.
+            let mut twin = rng.clone();
             let r = s.sample(&idx, &mut rng).expect("nonempty");
-            *counts.entry(idx.materialize(&r)).or_default() += 1;
+            while !s.try_sample_into(&idx, &mut twin, &mut ids) {}
+            let pairs: JoinResult = ids.iter().copied().enumerate().collect();
+            assert_eq!(r, pairs);
+            idx.materialize_ids(&ids, &mut row);
+            assert_eq!(row.as_slice(), idx.materialize(&r));
+            assert!(expect.contains(&row.to_vec()), "not a join result: {row:?}");
+            *counts.entry(row.to_vec()).or_default() += 1;
         }
         assert_eq!(counts.len(), 7);
         let observed: Vec<u64> = counts.values().copied().collect();
@@ -191,12 +244,7 @@ mod tests {
         // Count true size by exhaustive sampling positions.
         let s = FullSampler::default();
         let size = s.implicit_size(&idx);
-        let mut reals = 0u128;
-        for z in 0..size {
-            if crate::retrieve::retrieve_group(&idx, 0, 0, &Key::EMPTY, z).is_some() {
-                reals += 1;
-            }
-        }
+        let reals = real_positions(&idx);
         assert!(size >= reals);
         // Density: the implicit array is O(|Q(R)|).
         if reals > 0 {
@@ -214,13 +262,7 @@ mod tests {
         }
         // Exact size by full enumeration of the implicit array.
         let s = FullSampler::default();
-        let size = s.implicit_size(&idx);
-        let mut exact = 0u128;
-        for z in 0..size {
-            if crate::retrieve::retrieve_group(&idx, 0, 0, &Key::EMPTY, z).is_some() {
-                exact += 1;
-            }
-        }
+        let exact = real_positions(&idx);
         assert!(exact > 0, "need a non-empty join");
         let est = s.estimate_result_size(&idx, &mut rng, 20_000);
         let rel_err = (est - exact as f64).abs() / exact as f64;

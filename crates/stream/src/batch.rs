@@ -3,9 +3,9 @@
 //! A [`Batch`] is one item-disjoint segment of the conceptual stream the
 //! batched reservoir algorithm (paper Algorithms 4–5) consumes. The join
 //! driver produces one batch per input tuple — the delta `ΔJ` of that tuple —
-//! without materializing it: [`FnBatch`] wraps a positional accessor closure
-//! so that `skip(i)` is a constant number of closure calls, each `O(log N)`
-//! inside the index.
+//! without materializing it: an [`FnBatch`] of bare positions, so `skip(i)`
+//! is pure arithmetic and only the position a stop lands on is retrieved
+//! from the index (`O(log N)`, in the reservoir's stop closure).
 //!
 //! Positions and sizes are `u128`: a single delta batch over a join with
 //! fractional edge cover number `ρ*` can have up to `N^{ρ*}` positions.
@@ -16,8 +16,9 @@
 /// cursor and advances; `skip(i)` discards `i` items and returns the
 /// `(i+1)`-th, mirroring the paper's primitives exactly.
 pub trait Batch {
-    /// The item type. For join batches this is `Option<JoinResult>`, where
-    /// `None` positions are the dummies introduced by count rounding.
+    /// The item type. Join batches yield bare positions: the reservoir's
+    /// stop closure retrieves the position from the index, which is also
+    /// what tells a real result from a dummy introduced by count rounding.
     type Item;
 
     /// Number of items not yet consumed.
@@ -71,9 +72,9 @@ impl<T: Clone> Batch for SliceBatch<'_, T> {
 
 /// A batch defined by a size and a positional accessor.
 ///
-/// This is the adapter the join driver uses: `f(z)` performs a positional
-/// `Retrieve` into the dynamic index (paper Algorithm 9) and returns either a
-/// real join result or a dummy.
+/// This is the adapter the join driver uses, with the identity accessor:
+/// a stop yields its position `z`, and the driver's stop closure performs
+/// the positional `Retrieve` into the dynamic index (paper Algorithm 9).
 pub struct FnBatch<T, F: FnMut(u128) -> T> {
     size: u128,
     pos: u128,

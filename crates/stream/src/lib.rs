@@ -28,4 +28,4 @@ pub mod density;
 pub mod reservoir;
 
 pub use batch::{Batch, FnBatch, SliceBatch};
-pub use reservoir::{ClassicReservoir, Reservoir};
+pub use reservoir::{ClassicReservoir, Reservoir, Rows, Slot};

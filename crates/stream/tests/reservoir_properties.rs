@@ -1,9 +1,24 @@
 //! Property and boundary tests for the reservoir algorithms beyond the
 //! in-module unit tests: stop-count bounds against Theorem 3.2's formula,
-//! k = 1 analytics, and adversarial real/dummy layouts.
+//! k = 1 analytics, adversarial real/dummy layouts, and a model test of
+//! the flat sample arena against a plain `Vec<Vec<u64>>` reservoir.
 
 use proptest::prelude::*;
-use rsj_stream::{ClassicReservoir, Reservoir, SliceBatch};
+use rsj_common::codec::{Decoder, Encoder};
+use rsj_common::rng::RsjRng;
+use rsj_stream::{ClassicReservoir, Reservoir, SliceBatch, Slot};
+
+/// A width-1 stop closure over `(scalar, is_real)` items.
+fn keep_flagged((x, real): (u64, bool), slot: Slot<'_>) {
+    if real {
+        slot.accept()[0] = x;
+    }
+}
+
+/// A width-1 stop closure sampling every scalar.
+fn keep_all(x: u64, slot: Slot<'_>) {
+    slot.accept()[0] = x;
+}
 
 /// Theorem 3.2 stop bound: (p-1) + Σ_{i>=p} k/(r_i+1), where p is the
 /// first index at which k reals have been seen.
@@ -51,9 +66,9 @@ proptest! {
         let seeds = 12;
         let mut total = 0u64;
         for seed in 0..seeds {
-            let mut r = Reservoir::new(k, seed);
+            let mut r = Reservoir::new(k, 1, seed);
             let mut b = SliceBatch::new(&items);
-            r.process_batch(&mut b, |(x, f)| f.then_some(x));
+            r.process_batch(&mut b, keep_flagged);
             total += r.stops();
         }
         let mean = total as f64 / seeds as f64;
@@ -71,10 +86,10 @@ proptest! {
         let trials = 3000u64;
         let mut hits = 0u64;
         for seed in 0..trials {
-            let mut r = Reservoir::new(1, seed);
+            let mut r = Reservoir::new(1, 1, seed);
             let mut b = SliceBatch::new(&items);
-            r.process_batch(&mut b, Some);
-            if r.samples()[0] == (reals as u64 - 1) {
+            r.process_batch(&mut b, keep_all);
+            if r.samples().flat()[0] == (reals as u64 - 1) {
                 hits += 1;
             }
         }
@@ -87,37 +102,254 @@ proptest! {
     }
 }
 
+/// The reference the flat arena must be indistinguishable from: the same
+/// algorithm (Algorithm 5 plus the turnstile repair steps) over a plain
+/// `Vec<Vec<u64>>` — one heap row per sample, payloads moved in whole.
+struct Model {
+    k: usize,
+    samples: Vec<Vec<u64>>,
+    w: f64,
+    q: u128,
+    rng: RsjRng,
+    stops: u64,
+    replacements: u64,
+}
+
+impl Model {
+    fn new(k: usize, seed: u64) -> Model {
+        Model {
+            k,
+            samples: Vec::new(),
+            w: f64::INFINITY,
+            q: 0,
+            rng: RsjRng::seed_from_u64(seed),
+            stops: 0,
+            replacements: 0,
+        }
+    }
+
+    /// One batch of `(row, is_real)` items.
+    fn process_batch(&mut self, items: &[(Vec<u64>, bool)]) {
+        let mut pos = 0;
+        while self.samples.len() < self.k {
+            let Some((row, real)) = items.get(pos) else {
+                return;
+            };
+            pos += 1;
+            self.stops += 1;
+            if *real {
+                self.samples.push(row.clone());
+            }
+        }
+        if self.w > 1.0 {
+            self.w = self.rng.unit().powf(1.0 / self.k as f64);
+            self.q = self.rng.geometric(self.w);
+        }
+        while ((items.len() - pos) as u128) > self.q {
+            pos += self.q as usize;
+            let (row, real) = &items[pos];
+            pos += 1;
+            self.stops += 1;
+            if *real {
+                let victim = self.rng.index(self.k);
+                self.samples[victim] = row.clone();
+                self.replacements += 1;
+                self.w = self.rng.decay_w(self.w, self.k);
+            }
+            self.q = self.rng.geometric(self.w);
+        }
+        self.q -= (items.len() - pos) as u128;
+    }
+
+    fn backfill_distinct(
+        &mut self,
+        target: usize,
+        per_slot_tries: usize,
+        mut draw: impl FnMut() -> Option<Vec<u64>>,
+    ) -> bool {
+        while self.samples.len() < target.min(self.k) {
+            let mut tries = per_slot_tries;
+            loop {
+                if tries == 0 {
+                    return false;
+                }
+                tries -= 1;
+                let Some(row) = draw() else { continue };
+                if !self.samples.contains(&row) {
+                    self.samples.push(row);
+                    break;
+                }
+            }
+        }
+        true
+    }
+
+    fn recalibrate(&mut self, population: u128) {
+        if population <= self.samples.len() as u128 {
+            self.w = f64::INFINITY;
+            self.q = 0;
+            return;
+        }
+        let mut w = 0.0f64;
+        let mut rem = population as f64;
+        for _ in 0..self.k {
+            w += (1.0 - w) * (1.0 - self.rng.unit().powf(1.0 / rem));
+            rem -= 1.0;
+        }
+        self.w = w;
+        self.q = self.rng.geometric(self.w);
+    }
+
+    /// The engines' image format: length-prefixed rows.
+    fn snapshot(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_usize(self.k);
+        enc.put_usize(self.samples.len());
+        for s in &self.samples {
+            enc.put_u64s(s);
+        }
+        enc.put_f64(self.w);
+        enc.put_u128(self.q);
+        for word in self.rng.state() {
+            enc.put_u64(word);
+        }
+        enc.put_u64(self.stops);
+        enc.put_u64(self.replacements);
+        enc.into_bytes()
+    }
+}
+
+fn snapshot(r: &Reservoir) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    r.snapshot_to(&mut enc);
+    enc.into_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random fill / replace / evict / backfill / recalibrate /
+    /// snapshot-restore sequences leave the flat arena and the
+    /// `Vec<Vec<u64>>` model in the same state after every step: same
+    /// rows in the same slots, same counters, and — through the snapshot
+    /// bytes — the same `(w, q)` and RNG position. The arena never holds
+    /// more than `k` rows of memory.
+    #[test]
+    fn flat_arena_matches_vec_of_vecs_model(
+        k in 1usize..12,
+        width in 1usize..4,
+        seed in 0u64..1000,
+        ops in proptest::collection::vec((0u8..7, 0u64..1000, 0u64..1000), 1..60)
+    ) {
+        let mut flat = Reservoir::new(k, width, seed);
+        let mut model = Model::new(k, seed);
+        // Rows come from a small domain so evictions hit and backfill
+        // candidates collide with held samples.
+        let row_of = |id: u64| -> Vec<u64> { (0..width as u64).map(|c| (id >> c) % 23).collect() };
+        let mut next_id = 0u64;
+        for (step, &(kind, a, b)) in ops.iter().enumerate() {
+            match kind {
+                // Batches: the fill phase first, replacements once full.
+                0..=2 => {
+                    let items: Vec<(Vec<u64>, bool)> = (0..a % 80)
+                        .map(|i| {
+                            next_id += 1;
+                            (row_of(next_id * 7 + b), (i + b) % 4 != 0)
+                        })
+                        .collect();
+                    let mut batch = SliceBatch::new(&items);
+                    flat.process_batch(&mut batch, |(row, real), slot| {
+                        if real {
+                            slot.accept().copy_from_slice(&row);
+                        }
+                    });
+                    model.process_batch(&items);
+                }
+                3 => {
+                    let dead = |row: &[u64]| row[0] % (2 + a % 5) == b % 2;
+                    let evicted = flat.evict_where(dead);
+                    let before = model.samples.len();
+                    model.samples.retain(|row| !dead(row));
+                    prop_assert_eq!(evicted, before - model.samples.len());
+                }
+                4 => {
+                    // Every third trial is a dummy; a tight budget makes
+                    // some backfills give up part-way.
+                    let tries = 1 + (b % 9) as usize;
+                    let candidate = |n: u64| (!n.is_multiple_of(3)).then(|| row_of(a + n * 5));
+                    let mut n = 0;
+                    let reached = flat.backfill_distinct(k, tries, |row| {
+                        n += 1;
+                        candidate(n).map(|c| row.copy_from_slice(&c)).is_some()
+                    });
+                    let mut m = 0;
+                    let expect = model.backfill_distinct(k, tries, || {
+                        m += 1;
+                        candidate(m)
+                    });
+                    prop_assert_eq!((reached, n), (expect, m), "step {}", step);
+                }
+                5 => {
+                    // Recalibration against a larger population needs a
+                    // full reservoir; otherwise it holds everything.
+                    let held = model.samples.len() as u128;
+                    let population = if model.samples.len() == k { held + 1 + a as u128 } else { held };
+                    flat.recalibrate(population);
+                    model.recalibrate(population);
+                }
+                _ => {
+                    let bytes = snapshot(&flat);
+                    let mut dec = Decoder::new(&bytes);
+                    flat = Reservoir::restore_from(&mut dec, width).unwrap();
+                    dec.finish().unwrap();
+                    prop_assert_eq!(flat.capacity(), k);
+                }
+            }
+            prop_assert_eq!(flat.samples().to_vec(), model.samples.clone(), "step {}", step);
+            prop_assert_eq!(flat.len(), model.samples.len());
+            prop_assert_eq!(flat.stops(), model.stops, "step {}", step);
+            prop_assert_eq!(flat.replacements(), model.replacements, "step {}", step);
+            prop_assert_eq!(snapshot(&flat), model.snapshot(), "step {}", step);
+            prop_assert!(
+                flat.heap_size() <= k * width * 8,
+                "step {}: arena of {} bytes for k={} width={}",
+                step, flat.heap_size(), k, width
+            );
+        }
+    }
+}
+
 #[test]
 fn adversarial_real_at_the_very_end_of_many_batches() {
     // Dummy-only batches forever, then one real item in the last batch —
     // it must always be captured (can't be skipped past).
     for seed in 0..100 {
-        let mut r: Reservoir<u64> = Reservoir::new(2, seed);
+        let mut r = Reservoir::new(2, 1, seed);
         for _ in 0..50 {
             let dummies: Vec<(u64, bool)> = (0..37).map(|i| (i, false)).collect();
             let mut b = SliceBatch::new(&dummies);
-            r.process_batch(&mut b, |(x, f)| f.then_some(x));
+            r.process_batch(&mut b, keep_flagged);
         }
         let last = vec![(999u64, true)];
         let mut b = SliceBatch::new(&last);
-        r.process_batch(&mut b, |(x, f)| f.then_some(x));
-        assert_eq!(r.samples(), &[999], "seed {seed}");
+        r.process_batch(&mut b, keep_flagged);
+        assert_eq!(r.samples().flat(), &[999], "seed {seed}");
     }
 }
 
 #[test]
 fn alternating_fill_and_drain_batches() {
     // Alternate dense and empty batches; reservoir stays valid throughout.
-    let mut r: Reservoir<u64> = Reservoir::new(5, 3);
+    let mut r = Reservoir::new(5, 1, 3);
     let mut next_id = 0u64;
     for round in 0..30 {
         let n = if round % 2 == 0 { 100 } else { 0 };
         let items: Vec<u64> = (0..n).map(|i| next_id + i).collect();
         next_id += n;
         let mut b = SliceBatch::new(&items);
-        r.process_batch(&mut b, Some);
+        r.process_batch(&mut b, keep_all);
         assert!(r.samples().len() <= 5);
-        for &s in r.samples() {
+        for &s in r.samples().flat() {
             assert!(s < next_id);
         }
     }
@@ -144,9 +376,9 @@ fn stops_scale_logarithmically_in_stream_length() {
         let items: Vec<u64> = (0..n).collect();
         let mut total = 0u64;
         for seed in 0..8 {
-            let mut r = Reservoir::new(50, seed);
+            let mut r = Reservoir::new(50, 1, seed);
             let mut b = SliceBatch::new(&items);
-            r.process_batch(&mut b, Some);
+            r.process_batch(&mut b, keep_all);
             total += r.stops();
         }
         total as f64 / 8.0

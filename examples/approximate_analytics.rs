@@ -79,7 +79,7 @@ fn main() {
     );
 
     // (3) GROUP BY region shares.
-    let share = |samples: &[Vec<u64>], region: u64| -> f64 {
+    let share = |samples: Rows<'_>, region: u64| -> f64 {
         samples.iter().filter(|s| s[3] == region).count() as f64 / samples.len() as f64
     };
     println!("\nregion shares (estimate vs exact):");

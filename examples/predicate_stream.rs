@@ -45,12 +45,15 @@ fn main() {
 
     // RSWP: skip-based with predicate — evaluation only at stops.
     let t0 = Instant::now();
-    let mut rswp = Reservoir::new(k, 1);
+    // A width-1 reservoir: the sample is the string's stream position.
+    let mut rswp = Reservoir::new(k, 1, 1);
     let mut evals_rswp = 0u64;
-    let mut batch = SliceBatch::new(&s.items);
-    rswp.process_batch(&mut batch, |item| {
+    let mut batch = FnBatch::new(s.items.len() as u128, |z| z as usize);
+    rswp.process_batch(&mut batch, |i, slot| {
         evals_rswp += 1;
-        levenshtein_within(&s.query, &item, cfg.threshold).map(|_| item)
+        if levenshtein_within(&s.query, &s.items[i], cfg.threshold).is_some() {
+            slot.accept()[0] = i as u64;
+        }
     });
     let rswp_time = t0.elapsed();
 

@@ -23,7 +23,7 @@
 //! let mut rj = ReservoirJoin::new(query, 100, /*seed*/ 7).unwrap();
 //! rj.process(0, &[1, 2]); // R(x=1, y=2)
 //! rj.process(1, &[2, 3]); // S(y=2, z=3)
-//! assert_eq!(rj.samples(), &[vec![1, 2, 3]]); // (x, y, z)
+//! assert_eq!(rj.samples().to_vec(), [[1, 2, 3]]); // (x, y, z)
 //! ```
 //!
 //! ## What's inside
@@ -89,5 +89,5 @@ pub mod prelude {
         ColumnarBatch, Database, InputTuple, OpStream, RelationColumns, SharedStoreError, StreamOp,
         TableStatistics, TupleStream,
     };
-    pub use rsj_stream::{Batch, ClassicReservoir, FnBatch, Reservoir, SliceBatch};
+    pub use rsj_stream::{Batch, ClassicReservoir, FnBatch, Reservoir, Rows, SliceBatch, Slot};
 }

@@ -170,5 +170,5 @@ fn values_at_u64_extremes() {
     let mut rj = ReservoirJoin::new(q, 10, 1).unwrap();
     rj.process(0, &[u64::MAX, u64::MAX - 1]);
     rj.process(1, &[u64::MAX - 1, 0]);
-    assert_eq!(rj.samples(), &[vec![u64::MAX, u64::MAX - 1, 0]]);
+    assert_eq!(rj.samples().to_vec(), [[u64::MAX, u64::MAX - 1, 0]]);
 }

@@ -159,7 +159,7 @@ proptest! {
         }
         let live_before = exact_result_count(rj.index().query(), rj.index().database());
         let set_before: std::collections::BTreeSet<Vec<u64>> =
-            rj.samples().iter().cloned().collect();
+            rj.samples().iter().map(<[u64]>::to_vec).collect();
         prop_assert_eq!(set_before.len() as u128, live_before);
         // Greedy planner maximizes the chance of an actual rebuild.
         rj.set_planner(Planner { hold_margin: 0.0, ..Planner::default() });
@@ -167,7 +167,7 @@ proptest! {
         let live_after = exact_result_count(rj.index().query(), rj.index().database());
         prop_assert_eq!(live_before, live_after, "replan changed |Q(R)|");
         let set_after: std::collections::BTreeSet<Vec<u64>> =
-            rj.samples().iter().cloned().collect();
+            rj.samples().iter().map(<[u64]>::to_vec).collect();
         prop_assert_eq!(set_before, set_after, "replan changed the sample set");
     }
 }

@@ -143,18 +143,22 @@ proptest! {
     ) {
         let items: Vec<u64> = (0..n as u64).collect();
         let run = |sizes: &[usize]| {
-            let mut r = Reservoir::new(k, seed);
+            let mut r = Reservoir::new(k, 1, seed);
             let mut rest: &[u64] = &items;
             let mut i = 0;
             while !rest.is_empty() {
                 let take = sizes[i % sizes.len()].min(rest.len());
                 let (chunk, tail) = rest.split_at(take);
                 let mut b = SliceBatch::new(chunk);
-                r.process_batch(&mut b, |x| (x % 3 != 0).then_some(x));
+                r.process_batch(&mut b, |x, slot| {
+                    if x % 3 != 0 {
+                        slot.accept()[0] = x;
+                    }
+                });
                 rest = tail;
                 i += 1;
             }
-            r.into_samples()
+            r.samples().flat().to_vec()
         };
         prop_assert_eq!(run(&[usize::MAX >> 1]), run(&splits));
     }
@@ -169,14 +173,18 @@ proptest! {
     ) {
         let items: Vec<(u64, bool)> =
             flags.iter().enumerate().map(|(i, &f)| (i as u64, f)).collect();
-        let mut r = Reservoir::new(k, seed);
+        let mut r = Reservoir::new(k, 1, seed);
         let mut b = SliceBatch::new(&items);
-        r.process_batch(&mut b, |(x, real)| real.then_some(x));
+        r.process_batch(&mut b, |(x, real), slot| {
+            if real {
+                slot.accept()[0] = x;
+            }
+        });
         let reals = flags.iter().filter(|&&f| f).count();
         prop_assert_eq!(r.samples().len(), reals.min(k));
         // All sampled ids must be real positions, distinct.
         let mut seen = std::collections::BTreeSet::new();
-        for &s in r.samples() {
+        for &s in r.samples().flat() {
             prop_assert!(flags[s as usize]);
             prop_assert!(seen.insert(s));
         }

@@ -516,3 +516,116 @@ fn checkpoint_truncates_the_log() {
     .unwrap();
     assert_eq!(r.next_lsn(), 120, "lsn is global, surviving truncation");
 }
+
+// ---------------------------------------------------------------------------
+// Hostile images: a sample row of the wrong width
+// ---------------------------------------------------------------------------
+
+/// `image` with the length prefix of its last encoded copy of sample
+/// `row` rewritten to `claimed` words. The reservoir is the last thing in
+/// an image that holds whole rows, so the last copy is the reservoir's.
+fn splice_row_length(image: &[u8], row: &[Value], claimed: usize) -> Vec<u8> {
+    let needle: Vec<u8> = std::iter::once(row.len() as u64)
+        .chain(row.iter().copied())
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let at = image
+        .windows(needle.len())
+        .rposition(|w| w == needle)
+        .expect("the image holds the sample row, length-prefixed");
+    let mut spliced = image.to_vec();
+    spliced[at..at + 8].copy_from_slice(&(claimed as u64).to_le_bytes());
+    spliced
+}
+
+/// A sample row shorter than the query's attribute set used to restore
+/// fine and panic at the next delete's eviction scan; a longer one
+/// published a ragged epoch payload. Both are corruption now, on every
+/// engine that stores sample rows — and the engines that decode their
+/// whole image before committing any of it come out untouched.
+#[test]
+fn sample_row_of_the_wrong_width_is_corruption_on_every_row_storing_engine() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 160, 4, 23);
+    for (engine, atomic) in [
+        (Engine::Reservoir, true),
+        (Engine::SJoin, true),
+        (Engine::FkReservoir, false),
+        (Engine::Cyclic, false),
+        (Engine::SJoinOpt, false),
+    ] {
+        let mut live = build(&engine, &query);
+        live.process_op_batch(&ops).unwrap();
+        let image = live.snapshot_state().expect("image");
+        let samples = live.samples();
+        let row = samples.last().expect("the stream joins");
+        for claimed in [row.len() - 1, row.len() + 1] {
+            let hostile = splice_row_length(&image, row, claimed);
+            let err = build(&engine, &query)
+                .restore_state(&hostile)
+                .expect_err("ragged image accepted");
+            assert!(
+                matches!(err, rsjoin::common::CodecError::Corrupt(_)),
+                "{engine}: {err}"
+            );
+            if atomic {
+                live.restore_state(&hostile).unwrap_err();
+                assert_eq!(live.snapshot_state().as_ref(), Some(&image), "{engine}");
+            }
+        }
+        // The untouched image still restores, and deletes run on it.
+        let mut back = build(&engine, &query);
+        back.restore_state(&image).unwrap();
+        for op in ops.iter().filter(|op| !op.is_delete()) {
+            let t = op.tuple();
+            back.delete(t.relation, &t.values);
+        }
+        assert!(back.samples().is_empty(), "{engine}");
+    }
+}
+
+/// The same splice in a service snapshot: rejected as corruption with
+/// the live service — registrations, samples, published epochs — intact.
+#[test]
+fn service_snapshot_with_a_ragged_sample_row_is_rejected_whole() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 160, 4, 29);
+    let mut svc = SamplerService::new(query.clone());
+    let handles = [
+        svc.register(&query, &QueryOpts::new(16, 1)).unwrap(),
+        svc.register(&query, &QueryOpts::new(8, 2)).unwrap(),
+    ];
+    for op in &ops {
+        svc.process_op(op).unwrap();
+    }
+    svc.publish();
+    let snapshot = |svc: &SamplerService| {
+        let mut enc = rsjoin::common::Encoder::new();
+        svc.snapshot_to(&mut enc).unwrap();
+        enc.into_bytes()
+    };
+    let image = snapshot(&svc);
+    let before: Vec<_> = handles.iter().map(|&h| svc.samples(h).unwrap()).collect();
+    let row = before[1].last().expect("the stream joins");
+    for claimed in [row.len() - 1, row.len() + 1] {
+        let hostile = splice_row_length(&image, row, claimed);
+        let err = svc
+            .restore_from_snapshot(&mut rsjoin::common::Decoder::new(&hostile), &mut |_, _| {
+                None
+            })
+            .expect_err("ragged snapshot accepted");
+        assert!(
+            matches!(err, rsjoin::common::CodecError::Corrupt(_)),
+            "{err}"
+        );
+        assert_eq!(
+            snapshot(&svc),
+            image,
+            "a rejected restore changed the service"
+        );
+        for (&h, want) in handles.iter().zip(&before) {
+            assert_eq!(&svc.samples(h).unwrap(), want);
+            assert_eq!(&svc.reader(h).unwrap().snapshot().samples, want);
+        }
+    }
+}

@@ -42,7 +42,8 @@ fn samples_valid_and_complete_at_every_prefix() {
         }
         if step % 25 == 24 {
             let truth = brute(&accepted);
-            let got: std::collections::BTreeSet<Vec<u64>> = rj.samples().iter().cloned().collect();
+            let got: std::collections::BTreeSet<Vec<u64>> =
+                rj.samples().iter().map(<[u64]>::to_vec).collect();
             assert_eq!(got, truth, "prefix at step {step}");
         }
     }
@@ -67,7 +68,7 @@ fn arrival_order_does_not_change_final_result_set() {
         }
         rj.samples()
             .iter()
-            .cloned()
+            .map(<[u64]>::to_vec)
             .collect::<std::collections::BTreeSet<_>>()
     };
     let a = run(10);
