@@ -18,7 +18,9 @@
 //!   skip-length draw at the heart of skip-based reservoir sampling;
 //! * [`keymap`] — an open-addressing [`keymap::KeyMap`] over [`value::Key`]s
 //!   that takes precomputed hashes, so one fx digest per projection serves
-//!   every table an insert touches;
+//!   every table an insert touches, with slots as wide as its keys' arity;
+//! * [`idtable`] — the 8-byte-per-entry [`idtable::IdTable`] behind relation
+//!   dedup: ids only, compared against the owner's own arena;
 //! * [`postings`] — the segmented [`postings::PostingArena`]: many
 //!   append-mostly `u32` posting lists packed into one flat allocation;
 //! * [`pow2`] — power-of-two rounding used by the approximate degree counters
@@ -32,6 +34,7 @@ pub mod codec;
 pub mod epoch;
 pub mod hash;
 pub mod heap;
+pub mod idtable;
 pub mod keymap;
 pub mod postings;
 pub mod pow2;
@@ -43,6 +46,7 @@ pub use codec::{crc32, CodecError, Decoder, Encoder};
 pub use epoch::EpochCell;
 pub use hash::{fx_hash_one, FxHashMap, FxHashSet};
 pub use heap::HeapSize;
+pub use idtable::IdTable;
 pub use keymap::KeyMap;
 pub use postings::{ListId, PostingArena, NO_LIST};
 pub use value::{Key, TupleId, Value};

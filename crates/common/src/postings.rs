@@ -329,6 +329,23 @@ impl PostingArena {
             c = cm.next;
         }
     }
+
+    /// [`HeapSize::heap_size`] split into element slots, chunk metadata
+    /// (with the recycled-chunk lists) and list metadata (with the
+    /// recycled handles).
+    pub fn heap_parts(&self) -> [usize; 3] {
+        let free_chunks = self.free_chunks.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self
+                .free_chunks
+                .iter()
+                .map(HeapSize::heap_size)
+                .sum::<usize>();
+        [
+            self.data.heap_size(),
+            self.chunks.capacity() * std::mem::size_of::<ChunkMeta>() + free_chunks,
+            self.lists.capacity() * std::mem::size_of::<ListMeta>() + self.free_lists.heap_size(),
+        ]
+    }
 }
 
 /// Iterator over one list's elements, in append order.
@@ -367,16 +384,7 @@ impl ExactSizeIterator for PostingIter<'_> {}
 
 impl HeapSize for PostingArena {
     fn heap_size(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<u32>()
-            + self.chunks.capacity() * std::mem::size_of::<ChunkMeta>()
-            + self.lists.capacity() * std::mem::size_of::<ListMeta>()
-            + self.free_lists.heap_size()
-            + self.free_chunks.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self
-                .free_chunks
-                .iter()
-                .map(HeapSize::heap_size)
-                .sum::<usize>()
+        self.heap_parts().iter().sum()
     }
 }
 

@@ -88,6 +88,13 @@ impl Key {
         &self.vals[..self.len as usize]
     }
 
+    /// The first value, `0` for the empty key (every constructor starts
+    /// from [`Key::EMPTY`] and writes live slots only, so dead slots are 0).
+    #[inline]
+    pub(crate) fn head(&self) -> Value {
+        self.vals[0]
+    }
+
     /// Number of attributes in this key.
     #[inline]
     pub fn arity(&self) -> usize {

@@ -71,7 +71,7 @@ impl DynamicIndex {
                 if x == 0 {
                     continue;
                 }
-                let Some(&list) = ns.child_indexes[ci].get(fx_hash_one(key), key) else {
+                let Some(&list) = ns.child_indexes[ci].get(fx_hash_one(&key), &key) else {
                     continue;
                 };
                 // Posting lists hold live items only (deletes unlink), so

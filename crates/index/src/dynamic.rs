@@ -1125,6 +1125,45 @@ impl DynamicIndex {
             + self.configs.iter().map(HeapSize::heap_size).sum::<usize>()
             + self.configs.capacity() * std::mem::size_of::<NodeState>()
     }
+
+    /// [`heap_size`](DynamicIndex::heap_size) as a ledger: one line per
+    /// part of each relation and of each configuration (owner
+    /// `relation<-parent`), and one for the `Vec` headers that hold them.
+    /// The lines sum to `heap_size()` exactly.
+    pub fn heap_breakdown(&self) -> Vec<HeapLine> {
+        let line = |owner: &str, (part, bytes)| HeapLine {
+            owner: owner.to_string(),
+            part,
+            bytes,
+        };
+        let mut lines = Vec::new();
+        let mut in_relations = 0;
+        for r in self.db.iter() {
+            in_relations += r.heap_size();
+            lines.extend(r.heap_parts().map(|p| line(r.name(), p)));
+        }
+        for (ns, info) in self.configs.iter().zip(&self.infos) {
+            let parent = info.parent.map_or("root", |p| self.db.relation(p).name());
+            let owner = format!("{}<-{parent}", self.db.relation(info.relation).name());
+            lines.extend(ns.heap_parts().map(|p| line(&owner, p)));
+        }
+        let headers = self.db.heap_size() - in_relations
+            + self.configs.capacity() * std::mem::size_of::<NodeState>();
+        lines.push(line("index", ("index.headers", headers)));
+        lines
+    }
+}
+
+/// One line of [`DynamicIndex::heap_breakdown`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HeapLine {
+    /// The relation or configuration that owns the bytes.
+    pub owner: String,
+    /// Which structure of the owner, e.g. `relation.dedup` or
+    /// `config.child_index_tables`.
+    pub part: &'static str,
+    /// Capacity-based heap bytes, as [`HeapSize`] counts them.
+    pub bytes: usize,
 }
 
 /// Inserts tuple `tid` into one (relation, parent) configuration.
@@ -1852,8 +1891,8 @@ mod tests {
         for (cfg, (ca, cb)) in a.configs.iter().zip(&b.configs).enumerate() {
             assert_eq!(ca.groups.len(), cb.groups.len(), "group count cfg={cfg}");
             for (key, &g) in ca.groups.iter() {
-                let h = fx_hash_one(key);
-                let bg = cb.group_id(h, key).expect("group present in both");
+                let h = fx_hash_one(&key);
+                let bg = cb.group_id(h, &key).expect("group present in both");
                 assert_eq!(
                     ca.group(g).cnt,
                     cb.group(bg).cnt,
@@ -1869,11 +1908,11 @@ mod tests {
             if ca.grouped {
                 assert_eq!(ca.grouped_data.map.len(), cb.grouped_data.map.len());
                 for (ebar, &gt) in ca.grouped_data.map.iter() {
-                    let h = fx_hash_one(ebar);
+                    let h = fx_hash_one(&ebar);
                     let bgt = *cb
                         .grouped_data
                         .map
-                        .get(h, ebar)
+                        .get(h, &ebar)
                         .expect("ebar interned in both");
                     assert_eq!(
                         ca.grouped_data.feq[gt as usize], cb.grouped_data.feq[bgt as usize],
@@ -2171,8 +2210,8 @@ mod tests {
                     let b = fresh.state_at(root, rel);
                     assert_eq!(a.groups.len(), b.groups.len());
                     for (key, &g) in a.groups.iter() {
-                        let h = fx_hash_one(key);
-                        let bg = b.group_id(h, key).expect("group in fresh index");
+                        let h = fx_hash_one(&key);
+                        let bg = b.group_id(h, &key).expect("group in fresh index");
                         assert_eq!(
                             a.group(g).cnt,
                             b.group(bg).cnt,

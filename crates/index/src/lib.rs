@@ -34,6 +34,6 @@ pub mod retrieve;
 pub mod sampler;
 pub mod state;
 
-pub use dynamic::{DynamicIndex, IndexOptions, IndexStats};
+pub use dynamic::{DynamicIndex, HeapLine, IndexOptions, IndexStats};
 pub use retrieve::{materialize, DeltaBatch, JoinResult, ProbeBatch};
 pub use sampler::FullSampler;

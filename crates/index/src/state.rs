@@ -51,6 +51,9 @@ pub struct ItemPos {
     level_code: u32,
 }
 
+// One per item per configuration, read on every propagation loop.
+const _: () = assert!(std::mem::size_of::<ItemPos>() == 12);
+
 impl ItemPos {
     /// Builds a position from a level (`Some(i)` = bucket `Φ_i`, `None` =
     /// zero list).
@@ -525,22 +528,39 @@ impl NodeState {
         let new_pos = self.arena[group as usize].insert_item(&mut self.postings, item, new_level);
         self.item_pos[item as usize] = ItemPos::new(group, new_level, new_pos);
     }
-}
 
-impl HeapSize for NodeState {
-    fn heap_size(&self) -> usize {
-        self.groups.heap_size()
-            + self.arena.capacity() * std::mem::size_of::<Group>()
-            + self.arena.iter().map(HeapSize::heap_size).sum::<usize>()
-            + self.item_pos.heap_size()
-            + self.child_indexes.capacity() * std::mem::size_of::<KeyMap<ListId>>()
+    /// [`HeapSize::heap_size`] by named part (the index's byte ledger).
+    pub fn heap_parts(&self) -> [(&'static str, usize); 9] {
+        let [posting_data, posting_chunks, posting_lists] = self.postings.heap_parts();
+        let child_tables = self.child_indexes.capacity() * std::mem::size_of::<KeyMap<ListId>>()
             + self
                 .child_indexes
                 .iter()
                 .map(HeapSize::heap_size)
-                .sum::<usize>()
-            + self.postings.heap_size()
-            + self.grouped_data.heap_size()
+                .sum::<usize>();
+        [
+            ("config.group_table", self.groups.heap_size()),
+            (
+                "config.group_arena",
+                self.arena.capacity() * std::mem::size_of::<Group>(),
+            ),
+            (
+                "config.bucket_vectors",
+                self.arena.iter().map(HeapSize::heap_size).sum(),
+            ),
+            ("config.item_pos", self.item_pos.heap_size()),
+            ("config.child_index_tables", child_tables),
+            ("config.posting_data", posting_data),
+            ("config.posting_chunks", posting_chunks),
+            ("config.posting_lists", posting_lists),
+            ("config.grouped_payload", self.grouped_data.heap_size()),
+        ]
+    }
+}
+
+impl HeapSize for NodeState {
+    fn heap_size(&self) -> usize {
+        self.heap_parts().iter().map(|&(_, bytes)| bytes).sum()
     }
 }
 

@@ -1,9 +1,15 @@
 //! Flat, arena-backed relations with set-semantics deduplication and
 //! tombstone-based removal.
+//!
+//! A relation is three parallel pieces: the row arena, one tombstone byte
+//! per row, and an [`IdTable`] of the live row ids for dedup. Only the
+//! first two are state; the table is an index over them, kept in step by
+//! `insert` / `remove` and rebuilt — and thereby verified — on restore.
 
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::hash::fx_hash_one;
-use rsj_common::{FxHashMap, HeapSize, ListId, PostingArena, TupleId, Value};
+use rsj_common::idtable::NO_ID;
+use rsj_common::{HeapSize, IdTable, TupleId, Value};
 
 /// A relation instance: a growing arena of fixed-arity tuples.
 ///
@@ -18,18 +24,25 @@ use rsj_common::{FxHashMap, HeapSize, ListId, PostingArena, TupleId, Value};
 /// dead tuple's values (indexes unwind against them), and a later re-insert
 /// of the same values gets a *fresh* id. [`Relation::len`] counts live
 /// tuples only; [`Relation::num_slots`] counts all slots ever allocated.
+///
+/// # Memory
+///
+/// Per tuple: its values, one tombstone byte, and one 8-byte
+/// `(hash32, id)` slot of the dedup [`IdTable`] at load ≤ 7/8 — the table
+/// compares candidates against `data` itself, so no row is stored twice.
+/// The table is derived state: it holds exactly the live ids, is never
+/// iterated, and is left out of the snapshot image;
+/// [`restore_from`](Relation::restore_from) rebuilds it from
+/// `(data, dead)`.
 #[derive(Clone, Debug)]
 pub struct Relation {
     name: String,
     arity: usize,
     data: Vec<Value>,
-    /// Content hash -> candidate tuple ids (collisions verified by
-    /// compare). Candidate lists live in `dedup_postings`, so the
-    /// per-tuple insert path performs no posting-list allocations. Only
-    /// live ids are listed: removal unlinks the id, so `contains`,
-    /// duplicate detection and re-insertion all see the live set.
-    dedup: FxHashMap<u64, ListId>,
-    dedup_postings: PostingArena,
+    /// The live ids, addressed by content hash. Removal unlinks the id, so
+    /// `contains`, duplicate detection and re-insertion all see the live
+    /// set.
+    dedup: IdTable,
     /// Tombstone flags, one per slot (`true` = deleted).
     dead: Vec<bool>,
     /// Number of live tuples (`num_slots - #tombstones`).
@@ -44,8 +57,7 @@ impl Relation {
             name: name.into(),
             arity,
             data: Vec::new(),
-            dedup: FxHashMap::default(),
-            dedup_postings: PostingArena::new(),
+            dedup: IdTable::default(),
             dead: Vec::new(),
             live: 0,
         }
@@ -87,7 +99,8 @@ impl Relation {
     /// present (set semantics).
     ///
     /// # Panics
-    /// Panics if `tuple.len() != arity`.
+    /// Panics if `tuple.len() != arity`, or if the relation has used up
+    /// its `u32` ids.
     pub fn insert(&mut self, tuple: &[Value]) -> Option<TupleId> {
         let h = fx_hash_one(&tuple);
         self.insert_hashed(tuple, h)
@@ -100,7 +113,7 @@ impl Relation {
     /// bit-for-bit).
     ///
     /// # Panics
-    /// Panics if `tuple.len() != arity`.
+    /// As [`Relation::insert`].
     pub fn insert_hashed(&mut self, tuple: &[Value], h: u64) -> Option<TupleId> {
         assert_eq!(
             tuple.len(),
@@ -109,19 +122,15 @@ impl Relation {
             self.name
         );
         debug_assert_eq!(h, fx_hash_one(&tuple), "precomputed dedup hash drifted");
-        if let Some(&list) = self.dedup.get(&h) {
-            if self
-                .dedup_postings
-                .iter(list)
-                .any(|id| self.tuple_at(id, tuple))
-            {
-                return None;
-            }
+        let id = next_id(self.num_slots());
+        let (data, arity) = (&self.data, self.arity);
+        if self
+            .dedup
+            .insert_if_absent(h, id, |o| row(data, arity, o) == tuple)
+            .is_some()
+        {
+            return None;
         }
-        let id = self.num_slots() as TupleId;
-        let postings = &mut self.dedup_postings;
-        let list = *self.dedup.entry(h).or_insert_with(|| postings.new_list());
-        postings.push(list, id);
         self.data.extend_from_slice(tuple);
         self.dead.push(false);
         self.live += 1;
@@ -145,39 +154,27 @@ impl Relation {
             "arity mismatch removing from {}",
             self.name
         );
-        let h = fx_hash_one(&tuple);
-        let &list = self.dedup.get(&h)?;
-        let pos = (0..self.dedup_postings.len(list) as u32)
-            .find(|&i| self.tuple_at(self.dedup_postings.get(list, i), tuple))?;
-        let id = self.dedup_postings.get(list, pos);
-        self.dedup_postings.swap_remove(list, pos);
+        let (data, arity) = (&self.data, self.arity);
+        let id = self
+            .dedup
+            .remove(fx_hash_one(&tuple), |o| row(data, arity, o) == tuple)?;
         self.dead[id as usize] = true;
         self.live -= 1;
         Some(id)
-    }
-
-    #[inline]
-    fn tuple_at(&self, id: TupleId, tuple: &[Value]) -> bool {
-        let start = id as usize * self.arity;
-        &self.data[start..start + self.arity] == tuple
     }
 
     /// The tuple with the given id. Tombstoned slots keep their values
     /// readable (index unwinding projects them after removal).
     #[inline]
     pub fn tuple(&self, id: TupleId) -> &[Value] {
-        let start = id as usize * self.arity;
-        &self.data[start..start + self.arity]
+        row(&self.data, self.arity, id)
     }
 
     /// True if `tuple` is currently stored (live).
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        let h = fx_hash_one(&tuple);
-        self.dedup.get(&h).is_some_and(|&list| {
-            self.dedup_postings
-                .iter(list)
-                .any(|id| self.tuple_at(id, tuple))
-        })
+        self.dedup
+            .find(fx_hash_one(&tuple), |o| self.tuple(o) == tuple)
+            .is_some()
     }
 
     /// Iterates over live `(id, tuple)` pairs in insertion order.
@@ -189,29 +186,21 @@ impl Relation {
             .map(|(i, t)| (i as TupleId, t))
     }
 
-    /// Serializes the relation's exact physical state: the tuple arena
-    /// (tombstoned values included — ids must stay stable), tombstone
-    /// flags, and the dedup structures. The dedup hash map is written in
-    /// sorted hash order (it is only ever probed, never iterated, so a
-    /// rebuilt map probes identically while the bytes stay deterministic).
+    /// Serializes the relation's state: the tuple arena (tombstoned values
+    /// included — ids must stay stable), the tombstone flags and the live
+    /// count. The dedup table is derived from these and not written.
     pub fn snapshot_to(&self, enc: &mut Encoder) {
         enc.put_str(&self.name);
         enc.put_usize(self.arity);
         enc.put_u64s(&self.data);
         enc.put_bools(&self.dead);
         enc.put_usize(self.live);
-        let mut entries: Vec<(u64, ListId)> = self.dedup.iter().map(|(&h, &l)| (h, l)).collect();
-        entries.sort_unstable();
-        enc.put_usize(entries.len());
-        for (h, l) in entries {
-            enc.put_u64(h);
-            enc.put_u32(l);
-        }
-        self.dedup_postings.snapshot_to(enc);
     }
 
     /// Reconstructs a relation from [`snapshot_to`](Relation::snapshot_to)
-    /// bytes.
+    /// bytes, rebuilding the dedup table from the live rows. The rebuild
+    /// checks what the table's users rely on: `live` is the number of
+    /// untombstoned slots, and no row is live twice.
     pub fn restore_from(dec: &mut Decoder) -> Result<Relation, CodecError> {
         let name = dec.str()?.to_string();
         let arity = dec.usize()?;
@@ -221,39 +210,63 @@ impl Relation {
         let data = dec.u64s()?;
         let dead = dec.bools()?;
         let live = dec.usize()?;
-        if data.len() != dead.len() * arity || live > dead.len() {
+        if dead.len() >= NO_ID as usize || data.len() != dead.len().saturating_mul(arity) {
             return Err(CodecError::Corrupt("relation arena shape mismatch"));
         }
-        let nentries = dec.seq_len(12)?;
-        let mut dedup = FxHashMap::default();
-        dedup.reserve(nentries);
-        for _ in 0..nentries {
-            let h = dec.u64()?;
-            let l = dec.u32()?;
-            if dedup.insert(h, l).is_some() {
-                return Err(CodecError::Corrupt("duplicate dedup hash entry"));
+        if live != dead.iter().filter(|&&d| !d).count() {
+            return Err(CodecError::Corrupt(
+                "relation live count disagrees with tombstones",
+            ));
+        }
+        let mut dedup = IdTable::with_capacity(live);
+        for (id, t) in data.chunks_exact(arity).enumerate() {
+            let same = |o| row(&data, arity, o) == t;
+            if !dead[id]
+                && dedup
+                    .insert_if_absent(fx_hash_one(&t), id as TupleId, same)
+                    .is_some()
+            {
+                return Err(CodecError::Corrupt("relation holds one row live twice"));
             }
         }
-        let dedup_postings = PostingArena::restore_from(dec)?;
         Ok(Relation {
             name,
             arity,
             data,
             dedup,
-            dedup_postings,
             dead,
             live,
         })
     }
+
+    /// [`HeapSize::heap_size`] by named part (the index's byte ledger).
+    pub fn heap_parts(&self) -> [(&'static str, usize); 4] {
+        [
+            ("relation.data", self.data.heap_size()),
+            ("relation.dedup", self.dedup.heap_size()),
+            ("relation.tombstones", self.dead.heap_size()),
+            ("relation.name", self.name.heap_size()),
+        ]
+    }
+}
+
+#[inline]
+fn row(data: &[Value], arity: usize, id: TupleId) -> &[Value] {
+    let start = id as usize * arity;
+    &data[start..start + arity]
+}
+
+/// The id of the tuple after `slots` others: ids are `u32`, and
+/// `u32::MAX` is the dedup table's empty marker.
+#[inline]
+fn next_id(slots: usize) -> TupleId {
+    assert!(slots < NO_ID as usize, "relation out of u32 tuple ids");
+    slots as TupleId
 }
 
 impl HeapSize for Relation {
     fn heap_size(&self) -> usize {
-        self.data.heap_size()
-            + self.dedup.heap_size()
-            + self.dedup_postings.heap_size()
-            + self.dead.heap_size()
-            + self.name.heap_size()
+        self.heap_parts().iter().map(|&(_, bytes)| bytes).sum()
     }
 }
 
@@ -367,9 +380,9 @@ mod tests {
         let live2: Vec<_> = db2.relation(0).iter().collect();
         assert_eq!(live, live2);
         assert_eq!(snap(&db2), bytes, "re-serialization drifted");
-        // The rebuilt dedup map still enforces set semantics and reuses
-        // tombstoned behaviour identically: re-inserting a deleted tuple
-        // yields the same fresh id in both copies.
+        // The rebuilt dedup table still enforces set semantics and treats
+        // tombstones identically: re-inserting a deleted tuple yields the
+        // same fresh id in both copies.
         let mut db_a = db;
         let mut db_b = db2;
         assert_eq!(
@@ -397,6 +410,13 @@ mod tests {
         let name_len = 8 + "R".len();
         bytes[name_len..name_len + 8].copy_from_slice(&3u64.to_le_bytes());
         assert!(Relation::restore_from(&mut Decoder::new(&bytes)).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of u32 tuple ids")]
+    fn the_last_u32_is_not_a_tuple_id() {
+        assert_eq!(next_id(u32::MAX as usize - 1), u32::MAX - 1);
+        next_id(u32::MAX as usize);
     }
 
     #[test]

@@ -63,7 +63,12 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// History: **2** — `KeyMap` images carry a layout byte, 4-byte tags and,
+/// in narrow tables, bare `u64` keys; `Relation` images no longer carry
+/// the dedup table (it is rebuilt on restore). **1** — the original format; such files are
+/// rejected, so a v1 directory must be re-ingested from its source stream.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of a WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"RSJW";
@@ -1038,12 +1043,22 @@ mod tests {
             Checkpoint::from_bytes(&bytes),
             Err(WalError::Corrupt("checkpoint checksum mismatch"))
         ));
-        let mut wrong_version = ck.to_bytes();
-        wrong_version[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            Checkpoint::from_bytes(&wrong_version),
-            Err(WalError::Corrupt("checkpoint format version mismatch"))
-        ));
+        // The previous format (1) is refused as loudly as a future one.
+        for version in [1, FORMAT_VERSION + 1] {
+            let mut wrong_version = ck.to_bytes();
+            wrong_version[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                Checkpoint::from_bytes(&wrong_version),
+                Err(WalError::Corrupt("checkpoint format version mismatch"))
+            ));
+            let mut segment = segment_header(7);
+            segment[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                read_segment_header(&segment),
+                Err(WalError::Corrupt("segment format version mismatch"))
+            ));
+        }
+        assert_eq!(read_segment_header(&segment_header(7)).unwrap(), 7);
     }
 
     #[test]

@@ -200,13 +200,21 @@ fn post_delete_reservoirs_are_pinned() {
 /// byte-identical across releases, or old logs stop being replayable.
 ///
 /// **Format-version bump rule**: these digests pin WAL/checkpoint
-/// `FORMAT_VERSION = 1` (crates/storage/src/wal.rs) *and* every engine's
+/// `FORMAT_VERSION = 2` (crates/storage/src/wal.rs) *and* every engine's
 /// canonical snapshot image. Any deliberate change to the record layout,
 /// the checkpoint layout, or a snapshot wire format MUST (1) bump
 /// `FORMAT_VERSION` so old files are rejected loudly instead of
 /// misparsed, and (2) re-pin these digests in the same commit, with a
 /// migration note. A digest shift without a version bump is a corruption
 /// bug, not a test update.
+///
+/// **Migration note, 1 → 2**: `KeyMap` images gained a layout byte, tags
+/// shrank to 4 bytes and narrow (arity ≤ 1) tables write bare `u64` keys;
+/// `Relation` images dropped the dedup table, which restore now rebuilds.
+/// The segment digest moved only through the version word in its header —
+/// the record encoding is unchanged. v1 files are rejected with the
+/// version error; there is no in-place upgrade, a v1 directory is
+/// re-ingested from its source stream.
 #[test]
 fn durability_images_are_pinned() {
     use rsjoin::prelude::{CheckpointPolicy, Persistent};
@@ -274,11 +282,11 @@ fn durability_images_are_pinned() {
         return;
     }
     assert_eq!(
-        checkpoint, 0x1D13_8FA6_1909_DCBA,
+        checkpoint, 0xC660_506B_3779_7734,
         "checkpoint image moved — see the format-version bump rule above"
     );
     assert_eq!(
-        segment, 0xF639_9094_2DAA_D761,
+        segment, 0x76B8_85F2_5241_B9DE,
         "WAL segment image moved — see the format-version bump rule above"
     );
 }

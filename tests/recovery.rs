@@ -584,6 +584,79 @@ fn sample_row_of_the_wrong_width_is_corruption_on_every_row_storing_engine() {
     }
 }
 
+/// `Relation::restore_from` rebuilds the dedup table from the rows, and
+/// the rebuild is also a check of the two things it used to take on
+/// trust.
+#[test]
+fn relation_image_with_a_wrong_live_count_or_a_doubled_row_is_corrupt() {
+    use rsjoin::common::codec::{CodecError, Decoder, Encoder};
+    use rsjoin::storage::relation::Relation;
+    let restore = |rows: &[u64], dead: &[bool], live: usize| {
+        let mut e = Encoder::new();
+        e.put_str("R");
+        e.put_usize(2);
+        e.put_u64s(rows);
+        e.put_bools(dead);
+        e.put_usize(live);
+        Relation::restore_from(&mut Decoder::new(e.as_slice()))
+    };
+    // (1,2) deleted, (3,4) deleted, (1,2) re-inserted: legal.
+    let r = restore(&[1, 2, 3, 4, 1, 2], &[true, true, false], 1).unwrap();
+    assert_eq!((r.len(), r.num_slots()), (1, 3));
+    assert!(r.contains(&[1, 2]) && !r.contains(&[3, 4]));
+    // `live` must be the number of untombstoned slots, not merely ≤ it.
+    assert_eq!(
+        restore(&[1, 2, 3, 4], &[false, true], 2).unwrap_err(),
+        CodecError::Corrupt("relation live count disagrees with tombstones")
+    );
+    // Two live copies of one row: set semantics already broken.
+    assert_eq!(
+        restore(&[1, 2, 3, 4, 1, 2], &[false, true, false], 2).unwrap_err(),
+        CodecError::Corrupt("relation holds one row live twice")
+    );
+}
+
+/// Offset of the `live` count of relation `name` (arity 2) in an engine
+/// image: after the name, the arity, the value arena and the tombstones.
+fn live_count_at(image: &[u8], name: &str) -> usize {
+    let mut header = (name.len() as u64).to_le_bytes().to_vec();
+    header.extend_from_slice(name.as_bytes());
+    header.extend_from_slice(&2u64.to_le_bytes());
+    let len_at = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let arena = image
+        .windows(header.len())
+        .position(|w| w == header)
+        .expect("the image holds the relation")
+        + header.len();
+    let tombstones = arena + 8 + 8 * len_at(arena);
+    tombstones + 8 + len_at(tombstones)
+}
+
+/// A relation's `live` count used to be restored on trust (any value up
+/// to the slot count), so `total_tuples()` — the `N` every repair
+/// threshold is a fraction of — could come back wrong. The dedup rebuild
+/// counts the live rows itself: a disagreeing image is corruption, and
+/// the engine it was offered to is untouched.
+#[test]
+fn relation_live_count_is_verified_on_restore() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 160, 4, 29);
+    let mut live = build(&Engine::Reservoir, &query);
+    live.process_op_batch(&ops).unwrap();
+    let image = live.snapshot_state().expect("image");
+    let at = live_count_at(&image, "G2");
+    let count = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+    assert!(count > 0 && count < 160, "found the live count: {count}");
+    let mut hostile = image.clone();
+    hostile[at..at + 8].copy_from_slice(&(count - 1).to_le_bytes());
+    let err = live.restore_state(&hostile).unwrap_err();
+    assert!(
+        matches!(err, rsjoin::common::CodecError::Corrupt(_)),
+        "{err}"
+    );
+    assert_eq!(live.snapshot_state(), Some(image));
+}
+
 /// The same splice in a service snapshot: rejected as corruption with
 /// the live service — registrations, samples, published epochs — intact.
 #[test]
