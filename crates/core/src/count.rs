@@ -22,7 +22,7 @@ use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::value::MAX_KEY_ARITY;
 use rsj_common::{FxHashMap, FxHashSet, Key, Value};
 use rsj_query::{JoinTree, Query};
-use rsj_storage::Database;
+use rsj_storage::{Database, StreamOp};
 use std::hash::Hash;
 
 /// The rooted message-passing schedule for acyclic counting.
@@ -197,6 +197,15 @@ impl JoinCounter {
     /// Removes one tuple; absent tuples are no-ops (set semantics).
     pub(crate) fn remove(&mut self, rel: usize, tuple: &[Value]) {
         self.seen[rel].remove(tuple);
+    }
+
+    /// Applies one op through [`insert`](JoinCounter::insert) or
+    /// [`remove`](JoinCounter::remove).
+    pub(crate) fn apply(&mut self, op: &StreamOp) {
+        match op {
+            StreamOp::Insert(t) => self.insert(t.relation, t.values.clone()),
+            StreamOp::Delete(t) => self.remove(t.relation, &t.values),
+        }
     }
 
     /// Serializes the live tuple sets, sorted per relation for a canonical

@@ -64,7 +64,7 @@ pub(crate) fn check_op(query: &Query, op: &StreamOp) -> Result<(), SharedStoreEr
 }
 
 /// Applies an already-checked op through the engine's ingest primitives.
-fn apply_op<S: JoinSampler + ?Sized>(sampler: &mut S, op: &StreamOp) {
+pub(crate) fn apply_op<S: JoinSampler + ?Sized>(sampler: &mut S, op: &StreamOp) {
     let t = op.tuple();
     match op {
         StreamOp::Insert(_) => sampler.process(t.relation, &t.values),

@@ -33,6 +33,7 @@ pub mod cyclic;
 pub mod exec;
 pub mod export;
 pub mod fk_runtime;
+mod group;
 pub mod reservoir_join;
 pub mod sampler_facade;
 pub mod service;

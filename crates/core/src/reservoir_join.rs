@@ -7,6 +7,12 @@
 //! perform an `O(log N)` positional retrieve, and a retrieve that lands on
 //! rounding slack is exactly a falsified predicate.
 //!
+//! The driver is an index group with exactly one member — the runtime unit
+//! the sampler service runs with many members per index — so inserts,
+//! deletes, repairs and state images go through one copy of the code. What
+//! the driver adds is adaptive planning: a [`Planner`], a [`ReplanPolicy`]
+//! and the rebuild bookkeeping (see [`ReservoirJoin::replan`]).
+//!
 //! # Turnstile streams
 //!
 //! [`ReservoirJoin::delete`] opens the stream to deletions. The index side
@@ -37,42 +43,13 @@
 //! `SymmetricHashJoin`) afford recalibration on *every* delete and carry
 //! no such drift; see ARCHITECTURE.md, "Update model".
 
+use crate::group::{column_hashes, Group, SamplerCore};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::hash::fx_hash_columns;
-use rsj_common::rng::{child_seed, RsjRng};
-use rsj_common::{FxHashMap, TupleId, Value};
-use rsj_index::{DeltaBatch, DynamicIndex, FullSampler, IndexOptions, IndexStats};
+use rsj_common::{TupleId, Value};
+use rsj_index::{DynamicIndex, FullSampler, IndexOptions, IndexStats};
 use rsj_query::{Plan, Planner, Query};
 use rsj_storage::{ColumnarBatch, TableStatistics};
-use rsj_stream::{FnBatch, Reservoir, Rows};
-use std::collections::hash_map::Entry;
-
-/// The root with the smallest observed implicit array `|J_root|` —
-/// measured rejection slack, one O(1) lookup per root. `proposed` (the
-/// cost model's choice) wins ties, then the smallest id.
-fn best_observed_root(index: &DynamicIndex, proposed: usize) -> usize {
-    let mut best = proposed;
-    let mut best_size = FullSampler {
-        root: proposed,
-        ..FullSampler::default()
-    }
-    .implicit_size(index);
-    for root in 0..index.query().num_relations() {
-        if root == proposed {
-            continue;
-        }
-        let size = FullSampler {
-            root,
-            ..FullSampler::default()
-        }
-        .implicit_size(index);
-        if size < best_size || (size == best_size && root < best && best != proposed) {
-            best = root;
-            best_size = size;
-        }
-    }
-    best
-}
+use rsj_stream::Rows;
 
 /// When the driver re-evaluates its plan against observed statistics.
 ///
@@ -124,291 +101,112 @@ impl Default for ReplanPolicy {
 /// assert!(rj.samples().is_empty());
 /// ```
 pub struct ReservoirJoin {
-    index: DynamicIndex,
-    /// The read path: reservoir, repair state, and the plan metadata —
-    /// everything that consumes the index without owning it.
-    core: SamplerCore,
+    /// The index and its one member.
+    group: Group,
+    replanner: Replanner,
+}
+
+/// The planning half of the driver: configuration plus the two counters
+/// its image carries.
+struct Replanner {
     planner: Planner,
-    replan_policy: ReplanPolicy,
-    /// Index rebuilds performed by [`replan`](ReservoirJoin::replan).
+    policy: ReplanPolicy,
+    /// Index rebuilds performed by [`replan`](Replanner::replan).
     rebuilds: u64,
     /// Accepted-insert count at which the last automatic replan check
     /// fired (guards against duplicate arrivals re-firing a checkpoint).
-    replan_checked_at: u64,
+    checked_at: u64,
 }
 
-/// Memoizes one op's delta-batch retrievals across the members of a
-/// service index group. Within one op every member walks the *same*
-/// implicit batch (same index state, same generating tuple), so the first
-/// member to touch position `z` pays the `O(log N)` retrieval and
-/// materialization; the rest copy the cached row into their own slot. The
-/// win concentrates in the fill phase, where every still-filling member
-/// scans the batch prefix position by position.
-///
-/// Rows sit back to back in one buffer, found by position through the
-/// map. Cleared per op ([`begin_op`](DeltaCache::begin_op)) with both
-/// allocations retained, so steady-state ingest stays allocation-free on
-/// the cache side.
-#[derive(Default)]
-pub(crate) struct DeltaCache {
-    /// Batch position → offset of its row in `rows`, [`DUMMY`] for a
-    /// dummy position.
-    offsets: FxHashMap<u128, usize>,
-    rows: Vec<Value>,
-    ids: Vec<TupleId>,
-}
-
-/// [`DeltaCache`] offset of a position that retrieved as a dummy.
-const DUMMY: usize = usize::MAX;
-
-impl DeltaCache {
-    /// Forgets the previous op's rows (the batch they came from is gone).
-    pub(crate) fn begin_op(&mut self) {
-        self.offsets.clear();
-        self.rows.clear();
+impl Replanner {
+    /// Auto-replan fires *between* tuples, never between an insert and
+    /// the consumption of its delta batch: a rebuild reassigns tuple
+    /// ids (tombstones compact away) and runs a repair point, so an
+    /// in-flight tid/batch would be stale — a panic after deletes, a
+    /// double-counted delta batch otherwise. The `checked_at` marker
+    /// keeps duplicate (no-op) arrivals from re-triggering the same
+    /// power-of-two checkpoint.
+    fn maybe_auto(&mut self, group: &mut Group) {
+        let inserts = group.members[0].inserts;
+        if self.policy.auto
+            && inserts >= self.policy.min_inserts
+            && inserts.is_power_of_two()
+            && self.checked_at != inserts
+        {
+            self.checked_at = inserts;
+            self.replan(group);
+        }
     }
 
-    /// The materialized row at batch position `z`, or `None` for a dummy —
-    /// retrieved on first touch, served from the buffer on every later one.
-    fn row(&mut self, index: &DynamicIndex, batch: &DeltaBatch<'_>, z: u128) -> Option<&[Value]> {
-        let width = index.query().num_attrs();
-        let offset = match self.offsets.entry(z) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                self.ids.resize(index.query().num_relations(), 0);
-                *e.insert(if batch.retrieve_into(z, &mut self.ids) {
-                    let offset = self.rows.len();
-                    self.rows.resize(offset + width, 0);
-                    index.materialize_ids(&self.ids, &mut self.rows[offset..]);
-                    offset
-                } else {
-                    DUMMY
-                })
-            }
+    /// See [`ReservoirJoin::replan`].
+    fn replan(&mut self, group: &mut Group) -> bool {
+        let query = group.index().query();
+        let stats = TableStatistics::from_database(group.index().database());
+        let Some(mut challenger) = self.planner.plan(query, &stats) else {
+            return false;
         };
-        (offset != DUMMY).then(|| &self.rows[offset..offset + width])
-    }
-}
-
-/// The reservoir-side half of the driver: everything of [`ReservoirJoin`]
-/// that *reads* a [`DynamicIndex`] without owning it — the reservoir and
-/// its skip state, the eviction/backfill/recalibration repair protocol,
-/// the repair RNG, and the plan whose root repair sampling descends.
-///
-/// The split is what makes index sharing possible: the sampler service
-/// (`crate::service`) runs many `SamplerCore`s — one per registered query,
-/// each with its own `k`, seed and sampling root — over **one** shared
-/// index, and each core behaves byte-identically to a standalone
-/// [`ReservoirJoin`] fed the same op sequence, because this is the same
-/// code `ReservoirJoin` itself runs.
-pub(crate) struct SamplerCore {
-    /// The orientation the index is materialized over, plus the preferred
-    /// sampling root repair draws go through.
-    pub(crate) plan: Plan,
-    /// The samples: full-width value rows of the query, `num_attrs` words
-    /// each.
-    pub(crate) reservoir: Reservoir,
-    /// The retrieval in flight, one tuple id per relation: the index
-    /// writes it, and it is materialized straight into the sample row.
-    ids: Vec<TupleId>,
-    /// RNG for repair backfill draws, independent of the reservoir's skip
-    /// stream (insert-only runs never touch it, keeping their reservoirs
-    /// byte-identical across this feature).
-    pub(crate) repair_rng: RsjRng,
-    pub(crate) inserts: u64,
-    pub(crate) deletes: u64,
-    /// Exact `|Q(R)|` measured at the last repair point (0 before any).
-    pub(crate) last_population: u128,
-    /// Deletes since the last repair point; forces a refresh when it
-    /// reaches [`repair_period`](SamplerCore::repair_period).
-    pub(crate) deletes_since_repair: u64,
-}
-
-impl SamplerCore {
-    /// A fresh core sampling `query` over `plan` with reservoir capacity
-    /// `k` and the given seed — exactly the reservoir-side state
-    /// [`ReservoirJoin::with_plan`] starts from.
-    pub(crate) fn new(query: &Query, plan: Plan, k: usize, seed: u64) -> SamplerCore {
-        SamplerCore {
-            plan,
-            reservoir: Reservoir::new(k, query.num_attrs(), seed),
-            ids: vec![0; query.num_relations()],
-            repair_rng: RsjRng::seed_from_u64(child_seed(seed, u64::from_le_bytes(*b"turnstil"))),
-            inserts: 0,
-            deletes: 0,
-            last_population: 0,
-            deletes_since_repair: 0,
-        }
-    }
-
-    /// Feeds an accepted insert's implicit delta batch to the reservoir
-    /// (Algorithm 6 lines 5–7). `index` must have already accepted the
-    /// tuple as `tid` into relation `rel`.
-    pub(crate) fn consume_delta(&mut self, index: &DynamicIndex, rel: usize, tid: TupleId) {
-        self.inserts += 1;
-        let batch = index.delta_batch(rel, tid);
-        if batch.size() > 0 && !self.reservoir.try_skip(batch.size()) {
-            let ids = &mut self.ids;
-            let mut positions = FnBatch::new(batch.size(), std::convert::identity);
-            self.reservoir.process_batch(&mut positions, |z, slot| {
-                if batch.retrieve_into(z, ids) {
-                    index.materialize_ids(ids, slot.accept());
-                }
-            });
-        }
-    }
-
-    /// [`consume_delta`](SamplerCore::consume_delta) against a delta batch
-    /// the caller already built, with retrievals shared through `cache` —
-    /// the many-members-one-index ingest path of `crate::service`.
-    ///
-    /// Byte-identical to the uncached method: the reservoir sees the same
-    /// batch size and stops at the same positions (its RNG never touches
-    /// the cache), and a cached row equals a fresh retrieval because
-    /// retrieval is a pure function of the index state. The sharing win is
-    /// in the fill phase, where every still-filling member scans the same
-    /// batch prefix: the first member pays the `O(log N)` retrieval per
-    /// position, the rest copy the cached row.
-    pub(crate) fn consume_delta_cached(
-        &mut self,
-        index: &DynamicIndex,
-        batch: &DeltaBatch<'_>,
-        cache: &mut DeltaCache,
-    ) {
-        self.inserts += 1;
-        if batch.size() > 0 && !self.reservoir.try_skip(batch.size()) {
-            let mut positions = FnBatch::new(batch.size(), std::convert::identity);
-            self.reservoir.process_batch(&mut positions, |z, slot| {
-                if let Some(row) = cache.row(index, batch, z) {
-                    slot.accept().copy_from_slice(row);
-                }
-            });
-        }
-    }
-
-    /// The reservoir side of a deletion `index` has already applied:
-    /// evict samples using the tuple, then repair if the eviction damaged
-    /// the sample or the repair period elapsed (see the [module
-    /// docs](self)). `population` yields the exact live `|Q(R)|` of
-    /// `index` and is only called at a repair point — the caller decides
-    /// whether that is a fresh count or one shared with other cores.
-    pub(crate) fn apply_delete(
-        &mut self,
-        index: &DynamicIndex,
-        rel: usize,
-        tuple: &[Value],
-        population: impl FnOnce() -> u128,
-    ) {
-        self.deletes += 1;
-        self.deletes_since_repair += 1;
-        // A materialized sample used the deleted tuple iff its projection
-        // onto the relation's schema equals the deleted values (set
-        // semantics: values identify the tuple).
-        let attrs = &index.query().relation(rel).attrs;
-        let evicted = self
-            .reservoir
-            .evict_where(|s| attrs.iter().enumerate().all(|(pos, &a)| s[a] == tuple[pos]));
-        if evicted > 0 || self.deletes_since_repair >= self.repair_period() {
-            self.repair(index, population());
-        }
-    }
-
-    /// Deletes between forced repairs: `|Q(R)| / 4k` (last measured), so
-    /// the deleted-since-repair fraction — which bounds the calibration
-    /// drift on results inserted between repair points — stays below
-    /// `~1/4k`. When the population is small (`<= 4k`) the period is 1 and
-    /// every delete is a repair point, making the sample exactly uniform
-    /// in precisely the regime where a single delete matters; for large
-    /// populations the count pass amortizes to `O(k)` per delete.
-    pub(crate) fn repair_period(&self) -> u64 {
-        1u64.max(
-            (self.last_population / (4 * self.reservoir.capacity().max(1) as u128))
-                .min(u64::MAX as u128) as u64,
-        )
-    }
-
-    /// A repair point: sample backfill to `min(k, |Q(R)|)` distinct
-    /// uniform results and skip-state recalibration against `population`,
-    /// the exact live `|Q(R)|` of `index`.
-    pub(crate) fn repair(&mut self, index: &DynamicIndex, population: u128) {
-        self.last_population = population;
-        self.deletes_since_repair = 0;
-        let target = (self.reservoir.capacity() as u128).min(population) as usize;
-        let full = FullSampler {
-            root: self.plan.root,
-            ..FullSampler::default()
-        };
-        let (rng, ids) = (&mut self.repair_rng, &mut self.ids);
-        // Rejection sampling to distinctness: each accepted draw is
-        // uniform over the live results not yet in the sample, which is
-        // exactly sequential SRS. The per-slot budget covers the two
-        // rejection sources — dummy positions, bounded by the density
-        // invariant at (1/2)^(2|T|-2), and duplicate hits, worst around
-        // O(k) when the population barely exceeds the sample.
-        let nrels = index.query().num_relations();
-        let per_slot = (4096 + 256 * self.reservoir.capacity())
-            .saturating_mul(1usize << (2 * (nrels.max(1) - 1)).min(16))
-            .min(1 << 24);
-        let filled = self.reservoir.backfill_distinct(target, per_slot, |row| {
-            let real = full.try_sample_into(index, rng, ids);
-            if real {
-                index.materialize_ids(ids, row);
+        let plan = &group.members[0].plan;
+        if challenger.tree.canonical_edges() == plan.tree.canonical_edges() {
+            self.observe_root(group.index(), &mut challenger, &stats);
+            let plan = &mut group.members[0].plan;
+            if challenger.root == plan.root {
+                plan.cost = challenger.cost;
+                return false;
             }
-            real
+            // Root-only move: every rooted view is already maintained, so
+            // switching which one repair sampling descends is free.
+            *plan = challenger;
+            return true;
+        }
+        // The planner's hold margin is measured against the canonical
+        // anchor; when the incumbent is already non-canonical, hold again
+        // unless the challenger also clears the margin over the incumbent
+        // re-scored on today's statistics.
+        if let Some(current) = self.planner.score(query, &plan.tree, plan.root, &stats) {
+            if challenger.cost.total >= current.total * (1.0 - self.planner.hold_margin) {
+                group.members[0].plan.cost = current;
+                return false;
+            }
+        }
+        let tree = challenger.tree.clone();
+        let rebuilt = group.rebuild(&tree, |index, plan| {
+            // The rebuilt index has fresh per-root slack; measure it.
+            self.observe_root(index, &mut challenger, &stats);
+            *plan = challenger.clone();
         });
-        debug_assert!(filled, "backfill exhausted its rejection cap");
-        self.reservoir.recalibrate(population);
+        self.rebuilds += u64::from(rebuilt);
+        rebuilt
     }
 
-    /// The current samples (uniform without replacement over `Q(R)`).
-    pub(crate) fn samples(&self) -> Rows<'_> {
-        self.reservoir.samples()
-    }
-
-    /// Serializes the core: plan, reservoir (slots, skip state, RNG),
-    /// repair RNG, and counters — the per-query half of a service
-    /// snapshot. [`ReservoirJoin::snapshot_to`] keeps its own historical
-    /// field order and does not call this.
-    pub(crate) fn snapshot_to(&self, enc: &mut Encoder) {
-        self.plan.snapshot_to(enc);
-        self.reservoir.snapshot_to(enc);
-        for w in self.repair_rng.state() {
-            enc.put_u64(w);
+    /// Lets observation override the model's sampling root: the live index
+    /// *measures* each root's rejection slack exactly — the implicit array
+    /// size `|J_root|`, one O(1) group lookup per root — and the smallest
+    /// wins, ties going to the model's proposal, then to the smallest id.
+    /// A moved plan keeps its metadata truthful: the cost is re-scored for
+    /// the actual root and the canonical flag recomputed against the GYO
+    /// tree + root 0.
+    fn observe_root(&self, index: &DynamicIndex, plan: &mut Plan, stats: &TableStatistics) {
+        let query = index.query();
+        let slack = |root| {
+            FullSampler {
+                root,
+                ..FullSampler::default()
+            }
+            .implicit_size(index)
+        };
+        let proposed = plan.root;
+        let root = (0..query.num_relations())
+            .min_by_key(|&r| (slack(r), r != proposed, r))
+            .unwrap_or(proposed);
+        if root == proposed {
+            return;
         }
-        enc.put_u64(self.inserts);
-        enc.put_u64(self.deletes);
-        enc.put_u128(self.last_population);
-        enc.put_u64(self.deletes_since_repair);
-    }
-
-    /// Restores a core of `query` written by
-    /// [`snapshot_to`](SamplerCore::snapshot_to). The query's shape guards
-    /// against cross-query snapshots: the plan must span its relations and
-    /// every sample row must be as wide as its attribute set.
-    pub(crate) fn restore_from(
-        dec: &mut Decoder,
-        query: &Query,
-    ) -> Result<SamplerCore, CodecError> {
-        let plan = Plan::restore_from(dec)?;
-        if plan.tree.len() != query.num_relations() {
-            return Err(CodecError::Corrupt(
-                "core snapshot plan is for another query",
-            ));
+        plan.root = root;
+        if let Some(cost) = self.planner.score(query, &plan.tree, root, stats) {
+            plan.cost = cost;
         }
-        let reservoir = Reservoir::restore_from(dec, query.num_attrs())?;
-        let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
-        let repair_rng = RsjRng::restore_state(s)
-            .ok_or(CodecError::Corrupt("rng state is the zero fixed point"))?;
-        Ok(SamplerCore {
-            plan,
-            reservoir,
-            ids: vec![0; query.num_relations()],
-            repair_rng,
-            inserts: dec.u64()?,
-            deletes: dec.u64()?,
-            last_population: dec.u128()?,
-            deletes_since_repair: dec.u64()?,
-        })
+        let gyo = rsj_query::JoinTree::build(query).map(|t| t.canonical_edges());
+        plan.is_canonical = root == 0 && gyo.as_deref() == Some(&plan.tree.canonical_edges()[..]);
     }
 }
 
@@ -445,52 +243,28 @@ impl ReservoirJoin {
         options: IndexOptions,
         plan: Plan,
     ) -> Result<ReservoirJoin, rsj_index::dynamic::IndexError> {
-        let core = SamplerCore::new(&query, plan, k, seed);
         Ok(ReservoirJoin {
-            index: DynamicIndex::with_tree(query, &core.plan.tree, options)?,
-            core,
-            planner: Planner::default(),
-            replan_policy: ReplanPolicy::default(),
-            rebuilds: 0,
-            replan_checked_at: 0,
+            group: Group::new(query, plan, options, k, seed)?,
+            replanner: Replanner {
+                planner: Planner::default(),
+                policy: ReplanPolicy::default(),
+                rebuilds: 0,
+                checked_at: 0,
+            },
         })
+    }
+
+    /// The one member.
+    fn core(&self) -> &SamplerCore {
+        &self.group.members[0]
     }
 
     /// Processes one input tuple (Algorithm 6 lines 5–7).
     ///
     /// Returns the tuple's id, or `None` if it was a duplicate (no effect).
     pub fn process(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
-        self.maybe_auto_replan();
-        let tid = self.index.insert(rel, tuple)?;
-        self.core.consume_delta(&self.index, rel, tid);
-        Some(tid)
-    }
-
-    /// [`process`](ReservoirJoin::process) with the relation's dedup hash
-    /// precomputed (by the columnar batch front end).
-    fn process_hashed(&mut self, rel: usize, tuple: &[Value], hash: u64) -> Option<TupleId> {
-        self.maybe_auto_replan();
-        let tid = self.index.insert_hashed(rel, tuple, hash)?;
-        self.core.consume_delta(&self.index, rel, tid);
-        Some(tid)
-    }
-
-    /// Auto-replan fires *between* tuples, never between an insert and
-    /// the consumption of its delta batch: a rebuild reassigns tuple
-    /// ids (tombstones compact away) and runs a repair point, so an
-    /// in-flight tid/batch would be stale — a panic after deletes, a
-    /// double-counted delta batch otherwise. The `checked_at` marker
-    /// keeps duplicate (no-op) arrivals from re-triggering the same
-    /// power-of-two checkpoint.
-    fn maybe_auto_replan(&mut self) {
-        if self.replan_policy.auto
-            && self.core.inserts >= self.replan_policy.min_inserts
-            && self.core.inserts.is_power_of_two()
-            && self.replan_checked_at != self.core.inserts
-        {
-            self.replan_checked_at = self.core.inserts;
-            self.replan();
-        }
+        self.replanner.maybe_auto(&mut self.group);
+        self.group.insert(rel, tuple)
     }
 
     /// Processes a columnar batch, byte-identically to shredding it
@@ -500,29 +274,14 @@ impl ReservoirJoin {
     /// Reservoir skips, replan checkpoints, and delta batches are all
     /// order-sensitive, so tuples still apply one at a time; the work
     /// hoisted out of the loop is the plan-independent part — every row's
-    /// relation dedup hash, computed column-wise by the vectorized
-    /// [`fx_hash_columns`] kernel. Index-only pipelines that can accept
-    /// physical reordering use `DynamicIndex::insert_columnar` instead.
+    /// relation dedup hash, computed column-wise by the vectorized hash
+    /// kernel. Index-only pipelines that can accept physical reordering
+    /// use `DynamicIndex::insert_columnar` instead.
     pub fn process_columnar(&mut self, batch: &ColumnarBatch) {
-        let nrels = batch.num_relations();
-        let mut hashes: Vec<Vec<u64>> = Vec::with_capacity(nrels);
-        let mut flat: Vec<Value> = Vec::new();
-        for rel in 0..nrels {
-            let rc = batch.relation(rel);
-            let mut h = Vec::new();
-            if rc.rows() > 0 {
-                flat.clear();
-                rc.gather_rows(&mut flat);
-                fx_hash_columns(rc.arity() as u64, rc.arity(), &flat, &mut h);
-            }
-            hashes.push(h);
-        }
-        let mut row = Vec::new();
-        for &(rel, r) in batch.arrivals() {
-            row.clear();
-            batch.relation(rel as usize).write_row(r as usize, &mut row);
-            self.process_hashed(rel as usize, &row, hashes[rel as usize][r as usize]);
-        }
+        let hashes = column_hashes(batch);
+        let replanner = &mut self.replanner;
+        self.group
+            .insert_columnar(batch, &hashes, |group| replanner.maybe_auto(group));
     }
 
     /// Deletes one input tuple (turnstile streams — see the [module
@@ -531,11 +290,7 @@ impl ReservoirJoin {
     /// Returns the id the tuple occupied, or `None` if it was not present
     /// (set semantics — no effect).
     pub fn delete(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
-        let tid = self.index.delete(rel, tuple)?;
-        let index = &self.index;
-        self.core
-            .apply_delete(index, rel, tuple, || index.exact_count());
-        Some(tid)
+        self.group.delete(rel, tuple)
     }
 
     /// Forces a repair point now: exact live count, sample backfill to
@@ -544,7 +299,7 @@ impl ReservoirJoin {
     /// repair-period deletes (see the [module docs](self)); exposed so
     /// turnstile pipelines can buy back exactness before a read.
     pub fn refresh(&mut self) {
-        self.core.repair(&self.index, self.index.exact_count());
+        self.group.refresh();
     }
 
     /// Re-evaluates the plan against statistics observed from the stored
@@ -572,99 +327,17 @@ impl ReservoirJoin {
     /// [`ReplanPolicy`]; call it directly to force a re-evaluation (e.g.
     /// after a bulk load).
     pub fn replan(&mut self) -> bool {
-        let stats = TableStatistics::from_database(self.index.database());
-        let Some(mut challenger) = self.planner.plan(self.index.query(), &stats) else {
-            return false;
-        };
-        let same_tree = challenger.tree.canonical_edges() == self.core.plan.tree.canonical_edges();
-        if same_tree {
-            // The model proposes a root; the live index can *measure* each
-            // root's rejection slack exactly — the implicit array size
-            // |J_root| is one O(1) group lookup per root — so observation
-            // overrides the estimate. Ties keep the model's proposal.
-            // After an override, the plan's metadata must describe the
-            // root actually chosen (re-scored cost, recomputed canonical
-            // flag), not the model's proposal.
-            let observed = best_observed_root(&self.index, challenger.root);
-            if observed != challenger.root {
-                self.fixup_plan_root(&mut challenger, observed, &stats);
-            }
-            if challenger.root == self.core.plan.root {
-                self.core.plan.cost = challenger.cost;
-                return false;
-            }
-            // Root-only move: every rooted view is already maintained, so
-            // switching which one repair sampling descends is free.
-            self.core.plan = challenger;
-            return true;
-        }
-        // The planner's hold margin is measured against the canonical
-        // anchor; when the incumbent is already non-canonical, hold again
-        // unless the challenger also clears the margin over the incumbent
-        // re-scored on today's statistics.
-        if let Some(current) = self.planner.score(
-            self.index.query(),
-            &self.core.plan.tree,
-            self.core.plan.root,
-            &stats,
-        ) {
-            if challenger.cost.total >= current.total * (1.0 - self.planner.hold_margin) {
-                self.core.plan.cost = current;
-                return false;
-            }
-        }
-        let mut fresh = match DynamicIndex::with_tree(
-            self.index.query().clone(),
-            &challenger.tree,
-            self.index.options(),
-        ) {
-            Ok(idx) => idx,
-            Err(_) => return false,
-        };
-        for rel in 0..self.index.query().num_relations() {
-            for (_, t) in self.index.database().relation(rel).iter() {
-                fresh.insert(rel, t);
-            }
-        }
-        self.index = fresh;
-        // The rebuilt index has fresh per-root slack; measure it.
-        let observed = best_observed_root(&self.index, challenger.root);
-        if observed != challenger.root {
-            self.fixup_plan_root(&mut challenger, observed, &stats);
-        }
-        self.core.plan = challenger;
-        self.rebuilds += 1;
-        // Repopulate exactly: exact live count, backfill to min(k, |Q|),
-        // recalibrate the skip state — the reservoir continues as if it had
-        // sampled the live population through the new orientation all
-        // along.
-        self.core.repair(&self.index, self.index.exact_count());
-        true
-    }
-
-    /// Moves `plan` onto the observation-chosen `root`, keeping its
-    /// metadata truthful: the cost is re-scored for the actual root and
-    /// the canonical flag recomputed against the GYO tree + root 0.
-    fn fixup_plan_root(&self, plan: &mut Plan, root: usize, stats: &TableStatistics) {
-        plan.root = root;
-        if let Some(cost) = self
-            .planner
-            .score(self.index.query(), &plan.tree, root, stats)
-        {
-            plan.cost = cost;
-        }
-        let gyo = rsj_query::JoinTree::build(self.index.query()).map(|t| t.canonical_edges());
-        plan.is_canonical = root == 0 && gyo.as_deref() == Some(&plan.tree.canonical_edges()[..]);
+        self.replanner.replan(&mut self.group)
     }
 
     /// The active plan (orientation, sampling root, scores).
     pub fn plan(&self) -> &Plan {
-        &self.core.plan
+        &self.core().plan
     }
 
     /// The automatic re-planning policy.
     pub fn replan_policy(&self) -> ReplanPolicy {
-        self.replan_policy
+        self.replanner.policy
     }
 
     /// Replaces the planner [`replan`](ReservoirJoin::replan) consults
@@ -672,84 +345,76 @@ impl ReservoirJoin {
     /// re-planning follow the cost model greedily — useful in tests that
     /// must exercise a rebuild deterministically.
     pub fn set_planner(&mut self, planner: Planner) {
-        self.planner = planner;
+        self.replanner.planner = planner;
     }
 
     /// Replaces the automatic re-planning policy (e.g. to disable
     /// mid-stream checks in a byte-stability harness).
     pub fn set_replan_policy(&mut self, policy: ReplanPolicy) {
-        self.replan_policy = policy;
+        self.replanner.policy = policy;
     }
 
     /// Number of orientation rebuilds [`replan`](ReservoirJoin::replan)
     /// has performed.
     pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
+        self.replanner.rebuilds
     }
 
     /// The current samples: uniform without replacement over `Q(R)`, fewer
     /// than `k` while `|Q(R)| < k`. A borrowed view of the flat sample
     /// buffer — iterate it for `&[Value]` rows.
     pub fn samples(&self) -> Rows<'_> {
-        self.core.samples()
+        self.core().reservoir.samples()
     }
 
     /// Reservoir capacity `k`.
     pub fn k(&self) -> usize {
-        self.core.reservoir.capacity()
+        self.core().reservoir.capacity()
     }
 
     /// The underlying index (for sizes, stats, full-query sampling).
     pub fn index(&self) -> &DynamicIndex {
-        &self.index
+        self.group.index()
     }
 
     /// Index instrumentation counters.
     pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
+        self.index().stats()
     }
 
     /// Number of predicate-evaluating stops the reservoir performed (each
     /// costing one `O(log N)` retrieve).
     pub fn reservoir_stops(&self) -> u64 {
-        self.core.reservoir.stops()
+        self.core().reservoir.stops()
     }
 
     /// Tuples accepted so far (on insert-only streams, the paper's `N`).
     pub fn inserts(&self) -> u64 {
-        self.core.inserts
+        self.core().inserts
     }
 
     /// Tuples deleted so far (present at deletion time).
     pub fn deletes(&self) -> u64 {
-        self.core.deletes
+        self.core().deletes
     }
 
     /// Serializes the driver's complete dynamic state into `enc`: the
-    /// active plan (the index may have been re-rooted or rebuilt since
-    /// construction), the index's dynamic state (physical layout
-    /// included), the reservoir (sample slots, skip parameters `(w, q)`,
-    /// RNG position, counters), the repair RNG, and the driver counters.
+    /// one-member group image — the tree the index is built over (it may
+    /// have been rebuilt since construction), the index's dynamic state
+    /// (physical layout included), and the member's plan, reservoir
+    /// (sample slots, skip parameters `(w, q)`, RNG position), repair RNG
+    /// and counters — followed by the replan counters.
     ///
-    /// Construction parameters — query, `k`, seed, index options — are
-    /// *not* written; a snapshot restores into a driver built with
+    /// Construction parameters — query, `k`, seed, planner, replan policy
+    /// — are *not* written; a snapshot restores into a driver built with
     /// identical ones (the durability layer's `Checkpoint` tags the
     /// engine name so cross-engine restores fail loudly). Everything
     /// future behavior depends on is captured, so a restored driver
     /// reproduces the original byte-for-byte on any further stream.
     pub fn snapshot_to(&self, enc: &mut Encoder) {
-        self.core.plan.snapshot_to(enc);
-        self.index.snapshot_state_to(enc);
-        self.core.reservoir.snapshot_to(enc);
-        for w in self.core.repair_rng.state() {
-            enc.put_u64(w);
-        }
-        enc.put_u64(self.rebuilds);
-        enc.put_u64(self.replan_checked_at);
-        enc.put_u64(self.core.inserts);
-        enc.put_u64(self.core.deletes);
-        enc.put_u128(self.core.last_population);
-        enc.put_u64(self.core.deletes_since_repair);
+        self.group.snapshot_to(enc, |_, _| {});
+        enc.put_u64(self.replanner.rebuilds);
+        enc.put_u64(self.replanner.checked_at);
     }
 
     /// Restores state written by [`snapshot_to`](ReservoirJoin::snapshot_to)
@@ -757,48 +422,31 @@ impl ReservoirJoin {
     /// parameters. The index is rebuilt over the snapshot's join tree (the
     /// snapshot may have re-rooted or re-oriented since construction) and
     /// its dynamic state overlaid; shape mismatches (wrong query, wrong
-    /// `k`, a sample row of the wrong width) reject the snapshot and leave
-    /// `self` unchanged. The planner and replan policy are configuration,
-    /// not state — they keep `self`'s current values.
+    /// `k` or index options, a sample row of the wrong width) reject the
+    /// snapshot and leave `self` unchanged. The planner and replan policy
+    /// are configuration, not state — they keep `self`'s current values.
     pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let plan = Plan::restore_from(dec)?;
-        if plan.tree.len() != self.index.query().num_relations() {
-            return Err(CodecError::Corrupt("snapshot plan is for another query"));
+        let (group, _) = Group::restore_from(dec, self.index().query(), |_| Ok(()))?;
+        if group.members.len() != 1 || group.index().options() != self.index().options() {
+            return Err(CodecError::Corrupt(
+                "snapshot is not a group of this driver",
+            ));
         }
-        let mut index =
-            DynamicIndex::with_tree(self.index.query().clone(), &plan.tree, self.index.options())
-                .map_err(|_| CodecError::Corrupt("snapshot plan tree is not a join tree"))?;
-        index.restore_state_from(dec)?;
-        let reservoir = Reservoir::restore_from(dec, self.index.query().num_attrs())?;
-        if reservoir.capacity() != self.core.reservoir.capacity() {
+        if group.members[0].reservoir.capacity() != self.k() {
             return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
         }
-        let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
-        let repair_rng = RsjRng::restore_state(s)
-            .ok_or(CodecError::Corrupt("rng state is the zero fixed point"))?;
         let rebuilds = dec.u64()?;
-        let replan_checked_at = dec.u64()?;
-        let inserts = dec.u64()?;
-        let deletes = dec.u64()?;
-        let last_population = dec.u128()?;
-        let deletes_since_repair = dec.u64()?;
-        self.index = index;
-        self.core.plan = plan;
-        self.core.reservoir = reservoir;
-        self.core.repair_rng = repair_rng;
-        self.rebuilds = rebuilds;
-        self.replan_checked_at = replan_checked_at;
-        self.core.inserts = inserts;
-        self.core.deletes = deletes;
-        self.core.last_population = last_population;
-        self.core.deletes_since_repair = deletes_since_repair;
+        let checked_at = dec.u64()?;
+        self.group = group;
+        self.replanner.rebuilds = rebuilds;
+        self.replanner.checked_at = checked_at;
         Ok(())
     }
 
     /// Estimated heap bytes of index + reservoir (the sample buffer's
     /// whole capacity).
     pub fn heap_size(&self) -> usize {
-        self.index.heap_size() + self.core.reservoir.heap_size()
+        self.group.heap_size()
     }
 }
 
@@ -1011,12 +659,19 @@ mod tests {
         assert_eq!(rj.samples().to_vec(), before);
     }
 
-    #[test]
-    fn replan_rebuild_preserves_the_result_set() {
-        // Star-4 sharing HUB: 16 candidate trees. Start from a non-GYO
-        // tree, zero the hold margin, and force a greedy replan; whatever
-        // orientation wins, the maintained sample set (k >= |Q|) must be
-        // exactly the live result set before and after.
+    fn greedy() -> Planner {
+        Planner {
+            hold_margin: 0.0,
+            ..Planner::default()
+        }
+    }
+
+    /// Star-4 sharing HUB (16 candidate trees), a stream over it with mild
+    /// hub skew (so the cost model has something to chew on), and a plan
+    /// over a tree the greedy planner does *not* settle on for that stream
+    /// — a driver started on it is guaranteed to rebuild at its next
+    /// greedy `replan`.
+    fn star4_off_tree() -> (Query, Plan, Vec<(usize, [u64; 2])>) {
         let mut qb = QueryBuilder::new();
         for i in 1..=4 {
             qb.relation(&format!("G{i}"), &["HUB", &format!("B{i}")]);
@@ -1024,12 +679,6 @@ mod tests {
         let q = qb.build().unwrap();
         let trees = rsj_query::all_join_trees(&q, 32);
         assert_eq!(trees.len(), 16);
-        let greedy = rsj_query::Planner {
-            hold_margin: 0.0,
-            ..rsj_query::Planner::default()
-        };
-        // Mild hub skew so the cost model has something to chew on while
-        // |Q| stays well under k.
         let stream: Vec<(usize, [u64; 2])> = {
             let mut rng = RsjRng::seed_from_u64(4);
             (0..120)
@@ -1045,14 +694,13 @@ mod tests {
                 .collect()
         };
         // Scout which tree the greedy planner settles on for this data,
-        // then deliberately start from a different one so replan is
-        // guaranteed to rebuild.
+        // then pick a different one.
         let winner_edges = {
             let mut scout = ReservoirJoin::new(q.clone(), 4, 0).unwrap();
             for (rel, t) in &stream {
                 scout.process(*rel, t);
             }
-            scout.set_planner(greedy);
+            scout.set_planner(greedy());
             scout.replan();
             scout.plan().tree.canonical_edges()
         };
@@ -1061,25 +709,28 @@ mod tests {
             .find(|t| t.canonical_edges() != winner_edges)
             .expect("16 trees, one winner")
             .clone();
-        let plan = {
-            let mut p = rsj_query::Plan::canonical(&q).unwrap();
-            p.tree = alt;
-            p.is_canonical = false;
-            p
-        };
+        let mut plan = Plan::canonical(&q).unwrap();
+        plan.tree = alt;
+        plan.is_canonical = false;
+        (q, plan, stream)
+    }
+
+    #[test]
+    fn replan_rebuild_preserves_the_result_set() {
+        // Start from a non-GYO tree, zero the hold margin, and force a
+        // greedy replan; whatever orientation wins, the maintained sample
+        // set (k >= |Q|) must be exactly the live result set before and
+        // after.
+        let (q, plan, stream) = star4_off_tree();
         let mut rj =
-            ReservoirJoin::with_plan(q, 1 << 16, 3, rsj_index::IndexOptions::default(), plan)
-                .unwrap();
+            ReservoirJoin::with_plan(q, 1 << 16, 3, IndexOptions::default(), plan).unwrap();
         for (rel, t) in &stream {
             rj.process(*rel, t);
         }
         let before: FxHashSet<Vec<u64>> = rj.samples().iter().map(<[u64]>::to_vec).collect();
         let live = crate::count::exact_result_count(rj.index().query(), rj.index().database());
         assert_eq!(before.len() as u128, live, "k >= |Q| collects everything");
-        rj.set_planner(rsj_query::Planner {
-            hold_margin: 0.0,
-            ..rsj_query::Planner::default()
-        });
+        rj.set_planner(greedy());
         let changed = rj.replan();
         assert!(changed, "greedy replan must leave the degenerate start");
         assert_eq!(rj.rebuilds(), 1, "tree change rebuilds the index");
@@ -1095,6 +746,58 @@ mod tests {
             crate::count::exact_result_count(rj.index().query(), rj.index().database()),
             live
         );
+    }
+
+    #[test]
+    fn restore_after_a_rebuild_round_trips_and_continues_identically() {
+        // The image of an index `replan` rebuilt: the rebuilt tree, the
+        // reassigned tuple ids and the post-rebuild repair state must all
+        // survive snapshot -> restore -> snapshot byte for byte, and the
+        // restored driver must then follow the original op for op.
+        let (q, plan, stream) = star4_off_tree();
+        let build = || {
+            let mut rj =
+                ReservoirJoin::with_plan(q.clone(), 8, 5, IndexOptions::default(), plan.clone())
+                    .unwrap();
+            rj.set_planner(greedy());
+            rj
+        };
+        let mut rj = build();
+        let mut live = Vec::new();
+        for &(rel, t) in &stream {
+            if rj.process(rel, &t).is_some() {
+                live.push((rel, t));
+            }
+        }
+        assert!(rj.replan() && rj.rebuilds() == 1, "no rebuild to snapshot");
+        let image = |rj: &ReservoirJoin| {
+            let mut enc = Encoder::new();
+            rj.snapshot_to(&mut enc);
+            enc.into_bytes()
+        };
+        let bytes = image(&rj);
+        let mut restored = build();
+        let mut dec = Decoder::new(&bytes);
+        restored.restore_from_snapshot(&mut dec).unwrap();
+        dec.finish().unwrap();
+        assert_eq!(image(&restored), bytes, "restore lost rebuilt state");
+        assert_eq!(restored.rebuilds(), 1);
+        let mut rng = RsjRng::seed_from_u64(6);
+        for step in 0..300 {
+            if step % 3 == 2 && !live.is_empty() {
+                let (rel, t) = live.swap_remove(rng.index(live.len()));
+                assert_eq!(rj.delete(rel, &t), restored.delete(rel, &t));
+            } else {
+                let (rel, t) = (rng.index(4), [rng.below_u64(8), rng.below_u64(40)]);
+                let tid = rj.process(rel, &t);
+                assert_eq!(tid, restored.process(rel, &t));
+                if tid.is_some() {
+                    live.push((rel, t));
+                }
+            }
+            assert_eq!(rj.samples(), restored.samples(), "diverged at {step}");
+        }
+        assert!(rj.deletes() > 0);
     }
 
     #[test]
@@ -1232,5 +935,11 @@ mod tests {
             "stops={} size={size}",
             rj.reservoir_stops()
         );
+    }
+
+    #[test]
+    fn the_driver_can_be_shared_across_threads() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<ReservoirJoin>();
     }
 }

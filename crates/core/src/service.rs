@@ -6,29 +6,33 @@
 //! service ingests the stream **once** and maintains a uniform reservoir
 //! per *registered query*, where queries come and go at runtime.
 //!
+//! # The sharing rule
+//!
+//! The runtime unit is the index group: one
+//! [`DynamicIndex`](rsj_index::DynamicIndex) and the reservoirs sampling
+//! over it — the same unit a standalone `ReservoirJoin` is, with one
+//! member. The dynamic index maintains *every* rooted orientation of its
+//! join tree at once (the shared `(node, parent)` configurations — `3n − 2`
+//! tables for `n` relations), and delta batches are rooted at the inserted
+//! relation itself. A query's plan root therefore only matters for repair
+//! draws, never for index maintenance. So the service keeps **one group
+//! per (canonical tree edges, [`IndexOptions`])**; members of a group
+//! freely differ in root, `k`, and seed. Registering 16 same-tree queries
+//! costs one index insert per op plus 16 cheap reservoir consumptions —
+//! not 16 index inserts. The service itself holds only the groups, each
+//! member's registration id and epoch cell, and the boxed members.
+//!
 //! # Registration dataflow
 //!
 //! [`register`](SamplerService::register) validates the query against the
 //! service's relation universe, pins its [`Plan`] (the service never
 //! re-plans — a registered query behaves like a standalone driver with
 //! `ReplanPolicy { auto: false, .. }`), and **backfills**: the retained op
-//! history ([`SharedStore`]) is replayed through a fresh index driving the
-//! new query's `SamplerCore`, so a query registered mid-stream ends up
-//! byte-identical to one registered before the first op. Registration cost
-//! is `O(history)`; ingest cost is unchanged.
-//!
-//! # The sharing rule
-//!
-//! The dynamic index maintains *every* rooted orientation of its join tree
-//! at once (the shared `(node, parent)` configurations — `3n − 2` tables
-//! for `n` relations), and delta batches are rooted at the inserted
-//! relation itself. A query's plan root therefore only matters for repair
-//! draws, never for index maintenance. So the service keeps **one
-//! [`DynamicIndex`] per (canonical tree edges, [`IndexOptions`]) group**;
-//! members of a group freely differ in root, `k`, and seed, and each
-//! member is a plain `SamplerCore` consuming the shared index's delta
-//! batches. Registering 16 same-tree queries costs one index insert per
-//! op plus 16 cheap reservoir consumptions — not 16 index inserts.
+//! history ([`SharedStore`]) is replayed through a fresh one-member group
+//! over the target group's tree, so a query registered mid-stream ends up
+//! byte-identical to one registered before the first op; the member then
+//! joins its group (or the fresh group becomes a new one). Registration
+//! cost is `O(history)`; ingest cost is unchanged.
 //!
 //! Engines other than the shared `RSJoin` core enter through
 //! [`register_sampler`](SamplerService::register_sampler): resident, with
@@ -55,22 +59,20 @@
 //! group looks at the same index. Each group therefore memoizes it: the
 //! first consumer after an accepted op — a member's delete repair, a
 //! publish point, an [`exact_count`](SamplerService::exact_count) call —
-//! pays one [`DynamicIndex::exact_count`] pass, every later one reads the
-//! number, and the next accepted op on that index forgets it. The memo is
-//! transient: never serialized, rebuilt on demand after a restore.
+//! pays one index count pass, every later one reads the number, and the
+//! next accepted op on that index forgets it. The memo is transient: never
+//! serialized, rebuilt on demand after a restore.
 
 use crate::count::JoinCounter;
-use crate::exec::{check_op, JoinSampler};
-use crate::reservoir_join::{DeltaCache, SamplerCore};
+use crate::exec::{apply_op, check_op, JoinSampler};
+use crate::group::{column_hashes, Group};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::hash::fx_hash_columns;
 use rsj_common::rng::RsjRng;
-use rsj_common::{EpochCell, HeapSize, TupleId, Value};
+use rsj_common::{EpochCell, FxHashSet, HeapSize, Value};
 use rsj_index::dynamic::IndexError;
-use rsj_index::{DynamicIndex, IndexOptions};
-use rsj_query::{JoinTree, Plan, Query};
-use rsj_storage::{ColumnarBatch, OpStream, SharedStore, SharedStoreError, StreamOp};
-use std::cell::Cell;
+use rsj_index::IndexOptions;
+use rsj_query::{Plan, Query};
+use rsj_storage::{ColumnarBatch, SharedStore, SharedStoreError, StreamOp};
 use std::sync::Arc;
 
 /// Service-wide configuration.
@@ -189,47 +191,16 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// One shared-index member: a reservoir core plus its publish cell.
+/// One index group and, in the group's member order, each member's
+/// registration id and publish cell.
+struct Shared {
+    group: Group,
+    members: Vec<Member>,
+}
+
 struct Member {
     id: u64,
-    core: SamplerCore,
     cell: Arc<EpochCell>,
-}
-
-/// One index group: every registration whose (canonical tree edges,
-/// options) matched shares this index.
-struct Group {
-    edges: Vec<(usize, usize)>,
-    /// The tree *instance* the index was built over. Adjacency order
-    /// changes node-state discovery order downstream, so every member's
-    /// plan adopts this instance (same canonical edges, by construction).
-    tree: JoinTree,
-    options: IndexOptions,
-    index: DynamicIndex,
-    members: Vec<Member>,
-    /// Per-op retrieval memo shared by the members (transient — cleared
-    /// every op, never serialized). Only exercised with two or more
-    /// members; a lone member keeps the standalone zero-allocation path.
-    cache: DeltaCache,
-    /// Exact `|Q(R)|` of the index's current state, if anyone has asked
-    /// since the last accepted op (transient — never serialized). See the
-    /// [module docs](self), "One count per op per group".
-    population: Cell<Option<u128>>,
-}
-
-impl Group {
-    /// The memoized exact count of `index`, paying (and tallying in
-    /// `passes`) one index pass when its current state has not been
-    /// counted yet. Takes the group's fields apart because the ingest loop
-    /// calls it while holding the members mutably.
-    fn population(index: &DynamicIndex, memo: &Cell<Option<u128>>, passes: &Cell<u64>) -> u128 {
-        memo.get().unwrap_or_else(|| {
-            passes.set(passes.get() + 1);
-            let population = index.exact_count();
-            memo.set(Some(population));
-            population
-        })
-    }
 }
 
 /// One boxed-engine member: resident and backfilled, but unshared.
@@ -240,6 +211,13 @@ struct BoxedMember {
     /// relation access — same trade as the sharded executor's counter).
     counter: JoinCounter,
     cell: Arc<EpochCell>,
+}
+
+impl BoxedMember {
+    fn apply(&mut self, op: &StreamOp) {
+        apply_op(&mut *self.sampler, op);
+        self.counter.apply(op);
+    }
 }
 
 /// The resident sampler service. See the [module docs](self) for the
@@ -269,14 +247,11 @@ struct BoxedMember {
 pub struct SamplerService {
     universe: Query,
     store: SharedStore,
-    groups: Vec<Group>,
+    groups: Vec<Shared>,
     boxed: Vec<BoxedMember>,
     next_id: u64,
     publish_every: u64,
     ops_since_publish: u64,
-    /// Index count passes performed so far (transient; the sharing tests
-    /// read it to pin "at most one pass per accepted op per group").
-    count_passes: Cell<u64>,
     /// Reused payload buffer of [`publish`](SamplerService::publish).
     publish_words: Vec<u64>,
 }
@@ -302,7 +277,6 @@ impl SamplerService {
             next_id: 1,
             publish_every: opts.publish_every,
             ops_since_publish: 0,
-            count_passes: Cell::new(0),
             publish_words: Vec::new(),
         }
     }
@@ -324,7 +298,7 @@ impl SamplerService {
 
     /// Live registrations (shared and boxed).
     pub fn num_queries(&self) -> usize {
-        self.groups.iter().map(|g| g.members.len()).sum::<usize>() + self.boxed.len()
+        self.groups.iter().map(|s| s.members.len()).sum::<usize>() + self.boxed.len()
     }
 
     /// Live index groups — `num_queries()` registrations share exactly
@@ -338,7 +312,7 @@ impl SamplerService {
         let mut out: Vec<QueryHandle> = self
             .groups
             .iter()
-            .flat_map(|g| g.members.iter().map(|m| QueryHandle(m.id)))
+            .flat_map(|s| s.members.iter().map(|m| QueryHandle(m.id)))
             .chain(self.boxed.iter().map(|b| QueryHandle(b.id)))
             .collect();
         out.sort_by_key(|h| h.0);
@@ -351,6 +325,18 @@ impl SamplerService {
             return Err(ServiceError::UniverseMismatch);
         }
         Ok(())
+    }
+
+    /// Takes the next registration id and one store reference per
+    /// relation for a new member.
+    fn admit(&mut self) -> u64 {
+        for rel in 0..self.universe.num_relations() {
+            self.store
+                .acquire(rel)
+                .expect("universe relations are in range");
+        }
+        self.next_id += 1;
+        self.next_id - 1
     }
 
     /// Registers a query on the shared-index path and backfills it from
@@ -373,65 +359,33 @@ impl SamplerService {
             return Err(ServiceError::PlanMismatch);
         }
         let edges = plan.tree.canonical_edges();
-        let gi = match self
-            .groups
-            .iter()
-            .position(|g| g.edges == edges && g.options == opts.index)
-        {
-            Some(gi) => {
-                // Adopt the group's tree instance (same canonical edges);
-                // adjacency order fixes the config discovery order shared
-                // state depends on.
-                plan.tree = self.groups[gi].tree.clone();
-                let mut core = SamplerCore::new(query, plan, opts.k, opts.seed);
-                // Backfill through a throwaway index: delta batches need
-                // the historical index state at each op, and replaying the
-                // same ops in the same order rebuilds exactly the states
-                // the group index went through.
-                let mut index =
-                    DynamicIndex::with_tree(query.clone(), &self.groups[gi].tree, opts.index)
-                        .map_err(ServiceError::Index)?;
-                Self::replay(&mut index, &mut core, self.store.history());
-                self.groups[gi].members.push(Member {
-                    id: 0, // assigned below
-                    core,
-                    cell: Arc::new(EpochCell::new(0)), // replaced below
-                });
-                gi
-            }
-            None => {
-                let mut index = DynamicIndex::with_tree(query.clone(), &plan.tree, opts.index)
-                    .map_err(ServiceError::Index)?;
-                let tree = plan.tree.clone();
-                let mut core = SamplerCore::new(query, plan, opts.k, opts.seed);
-                Self::replay(&mut index, &mut core, self.store.history());
-                self.groups.push(Group {
-                    edges,
-                    tree,
-                    options: opts.index,
-                    index,
-                    members: vec![Member {
-                        id: 0,
-                        core,
-                        cell: Arc::new(EpochCell::new(0)),
-                    }],
-                    cache: DeltaCache::default(),
-                    population: Cell::new(None),
-                });
-                self.groups.len() - 1
-            }
-        };
-        for rel in 0..nrels {
-            self.store
-                .acquire(rel)
-                .expect("universe relations are in range");
+        let gi = self.groups.iter().position(|s| {
+            s.group.tree().canonical_edges() == edges && s.group.index().options() == opts.index
+        });
+        if let Some(gi) = gi {
+            // Adopt the group's tree instance (same canonical edges);
+            // adjacency order fixes the config discovery order shared
+            // state depends on.
+            plan.tree = self.groups[gi].group.tree().clone();
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        let cell = Arc::new(EpochCell::new(4 + opts.k * self.universe.num_attrs()));
-        let m = self.groups[gi].members.last_mut().expect("just pushed");
-        m.id = id;
-        m.cell = cell;
+        let mut fresh = Group::new(query.clone(), plan, opts.index, opts.k, opts.seed)
+            .map_err(ServiceError::Index)?;
+        fresh.replay(self.store.history());
+        let member = Member {
+            id: self.admit(),
+            cell: Arc::new(EpochCell::new(4 + opts.k * self.universe.num_attrs())),
+        };
+        let id = member.id;
+        match gi {
+            Some(gi) => {
+                self.groups[gi].group.members.extend(fresh.members);
+                self.groups[gi].members.push(member);
+            }
+            None => self.groups.push(Shared {
+                group: fresh,
+                members: vec![member],
+            }),
+        }
         self.publish();
         Ok(QueryHandle(id))
     }
@@ -442,86 +396,28 @@ impl SamplerService {
     /// storage sharing.
     pub fn register_sampler(
         &mut self,
-        mut sampler: Box<dyn JoinSampler + Send>,
+        sampler: Box<dyn JoinSampler + Send>,
     ) -> Result<QueryHandle, ServiceError> {
         self.check_universe(sampler.input_query())?;
         if sampler.k() == 0 {
             return Err(ServiceError::ZeroCapacity);
         }
-        let mut counter = JoinCounter::new(self.universe.clone());
+        let arity = sampler.output_query().num_attrs();
+        let mut member = BoxedMember {
+            id: self.admit(),
+            cell: Arc::new(EpochCell::new(4 + sampler.k() * arity)),
+            sampler,
+            counter: JoinCounter::new(self.universe.clone()),
+        };
         // The history was checked against the universe op by op, and the
         // engine takes exactly the universe's tuples.
         for op in self.store.history().iter() {
-            match op {
-                StreamOp::Insert(t) => {
-                    sampler.process(t.relation, &t.values);
-                    counter.insert(t.relation, t.values.clone());
-                }
-                StreamOp::Delete(t) => {
-                    sampler.delete(t.relation, &t.values);
-                    counter.remove(t.relation, &t.values);
-                }
-            }
+            member.apply(op);
         }
-        for rel in 0..self.universe.num_relations() {
-            self.store
-                .acquire(rel)
-                .expect("universe relations are in range");
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let arity = sampler.output_query().num_attrs();
-        let cell = Arc::new(EpochCell::new(4 + sampler.k() * arity));
-        self.boxed.push(BoxedMember {
-            id,
-            sampler,
-            counter,
-            cell,
-        });
+        let id = member.id;
+        self.boxed.push(member);
         self.publish();
         Ok(QueryHandle(id))
-    }
-
-    /// Replays the retained history through a fresh `(index, core)` pair —
-    /// the backfill loop. Identical op sequence ⇒ identical accept/reject
-    /// decisions, tuple ids, and delta batches, so the resulting core is
-    /// byte-identical to one that had been registered before the first op.
-    fn replay(index: &mut DynamicIndex, core: &mut SamplerCore, history: &OpStream) {
-        for op in history.iter() {
-            let t = op.tuple();
-            if op.is_delete() {
-                if index.delete(t.relation, &t.values).is_some() {
-                    let index = &*index;
-                    core.apply_delete(index, t.relation, &t.values, || index.exact_count());
-                }
-            } else if let Some(tid) = index.insert(t.relation, &t.values) {
-                core.consume_delta(index, t.relation, tid);
-            }
-        }
-    }
-
-    /// Feeds one accepted insert's delta batch to every member of a
-    /// group. A lone member runs the standalone (buffer-reusing) path; two
-    /// or more share retrievals through the group's [`DeltaCache`], which
-    /// is byte-identical per member (see `consume_delta_cached`) but pays
-    /// each batch position's `O(log N)` retrieval once instead of once per
-    /// member.
-    fn consume_group(
-        index: &DynamicIndex,
-        members: &mut [Member],
-        cache: &mut DeltaCache,
-        rel: usize,
-        tid: TupleId,
-    ) {
-        if let [m] = members {
-            m.core.consume_delta(index, rel, tid);
-        } else {
-            cache.begin_op();
-            let batch = index.delta_batch(rel, tid);
-            for m in members.iter_mut() {
-                m.core.consume_delta_cached(index, &batch, cache);
-            }
-        }
     }
 
     /// Removes a registration, releasing its store references; the last
@@ -529,8 +425,10 @@ impl SamplerService {
     pub fn deregister(&mut self, handle: QueryHandle) -> Result<(), ServiceError> {
         let nrels = self.universe.num_relations();
         if let Some((gi, mi)) = self.find_shared(handle.0) {
-            self.groups[gi].members.remove(mi);
-            if self.groups[gi].members.is_empty() {
+            let s = &mut self.groups[gi];
+            s.group.members.remove(mi);
+            s.members.remove(mi);
+            if s.members.is_empty() {
                 self.groups.remove(gi);
             }
         } else if let Some(bi) = self.find_boxed(handle.0) {
@@ -555,7 +453,7 @@ impl SamplerService {
         self.groups
             .iter()
             .enumerate()
-            .find_map(|(gi, g)| g.members.iter().position(|m| m.id == id).map(|mi| (gi, mi)))
+            .find_map(|(gi, s)| s.members.iter().position(|m| m.id == id).map(|mi| (gi, mi)))
     }
 
     fn find_boxed(&self, id: u64) -> Option<usize> {
@@ -584,42 +482,11 @@ impl SamplerService {
         self.validate_op(&op)?;
         let lsn = self.store.append_owned(op).map_err(ServiceError::Store)?;
         let op = &self.store.history().ops()[lsn as usize];
-        let t = op.tuple();
-        let passes = &self.count_passes;
-        for g in &mut self.groups {
-            let Group {
-                index,
-                members,
-                cache,
-                population,
-                ..
-            } = g;
-            if op.is_delete() {
-                if index.delete(t.relation, &t.values).is_some() {
-                    population.set(None);
-                    let index = &*index;
-                    for m in members.iter_mut() {
-                        m.core.apply_delete(index, t.relation, &t.values, || {
-                            Group::population(index, population, passes)
-                        });
-                    }
-                }
-            } else if let Some(tid) = index.insert(t.relation, &t.values) {
-                population.set(None);
-                Self::consume_group(index, members, cache, t.relation, tid);
-            }
+        for s in &mut self.groups {
+            s.group.apply(op);
         }
         for b in &mut self.boxed {
-            match op {
-                StreamOp::Insert(t) => {
-                    b.sampler.process(t.relation, &t.values);
-                    b.counter.insert(t.relation, t.values.clone());
-                }
-                StreamOp::Delete(t) => {
-                    b.sampler.delete(t.relation, &t.values);
-                    b.counter.remove(t.relation, &t.values);
-                }
-            }
+            b.apply(op);
         }
         self.ops_since_publish += 1;
         self.maybe_publish();
@@ -644,8 +511,7 @@ impl SamplerService {
     /// order. The batch is atomic with respect to publish points: the
     /// cadence check runs once, after the whole batch.
     pub fn process_columnar(&mut self, batch: &ColumnarBatch) -> Result<(), ServiceError> {
-        let nrels = batch.num_relations();
-        for rel in 0..nrels {
+        for rel in 0..batch.num_relations() {
             let rc = batch.relation(rel);
             if rc.rows() > 0 {
                 let arity = self.universe.relations().get(rel).map(|r| r.attrs.len());
@@ -654,52 +520,20 @@ impl SamplerService {
         }
         // Retain first (the store is the authority every backfill and
         // restore replays), then apply.
-        let mut row = Vec::new();
-        for &(rel, r) in batch.arrivals() {
-            row.clear();
-            batch.relation(rel as usize).write_row(r as usize, &mut row);
+        let first = self.store.lsn() as usize;
+        batch.shred(|rel, row| {
             self.store
-                .append_owned(StreamOp::insert(rel as usize, row.clone()))
+                .append_owned(StreamOp::insert(rel, row.to_vec()))
                 .expect("batch validated against the universe");
-        }
-        // One hash pass per relation, shared across all index groups.
-        let mut hashes: Vec<Vec<u64>> = Vec::with_capacity(nrels);
-        let mut flat: Vec<Value> = Vec::new();
-        for rel in 0..nrels {
-            let rc = batch.relation(rel);
-            let mut h = Vec::new();
-            if rc.rows() > 0 {
-                flat.clear();
-                rc.gather_rows(&mut flat);
-                fx_hash_columns(rc.arity() as u64, rc.arity(), &flat, &mut h);
-            }
-            hashes.push(h);
-        }
-        for g in &mut self.groups {
-            let Group {
-                index,
-                members,
-                cache,
-                population,
-                ..
-            } = g;
-            for &(rel, r) in batch.arrivals() {
-                row.clear();
-                batch.relation(rel as usize).write_row(r as usize, &mut row);
-                if let Some(tid) =
-                    index.insert_hashed(rel as usize, &row, hashes[rel as usize][r as usize])
-                {
-                    population.set(None);
-                    Self::consume_group(index, members, cache, rel as usize, tid);
-                }
-            }
+        });
+        let hashes = column_hashes(batch);
+        for s in &mut self.groups {
+            s.group.insert_columnar(batch, &hashes, |_| {});
         }
         for b in &mut self.boxed {
             b.sampler.process_columnar(batch);
-            for &(rel, r) in batch.arrivals() {
-                row.clear();
-                batch.relation(rel as usize).write_row(r as usize, &mut row);
-                b.counter.insert(rel as usize, row.clone());
+            for op in &self.store.history().ops()[first..] {
+                b.counter.apply(op);
             }
         }
         self.ops_since_publish += batch.arrivals().len() as u64;
@@ -723,10 +557,10 @@ impl SamplerService {
         self.ops_since_publish = 0;
         let lsn = self.store.lsn();
         let words = &mut self.publish_words;
-        for g in &self.groups {
-            let population = Group::population(&g.index, &g.population, &self.count_passes);
-            for m in &g.members {
-                let samples = m.core.samples();
+        for s in &self.groups {
+            let population = s.group.population();
+            for (m, core) in s.members.iter().zip(&s.group.members) {
+                let samples = core.reservoir.samples();
                 Self::begin_payload(words, &m.cell, lsn, population, samples.len());
                 words.extend_from_slice(samples.flat());
                 m.cell.publish(words);
@@ -764,11 +598,11 @@ impl SamplerService {
     /// registration is deregistered.
     pub fn reader(&self, handle: QueryHandle) -> Result<SampleReader, ServiceError> {
         if let Some((gi, mi)) = self.find_shared(handle.0) {
-            let m = &self.groups[gi].members[mi];
+            let s = &self.groups[gi];
             Ok(SampleReader {
-                cell: Arc::clone(&m.cell),
+                cell: Arc::clone(&s.members[mi].cell),
                 arity: self.universe.num_attrs(),
-                k: m.core.reservoir.capacity(),
+                k: s.group.members[mi].reservoir.capacity(),
             })
         } else if let Some(bi) = self.find_boxed(handle.0) {
             let b = &self.boxed[bi];
@@ -786,7 +620,10 @@ impl SamplerService {
     /// [`reader`](SamplerService::reader)).
     pub fn samples(&self, handle: QueryHandle) -> Result<Vec<Vec<Value>>, ServiceError> {
         if let Some((gi, mi)) = self.find_shared(handle.0) {
-            Ok(self.groups[gi].members[mi].core.samples().to_vec())
+            Ok(self.groups[gi].group.members[mi]
+                .reservoir
+                .samples()
+                .to_vec())
         } else if let Some(bi) = self.find_boxed(handle.0) {
             Ok(self.boxed[bi].sampler.samples())
         } else {
@@ -799,12 +636,7 @@ impl SamplerService {
     /// handles ask; boxed ones run their sidecar's `O(N)` count.
     pub fn exact_count(&self, handle: QueryHandle) -> Result<u128, ServiceError> {
         if let Some((gi, _)) = self.find_shared(handle.0) {
-            let g = &self.groups[gi];
-            Ok(Group::population(
-                &g.index,
-                &g.population,
-                &self.count_passes,
-            ))
+            Ok(self.groups[gi].group.population())
         } else if let Some(bi) = self.find_boxed(handle.0) {
             Ok(self.boxed[bi].counter.count())
         } else {
@@ -818,11 +650,9 @@ impl SamplerService {
     /// test measures against.
     pub fn heap_size(&self) -> usize {
         let mut total = self.store.heap_size();
-        for g in &self.groups {
-            total += g.index.heap_size();
-            for m in &g.members {
-                total += m.core.reservoir.heap_size() + m.cell.heap_size();
-            }
+        for s in &self.groups {
+            total += s.group.heap_size();
+            total += s.members.iter().map(|m| m.cell.heap_size()).sum::<usize>();
         }
         for b in &self.boxed {
             total += b.sampler.stats().heap_bytes.unwrap_or(0)
@@ -832,10 +662,11 @@ impl SamplerService {
         total
     }
 
-    /// Serializes the whole service: store, groups (options, tree, index
-    /// state, member cores), and boxed members (engine state bytes).
-    /// Fails with [`ServiceError::SnapshotUnavailable`], before the first
-    /// byte reaches `enc`, if any boxed engine has no image right now.
+    /// Serializes the whole service: store, groups (each member's image
+    /// tagged with its registration id), and boxed members (engine state
+    /// bytes). Fails with [`ServiceError::SnapshotUnavailable`], before
+    /// the first byte reaches `enc`, if any boxed engine has no image
+    /// right now.
     pub fn snapshot_to(&self, enc: &mut Encoder) -> Result<(), ServiceError> {
         let boxed_states = self
             .boxed
@@ -851,15 +682,9 @@ impl SamplerService {
         enc.put_u64(self.publish_every);
         enc.put_u64(self.ops_since_publish);
         enc.put_usize(self.groups.len());
-        for g in &self.groups {
-            enc.put_bool(g.options.grouping);
-            g.tree.snapshot_to(enc);
-            g.index.snapshot_state_to(enc);
-            enc.put_usize(g.members.len());
-            for m in &g.members {
-                enc.put_u64(m.id);
-                m.core.snapshot_to(enc);
-            }
+        for s in &self.groups {
+            s.group
+                .snapshot_to(enc, |mi, enc| enc.put_u64(s.members[mi].id));
         }
         enc.put_usize(self.boxed.len());
         for (b, state) in self.boxed.iter().zip(&boxed_states) {
@@ -877,8 +702,10 @@ impl SamplerService {
     /// registrations of `self` are discarded. Boxed members are rebuilt
     /// through `rebuild(engine_name, k)`, which must construct each engine
     /// with the same parameters it was originally registered with
-    /// (returning `None` rejects the snapshot). A fresh epoch is published
-    /// for every member, so readers attached afterwards see the restored
+    /// (returning `None` rejects the snapshot). Registration ids must be
+    /// distinct and below the image's next id, or a later registration
+    /// could mint a live handle again. A fresh epoch is published for
+    /// every member, so readers attached afterwards see the restored
     /// state immediately.
     pub fn restore_from_snapshot(
         &mut self,
@@ -900,46 +727,36 @@ impl SamplerService {
         let next_id = dec.u64()?;
         let publish_every = dec.u64()?;
         let ops_since_publish = dec.u64()?;
-        let nrels = self.universe.num_relations();
         let num_attrs = self.universe.num_attrs();
+        let mut ids = FxHashSet::default();
+        let mut fresh_id = |id: u64| {
+            if id < next_id && ids.insert(id) {
+                Ok(id)
+            } else {
+                Err(CodecError::Corrupt(
+                    "registration id repeats or is not below the next id",
+                ))
+            }
+        };
         let ngroups = dec.seq_len(1)?;
         let mut groups = Vec::with_capacity(ngroups);
         for _ in 0..ngroups {
-            let options = IndexOptions {
-                grouping: dec.bool()?,
-            };
-            let tree = JoinTree::restore_from(dec)?;
-            if tree.len() != nrels {
-                return Err(CodecError::Corrupt("group tree is for another universe"));
-            }
-            let mut index = DynamicIndex::with_tree(self.universe.clone(), &tree, options)
-                .map_err(|_| CodecError::Corrupt("group tree is not a join tree"))?;
-            index.restore_state_from(dec)?;
-            let nmembers = dec.seq_len(1)?;
-            if nmembers == 0 {
-                return Err(CodecError::Corrupt("empty index group in snapshot"));
-            }
-            let mut members = Vec::with_capacity(nmembers);
-            for _ in 0..nmembers {
-                let id = dec.u64()?;
-                let core = SamplerCore::restore_from(dec, &self.universe)?;
-                let cell = Arc::new(EpochCell::new(4 + core.reservoir.capacity() * num_attrs));
-                members.push(Member { id, core, cell });
-            }
-            groups.push(Group {
-                edges: tree.canonical_edges(),
-                tree,
-                options,
-                index,
-                members,
-                cache: DeltaCache::default(),
-                population: Cell::new(None),
-            });
+            let (group, member_ids) =
+                Group::restore_from(dec, &self.universe, |dec| fresh_id(dec.u64()?))?;
+            let members = member_ids
+                .into_iter()
+                .zip(&group.members)
+                .map(|(id, core)| Member {
+                    id,
+                    cell: Arc::new(EpochCell::new(4 + core.reservoir.capacity() * num_attrs)),
+                })
+                .collect();
+            groups.push(Shared { group, members });
         }
         let nboxed = dec.seq_len(1)?;
         let mut boxed = Vec::with_capacity(nboxed);
         for _ in 0..nboxed {
-            let id = dec.u64()?;
+            let id = fresh_id(dec.u64()?)?;
             let name = dec.str()?.to_string();
             let k = dec.usize()?;
             let state = dec.bytes()?.to_vec();
@@ -955,10 +772,7 @@ impl SamplerService {
             sampler.restore_state(&state)?;
             let mut counter = JoinCounter::new(self.universe.clone());
             for op in store.history().iter() {
-                match op {
-                    StreamOp::Insert(t) => counter.insert(t.relation, t.values.clone()),
-                    StreamOp::Delete(t) => counter.remove(t.relation, &t.values),
-                }
+                counter.apply(op);
             }
             let arity = sampler.output_query().num_attrs();
             let cell = Arc::new(EpochCell::new(4 + k * arity));
@@ -1082,6 +896,7 @@ mod tests {
     use super::*;
     use crate::reservoir_join::{ReplanPolicy, ReservoirJoin};
     use rsj_query::QueryBuilder;
+    use rsj_storage::OpStream;
 
     fn line3() -> Query {
         let mut qb = QueryBuilder::new();
@@ -1107,6 +922,11 @@ mod tests {
             }
         }
         ops
+    }
+
+    /// Index count passes paid so far across the service's groups.
+    fn count_passes(svc: &SamplerService) -> u64 {
+        svc.groups.iter().map(|s| s.group.count_passes()).sum()
     }
 
     fn standalone(q: &Query, k: usize, seed: u64) -> ReservoirJoin {
@@ -1135,7 +955,7 @@ mod tests {
         let ops = turnstile_ops(300, 7);
         let mut repairing_deletes = 0;
         for (i, op) in ops.iter().enumerate() {
-            let before = svc.count_passes.get();
+            let before = count_passes(&svc);
             svc.process_op(op).unwrap();
             if i % 64 == 63 {
                 // A mid-stream publish point and eight owner-side reads
@@ -1146,7 +966,7 @@ mod tests {
                 }
                 svc.publish();
             }
-            let passes = svc.count_passes.get() - before;
+            let passes = count_passes(&svc) - before;
             assert!(passes <= 1, "op {i}: {passes} count passes for one op");
             repairing_deletes += u64::from(op.is_delete() && passes == 1);
         }

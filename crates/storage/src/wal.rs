@@ -64,11 +64,15 @@ use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
 ///
-/// History: **2** — `KeyMap` images carry a layout byte, 4-byte tags and,
-/// in narrow tables, bare `u64` keys; `Relation` images no longer carry
-/// the dedup table (it is rebuilt on restore). **1** — the original format; such files are
-/// rejected, so a v1 directory must be re-ingested from its source stream.
-pub const FORMAT_VERSION: u32 = 2;
+/// History: **3** — `RSJoin`-family engine images are one index group
+/// (options, tree, index state, members) followed by the two replan
+/// counters; record encoding is unchanged. **2** — `KeyMap` images carry a
+/// layout byte, 4-byte tags and, in narrow tables, bare `u64` keys;
+/// `Relation` images no longer carry the dedup table (it is rebuilt on
+/// restore). **1** — the original format. Files of an older version are
+/// rejected, so such a directory must be re-ingested from its source
+/// stream.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic prefix of a WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"RSJW";
@@ -1043,8 +1047,8 @@ mod tests {
             Checkpoint::from_bytes(&bytes),
             Err(WalError::Corrupt("checkpoint checksum mismatch"))
         ));
-        // The previous format (1) is refused as loudly as a future one.
-        for version in [1, FORMAT_VERSION + 1] {
+        // Every previous format is refused as loudly as a future one.
+        for version in (1..FORMAT_VERSION).chain([FORMAT_VERSION + 1]) {
             let mut wrong_version = ck.to_bytes();
             wrong_version[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

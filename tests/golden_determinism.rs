@@ -200,7 +200,7 @@ fn post_delete_reservoirs_are_pinned() {
 /// byte-identical across releases, or old logs stop being replayable.
 ///
 /// **Format-version bump rule**: these digests pin WAL/checkpoint
-/// `FORMAT_VERSION = 2` (crates/storage/src/wal.rs) *and* every engine's
+/// `FORMAT_VERSION = 3` (crates/storage/src/wal.rs) *and* every engine's
 /// canonical snapshot image. Any deliberate change to the record layout,
 /// the checkpoint layout, or a snapshot wire format MUST (1) bump
 /// `FORMAT_VERSION` so old files are rejected loudly instead of
@@ -215,6 +215,19 @@ fn post_delete_reservoirs_are_pinned() {
 /// the record encoding is unchanged. v1 files are rejected with the
 /// version error; there is no in-place upgrade, a v1 directory is
 /// re-ingested from its source stream.
+///
+/// **Migration note, 2 → 3**: `RSJoin`-family engine images (`RSJoin`,
+/// `RSJoin_opt`'s inner driver, the cyclic driver's bag-level driver, and
+/// every image embedding one — sharded workers, boxed service members) now
+/// use the index-group layout the sampler service already wrote per group:
+/// grouping flag, join tree, index state, member count, then the member's
+/// plan, reservoir, repair RNG and counters, followed by the driver's
+/// rebuild count and last replan checkpoint. v2 wrote the plan first and
+/// the counters in a driver-specific order. The service's own group
+/// framing is unchanged. The checkpoint digest moved for that reason; the
+/// segment digest moved only through the version word in its header — WAL
+/// record encoding is unchanged. v2 files are rejected with the version
+/// error, like v1.
 #[test]
 fn durability_images_are_pinned() {
     use rsjoin::prelude::{CheckpointPolicy, Persistent};
@@ -282,11 +295,11 @@ fn durability_images_are_pinned() {
         return;
     }
     assert_eq!(
-        checkpoint, 0xC660_506B_3779_7734,
+        checkpoint, 0x02FE_CB13_E1F1_B72D,
         "checkpoint image moved — see the format-version bump rule above"
     );
     assert_eq!(
-        segment, 0x76B8_85F2_5241_B9DE,
+        segment, 0xF000_6FBE_6C63_527F,
         "WAL segment image moved — see the format-version bump rule above"
     );
 }

@@ -702,3 +702,80 @@ fn service_snapshot_with_a_ragged_sample_row_is_rejected_whole() {
         }
     }
 }
+
+/// A service image carries every member's registration id and the next id
+/// to hand out. An id at or past that next id, or one that repeats, would let
+/// `register` hand out a live handle a second time — and `deregister` of
+/// either copy remove the other's member. Both are corruption, rejected
+/// with the receiver untouched.
+#[test]
+fn service_snapshot_that_could_hand_out_a_live_handle_twice_is_rejected_whole() {
+    use rsjoin::common::{CodecError, Decoder, Encoder};
+    let query = line3();
+    let snapshot = |svc: &SamplerService| {
+        let mut enc = Encoder::new();
+        svc.snapshot_to(&mut enc).unwrap();
+        enc.into_bytes()
+    };
+    let u64_at =
+        |image: &[u8], at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+    let mut rebuild = |name: &str, k: usize| {
+        (name == "RSJoin").then(|| {
+            Box::new(ReservoirJoin::new(line3(), k, 7).unwrap()) as Box<dyn JoinSampler + Send>
+        })
+    };
+    let mut svc = SamplerService::new(query.clone());
+    let shared = svc.register(&query, &QueryOpts::new(8, 1)).unwrap();
+    for op in &turnstile_ops(&query, 80, 4, 31) {
+        svc.process_op(op).unwrap();
+    }
+    // The store image comes first; `next_id` is the word right after it.
+    let mut store = Encoder::new();
+    svc.store().snapshot_to(&mut store);
+    let next_id_at = store.as_slice().len();
+    let one_member = snapshot(&svc);
+    assert_eq!(u64_at(&one_member, next_id_at), 2);
+    let mut past_next = one_member.clone();
+    past_next[next_id_at..next_id_at + 8].copy_from_slice(&1u64.to_le_bytes());
+
+    // A boxed member's id sits right before its engine name.
+    svc.register_sampler(Box::new(ReservoirJoin::new(query.clone(), 4, 7).unwrap()))
+        .unwrap();
+    let two_members = snapshot(&svc);
+    let mut name = ("RSJoin".len() as u64).to_le_bytes().to_vec();
+    name.extend_from_slice(b"RSJoin");
+    let boxed_id_at = two_members
+        .windows(name.len())
+        .rposition(|w| w == name)
+        .expect("the image names the boxed engine")
+        - 8;
+    assert_eq!(u64_at(&two_members, boxed_id_at), 2);
+    let mut repeated = two_members.clone();
+    repeated[boxed_id_at..boxed_id_at + 8].copy_from_slice(&1u64.to_le_bytes());
+
+    for hostile in [&past_next, &repeated] {
+        let err = svc
+            .restore_from_snapshot(&mut Decoder::new(hostile), &mut rebuild)
+            .expect_err("an image that hands out a live handle twice was accepted");
+        assert_eq!(
+            err,
+            CodecError::Corrupt("registration id repeats or is not below the next id")
+        );
+        assert_eq!(
+            snapshot(&svc),
+            two_members,
+            "a rejected restore changed the service"
+        );
+    }
+    // The untouched images restore, and the next registration is new.
+    for image in [&one_member, &two_members] {
+        svc.restore_from_snapshot(&mut Decoder::new(image), &mut rebuild)
+            .unwrap();
+        let before = svc.handles();
+        let fresh = svc.register(&query, &QueryOpts::new(8, 1)).unwrap();
+        assert!(!before.contains(&fresh), "{fresh:?} handed out twice");
+        svc.deregister(fresh).unwrap();
+        assert_eq!(svc.handles(), before);
+        assert!(svc.registered(shared));
+    }
+}
