@@ -9,6 +9,7 @@ use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{FxHashSet, Value};
 use rsj_core::exec::{JoinSampler, SamplerStats};
 use rsj_query::Query;
+use rsj_storage::{SharedStoreError, StreamOp};
 
 impl JoinSampler for NaiveRebuild {
     fn name(&self) -> &'static str {
@@ -122,6 +123,10 @@ impl JoinSampler for SJoinOpt {
     /// count.
     fn delete(&mut self, rel: usize, tuple: &[Value]) {
         SJoinOpt::delete(self, rel, tuple);
+    }
+
+    fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        self.combiner().check_ops(&self.query, ops)
     }
 
     fn samples(&self) -> Vec<Vec<Value>> {

@@ -730,17 +730,19 @@ impl SJoinOpt {
 
     /// Processes one original-stream tuple.
     pub fn process(&mut self, orig_rel: usize, tuple: &[Value]) {
-        for (rel, t) in self.combiner.process(orig_rel, tuple) {
-            self.inner.process(rel, &t);
-        }
+        let inner = &mut self.inner;
+        self.combiner.process(orig_rel, tuple, |rel, t| {
+            inner.process(rel, t);
+        });
     }
 
     /// Deletes one original-stream tuple: the combiner's `-1` deltas route
     /// to the inner SJoin's delete path (exact eviction + backfill repair).
     pub fn delete(&mut self, orig_rel: usize, tuple: &[Value]) {
-        for (rel, t) in self.combiner.retract(orig_rel, tuple) {
-            self.inner.delete(rel, &t);
-        }
+        let inner = &mut self.inner;
+        self.combiner.retract(orig_rel, tuple, |rel, t| {
+            inner.delete(rel, t);
+        });
     }
 
     /// The streaming combiner (op counters, heap accounting).
@@ -756,11 +758,13 @@ impl SJoinOpt {
     }
 
     /// Restores from a [`SJoinOpt::snapshot_to`] image taken by a driver
-    /// built with the same `(query, fks, k, seed)`. On error the receiver
-    /// may be partially overwritten and must be discarded.
+    /// built with the same `(query, fks, k, seed)`. On error — in the
+    /// combiner's image or the inner SJoin's — the receiver is unchanged.
     pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        self.combiner.restore_from_snapshot(dec)?;
-        self.inner.restore_from_snapshot(dec)
+        let combiner = rsj_core::FkCombiner::restore_from(self.combiner.plan().clone(), dec)?;
+        self.inner.restore_from_snapshot(dec)?;
+        self.combiner = combiner;
+        Ok(())
     }
 
     /// Current samples (rewritten-query attribute order).

@@ -11,11 +11,10 @@
 //! executions.
 
 use rsj_bench::*;
-use rsj_core::{FkCombiner, ReservoirJoin};
+use rsj_core::{FkReservoirJoin, ReservoirJoin};
 use rsj_datagen::TpcdsLite;
 use rsj_index::IndexOptions;
 use rsj_queries::qz;
-use rsj_query::CombinePlan;
 
 fn main() {
     banner("Table (Fig. 9)", "optimizations on QZ over tpcds-lite");
@@ -35,21 +34,13 @@ fn main() {
         (out, rj.index_stats().propagation_loops)
     };
     let run_fk = |grouping: bool| -> (Outcome, u64) {
-        let plan = CombinePlan::build(&w.query, &w.fks).expect("workload fks are well-formed");
-        let mut comb = FkCombiner::new(plan.clone());
-        let mut rj =
-            ReservoirJoin::with_options(plan.rewritten.clone(), k, 1, IndexOptions { grouping })
-                .unwrap();
-        let mut feed = |rel: usize, t: &[u64]| {
-            for (r, v) in comb.process(rel, t) {
-                rj.process(r, &v);
-            }
-        };
+        let opts = IndexOptions { grouping };
+        let mut fk = FkReservoirJoin::with_options(&w.query, &w.fks, k, 1, opts).unwrap();
         for t in &w.preload {
-            feed(t.relation, &t.values);
+            fk.process(t.relation, &t.values);
         }
-        let out = timed_stream(&w, run_cap(), |rel, t| feed(rel, t));
-        (out, rj.index_stats().propagation_loops)
+        let out = timed_stream(&w, run_cap(), |rel, t| fk.process(rel, t));
+        (out, fk.inner().index_stats().propagation_loops)
     };
 
     let (t_none, l_none) = run_plain(false);

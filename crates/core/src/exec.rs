@@ -57,7 +57,7 @@ pub struct SamplerStats {
 
 /// Checks one op against `query`'s schema: the relation must exist and
 /// the tuple must be exactly as wide as the relation.
-pub(crate) fn check_op(query: &Query, op: &StreamOp) -> Result<(), SharedStoreError> {
+pub(crate) fn check_schema(query: &Query, op: &StreamOp) -> Result<(), SharedStoreError> {
     let t = op.tuple();
     let arity = query.relations().get(t.relation).map(|r| r.attrs.len());
     SharedStoreError::check(t.relation, arity, t.values.len())
@@ -88,11 +88,11 @@ pub(crate) fn apply_op<S: JoinSampler + ?Sized>(sampler: &mut S, op: &StreamOp) 
 /// is the engine-independent view used for cross-engine comparison.
 ///
 /// The primitives trust their caller: a relation index or tuple width
-/// that does not fit `input_query` is a caller bug and panics. Input from
-/// outside the program (a log, a socket) goes through
-/// [`process_op`](JoinSampler::process_op) /
-/// [`process_op_batch`](JoinSampler::process_op_batch), which check the
-/// schema first and return the rejection as a value.
+/// that does not fit `input_query`, or a primary key bound twice, is a
+/// caller bug and panics. Input from outside the program (a log, a
+/// socket) goes through [`process_op`](JoinSampler::process_op) /
+/// [`process_op_batch`](JoinSampler::process_op_batch), which check it
+/// first and return the rejection as a value.
 pub trait JoinSampler {
     /// Short display name (`"RSJoin"`, `"SJoin_opt"`, ...).
     fn name(&self) -> &'static str;
@@ -142,21 +142,33 @@ pub trait JoinSampler {
         batch.shred(|rel, t| self.process(rel, t));
     }
 
-    /// Feeds one turnstile stream op: checks it against
-    /// [`input_query`](JoinSampler::input_query), then applies it through
+    /// Checks one op as [`process_op`](JoinSampler::process_op) does, so
+    /// callers can reject it before it reaches a log.
+    fn check_op(&self, op: &StreamOp) -> Result<(), SharedStoreError> {
+        self.check_ops(std::slice::from_ref(op))
+    }
+
+    /// Checks ops as if applied in order. The default checks each against
+    /// [`input_query`](JoinSampler::input_query)'s schema; the foreign-key
+    /// engines also reject an insert whose primary key is bound to a
+    /// different tuple, by the live state or an earlier op of `ops`.
+    fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        ops.iter()
+            .try_for_each(|op| check_schema(self.input_query(), op))
+    }
+
+    /// Feeds one turnstile stream op: checks it, then applies it through
     /// [`process`](JoinSampler::process) or
-    /// [`delete`](JoinSampler::delete). An op naming an unknown relation
-    /// or carrying a tuple of the wrong width is rejected with nothing
-    /// applied.
+    /// [`delete`](JoinSampler::delete). A rejected op applies nothing.
     fn process_op(&mut self, op: &StreamOp) -> Result<(), SharedStoreError> {
-        check_op(self.input_query(), op)?;
+        self.check_op(op)?;
         apply_op(self, op);
         Ok(())
     }
 
     /// Feeds a batch of turnstile ops in arrival order. The whole slice
-    /// is schema-checked before anything is applied, so a rejected batch
-    /// leaves the sampler byte-identical to its pre-batch state.
+    /// is checked before anything is applied, so a rejected batch leaves
+    /// the sampler byte-identical to its pre-batch state.
     ///
     /// Delete-free windows are routed through the columnar ingest path
     /// ([`process_columnar`](JoinSampler::process_columnar)) — identical
@@ -164,8 +176,7 @@ pub trait JoinSampler {
     /// fast path. Windows containing any delete stay on the per-op path
     /// (the columnar layout is insert-only).
     fn process_op_batch(&mut self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
-        let query = self.input_query();
-        ops.iter().try_for_each(|op| check_op(query, op))?;
+        self.check_ops(ops)?;
         if let Some(batch) = ColumnarBatch::from_insert_ops(ops) {
             self.process_columnar(&batch);
             return Ok(());
@@ -273,6 +284,10 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
 
     fn delete(&mut self, rel: usize, tuple: &[Value]) {
         (**self).delete(rel, tuple)
+    }
+
+    fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        (**self).check_ops(ops)
     }
 
     fn process_columnar(&mut self, batch: &ColumnarBatch) {
@@ -387,6 +402,10 @@ impl JoinSampler for FkReservoirJoin {
     /// acyclic driver repairs its reservoir by eviction-and-backfill.
     fn delete(&mut self, rel: usize, tuple: &[Value]) {
         FkReservoirJoin::delete(self, rel, tuple);
+    }
+
+    fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        self.combiner().check_ops(&self.query, ops)
     }
 
     /// Re-plans the *rewritten* query's orientation (the foreign-key

@@ -10,55 +10,234 @@
 //! matching the paper: "when a tuple t_j is inserted into R_j, we need to
 //! identify all tuples in R_i that can join with t_j".
 //!
-//! Since PR 10 the combiner is a *signed* delta pipeline: each original
-//! relation routes to its own pipeline (the fact pipeline or one
-//! dimension-step pipeline), and both directions flow through the same
-//! registry of fact records. [`FkCombiner::process`] emits `+1` combined
-//! tuples; [`FkCombiner::retract`] emits the `-1` mirror — a deleted fact
-//! withdraws its combined tuple, a deleted dimension tuple withdraws every
-//! combined tuple routed through it and re-parks the affected facts at the
-//! now-missing step, exactly the state they held before that dimension
-//! arrived. Feeding the `+` side to an engine's insert path and the `-`
-//! side to its delete path keeps the engine's view identical to running
-//! the rewritten query over the live (post-delete) database.
+//! The combiner is a *signed* delta pipeline: [`FkCombiner::process`]
+//! emits `+1` combined tuples, [`FkCombiner::retract`] the `-1` mirror (a
+//! deleted dimension tuple withdraws every combined tuple routed through
+//! it and re-parks those facts), so an engine fed both sides sees the
+//! rewritten query over the live database.
+//!
+//! Each fact is stored once, in a fixed-stride [`Relation`]; each
+//! dimension step's tuples in another, behind a primary-key [`IdTable`].
+//! A fact's accumulated tuple and park step are re-derived by *walking*
+//! the chain (one PK probe per step) into one reused row, the slice the
+//! caller's sink receives. A fact sits in at most one registry list per
+//! step, so the lists are intrusive — a `[prev, next]` pair per fact and
+//! step — and keep their order, which fixes emission order.
 
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::{FxHashMap, Key, Value};
-use rsj_query::foreign_key::{CombinePlan, Routing};
+use rsj_common::{fx_hash_one, FxHashMap, HeapSize, IdTable, Key, Value};
+use rsj_query::foreign_key::{CombinePlan, CombinedRelation, DimJoin, Routing};
 use rsj_query::Query;
+use rsj_storage::{Relation, SharedStoreError, StreamOp};
 use rsj_stream::Rows;
 
-/// One registered fact tuple of a combined relation.
+/// The end of a list, and both ends of an empty one.
+const NIL: u32 = u32::MAX;
+
+/// Where a restored fact parks, among dimension tuple ids.
+const WAITS: u32 = NIL - 1;
+
+/// One dimension step's tuples, addressed by primary key.
 #[derive(Clone, Debug)]
-struct FactRec {
-    /// Accumulated tuple: the full combined width once emitted, truncated
-    /// to the prefix entering `parked_at` while parked.
-    acc: Vec<Value>,
-    /// The dimension step this fact waits at; `None` once fully combined
-    /// (and therefore emitted).
-    parked_at: Option<usize>,
+struct Dim {
+    tuples: Relation,
+    /// PK value -> live tuple id, compared against `tuples`.
+    pk: IdTable,
+}
+
+impl Dim {
+    /// The live tuple whose primary key is `pk`.
+    fn find(&self, d: &DimJoin, pk: &Key) -> Option<u32> {
+        self.pk.find(fx_hash_one(pk), |id| {
+            Key::project(self.tuples.tuple(id), &d.pk_positions_in_dim) == *pk
+        })
+    }
+}
+
+/// One dimension step's registry lists, each a `[head, tail]`.
+#[derive(Clone, Debug, Default)]
+struct Registry {
+    /// Per dimension tuple id: the facts that consumed it, in the order
+    /// they did — the reverse index a dimension delete walks.
+    passed: Vec<[u32; 2]>,
+    /// Per FK value without a live dimension tuple: the facts parked on
+    /// it, in arrival order.
+    waiting: FxHashMap<Key, [u32; 2]>,
+    /// Per fact id: `[prev, next]` in the one list of this step holding it.
+    links: Vec<[u32; 2]>,
+}
+
+impl Registry {
+    /// Links fact `f` in at the tail of its list at this step — the
+    /// `passed` list of dimension tuple `dim`, or the waiting list of `fk`
+    /// when there is none — or unlinks it from there.
+    fn apply(&mut self, link: bool, fk: Key, dim: Option<u32>, f: u32) {
+        let ends = match dim {
+            Some(d) => &mut self.passed[d as usize],
+            None => self.waiting.entry(fk).or_insert([NIL; 2]),
+        };
+        // Linking puts `f` between the tail and the end; unlinking points
+        // its neighbours at each other.
+        let old = self.links[f as usize];
+        let [prev, next] = if link { [ends[1], NIL] } else { old };
+        let (to_next, to_prev) = if link { (f, f) } else { (next, prev) };
+        self.links[f as usize] = [prev, next];
+        match prev {
+            NIL => ends[0] = to_next,
+            p => self.links[p as usize][1] = to_next,
+        }
+        match next {
+            NIL => ends[1] = to_prev,
+            n => self.links[n as usize][0] = to_prev,
+        }
+        if ends[0] == NIL && dim.is_none() {
+            self.waiting.remove(&fk);
+        }
+    }
 }
 
 /// Per-combined-relation streaming state.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct CombinedState {
-    /// Per dimension step: PK value -> dimension tuple.
-    dim_maps: Vec<FxHashMap<Key, Vec<Value>>>,
-    /// Per dimension step: FK value -> fact ids parked there, in arrival
-    /// order (list order fixes the release order, hence emission order).
-    waiting: Vec<FxHashMap<Key, Vec<u32>>>,
-    /// Per dimension step: FK value -> fact ids that consumed the
-    /// dimension tuple at that key (advanced past the step), in arrival
-    /// order — the reverse index a dimension delete walks.
-    passed: Vec<FxHashMap<Key, Vec<u32>>>,
-    /// Original fact tuple -> slab id (set semantics on the fact stream).
-    fact_ids: FxHashMap<Vec<Value>, u32>,
-    /// Fact slab; freed slots are recycled through `free`.
-    facts: Vec<Option<FactRec>>,
-    free: Vec<u32>,
-    /// `prefix_lens[s]` is the accumulated-tuple length entering step `s`;
-    /// the last entry is the full combined width.
-    prefix_lens: Vec<usize>,
+    /// The live facts (set semantics); their ids index every `links`.
+    facts: Relation,
+    dims: Vec<Dim>,
+    regs: Vec<Registry>,
+}
+
+/// Re-derives fact `f`'s accumulated tuple into `row`, one PK probe per
+/// step of `dims`, reporting each step reached to `visit(step, fk,
+/// dimension tuple)`. Returns the step it parks at, or `dims.len()`.
+fn walk(
+    c: &CombinedRelation,
+    facts: &Relation,
+    dims: &[Dim],
+    f: u32,
+    row: &mut Vec<Value>,
+    mut visit: impl FnMut(usize, Key, Option<u32>),
+) -> usize {
+    row.clear();
+    row.extend_from_slice(facts.tuple(f));
+    for (s, (d, dim)) in c.dims.iter().zip(dims).enumerate() {
+        let fk = Key::project(row, &d.fk_positions_in_acc);
+        let found = dim.find(d, &fk);
+        visit(s, fk, found);
+        let Some(id) = found else { return s };
+        let t = dim.tuples.tuple(id);
+        row.extend(d.append_positions.iter().map(|&p| t[p]));
+    }
+    dims.len()
+}
+
+impl CombinedState {
+    fn new(c: &CombinedRelation) -> CombinedState {
+        let appended: usize = c.dims.iter().map(|d| d.append_positions.len()).sum();
+        let dim = |d: &DimJoin| Dim {
+            tuples: Relation::new(
+                &c.name,
+                d.pk_positions_in_dim.len() + d.append_positions.len(),
+            ),
+            pk: IdTable::default(),
+        };
+        CombinedState {
+            facts: Relation::new(&c.name, c.schema_attrs.len() - appended),
+            dims: c.dims.iter().map(dim).collect(),
+            regs: vec![Registry::default(); c.dims.len()],
+        }
+    }
+
+    /// Walks `first` and the facts after it in its list at `list_step`
+    /// (just `first` if `None`), linking each into (`link`) or unlinking it
+    /// from every step past `list_step`; emits each that is complete.
+    fn rewalk(
+        &mut self,
+        c: &CombinedRelation,
+        first: u32,
+        list_step: Option<usize>,
+        link: bool,
+        row: &mut Vec<Value>,
+        emit: &mut impl FnMut(&[Value]),
+    ) {
+        let mut f = first;
+        while f != NIL {
+            let next = list_step.map_or(NIL, |s| self.regs[s].links[f as usize][1]);
+            let regs = &mut self.regs;
+            let park = walk(c, &self.facts, &self.dims, f, row, |s, fk, dim| {
+                if list_step.is_none_or(|l| s > l) {
+                    regs[s].apply(link, fk, dim, f);
+                }
+            });
+            if park == c.dims.len() {
+                emit(row);
+            }
+            f = next;
+        }
+    }
+
+    /// Fills this fresh state from what [`FkCombiner::snapshot_to`] wrote
+    /// (a rejected image leaves it half-filled), checking it whole:
+    /// relation arities, one live dimension tuple per PK, and per step
+    /// every live fact that walks that far listed exactly once, in the list
+    /// its walk puts it in, and nothing else, the lists whole and in the
+    /// order `snapshot_to` writes them.
+    fn restore(&mut self, dec: &mut Decoder, c: &CombinedRelation) -> Result<(), CodecError> {
+        let relation = |dec: &mut Decoder, like: &Relation| match Relation::restore_from(dec)? {
+            r if r.arity() == like.arity() => Ok(r),
+            _ => Err(CodecError::Corrupt("combiner relation of the wrong arity")),
+        };
+        self.facts = relation(dec, &self.facts)?;
+        for (d, Dim { tuples, pk }) in c.dims.iter().zip(&mut self.dims) {
+            *tuples = relation(dec, tuples)?;
+            *pk = IdTable::with_capacity(tuples.len());
+            for (id, t) in tuples.iter() {
+                let key = Key::project(t, &d.pk_positions_in_dim);
+                let same = |o| Key::project(tuples.tuple(o), &d.pk_positions_in_dim) == key;
+                if pk.insert_if_absent(fx_hash_one(&key), id, same).is_some() {
+                    return Err(CodecError::Corrupt("two live dimension tuples share a PK"));
+                }
+            }
+        }
+        // One walk per live fact finds the list it sits in at each step it
+        // reaches: the consumed dimension tuple's, or a waiting list.
+        let (facts, dims, slots) = (&self.facts, &self.dims, self.facts.num_slots());
+        let (mut owner, mut row) = (vec![vec![NIL; slots]; dims.len()], Vec::new());
+        for (f, _) in facts.iter() {
+            walk(c, facts, dims, f, &mut row, |s, _, dim| {
+                owner[s][f as usize] = dim.unwrap_or(WAITS);
+            });
+        }
+        for (s, (reg, owner)) in self.regs.iter_mut().zip(&mut owner).enumerate() {
+            reg.passed.resize(dims[s].tuples.num_slots(), [NIL; 2]);
+            reg.links.resize(slots, [NIL; 2]);
+            let mut last = (0, Key::EMPTY);
+            loop {
+                let f = dec.u32()?;
+                if f == NIL {
+                    break;
+                }
+                let list = match owner.get(f as usize).copied() {
+                    Some(WAITS) => {
+                        let mut fk = Key::EMPTY;
+                        walk(c, facts, &dims[..=s], f, &mut row, |_, key, _| fk = key);
+                        (WAITS, fk)
+                    }
+                    Some(id) if id != NIL => (id, Key::EMPTY),
+                    _ => return Err(CodecError::Corrupt("combiner lists a fact off its walk")),
+                };
+                // Each list whole, passed lists by tuple id, then by key.
+                if (list.0, list.1.as_slice()) < (last.0, last.1.as_slice()) {
+                    return Err(CodecError::Corrupt("combiner lists out of order"));
+                }
+                owner[f as usize] = NIL;
+                reg.apply(true, list.1, (list.0 != WAITS).then_some(list.0), f);
+                last = list;
+            }
+            if owner.iter().any(|&o| o != NIL) {
+                return Err(CodecError::Corrupt("combiner misses a live fact"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Executes a [`CombinePlan`] over the input stream, emitting signed
@@ -67,57 +246,19 @@ struct CombinedState {
 pub struct FkCombiner {
     plan: CombinePlan,
     states: Vec<CombinedState>,
+    /// The one row every accumulated tuple is re-derived into.
+    row: Vec<Value>,
     inserts: u64,
     deletes: u64,
-}
-
-/// Removes `id` from the list at `key`, preserving the order of the
-/// remaining entries (order fixes future emission order) and dropping the
-/// entry when the list empties.
-fn unregister(map: &mut FxHashMap<Key, Vec<u32>>, key: &Key, id: u32) {
-    let list = map.get_mut(key).expect("fact registered under this key");
-    let pos = list
-        .iter()
-        .position(|&x| x == id)
-        .expect("fact present in its registry list");
-    list.remove(pos);
-    if list.is_empty() {
-        map.remove(key);
-    }
 }
 
 impl FkCombiner {
     /// Creates a combiner for a plan.
     pub fn new(plan: CombinePlan) -> FkCombiner {
-        let states = plan
-            .combined
-            .iter()
-            .map(|c| {
-                let mut prefix_lens = Vec::with_capacity(c.dims.len() + 1);
-                let mut len = c.schema_attrs.len()
-                    - c.dims
-                        .iter()
-                        .map(|d| d.append_positions.len())
-                        .sum::<usize>();
-                prefix_lens.push(len);
-                for d in &c.dims {
-                    len += d.append_positions.len();
-                    prefix_lens.push(len);
-                }
-                CombinedState {
-                    dim_maps: vec![FxHashMap::default(); c.dims.len()],
-                    waiting: vec![FxHashMap::default(); c.dims.len()],
-                    passed: vec![FxHashMap::default(); c.dims.len()],
-                    fact_ids: FxHashMap::default(),
-                    facts: Vec::new(),
-                    free: Vec::new(),
-                    prefix_lens,
-                }
-            })
-            .collect();
         FkCombiner {
+            states: plan.combined.iter().map(CombinedState::new).collect(),
             plan,
-            states,
+            row: Vec::new(),
             inserts: 0,
             deletes: 0,
         }
@@ -144,352 +285,178 @@ impl FkCombiner {
         self.deletes
     }
 
-    /// Processes one original-stream insert; returns the emitted
-    /// `(rewritten_relation, tuple)` pairs (possibly empty or many).
-    pub fn process(&mut self, orig_rel: usize, tuple: &[Value]) -> Vec<(usize, Vec<Value>)> {
-        match self.plan.routing[orig_rel] {
-            Routing::Fact { combined } => {
-                let st = &mut self.states[combined];
-                if st.fact_ids.contains_key(tuple) {
-                    return Vec::new(); // duplicate fact (set semantics)
+    /// Checks `ops` in order against `query`, the original query, and the
+    /// primary keys: a dimension insert whose PK the live state or an
+    /// earlier op binds to another tuple is a
+    /// [`SharedStoreError::PrimaryKeyConflict`].
+    pub fn check_ops(&self, query: &Query, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        // Bindings made or freed by the ops checked so far.
+        let mut pending: FxHashMap<(usize, Key), Option<&[Value]>> = FxHashMap::default();
+        for (i, op) in ops.iter().enumerate() {
+            let t = op.tuple();
+            let arity = query.relations().get(t.relation).map(|r| r.attrs.len());
+            SharedStoreError::check(t.relation, arity, t.values.len())?;
+            let Routing::Dim { combined, step } = self.plan.routing[t.relation] else {
+                continue;
+            };
+            let d = &self.plan.combined[combined].dims[step];
+            let pk = Key::project(&t.values, &d.pk_positions_in_dim);
+            let dim = &self.states[combined].dims[step];
+            let bound = match pending.get(&(t.relation, pk)) {
+                Some(&b) => b,
+                None => dim.find(d, &pk).map(|id| dim.tuples.tuple(id)),
+            };
+            let now = match (op.is_delete(), bound) {
+                (false, Some(b)) if b != t.values => {
+                    return Err(SharedStoreError::PrimaryKeyConflict(t.relation))
                 }
-                let id = match st.free.pop() {
-                    Some(id) => id,
-                    None => {
-                        st.facts.push(None);
-                        (st.facts.len() - 1) as u32
-                    }
-                };
-                st.fact_ids.insert(tuple.to_vec(), id);
-                self.inserts += 1;
-                Self::advance(&self.plan.combined[combined], st, id, tuple.to_vec(), 0)
-                    .map(|t| vec![(combined, t)])
-                    .unwrap_or_default()
-            }
-            Routing::Dim { combined, step } => self.on_dim(combined, step, tuple),
-        }
-    }
-
-    /// Retracts one original-stream tuple; returns the *withdrawn*
-    /// `(rewritten_relation, tuple)` pairs — the `-1` side of the pipeline.
-    /// Deleting an absent tuple is a no-op. A retraction never emits on the
-    /// `+` side: removing input can only un-complete combined tuples.
-    pub fn retract(&mut self, orig_rel: usize, tuple: &[Value]) -> Vec<(usize, Vec<Value>)> {
-        match self.plan.routing[orig_rel] {
-            Routing::Fact { combined } => self.retract_fact(combined, tuple),
-            Routing::Dim { combined, step } => self.retract_dim(combined, step, tuple),
-        }
-    }
-
-    /// Walks the dimension chain from `step`, registering the fact in the
-    /// `passed` reverse index at every consumed step; parks at the first
-    /// missing dimension, returns the full combined tuple otherwise. The
-    /// fact record is (re)written in either case.
-    fn advance(
-        c: &rsj_query::foreign_key::CombinedRelation,
-        st: &mut CombinedState,
-        id: u32,
-        mut acc: Vec<Value>,
-        step: usize,
-    ) -> Option<Vec<Value>> {
-        for (s, d) in c.dims.iter().enumerate().skip(step) {
-            let fk = Key::project(&acc, &d.fk_positions_in_acc);
-            match st.dim_maps[s].get(&fk) {
-                Some(dim_tuple) => {
-                    for &p in &d.append_positions {
-                        acc.push(dim_tuple[p]);
-                    }
-                    st.passed[s].entry(fk).or_default().push(id);
-                }
-                None => {
-                    st.waiting[s].entry(fk).or_default().push(id);
-                    st.facts[id as usize] = Some(FactRec {
-                        acc,
-                        parked_at: Some(s),
-                    });
-                    return None;
-                }
-            }
-        }
-        st.facts[id as usize] = Some(FactRec {
-            acc: acc.clone(),
-            parked_at: None,
-        });
-        Some(acc)
-    }
-
-    /// A dimension tuple arrived: register it and release waiters.
-    fn on_dim(
-        &mut self,
-        combined: usize,
-        step: usize,
-        tuple: &[Value],
-    ) -> Vec<(usize, Vec<Value>)> {
-        let c = &self.plan.combined[combined];
-        let d = &c.dims[step];
-        let pk = Key::project(tuple, &d.pk_positions_in_dim);
-        let st = &mut self.states[combined];
-        if let Some(prev) = st.dim_maps[step].get(&pk) {
-            assert!(
-                prev.as_slice() == tuple,
-                "duplicate primary key {pk} in dimension {}",
-                c.name
-            );
-            return Vec::new(); // idempotent re-insert (set semantics)
-        }
-        st.dim_maps[step].insert(pk, tuple.to_vec());
-        self.inserts += 1;
-        let waiters = st.waiting[step].remove(&pk).unwrap_or_default();
-        let mut out = Vec::new();
-        for id in waiters {
-            let rec = st.facts[id as usize].take().expect("waiting fact exists");
-            let mut acc = rec.acc;
-            for &p in &d.append_positions {
-                acc.push(tuple[p]);
-            }
-            st.passed[step].entry(pk).or_default().push(id);
-            if let Some(full) = Self::advance(c, st, id, acc, step + 1) {
-                out.push((combined, full));
-            }
-        }
-        out
-    }
-
-    /// Withdraws a fact: unregister it everywhere, retract its combined
-    /// tuple if it had been emitted.
-    fn retract_fact(&mut self, combined: usize, tuple: &[Value]) -> Vec<(usize, Vec<Value>)> {
-        let c = &self.plan.combined[combined];
-        let st = &mut self.states[combined];
-        let Some(id) = st.fact_ids.remove(tuple) else {
-            return Vec::new(); // absent-tuple delete is a no-op
-        };
-        self.deletes += 1;
-        let rec = st.facts[id as usize].take().expect("registered fact");
-        st.free.push(id);
-        let progress = rec.parked_at.unwrap_or(c.dims.len());
-        for (s, d) in c.dims.iter().enumerate().take(progress) {
-            let fk = Key::project(&rec.acc, &d.fk_positions_in_acc);
-            unregister(&mut st.passed[s], &fk, id);
-        }
-        if let Some(park) = rec.parked_at {
-            let fk = Key::project(&rec.acc, &c.dims[park].fk_positions_in_acc);
-            unregister(&mut st.waiting[park], &fk, id);
-        }
-        match rec.parked_at {
-            None => vec![(combined, rec.acc)],
-            Some(_) => Vec::new(),
-        }
-    }
-
-    /// Withdraws a dimension tuple: every fact that consumed it loses its
-    /// emitted combined tuple (if any), rewinds to the state it held before
-    /// this dimension arrived, and re-parks at the now-missing step.
-    fn retract_dim(
-        &mut self,
-        combined: usize,
-        step: usize,
-        tuple: &[Value],
-    ) -> Vec<(usize, Vec<Value>)> {
-        let c = &self.plan.combined[combined];
-        let st = &mut self.states[combined];
-        let d = &c.dims[step];
-        let pk = Key::project(tuple, &d.pk_positions_in_dim);
-        match st.dim_maps[step].get(&pk) {
-            Some(existing) if existing.as_slice() == tuple => {}
-            _ => return Vec::new(), // absent (or a different tuple): no-op
-        }
-        st.dim_maps[step].remove(&pk);
-        self.deletes += 1;
-        let ids = st.passed[step].remove(&pk).unwrap_or_default();
-        let mut out = Vec::new();
-        for id in ids {
-            let rec = st.facts[id as usize].take().expect("passed fact exists");
-            let progress = rec.parked_at.unwrap_or(c.dims.len());
-            if rec.parked_at.is_none() {
-                out.push((combined, rec.acc.clone()));
-            }
-            for (s, ds) in c.dims.iter().enumerate().take(progress).skip(step + 1) {
-                let fk = Key::project(&rec.acc, &ds.fk_positions_in_acc);
-                unregister(&mut st.passed[s], &fk, id);
-            }
-            if let Some(park) = rec.parked_at {
-                let fk = Key::project(&rec.acc, &c.dims[park].fk_positions_in_acc);
-                unregister(&mut st.waiting[park], &fk, id);
-            }
-            let mut acc = rec.acc;
-            acc.truncate(st.prefix_lens[step]);
-            st.waiting[step].entry(pk).or_default().push(id);
-            st.facts[id as usize] = Some(FactRec {
-                acc,
-                parked_at: Some(step),
-            });
-        }
-        out
-    }
-
-    /// Serializes the combiner's complete dynamic state canonically:
-    /// dimension maps as sorted tuple lists, the fact slab and free list
-    /// verbatim (ids are load-bearing), the waiting/`passed` registries
-    /// with keys sorted and list orders verbatim (list order fixes future
-    /// emission order), and the op counters.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
-        enc.put_u64(self.inserts);
-        enc.put_u64(self.deletes);
-        for st in &self.states {
-            for m in &st.dim_maps {
-                let mut tuples: Vec<&Vec<Value>> = m.values().collect();
-                tuples.sort_unstable();
-                enc.put_usize(tuples.len());
-                for t in tuples {
-                    enc.put_u64s(t);
-                }
-            }
-            enc.put_usize(st.facts.len());
-            for slot in &st.facts {
-                match slot {
-                    Some(rec) => {
-                        enc.put_bool(true);
-                        enc.put_u64s(&rec.acc);
-                        match rec.parked_at {
-                            Some(s) => {
-                                enc.put_bool(true);
-                                enc.put_usize(s);
-                            }
-                            None => enc.put_bool(false),
-                        }
-                    }
-                    None => enc.put_bool(false),
-                }
-            }
-            enc.put_u32s(&st.free);
-            for registry in [&st.waiting, &st.passed] {
-                for m in registry {
-                    let mut entries: Vec<(&Key, &Vec<u32>)> = m.iter().collect();
-                    entries.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
-                    enc.put_usize(entries.len());
-                    for (k, ids) in entries {
-                        k.encode_to(enc);
-                        enc.put_u32s(ids);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restores state produced by [`FkCombiner::snapshot_to`] into a
-    /// combiner built from the same plan. On error the receiver may be
-    /// partially overwritten and must be discarded.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        self.inserts = dec.u64()?;
-        self.deletes = dec.u64()?;
-        for (ci, c) in self.plan.combined.iter().enumerate() {
-            let st = &mut self.states[ci];
-            for (s, d) in c.dims.iter().enumerate() {
-                let n = dec.seq_len(8)?;
-                let mut m = FxHashMap::default();
-                for _ in 0..n {
-                    let t = dec.u64s()?;
-                    let pk = Key::project(&t, &d.pk_positions_in_dim);
-                    if m.insert(pk, t).is_some() {
-                        return Err(CodecError::Corrupt("duplicate dimension PK in snapshot"));
-                    }
-                }
-                st.dim_maps[s] = m;
-            }
-            let slots = dec.seq_len(1)?;
-            let mut facts = Vec::with_capacity(slots);
-            let mut fact_ids = FxHashMap::default();
-            let fact_arity = st.prefix_lens[0];
-            for id in 0..slots {
-                if !dec.bool()? {
-                    facts.push(None);
-                    continue;
-                }
-                let acc = dec.u64s()?;
-                let parked_at = if dec.bool()? {
-                    let s = dec.usize()?;
-                    if s >= c.dims.len() {
-                        return Err(CodecError::Corrupt("parked step out of range"));
-                    }
-                    Some(s)
-                } else {
-                    None
-                };
-                let expect_len = st.prefix_lens[parked_at.unwrap_or(c.dims.len())];
-                if acc.len() != expect_len || acc.len() < fact_arity {
-                    return Err(CodecError::Corrupt("fact prefix length mismatch"));
-                }
-                if fact_ids
-                    .insert(acc[..fact_arity].to_vec(), id as u32)
-                    .is_some()
-                {
-                    return Err(CodecError::Corrupt("duplicate fact tuple in snapshot"));
-                }
-                facts.push(Some(FactRec { acc, parked_at }));
-            }
-            st.facts = facts;
-            st.fact_ids = fact_ids;
-            st.free = dec.u32s()?;
-            for which in 0..2 {
-                for s in 0..c.dims.len() {
-                    let n = dec.seq_len(2)?;
-                    let mut m: FxHashMap<Key, Vec<u32>> = FxHashMap::default();
-                    for _ in 0..n {
-                        let k = Key::decode_from(dec)?;
-                        let ids = dec.u32s()?;
-                        if ids.is_empty() {
-                            return Err(CodecError::Corrupt("empty registry list"));
-                        }
-                        for &id in &ids {
-                            if st.facts.get(id as usize).is_none_or(|f| f.is_none()) {
-                                return Err(CodecError::Corrupt("registry id without a fact"));
-                            }
-                        }
-                        if m.insert(k, ids).is_some() {
-                            return Err(CodecError::Corrupt("duplicate registry key"));
-                        }
-                    }
-                    if which == 0 {
-                        st.waiting[s] = m;
-                    } else {
-                        st.passed[s] = m;
-                    }
-                }
+                (false, _) => Some(t.values.as_slice()),
+                (true, b) => b.filter(|&b| b != t.values),
+            };
+            if i + 1 < ops.len() {
+                pending.insert((t.relation, pk), now);
             }
         }
         Ok(())
     }
 
-    /// Estimated heap bytes of the combiner state (dimension maps, fact
-    /// slab, registries).
+    /// Processes one original-stream insert, handing every combined tuple
+    /// it completes (none, one or many) to `emit(rewritten_relation,
+    /// tuple)`; the slice is the combiner's scratch row.
+    ///
+    /// # Panics
+    /// On a dimension tuple whose primary key is bound to a different live
+    /// tuple — the FK contract, which [`check_ops`](Self::check_ops)
+    /// checks up front.
+    pub fn process(&mut self, orig_rel: usize, tuple: &[Value], emit: impl FnMut(usize, &[Value])) {
+        self.apply(true, orig_rel, tuple, emit);
+    }
+
+    /// Retracts one original-stream tuple, handing every combined tuple it
+    /// withdraws to `emit` — the `-1` side of the pipeline. Deleting an
+    /// absent tuple is a no-op. A retraction never emits on the `+` side:
+    /// removing input can only un-complete combined tuples.
+    pub fn retract(&mut self, orig_rel: usize, tuple: &[Value], emit: impl FnMut(usize, &[Value])) {
+        self.apply(false, orig_rel, tuple, emit);
+    }
+
+    fn apply(
+        &mut self,
+        insert: bool,
+        orig_rel: usize,
+        tuple: &[Value],
+        mut emit: impl FnMut(usize, &[Value]),
+    ) {
+        let (combined, step) = match self.plan.routing[orig_rel] {
+            Routing::Fact { combined } => (combined, None),
+            Routing::Dim { combined, step } => (combined, Some(step)),
+        };
+        let (c, st) = (&self.plan.combined[combined], &mut self.states[combined]);
+        let (row, emit) = (&mut self.row, &mut |t: &[Value]| emit(combined, t));
+        let Some(step) = step else {
+            let id = match insert {
+                true => st.facts.insert(tuple),
+                false => st.facts.remove(tuple),
+            };
+            let Some(id) = id else { return }; // set semantics: a no-op
+            if insert {
+                self.inserts += 1;
+                st.regs.iter_mut().for_each(|r| r.links.push([NIL; 2]));
+            } else {
+                self.deletes += 1;
+            }
+            return st.rewalk(c, id, None, insert, row, emit);
+        };
+        let d = &c.dims[step];
+        let pk = Key::project(tuple, &d.pk_positions_in_dim);
+        let dim = &mut st.dims[step];
+        match (insert, dim.find(d, &pk)) {
+            (true, Some(id)) => assert!(
+                dim.tuples.tuple(id) == tuple, // else an idempotent re-insert
+                "duplicate primary key {pk} in dimension {}",
+                c.name
+            ),
+            (true, None) => {
+                let id = dim.tuples.insert(tuple).expect("no live tuple has its PK");
+                dim.pk.insert_if_absent(fx_hash_one(&pk), id, |_| false);
+                self.inserts += 1;
+                // Its waiters consume it in the order they parked: their
+                // waiting list becomes its `passed` list as it stands.
+                let reg = &mut st.regs[step];
+                let ends = reg.waiting.remove(&pk).unwrap_or([NIL; 2]);
+                reg.passed.push(ends);
+                st.rewalk(c, ends[0], Some(step), true, row, emit);
+            }
+            (false, Some(id)) if dim.tuples.tuple(id) == tuple => {
+                self.deletes += 1;
+                // Its consumers withdraw their emissions and leave every
+                // later step while it is still live to walk through...
+                let ends = std::mem::replace(&mut st.regs[step].passed[id as usize], [NIL; 2]);
+                st.rewalk(c, ends[0], Some(step), false, row, emit);
+                let dim = &mut st.dims[step];
+                dim.pk.remove(fx_hash_one(&pk), |o| o == id);
+                dim.tuples.remove(tuple);
+                // ...then park on its key, in the order they consumed it.
+                if ends[0] != NIL {
+                    st.regs[step].waiting.insert(pk, ends);
+                }
+            }
+            (false, _) => {} // absent (or a different tuple): a no-op
+        }
+    }
+
+    /// Serializes the combiner's dynamic state: the op counters, then per
+    /// combined relation the fact relation, every dimension relation, and
+    /// per step its registry lists' fact ids end to end, ended by
+    /// `u32::MAX` — the `passed` list of each live dimension tuple in id
+    /// order, then the waiting lists in key order. The lists name facts by
+    /// id, so the relations are written whole, tombstones included.
+    pub fn snapshot_to(&self, enc: &mut Encoder) {
+        enc.put_u64(self.inserts);
+        enc.put_u64(self.deletes);
+        for st in &self.states {
+            st.facts.snapshot_to(enc);
+            st.dims.iter().for_each(|d| d.tuples.snapshot_to(enc));
+            for (dim, reg) in st.dims.iter().zip(&st.regs) {
+                let mut waiting: Vec<_> = reg.waiting.iter().collect();
+                waiting.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
+                let passed = dim.tuples.iter().map(|(id, _)| reg.passed[id as usize]);
+                for [mut f, _] in passed.chain(waiting.into_iter().map(|(_, &ends)| ends)) {
+                    while f != NIL {
+                        enc.put_u32(f);
+                        f = reg.links[f as usize][1];
+                    }
+                }
+                enc.put_u32(NIL);
+            }
+        }
+    }
+
+    /// A combiner for `plan` restored from a
+    /// [`snapshot_to`](Self::snapshot_to) image, which is checked whole
+    /// (see `CombinedState::restore`).
+    pub fn restore_from(plan: CombinePlan, dec: &mut Decoder) -> Result<FkCombiner, CodecError> {
+        let mut c = FkCombiner::new(plan);
+        c.inserts = dec.u64()?;
+        c.deletes = dec.u64()?;
+        for (st, p) in c.states.iter_mut().zip(&c.plan.combined) {
+            st.restore(dec, p)?;
+        }
+        Ok(c)
+    }
+
+    /// Heap bytes of the combiner state: the fact and dimension relations,
+    /// the PK tables, the registries and the scratch row.
     pub fn heap_size(&self) -> usize {
-        self.states
-            .iter()
-            .map(|st| {
-                let dims: usize = st
-                    .dim_maps
-                    .iter()
-                    .map(|m| {
-                        m.values()
-                            .map(|v| v.capacity() * std::mem::size_of::<Value>() + 48)
-                            .sum::<usize>()
-                    })
-                    .sum();
-                let facts: usize = st
-                    .facts
-                    .iter()
-                    .flatten()
-                    .map(|r| r.acc.capacity() * std::mem::size_of::<Value>() + 48)
-                    .sum();
-                let lists: usize = st
-                    .waiting
-                    .iter()
-                    .chain(st.passed.iter())
-                    .map(|m| m.values().map(|ids| ids.capacity() * 4 + 48).sum::<usize>())
-                    .sum();
-                dims + facts + lists
-            })
-            .sum()
+        let mut bytes = self.row.heap_size();
+        for st in &self.states {
+            bytes += st.facts.heap_size();
+            for (d, r) in st.dims.iter().zip(&st.regs) {
+                bytes += d.tuples.heap_size() + d.pk.heap_size() + r.passed.heap_size();
+                bytes += r.waiting.heap_size() + r.links.heap_size();
+            }
+        }
+        bytes
     }
 }
 
@@ -568,18 +535,20 @@ impl FkReservoirJoin {
 
     /// Processes one original-stream tuple.
     pub fn process(&mut self, orig_rel: usize, tuple: &[Value]) {
-        for (rel, t) in self.combiner.process(orig_rel, tuple) {
-            self.inner.process(rel, &t);
-        }
+        let inner = &mut self.inner;
+        self.combiner.process(orig_rel, tuple, |rel, t| {
+            inner.process(rel, t);
+        });
     }
 
     /// Deletes one original-stream tuple: the combiner's `-1` deltas route
     /// to the inner driver's delete path, which repairs its reservoir by
     /// eviction-and-backfill against the exact live count.
     pub fn delete(&mut self, orig_rel: usize, tuple: &[Value]) {
-        for (rel, t) in self.combiner.retract(orig_rel, tuple) {
-            self.inner.delete(rel, &t);
-        }
+        let inner = &mut self.inner;
+        self.combiner.retract(orig_rel, tuple, |rel, t| {
+            inner.delete(rel, t);
+        });
     }
 
     /// Current samples, as value tuples of the *rewritten* query (attribute
@@ -623,10 +592,14 @@ impl FkReservoirJoin {
     }
 
     /// Restores from a [`FkReservoirJoin::snapshot_to`] image taken by a
-    /// driver built with the same `(query, fks, k, seed, options)`.
+    /// driver built with the same `(query, fks, k, seed, options)`. On
+    /// error — in the combiner's image or the inner driver's — the
+    /// receiver is unchanged.
     pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        self.combiner.restore_from_snapshot(dec)?;
-        self.inner.restore_from_snapshot(dec)
+        let combiner = FkCombiner::restore_from(self.combiner.plan().clone(), dec)?;
+        self.inner.restore_from_snapshot(dec)?;
+        self.combiner = combiner;
+        Ok(())
     }
 
     /// Estimated heap bytes (combiner state + inner driver).
@@ -642,64 +615,108 @@ mod tests {
     use rsj_common::FxHashSet;
     use rsj_query::{FkSchema, QueryBuilder};
 
-    /// fact(K, M) ⋈ dim(K, D), PK(dim) = K.
-    fn simple_plan() -> CombinePlan {
+    type Emitted = Vec<(usize, Vec<u64>)>;
+
+    /// [`FkCombiner::process`], collecting what it emits.
+    fn ins(c: &mut FkCombiner, rel: usize, t: &[u64]) -> Emitted {
+        let mut out = Vec::new();
+        c.process(rel, t, |r, t| out.push((r, t.to_vec())));
+        out
+    }
+
+    /// [`FkCombiner::retract`], collecting what it withdraws.
+    fn ret(c: &mut FkCombiner, rel: usize, t: &[u64]) -> Emitted {
+        let mut out = Vec::new();
+        c.retract(rel, t, |r, t| out.push((r, t.to_vec())));
+        out
+    }
+
+    fn simple_query() -> Query {
         let mut qb = QueryBuilder::new();
         qb.relation("fact", &["K", "M"]);
         qb.relation("dim", &["K", "D"]);
-        let q = qb.build().unwrap();
+        qb.build().unwrap()
+    }
+
+    /// fact(K, M) ⋈ dim(K, D), PK(dim) = K.
+    fn simple_plan() -> CombinePlan {
         let fks = FkSchema::none(2).with_pk(1, vec![0]);
-        CombinePlan::build(&q, &fks).unwrap()
+        CombinePlan::build(&simple_query(), &fks).unwrap()
     }
 
     #[test]
     fn fact_after_dim_emits_immediately() {
         let mut c = FkCombiner::new(simple_plan());
-        assert!(c.process(1, &[7, 100]).is_empty());
-        let out = c.process(0, &[7, 1]);
-        assert_eq!(out, vec![(0, vec![7, 1, 100])]);
+        assert!(ins(&mut c, 1, &[7, 100]).is_empty());
+        assert_eq!(ins(&mut c, 0, &[7, 1]), vec![(0, vec![7, 1, 100])]);
     }
 
     #[test]
     fn fact_before_dim_waits_then_flushes() {
         let mut c = FkCombiner::new(simple_plan());
-        assert!(c.process(0, &[7, 1]).is_empty());
-        assert!(c.process(0, &[7, 2]).is_empty());
-        let out = c.process(1, &[7, 100]);
-        let set: FxHashSet<Vec<u64>> = out.into_iter().map(|(_, t)| t).collect();
+        assert!(ins(&mut c, 0, &[7, 2]).is_empty());
+        assert!(ins(&mut c, 0, &[7, 1]).is_empty());
         assert_eq!(
-            set,
-            [vec![7, 1, 100], vec![7, 2, 100]].into_iter().collect()
+            ins(&mut c, 1, &[7, 100]),
+            vec![(0, vec![7, 2, 100]), (0, vec![7, 1, 100])]
         );
     }
 
     #[test]
     fn unmatched_fact_never_emits() {
         let mut c = FkCombiner::new(simple_plan());
-        assert!(c.process(0, &[9, 1]).is_empty());
-        assert!(c.process(1, &[7, 100]).is_empty());
+        assert!(ins(&mut c, 0, &[9, 1]).is_empty());
+        assert!(ins(&mut c, 1, &[7, 100]).is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "duplicate primary key")]
-    fn duplicate_pk_asserts() {
-        // Two *different* tuples under one PK violate the FkSchema
-        // contract; an identical re-insert is an idempotent no-op.
+    fn pk_conflicts_are_checked_in_op_order() {
+        let q = simple_query();
         let mut c = FkCombiner::new(simple_plan());
-        c.process(1, &[7, 100]);
-        assert!(c.process(1, &[7, 100]).is_empty());
-        c.process(1, &[7, 200]);
+        ins(&mut c, 1, &[7, 100]);
+        let conflict = Err(SharedStoreError::PrimaryKeyConflict(1));
+        // An identical re-insert is an idempotent no-op, not a conflict.
+        assert_eq!(
+            c.check_ops(&q, &[StreamOp::insert(1, vec![7, 100])]),
+            Ok(())
+        );
+        assert_eq!(
+            c.check_ops(&q, &[StreamOp::insert(1, vec![7, 200])]),
+            conflict
+        );
+        // Freed earlier in the same batch: fine. Bound earlier in it: not.
+        let rebind = [
+            StreamOp::delete(1, vec![7, 100]),
+            StreamOp::insert(1, vec![7, 200]),
+        ];
+        assert_eq!(c.check_ops(&q, &rebind), Ok(()));
+        let twice = [
+            StreamOp::insert(1, vec![8, 1]),
+            StreamOp::insert(0, vec![8, 5]),
+            StreamOp::insert(1, vec![8, 2]),
+        ];
+        assert_eq!(c.check_ops(&q, &twice), conflict);
+        // Deleting another tuple under the key frees nothing.
+        let miss = [
+            StreamOp::delete(1, vec![7, 300]),
+            StreamOp::insert(1, vec![7, 200]),
+        ];
+        assert_eq!(c.check_ops(&q, &miss), conflict);
+        assert_eq!(
+            c.check_ops(&q, &[StreamOp::insert(2, vec![1])]),
+            Err(SharedStoreError::UnknownRelation(2))
+        );
     }
 
     #[test]
     fn retracting_a_fact_withdraws_its_emission() {
         let mut c = FkCombiner::new(simple_plan());
-        c.process(1, &[7, 100]);
-        assert_eq!(c.process(0, &[7, 1]), vec![(0, vec![7, 1, 100])]);
-        assert_eq!(c.retract(0, &[7, 1]), vec![(0, vec![7, 1, 100])]);
+        ins(&mut c, 1, &[7, 100]);
+        assert_eq!(ins(&mut c, 0, &[7, 1]), vec![(0, vec![7, 1, 100])]);
+        assert_eq!(ret(&mut c, 0, &[7, 1]), vec![(0, vec![7, 1, 100])]);
         // Gone: retracting again (or the dim) withdraws nothing further.
-        assert!(c.retract(0, &[7, 1]).is_empty());
-        assert!(c.retract(1, &[7, 100]).is_empty());
+        assert!(ret(&mut c, 0, &[7, 1]).is_empty());
+        assert!(ret(&mut c, 1, &[7, 100]).is_empty());
         assert_eq!(c.inserts(), 2);
         assert_eq!(c.deletes(), 2);
     }
@@ -707,24 +724,24 @@ mod tests {
     #[test]
     fn retracting_a_parked_fact_is_silent() {
         let mut c = FkCombiner::new(simple_plan());
-        assert!(c.process(0, &[7, 1]).is_empty()); // parked at the dim
-        assert!(c.retract(0, &[7, 1]).is_empty());
+        assert!(ins(&mut c, 0, &[7, 1]).is_empty()); // parked at the dim
+        assert!(ret(&mut c, 0, &[7, 1]).is_empty());
         // The dim arriving later releases nothing.
-        assert!(c.process(1, &[7, 100]).is_empty());
+        assert!(ins(&mut c, 1, &[7, 100]).is_empty());
     }
 
     #[test]
     fn retracting_a_dim_reparks_its_consumers() {
         let mut c = FkCombiner::new(simple_plan());
-        c.process(1, &[7, 100]);
-        assert_eq!(c.process(0, &[7, 1]), vec![(0, vec![7, 1, 100])]);
-        assert!(c.process(0, &[8, 2]).is_empty()); // different key, parked
-                                                   // Withdraw the dim: the emitted combined tuple comes back signed -1.
-        assert_eq!(c.retract(1, &[7, 100]), vec![(0, vec![7, 1, 100])]);
+        ins(&mut c, 1, &[7, 100]);
+        assert_eq!(ins(&mut c, 0, &[7, 1]), vec![(0, vec![7, 1, 100])]);
+        assert!(ins(&mut c, 0, &[8, 2]).is_empty()); // different key, parked
+                                                     // Withdraw the dim: the emitted combined tuple comes back signed -1.
+        assert_eq!(ret(&mut c, 1, &[7, 100]), vec![(0, vec![7, 1, 100])]);
         // The fact is parked again: re-inserting the dim re-emits it.
-        assert_eq!(c.process(1, &[7, 100]), vec![(0, vec![7, 1, 100])]);
+        assert_eq!(ins(&mut c, 1, &[7, 100]), vec![(0, vec![7, 1, 100])]);
         // And the unrelated parked fact is still waiting for its own key.
-        assert_eq!(c.process(1, &[8, 50]), vec![(0, vec![8, 2, 50])]);
+        assert_eq!(ins(&mut c, 1, &[8, 50]), vec![(0, vec![8, 2, 50])]);
     }
 
     /// Chain: fact(K,M) ⋈ d1(K,L) ⋈ d2(L,W); PKs d1.K, d2.L.
@@ -756,7 +773,7 @@ mod tests {
             let mut emitted = Vec::new();
             for &i in &order {
                 let (rel, t) = &events[i];
-                emitted.extend(c.process(*rel, t));
+                emitted.extend(ins(&mut c, *rel, t));
             }
             assert_eq!(emitted, vec![(0, vec![7, 1, 3, 9])], "order {order:?}");
         }
@@ -764,18 +781,18 @@ mod tests {
 
     #[test]
     fn mid_chain_dim_retraction_rewinds_to_that_step() {
-        // Retracting d1 must also unregister the fact from d2's registries
-        // and truncate its accumulated tuple back to the fact prefix.
+        // Retracting d1 must also unregister the fact from d2's registries;
+        // its accumulated tuple is re-derived from the fact alone.
         let mut c = FkCombiner::new(chain_plan());
-        c.process(1, &[7, 3]); // d1: K=7 -> L=3
-        c.process(2, &[3, 9]); // d2: L=3 -> W=9
-        assert_eq!(c.process(0, &[7, 1]), vec![(0, vec![7, 1, 3, 9])]);
-        assert_eq!(c.retract(1, &[7, 3]), vec![(0, vec![7, 1, 3, 9])]);
+        ins(&mut c, 1, &[7, 3]); // d1: K=7 -> L=3
+        ins(&mut c, 2, &[3, 9]); // d2: L=3 -> W=9
+        assert_eq!(ins(&mut c, 0, &[7, 1]), vec![(0, vec![7, 1, 3, 9])]);
+        assert_eq!(ret(&mut c, 1, &[7, 3]), vec![(0, vec![7, 1, 3, 9])]);
         // Retracting d2 now withdraws nothing (the fact rewound past it).
-        assert!(c.retract(2, &[3, 9]).is_empty());
+        assert!(ret(&mut c, 2, &[3, 9]).is_empty());
         // A different d1 binding re-routes the fact through a fresh chain.
-        c.process(2, &[4, 11]);
-        assert_eq!(c.process(1, &[7, 4]), vec![(0, vec![7, 1, 4, 11])]);
+        ins(&mut c, 2, &[4, 11]);
+        assert_eq!(ins(&mut c, 1, &[7, 4]), vec![(0, vec![7, 1, 4, 11])]);
     }
 
     /// Turnstile equivalence: a shuffled insert/delete history must leave
@@ -806,7 +823,7 @@ mod tests {
                     t.clone()
                 };
                 live[rel].remove(&victim);
-                for (_, gone) in c.retract(rel, &victim) {
+                for (_, gone) in ret(&mut c, rel, &victim) {
                     assert!(emitted.remove(&gone), "step {step}: unknown retraction");
                 }
                 if !dim_pk_conflict {
@@ -814,7 +831,7 @@ mod tests {
                 }
             }
             if live[rel].insert(t.clone()) {
-                for (_, new) in c.process(rel, &t) {
+                for (_, new) in ins(&mut c, rel, &t) {
                     assert!(emitted.insert(new), "step {step}: duplicate emission");
                 }
             }
@@ -854,34 +871,34 @@ mod tests {
         let split = history.len() * 2 / 3;
         for (insert, rel, t) in &history[..split] {
             if *insert {
-                c.process(*rel, t);
+                ins(&mut c, *rel, t);
             } else {
-                c.retract(*rel, t);
+                ret(&mut c, *rel, t);
             }
         }
-        let mut enc = Encoder::new();
-        c.snapshot_to(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut restored = FkCombiner::new(chain_plan());
-        restored
-            .restore_from_snapshot(&mut Decoder::new(&bytes))
-            .unwrap();
+        let snap = |c: &FkCombiner| {
+            let mut enc = Encoder::new();
+            c.snapshot_to(&mut enc);
+            enc.into_bytes()
+        };
+        let bytes = snap(&c);
+        let mut restored =
+            FkCombiner::restore_from(chain_plan(), &mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(snap(&restored), bytes, "re-serialization drifted");
         // Identical emissions (and order) on the rest of the history.
         for (insert, rel, t) in &history[split..] {
             let (a, b) = if *insert {
-                (c.process(*rel, t), restored.process(*rel, t))
+                (ins(&mut c, *rel, t), ins(&mut restored, *rel, t))
             } else {
-                (c.retract(*rel, t), restored.retract(*rel, t))
+                (ret(&mut c, *rel, t), ret(&mut restored, *rel, t))
             };
             assert_eq!(a, b);
         }
         assert_eq!(c.inserts(), restored.inserts());
         assert_eq!(c.deletes(), restored.deletes());
         // Truncated images are rejected, not mis-restored.
-        let mut fresh = FkCombiner::new(chain_plan());
-        assert!(fresh
-            .restore_from_snapshot(&mut Decoder::new(&bytes[..bytes.len() / 2]))
-            .is_err());
+        let half = &bytes[..bytes.len() / 2];
+        assert!(FkCombiner::restore_from(chain_plan(), &mut Decoder::new(half)).is_err());
     }
 
     #[test]

@@ -64,7 +64,7 @@
 //! serialized, rebuilt on demand after a restore.
 
 use crate::count::JoinCounter;
-use crate::exec::{apply_op, check_op, JoinSampler};
+use crate::exec::{apply_op, check_schema, JoinSampler};
 use crate::group::{column_hashes, Group};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::RsjRng;
@@ -156,7 +156,8 @@ pub enum ServiceError {
     PlanMismatch,
     /// Index construction rejected the plan's tree.
     Index(IndexError),
-    /// The op failed shared-store validation (unknown relation, arity).
+    /// The op failed validation (unknown relation, arity, a primary key
+    /// bound to another tuple).
     Store(SharedStoreError),
     /// The handle names no live registration.
     UnknownHandle(u64),
@@ -463,9 +464,12 @@ impl SamplerService {
     /// The checks [`process_op`](SamplerService::process_op) performs
     /// before any mutation, without applying anything — what the
     /// durability wrapper runs before logging an op, so nothing ever
-    /// reaches the WAL that replay would reject.
+    /// reaches the WAL that replay would reject: the universe's schema,
+    /// then every boxed member's own [`JoinSampler::check_op`].
     pub fn validate_op(&self, op: &StreamOp) -> Result<(), ServiceError> {
-        check_op(&self.universe, op).map_err(ServiceError::Store)
+        check_schema(&self.universe, op)
+            .and_then(|()| self.boxed.iter().try_for_each(|b| b.sampler.check_op(op)))
+            .map_err(ServiceError::Store)
     }
 
     /// Ingests one op: validate, retain, apply to every registration,

@@ -34,6 +34,9 @@ pub enum SharedStoreError {
     },
     /// `release` on a relation whose reference count is already zero.
     ReleaseUnderflow(usize),
+    /// An insert into a relation whose primary key is already bound to a
+    /// different tuple.
+    PrimaryKeyConflict(usize),
 }
 
 impl std::fmt::Display for SharedStoreError {
@@ -52,6 +55,9 @@ impl std::fmt::Display for SharedStoreError {
             ),
             SharedStoreError::ReleaseUnderflow(r) => {
                 write!(f, "release on relation {r} with zero references")
+            }
+            SharedStoreError::PrimaryKeyConflict(r) => {
+                write!(f, "relation {r} has the primary key on another tuple")
             }
         }
     }

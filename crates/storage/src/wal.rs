@@ -64,15 +64,16 @@ use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
 ///
-/// History: **3** — `RSJoin`-family engine images are one index group
-/// (options, tree, index state, members) followed by the two replan
+/// History: **4** — the foreign-key combiner image is its relations plus
+/// its registry lists. **3** — `RSJoin`-family engine images are one index
+/// group (options, tree, index state, members) followed by the two replan
 /// counters; record encoding is unchanged. **2** — `KeyMap` images carry a
 /// layout byte, 4-byte tags and, in narrow tables, bare `u64` keys;
 /// `Relation` images no longer carry the dedup table (it is rebuilt on
 /// restore). **1** — the original format. Files of an older version are
 /// rejected, so such a directory must be re-ingested from its source
 /// stream.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic prefix of a WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"RSJW";

@@ -27,7 +27,7 @@
 
 use rsj_core::{JoinSampler, RebuildFn, SamplerService, SamplerStats};
 use rsj_storage::wal::{Checkpoint, Sleeper, Wal, WalError, WalFs, WalOptions};
-use rsj_storage::{SharedStoreError, StreamOp};
+use rsj_storage::StreamOp;
 use std::path::{Path, PathBuf};
 
 /// File name of the checkpoint inside the durability directory.
@@ -211,12 +211,12 @@ impl<S: JoinSampler> Persistent<S> {
     /// are counted as lost, and keep serving reads; a later successful
     /// checkpoint heals the wrapper (its snapshot covers the unlogged
     /// ops). Any other WAL error is returned without applying the op, and
-    /// an op that does not fit the engine's schema is rejected before it
-    /// is logged — nothing reaches the WAL that replay would reject.
+    /// an op the engine's [`JoinSampler::check_op`] rejects is rejected
+    /// before it is logged — nothing reaches the WAL that replay would
+    /// reject.
     pub fn process_op(&mut self, op: &StreamOp) -> Result<(), PersistError> {
-        let t = op.tuple();
-        let arity = self.inner.input_query().relations().get(t.relation);
-        SharedStoreError::check(t.relation, arity.map(|r| r.attrs.len()), t.values.len())
+        self.inner
+            .check_op(op)
             .map_err(|e| PersistError::Engine(e.to_string()))?;
         let mut just_degraded: Option<WalError> = None;
         if self.lost_since.is_some() {

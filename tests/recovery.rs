@@ -550,9 +550,9 @@ fn sample_row_of_the_wrong_width_is_corruption_on_every_row_storing_engine() {
     for (engine, atomic) in [
         (Engine::Reservoir, true),
         (Engine::SJoin, true),
-        (Engine::FkReservoir, false),
+        (Engine::FkReservoir, true),
         (Engine::Cyclic, false),
-        (Engine::SJoinOpt, false),
+        (Engine::SJoinOpt, true),
     ] {
         let mut live = build(&engine, &query);
         live.process_op_batch(&ops).unwrap();
@@ -777,5 +777,158 @@ fn service_snapshot_that_could_hand_out_a_live_handle_twice_is_rejected_whole() 
         svc.deregister(fresh).unwrap();
         assert_eq!(svc.handles(), before);
         assert!(svc.registered(shared));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Foreign-key engines: primary keys and combiner images
+// ---------------------------------------------------------------------------
+
+/// `F(K, M) ⋈ D(K, L)` with `D`'s primary key `K`: the combiner folds `D`
+/// into `F`, so every `D` insert binds a key.
+fn fk_engine(engine: &Engine) -> (Query, BoxedSampler) {
+    let mut qb = QueryBuilder::new();
+    qb.relation("F", &["K", "M"]);
+    qb.relation("D", &["K", "L"]);
+    let query = qb.build().unwrap();
+    let opts = EngineOpts {
+        fks: Some(FkSchema::none(2).with_pk(1, vec![0])),
+        ..EngineOpts::default()
+    };
+    let s = engine.build(&query, 16, 0xD15EA5E, &opts).unwrap();
+    (query, s)
+}
+
+/// A dimension insert that binds a bound primary key to a different tuple
+/// used to be logged and then panic the engine, so every later open of
+/// the directory panicked in replay. It is a typed rejection now, checked
+/// before the op is logged, on every path an op enters by.
+#[test]
+fn conflicting_primary_key_is_rejected_before_it_is_logged() {
+    let conflict = StreamOp::insert(1, vec![7, 200]);
+    let ops = [
+        StreamOp::insert(1, vec![7, 100]),
+        StreamOp::insert(0, vec![7, 1]),
+        StreamOp::insert(1, vec![7, 100]), // identical: an idempotent no-op
+    ];
+    for engine in [Engine::FkReservoir, Engine::SJoinOpt] {
+        let scratch = Scratch::new("pk");
+        let open = || {
+            let (_, s) = fk_engine(&engine);
+            Persistent::open(s, scratch.path(), CheckpointPolicy::Manual).unwrap()
+        };
+        let mut p = open();
+        for op in &ops {
+            p.process_op(op).unwrap();
+        }
+        let image = p.engine().snapshot_state();
+        let err = p.process_op(&conflict).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Engine(ref m) if m.contains("primary key")),
+            "{engine}: {err}"
+        );
+        assert_eq!(
+            p.next_lsn(),
+            ops.len() as u64,
+            "{engine}: the conflict was logged"
+        );
+        assert_eq!(p.engine().snapshot_state(), image, "{engine}");
+        p.flush().unwrap();
+        drop(p);
+        let mut r = open();
+        assert_eq!(r.next_lsn(), ops.len() as u64, "{engine}");
+        assert_eq!(r.engine().snapshot_state(), image, "{engine}");
+        // Freeing the key first makes the same insert legal, in one batch too.
+        let rebind = [StreamOp::delete(1, vec![7, 100]), conflict.clone()];
+        let (_, mut bare) = fk_engine(&engine);
+        bare.process_op_batch(&ops).unwrap();
+        let before = bare.snapshot_state();
+        let rejected = Err(SharedStoreError::PrimaryKeyConflict(1));
+        assert_eq!(bare.process_op(&conflict), rejected, "{engine}");
+        assert_eq!(bare.process_op_batch(&[rebind[1].clone()]), rejected);
+        assert_eq!(bare.snapshot_state(), before, "{engine}: rejection applied");
+        bare.process_op_batch(&rebind).unwrap();
+        for op in &rebind {
+            r.process_op(op).unwrap();
+        }
+        assert_eq!(r.engine().snapshot_state(), bare.snapshot_state());
+        assert_eq!(bare.samples_named().len(), 1, "{engine}");
+    }
+    // A boxed service member is asked before the op is retained.
+    let (query, s) = fk_engine(&Engine::FkReservoir);
+    let mut svc = SamplerService::new(query);
+    svc.register_sampler(s).unwrap();
+    for op in &ops {
+        svc.process_op(op).unwrap();
+    }
+    assert!(matches!(
+        svc.process_op(&conflict),
+        Err(ServiceError::Store(SharedStoreError::PrimaryKeyConflict(1)))
+    ));
+    assert_eq!(svc.store().lsn(), ops.len() as u64);
+}
+
+/// A combiner image lists every live fact in the registry its walk puts
+/// it in. An image that files a fact anywhere else used to restore, and
+/// the next retraction of that fact panicked. Each such image is
+/// corruption now, and so is any image whose inner engine image fails
+/// after the combiner's decoded: the receiver is left as it was.
+#[test]
+fn combiner_image_that_misfiles_a_fact_is_rejected_whole() {
+    let ops = [
+        StreamOp::insert(1, vec![7, 70]),
+        StreamOp::insert(1, vec![8, 80]),
+        StreamOp::insert(0, vec![7, 1]), // fact 0: passes D(7)
+        StreamOp::insert(0, vec![8, 2]), // fact 1: passes D(8)
+        StreamOp::insert(0, vec![9, 3]), // fact 2: waits on K = 9
+        StreamOp::insert(0, vec![7, 4]), // fact 3 ...
+        StreamOp::delete(0, vec![7, 4]), // ... dead
+    ];
+    // The registry, its lists end to end: D(7)'s consumers, D(8)'s, then
+    // the facts waiting on K = 9.
+    let registry = |ids: &[u32]| -> Vec<u8> {
+        (ids.iter().chain(&[u32::MAX]))
+            .flat_map(|f| f.to_le_bytes())
+            .collect()
+    };
+    let good = registry(&[0, 1, 2]);
+    let hostile = [
+        ("key swapped", registry(&[1, 0, 2])),
+        ("id listed twice", registry(&[0, 0, 1, 2])),
+        ("dead id listed", registry(&[0, 3, 1, 2])),
+        ("fact missing from passed", registry(&[1, 2])),
+    ];
+    for engine in [Engine::FkReservoir, Engine::SJoinOpt] {
+        let (_, mut live) = fk_engine(&engine);
+        live.process_op_batch(&ops).unwrap();
+        let image = live.snapshot_state().unwrap();
+        let at = image
+            .windows(good.len())
+            .position(|w| w == good)
+            .expect("the image holds the registry");
+        assert!(!image[at + 1..].windows(good.len()).any(|w| w == good));
+        // Move the receiver on, so "unchanged" cannot mean "restored".
+        live.process_op(&StreamOp::insert(1, vec![9, 90])).unwrap();
+        let current = live.snapshot_state();
+        for (case, bytes) in &hostile {
+            let mut bad = image[..at].to_vec();
+            bad.extend_from_slice(bytes);
+            bad.extend_from_slice(&image[at + good.len()..]);
+            let err = live.restore_state(&bad).unwrap_err();
+            assert!(
+                matches!(err, rsjoin::common::CodecError::Corrupt(_)),
+                "{engine}, {case}: {err}"
+            );
+            assert_eq!(live.snapshot_state(), current, "{engine}, {case}");
+        }
+        // A sound combiner image followed by a broken inner one.
+        live.restore_state(&image[..image.len() - 1]).unwrap_err();
+        assert_eq!(live.snapshot_state(), current, "{engine}: inner failure");
+        // The untouched image restores, and retracts every fact it lists.
+        live.restore_state(&image).unwrap();
+        for f in [[7, 1], [8, 2], [9, 3]] {
+            live.delete(0, &f);
+        }
+        assert_eq!(live.stats().deletes, Some(4), "{engine}");
     }
 }
