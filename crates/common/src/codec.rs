@@ -1,11 +1,11 @@
 //! The shared binary codec every durable byte format builds on.
 //!
-//! The WAL record payloads, the checkpoint snapshots of engine state, and
-//! the sample export format (`rsj_core::export`) all write the same wire
-//! vocabulary: little-endian fixed-width integers, `u64`-length-prefixed
-//! sequences, IEEE-754 bit patterns for floats. [`Encoder`] and [`Decoder`]
-//! centralize that vocabulary so the formats stay byte-compatible with each
-//! other and a single fuzz surface covers all of them.
+//! The WAL record payloads and the checkpoint snapshots of engine and
+//! service state all write the same wire vocabulary: little-endian
+//! fixed-width integers, `u64`-length-prefixed sequences, IEEE-754 bit
+//! patterns for floats. [`Encoder`] and [`Decoder`] centralize that
+//! vocabulary so the formats stay byte-compatible with each other and a
+//! single fuzz surface covers all of them.
 //!
 //! Two invariants every caller relies on:
 //!

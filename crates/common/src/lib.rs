@@ -9,7 +9,7 @@
 //!   join [`value::Key`]s;
 //! * [`codec`] — the little-endian [`codec::Encoder`]/[`codec::Decoder`]
 //!   pair and [`codec::crc32`] checksum that every durable byte format
-//!   (WAL records, checkpoints, sample export) is built on;
+//!   (WAL records, checkpoints) is built on;
 //! * [`epoch`] — the single-writer seqlock [`epoch::EpochCell`] behind the
 //!   sampler service's never-blocking snapshot reads;
 //! * [`hash`] — an fx-style fast hasher and the [`hash::FxHashMap`]

@@ -19,6 +19,7 @@
 use crate::cyclic::CyclicReservoirJoin;
 use crate::fk_runtime::FkReservoirJoin;
 use crate::reservoir_join::ReservoirJoin;
+use crate::service::RebuildFn;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::Value;
 use rsj_query::Query;
@@ -262,9 +263,9 @@ pub trait JoinSampler {
 
 /// Boxed engines forward the required methods and the ones some engine
 /// overrides, so `Box<dyn JoinSampler + Send>` (what the `Engine` factory
-/// hands out) satisfies generic bounds like the facade's
-/// `Persistent<S: JoinSampler>` without unwrapping. The remaining provided
-/// methods are the same adapters over these on either side of the box.
+/// hands out) satisfies generic bounds like [`Durable`]'s blanket impl
+/// without unwrapping. The remaining provided methods are the same
+/// adapters over these on either side of the box.
 impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -316,6 +317,61 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         (**self).restore_state(bytes)
+    }
+}
+
+/// What the facade's durability wrapper (`rsjoin::persist::Persistent`)
+/// logs, checkpoints and recovers: an engine ([`JoinSampler`], through
+/// the blanket impl below) or the resident
+/// [`SamplerService`](crate::SamplerService). The wrapper checks an op,
+/// logs it, then applies it; a checkpoint stores the image under the
+/// tag, and recovery restores an image only into a target with the same
+/// tag before replaying the log suffix.
+pub trait Durable {
+    /// Why an op was rejected.
+    type Error: std::fmt::Display;
+
+    /// Tag written into checkpoints: the engine's name, or the service's.
+    fn checkpoint_tag(&self) -> &'static str;
+
+    /// Rejects, without changing anything, an op
+    /// [`apply`](Durable::apply) would reject.
+    fn check(&self, op: &StreamOp) -> Result<(), Self::Error>;
+
+    /// Applies one op.
+    fn apply(&mut self, op: &StreamOp) -> Result<(), Self::Error>;
+
+    /// The canonical state image, or the name of the engine that has no
+    /// image right now (see [`JoinSampler::snapshot_state`]).
+    fn image(&self) -> Result<Vec<u8>, &'static str>;
+
+    /// Restores an [`image`](Durable::image) into `self`, freshly built
+    /// with the original construction parameters. The service rebuilds
+    /// its boxed members through `rebuild`; engines ignore it.
+    fn restore(&mut self, image: &[u8], rebuild: &mut RebuildFn) -> Result<(), CodecError>;
+}
+
+impl<S: JoinSampler> Durable for S {
+    type Error = SharedStoreError;
+
+    fn checkpoint_tag(&self) -> &'static str {
+        self.name()
+    }
+
+    fn check(&self, op: &StreamOp) -> Result<(), SharedStoreError> {
+        self.check_op(op)
+    }
+
+    fn apply(&mut self, op: &StreamOp) -> Result<(), SharedStoreError> {
+        self.process_op(op)
+    }
+
+    fn image(&self) -> Result<Vec<u8>, &'static str> {
+        self.snapshot_state().ok_or(self.name())
+    }
+
+    fn restore(&mut self, image: &[u8], _rebuild: &mut RebuildFn) -> Result<(), CodecError> {
+        self.restore_state(image)
     }
 }
 

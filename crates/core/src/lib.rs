@@ -31,7 +31,6 @@
 pub mod count;
 pub mod cyclic;
 pub mod exec;
-pub mod export;
 pub mod fk_runtime;
 mod group;
 pub mod reservoir_join;
@@ -42,13 +41,13 @@ pub mod wcoj;
 
 pub use count::exact_result_count;
 pub use cyclic::CyclicReservoirJoin;
-pub use exec::{JoinSampler, SamplerStats};
+pub use exec::{Durable, JoinSampler, SamplerStats};
 pub use fk_runtime::{FkBuildError, FkCombiner, FkReservoirJoin};
 pub use reservoir_join::{ReplanPolicy, ReservoirJoin};
 pub use sampler_facade::DynamicSampleIndex;
 pub use service::{
     QueryHandle, QueryOpts, RebuildFn, SampleReader, SampleSnapshot, SamplerService, ServiceError,
-    ServiceOpts,
+    ServiceOpts, SERVICE_ENGINE,
 };
 pub use shard::{
     ShardError, ShardFault, ShardHealth, ShardPlan, ShardedSampler, SupervisorPolicy,

@@ -64,7 +64,7 @@
 //! serialized, rebuilt on demand after a restore.
 
 use crate::count::JoinCounter;
-use crate::exec::{apply_op, check_schema, JoinSampler};
+use crate::exec::{apply_op, check_schema, Durable, JoinSampler};
 use crate::group::{column_hashes, Group};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::RsjRng;
@@ -795,6 +795,43 @@ impl SamplerService {
         self.ops_since_publish = ops_since_publish;
         self.publish();
         Ok(())
+    }
+}
+
+/// Checkpoint tag of a durable service, so a service checkpoint can never
+/// be restored into a single engine (or vice versa) silently.
+pub const SERVICE_ENGINE: &str = "SamplerService";
+
+/// One log covers every registered query, because they all consume the
+/// one retained stream; registrations are part of the image, not the log.
+impl Durable for SamplerService {
+    type Error = ServiceError;
+
+    fn checkpoint_tag(&self) -> &'static str {
+        SERVICE_ENGINE
+    }
+
+    fn check(&self, op: &StreamOp) -> Result<(), ServiceError> {
+        self.validate_op(op)
+    }
+
+    fn apply(&mut self, op: &StreamOp) -> Result<(), ServiceError> {
+        self.process_op(op).map(drop)
+    }
+
+    fn image(&self) -> Result<Vec<u8>, &'static str> {
+        let mut enc = Encoder::new();
+        self.snapshot_to(&mut enc).map_err(|e| match e {
+            ServiceError::SnapshotUnavailable(name) => name,
+            _ => unreachable!("snapshot_to fails only for a missing image"),
+        })?;
+        Ok(enc.into_bytes())
+    }
+
+    fn restore(&mut self, image: &[u8], rebuild: &mut RebuildFn) -> Result<(), CodecError> {
+        let mut dec = Decoder::new(image);
+        self.restore_from_snapshot(&mut dec, rebuild)?;
+        dec.finish()
     }
 }
 

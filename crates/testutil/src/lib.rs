@@ -7,7 +7,10 @@
 //! engine many times over a fixed instance, count per-result inclusion
 //! frequencies, compare against the uniform distribution with a chi-square
 //! test, and brute-force the true result set to validate support. This
-//! crate is that machinery, written once.
+//! crate is that machinery, written once — together with the fixtures the
+//! suites share: the `line3`/`two_table` queries, the turnstile stream
+//! generator, the FNV sample digest the golden suite pins, and a
+//! self-cleaning [`Scratch`] directory.
 //!
 //! # Alpha levels and Bonferroni correction
 //!
@@ -38,6 +41,8 @@ use rsj_common::{FxHashMap, FxHashSet, Value};
 use rsj_storage::{OpStream, StreamOp, TupleStream};
 use rsjoin::engine::{Engine, EngineOpts};
 use rsjoin::prelude::*;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Family-wise significance level of every uniformity assertion: `1e-4`.
 pub const BASE_ALPHA: f64 = 1e-4;
@@ -268,17 +273,115 @@ pub fn random_stream(query: &Query, n: usize, dom: u64, seed: u64) -> TupleStrea
     s
 }
 
+/// The binary join `R(X, Y) ⋈ S(Y, Z)`.
+pub fn two_table() -> Query {
+    let mut qb = QueryBuilder::new();
+    qb.relation("R", &["X", "Y"]);
+    qb.relation("S", &["Y", "Z"]);
+    qb.build().unwrap()
+}
+
+/// The line-3 path join `G1(A, B) ⋈ G2(B, C) ⋈ G3(C, D)`.
+pub fn line3() -> Query {
+    let mut qb = QueryBuilder::new();
+    qb.relation("G1", &["A", "B"]);
+    qb.relation("G2", &["B", "C"]);
+    qb.relation("G3", &["C", "D"]);
+    qb.build().unwrap()
+}
+
+/// Mixed insert/delete turnstile stream over `query`: every op either
+/// inserts a random tuple with values in `0..domain` or (1 in 4) deletes a
+/// currently-live one, so replay exercises the repair paths, not just
+/// appends.
+pub fn turnstile_ops(query: &Query, n_ops: usize, domain: u64, seed: u64) -> Vec<StreamOp> {
+    let mut rng = rsj_common::rng::RsjRng::seed_from_u64(seed);
+    let nrels = query.num_relations();
+    let mut live: Vec<(usize, Vec<Value>)> = Vec::new();
+    let mut live_set: FxHashSet<(usize, Vec<Value>)> = Default::default();
+    let mut ops = Vec::with_capacity(n_ops);
+    for _ in 0..n_ops {
+        if !live.is_empty() && rng.below_u64(4) == 0 {
+            let j = rng.index(live.len());
+            let (rel, t) = live.swap_remove(j);
+            live_set.remove(&(rel, t.clone()));
+            ops.push(StreamOp::delete(rel, t));
+        } else {
+            let rel = rng.index(nrels);
+            let arity = query.relation(rel).attrs.len();
+            let t: Vec<Value> = (0..arity).map(|_| rng.below_u64(domain)).collect();
+            if live_set.insert((rel, t.clone())) {
+                live.push((rel, t.clone()));
+            }
+            ops.push(StreamOp::insert(rel, t));
+        }
+    }
+    ops
+}
+
+/// FNV-1a over the sample matrix, in reservoir order — the digest the
+/// golden-determinism suite pins, so "equal digests" means "identical
+/// reservoir bytes".
+pub fn digest(samples: &[Vec<Value>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(samples.len() as u64);
+    for s in samples {
+        eat(s.len() as u64);
+        for &v in s {
+            eat(v);
+        }
+    }
+    h
+}
+
+/// Self-cleaning scratch directory under the system temp dir (no
+/// tempfile dependency).
+pub struct Scratch(PathBuf);
+
+impl Scratch {
+    /// A fresh, empty directory whose name carries `tag`, the process id
+    /// and a per-process counter.
+    pub fn new(tag: &str) -> Scratch {
+        static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
+        let id = SCRATCH_ID.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("rsj-{tag}-{}-{id}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The newest WAL segment under a durability directory `dir` — where a
+/// torn tail lands.
+pub fn final_segment(dir: &Path) -> PathBuf {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "log"))
+        .collect();
+    segs.sort();
+    segs.pop().expect("wal has at least one segment")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsjoin::prelude::QueryBuilder;
-
-    fn two_table() -> Query {
-        let mut qb = QueryBuilder::new();
-        qb.relation("R", &["X", "Y"]);
-        qb.relation("S", &["Y", "Z"]);
-        qb.build().unwrap()
-    }
 
     #[test]
     fn bonferroni_divides() {

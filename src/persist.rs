@@ -1,42 +1,43 @@
 //! The durability layer: a write-ahead log plus periodic checkpoints
-//! around any [`JoinSampler`].
+//! around any [`Durable`] target — an engine ([`JoinSampler`]) or the
+//! resident [`SamplerService`].
 //!
-//! [`Persistent`] wraps an engine and gives its turnstile stream crash
-//! recovery with **byte-identical** semantics: every op is appended to a
-//! segmented, checksummed WAL (`rsj_storage::wal::Wal`) *before* it is
-//! applied to the engine, and on a checkpoint the engine's complete
-//! dynamic state (`JoinSampler::snapshot_state`) is written atomically
-//! next to the log, which is then truncated. Recovery restores the last
-//! checkpoint and replays the log suffix — the recovered engine is
-//! byte-for-byte the engine that would have resulted from an
-//! uninterrupted run of the same flushed prefix, including its future
-//! random choices.
+//! [`Persistent`] wraps the target and gives its turnstile stream crash
+//! recovery with **byte-identical** semantics: every op is checked, then
+//! appended to a segmented, checksummed WAL (`rsj_storage::wal::Wal`)
+//! *before* it is applied, and on a checkpoint the target's complete
+//! dynamic state ([`Durable::image`]) is written atomically next to the
+//! log, which is then truncated. Recovery restores the last checkpoint
+//! and replays the log suffix — the recovered target is byte-for-byte the
+//! one that would have resulted from an uninterrupted run of the same
+//! flushed prefix, including its future random choices.
 //!
 //! ```text
-//!   op ──▶ wal.append ──▶ engine.process_op
-//!                │
-//!                └─ every N ops: checkpoint = snapshot_state @ lsn
-//!                               wal.truncate_at_checkpoint()
+//!   op ──▶ check ──▶ wal.append ──▶ apply
+//!                        │
+//!                        └─ every N ops: checkpoint = image @ lsn,
+//!                                        then truncate the log
 //! ```
 //!
 //! The recovery invariant the crash tests pin (tests/recovery.rs): after a
 //! kill at any op boundary, `Persistent::open` with the same engine
-//! builder restores exactly the flushed prefix — finishing the stream then
-//! yields the same sample digest as a run that never crashed. See
-//! ARCHITECTURE.md, "Durability".
+//! builder (or [`PersistentService::open`] with a fresh service) restores
+//! exactly the flushed prefix — finishing the stream then yields the same
+//! sample digest as a run that never crashed. See ARCHITECTURE.md,
+//! "Durability".
 
-use rsj_core::{JoinSampler, RebuildFn, SamplerService, SamplerStats};
-use rsj_storage::wal::{Checkpoint, Sleeper, Wal, WalError, WalFs, WalOptions};
+use rsj_core::{Durable, JoinSampler, RebuildFn, SamplerService, SamplerStats};
+use rsj_storage::wal::{
+    Checkpoint, RealFs, Sleeper, SystemSleeper, Wal, WalError, WalFs, WalOptions,
+};
 use rsj_storage::StreamOp;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
+
+pub use rsj_core::SERVICE_ENGINE;
 
 /// File name of the checkpoint inside the durability directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.rsjc";
-
-/// Engine tag [`PersistentService`] writes into its checkpoints, so a
-/// service checkpoint can never be restored into a single-engine wrapper
-/// (or vice versa) silently.
-pub const SERVICE_ENGINE: &str = "SamplerService";
 
 /// When the wrapper takes a checkpoint on its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,9 +72,10 @@ pub enum DurabilityHealth {
 /// Why a durable operation failed.
 #[derive(Debug)]
 pub enum PersistError {
-    /// The named engine had no state image to checkpoint
-    /// (`JoinSampler::snapshot_state` returned `None`: a sharded executor
-    /// serving degraded). The previous checkpoint and the log stay valid.
+    /// The named engine — the target itself or a boxed service member —
+    /// had no state image to checkpoint ([`Durable::image`] failed: a
+    /// sharded executor serving degraded). The previous checkpoint and the
+    /// log stay valid.
     NoImage(&'static str),
     /// WAL or checkpoint I/O / integrity failure.
     Wal(WalError),
@@ -101,14 +103,15 @@ impl From<WalError> for PersistError {
     }
 }
 
-/// A [`JoinSampler`] with crash recovery: WAL-logged ops, periodic atomic
-/// checkpoints, byte-identical restore (see the [module docs](self)).
+/// A [`Durable`] target with crash recovery: WAL-logged ops, periodic
+/// atomic checkpoints, byte-identical restore (see the [module
+/// docs](self)).
 ///
 /// The wrapper owns a durability directory holding the log segments and
 /// the checkpoint file. Ops flow through [`process_op`](Persistent::process_op);
-/// reads pass through to the engine.
-pub struct Persistent<S: JoinSampler> {
-    inner: S,
+/// reads pass through to the target.
+pub struct Persistent<T> {
+    inner: T,
     wal: Wal,
     checkpoint_path: PathBuf,
     policy: CheckpointPolicy,
@@ -144,8 +147,8 @@ impl<S: JoinSampler> Persistent<S> {
             dir,
             policy,
             WalOptions::default(),
-            Box::new(rsj_storage::wal::RealFs::new()),
-            Box::new(rsj_storage::wal::SystemSleeper),
+            Box::new(RealFs::new()),
+            Box::new(SystemSleeper),
         )
     }
 
@@ -161,28 +164,56 @@ impl<S: JoinSampler> Persistent<S> {
         fs: Box<dyn WalFs>,
         sleeper: Box<dyn Sleeper>,
     ) -> Result<Persistent<S>, PersistError> {
-        let mut inner = inner;
-        let dir = dir.as_ref();
-        let mut wal = Wal::open_with(dir.join("wal"), opts, fs, sleeper)?;
+        let wal = Wal::open_with(dir.as_ref().join("wal"), opts, fs, sleeper)?;
+        Persistent::recover(inner, wal, dir.as_ref(), policy, &mut |_, _| None)
+    }
+
+    /// Convenience insert mirroring [`JoinSampler::process`].
+    pub fn process(&mut self, rel: usize, tuple: &[rsj_common::Value]) -> Result<(), PersistError> {
+        self.process_op(&StreamOp::insert(rel, tuple.to_vec()))
+    }
+
+    /// The engine's stats with the durability counters filled in:
+    /// `retries` accumulates the WAL's absorbed transient errors onto
+    /// whatever the engine reports, and `degraded` is `1` while logging is
+    /// lost (see [`health`](Persistent::health)).
+    pub fn stats(&self) -> SamplerStats {
+        let mut s = self.inner.stats();
+        s.retries = Some(s.retries.unwrap_or(0) + self.wal.retries());
+        s.degraded = Some(s.degraded.unwrap_or(0) + u64::from(self.lost_since.is_some()));
+        s
+    }
+}
+
+impl<T: Durable> Persistent<T> {
+    /// The one recovery path: restore the checkpoint next to the log (if
+    /// any) into `inner`, then replay the log suffix through it.
+    fn recover(
+        mut inner: T,
+        mut wal: Wal,
+        dir: &Path,
+        policy: CheckpointPolicy,
+        rebuild: &mut RebuildFn,
+    ) -> Result<Persistent<T>, PersistError> {
         let checkpoint_path = dir.join(CHECKPOINT_FILE);
         let mut from_lsn = 0;
         if checkpoint_path.exists() {
             let cp = Checkpoint::read_from(&checkpoint_path)?;
-            if cp.engine != inner.name() {
+            if cp.engine != inner.checkpoint_tag() {
                 return Err(PersistError::Engine(format!(
                     "checkpoint was written by engine {} but {} is being restored",
                     cp.engine,
-                    inner.name()
+                    inner.checkpoint_tag()
                 )));
             }
             inner
-                .restore_state(&cp.state)
+                .restore(&cp.state, rebuild)
                 .map_err(|e| PersistError::Engine(format!("checkpoint state rejected: {e}")))?;
             from_lsn = cp.lsn;
         }
         for op in &wal.replay_from(from_lsn)? {
             inner
-                .process_op(op)
+                .apply(op)
                 .map_err(|e| PersistError::Engine(e.to_string()))?;
         }
         Ok(Persistent {
@@ -197,26 +228,24 @@ impl<S: JoinSampler> Persistent<S> {
         })
     }
 
-    /// Logs one op, applies it to the engine, and checkpoints when the
-    /// policy says so. The append is buffered — call
-    /// [`flush`](Persistent::flush) (or [`sync`](Persistent::sync)) to
-    /// make it crash-durable; the recovery invariant covers the flushed
-    /// prefix.
+    /// Checks, logs, and applies one op, and checkpoints when the policy
+    /// says so. The append is buffered — call [`flush`](Persistent::flush)
+    /// (or [`sync`](Persistent::sync)) to make it crash-durable; the
+    /// recovery invariant covers the flushed prefix.
     ///
     /// **Out of space degrades instead of failing.** When the append hits
-    /// `ENOSPC` the op is still applied to the engine, the wrapper enters
-    /// degraded mode (see [`health`](Persistent::health)), and this call
-    /// returns the out-of-space error exactly once so the caller learns
-    /// about the lost durability. Subsequent ops skip the log silently,
-    /// are counted as lost, and keep serving reads; a later successful
-    /// checkpoint heals the wrapper (its snapshot covers the unlogged
-    /// ops). Any other WAL error is returned without applying the op, and
-    /// an op the engine's [`JoinSampler::check_op`] rejects is rejected
-    /// before it is logged — nothing reaches the WAL that replay would
-    /// reject.
+    /// `ENOSPC` the op is still applied, the wrapper enters degraded mode
+    /// (see [`health`](Persistent::health)), and this call returns the
+    /// out-of-space error exactly once so the caller learns about the lost
+    /// durability. Subsequent ops skip the log silently, are counted as
+    /// lost, and keep serving reads; a later successful checkpoint heals
+    /// the wrapper (its image covers the unlogged ops). Any other WAL
+    /// error is returned without applying the op, and an op
+    /// [`Durable::check`] rejects is rejected before it is logged —
+    /// nothing reaches the WAL that replay would reject.
     pub fn process_op(&mut self, op: &StreamOp) -> Result<(), PersistError> {
         self.inner
-            .check_op(op)
+            .check(op)
             .map_err(|e| PersistError::Engine(e.to_string()))?;
         let mut just_degraded: Option<WalError> = None;
         if self.lost_since.is_some() {
@@ -233,7 +262,7 @@ impl<S: JoinSampler> Persistent<S> {
             }
         }
         self.inner
-            .process_op(op)
+            .apply(op)
             .map_err(|e| PersistError::Engine(e.to_string()))?;
         self.ops_since_checkpoint += 1;
         if let CheckpointPolicy::EveryOps(n) = self.policy {
@@ -251,31 +280,24 @@ impl<S: JoinSampler> Persistent<S> {
         }
     }
 
-    /// Convenience insert mirroring [`JoinSampler::process`].
-    pub fn process(&mut self, rel: usize, tuple: &[rsj_common::Value]) -> Result<(), PersistError> {
-        self.process_op(&StreamOp::insert(rel, tuple.to_vec()))
-    }
-
-    /// Takes a checkpoint now: snapshots the engine at the current LSN,
+    /// Takes a checkpoint now: images the target at the current LSN,
     /// writes it atomically (tmp + rename), then truncates the log so it
     /// holds only ops after the checkpoint.
     ///
-    /// A failed attempt — an I/O error, or an engine with no image to give
-    /// — never damages recoverability: the write is atomic, so the
-    /// previous checkpoint (and the log) stay valid, the failure is
-    /// counted ([`checkpoint_failures`](Persistent::checkpoint_failures)),
-    /// and the policy window is re-armed so a later attempt retries. A
-    /// successful checkpoint also heals a degraded wrapper — its snapshot
-    /// includes any ops that were applied without log coverage.
+    /// A failed attempt — an I/O error, or a target with no image to give
+    /// ([`PersistError::NoImage`]) — never damages recoverability: the
+    /// write is atomic, so the previous checkpoint (and the log) stay
+    /// valid, the failure is counted
+    /// ([`checkpoint_failures`](Persistent::checkpoint_failures)), and the
+    /// policy window is re-armed so a later attempt retries. A successful
+    /// checkpoint also heals a degraded wrapper — its image includes any
+    /// ops that were applied without log coverage.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
         let attempt = (|| -> Result<(), PersistError> {
             let cp = Checkpoint {
-                engine: self.inner.name().to_string(),
+                engine: self.inner.checkpoint_tag().to_string(),
                 lsn: self.wal.next_lsn(),
-                state: self
-                    .inner
-                    .snapshot_state()
-                    .ok_or(PersistError::NoImage(self.inner.name()))?,
+                state: self.inner.image().map_err(PersistError::NoImage)?,
             };
             self.wal
                 .write_atomic(&self.checkpoint_path, &cp.to_bytes())?;
@@ -346,67 +368,38 @@ impl<S: JoinSampler> Persistent<S> {
         self.checkpoint_failures
     }
 
-    /// The engine's stats with the durability counters filled in:
-    /// `retries` accumulates the WAL's absorbed transient errors onto
-    /// whatever the engine reports, and `degraded` is `1` while logging is
-    /// lost (see [`health`](Persistent::health)).
-    pub fn stats(&self) -> SamplerStats {
-        let mut s = self.inner.stats();
-        s.retries = Some(s.retries.unwrap_or(0) + self.wal.retries());
-        s.degraded = Some(s.degraded.unwrap_or(0) + u64::from(self.lost_since.is_some()));
-        s
-    }
-
-    /// The wrapped engine, for reads (`samples`, `stats`, ...).
-    pub fn engine(&self) -> &S {
+    /// The wrapped target, for reads (`samples`, `stats`, ...).
+    pub fn engine(&self) -> &T {
         &self.inner
     }
 
-    /// The wrapped engine, mutably — for maintenance calls like
-    /// [`JoinSampler::replan`] that do not consume stream ops. Feeding the
-    /// engine tuples through this reference bypasses the log and forfeits
-    /// recovery; use [`process_op`](Persistent::process_op).
-    pub fn engine_mut(&mut self) -> &mut S {
+    /// The wrapped target, mutably — for maintenance calls like
+    /// [`JoinSampler::replan`] or service registration that do not consume
+    /// stream ops. Feeding it ops through this reference bypasses the log
+    /// and forfeits recovery; use [`process_op`](Persistent::process_op).
+    pub fn engine_mut(&mut self) -> &mut T {
         &mut self.inner
     }
 
-    /// Unwraps the engine, dropping durability (the log is flushed by
+    /// Unwraps the target, dropping durability (the log is flushed by
     /// `Wal`'s drop).
-    pub fn into_engine(self) -> S {
+    pub fn into_engine(self) -> T {
         self.inner
     }
 }
 
-/// Durability for the resident [`SamplerService`]: the same
-/// append-then-apply WAL discipline as [`Persistent`], wrapped around the
-/// whole service — one log covers every registered query, because they
-/// all consume the one retained stream.
+/// The durable resident [`SamplerService`]: a [`Persistent`] whose target
+/// is the whole service, so one log covers every registered query. It
+/// dereferences to that wrapper for ops, checkpoints and health, and adds
+/// the constructors that take a [`RebuildFn`] for boxed members.
 ///
-/// What is durable when:
-///
-/// * **Ops** are covered from the moment
-///   [`process_op`](PersistentService::process_op) returns (flushed
-///   prefix, as for [`Persistent`]). Every op is validated
-///   ([`SamplerService::validate_op`]) *before* it is logged, so nothing
-///   reaches the WAL that recovery replay would reject.
-/// * **Registrations** are part of checkpoints, not the log: a
-///   [`checkpoint`](PersistentService::checkpoint) captures the full
-///   service (store, shared indexes, member cores, boxed engine states).
-///   A query registered after the last checkpoint is absent after
-///   recovery — re-registering it backfills from the recovered history
-///   and lands byte-identical, so the loss is recoverable; checkpoint
-///   after registration churn to avoid it entirely.
-///
-/// This wrapper is the strict path: a WAL error fails the op without
-/// applying it. The out-of-space degradation machinery (serve
-/// non-durably, heal at the next checkpoint) lives in [`Persistent`].
-pub struct PersistentService {
-    inner: SamplerService,
-    wal: Wal,
-    checkpoint_path: PathBuf,
-    policy: CheckpointPolicy,
-    ops_since_checkpoint: u64,
-}
+/// **Registrations** are part of checkpoints, not the log: a checkpoint
+/// captures the full service (store, shared indexes, member cores, boxed
+/// engine states). A query registered after the last checkpoint is
+/// absent after recovery — re-registering it backfills from the recovered
+/// history and lands byte-identical, so the loss is recoverable;
+/// checkpoint after registration churn to avoid it entirely.
+pub struct PersistentService(Persistent<SamplerService>);
 
 impl PersistentService {
     /// Wraps `inner` (freshly built over the original run's universe)
@@ -427,8 +420,8 @@ impl PersistentService {
             policy,
             rebuild,
             WalOptions::default(),
-            Box::new(rsj_storage::wal::RealFs::new()),
-            Box::new(rsj_storage::wal::SystemSleeper),
+            Box::new(RealFs::new()),
+            Box::new(SystemSleeper),
         )
     }
 
@@ -444,124 +437,41 @@ impl PersistentService {
         fs: Box<dyn WalFs>,
         sleeper: Box<dyn Sleeper>,
     ) -> Result<PersistentService, PersistError> {
-        let mut inner = inner;
-        let dir = dir.as_ref();
-        let mut wal = Wal::open_with(dir.join("wal"), opts, fs, sleeper)?;
-        let checkpoint_path = dir.join(CHECKPOINT_FILE);
-        let mut from_lsn = 0;
-        if checkpoint_path.exists() {
-            let cp = Checkpoint::read_from(&checkpoint_path)?;
-            if cp.engine != SERVICE_ENGINE {
-                return Err(PersistError::Engine(format!(
-                    "checkpoint was written by engine {} but a service is being restored",
-                    cp.engine
-                )));
-            }
-            let mut dec = rsj_common::codec::Decoder::new(&cp.state);
-            inner
-                .restore_from_snapshot(&mut dec, rebuild)
-                .and_then(|()| dec.finish())
-                .map_err(|e| PersistError::Engine(format!("checkpoint state rejected: {e}")))?;
-            from_lsn = cp.lsn;
-        }
-        for op in &wal.replay_from(from_lsn)? {
-            inner
-                .process_op(op)
-                .map_err(|e| PersistError::Engine(e.to_string()))?;
-        }
-        Ok(PersistentService {
-            inner,
-            wal,
-            checkpoint_path,
-            policy,
-            ops_since_checkpoint: 0,
-        })
-    }
-
-    /// Validates, logs, and applies one op, checkpointing when the policy
-    /// says so. Validation failures and WAL errors fail the call without
-    /// applying anything.
-    pub fn process_op(&mut self, op: &StreamOp) -> Result<u64, PersistError> {
-        self.inner
-            .validate_op(op)
-            .map_err(|e| PersistError::Engine(e.to_string()))?;
-        self.wal.append(op)?;
-        let lsn = self
-            .inner
-            .process_op(op)
-            .map_err(|e| PersistError::Engine(e.to_string()))?;
-        self.ops_since_checkpoint += 1;
-        if let CheckpointPolicy::EveryOps(n) = self.policy {
-            if self.ops_since_checkpoint >= n {
-                // Non-fatal, as for Persistent: the previous checkpoint
-                // stays valid and the window re-arms.
-                let _ = self.checkpoint();
-            }
-        }
-        Ok(lsn)
-    }
-
-    /// Takes a checkpoint of the whole service now (atomic write, then
-    /// log truncation). Fails without damaging recoverability when a
-    /// registered boxed engine has no image to give or on I/O errors — the
-    /// previous checkpoint and the log stay valid, and the policy window
-    /// re-arms either way.
-    pub fn checkpoint(&mut self) -> Result<(), PersistError> {
-        self.ops_since_checkpoint = 0;
-        let mut enc = rsj_common::codec::Encoder::new();
-        self.inner
-            .snapshot_to(&mut enc)
-            .map_err(|e| PersistError::Engine(e.to_string()))?;
-        let cp = Checkpoint {
-            engine: SERVICE_ENGINE.to_string(),
-            lsn: self.wal.next_lsn(),
-            state: enc.into_bytes(),
-        };
-        self.wal
-            .write_atomic(&self.checkpoint_path, &cp.to_bytes())?;
-        self.wal.truncate_at_checkpoint()?;
-        Ok(())
-    }
-
-    /// Pushes buffered log appends to the OS.
-    pub fn flush(&mut self) -> Result<(), PersistError> {
-        self.wal.flush()?;
-        Ok(())
-    }
-
-    /// Flushes and `fdatasync`s the active log segment.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.wal.sync()?;
-        Ok(())
-    }
-
-    /// LSN the next op will get.
-    pub fn next_lsn(&self) -> u64 {
-        self.wal.next_lsn()
-    }
-
-    /// Ops logged since the last checkpoint.
-    pub fn ops_since_checkpoint(&self) -> u64 {
-        self.ops_since_checkpoint
+        let wal = Wal::open_with(dir.as_ref().join("wal"), opts, fs, sleeper)?;
+        Persistent::recover(inner, wal, dir.as_ref(), policy, rebuild).map(PersistentService)
     }
 
     /// The wrapped service, for reads and registration
     /// ([`SamplerService::register`] backfills from the retained history;
     /// checkpoint afterwards to make the registration durable).
     pub fn service(&self) -> &SamplerService {
-        &self.inner
+        self.0.engine()
     }
 
     /// The wrapped service, mutably — registration and deregistration go
     /// through here. Feeding stream ops through this reference bypasses
     /// the log and forfeits recovery; use
-    /// [`process_op`](PersistentService::process_op).
+    /// [`process_op`](Persistent::process_op).
     pub fn service_mut(&mut self) -> &mut SamplerService {
-        &mut self.inner
+        self.0.engine_mut()
     }
 
     /// Unwraps the service, dropping durability.
     pub fn into_service(self) -> SamplerService {
-        self.inner
+        self.0.into_engine()
+    }
+}
+
+impl Deref for PersistentService {
+    type Target = Persistent<SamplerService>;
+
+    fn deref(&self) -> &Persistent<SamplerService> {
+        &self.0
+    }
+}
+
+impl DerefMut for PersistentService {
+    fn deref_mut(&mut self) -> &mut Persistent<SamplerService> {
+        &mut self.0
     }
 }

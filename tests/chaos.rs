@@ -18,13 +18,14 @@
 //! The sweep width is `RSJ_CHAOS_SEEDS` (default 60; CI runs a smaller
 //! dedicated job — see .github/workflows/ci.yml).
 
-use rsj_testutil::{FaultFs, FaultPlan, FsOp, IoFault, TestSleeper};
+use rsj_testutil::{
+    digest, final_segment, line3, turnstile_ops, FaultFs, FaultPlan, FsOp, IoFault, Scratch,
+    TestSleeper,
+};
 use rsjoin::engine::Engine;
 use rsjoin::prelude::*;
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 
 // ---------------------------------------------------------------------------
@@ -61,89 +62,11 @@ fn sweep_seeds() -> u64 {
         .unwrap_or(60)
 }
 
-static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Self-cleaning scratch directory under the system temp dir.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let id = SCRATCH_ID.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("rsj-chaos-{tag}-{}-{id}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-/// FNV-1a over the sample matrix — the same digest the recovery and
-/// golden-determinism suites pin, so "equal" means "identical bytes".
-fn digest(samples: &[Vec<Value>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(samples.len() as u64);
-    for s in samples {
-        eat(s.len() as u64);
-        for &v in s {
-            eat(v);
-        }
-    }
-    h
-}
-
-fn line3() -> Query {
-    let mut qb = QueryBuilder::new();
-    qb.relation("G1", &["A", "B"]);
-    qb.relation("G2", &["B", "C"]);
-    qb.relation("G3", &["C", "D"]);
-    qb.build().unwrap()
-}
-
 fn two_rel() -> Query {
     let mut qb = QueryBuilder::new();
     qb.relation("R", &["x", "y"]);
     qb.relation("S", &["y", "z"]);
     qb.build().unwrap()
-}
-
-/// Mixed insert/delete turnstile stream (1 in 4 ops deletes a live tuple).
-fn turnstile_ops(query: &Query, n_ops: usize, domain: u64, seed: u64) -> Vec<StreamOp> {
-    let mut rng = RsjRng::seed_from_u64(seed);
-    let nrels = query.num_relations();
-    let mut live: Vec<(usize, Vec<Value>)> = Vec::new();
-    let mut live_set: rsjoin::common::FxHashSet<(usize, Vec<Value>)> = Default::default();
-    let mut ops = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        if !live.is_empty() && rng.below_u64(4) == 0 {
-            let j = rng.index(live.len());
-            let (rel, t) = live.swap_remove(j);
-            live_set.remove(&(rel, t.clone()));
-            ops.push(StreamOp::delete(rel, t));
-        } else {
-            let rel = rng.index(nrels);
-            let arity = query.relation(rel).attrs.len();
-            let t: Vec<Value> = (0..arity).map(|_| rng.below_u64(domain)).collect();
-            if live_set.insert((rel, t.clone())) {
-                live.push((rel, t.clone()));
-            }
-            ops.push(StreamOp::insert(rel, t));
-        }
-    }
-    ops
 }
 
 const K: usize = 16;
@@ -438,6 +361,113 @@ fn out_of_space_degrades_then_heals_on_checkpoint() {
     );
 }
 
+/// The durable service degrades the same way: an out-of-space append at
+/// op `M` still applies the op, surfaces once, serves reads while
+/// degraded, heals at the next checkpoint, and reopens byte-identical.
+#[test]
+fn service_out_of_space_degrades_then_heals_on_checkpoint() {
+    const M: usize = 40;
+    let query = line3();
+    let ops = turnstile_ops(&query, 120, 5, 0x5ACE);
+    let register = |svc: &mut SamplerService| -> Vec<QueryHandle> {
+        vec![
+            svc.register(&query, &QueryOpts::new(K, 1)).unwrap(),
+            svc.register_sampler(
+                Engine::Naive
+                    .build(&query, K, 7, &EngineOpts::default())
+                    .unwrap(),
+            )
+            .unwrap(),
+        ]
+    };
+    let digests = |svc: &SamplerService, handles: &[QueryHandle]| -> Vec<u64> {
+        handles
+            .iter()
+            .map(|&h| digest(&svc.samples(h).unwrap()))
+            .collect()
+    };
+    let mut rebuild = |name: &str, k: usize| -> Option<Box<dyn JoinSampler + Send>> {
+        (name == "NaiveRebuild").then(|| {
+            Engine::Naive
+                .build(&line3(), k, 7, &EngineOpts::default())
+                .unwrap()
+        })
+    };
+    let mut clean = SamplerService::new(query.clone());
+    let handles = register(&mut clean);
+    for op in &ops {
+        clean.process_op(op).unwrap();
+    }
+    let expect = digests(&clean, &handles);
+
+    let (fs, handle) = FaultFs::new();
+    handle.fail_at(FsOp::Append, M as u64, IoFault::Full);
+    let scratch = Scratch::new("svc-enospc");
+    let mut p = PersistentService::open_with(
+        SamplerService::new(query.clone()),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+        &mut rebuild,
+        WalOptions {
+            auto_flush: 0,
+            ..WalOptions::default()
+        },
+        Box::new(fs),
+        Box::new(TestSleeper::new()),
+    )
+    .unwrap();
+    assert_eq!(register(p.service_mut()), handles);
+    p.checkpoint().unwrap();
+    for op in &ops[..M] {
+        p.process_op(op).unwrap();
+    }
+    let err = p.process_op(&ops[M]).expect_err("first ENOSPC is surfaced");
+    assert!(
+        matches!(err, PersistError::Wal(ref w) if w.is_out_of_space()),
+        "unexpected error: {err}"
+    );
+    assert_eq!(p.service().lsn(), M as u64 + 1, "the op still applied");
+    for op in &ops[M + 1..90] {
+        p.process_op(op).unwrap(); // degraded: applied, unlogged, counted
+    }
+    assert_eq!(
+        p.health(),
+        DurabilityHealth::Degraded {
+            lost_ops: (90 - M) as u64,
+            since_lsn: M as u64
+        }
+    );
+    assert!(
+        handles
+            .iter()
+            .all(|&h| !p.service().samples(h).unwrap().is_empty()),
+        "degraded wrapper keeps serving reads"
+    );
+
+    p.checkpoint().unwrap();
+    assert_eq!(p.health(), DurabilityHealth::Durable);
+    assert_eq!(p.checkpoint_failures(), 0);
+    for op in &ops[90..] {
+        p.process_op(op).unwrap();
+    }
+    p.flush().unwrap();
+    drop(p);
+
+    let r = PersistentService::open(
+        SamplerService::new(query.clone()),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+        &mut rebuild,
+    )
+    .unwrap();
+    assert_eq!(r.service().lsn(), clean.lsn());
+    assert_eq!(
+        digests(r.service(), &handles),
+        expect,
+        "post-heal recovery must cover the ops lost while degraded"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Torn-write fault matrix: every byte offset of a record
 // ---------------------------------------------------------------------------
@@ -504,16 +534,6 @@ fn torn_write_matrix_recovers_the_flushed_prefix() {
         );
         assert_eq!(r.next_lsn(), ops.len() as u64 - 1);
     }
-}
-
-fn final_segment(dir: &Path) -> PathBuf {
-    let mut segs: Vec<PathBuf> = fs::read_dir(dir.join("wal"))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "log"))
-        .collect();
-    segs.sort();
-    segs.pop().expect("wal has at least one segment")
 }
 
 // ---------------------------------------------------------------------------

@@ -15,25 +15,11 @@ use rsj_common::{FxHashSet, Value};
 use rsj_datagen::{TurnstileConfig, VictimPolicy};
 use rsj_storage::{OpStream, StreamOp};
 use rsj_testutil::{
-    brute_join_named, live_sets, op_inclusion_counts, random_stream, UniformityCheck,
+    brute_join_named, line3, live_sets, op_inclusion_counts, random_stream, two_table,
+    UniformityCheck,
 };
 use rsjoin::engine::{Engine, EngineOpts};
 use rsjoin::prelude::*;
-
-fn line3() -> Query {
-    let mut qb = QueryBuilder::new();
-    qb.relation("G1", &["A", "B"]);
-    qb.relation("G2", &["B", "C"]);
-    qb.relation("G3", &["C", "D"]);
-    qb.build().unwrap()
-}
-
-fn two_table() -> Query {
-    let mut qb = QueryBuilder::new();
-    qb.relation("R", &["X", "Y"]);
-    qb.relation("S", &["Y", "Z"]);
-    qb.build().unwrap()
-}
 
 /// The engines the turnstile contract declares fully dynamic, per query
 /// shape (SymmetricHashJoin only runs two-table joins). Since the signed

@@ -9,6 +9,7 @@
 //! driver code appears anywhere in this file — engines are built by the
 //! factory and driven exclusively through the trait.
 
+use rsj_testutil::two_table;
 use rsjoin::prelude::*;
 
 type ResultSet = std::collections::BTreeSet<Vec<(String, u64)>>;
@@ -247,13 +248,6 @@ fn stats_flow_through_the_trait() {
 // ---------------------------------------------------------------------------
 // One contract, every entry point
 // ---------------------------------------------------------------------------
-
-fn two_table() -> Query {
-    let mut qb = QueryBuilder::new();
-    qb.relation("R", &["X", "Y"]);
-    qb.relation("S", &["Y", "Z"]);
-    qb.build().unwrap()
-}
 
 /// All seven engine families plus the sharded wrapper.
 fn every_engine() -> Vec<Engine> {

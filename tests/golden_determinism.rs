@@ -11,27 +11,9 @@
 //! shifts them is changing *samples*, not just memory layout, and must be
 //! treated as a correctness bug, not a test update.
 
+use rsj_testutil::digest;
 use rsjoin::engine::{run_workload, workload_opts, Engine};
 use rsjoin::prelude::*;
-
-/// FNV-1a over the sample matrix, in reservoir order.
-fn digest(samples: &[Vec<Value>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(samples.len() as u64);
-    for s in samples {
-        eat(s.len() as u64);
-        for &v in s {
-            eat(v);
-        }
-    }
-    h
-}
 
 /// Zipf-skewed graph stream: line-3, heavy hubs, duplicates included.
 fn graph_workload() -> rsj_queries::Workload {

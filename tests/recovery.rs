@@ -9,107 +9,20 @@
 //! driver — checkpoint cadences from every-op to never, torn log tails,
 //! and cross-engine checkpoint rejection.
 
+use rsj_testutil::{digest, final_segment, line3, turnstile_ops, Scratch};
 use rsjoin::engine::Engine;
 use rsjoin::prelude::*;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-// ---------------------------------------------------------------------------
-// Scratch dirs (no tempfile dependency) and digesting
-// ---------------------------------------------------------------------------
-
-static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Self-cleaning scratch directory under the system temp dir.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let id = SCRATCH_ID.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("rsj-recovery-{tag}-{}-{id}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-/// FNV-1a over the sample matrix, in reservoir order — same digest the
-/// golden-determinism suite pins, so "equal digests" means "identical
-/// reservoir bytes".
-fn digest(samples: &[Vec<Value>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(samples.len() as u64);
-    for s in samples {
-        eat(s.len() as u64);
-        for &v in s {
-            eat(v);
-        }
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Turnstile workloads
 // ---------------------------------------------------------------------------
-
-fn line3() -> Query {
-    let mut qb = QueryBuilder::new();
-    qb.relation("G1", &["A", "B"]);
-    qb.relation("G2", &["B", "C"]);
-    qb.relation("G3", &["C", "D"]);
-    qb.build().unwrap()
-}
 
 fn two_rel() -> Query {
     let mut qb = QueryBuilder::new();
     qb.relation("R", &["x", "y"]);
     qb.relation("S", &["y", "z"]);
     qb.build().unwrap()
-}
-
-/// Mixed insert/delete stream: every op either inserts a random tuple or
-/// (1 in 4) deletes a currently-live one, so replay exercises the repair
-/// paths, not just appends.
-fn turnstile_ops(query: &Query, n_ops: usize, domain: u64, seed: u64) -> Vec<StreamOp> {
-    let mut rng = RsjRng::seed_from_u64(seed);
-    let nrels = query.num_relations();
-    let mut live: Vec<(usize, Vec<Value>)> = Vec::new();
-    let mut live_set: rsjoin::common::FxHashSet<(usize, Vec<Value>)> = Default::default();
-    let mut ops = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        if !live.is_empty() && rng.below_u64(4) == 0 {
-            let j = rng.index(live.len());
-            let (rel, t) = live.swap_remove(j);
-            live_set.remove(&(rel, t.clone()));
-            ops.push(StreamOp::delete(rel, t));
-        } else {
-            let rel = rng.index(nrels);
-            let arity = query.relation(rel).attrs.len();
-            let t: Vec<Value> = (0..arity).map(|_| rng.below_u64(domain)).collect();
-            if live_set.insert((rel, t.clone())) {
-                live.push((rel, t.clone()));
-            }
-            ops.push(StreamOp::insert(rel, t));
-        }
-    }
-    ops
 }
 
 type BoxedSampler = Box<dyn JoinSampler + Send>;
@@ -199,6 +112,71 @@ fn kill_at_random_op_recovers_byte_identically() {
                 engine.name()
             );
         }
+    }
+
+    // The resident service through the same wrapper: two shared members
+    // and a boxed one, checkpointed after registration.
+    let query = line3();
+    let ops = turnstile_ops(&query, n_ops, 6, 0xFEED);
+    let register = |svc: &mut SamplerService| -> Vec<QueryHandle> {
+        vec![
+            svc.register(&query, &QueryOpts::new(16, 1)).unwrap(),
+            svc.register(&query, &QueryOpts::new(8, 2)).unwrap(),
+            svc.register_sampler(build(&Engine::Naive, &query)).unwrap(),
+        ]
+    };
+    let digests = |svc: &SamplerService, handles: &[QueryHandle]| -> Vec<u64> {
+        handles
+            .iter()
+            .map(|&h| digest(&svc.samples(h).unwrap()))
+            .collect()
+    };
+    let mut rebuild = |name: &str, _k: usize| -> Option<BoxedSampler> {
+        (name == "NaiveRebuild").then(|| build(&Engine::Naive, &line3()))
+    };
+    let mut clean = SamplerService::new(query.clone());
+    let handles = register(&mut clean);
+    for op in &ops {
+        clean.process_op(op).unwrap();
+    }
+    let expect = digests(&clean, &handles);
+    let mut kills = vec![0, 1, 70, 71, 72, n_ops - 1, n_ops];
+    kills.extend((0..4).map(|_| rng.index(n_ops)));
+    for kill in kills {
+        let scratch = Scratch::new("service");
+        let mut open = || {
+            PersistentService::open(
+                SamplerService::new(query.clone()),
+                scratch.path(),
+                CheckpointPolicy::EveryOps(71),
+                &mut rebuild,
+            )
+            .unwrap()
+        };
+        let mut p = open();
+        assert_eq!(register(p.service_mut()), handles);
+        p.checkpoint().unwrap();
+        for op in &ops[..kill] {
+            p.process_op(op).unwrap();
+        }
+        p.flush().unwrap();
+        drop(p);
+
+        let mut r = open();
+        assert_eq!(
+            r.service().lsn(),
+            kill as u64,
+            "service killed at op {kill}"
+        );
+        for op in &ops[kill..] {
+            r.process_op(op).unwrap();
+        }
+        assert_eq!(r.service().lsn(), clean.lsn());
+        assert_eq!(
+            digests(r.service(), &handles),
+            expect,
+            "service killed at op {kill}: recovered members diverged"
+        );
     }
 }
 
@@ -290,16 +268,6 @@ fn manual_checkpoints_recover() {
 // ---------------------------------------------------------------------------
 // Torn tails
 // ---------------------------------------------------------------------------
-
-fn final_segment(dir: &Path) -> PathBuf {
-    let mut segs: Vec<PathBuf> = fs::read_dir(dir.join("wal"))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "log"))
-        .collect();
-    segs.sort();
-    segs.pop().expect("wal has at least one segment")
-}
 
 /// Garbage appended past the last record (a torn in-flight append) is
 /// dropped on recovery; the flushed prefix survives intact.

@@ -20,7 +20,8 @@
 //!    CI's service-sweep job runs more).
 
 use rsj_testutil::{
-    brute_join_named, live_sets, NamedSample, Schedule, Step, StepMix, UniformityCheck,
+    brute_join_named, digest, line3, live_sets, two_table, NamedSample, Schedule, Step, StepMix,
+    UniformityCheck,
 };
 use rsjoin::common::{FxHashMap, FxHashSet, HeapSize};
 use rsjoin::engine::{Engine, EngineOpts};
@@ -30,21 +31,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 // ---------------------------------------------------------------------------
 // Fixtures
 // ---------------------------------------------------------------------------
-
-fn two_table() -> Query {
-    let mut qb = QueryBuilder::new();
-    qb.relation("R", &["X", "Y"]);
-    qb.relation("S", &["Y", "Z"]);
-    qb.build().unwrap()
-}
-
-fn line3() -> Query {
-    let mut qb = QueryBuilder::new();
-    qb.relation("G1", &["A", "B"]);
-    qb.relation("G2", &["B", "C"]);
-    qb.relation("G3", &["C", "D"]);
-    qb.build().unwrap()
-}
 
 /// A seeded turnstile stream over `query`'s binary relations: random
 /// inserts with every `del_every`-th op deleting a random live tuple.
@@ -66,26 +52,6 @@ fn turnstile_ops(query: &Query, n: usize, dom: u64, del_every: usize, seed: u64)
         }
     }
     ops
-}
-
-/// FNV-1a over the sample matrix — the same digest the chaos and recovery
-/// suites pin, so "equal" means "identical bytes".
-fn digest(samples: &[Vec<Value>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(samples.len() as u64);
-    for s in samples {
-        eat(s.len() as u64);
-        for &v in s {
-            eat(v);
-        }
-    }
-    h
 }
 
 /// The standalone twin of a shared-path registration: same engine, plans
@@ -751,7 +717,10 @@ fn degraded_boxed_member_fails_the_snapshot_not_the_service() {
     for op in ops.iter().skip(120).take(40) {
         ps.process_op(op).unwrap();
     }
-    assert!(matches!(ps.checkpoint(), Err(PersistError::Engine(_))));
+    assert!(matches!(
+        ps.checkpoint(),
+        Err(PersistError::NoImage("Sharded"))
+    ));
     assert_eq!(ps.ops_since_checkpoint(), 0, "a failed attempt re-arms");
     for op in ops.iter().skip(160) {
         ps.process_op(op).unwrap();

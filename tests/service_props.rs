@@ -13,18 +13,11 @@
 //!    and continues identically on further ingest.
 
 use proptest::prelude::*;
-use rsj_testutil::{brute_join_named, NamedSample};
+use rsj_testutil::{brute_join_named, two_table, NamedSample};
 use rsjoin::common::codec::{Decoder, Encoder};
 use rsjoin::common::{FxHashSet, HeapSize};
 use rsjoin::engine::{Engine, EngineOpts};
 use rsjoin::prelude::*;
-
-fn two_table() -> Query {
-    let mut qb = QueryBuilder::new();
-    qb.relation("R", &["X", "Y"]);
-    qb.relation("S", &["Y", "Z"]);
-    qb.build().unwrap()
-}
 
 fn named(q: &Query, row: &[Value]) -> NamedSample {
     let mut kv: Vec<(String, Value)> = q
