@@ -37,6 +37,10 @@ impl JoinSampler for NaiveRebuild {
         NaiveRebuild::k(self)
     }
 
+    fn exact_count(&self) -> u128 {
+        NaiveRebuild::exact_count(self)
+    }
+
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         let mut enc = Encoder::new();
         NaiveRebuild::snapshot_to(self, &mut enc);
@@ -77,13 +81,16 @@ impl JoinSampler for SJoin {
         SJoin::k(self)
     }
 
+    fn exact_count(&self) -> u128 {
+        self.index().total_results()
+    }
+
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.index().stats().inserts),
             deletes: Some(self.index().stats().deletes),
             reservoir_stops: Some(self.reservoir_stops()),
             heap_bytes: Some(self.heap_size()),
-            exact_results: Some(self.index().total_results()),
             ..SamplerStats::default()
         }
     }
@@ -137,13 +144,16 @@ impl JoinSampler for SJoinOpt {
         SJoinOpt::k(self)
     }
 
+    fn exact_count(&self) -> u128 {
+        self.inner().index().total_results()
+    }
+
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.combiner().inserts()),
             deletes: Some(self.combiner().deletes()),
             reservoir_stops: Some(self.inner().reservoir_stops()),
             heap_bytes: Some(self.inner().heap_size() + self.combiner().heap_size()),
-            exact_results: Some(self.inner().index().total_results()),
             ..SamplerStats::default()
         }
     }
@@ -277,13 +287,14 @@ impl JoinSampler for SymmetricSampler {
         self.k
     }
 
+    fn exact_count(&self) -> u128 {
+        self.inner.live_results()
+    }
+
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.inserts),
             deletes: Some(self.deletes),
-            reservoir_stops: None,
-            heap_bytes: None,
-            exact_results: Some(self.inner.live_results()),
             ..SamplerStats::default()
         }
     }
@@ -343,7 +354,7 @@ mod tests {
         JoinSampler::process(&mut s, 0, &[1, 2]);
         JoinSampler::process(&mut s, 1, &[2, 3]);
         assert_eq!(JoinSampler::samples(&s), vec![vec![1, 2, 3]]);
-        assert_eq!(s.stats().exact_results, Some(1));
+        assert_eq!(s.exact_count(), 1);
     }
 
     #[test]
@@ -353,7 +364,7 @@ mod tests {
         JoinSampler::process(&mut s, 0, &[1, 2]);
         JoinSampler::process(&mut s, 1, &[2, 3]);
         assert_eq!(s.stats().inserts, Some(2));
-        assert_eq!(s.stats().exact_results, Some(1));
+        assert_eq!(s.exact_count(), 1);
     }
 
     #[test]

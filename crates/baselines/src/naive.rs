@@ -111,6 +111,12 @@ impl NaiveRebuild {
         &self.query
     }
 
+    /// Exact live `|Q(R)|`, counted by the reference oracle over the
+    /// relations this baseline already holds.
+    pub fn exact_count(&self) -> u128 {
+        rsj_core::count::exact_result_count(&self.query, &self.db)
+    }
+
     /// Sample capacity `k`.
     pub fn k(&self) -> usize {
         self.k

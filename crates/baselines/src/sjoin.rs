@@ -850,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_retrieval_enumerates_exact_results() {
+    fn delta_retrieval_enumerates_the_exact_delta() {
         let mut idx = SJoinIndex::new(line3()).unwrap();
         for a in 0..3u64 {
             idx.insert(0, &[a, 1]);

@@ -71,7 +71,7 @@ fn main() {
             }
             if i + 1 == checkpoints[next] {
                 sj_times.push((!capped).then(|| start.elapsed()));
-                join_sizes.push((!capped).then(|| sj.stats().exact_results.expect("SJoin counts")));
+                join_sizes.push((!capped).then(|| sj.exact_count()));
                 next += 1;
                 if next == checkpoints.len() {
                     break;

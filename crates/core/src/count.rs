@@ -1,32 +1,24 @@
-//! Exact `|Q(R)|` counting over raw tuples — the sidecar for owners that
-//! have no dynamic index to ask.
+//! Exact `|Q(R)|` over a [`Database`] — the reference oracle.
 //!
-//! A sampler that owns a [`DynamicIndex`](rsj_index::DynamicIndex) reads
-//! its count from the index itself (`DynamicIndex::exact_count`, a pass
-//! over the index's own groups). This module is the kernel for everything
-//! else: acyclic queries count by one bottom-up message pass over the join
-//! tree (`O(N)` with hashing); queries without a join tree fall back to
-//! backtracking enumeration. Two frontends share the walk:
-//!
-//! * [`exact_result_count`] counts directly over a [`Database`] (live
-//!   tuples only — tombstones are skipped): the reference the index kernel
-//!   is tested against, and the oracle of the repo benchmark;
-//! * `JoinCounter` (crate-internal, used by the sharded workers and the
-//!   service's boxed members) owns its tuple sets — those owners have no
-//!   relation access through the `JoinSampler` interface — builds its plan
-//!   once, and counts on demand, with deletions removing from the sets.
-//!
-//! Both saturate: the result is `min(|Q(R)|, u128::MAX)`.
+//! Engines answer their own count (`JoinSampler::exact_count`) from the
+//! state they already maintain: the `RSJoin` family asks its dynamic index
+//! (`DynamicIndex::exact_count`, a pass over the index's own groups), the
+//! exact baselines keep the number in `O(1)`. This module counts from raw
+//! relations instead: acyclic queries by one bottom-up message pass over
+//! the join tree (`O(N)` with hashing), queries without a join tree by
+//! backtracking enumeration. [`exact_result_count`] is what the index
+//! kernel and every engine's count are tested against, the oracle of the
+//! repo benchmark, and the count of `NaiveRebuild`, which owns nothing but
+//! a `Database`. The result saturates at `u128::MAX`.
 
-use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::value::MAX_KEY_ARITY;
-use rsj_common::{FxHashMap, FxHashSet, Key, Value};
+use rsj_common::{FxHashMap, Key, Value};
 use rsj_query::{JoinTree, Query};
-use rsj_storage::{Database, StreamOp};
+use rsj_storage::Database;
 use std::hash::Hash;
 
 /// The rooted message-passing schedule for acyclic counting.
-pub(crate) struct CountPlan {
+struct CountPlan {
     /// BFS order from the root (parents before children); counting walks it
     /// in reverse.
     order: Vec<usize>,
@@ -41,7 +33,7 @@ pub(crate) struct CountPlan {
 }
 
 impl CountPlan {
-    pub(crate) fn new(query: &Query, tree: &JoinTree) -> CountPlan {
+    fn new(query: &Query, tree: &JoinTree) -> CountPlan {
         let n = query.num_relations();
         let mut parent = vec![None; n];
         let mut order = vec![0usize];
@@ -164,136 +156,6 @@ pub fn exact_result_count(query: &Query, db: &Database) -> u128 {
     }
 }
 
-/// Exact per-shard result counting: a `Database`-free sidecar that stores
-/// the shard's accepted tuples (set semantics) and computes `|Q_i|` on
-/// demand.
-///
-/// The sidecar keeps its own copy of the shard's tuples — roughly
-/// doubling per-shard input storage next to the inner engine's — because
-/// the `JoinSampler` interface deliberately exposes no relation access;
-/// the trade is input-linear memory for an exact merge with any engine.
-/// Deletions remove from the sets, so the count stays exact under
-/// turnstile streams.
-pub(crate) struct JoinCounter {
-    query: Query,
-    plan: Option<CountPlan>,
-    /// Per relation: the distinct tuples currently live.
-    seen: Vec<FxHashSet<Vec<Value>>>,
-}
-
-impl JoinCounter {
-    pub(crate) fn new(query: Query) -> JoinCounter {
-        let plan = JoinTree::build(&query).map(|t| CountPlan::new(&query, &t));
-        let seen = vec![FxHashSet::default(); query.num_relations()];
-        JoinCounter { query, plan, seen }
-    }
-
-    /// Accepts one tuple; duplicates are no-ops, mirroring the engines' set
-    /// semantics.
-    pub(crate) fn insert(&mut self, rel: usize, tuple: Vec<Value>) {
-        self.seen[rel].insert(tuple);
-    }
-
-    /// Removes one tuple; absent tuples are no-ops (set semantics).
-    pub(crate) fn remove(&mut self, rel: usize, tuple: &[Value]) {
-        self.seen[rel].remove(tuple);
-    }
-
-    /// Applies one op through [`insert`](JoinCounter::insert) or
-    /// [`remove`](JoinCounter::remove).
-    pub(crate) fn apply(&mut self, op: &StreamOp) {
-        match op {
-            StreamOp::Insert(t) => self.insert(t.relation, t.values.clone()),
-            StreamOp::Delete(t) => self.remove(t.relation, &t.values),
-        }
-    }
-
-    /// Serializes the live tuple sets, sorted per relation for a canonical
-    /// image. The counting plan is a pure function of the query and is not
-    /// serialized.
-    pub(crate) fn snapshot_to(&self, enc: &mut Encoder) {
-        enc.put_usize(self.seen.len());
-        for side in &self.seen {
-            let mut tuples: Vec<&Vec<Value>> = side.iter().collect();
-            tuples.sort_unstable();
-            enc.put_usize(tuples.len());
-            for t in tuples {
-                enc.put_u64s(t);
-            }
-        }
-    }
-
-    /// Restores the live tuple sets from a [`JoinCounter::snapshot_to`]
-    /// image taken over the same query.
-    pub(crate) fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let seen = Self::decode_live(dec, self.query.num_relations())?;
-        self.seen = seen;
-        Ok(())
-    }
-
-    /// Decodes the per-relation live tuple sets of a counter image without
-    /// needing a counter instance — the shard-rebalance replay path reads
-    /// old counter images directly.
-    pub(crate) fn decode_live(
-        dec: &mut Decoder,
-        num_relations: usize,
-    ) -> Result<Vec<FxHashSet<Vec<Value>>>, CodecError> {
-        let nrels = dec.seq_len(1)?;
-        if nrels != num_relations {
-            return Err(CodecError::Corrupt(
-                "counter snapshot relation count mismatch",
-            ));
-        }
-        let mut seen = Vec::with_capacity(nrels);
-        for _ in 0..nrels {
-            let n = dec.seq_len(1)?;
-            let mut side = FxHashSet::default();
-            for _ in 0..n {
-                if !side.insert(dec.u64s()?) {
-                    return Err(CodecError::Corrupt("duplicate tuple in counter snapshot"));
-                }
-            }
-            seen.push(side);
-        }
-        Ok(seen)
-    }
-
-    /// Structural heap bytes of the live tuple sets — the sidecar's share
-    /// of a service member's footprint.
-    pub(crate) fn heap_size(&self) -> usize {
-        self.seen
-            .iter()
-            .map(|side| {
-                side.capacity() * std::mem::size_of::<Vec<Value>>()
-                    + side
-                        .iter()
-                        .map(|t| t.capacity() * std::mem::size_of::<Value>())
-                        .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Exact `|Q_i|` over the live accepted tuples.
-    pub(crate) fn count(&self) -> u128 {
-        match &self.plan {
-            Some(plan) => plan.count(|r| self.seen[r].iter().map(|t| t.as_slice())),
-            None => {
-                let seen: Vec<Vec<Vec<Value>>> = self
-                    .seen
-                    .iter()
-                    .map(|s| s.iter().cloned().collect())
-                    .collect();
-                count_backtracking(
-                    &self.query,
-                    &seen,
-                    0,
-                    &mut vec![None; self.query.num_attrs()],
-                )
-            }
-        }
-    }
-}
-
 fn count_backtracking(
     query: &Query,
     seen: &[Vec<Vec<Value>>],
@@ -344,39 +206,48 @@ mod tests {
         qb.build().unwrap()
     }
 
-    #[test]
-    fn db_count_matches_counter_and_tracks_deletes() {
-        let q = line3();
+    fn empty_db(q: &Query) -> Database {
         let mut db = Database::new();
         for r in q.relations() {
             db.add_relation(r.name.clone(), r.attrs.len());
         }
-        let mut counter = JoinCounter::new(q.clone());
+        db
+    }
+
+    /// The backtracking enumeration over the same live tuples.
+    fn brute_force(q: &Query, db: &Database) -> u128 {
+        let seen: Vec<Vec<Vec<Value>>> = (0..q.num_relations())
+            .map(|r| db.relation(r).iter().map(|(_, t)| t.to_vec()).collect())
+            .collect();
+        count_backtracking(q, &seen, 0, &mut vec![None; q.num_attrs()])
+    }
+
+    #[test]
+    fn message_pass_matches_backtracking_and_tracks_deletes() {
+        let q = line3();
+        let mut db = empty_db(&q);
         let mut rng = RsjRng::seed_from_u64(9);
         let mut live: Vec<(usize, Vec<Value>)> = Vec::new();
         for _ in 0..250 {
             let rel = rng.index(3);
             let t = vec![rng.below_u64(5), rng.below_u64(5)];
             if db.relation_mut(rel).insert(&t).is_some() {
-                live.push((rel, t.clone()));
+                live.push((rel, t));
             }
-            counter.insert(rel, t);
         }
-        assert_eq!(exact_result_count(&q, &db), counter.count());
-        assert!(counter.count() > 0, "degenerate instance");
-        // Delete a third of the live tuples from both sides.
+        assert_eq!(exact_result_count(&q, &db), brute_force(&q, &db));
+        assert!(exact_result_count(&q, &db) > 0, "degenerate instance");
+        // Delete a third of the live tuples.
         for (rel, t) in live.iter().step_by(3) {
             db.relation_mut(*rel).remove(t).unwrap();
-            counter.remove(*rel, t);
         }
-        assert_eq!(exact_result_count(&q, &db), counter.count());
+        assert_eq!(exact_result_count(&q, &db), brute_force(&q, &db));
     }
 
     /// Regression: only the dynamic index caps join keys at
-    /// `MAX_KEY_ARITY`; the sidecar serves index-less engines on any
-    /// query, so a five-attribute shared set must take the `Vec` keys
-    /// instead of truncating (release) or asserting (debug) in
-    /// `Key::project`.
+    /// `MAX_KEY_ARITY`; the oracle counts any query, so a five-attribute
+    /// shared set must take the `Vec` keys instead of truncating
+    /// (release) or asserting (debug) in `Key::project`.
     #[test]
     fn join_keys_wider_than_the_inline_key_count_exactly() {
         let mut qb = QueryBuilder::new();
@@ -384,29 +255,39 @@ mod tests {
         qb.relation("S", &["A", "B", "C", "D", "E", "Y"]);
         let q = qb.build().unwrap();
         assert!(q.shared_attrs(0, 1).len() > MAX_KEY_ARITY);
-        let mut counter = JoinCounter::new(q.clone());
+        let mut db = empty_db(&q);
         // Keys that agree on the first four attributes and differ on the
         // fifth: a truncated key would join all of them.
         for e in 0..3u64 {
             for x in 0..=e {
-                counter.insert(0, vec![1, 2, 3, 4, e, x]);
+                db.relation_mut(0).insert(&[1, 2, 3, 4, e, x]);
             }
             for y in 0..2 {
-                counter.insert(1, vec![1, 2, 3, 4, e, 10 + y]);
+                db.relation_mut(1).insert(&[1, 2, 3, 4, e, 10 + y]);
             }
         }
         // Per e: (e + 1) R-tuples x 2 S-tuples.
-        assert_eq!(counter.count(), 2 * (1 + 2 + 3));
-        counter.remove(1, &[1, 2, 3, 4, 2, 10]);
-        assert_eq!(counter.count(), 2 * (1 + 2) + 3);
-        let mut db = Database::new();
-        for r in q.relations() {
-            db.add_relation(r.name.clone(), r.attrs.len());
+        assert_eq!(exact_result_count(&q, &db), 2 * (1 + 2 + 3));
+        db.relation_mut(1).remove(&[1, 2, 3, 4, 2, 10]).unwrap();
+        assert_eq!(exact_result_count(&q, &db), 2 * (1 + 2) + 3);
+        assert_eq!(exact_result_count(&q, &db), brute_force(&q, &db));
+    }
+
+    #[test]
+    fn single_relation_query_counts_the_relation() {
+        // Degenerate join tree with no edges: the count is the relation's
+        // cardinality.
+        let mut qb = QueryBuilder::new();
+        qb.relation("R", &["A", "B"]);
+        let q = qb.build().unwrap();
+        let mut db = empty_db(&q);
+        for v in 0..7u64 {
+            db.relation_mut(0).insert(&[v, v + 100]);
         }
-        db.relation_mut(0).insert(&[1, 2, 3, 4, 5, 0]);
-        db.relation_mut(1).insert(&[1, 2, 3, 4, 5, 0]);
-        db.relation_mut(1).insert(&[1, 2, 3, 4, 6, 0]);
-        assert_eq!(exact_result_count(&q, &db), 1);
+        assert_eq!(exact_result_count(&q, &db), 7);
+        assert_eq!(exact_result_count(&q, &db), brute_force(&q, &db));
+        db.relation_mut(0).remove(&[3, 103]).unwrap();
+        assert_eq!(exact_result_count(&q, &db), 6);
     }
 
     #[test]
@@ -416,10 +297,7 @@ mod tests {
         qb.relation("R2", &["Y", "Z"]);
         qb.relation("R3", &["Z", "X"]);
         let q = qb.build().unwrap();
-        let mut db = Database::new();
-        for r in q.relations() {
-            db.add_relation(r.name.clone(), r.attrs.len());
-        }
+        let mut db = empty_db(&q);
         db.relation_mut(0).insert(&[1, 2]);
         db.relation_mut(1).insert(&[2, 3]);
         db.relation_mut(2).insert(&[3, 1]);

@@ -172,11 +172,11 @@ impl CyclicReservoirJoin {
         self.deletes
     }
 
-    /// Exact live `|Q(R)|`, computed on demand by the inner driver's index
-    /// over its bag-level groups (`O(N^w)` in the worst case — the same
-    /// pass the delete repair uses).
+    /// Exact live `|Q(R)|`: the inner driver's memoized index count over
+    /// its bag-level groups (one `O(N^w)` worst-case pass after each
+    /// change, shared with the delete repair).
     pub fn exact_result_count(&self) -> u128 {
-        self.inner.index().exact_count()
+        self.inner.exact_count()
     }
 
     /// Serializes the full dynamic state: bag trie contents, the stream

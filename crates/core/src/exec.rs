@@ -42,9 +42,6 @@ pub struct SamplerStats {
     pub reservoir_stops: Option<u64>,
     /// Estimated heap footprint in bytes (index + reservoir).
     pub heap_bytes: Option<usize>,
-    /// Exact `|Q(R)|` when the engine maintains it (SJoin family,
-    /// symmetric hash join).
-    pub exact_results: Option<u128>,
     /// Worker restarts performed by a supervising executor (sharded
     /// executor) after fault-induced deaths.
     pub restarts: Option<u64>,
@@ -216,6 +213,12 @@ pub trait JoinSampler {
     /// Reservoir capacity `k`.
     fn k(&self) -> usize;
 
+    /// Exact live `|Q(R)|` — the population the samples are uniform over,
+    /// saturating at `u128::MAX`. Every engine answers from the state it
+    /// already maintains (its index, its stored relations); nothing keeps
+    /// a second copy of the input to count it.
+    fn exact_count(&self) -> u128;
+
     /// Instrumentation snapshot; engines fill the fields they track.
     fn stats(&self) -> SamplerStats {
         SamplerStats::default()
@@ -305,6 +308,10 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
 
     fn k(&self) -> usize {
         (**self).k()
+    }
+
+    fn exact_count(&self) -> u128 {
+        (**self).exact_count()
     }
 
     fn stats(&self) -> SamplerStats {
@@ -412,13 +419,16 @@ impl JoinSampler for ReservoirJoin {
         ReservoirJoin::k(self)
     }
 
+    fn exact_count(&self) -> u128 {
+        ReservoirJoin::exact_count(self)
+    }
+
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.inserts()),
             deletes: Some(self.deletes()),
             reservoir_stops: Some(self.reservoir_stops()),
             heap_bytes: Some(self.heap_size()),
-            exact_results: None,
             ..SamplerStats::default()
         }
     }
@@ -478,15 +488,18 @@ impl JoinSampler for FkReservoirJoin {
         self.inner().k()
     }
 
+    /// Recomputed on demand from the stored relations (`O(N)` walk — the
+    /// same pass the delete repair uses), not maintained per op.
+    fn exact_count(&self) -> u128 {
+        self.exact_result_count()
+    }
+
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.combiner().inserts()),
             deletes: Some(self.combiner().deletes()),
             reservoir_stops: Some(self.inner().reservoir_stops()),
             heap_bytes: Some(self.heap_size()),
-            // Recomputed on demand from the stored relations (O(N) walk —
-            // the same pass the delete repair uses), not maintained per op.
-            exact_results: Some(self.exact_result_count()),
             ..SamplerStats::default()
         }
     }
@@ -541,15 +554,18 @@ impl JoinSampler for CyclicReservoirJoin {
         self.inner().k()
     }
 
+    /// Recomputed on demand from the bag-level relations (worst case
+    /// `O(N^w)`, the delete-repair walk), not maintained per op.
+    fn exact_count(&self) -> u128 {
+        self.exact_result_count()
+    }
+
     fn stats(&self) -> SamplerStats {
         SamplerStats {
             inserts: Some(self.inserts()),
             deletes: Some(self.deletes()),
             reservoir_stops: Some(self.inner().reservoir_stops()),
             heap_bytes: Some(self.heap_size()),
-            // Recomputed on demand from the bag-level relations (worst
-            // case O(N^w), the delete-repair walk), not maintained per op.
-            exact_results: Some(self.exact_result_count()),
             ..SamplerStats::default()
         }
     }

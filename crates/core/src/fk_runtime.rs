@@ -578,10 +578,10 @@ impl FkReservoirJoin {
         &mut self.inner
     }
 
-    /// Exact live `|Q(R)|`, computed on demand by the inner driver's index
-    /// over its own groups (`O(N)` — the same pass the delete repair uses).
+    /// Exact live `|Q(R)|`: the inner driver's memoized index count
+    /// (one `O(N)` pass after each change, shared with the delete repair).
     pub fn exact_result_count(&self) -> u128 {
-        self.inner.index().exact_count()
+        self.inner.exact_count()
     }
 
     /// Serializes the full dynamic state: combiner registries, then the

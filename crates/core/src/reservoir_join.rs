@@ -398,6 +398,12 @@ impl ReservoirJoin {
         self.core().deletes
     }
 
+    /// Exact live `|Q(R)|`: the group's memoized index count, shared with
+    /// the delete repair.
+    pub fn exact_count(&self) -> u128 {
+        self.group.population()
+    }
+
     /// Serializes the driver's complete dynamic state into `enc`: the
     /// one-member group image — the tree the index is built over (it may
     /// have been rebuilt since construction), the index's dynamic state

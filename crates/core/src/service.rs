@@ -63,7 +63,6 @@
 //! next accepted op on that index forgets it. The memo is transient: never
 //! serialized, rebuilt on demand after a restore.
 
-use crate::count::JoinCounter;
 use crate::exec::{apply_op, check_schema, Durable, JoinSampler};
 use crate::group::{column_hashes, Group};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
@@ -208,17 +207,7 @@ struct Member {
 struct BoxedMember {
     id: u64,
     sampler: Box<dyn JoinSampler + Send>,
-    /// Exact `|Q(R)|` sidecar over the universe (the trait exposes no
-    /// relation access — same trade as the sharded executor's counter).
-    counter: JoinCounter,
     cell: Arc<EpochCell>,
-}
-
-impl BoxedMember {
-    fn apply(&mut self, op: &StreamOp) {
-        apply_op(&mut *self.sampler, op);
-        self.counter.apply(op);
-    }
 }
 
 /// The resident sampler service. See the [module docs](self) for the
@@ -408,12 +397,11 @@ impl SamplerService {
             id: self.admit(),
             cell: Arc::new(EpochCell::new(4 + sampler.k() * arity)),
             sampler,
-            counter: JoinCounter::new(self.universe.clone()),
         };
         // The history was checked against the universe op by op, and the
         // engine takes exactly the universe's tuples.
         for op in self.store.history().iter() {
-            member.apply(op);
+            apply_op(&mut member.sampler, op);
         }
         let id = member.id;
         self.boxed.push(member);
@@ -468,8 +456,14 @@ impl SamplerService {
     /// then every boxed member's own [`JoinSampler::check_op`].
     pub fn validate_op(&self, op: &StreamOp) -> Result<(), ServiceError> {
         check_schema(&self.universe, op)
-            .and_then(|()| self.boxed.iter().try_for_each(|b| b.sampler.check_op(op)))
+            .and_then(|()| self.check_boxed(std::slice::from_ref(op)))
             .map_err(ServiceError::Store)
+    }
+
+    /// Every boxed member's own [`JoinSampler::check_ops`] over `ops`, as
+    /// if applied in order.
+    fn check_boxed(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        self.boxed.iter().try_for_each(|b| b.sampler.check_ops(ops))
     }
 
     /// Ingests one op: validate, retain, apply to every registration,
@@ -490,7 +484,7 @@ impl SamplerService {
             s.group.apply(op);
         }
         for b in &mut self.boxed {
-            b.apply(op);
+            apply_op(&mut b.sampler, op);
         }
         self.ops_since_publish += 1;
         self.maybe_publish();
@@ -513,7 +507,11 @@ impl SamplerService {
     /// sharing. Byte-identical per member to feeding the batch's rows
     /// through [`process_op`](SamplerService::process_op) in arrival
     /// order. The batch is atomic with respect to publish points: the
-    /// cadence check runs once, after the whole batch.
+    /// cadence check runs once, after the whole batch. It is also atomic
+    /// with respect to rejection: the whole batch passes the checks of
+    /// [`validate_op`](SamplerService::validate_op) — the universe's
+    /// schema, then every boxed member's, as if applied in order — before
+    /// any row is retained or applied.
     pub fn process_columnar(&mut self, batch: &ColumnarBatch) -> Result<(), ServiceError> {
         for rel in 0..batch.num_relations() {
             let rc = batch.relation(rel);
@@ -522,23 +520,22 @@ impl SamplerService {
                 SharedStoreError::check(rel, arity, rc.arity()).map_err(ServiceError::Store)?;
             }
         }
+        let mut ops = Vec::with_capacity(batch.len());
+        batch.shred(|rel, row| ops.push(StreamOp::insert(rel, row.to_vec())));
+        self.check_boxed(&ops).map_err(ServiceError::Store)?;
         // Retain first (the store is the authority every backfill and
         // restore replays), then apply.
-        let first = self.store.lsn() as usize;
-        batch.shred(|rel, row| {
+        for op in ops {
             self.store
-                .append_owned(StreamOp::insert(rel, row.to_vec()))
+                .append_owned(op)
                 .expect("batch validated against the universe");
-        });
+        }
         let hashes = column_hashes(batch);
         for s in &mut self.groups {
             s.group.insert_columnar(batch, &hashes, |_| {});
         }
         for b in &mut self.boxed {
             b.sampler.process_columnar(batch);
-            for op in &self.store.history().ops()[first..] {
-                b.counter.apply(op);
-            }
         }
         self.ops_since_publish += batch.arrivals().len() as u64;
         self.maybe_publish();
@@ -572,7 +569,7 @@ impl SamplerService {
         }
         for b in &self.boxed {
             let samples = b.sampler.samples();
-            Self::begin_payload(words, &b.cell, lsn, b.counter.count(), samples.len());
+            Self::begin_payload(words, &b.cell, lsn, b.sampler.exact_count(), samples.len());
             for s in &samples {
                 words.extend_from_slice(s);
             }
@@ -637,12 +634,13 @@ impl SamplerService {
 
     /// Exact live `|Q(R)|` for the registration. Shared registrations read
     /// their group's memo — one index pass per accepted op however many
-    /// handles ask; boxed ones run their sidecar's `O(N)` count.
+    /// handles ask; boxed ones ask their engine
+    /// ([`JoinSampler::exact_count`]).
     pub fn exact_count(&self, handle: QueryHandle) -> Result<u128, ServiceError> {
         if let Some((gi, _)) = self.find_shared(handle.0) {
             Ok(self.groups[gi].group.population())
         } else if let Some(bi) = self.find_boxed(handle.0) {
-            Ok(self.boxed[bi].counter.count())
+            Ok(self.boxed[bi].sampler.exact_count())
         } else {
             Err(ServiceError::UnknownHandle(handle.0))
         }
@@ -659,9 +657,7 @@ impl SamplerService {
             total += s.members.iter().map(|m| m.cell.heap_size()).sum::<usize>();
         }
         for b in &self.boxed {
-            total += b.sampler.stats().heap_bytes.unwrap_or(0)
-                + b.counter.heap_size()
-                + b.cell.heap_size();
+            total += b.sampler.stats().heap_bytes.unwrap_or(0) + b.cell.heap_size();
         }
         total
     }
@@ -774,18 +770,9 @@ impl SamplerService {
                 ));
             }
             sampler.restore_state(&state)?;
-            let mut counter = JoinCounter::new(self.universe.clone());
-            for op in store.history().iter() {
-                counter.apply(op);
-            }
             let arity = sampler.output_query().num_attrs();
             let cell = Arc::new(EpochCell::new(4 + k * arity));
-            boxed.push(BoxedMember {
-                id,
-                sampler,
-                counter,
-                cell,
-            });
+            boxed.push(BoxedMember { id, sampler, cell });
         }
         self.store = store;
         self.groups = groups;

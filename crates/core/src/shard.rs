@@ -6,8 +6,8 @@
 //!
 //! ```text
 //!                      ┌──────────────┐  batched mpsc channel
-//!   input tuple ──────▶│  ShardPlan   │───▶ shard 0: JoinSampler + counter
-//!   (rel, values)      │ hash(t[p])%S │───▶ shard 1: JoinSampler + counter
+//!   input tuple ──────▶│  ShardPlan   │───▶ shard 0: JoinSampler
+//!   (rel, values)      │ hash(t[p])%S │───▶ shard 1: JoinSampler
 //!                      │  /broadcast  │───▶   ...
 //!                      └──────────────┘───▶ shard S-1
 //!                                                 │ samples()
@@ -26,8 +26,9 @@
 //!
 //! # The merge
 //!
-//! Each shard `i` carries its population count `w_i = |Q_i|` (maintained
-//! exactly by a `JoinCounter` sidecar) next to its `min(k, w_i)`-sample.
+//! Each shard `i` carries its population count `w_i = |Q_i|` — the inner
+//! engine's own [`exact_count`](JoinSampler::exact_count) — next to its
+//! `min(k, w_i)`-sample.
 //! [`ShardedSampler::samples`] then simulates sequential sampling without
 //! replacement from the union: each output slot picks shard `i` with
 //! probability `w_i' / Σ w'` (where `w_i'` is shard `i`'s *remaining*
@@ -64,12 +65,11 @@
 //! surviving population), and [`ShardedSampler::health`] reports
 //! [`ShardHealth::Degraded`].
 
-use crate::count::JoinCounter;
 use crate::exec::{JoinSampler, SamplerStats};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::hash::fx_hash_words;
 use rsj_common::rng::{child_seed, RsjRng};
-use rsj_common::{FxHashSet, Value};
+use rsj_common::Value;
 use rsj_query::Query;
 use rsj_storage::{ColumnarBatch, StreamOp};
 use std::cell::RefCell;
@@ -253,16 +253,12 @@ impl ShardPlan {
     }
 }
 
-/// What a worker reports back on a read request.
-struct Snapshot {
-    samples: Vec<Vec<Value>>,
-    population: u128,
-    stats: SamplerStats,
-}
+/// A read-only question put to a worker's engine; the closure carries
+/// its own reply channel.
+type ReadFn = Box<dyn FnOnce(&dyn JoinSampler) + Send>;
 
-/// One worker's durable state: the inner engine's snapshot bytes paired
-/// with its counter's live-tuple image.
-type ShardImage = (Vec<u8>, Vec<u8>);
+/// One worker's durable state: the inner engine's snapshot bytes.
+type ShardImage = Vec<u8>;
 
 /// The builder the supervisor re-invokes to construct a replacement engine
 /// for a restarted shard.
@@ -274,86 +270,41 @@ enum Msg {
     /// partitioned it, the worker ingests it through the engine's columnar
     /// path.
     Columnar(ColumnarBatch),
-    Read(mpsc::Sender<Snapshot>),
+    Read(ReadFn),
     /// Ask the inner engine to re-evaluate its plan; replies with whether
     /// anything changed.
     Replan(mpsc::Sender<bool>),
-    /// Serialize the worker's durable state: the inner engine's snapshot
-    /// (`None` when it has no canonical image right now) paired with the
-    /// counter's live tuple sets.
+    /// Serialize the inner engine's state (`None` when it has no
+    /// canonical image right now).
     Snapshot(mpsc::Sender<Option<ShardImage>>),
-    /// Overlay a previously captured `(engine, counter)` state pair onto
-    /// the worker's engine and counter.
-    Restore(Vec<u8>, Vec<u8>, mpsc::Sender<Result<(), CodecError>>),
+    /// Overlay a previously captured image onto the worker's engine.
+    Restore(ShardImage, mpsc::Sender<Result<(), CodecError>>),
     /// Deliver an injected fault (chaos harness only).
     Chaos(ShardFault),
 }
 
-fn worker_loop(
-    mut sampler: Box<dyn JoinSampler + Send>,
-    mut counter: JoinCounter,
-    rx: mpsc::Receiver<Msg>,
-) {
-    // The population count is recomputed lazily: invalidated by ingest,
-    // cached across consecutive reads so `samples()` + `stats()` back to
-    // back pay for one count pass, not two.
-    let mut cached_count: Option<u128> = None;
+fn worker_loop(mut sampler: Box<dyn JoinSampler + Send>, rx: mpsc::Receiver<Msg>) {
     for msg in rx {
         match msg {
             Msg::Batch(batch) => {
-                cached_count = None;
                 // One batched call into the engine (the RSJoin family keeps
-                // its scratch hot across the whole delta batch), then the
-                // tuples move into the counter. A malformed op fed
-                // through the unchecked primitives dies here, under
+                // its scratch hot across the whole delta batch). A malformed
+                // op fed through the unchecked primitives dies here, under
                 // supervision, like any other inner-engine panic.
                 sampler
                     .process_op_batch(&batch)
                     .expect("op does not fit the inner engine's schema");
-                for op in batch {
-                    match op {
-                        StreamOp::Insert(t) => counter.insert(t.relation, t.values),
-                        StreamOp::Delete(t) => counter.remove(t.relation, &t.values),
-                    }
-                }
             }
-            Msg::Columnar(batch) => {
-                cached_count = None;
-                // The columnar twin of `Msg::Batch`: one batched call into
-                // the engine's columnar path, then the tuples move into the
-                // counter in arrival order.
-                sampler.process_columnar(&batch);
-                batch.shred(|rel, values| counter.insert(rel, values.to_vec()));
-            }
-            Msg::Read(reply) => {
-                let population = *cached_count.get_or_insert_with(|| counter.count());
-                // The requester may already have hung up (drop mid-read);
-                // that is not the worker's problem.
-                let _ = reply.send(Snapshot {
-                    samples: sampler.samples(),
-                    population,
-                    stats: sampler.stats(),
-                });
-            }
+            Msg::Columnar(batch) => sampler.process_columnar(&batch),
+            Msg::Read(read) => read(&*sampler),
             Msg::Replan(reply) => {
                 let _ = reply.send(sampler.replan());
             }
             Msg::Snapshot(reply) => {
-                let snap = sampler.snapshot_state().map(|engine| {
-                    let mut enc = Encoder::new();
-                    counter.snapshot_to(&mut enc);
-                    (engine, enc.into_bytes())
-                });
-                let _ = reply.send(snap);
+                let _ = reply.send(sampler.snapshot_state());
             }
-            Msg::Restore(engine, counter_bytes, reply) => {
-                cached_count = None;
-                let res = sampler.restore_state(&engine).and_then(|()| {
-                    let mut dec = Decoder::new(&counter_bytes);
-                    counter.restore_from_snapshot(&mut dec)?;
-                    dec.finish()
-                });
-                let _ = reply.send(res);
+            Msg::Restore(image, reply) => {
+                let _ = reply.send(sampler.restore_state(&image));
             }
             Msg::Chaos(fault) => match fault {
                 ShardFault::Panic => std::panic::panic_any(INJECTED_FAULT),
@@ -369,14 +320,13 @@ fn worker_loop(
 fn spawn_worker(
     shard: usize,
     sampler: Box<dyn JoinSampler + Send>,
-    counter: JoinCounter,
     rx: mpsc::Receiver<Msg>,
 ) -> Result<JoinHandle<()>, ShardError> {
     std::thread::Builder::new()
         .name(format!("rsj-shard-{shard}"))
         .spawn(move || {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                worker_loop(sampler, counter, rx)
+                worker_loop(sampler, rx)
             }));
         })
         .map_err(|e| ShardError::Spawn(format!("failed to spawn shard worker: {e}")))
@@ -431,7 +381,6 @@ struct State {
     tuples_routed: u64,
     /// Ops routed to shards that were already degraded.
     lost_ops: u64,
-    query: Query,
     seed: u64,
     policy: SupervisorPolicy,
     build: BuildFn,
@@ -596,9 +545,8 @@ impl State {
                 Ok(e) => e,
                 Err(_) => return self.degrade(shard),
             };
-            let counter = JoinCounter::new(self.query.clone());
             let (tx, rx) = mpsc::channel();
-            let handle = match spawn_worker(shard, engine, counter, rx) {
+            let handle = match spawn_worker(shard, engine, rx) {
                 Ok(h) => h,
                 Err(_) => return self.degrade(shard),
             };
@@ -620,13 +568,9 @@ impl State {
 
     /// Replays image + buffered ops into a freshly restarted shard.
     fn rehydrate(&mut self, shard: usize) -> bool {
-        if let Some((engine, counter)) = self.slots[shard].image.clone() {
+        if let Some(image) = self.slots[shard].image.clone() {
             let (rtx, rrx) = mpsc::channel();
-            if self.slots[shard]
-                .tx
-                .send(Msg::Restore(engine, counter, rtx))
-                .is_err()
-            {
+            if self.slots[shard].tx.send(Msg::Restore(image, rtx)).is_err() {
                 return false;
             }
             match rrx.recv() {
@@ -710,8 +654,7 @@ impl State {
 /// Constructed directly from any engine builder, or through the factory as
 /// `Engine::Sharded { inner, shards }` in the `rsjoin` facade.
 pub struct ShardedSampler {
-    /// The original query (the supervisor's `State` keeps its own copy
-    /// behind the `RefCell` for restarts).
+    /// The original query.
     query: Query,
     output_query: Query,
     k: usize,
@@ -801,9 +744,8 @@ impl ShardedSampler {
             if output_query.is_none() {
                 output_query = Some(sampler.output_query().clone());
             }
-            let counter = JoinCounter::new(query.clone());
             let (tx, rx) = mpsc::channel();
-            let handle = spawn_worker(s, sampler, counter, rx)?;
+            let handle = spawn_worker(s, sampler, rx)?;
             slots.push(Slot {
                 tx,
                 handle: Some(handle),
@@ -826,7 +768,6 @@ impl ShardedSampler {
                 slots,
                 tuples_routed: 0,
                 lost_ops: 0,
-                query: query.clone(),
                 seed,
                 policy,
                 build,
@@ -892,54 +833,19 @@ impl ShardedSampler {
         }
     }
 
-    /// Flushes every buffer and snapshots every shard (samples, exact
-    /// population, stats) — the synchronization point with the workers.
-    /// Degraded shards yield `None`.
-    fn snapshots(&self) -> (Vec<Option<Snapshot>>, u64) {
+    /// Flushes every buffer and asks every shard's engine `f` — the
+    /// synchronization point with the workers. Degraded shards yield
+    /// `None`. Also returns the routed-tuple count at that point.
+    fn read_all<T: Send + 'static>(&self, f: fn(&dyn JoinSampler) -> T) -> (Vec<Option<T>>, u64) {
         let mut st = self.state.borrow_mut();
-        let snaps = st.request_all(&Msg::Read);
-        (snaps, st.tuples_routed)
-    }
-
-    /// Restores from a [`snapshot_state`](JoinSampler::snapshot_state)
-    /// image taken with a **different** shard count or partition attribute
-    /// — the split/merge path of a shard rebalance. The old per-shard
-    /// engine images do not transfer across topologies, so the live tuples
-    /// recorded by the old shard counters are deduplicated (broadcast
-    /// relations register on every old shard), sorted, and replayed through
-    /// the new routing as ordinary inserts. The rebuilt sampler has the
-    /// exact live `|Q(R)|` and a uniform sample, but not the byte image of
-    /// the old run — contrast [`restore_state`](JoinSampler::restore_state),
-    /// which is byte-exact and requires an identical topology.
-    ///
-    /// Call this on a freshly built sampler: replay adds to whatever was
-    /// already routed.
-    pub fn restore_rebalanced(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(bytes);
-        let shards = dec.seq_len(1)?;
-        let _partition_attr = dec.usize()?;
-        let _tuples_routed = dec.u64()?;
-        let num_relations = self.plan.positions.len();
-        let mut union: FxHashSet<(usize, Vec<Value>)> = FxHashSet::default();
-        for _ in 0..shards {
-            let _engine = dec.bytes()?;
-            let counter = dec.bytes()?;
-            let mut cdec = Decoder::new(counter);
-            let seen = JoinCounter::decode_live(&mut cdec, num_relations)?;
-            cdec.finish()?;
-            for (rel, side) in seen.into_iter().enumerate() {
-                for t in side {
-                    union.insert((rel, t));
-                }
-            }
-        }
-        dec.finish()?;
-        let mut tuples: Vec<(usize, Vec<Value>)> = union.into_iter().collect();
-        tuples.sort_unstable();
-        for (rel, t) in tuples {
-            self.route_op(StreamOp::insert(rel, t));
-        }
-        Ok(())
+        let replies = st.request_all(&|reply: mpsc::Sender<T>| {
+            Msg::Read(Box::new(move |s| {
+                // The requester may already have hung up (drop mid-read);
+                // that is not the worker's problem.
+                let _ = reply.send(f(s));
+            }))
+        });
+        (replies, st.tuples_routed)
     }
 }
 
@@ -1055,23 +961,16 @@ impl JoinSampler for ShardedSampler {
     /// population: the draw stays uniform over the surviving shards'
     /// results.
     fn samples(&self) -> Vec<Vec<Value>> {
-        let (snaps, routed) = self.snapshots();
-        let total: u128 = snaps
+        let (snaps, routed) = self.read_all(|s| (s.exact_count(), s.samples()));
+        let (mut remaining, mut avail): (Vec<u128>, Vec<Vec<Vec<Value>>>) =
+            snaps.into_iter().map(Option::unwrap_or_default).unzip();
+        let total = remaining
             .iter()
-            .flatten()
-            .fold(0u128, |acc, s| acc.saturating_add(s.population));
+            .fold(0u128, |acc, &w| acc.saturating_add(w));
         let target = (self.k as u128).min(total) as usize;
         // Deterministic per (seed, stream position); stable across repeated
         // reads at the same position.
         let mut rng = RsjRng::seed_from_u64(child_seed(self.merge_seed, routed));
-        let mut remaining: Vec<u128> = snaps
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |s| s.population))
-            .collect();
-        let mut avail: Vec<Vec<Vec<Value>>> = snaps
-            .into_iter()
-            .map(|s| s.map(|s| s.samples).unwrap_or_default())
-            .collect();
         let mut out = Vec::with_capacity(target);
         while out.len() < target {
             let live: u128 = remaining.iter().sum();
@@ -1102,11 +1001,20 @@ impl JoinSampler for ShardedSampler {
         self.k
     }
 
+    /// `Σ |Q_i| = |Q(R)|` over the surviving shards: the populations the
+    /// merge weights its draws by.
+    fn exact_count(&self) -> u128 {
+        let (counts, _) = self.read_all(|s| s.exact_count());
+        counts
+            .into_iter()
+            .flatten()
+            .fold(0u128, u128::saturating_add)
+    }
+
     /// Serializes the sharded topology (shard count, partition attribute,
-    /// routed-tuple count) plus each worker's engine snapshot and counter
-    /// state — a canonical byte image, because every inner engine's own
-    /// snapshot is. A degraded sampler has no canonical image and returns
-    /// `None`.
+    /// routed-tuple count) plus each worker's engine snapshot — a
+    /// canonical byte image, because every inner engine's own snapshot
+    /// is. A degraded sampler has no canonical image and returns `None`.
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         let mut st = self.state.borrow_mut();
         if st.slots.iter().any(|s| s.dead) {
@@ -1118,38 +1026,30 @@ impl JoinSampler for ShardedSampler {
         enc.put_usize(self.plan.partition_attr());
         enc.put_u64(st.tuples_routed);
         for img in imgs {
-            let (engine, counter) = img.flatten()?;
-            enc.put_bytes(&engine);
-            enc.put_bytes(&counter);
+            enc.put_bytes(&img.flatten()?);
         }
         Some(enc.into_bytes())
     }
 
     /// Byte-exact restore into an identical topology (same shard count and
-    /// partition attribute — a rebalance goes through
-    /// [`ShardedSampler::restore_rebalanced`] instead). On error the
-    /// receiver may be partially overwritten and must be discarded. The
-    /// restored pairs double as each shard's `ShardImage`, so the
-    /// supervisor can heal from them without a fresh snapshot.
+    /// partition attribute). On error the receiver may be partially
+    /// overwritten and must be discarded. The restored engine images
+    /// double as each shard's `ShardImage`, so the supervisor can heal
+    /// from them without a fresh snapshot.
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         let mut dec = Decoder::new(bytes);
         let shards = dec.seq_len(1)?;
         let partition_attr = dec.usize()?;
         let routed = dec.u64()?;
         if shards != self.plan.shards() || partition_attr != self.plan.partition_attr() {
-            return Err(CodecError::Corrupt(
-                "snapshot topology differs; use restore_rebalanced for split/merge",
-            ));
+            return Err(CodecError::Corrupt("snapshot topology differs"));
         }
-        let mut pairs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let engine = dec.bytes()?.to_vec();
-            let counter = dec.bytes()?.to_vec();
-            pairs.push((engine, counter));
-        }
+        let images = (0..shards)
+            .map(|_| dec.bytes().map(<[u8]>::to_vec))
+            .collect::<Result<Vec<_>, _>>()?;
         dec.finish()?;
         let st = self.state.get_mut();
-        for (s, (engine, counter)) in pairs.into_iter().enumerate() {
+        for (s, image) in images.into_iter().enumerate() {
             st.flush(s);
             loop {
                 if st.slots[s].dead {
@@ -1160,7 +1060,7 @@ impl JoinSampler for ShardedSampler {
                 let (rtx, rrx) = mpsc::channel();
                 if st.slots[s]
                     .tx
-                    .send(Msg::Restore(engine.clone(), counter.clone(), rtx))
+                    .send(Msg::Restore(image.clone(), rtx))
                     .is_err()
                 {
                     st.on_dead(s);
@@ -1177,7 +1077,7 @@ impl JoinSampler for ShardedSampler {
                 }
             }
             let slot = &mut st.slots[s];
-            slot.image = Some((engine, counter));
+            slot.image = Some(image);
             slot.replay.clear();
             slot.replay_ops = 0;
         }
@@ -1187,10 +1087,10 @@ impl JoinSampler for ShardedSampler {
 
     /// Aggregated instrumentation: sums across surviving shards (broadcast
     /// tuples are counted once per shard that processed them), plus the
-    /// exact result count `Σ |Q_i| = |Q(R)|` the merge maintains anyway,
-    /// and the supervisor's restart / degradation counters.
+    /// supervisor's restart / degradation counters.
     fn stats(&self) -> SamplerStats {
-        let (snaps, _) = self.snapshots();
+        let (alive, _) = self.read_all(|s| s.stats());
+        let alive: Vec<SamplerStats> = alive.into_iter().flatten().collect();
         let (restarts, dead) = {
             let st = self.state.borrow();
             (
@@ -1198,11 +1098,10 @@ impl JoinSampler for ShardedSampler {
                 st.slots.iter().filter(|s| s.dead).count() as u64,
             )
         };
-        let alive: Vec<&Snapshot> = snaps.iter().flatten().collect();
         let sum_opt = |f: &dyn Fn(&SamplerStats) -> Option<u64>| {
             alive
                 .iter()
-                .filter_map(|s| f(&s.stats))
+                .filter_map(f)
                 .fold(None, |acc: Option<u64>, v| {
                     Some(acc.unwrap_or(0).saturating_add(v))
                 })
@@ -1213,15 +1112,10 @@ impl JoinSampler for ShardedSampler {
             reservoir_stops: sum_opt(&|s| s.reservoir_stops),
             heap_bytes: alive
                 .iter()
-                .filter_map(|s| s.stats.heap_bytes)
+                .filter_map(|s| s.heap_bytes)
                 .fold(None, |acc: Option<usize>, v| {
                     Some(acc.unwrap_or(0).saturating_add(v))
                 }),
-            exact_results: Some(
-                alive
-                    .iter()
-                    .fold(0u128, |acc, s| acc.saturating_add(s.population)),
-            ),
             restarts: Some(restarts),
             retries: None,
             degraded: Some(dead),
@@ -1233,7 +1127,7 @@ impl JoinSampler for ShardedSampler {
 mod tests {
     use super::*;
     use crate::reservoir_join::ReservoirJoin;
-    use rsj_common::{FxHashMap, FxHashSet};
+    use rsj_common::FxHashSet;
     use rsj_query::QueryBuilder;
     use rsj_storage::TupleStream;
 
@@ -1361,56 +1255,58 @@ mod tests {
         assert_eq!(e, ShardError::Build("inner boom".to_string()));
     }
 
-    #[test]
-    fn counter_matches_brute_force_on_line3() {
-        let mut counter = JoinCounter::new(line3());
-        let mut rng = RsjRng::seed_from_u64(3);
-        let mut naive = NaiveCount::new(line3());
-        for _ in 0..200 {
-            let rel = rng.index(3);
-            let t = vec![rng.below_u64(5), rng.below_u64(5)];
-            counter.insert(rel, t.clone());
-            naive.insert(rel, t);
+    /// Drives a turnstile stream (every fifth op deletes a live tuple)
+    /// through a 3-shard sampler over `build`'s engines and checks its
+    /// count against the brute-force recount.
+    fn check_sharded_count<F>(query: Query, dom: u64, seed: u64, build: F)
+    where
+        F: Fn(u64) -> Result<Box<dyn JoinSampler + Send>, String> + Send + 'static,
+    {
+        let mut s = ShardedSampler::new(&query, 4, seed, 3, build).unwrap();
+        let mut naive = NaiveCount::new(query.clone());
+        let mut rng = RsjRng::seed_from_u64(seed);
+        let mut live: Vec<(usize, Vec<Value>)> = Vec::new();
+        for i in 0..200 {
+            if i % 5 == 4 && !live.is_empty() {
+                let (rel, t) = live.swap_remove(rng.index(live.len()));
+                JoinSampler::delete(&mut s, rel, &t);
+                naive.seen[rel].remove(&t);
+            } else {
+                let rel = rng.index(query.num_relations());
+                let t = vec![rng.below_u64(dom), rng.below_u64(dom)];
+                JoinSampler::process(&mut s, rel, &t);
+                if naive.seen[rel].insert(t.clone()) {
+                    live.push((rel, t));
+                }
+            }
         }
-        assert_eq!(counter.count(), naive.count());
-        assert!(counter.count() > 0, "degenerate instance");
+        assert!(naive.count() > 0, "degenerate instance");
+        assert_eq!(s.exact_count(), naive.count());
     }
 
     #[test]
-    fn counter_matches_brute_force_on_triangle() {
-        let mut counter = JoinCounter::new(triangle());
-        let mut rng = RsjRng::seed_from_u64(5);
-        let mut naive = NaiveCount::new(triangle());
-        for _ in 0..150 {
-            let rel = rng.index(3);
-            let t = vec![rng.below_u64(6), rng.below_u64(6)];
-            counter.insert(rel, t.clone());
-            naive.insert(rel, t);
-        }
-        assert_eq!(counter.count(), naive.count());
-        assert!(counter.count() > 0, "degenerate instance");
+    fn sharded_count_matches_brute_force() {
+        let q = line3();
+        check_sharded_count(line3(), 5, 3, move |s| {
+            ReservoirJoin::new(q.clone(), 4, s)
+                .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
+                .map_err(|e| e.to_string())
+        });
+        let q = triangle();
+        check_sharded_count(triangle(), 6, 5, move |s| {
+            crate::cyclic::CyclicReservoirJoin::new(q.clone(), 4, s)
+                .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
+                .map_err(|e| e.to_string())
+        });
     }
 
     #[test]
-    fn counter_deduplicates() {
-        let mut counter = JoinCounter::new(two_table());
-        counter.insert(0, vec![1, 2]);
-        counter.insert(0, vec![1, 2]);
-        counter.insert(1, vec![2, 3]);
-        assert_eq!(counter.count(), 1);
-    }
-
-    #[test]
-    fn counter_handles_single_relation_queries() {
-        // Degenerate join tree with no edges: the count is the relation's
-        // cardinality.
-        let mut qb = QueryBuilder::new();
-        qb.relation("R", &["A", "B"]);
-        let mut counter = JoinCounter::new(qb.build().unwrap());
-        for v in 0..7u64 {
-            counter.insert(0, vec![v, v + 100]);
-        }
-        assert_eq!(counter.count(), 7);
+    fn sharded_count_deduplicates() {
+        let mut s = sharded_rsjoin(&two_table(), 4, 1, 3);
+        JoinSampler::process(&mut s, 0, &[1, 2]);
+        JoinSampler::process(&mut s, 0, &[1, 2]);
+        JoinSampler::process(&mut s, 1, &[2, 3]);
+        assert_eq!(s.exact_count(), 1);
     }
 
     #[test]
@@ -1429,8 +1325,8 @@ mod tests {
             expect.sort();
             assert_eq!(got, expect, "shards={shards}");
             assert_eq!(
-                sharded.stats().exact_results,
-                Some(expect.len() as u128),
+                sharded.exact_count(),
+                expect.len() as u128,
                 "shards={shards}"
             );
         }
@@ -1531,96 +1427,6 @@ mod tests {
         // A different topology is rejected on the byte-exact path.
         let mut wrong = sharded_rsjoin(&line3(), 6, 13, 4);
         assert!(wrong.restore_state(&bytes).is_err());
-    }
-
-    #[test]
-    fn rebalance_split_and_merge_preserve_exact_population() {
-        // Turnstile stream so the counters carry real live sets, not just
-        // cumulative inserts.
-        let mut rng = RsjRng::seed_from_u64(77);
-        let mut s = sharded_rsjoin(&line3(), 6, 3, 2);
-        let mut live: Vec<(usize, Vec<Value>)> = Vec::new();
-        for i in 0..400u64 {
-            if i % 5 == 4 && !live.is_empty() {
-                let (rel, t) = live.swap_remove(rng.index(live.len()));
-                s.process_op(&StreamOp::delete(rel, t)).unwrap();
-            } else {
-                let rel = rng.index(3);
-                let t = vec![rng.below_u64(6), rng.below_u64(6)];
-                JoinSampler::process(&mut s, rel, &t);
-                live.push((rel, t));
-            }
-        }
-        let population = s.stats().exact_results.unwrap();
-        assert!(population > 6, "degenerate instance");
-        let bytes = s.snapshot_state().unwrap();
-
-        // Split 2 -> 4: exact population and full sample survive replay.
-        let mut split = sharded_rsjoin(&line3(), 6, 91, 4);
-        split.restore_rebalanced(&bytes).unwrap();
-        assert_eq!(split.stats().exact_results, Some(population));
-        assert_eq!(
-            JoinSampler::samples(&split).len(),
-            JoinSampler::samples(&s).len()
-        );
-
-        // Merge 4 -> 1 from the split sampler's own snapshot.
-        let split_bytes = split.snapshot_state().unwrap();
-        let mut merged = sharded_rsjoin(&line3(), 6, 17, 1);
-        merged.restore_rebalanced(&split_bytes).unwrap();
-        assert_eq!(merged.stats().exact_results, Some(population));
-        assert_eq!(
-            JoinSampler::samples(&merged).len(),
-            JoinSampler::samples(&s).len()
-        );
-
-        // The replayed engines keep answering turnstile ops correctly.
-        for (rel, t) in live.iter().take(20) {
-            s.process_op(&StreamOp::delete(*rel, t.clone())).unwrap();
-            split
-                .process_op(&StreamOp::delete(*rel, t.clone()))
-                .unwrap();
-            merged
-                .process_op(&StreamOp::delete(*rel, t.clone()))
-                .unwrap();
-        }
-        let after = s.stats().exact_results;
-        assert_eq!(split.stats().exact_results, after);
-        assert_eq!(merged.stats().exact_results, after);
-    }
-
-    #[test]
-    fn rebalanced_samples_stay_uniform() {
-        use rsj_common::stats::{chi_square_critical, chi_square_uniform};
-        // Fixed instance with exactly 6 results (see sjoin_uniformity):
-        // split a 1-shard run into 2 shards and chi-square the merged
-        // sample over many seeds.
-        let stream: Vec<(usize, [u64; 2])> = vec![
-            (0, [1, 10]),
-            (2, [20, 5]),
-            (1, [10, 20]),
-            (0, [2, 10]),
-            (2, [20, 6]),
-            (0, [3, 10]),
-        ];
-        let trials = 1500u64;
-        let mut counts: FxHashMap<Vec<Value>, u64> = FxHashMap::default();
-        for seed in 0..trials {
-            let mut one = sharded_rsjoin(&line3(), 2, seed, 1);
-            for (rel, t) in &stream {
-                JoinSampler::process(&mut one, *rel, t);
-            }
-            let bytes = one.snapshot_state().unwrap();
-            let mut two = sharded_rsjoin(&line3(), 2, child_seed(seed, 999), 2);
-            two.restore_rebalanced(&bytes).unwrap();
-            for s in JoinSampler::samples(&two) {
-                *counts.entry(s).or_default() += 1;
-            }
-        }
-        assert_eq!(counts.len(), 6);
-        let obs: Vec<u64> = counts.values().copied().collect();
-        let (stat, df) = chi_square_uniform(&obs);
-        assert!(stat < chi_square_critical(df, 0.0001), "chi2={stat}");
     }
 
     #[test]
@@ -1759,7 +1565,7 @@ mod tests {
         assert!(result.is_err(), "the outer panic must surface as Err");
     }
 
-    /// Brute-force recount used to pin `JoinCounter`.
+    /// Brute-force recount used to pin the sharded count.
     struct NaiveCount {
         query: Query,
         seen: Vec<FxHashSet<Vec<Value>>>,
@@ -1769,10 +1575,6 @@ mod tests {
         fn new(query: Query) -> NaiveCount {
             let seen = vec![FxHashSet::default(); query.num_relations()];
             NaiveCount { query, seen }
-        }
-
-        fn insert(&mut self, rel: usize, t: Vec<Value>) {
-            self.seen[rel].insert(t);
         }
 
         fn count(&self) -> u128 {

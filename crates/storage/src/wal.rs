@@ -64,7 +64,9 @@ use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
 ///
-/// History: **4** — the foreign-key combiner image is its relations plus
+/// History: **5** — a sharded image holds each worker's engine bytes
+/// alone, without the per-shard live-tuple copy that followed them.
+/// **4** — the foreign-key combiner image is its relations plus
 /// its registry lists. **3** — `RSJoin`-family engine images are one index
 /// group (options, tree, index state, members) followed by the two replan
 /// counters; record encoding is unchanged. **2** — `KeyMap` images carry a
@@ -73,7 +75,7 @@ use std::time::Duration;
 /// restore). **1** — the original format. Files of an older version are
 /// rejected, so such a directory must be re-ingested from its source
 /// stream.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic prefix of a WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"RSJW";

@@ -63,7 +63,7 @@ fn main() {
             sampler.samples().len(),
             opt(st.reservoir_stops.map(|v| v.to_string())),
             opt(st.heap_bytes.map(|v| (v / 1024).to_string())),
-            opt(st.exact_results.map(|v| v.to_string())),
+            sampler.exact_count(),
             if n < stream.len() {
                 format!("   (first {n} tuples only)")
             } else {
@@ -91,7 +91,7 @@ fn main() {
         sampler.samples().len(),
         opt(st.reservoir_stops.map(|v| v.to_string())),
         opt(st.heap_bytes.map(|v| (v / 1024).to_string())),
-        opt(st.exact_results.map(|v| v.to_string())),
+        sampler.exact_count(),
     );
 
     println!(

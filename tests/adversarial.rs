@@ -153,11 +153,12 @@ fn skew_flip_flop() {
             .unwrap();
         s.process_batch(stream.tuples());
         let set: std::collections::BTreeSet<_> = s.samples_named().into_iter().collect();
-        (set, s.stats().exact_results)
+        (set, s.exact_count())
     };
-    let (a, _) = run(Engine::Reservoir, 1);
-    let (b, exact) = run(Engine::SJoin, 2);
-    assert_eq!(a.len() as u128, exact.expect("SJoin counts"));
+    let (a, rj_exact) = run(Engine::Reservoir, 1);
+    let (b, sj_exact) = run(Engine::SJoin, 2);
+    assert_eq!(a.len() as u128, sj_exact);
+    assert_eq!(rj_exact, sj_exact);
     assert_eq!(a, b);
 }
 

@@ -185,7 +185,7 @@ fn delete_then_reinsert_matches_fresh_insert_only_run() {
     }
 }
 
-/// The engines that report `exact_results` must agree with the
+/// Every engine's own `exact_count` must agree with the
 /// brute-force `|Q(R)|` after a delete-heavy stream — the acceptance
 /// check that the `_opt` combiners and the cyclic bag store track the
 /// *live* database, not the arrival history.
@@ -201,16 +201,20 @@ fn exact_result_counts_survive_turnstile() {
     .weave(&stream);
     let expect = brute_join_named(&query, &live_sets(&query, &ops)).len() as u128;
     for engine in [
+        Engine::Reservoir,
         Engine::FkReservoir,
         Engine::SJoinOpt,
         Engine::Cyclic,
         Engine::SJoin,
+        Engine::sharded(Engine::Reservoir, 3),
     ] {
         let mut s = engine.build(&query, 8, 5, &EngineOpts::default()).unwrap();
         s.process_op_batch(ops.ops()).unwrap();
-        let st = s.stats();
-        assert_eq!(st.exact_results, Some(expect), "{engine}");
-        assert!(st.deletes.unwrap() > 0, "{engine}: no deletes counted");
+        assert_eq!(s.exact_count(), expect, "{engine}");
+        assert!(
+            s.stats().deletes.unwrap() > 0,
+            "{engine}: no deletes counted"
+        );
     }
 }
 
@@ -255,9 +259,11 @@ fn fk_combining_engines_stay_exact_under_pk_turnstile() {
         s.process_op_batch(ops.ops()).unwrap();
         let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
         assert_eq!(got, expect, "{engine}");
-        let st = s.stats();
-        assert_eq!(st.exact_results, Some(expect.len() as u128), "{engine}");
-        assert!(st.deletes.unwrap() >= 4, "{engine}: deletes under-counted");
+        assert_eq!(s.exact_count(), expect.len() as u128, "{engine}");
+        assert!(
+            s.stats().deletes.unwrap() >= 4,
+            "{engine}: deletes under-counted"
+        );
     }
 }
 
@@ -280,6 +286,6 @@ fn deletes_interleave_with_sharded_batching() {
     s.process_op_batch(ops.ops()).unwrap();
     let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
     assert_eq!(got, expect);
-    assert_eq!(s.stats().exact_results, Some(expect.len() as u128));
+    assert_eq!(s.exact_count(), expect.len() as u128);
     assert!(s.stats().deletes.unwrap() > 0);
 }

@@ -9,7 +9,8 @@
 //! driver code appears anywhere in this file — engines are built by the
 //! factory and driven exclusively through the trait.
 
-use rsj_testutil::two_table;
+use rsj_testutil::{line3, two_table};
+use rsjoin::core::exact_result_count;
 use rsjoin::prelude::*;
 
 type ResultSet = std::collections::BTreeSet<Vec<(String, u64)>>;
@@ -192,21 +193,55 @@ fn sharded_wrapper_conforms_on_multiway_and_cyclic_queries() {
     }
 }
 
+/// Every engine's own `exact_count` against the oracle
+/// (`exact_result_count` over a `Database` mirror of the live tuples), at
+/// every prefix of a turnstile stream and again on a twin restored from
+/// that prefix's image: the count is the merge weight of `Sharded` and the
+/// published population of a boxed service member, so it must be exact
+/// wherever the engine is.
 #[test]
-fn sharded_stats_report_exact_results() {
-    // The merge maintains exact per-shard populations, so Sharded reports
-    // exact |Q(R)| through the uniform stats hook — for any inner engine.
+fn every_engine_counts_exactly_at_every_prefix_and_across_restore() {
     let mut qb = QueryBuilder::new();
-    qb.relation("R", &["X", "Y"]);
-    qb.relation("S", &["Y", "Z"]);
-    let q = qb.build().unwrap();
-    let stream = random_stream(2, 100, 5, 1);
-    let truth = collect(&Engine::Naive, &q, &EngineOpts::default(), &stream);
-    let mut s = Engine::sharded(Engine::Reservoir, 3)
-        .build(&q, 10, 1, &EngineOpts::default())
-        .unwrap();
-    s.process_batch(stream.tuples());
-    assert_eq!(s.stats().exact_results, Some(truth.len() as u128));
+    qb.relation("R1", &["X", "Y"]);
+    qb.relation("R2", &["Y", "Z"]);
+    qb.relation("R3", &["Z", "X"]);
+    let triangle = qb.build().unwrap();
+    // An edgeless join tree: the count is the relation's size.
+    let mut qb = QueryBuilder::new();
+    qb.relation("R", &["A", "B"]);
+    let single = qb.build().unwrap();
+    let mut engines = Engine::ALL.to_vec();
+    engines.push(Engine::sharded(Engine::Reservoir, 3));
+    for q in [single, two_table(), line3(), triangle] {
+        let ops = rsj_testutil::turnstile_ops(&q, 240, 5, 23);
+        assert!(ops.iter().any(StreamOp::is_delete));
+        let mut db = Database::new();
+        for r in q.relations() {
+            db.add_relation(r.name.clone(), r.attrs.len());
+        }
+        for engine in engines.iter().filter(|e| e.supports(&q)) {
+            let build = || engine.build(&q, 6, 5, &EngineOpts::default()).unwrap();
+            let mut s = build();
+            let mut mirror = db.clone();
+            for (i, op) in ops.iter().enumerate() {
+                s.process_op(op).unwrap();
+                let t = op.tuple();
+                match op {
+                    StreamOp::Insert(_) => mirror.relation_mut(t.relation).insert(&t.values),
+                    StreamOp::Delete(_) => mirror.relation_mut(t.relation).remove(&t.values),
+                };
+                if (i + 1) % 40 != 0 {
+                    continue;
+                }
+                let want = exact_result_count(&q, &mirror);
+                assert_eq!(s.exact_count(), want, "{engine} after {} ops", i + 1);
+                let mut twin = build();
+                twin.restore_state(&s.snapshot_state().unwrap()).unwrap();
+                assert_eq!(twin.exact_count(), want, "{engine} restored at {}", i + 1);
+            }
+            assert!(exact_result_count(&q, &mirror) > 0, "{engine}: degenerate");
+        }
+    }
 }
 
 #[test]
@@ -236,13 +271,6 @@ fn stats_flow_through_the_trait() {
         let st = s.stats();
         assert!(st.inserts.unwrap() > 0, "{engine} tracks accepted tuples");
     }
-    // SJoin and the symmetric join maintain exact counts; they must agree.
-    let run = |engine: Engine| {
-        let mut s = engine.build(&q, 10, 1, &EngineOpts::default()).unwrap();
-        s.process_batch(stream.tuples());
-        s.stats().exact_results.unwrap()
-    };
-    assert_eq!(run(Engine::SJoin), run(Engine::Symmetric));
 }
 
 // ---------------------------------------------------------------------------

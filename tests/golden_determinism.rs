@@ -182,7 +182,7 @@ fn post_delete_reservoirs_are_pinned() {
 /// byte-identical across releases, or old logs stop being replayable.
 ///
 /// **Format-version bump rule**: these digests pin WAL/checkpoint
-/// `FORMAT_VERSION = 4` (crates/storage/src/wal.rs) *and* every engine's
+/// `FORMAT_VERSION = 5` (crates/storage/src/wal.rs) *and* every engine's
 /// canonical snapshot image. Any deliberate change to the record layout,
 /// the checkpoint layout, or a snapshot wire format MUST (1) bump
 /// `FORMAT_VERSION` so old files are rejected loudly instead of
@@ -219,6 +219,13 @@ fn post_delete_reservoirs_are_pinned() {
 /// the version word in their headers (checked by bumping the version
 /// alone on the v3 code: same two digests). v3 files are rejected with the
 /// version error, like v1 and v2.
+///
+/// **Migration note, 4 → 5**: a sharded image now holds each worker's
+/// engine bytes alone; v4 followed each with the shard's live-tuple
+/// copy. No pinned image is a sharded one, so both digests moved only
+/// through the version word in their headers (checked by bumping the
+/// version alone on the v4 code: same two digests). v4 files are rejected
+/// with the version error, like every older version.
 #[test]
 fn durability_images_are_pinned() {
     use rsjoin::prelude::{CheckpointPolicy, Persistent};
@@ -286,11 +293,11 @@ fn durability_images_are_pinned() {
         return;
     }
     assert_eq!(
-        checkpoint, 0x2906_9458_FE25_33F0,
+        checkpoint, 0xA66B_C31A_7BDD_58A7,
         "checkpoint image moved — see the format-version bump rule above"
     );
     assert_eq!(
-        segment, 0x5892_30CC_A3DD_B7A4,
+        segment, 0x4C6E_88FB_8130_16F5,
         "WAL segment image moved — see the format-version bump rule above"
     );
 }

@@ -46,9 +46,7 @@ fn all_engines_agree_with_exact_counts_on_planner_workloads() {
             s.process_batch(stream.tuples());
             let got: FxHashSet<NamedSample> = s.samples_named().into_iter().collect();
             assert_eq!(got, expect, "{}: {engine}", w.name);
-            if let Some(reported) = s.stats().exact_results {
-                assert_eq!(reported, exact, "{}: {engine} exact count", w.name);
-            }
+            assert_eq!(s.exact_count(), exact, "{}: {engine} exact count", w.name);
         }
     }
 }

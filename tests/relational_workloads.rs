@@ -18,7 +18,6 @@ fn run_workload(w: &Workload, engine: &Engine, k: usize, seed: u64) -> Box<dyn J
 fn run_all_and_compare(w: &Workload) -> usize {
     let k = 1 << 22; // collect everything
     let mut truth: Option<ResultSet> = None;
-    let mut exact: Option<u128> = None;
     for (seed, engine) in [
         Engine::Reservoir,
         Engine::FkReservoir,
@@ -30,23 +29,14 @@ fn run_all_and_compare(w: &Workload) -> usize {
     {
         let s = run_workload(w, &engine, k, seed as u64 + 1);
         let got: ResultSet = s.samples_named().into_iter().collect();
+        // Every engine's own count against the collected result set.
+        assert_eq!(s.exact_count(), got.len() as u128, "{}: {engine}", w.name);
         match &truth {
             None => truth = Some(got),
             Some(t) => assert_eq!(t, &got, "{}: RSJoin vs {engine}", w.name),
         }
-        if let Some(n) = s.stats().exact_results {
-            exact = Some(n);
-        }
     }
-    let truth = truth.expect("at least one engine ran");
-    // Exact count cross-check against SJoin's counter.
-    assert_eq!(
-        truth.len() as u128,
-        exact.expect("SJoin counts"),
-        "{}",
-        w.name
-    );
-    truth.len()
+    truth.expect("at least one engine ran").len()
 }
 
 /// A tiny tpcds-lite instance so full enumeration stays cheap.
@@ -132,12 +122,8 @@ fn graph_queries_rsjoin_vs_sjoin() {
         let a: ResultSet = rj.samples_named().into_iter().collect();
         let b: ResultSet = sj.samples_named().into_iter().collect();
         assert_eq!(a, b, "{}", w.name);
-        assert_eq!(
-            a.len() as u128,
-            sj.stats().exact_results.expect("SJoin counts"),
-            "{}",
-            w.name
-        );
+        assert_eq!(a.len() as u128, sj.exact_count(), "{}", w.name);
+        assert_eq!(rj.exact_count(), sj.exact_count(), "{}", w.name);
     }
 }
 

@@ -200,8 +200,8 @@ fn columnar_ingest_matches_row_ingest_for_every_member() {
 
 /// Every boxed engine family conforms: registered mid-stream on the
 /// service (backfill + residency), its final reservoir is byte-identical
-/// to the same engine fed the stream directly, and the service's exact
-/// count sidecar agrees with the brute-force oracle.
+/// to the same engine fed the stream directly, and the member's own
+/// exact count agrees with the brute-force oracle.
 #[test]
 fn boxed_engine_matrix_conforms_to_direct_execution() {
     let q = two_table();
@@ -236,7 +236,7 @@ fn boxed_engine_matrix_conforms_to_direct_execution() {
         assert_eq!(
             svc.exact_count(h).unwrap(),
             brute.len() as u128,
-            "{engine}: exact-count sidecar disagrees with brute force"
+            "{engine}: exact count disagrees with brute force"
         );
         svc.publish();
         let snap = svc.reader(h).unwrap().snapshot();
@@ -244,6 +244,58 @@ fn boxed_engine_matrix_conforms_to_direct_execution() {
         assert_eq!(snap.population, brute.len() as u128);
         assert_eq!(digest(&snap.samples), digest(&svc.samples(h).unwrap()));
     }
+}
+
+/// A columnar batch a boxed foreign-key member would reject — a primary
+/// key already bound to another tuple, by the live state or by an earlier
+/// row of the same batch — comes back as the member's typed error before
+/// any row is retained or applied: the service image is byte-identical
+/// and ingest carries on.
+#[test]
+fn columnar_batch_runs_the_boxed_members_checks_first() {
+    let mut qb = QueryBuilder::new();
+    qb.relation("fact", &["K", "M"]);
+    qb.relation("c", &["K", "HD"]);
+    let q = qb.build().unwrap();
+    let opts = EngineOpts {
+        fks: Some(FkSchema::none(2).with_pk(1, vec![0])),
+        ..EngineOpts::default()
+    };
+    let mut svc = SamplerService::new(q.clone());
+    let shared = svc.register(&q, &QueryOpts::new(4, 1)).unwrap();
+    let boxed = svc
+        .register_sampler(Engine::FkReservoir.build(&q, 4, 2, &opts).unwrap())
+        .unwrap();
+    let rows = |rows: &[(usize, [Value; 2])]| {
+        let rows: Vec<InputTuple> = rows
+            .iter()
+            .map(|&(rel, t)| InputTuple::new(rel, t.to_vec()))
+            .collect();
+        ColumnarBatch::from_rows(&rows)
+    };
+    svc.process_columnar(&rows(&[(1, [1, 10]), (0, [1, 100])]))
+        .unwrap();
+    let image = |svc: &SamplerService| {
+        let mut enc = rsjoin::common::codec::Encoder::new();
+        svc.snapshot_to(&mut enc).unwrap();
+        enc.into_bytes()
+    };
+    let before = image(&svc);
+    for bad in [
+        rows(&[(0, [2, 200]), (1, [1, 11])]),
+        rows(&[(1, [2, 20]), (0, [2, 201]), (1, [2, 21])]),
+    ] {
+        assert!(matches!(
+            svc.process_columnar(&bad),
+            Err(ServiceError::Store(SharedStoreError::PrimaryKeyConflict(1)))
+        ));
+        assert_eq!(image(&svc), before, "a rejected batch mutated the service");
+    }
+    svc.process_columnar(&rows(&[(1, [2, 20]), (0, [2, 200])]))
+        .unwrap();
+    assert_eq!(svc.lsn(), 4);
+    assert_eq!(svc.exact_count(shared).unwrap(), 2);
+    assert_eq!(svc.exact_count(boxed).unwrap(), 2);
 }
 
 // ---------------------------------------------------------------------------

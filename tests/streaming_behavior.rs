@@ -101,9 +101,7 @@ fn heavy_duplicates_are_no_ops_everywhere() {
             if let Some(n) = s.stats().inserts {
                 assert_eq!(n, 4, "{engine} round {round}");
             }
-            if let Some(total) = s.stats().exact_results {
-                assert_eq!(total, 2, "{engine} round {round}");
-            }
+            assert_eq!(s.exact_count(), 2, "{engine} round {round}");
             assert_eq!(s.samples().len(), 2, "{engine} round {round}");
         }
     }
