@@ -12,10 +12,10 @@ use rsj_common::hash::{fx_hash_columns, fx_hash_columns_scalar};
 use rsj_common::rng::RsjRng;
 use rsj_common::{fx_hash_one, Key, KeyMap};
 use rsj_core::{exact_result_count, ReplanPolicy, ReservoirJoin};
-use rsj_datagen::GraphConfig;
+use rsj_datagen::{GraphConfig, TurnstileConfig, VictimPolicy};
 use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
 use rsj_queries::{line_k, star_k};
-use rsj_storage::ColumnarBatch;
+use rsj_storage::{ColumnarBatch, StreamOp};
 use rsj_stream::{Reservoir, SliceBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -281,6 +281,100 @@ fn bench_exact_count() {
     });
 }
 
+/// The anchored count on a turnstile: a 20 %-delete line-3 weave at the
+/// `svc_churn_durable` shape through `ReservoirJoin`, whose every delete
+/// is a repair point against the exact `|Q(R)|`. After a warm half (which
+/// deletes, so the ledger is anchored), every op of the timed half is
+/// applied and then counted — a settled read. Three records: `engine` —
+/// allocator calls of that loop; `index` — the same ops on a bare twin
+/// index, so `engine − index` is what the samples, repairs and settled
+/// counts allocated; `passes` — full index count passes the timed loop
+/// paid, in `inserts`. CI gates `engine − index == 0` and `passes == 0`.
+fn bench_anchored_count() {
+    let edges = GraphConfig {
+        nodes: 1000,
+        edges: 5000,
+        zipf: 1.0,
+        seed: 42,
+    }
+    .generate();
+    let w = line_k(3, &edges, 1);
+    let ops = TurnstileConfig {
+        delete_ratio: 0.2,
+        policy: VictimPolicy::Uniform,
+        seed: 7,
+    }
+    .weave(&w.stream);
+    let (warm, timed) = ops.ops().split_at(ops.len() / 2);
+    assert!(
+        warm.iter().any(StreamOp::is_delete),
+        "the warm half anchors"
+    );
+    let mut rj = ReservoirJoin::new(w.query.clone(), 64, 7).unwrap();
+    rj.set_replan_policy(ReplanPolicy {
+        auto: false,
+        min_inserts: u64::MAX,
+    });
+    let mut twin =
+        DynamicIndex::with_tree(w.query.clone(), &rj.plan().tree, rj.index().options()).unwrap();
+    for op in warm {
+        let t = op.tuple();
+        if op.is_delete() {
+            rj.delete(t.relation, &t.values);
+            twin.delete(t.relation, &t.values);
+        } else {
+            rj.process(t.relation, &t.values);
+            twin.insert(t.relation, &t.values);
+        }
+    }
+    let passes = rj.count_passes();
+    let mut next = timed.iter();
+    bench_allocs(
+        "exact_count_anchored_line3",
+        "engine",
+        timed.len() as u32,
+        || {
+            let op = next.next().expect("one op per iteration");
+            let t = op.tuple();
+            if op.is_delete() {
+                rj.delete(t.relation, &t.values);
+            } else {
+                rj.process(t.relation, &t.values);
+            }
+            black_box(rj.exact_count());
+        },
+    );
+    let passes = rj.count_passes() - passes;
+    assert_eq!(rj.exact_count(), rj.index().exact_count());
+    let mut next = timed.iter();
+    bench_allocs(
+        "exact_count_anchored_line3",
+        "index",
+        timed.len() as u32,
+        || {
+            let op = next.next().expect("one op per iteration");
+            let t = op.tuple();
+            if op.is_delete() {
+                black_box(twin.delete(t.relation, &t.values));
+            } else {
+                black_box(twin.insert(t.relation, &t.values));
+            }
+        },
+    );
+    println!("{:<36} {passes} full count passes in the timed loop", "");
+    record_json(
+        &fig_name(),
+        "exact_count_anchored_line3",
+        "passes",
+        timed.len(),
+        0,
+        None,
+        Some((passes, 0)),
+        None,
+        false,
+    );
+}
+
 /// A reservoir stop and a repair draw allocate nothing (the slice-writing
 /// retrieval kernel + the flat sample arena). Star-4 at `k` well under
 /// `|Q(R)|`: once the reservoir is full its buffer stops growing, and every
@@ -357,5 +451,6 @@ fn main() {
     bench_keymap_grouped_probe();
     bench_columnar_steady_state();
     bench_exact_count();
+    bench_anchored_count();
     bench_stop_allocations();
 }

@@ -1,7 +1,7 @@
 //! Seeded randomness helpers.
 //!
 //! Everything in this workspace that flips a coin goes through [`RsjRng`] so
-//! experiments and tests are reproducible from a single `u64` seed. The two
+//! experiments and tests are reproducible from a single `u64` seed. The
 //! non-trivial pieces are:
 //!
 //! * [`RsjRng::geometric`] — the skip-length draw `q ~ Geo(w)` computed as
@@ -10,9 +10,31 @@
 //!   saturates into `u128`.
 //! * [`RsjRng::below_u128`] — unbiased uniform draw from `[0, n)` for
 //!   128-bit batch positions, via rejection sampling.
+//! * [`RsjRng::kth_smallest_uniform`] — the `k`-th smallest of `n`
+//!   uniforms in `O(1)` from its Beta law (two [`RsjRng::gamma`] draws),
+//!   for `n` up to `u128::MAX`: the turnstile repair's skip-state redraw.
 
 /// The splitmix64 golden-ratio increment.
 const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Skip probabilities below which [`RsjRng::geometric`] takes its
+/// logarithm through `ln_1p`.
+pub const TINY_W: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// `ln(1+y) − y + y²/2 − y³/3`, the residue of Marsaglia and Tsang's log
+/// test: its series `Σ_{n≥4} (−1)^{n+1} yⁿ/n` for `|y| < 0.1`, where the
+/// direct form would cancel away, and the direct form elsewhere.
+fn log1p_tail(y: f64) -> f64 {
+    if y.abs() >= 0.1 {
+        return y.ln_1p() - y + y * y / 2.0 - y * y * y / 3.0;
+    }
+    let mut acc = 0.0;
+    for n in (4..=24).rev() {
+        let sign = if n % 2 == 0 { -1.0 } else { 1.0 };
+        acc = acc * y + sign / n as f64;
+    }
+    acc * y.powi(4)
+}
 
 /// One splitmix64 step: mixes `x + γ` through two multiply-xorshift rounds.
 ///
@@ -120,6 +142,10 @@ impl RsjRng {
     /// before the next reservoir stop, computed as
     /// `floor(ln(u) / ln(1-w))`.
     ///
+    /// Below [`TINY_W`] the denominator is `ln_1p(-w)`: `1 - w` would
+    /// round to (or next to) 1 there, which made every skip infinite once
+    /// the population passed about `k · 2^53`.
+    ///
     /// Saturates at `u128::MAX` when `w` is so small that the draw exceeds
     /// 128 bits (practically: never re-stop in this stream).
     #[inline]
@@ -129,12 +155,62 @@ impl RsjRng {
             return 0;
         }
         let u = self.unit();
-        let q = u.ln() / (1.0 - w).ln();
+        let q = u.ln()
+            / if w < TINY_W {
+                (-w).ln_1p()
+            } else {
+                (1.0 - w).ln()
+            };
         if !q.is_finite() || q >= u128::MAX as f64 {
             u128::MAX
         } else {
             q as u128
         }
+    }
+
+    /// Standard normal draw (Box–Muller, two uniforms per draw).
+    #[inline]
+    pub fn normal(&mut self) -> f64 {
+        let r = (-2.0 * self.unit().ln()).sqrt();
+        r * (std::f64::consts::TAU * self.unit()).cos()
+    }
+
+    /// `Gamma(shape, 1)` for `shape >= 1`: Marsaglia and Tsang's method
+    /// (ACM TOMS 26(3), 2000), a normal draw transformed by `d·(1 + c·x)³`
+    /// and accepted by a squeeze or a log test.
+    ///
+    /// Both steps are written to stay exact for shapes up to
+    /// `u128::MAX as f64`. With `y = c·x` the log test `ln u < x²/2 + d·(1
+    /// − v + ln v)` is `ln u < 3d·(ln(1+y) − y + y²/2 − y³/3)`, whose
+    /// cancelling terms are summed as a series for small `y`; and the draw
+    /// `d·v` keeps `v − 1` apart from the 1, so its spread survives when
+    /// `y` is below the machine epsilon.
+    pub fn gamma(&mut self, shape: f64) -> f64 {
+        debug_assert!(shape >= 1.0, "gamma shape below 1: {shape}");
+        let d = shape - 1.0 / 3.0;
+        let c = 1.0 / (9.0 * d).sqrt();
+        loop {
+            let x = self.normal();
+            let y = c * x;
+            if y <= -1.0 {
+                continue;
+            }
+            let u = self.unit();
+            let x2 = x * x;
+            if u < 1.0 - 0.0331 * x2 * x2 || u.ln() < 3.0 * d * log1p_tail(y) {
+                return d + d * (y * (3.0 + y * (3.0 + y)));
+            }
+        }
+    }
+
+    /// The `k`-th smallest of `n` iid uniforms, `1 <= k <= n`, drawn from
+    /// its exact law `Beta(k, n − k + 1)` as `X / (X + Y)` with `X ~
+    /// Gamma(k)` and `Y ~ Gamma(n − k + 1)`: `O(1)` whatever `k` and `n`.
+    pub fn kth_smallest_uniform(&mut self, k: u128, n: u128) -> f64 {
+        debug_assert!(1 <= k && k <= n, "order statistic {k} of {n}");
+        let x = self.gamma(k as f64);
+        let y = self.gamma((n - k + 1) as f64);
+        x / (x + y)
     }
 
     /// Unbiased uniform draw from `[0, n)`, `n > 0`, over 128 bits.
@@ -272,6 +348,83 @@ mod tests {
         let half = n / 2;
         let lows = (0..20_000).filter(|_| r.below_u128(n) < half).count();
         assert!((8_000..12_000).contains(&lows), "lows={lows}");
+    }
+
+    #[test]
+    fn gamma_moments_match_theory() {
+        // Gamma(a): mean a, variance a. Check the mean within 4 standard
+        // errors and the variance within 10 % across small and huge shapes.
+        let mut r = RsjRng::seed_from_u64(21);
+        for a in [1.0, 2.5, 17.0, 1e6, 2f64.powi(70)] {
+            let n = 20_000;
+            let xs: Vec<f64> = (0..n).map(|_| r.gamma(a)).collect();
+            let mean = xs.iter().sum::<f64>() / n as f64;
+            let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
+            assert!(
+                (mean - a).abs() < 4.0 * (a / n as f64).sqrt(),
+                "a={a}: mean {mean}"
+            );
+            assert!((var / a - 1.0).abs() < 0.1, "a={a}: variance {var}");
+        }
+    }
+
+    #[test]
+    fn log1p_tail_is_continuous_at_the_series_switch() {
+        for y in [0.1f64, -0.1] {
+            let below = log1p_tail(y * (1.0 - 1e-12));
+            let at = log1p_tail(y);
+            assert!(
+                (below - at).abs() <= 1e-9 * at.abs(),
+                "y={y}: {below} vs {at}"
+            );
+        }
+        assert_eq!(log1p_tail(0.0), 0.0);
+        let y = 1e-3f64;
+        let lead = -y.powi(4) / 4.0 + y.powi(5) / 5.0;
+        assert!((log1p_tail(y) / lead - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn kth_smallest_uniform_has_the_beta_mean_at_any_scale() {
+        // E[k-th smallest of n] = k / (n + 1), relative sd ≈ 1/√k.
+        let mut r = RsjRng::seed_from_u64(22);
+        for (k, n) in [
+            (1u128, 1u128),
+            (4, 10),
+            (64, 1 << 20),
+            (4, 1 << 127),
+            (256, u128::MAX),
+        ] {
+            let trials = 4000;
+            let mean = (0..trials)
+                .map(|_| r.kth_smallest_uniform(k, n))
+                .sum::<f64>()
+                / trials as f64;
+            let want = k as f64 / (n as f64 + 1.0);
+            assert!(mean > 0.0, "k={k} n={n}: collapsed to zero");
+            assert!(
+                (mean / want - 1.0).abs() < 0.1,
+                "k={k} n={n}: {mean} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn geometric_stays_finite_for_tiny_w() {
+        // A skip probability of 2^-120 has mean skip 2^120 — far inside
+        // u128, so no draw may saturate.
+        let mut r = RsjRng::seed_from_u64(23);
+        let w = 2f64.powi(-120);
+        let n = 2000;
+        let mean = (0..n)
+            .map(|_| {
+                let q = r.geometric(w);
+                assert!(q < u128::MAX, "tiny w froze the skip");
+                q as f64
+            })
+            .sum::<f64>()
+            / n as f64;
+        assert!((mean * w - 1.0).abs() < 0.1, "mean skip {mean}");
     }
 
     #[test]

@@ -99,11 +99,6 @@ pub(crate) struct SamplerCore {
     repair_rng: RsjRng,
     pub(crate) inserts: u64,
     pub(crate) deletes: u64,
-    /// Exact `|Q(R)|` measured at the last repair point (0 before any).
-    last_population: u128,
-    /// Deletes since the last repair point; forces a refresh when it
-    /// reaches [`repair_period`](SamplerCore::repair_period).
-    deletes_since_repair: u64,
 }
 
 impl SamplerCore {
@@ -115,8 +110,6 @@ impl SamplerCore {
             repair_rng: RsjRng::seed_from_u64(child_seed(seed, u64::from_le_bytes(*b"turnstil"))),
             inserts: 0,
             deletes: 0,
-            last_population: 0,
-            deletes_since_repair: 0,
         }
     }
 
@@ -154,51 +147,30 @@ impl SamplerCore {
     }
 
     /// The reservoir side of a deletion `index` has already applied:
-    /// evict samples using the tuple, then repair if the eviction damaged
-    /// the sample or the repair period elapsed (see
-    /// `crate::reservoir_join`). `population` yields the exact live
-    /// `|Q(R)|` and is only called at a repair point.
+    /// evict samples using the tuple, then repair against `population`,
+    /// the exact post-delete `|Q(R)|` — every delete is a repair point (see
+    /// `crate::reservoir_join`).
     fn apply_delete(
         &mut self,
         index: &DynamicIndex,
         rel: usize,
         tuple: &[Value],
-        population: impl FnOnce() -> u128,
+        population: u128,
     ) {
         self.deletes += 1;
-        self.deletes_since_repair += 1;
         // A materialized sample used the deleted tuple iff its projection
         // onto the relation's schema equals the deleted values (set
         // semantics: values identify the tuple).
         let attrs = &index.query().relation(rel).attrs;
-        let evicted = self
-            .reservoir
+        self.reservoir
             .evict_where(|s| attrs.iter().enumerate().all(|(pos, &a)| s[a] == tuple[pos]));
-        if evicted > 0 || self.deletes_since_repair >= self.repair_period() {
-            self.repair(index, population());
-        }
-    }
-
-    /// Deletes between forced repairs: `|Q(R)| / 4k` (last measured), so
-    /// the deleted-since-repair fraction — which bounds the calibration
-    /// drift on results inserted between repair points — stays below
-    /// `~1/4k`. When the population is small (`<= 4k`) the period is 1 and
-    /// every delete is a repair point, making the sample exactly uniform
-    /// in precisely the regime where a single delete matters; for large
-    /// populations the count pass amortizes to `O(k)` per delete.
-    fn repair_period(&self) -> u64 {
-        1u64.max(
-            (self.last_population / (4 * self.reservoir.capacity().max(1) as u128))
-                .min(u64::MAX as u128) as u64,
-        )
+        self.repair(index, population);
     }
 
     /// A repair point: sample backfill to `min(k, |Q(R)|)` distinct
     /// uniform results and skip-state recalibration against `population`,
     /// the exact live `|Q(R)|` of `index`.
     fn repair(&mut self, index: &DynamicIndex, population: u128) {
-        self.last_population = population;
-        self.deletes_since_repair = 0;
         let target = (self.reservoir.capacity() as u128).min(population) as usize;
         let full = FullSampler {
             root: self.plan.root,
@@ -236,8 +208,6 @@ impl SamplerCore {
         }
         enc.put_u64(self.inserts);
         enc.put_u64(self.deletes);
-        enc.put_u128(self.last_population);
-        enc.put_u64(self.deletes_since_repair);
     }
 
     /// Restores a member of `query` written by
@@ -262,31 +232,123 @@ impl SamplerCore {
             repair_rng,
             inserts: dec.u64()?,
             deletes: dec.u64()?,
-            last_population: dec.u128()?,
-            deletes_since_repair: dec.u64()?,
         })
     }
 }
 
-/// The exact `|Q(R)|` of a group's index state, memoized so that every
-/// consumer after an accepted op — member repairs, service publish points,
-/// owner-side reads — shares one count pass; the next accepted op forgets
-/// it. Transient: never serialized. Built from `Sync` parts (a `Cell`
-/// would do for the service alone) so that `ReservoirJoin` stays `Sync`.
+/// The exact `|Q(R)|` of a group's index state: an anchored ledger folded
+/// at deletes, and a memo so that every consumer after an accepted op —
+/// member repairs, service publish points, owner-side reads — shares one
+/// computation; the next accepted op forgets the memo.
+///
+/// The first delete anchors the ledger with one full index pass: `count`
+/// is `|Q(R)|` at a moment when each relation's next tuple id was
+/// `watermarks[rel]`. Tuple ids only grow and every delete settles the
+/// ledger first, so the tuples inserted since are exactly those at or past
+/// the watermarks — no pending list is kept, and the insert path does
+/// nothing for the ledger. Between deletes a count is `count` plus the
+/// rooted walks of those tuples ([`DynamicIndex::count_since`]), read as a
+/// pure function; a delete folds that in, re-anchors, and subtracts its own
+/// tuple's walk ([`DynamicIndex::count_joining`]). Walks are budgeted at
+/// one full pass ([`DynamicIndex::count_pass_cost`]): a settle that would
+/// cost more runs the pass instead, so no count need costs more than two
+/// passes. An insert-only stream never anchors and counts by the pass.
+///
+/// Transient: never serialized; a rebuild or a restore starts unanchored.
+/// Built from `Sync` parts (a `Cell` would do for the service alone) so
+/// that `ReservoirJoin` stays `Sync`.
 #[derive(Default)]
 struct CountMemo {
     population: OnceLock<u128>,
-    /// Index count passes paid so far (the sharing tests pin "at most one
-    /// per accepted op").
+    /// The ledger's `|Q(R)|` at the watermarks; `None` until the first
+    /// delete (and after a rebuild, a restore, or a dropped settle).
+    anchor: Option<u128>,
+    /// Each relation's next tuple id when `anchor` was last folded.
+    watermarks: Vec<TupleId>,
+    /// Full index count passes paid so far (the sharing tests pin "at most
+    /// one per accepted op", and none after the first delete).
     passes: AtomicU64,
 }
 
 impl CountMemo {
     fn get(&self, index: &DynamicIndex) -> u128 {
         *self.population.get_or_init(|| {
-            self.passes.fetch_add(1, Ordering::Relaxed);
-            index.exact_count()
+            let settled = self.anchor.and_then(|count| {
+                let mut budget = index.count_pass_cost();
+                let grown = index.count_since(&self.watermarks, &mut budget)?;
+                Some(count.saturating_add(grown))
+            });
+            debug_assert!(
+                settled.is_none_or(|c| c == index.exact_count()),
+                "the ledger drifted from the index"
+            );
+            settled.unwrap_or_else(|| self.pass(index))
         })
+    }
+
+    /// Forgets the memo and the anchor: the index was replaced, and its
+    /// tuple ids with it.
+    fn unanchor(&mut self) {
+        self.population.take();
+        self.anchor = None;
+    }
+
+    /// One full index count pass.
+    fn pass(&self, index: &DynamicIndex) -> u128 {
+        self.passes.fetch_add(1, Ordering::Relaxed);
+        index.exact_count()
+    }
+
+    /// Moves the watermarks to every relation's next tuple id.
+    fn mark(&mut self, index: &DynamicIndex) {
+        self.watermarks.clear();
+        self.watermarks
+            .extend(index.database().iter().map(|r| r.num_slots() as TupleId));
+    }
+
+    /// Before a delete: folds the inserts since the anchor into it and
+    /// moves the watermarks up. Returns the budget left for the delete's
+    /// own walk, or `None` — the ledger then unanchored — when there was
+    /// no anchor or the settle would cost more than a full pass.
+    fn settle(&mut self, index: &DynamicIndex) -> Option<u64> {
+        let count = self.anchor.take()?;
+        let mut budget = index.count_pass_cost();
+        let grown = index.count_since(&self.watermarks, &mut budget)?;
+        self.anchor = Some(count.saturating_add(grown));
+        self.mark(index);
+        Some(budget)
+    }
+
+    /// After `index` deleted `tuple` of `rel`, with what [`settle`]
+    /// returned: the exact post-delete `|Q(R)|`, anchored and memoized.
+    /// A settled ledger subtracts the tuple's walk — the view rooted at
+    /// `rel` holds no tuple of `rel`, so the unlink did not change it;
+    /// anything else anchors on a full pass.
+    ///
+    /// [`settle`]: CountMemo::settle
+    fn after_delete(
+        &mut self,
+        index: &DynamicIndex,
+        rel: usize,
+        tuple: &[Value],
+        budget: Option<u64>,
+    ) -> u128 {
+        let walked = budget.and_then(|mut budget| {
+            let count = self.anchor?;
+            Some(count.saturating_sub(index.count_joining(rel, tuple, &[], &mut budget)?))
+        });
+        let count = walked.unwrap_or_else(|| {
+            self.mark(index);
+            self.pass(index)
+        });
+        debug_assert_eq!(
+            count,
+            index.exact_count(),
+            "the ledger drifted from the index"
+        );
+        self.anchor = Some(count);
+        self.population = OnceLock::from(count);
+        count
     }
 }
 
@@ -359,8 +421,7 @@ impl Group {
         self.count.get(&self.index)
     }
 
-    /// Index count passes paid so far.
-    #[cfg(test)]
+    /// Full index count passes paid so far.
     pub(crate) fn count_passes(&self) -> u64 {
         self.count.passes.load(Ordering::Relaxed)
     }
@@ -389,15 +450,16 @@ impl Group {
         }
     }
 
-    /// Deletes one tuple and runs every member's repair protocol, all
-    /// sharing one memoized count. Returns the id the tuple occupied, or
-    /// `None` if it was absent (no effect).
+    /// Deletes one tuple and runs every member's repair protocol against
+    /// the exact post-delete count, which the ledger settles once for all
+    /// of them. Returns the id the tuple occupied, or `None` if it was
+    /// absent (no effect on the samples).
     pub(crate) fn delete(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
+        let budget = self.count.settle(&self.index);
         let tid = self.index.delete(rel, tuple)?;
-        self.count.population.take();
-        let (index, count) = (&self.index, &self.count);
+        let population = self.count.after_delete(&self.index, rel, tuple, budget);
         for m in &mut self.members {
-            m.apply_delete(index, rel, tuple, || count.get(index));
+            m.apply_delete(&self.index, rel, tuple, population);
         }
         Some(tid)
     }
@@ -478,7 +540,7 @@ impl Group {
         }
         self.index = fresh;
         self.tree = tree.clone();
-        self.count.population.take();
+        self.count.unanchor();
         for m in &mut self.members {
             retarget(&self.index, &mut m.plan);
         }

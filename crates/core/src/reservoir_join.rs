@@ -27,21 +27,21 @@
 //!    replacement over the post-delete `Q(R)`.
 //! 3. **Recalibrate** the skip state `(w, q)` against the *exact* live
 //!    `|Q(R)|`, so subsequent inserts are weighted as if the reservoir had
-//!    run over the live population from the start. The count is served by
-//!    the index ([`DynamicIndex::exact_count`]: one pass over the groups
-//!    and posting lists it already maintains — no re-planning, no tuple
-//!    hashing, no allocation per tuple); inside the sampler service the
-//!    members of an index group share one such pass per accepted op.
+//!    run over the live population from the start: `w` is redrawn from its
+//!    exact law, the `k`-th smallest of `|Q(R)|` uniforms, in `O(1)`
+//!    ([`Reservoir::recalibrate`](rsj_stream::Reservoir::recalibrate)).
 //!
-//! Step 3 is the expensive one and runs only at *repair points*: deletes
-//! that evicted a sample, plus a forced refresh every `~|Q(R)|/4k`
-//! deletes (every delete while `|Q(R)| <= 4k`). Between repair points the
-//! sample stays a uniform subset of the live results; only the inclusion
-//! probability of results inserted since the last repair drifts (bounded
-//! by the fraction deleted since then, `< 1/4k`), until the next repair
-//! resets it exactly. Engines with `O(1)` exact counts (`SJoin`,
-//! `SymmetricHashJoin`) afford recalibration on *every* delete and carry
-//! no such drift; see ARCHITECTURE.md, "Update model".
+//! Every delete is a repair point, so the sample is exactly uniform after
+//! every op, with no calibration drift between deletes. What makes that
+//! affordable is the count: the index group keeps an anchored ledger of
+//! `|Q(R)|` that a delete settles with *rooted walks* — the inserts since
+//! the last delete and the deleted tuple each walk their own neighbourhood
+//! in the index ([`DynamicIndex::count_since`],
+//! [`DynamicIndex::count_joining`]) — instead of recounting the join;
+//! only the first delete, or a settle heavier than the whole index, pays a
+//! full [`DynamicIndex::exact_count`] pass. Inside the sampler service the
+//! members of an index group share the one settled count per op; see
+//! ARCHITECTURE.md, "Update model".
 
 use crate::group::{column_hashes, Group, SamplerCore};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
@@ -293,15 +293,6 @@ impl ReservoirJoin {
         self.group.delete(rel, tuple)
     }
 
-    /// Forces a repair point now: exact live count, sample backfill to
-    /// `min(k, |Q(R)|)` distinct uniform results, skip-state
-    /// recalibration. Called automatically on damaging deletes and every
-    /// repair-period deletes (see the [module docs](self)); exposed so
-    /// turnstile pipelines can buy back exactness before a read.
-    pub fn refresh(&mut self) {
-        self.group.refresh();
-    }
-
     /// Re-evaluates the plan against statistics observed from the stored
     /// relations and adapts the orientation — the adaptive re-rooting hook.
     ///
@@ -398,10 +389,18 @@ impl ReservoirJoin {
         self.core().deletes
     }
 
-    /// Exact live `|Q(R)|`: the group's memoized index count, shared with
-    /// the delete repair.
+    /// Exact live `|Q(R)|`: the group's memoized count, shared with the
+    /// delete repair — settled from the anchored ledger once the stream
+    /// has deleted, a full index pass before.
     pub fn exact_count(&self) -> u128 {
         self.group.population()
+    }
+
+    /// Full [`DynamicIndex::exact_count`] passes the driver has paid so
+    /// far (instrumentation): on a turnstile stream, one at the first
+    /// delete and one per settle that outweighed a pass.
+    pub fn count_passes(&self) -> u64 {
+        self.group.count_passes()
     }
 
     /// Serializes the driver's complete dynamic state into `enc`: the

@@ -981,7 +981,7 @@ mod tests {
         assert_eq!(svc.num_queries(), 8);
         assert_eq!(svc.num_groups(), 1, "same tree, same options: one index");
         let ops = turnstile_ops(300, 7);
-        let mut repairing_deletes = 0;
+        let mut deleted = false;
         for (i, op) in ops.iter().enumerate() {
             let before = count_passes(&svc);
             svc.process_op(op).unwrap();
@@ -996,9 +996,19 @@ mod tests {
             }
             let passes = count_passes(&svc) - before;
             assert!(passes <= 1, "op {i}: {passes} count passes for one op");
-            repairing_deletes += u64::from(op.is_delete() && passes == 1);
+            // The first delete anchors the ledger with the one full pass;
+            // every later count — repairs, publishes, reads — is settled.
+            if deleted {
+                assert_eq!(passes, 0, "op {i}: a full pass after the first delete");
+            }
+            deleted |= op.is_delete();
         }
-        assert!(repairing_deletes > 0, "no delete ever repaired");
+        assert!(deleted, "the stream never deleted");
+        assert_eq!(
+            count_passes(&svc),
+            2,
+            "one pass at registration, one at the first delete"
+        );
         for (i, h) in handles.iter().enumerate() {
             let mut rj = standalone(&q, 4 + i, 100 + i as u64);
             rj.process_op_batch(ops.ops()).unwrap();

@@ -205,13 +205,14 @@ impl ProbeBatch<'_> {
         })
     }
 
-    /// Exact number of real results the insert would create (enumerates
-    /// the batch: `O(|ΔJ| log N)`).
+    /// Exact number of real results the insert would create: the rooted
+    /// walk over the probed tuple's neighbourhood
+    /// ([`DynamicIndex::count_joining`]), not an enumeration of the batch.
     pub fn exact_count(&self) -> u128 {
-        let mut ids = vec![0; self.index.query().num_relations()];
-        (0..self.size)
-            .filter(|&z| self.retrieve_into(z, &mut ids))
-            .count() as u128
+        let mut unbounded = u64::MAX;
+        self.index
+            .count_joining(self.rel, &self.values, &[], &mut unbounded)
+            .expect("an unbounded walk completes")
     }
 }
 

@@ -64,7 +64,10 @@ use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
 ///
-/// History: **5** — a sharded image holds each worker's engine bytes
+/// History: **6** — an index-group member's image ends at its insert and
+/// delete counters: the repair-period bookkeeping after them (the last
+/// repair's population and the deletes since) is gone, because every
+/// delete is a repair point. **5** — a sharded image holds each worker's engine bytes
 /// alone, without the per-shard live-tuple copy that followed them.
 /// **4** — the foreign-key combiner image is its relations plus
 /// its registry lists. **3** — `RSJoin`-family engine images are one index
@@ -75,7 +78,7 @@ use std::time::Duration;
 /// restore). **1** — the original format. Files of an older version are
 /// rejected, so such a directory must be re-ingested from its source
 /// stream.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Magic prefix of a WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"RSJW";

@@ -498,9 +498,10 @@ impl Reservoir {
     /// `(samples, w)` are independent in the algorithm's state law (the
     /// sample is a uniform `k`-subset by exchangeability, whatever the key
     /// *values*), drawing a fresh `w` from the exact `k`-th-smallest-of-`r`
-    /// law — an `O(k)` ascending order-statistics chain — restores the
-    /// exact joint state of a fresh run over the live population. The
-    /// pending skip `q` is re-drawn too (geometric in `w`).
+    /// law — `Beta(k, r − k + 1)`, two Gamma draws, `O(1)` for any `k` and
+    /// any `r` up to `u128::MAX` ([`RsjRng::kth_smallest_uniform`]) —
+    /// restores the exact joint state of a fresh run over the live
+    /// population. The pending skip `q` is re-drawn too (geometric in `w`).
     ///
     /// With `population <= samples.len()` the reservoir holds the whole
     /// result set and `(w, q)` reverts to the unfilled state.
@@ -516,15 +517,7 @@ impl Reservoir {
             return;
         }
         debug_assert_eq!(self.len(), self.k, "full before population");
-        // Ascending order-statistics chain: U_(1) = 1 - V^(1/r), then each
-        // next order statistic rescales into the remaining interval.
-        let mut w = 0.0f64;
-        let mut rem = population as f64;
-        for _ in 0..self.k {
-            w += (1.0 - w) * (1.0 - self.rng.unit().powf(1.0 / rem));
-            rem -= 1.0;
-        }
-        self.w = w;
+        self.w = self.rng.kth_smallest_uniform(self.k as u128, population);
         self.q = self.rng.geometric(self.w);
     }
 

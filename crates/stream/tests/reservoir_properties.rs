@@ -190,13 +190,7 @@ impl Model {
             self.q = 0;
             return;
         }
-        let mut w = 0.0f64;
-        let mut rem = population as f64;
-        for _ in 0..self.k {
-            w += (1.0 - w) * (1.0 - self.rng.unit().powf(1.0 / rem));
-            rem -= 1.0;
-        }
-        self.w = w;
+        self.w = self.rng.kth_smallest_uniform(self.k as u128, population);
         self.q = self.rng.geometric(self.w);
     }
 

@@ -6,14 +6,15 @@
 //! insert/delete streams end-to-end through the executor trait and check:
 //! validity (every sample is a live join result), cardinality
 //! (`min(k, |Q(R)|)` samples), statistical uniformity at a 20% delete
-//! ratio, and delete-then-reinsert round trips.
+//! ratio at the end of a stream and at 20% and 50% at mid-stream prefixes
+//! (every delete is a repair point), and delete-then-reinsert round trips.
 //! The counting/brute-force/chi-square machinery is `rsj-testutil`'s; the
 //! multi-engine uniformity family runs Bonferroni-corrected (one
 //! comparison per dynamic engine).
 
-use rsj_common::{FxHashSet, Value};
+use rsj_common::{FxHashMap, FxHashSet, Value};
 use rsj_datagen::{TurnstileConfig, VictimPolicy};
-use rsj_storage::{OpStream, StreamOp};
+use rsj_storage::{OpStream, StreamOp, TupleStream};
 use rsj_testutil::{
     brute_join_named, line3, live_sets, op_inclusion_counts, random_stream, two_table,
     UniformityCheck,
@@ -147,6 +148,95 @@ fn uniform_under_twenty_percent_deletes() {
             0..trials,
         );
         check.assert_uniform(&counts, 12, &format!("{engine} at 20% deletes"));
+    }
+}
+
+/// The live join results after the first `n` ops of `ops`.
+fn live_results(query: &Query, ops: &OpStream, n: usize) -> FxHashSet<Vec<(String, Value)>> {
+    let mut prefix = OpStream::new();
+    for op in &ops.ops()[..n] {
+        prefix.push(op.clone());
+    }
+    brute_join_named(query, &live_sets(query, &prefix))
+}
+
+/// Every delete is a repair point, so the sample is exactly uniform after
+/// every op, not only at the end of a stream: one Bonferroni family over
+/// the dynamic engines, 20 % and 50 % delete weaves, and three mid-stream
+/// prefixes of each, read from one run per seed. A 50 % weave drains
+/// toward empty, so its prefixes sit where the live join is still large.
+#[test]
+fn uniform_at_mid_stream_prefixes_under_twenty_and_fifty_percent_deletes() {
+    let query = line3();
+    let (k, trials) = (3, 1500u64);
+    let engines = dynamic_engines(&query);
+    let cases: Vec<(f64, OpStream, Vec<usize>)> = [0.2, 0.5]
+        .into_iter()
+        .map(|delete_ratio| {
+            // A preload of inserts, then the churn the ratio applies to.
+            let stream = random_stream(&query, 36, 3, 19);
+            let (preload, churn) = stream.tuples().split_at(12);
+            let mut ops = OpStream::new();
+            let mut rest = TupleStream::new();
+            for t in preload {
+                ops.push_insert(t.relation, t.values.clone());
+            }
+            for t in churn {
+                rest.push(t.relation, t.values.clone());
+            }
+            let woven = TurnstileConfig {
+                delete_ratio,
+                policy: VictimPolicy::Uniform,
+                seed: 23,
+            }
+            .weave(&rest);
+            for op in woven.iter() {
+                ops.push(op.clone());
+            }
+            // Prefixes ending in a delete, with more live results than k.
+            let ends: Vec<usize> = (1..=ops.len())
+                .filter(|&n| ops.ops()[n - 1].is_delete())
+                .filter(|&n| live_results(&query, &ops, n).len() > k)
+                .collect();
+            assert!(
+                ends.len() >= 3,
+                "{delete_ratio}: {} live prefixes",
+                ends.len()
+            );
+            let picks = (1..=3).map(|i| ends[i * (ends.len() - 1) / 3]).collect();
+            (delete_ratio, ops, picks)
+        })
+        .collect();
+    let check = UniformityCheck::across(engines.len() * cases.len() * 3);
+    for (ratio, ops, ends) in &cases {
+        let expects: Vec<FxHashSet<Vec<(String, Value)>>> =
+            ends.iter().map(|&n| live_results(&query, ops, n)).collect();
+        for engine in &engines {
+            let mut counts = vec![FxHashMap::default(); ends.len()];
+            for seed in 0..trials {
+                let mut s = engine
+                    .build(&query, k, seed, &EngineOpts::default())
+                    .unwrap();
+                let mut done = 0;
+                for (i, &end) in ends.iter().enumerate() {
+                    s.process_op_batch(&ops.ops()[done..end]).unwrap();
+                    done = end;
+                    let named = s.samples_named();
+                    assert_eq!(named.len(), k, "{engine} seed {seed} after {end} ops");
+                    for sample in named {
+                        assert!(expects[i].contains(&sample), "{engine}: dead sample");
+                        *counts[i].entry(sample).or_insert(0u64) += 1;
+                    }
+                }
+            }
+            for ((counts, expect), end) in counts.iter().zip(&expects).zip(ends) {
+                let label = format!(
+                    "{engine} at {ratio} deletes, after {end} of {} ops",
+                    ops.len()
+                );
+                check.assert_uniform(counts, expect.len(), &label);
+            }
+        }
     }
 }
 

@@ -12,6 +12,14 @@
 //! agreement is then checked after a snapshot/restore, after
 //! delete-everything-then-reinsert, and after a `replan()` that rebuilds
 //! the index over another tree.
+//!
+//! The anchored count — the ledger an index group settles at deletes with
+//! rooted walks, behind `ReservoirJoin::exact_count` and a service group's
+//! `exact_count` — is held to the stateless pass and brute force the same
+//! way: at every step, over every shape and several sampling roots, with
+//! insert bursts whose new tuples join each other (the walks' attribution
+//! mask), a hub whose settle outweighs a pass (the budget drop), across a
+//! snapshot/restore and across a replan rebuild.
 
 use proptest::prelude::*;
 use rsj_testutil::brute_join_named;
@@ -228,6 +236,171 @@ proptest! {
     }
 }
 
+/// A stream for the anchored count: turnstile steps as [`random_op`], and
+/// every 16th step a burst of eight inserts with no delete between them,
+/// so that new tuples of several relations join each other before the
+/// next delete settles them.
+fn bursty_ops(q: &Query, steps: usize, dom: u64, rng: &mut RsjRng) -> Vec<StreamOp> {
+    let mut live: Live = vec![FxHashSet::default(); q.num_relations()];
+    let mut ops = Vec::new();
+    for step in 0..steps {
+        let burst = if step % 16 == 15 { 8 } else { 1 };
+        for _ in 0..burst {
+            let op = match burst {
+                1 => random_op(q, &live, dom, rng),
+                _ => {
+                    let rel = rng.index(q.num_relations());
+                    let arity = q.relation(rel).attrs.len();
+                    StreamOp::insert(rel, (0..arity).map(|_| rng.below_u64(dom)).collect())
+                }
+            };
+            apply_live(&mut live, &op);
+            ops.push(op);
+        }
+    }
+    ops
+}
+
+/// A driver that never replans on its own, over `tree` with sampling root
+/// `root`.
+fn driver(q: &Query, tree: &Option<JoinTree>, root: usize, grouping: bool) -> ReservoirJoin {
+    let mut rj = ReservoirJoin::with_plan(
+        q.clone(),
+        4,
+        7,
+        IndexOptions { grouping },
+        plan_over(q, tree, root),
+    )
+    .unwrap();
+    rj.set_replan_policy(ReplanPolicy {
+        auto: false,
+        min_inserts: u64::MAX,
+    });
+    rj
+}
+
+fn plan_over(q: &Query, tree: &Option<JoinTree>, root: usize) -> Plan {
+    let mut plan = Plan::canonical(q).unwrap();
+    if let Some(t) = tree {
+        plan.tree = t.clone();
+        plan.is_canonical = false;
+    }
+    plan.root = root;
+    plan
+}
+
+fn apply_driver(rj: &mut ReservoirJoin, op: &StreamOp) {
+    let t = op.tuple();
+    if op.is_delete() {
+        rj.delete(t.relation, &t.values);
+    } else {
+        rj.process(t.relation, &t.values);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn anchored_counts_agree_with_the_pass_at_every_step(
+        seed in 0u64..1 << 40,
+        steps in 60usize..120,
+        dom in 2u64..4,
+        grouping in any::<bool>(),
+    ) {
+        for (name, q, tree) in acyclic_shapes() {
+            let mut rng = RsjRng::seed_from_u64(seed);
+            let ops = bursty_ops(&q, steps, dom, &mut rng);
+            let root = rng.index(q.num_relations());
+            let mut rj = driver(&q, &tree, root, grouping);
+            let mut svc = SamplerService::with_opts(q.clone(), ServiceOpts { publish_every: 0 });
+            let opts = QueryOpts {
+                index: IndexOptions { grouping },
+                plan: Some(plan_over(&q, &tree, (root + 1) % q.num_relations())),
+                ..QueryOpts::new(4, 9)
+            };
+            let h = svc.register(&q, &opts).unwrap();
+            let mut live: Live = vec![FxHashSet::default(); q.num_relations()];
+            for (step, op) in ops.iter().enumerate() {
+                apply_live(&mut live, op);
+                apply_driver(&mut rj, op);
+                svc.process_op(op).unwrap();
+                let at = format!("{name}, root {root}, op {step}");
+                assert_counts_agree(rj.index(), &live, &at);
+                let pass = rj.index().exact_count();
+                prop_assert_eq!(rj.exact_count(), pass, "driver, {}", at);
+                prop_assert_eq!(svc.exact_count(h).unwrap(), pass, "service group, {}", at);
+            }
+            prop_assert!(ops.iter().any(StreamOp::is_delete), "{}: never anchored", name);
+
+            // A restore starts unanchored; the twin and the original then
+            // count (and sample) identically through more churn.
+            let mut enc = Encoder::new();
+            rj.snapshot_to(&mut enc);
+            let bytes = enc.into_bytes();
+            let mut twin = driver(&q, &tree, root, grouping);
+            twin.restore_from_snapshot(&mut Decoder::new(&bytes)).unwrap();
+            for (step, op) in bursty_ops(&q, 40, dom, &mut rng).iter().enumerate() {
+                if op.is_delete() && !live[op.tuple().relation].contains(&op.tuple().values) {
+                    continue;
+                }
+                apply_live(&mut live, op);
+                apply_driver(&mut rj, op);
+                apply_driver(&mut twin, op);
+                let brute = brute_join_named(&q, &live).len() as u128;
+                prop_assert_eq!(rj.exact_count(), brute, "{} continued, op {}", name, step);
+                prop_assert_eq!(twin.exact_count(), brute, "{} restored, op {}", name, step);
+                prop_assert_eq!(twin.samples(), rj.samples(), "{} restored, op {}", name, step);
+            }
+        }
+    }
+}
+
+/// A settle heavier than a full pass is dropped for the pass: a hub key of
+/// line-3 whose every new partner walks all of the hub's items.
+#[test]
+fn a_hub_burst_drops_the_settle_for_a_pass() {
+    let q = line(3);
+    let mut rj = driver(&q, &None, 0, true);
+    let mut live: Live = vec![FxHashSet::default(); 3];
+    let apply = |rj: &mut ReservoirJoin, live: &mut Live, op: StreamOp| {
+        apply_live(live, &op);
+        apply_driver(rj, &op);
+        let brute = brute_join_named(rj.index().query(), live).len() as u128;
+        assert_eq!(rj.exact_count(), brute);
+        assert_eq!(rj.index().exact_count(), brute);
+    };
+    for c in 0..200 {
+        apply(&mut rj, &mut live, StreamOp::insert(1, vec![0, c]));
+        apply(&mut rj, &mut live, StreamOp::insert(2, vec![c, c % 7]));
+    }
+    apply(&mut rj, &mut live, StreamOp::delete(2, vec![0, 0]));
+    let anchored = rj.count_passes();
+    // Cheap settles: a few inserts away from the hub.
+    for a in 0..5 {
+        apply(&mut rj, &mut live, StreamOp::insert(0, vec![a, 1000 + a]));
+    }
+    apply(&mut rj, &mut live, StreamOp::delete(0, vec![0, 1000]));
+    assert_eq!(rj.count_passes(), anchored, "a light settle paid a pass");
+    // A burst on the hub: each new G1 tuple's walk visits its 200 items.
+    for a in 0..40 {
+        apply(&mut rj, &mut live, StreamOp::insert(0, vec![a, 0]));
+    }
+    let before = rj.count_passes();
+    apply(&mut rj, &mut live, StreamOp::delete(1, vec![0, 5]));
+    assert_eq!(
+        rj.count_passes(),
+        before + 1,
+        "the heavy settle was not dropped"
+    );
+    // Re-anchored: churn on continues without passes while it stays light.
+    for a in 0..4 {
+        apply(&mut rj, &mut live, StreamOp::insert(2, vec![1000 + a, 1]));
+        apply(&mut rj, &mut live, StreamOp::delete(2, vec![1000 + a, 1]));
+    }
+    assert_eq!(rj.count_passes(), before + 1);
+}
+
 /// `replan()` swaps in an index rebuilt over another tree (fresh tuple
 /// ids, fresh groups): its count must still be the live `|Q(R)|`.
 #[test]
@@ -292,17 +465,24 @@ fn count_survives_a_replan_rebuild() {
     assert!(rj.replan(), "the greedy planner leaves the start tree");
     assert_eq!(rj.rebuilds(), 1);
     assert_counts_agree(rj.index(), &live, "after the rebuild");
-    // And the rebuilt index keeps counting through further churn.
+    assert_eq!(
+        rj.exact_count(),
+        rj.index().exact_count(),
+        "after the rebuild"
+    );
+    // And the rebuilt index keeps counting through further churn, the
+    // anchored count too (the rebuild dropped the anchor: its watermarks
+    // named the old tuple ids).
     for _ in 0..60 {
         let op = random_op(rj.index().query(), &live, 8, &mut rng);
         apply_live(&mut live, &op);
-        let t = op.tuple();
-        if op.is_delete() {
-            rj.delete(t.relation, &t.values);
-        } else {
-            rj.process(t.relation, &t.values);
-        }
+        apply_driver(&mut rj, &op);
         assert_counts_agree(rj.index(), &live, "churn after the rebuild");
+        assert_eq!(
+            rj.exact_count(),
+            rj.index().exact_count(),
+            "churn after the rebuild"
+        );
     }
 }
 
