@@ -506,20 +506,11 @@ impl Group {
         }
     }
 
-    /// A repair point for every member: exact live count, sample backfill
-    /// to `min(k, |Q(R)|)` distinct uniform results, skip-state
-    /// recalibration.
-    pub(crate) fn refresh(&mut self) {
-        let population = self.count.get(&self.index);
-        for m in &mut self.members {
-            m.repair(&self.index, population);
-        }
-    }
-
     /// Rebuilds the index over `tree` by re-inserting the stored live
     /// relations, lets `retarget` set each member's plan against the
-    /// rebuilt index, then repairs every member (see
-    /// [`refresh`](Group::refresh)). Materialized samples stay valid —
+    /// rebuilt index, then makes a repair point for every member: exact
+    /// live count, sample backfill to `min(k, |Q(R)|)` distinct uniform
+    /// results, skip-state recalibration. Materialized samples stay valid —
     /// `Q(R)` is unchanged and sample rows hold values, not the tuple ids
     /// the rebuild reassigns. Returns `false`, changing nothing, when
     /// `tree` is not a join tree of the query.
@@ -541,10 +532,11 @@ impl Group {
         self.index = fresh;
         self.tree = tree.clone();
         self.count.unanchor();
+        let population = self.count.get(&self.index);
         for m in &mut self.members {
             retarget(&self.index, &mut m.plan);
+            m.repair(&self.index, population);
         }
-        self.refresh();
         true
     }
 

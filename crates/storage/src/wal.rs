@@ -64,7 +64,9 @@ use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
 ///
-/// History: **6** — an index-group member's image ends at its insert and
+/// History: **7** — a posting list of at most two items keeps them in its
+/// header and owns no chunk, so arena images carry fewer chunks and the
+/// header words of a short list are items, not chunk ids. **6** — an index-group member's image ends at its insert and
 /// delete counters: the repair-period bookkeeping after them (the last
 /// repair's population and the deletes since) is gone, because every
 /// delete is a repair point. **5** — a sharded image holds each worker's engine bytes
@@ -78,7 +80,7 @@ use std::time::Duration;
 /// restore). **1** — the original format. Files of an older version are
 /// rejected, so such a directory must be re-ingested from its source
 /// stream.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Magic prefix of a WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"RSJW";

@@ -75,7 +75,7 @@ fn line3_ledger_is_pinned() {
     check(
         &rsj_queries::line_k(3, &edges, 7),
         [
-            196608, 98304, 12288, 6, 33152, 98880, 48224, 344064, 49392, 393216, 87232, 86128, 0,
+            196608, 98304, 12288, 6, 33152, 98880, 48224, 344064, 49392, 270336, 62720, 86128, 0,
             3296,
         ],
     );
@@ -89,7 +89,7 @@ fn qz_ledger_is_pinned() {
     check(
         &rsj_queries::qz(&data, 31),
         [
-            188416, 69632, 7680, 23, 84352, 227136, 117024, 267264, 159344, 997376, 287568, 284016,
+            188416, 69632, 7680, 23, 84352, 227136, 117024, 267264, 159344, 256032, 52880, 284016,
             819200, 12224,
         ],
     );
