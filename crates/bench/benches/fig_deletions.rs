@@ -49,7 +49,6 @@ fn main() {
         Engine::Cyclic,
         Engine::SJoin,
         Engine::SJoinOpt,
-        Engine::sharded(Engine::Reservoir, 2),
     ];
 
     println!(

@@ -173,10 +173,6 @@ pub fn run_sampler_ops(ops: &rsj_storage::OpStream, sampler: &mut dyn JoinSample
             };
         }
     }
-    // Synchronization point: asynchronous engines (the sharded executor)
-    // only guarantee the ops are applied once a read drains the workers —
-    // include that in the timed region so throughput is comparable.
-    let _ = sampler.samples();
     Outcome::Finished(start.elapsed())
 }
 
@@ -193,19 +189,15 @@ pub fn fig_name() -> String {
         .unwrap_or_else(|| "bench".to_string())
 }
 
-/// The `(restarts, retries, degraded)` triple for [`record_json`]'s
-/// `fault` field, derived from an engine's stats: `Some` as soon as any of
-/// the supervision/durability counters is reported, so fault-tolerant runs
-/// are distinguishable from engines that do not track them at all.
-pub fn fault_counters(st: &rsj_core::SamplerStats) -> Option<(u64, u64, u64)> {
-    if st.restarts.is_none() && st.retries.is_none() && st.degraded.is_none() {
+/// The `(retries, degraded)` pair for [`record_json`]'s `fault` field,
+/// derived from an engine's stats: `Some` as soon as either durability
+/// counter is reported, so durable runs are distinguishable from engines
+/// that do not track them at all.
+pub fn fault_counters(st: &rsj_core::SamplerStats) -> Option<(u64, u64)> {
+    if st.retries.is_none() && st.degraded.is_none() {
         return None;
     }
-    Some((
-        st.restarts.unwrap_or(0),
-        st.retries.unwrap_or(0),
-        st.degraded.unwrap_or(0),
-    ))
+    Some((st.retries.unwrap_or(0), st.degraded.unwrap_or(0)))
 }
 
 /// Appends one JSON line describing a figure run to the file named by
@@ -215,9 +207,9 @@ pub fn fault_counters(st: &rsj_core::SamplerStats) -> Option<(u64, u64, u64)> {
 /// the engine's accepted `(inserts, deletes)` counters when the engine
 /// tracks them — `n` alone conflates stream length with accepted tuples
 /// on turnstile streams, so the two are recorded separately. `fault`
-/// carries `(restarts, retries, degraded)` from supervised/durable runs
-/// (see [`fault_counters`]), so recovery-cost figures and the CI gate can
-/// tell a healed run from an unfaulted one.
+/// carries `(retries, degraded)` from durable runs (see
+/// [`fault_counters`]), so recovery-cost figures can tell a run that
+/// absorbed I/O faults from an unfaulted one.
 #[allow(clippy::too_many_arguments)]
 pub fn record_json(
     fig: &str,
@@ -227,7 +219,7 @@ pub fn record_json(
     wall_ns: u128,
     samples_per_s: Option<f64>,
     ops: Option<(u64, u64)>,
-    fault: Option<(u64, u64, u64)>,
+    fault: Option<(u64, u64)>,
     timed_out: bool,
 ) {
     let Some(path) = std::env::var_os("RSJ_BENCH_JSON") else {
@@ -246,10 +238,8 @@ pub fn record_json(
     if let Some((ins, del)) = ops {
         line.push_str(&format!(",\"inserts\":{ins},\"deletes\":{del}"));
     }
-    if let Some((restarts, retries, degraded)) = fault {
-        line.push_str(&format!(
-            ",\"restarts\":{restarts},\"retries\":{retries},\"degraded\":{degraded}"
-        ));
+    if let Some((retries, degraded)) = fault {
+        line.push_str(&format!(",\"retries\":{retries},\"degraded\":{degraded}"));
     }
     if timed_out {
         line.push_str(",\"timed_out\":true");
@@ -284,17 +274,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("rsj-bench-json-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         std::env::set_var("RSJ_BENCH_JSON", &path);
-        record_json(
-            "figX",
-            "q",
-            "E",
-            10,
-            123,
-            None,
-            None,
-            Some((2, 5, 1)),
-            false,
-        );
+        record_json("figX", "q", "E", 10, 123, None, None, Some((5, 1)), false);
         record_json("figX", "q", "E", 10, 456, None, None, None, false);
         std::env::remove_var("RSJ_BENCH_JSON");
         let body = std::fs::read_to_string(&path).unwrap();
@@ -302,14 +282,12 @@ mod tests {
         let mut lines = body.lines();
         let faulted = lines.next().unwrap();
         assert!(
-            faulted.contains("\"restarts\":2")
-                && faulted.contains("\"retries\":5")
-                && faulted.contains("\"degraded\":1"),
+            faulted.contains("\"retries\":5") && faulted.contains("\"degraded\":1"),
             "fault counters missing: {faulted}"
         );
         let clean = lines.next().unwrap();
         assert!(
-            !clean.contains("restarts"),
+            !clean.contains("retries"),
             "unfaulted records must omit the counters: {clean}"
         );
     }
@@ -318,10 +296,10 @@ mod tests {
     fn fault_counters_distinguish_tracking_from_zero() {
         let mut st = rsj_core::SamplerStats::default();
         assert_eq!(fault_counters(&st), None);
-        st.restarts = Some(0);
-        assert_eq!(fault_counters(&st), Some((0, 0, 0)));
+        st.retries = Some(0);
+        assert_eq!(fault_counters(&st), Some((0, 0)));
         st.retries = Some(7);
         st.degraded = Some(1);
-        assert_eq!(fault_counters(&st), Some((0, 7, 1)));
+        assert_eq!(fault_counters(&st), Some((7, 1)));
     }
 }

@@ -9,7 +9,7 @@
 //! Readers are lock-free in aggregate: a read races the writer only during
 //! an in-flight publish and retries on sequence mismatch, so it observes
 //! either the complete previous snapshot or the complete next one — never
-//! a torn mix (tests/service.rs pins this as invariant 10: a snapshot read
+//! a torn mix (tests/service.rs pins this as invariant 8: a snapshot read
 //! observes the state at some single LSN).
 //!
 //! # Protocol

@@ -167,13 +167,6 @@ pub fn fx_hash_columns(prefix: u64, arity: usize, flat: &[u64], out: &mut Vec<u6
     fx_hash_columns_scalar(prefix, arity, flat, out);
 }
 
-/// Hashes one bare `u64` per row — the `FxHasher::write_u64` + `finish`
-/// chain the sharded executor routes partition columns through, vectorized.
-pub fn fx_hash_words(words: &[u64], out: &mut Vec<u64>) {
-    out.reserve(words.len());
-    out.extend(words.iter().map(|&w| fx_mix(0, w)));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,22 +262,6 @@ mod tests {
         for (i, &v) in flat.iter().enumerate() {
             assert_eq!(out[i + 1], fx_hash_one(&std::slice::from_ref(&v)), "{i}");
         }
-    }
-
-    #[test]
-    fn word_kernel_matches_write_u64_chain() {
-        let words: Vec<u64> = (0..9u64).map(|i| i * 0x1234_5678).collect();
-        let mut out = Vec::new();
-        fx_hash_words(&words, &mut out);
-        let expect: Vec<u64> = words
-            .iter()
-            .map(|&w| {
-                let mut h = FxHasher::default();
-                h.write_u64(w);
-                h.finish()
-            })
-            .collect();
-        assert_eq!(out, expect);
     }
 
     #[test]

@@ -54,11 +54,9 @@ pub fn splitmix64(x: u64) -> u64 {
 ///
 /// Used wherever one user-visible seed must fan out into several
 /// independent RNG streams whose identities do not depend on construction
-/// or scheduling order — most importantly the sharded executor, which
-/// seeds shard `i` of `S` with `child_seed(seed, i)` and its merge RNG
-/// with `child_seed(seed, S)`, making sharded runs reproducible regardless
-/// of thread interleaving. Unlike [`RsjRng::split`], deriving child `i`
-/// does not consume randomness from any parent stream.
+/// or scheduling order — the delete-repair RNGs of the turnstile engines
+/// and the service's schedule harness. Unlike [`RsjRng::split`], deriving
+/// child `i` does not consume randomness from any parent stream.
 #[inline]
 pub fn child_seed(seed: u64, index: u64) -> u64 {
     splitmix64(seed ^ splitmix64(index).rotate_left(17))

@@ -42,14 +42,10 @@ pub struct SamplerStats {
     pub reservoir_stops: Option<u64>,
     /// Estimated heap footprint in bytes (index + reservoir).
     pub heap_bytes: Option<usize>,
-    /// Worker restarts performed by a supervising executor (sharded
-    /// executor) after fault-induced deaths.
-    pub restarts: Option<u64>,
     /// Transient I/O errors absorbed by retry/backoff in the durability
     /// layer.
     pub retries: Option<u64>,
-    /// Degradation indicator: dead shards past the restart budget, or `1`
-    /// when a durability wrapper is serving with logging marked lost.
+    /// `1` while a durability wrapper is serving with logging marked lost.
     pub degraded: Option<u64>,
 }
 
@@ -133,9 +129,8 @@ pub trait JoinSampler {
     /// The default adapter shreds the batch back to rows in arrival order
     /// through [`process`](JoinSampler::process) — byte-identical to having
     /// fed the source rows directly, so every engine accepts columnar
-    /// ingest. Engines with a columnar fast path (the `RSJoin` family, the
-    /// sharded executor) override it; see ARCHITECTURE.md, "Columnar
-    /// ingest".
+    /// ingest. Engines with a columnar fast path (the `RSJoin` family)
+    /// override it; see ARCHITECTURE.md, "Columnar ingest".
     fn process_columnar(&mut self, batch: &ColumnarBatch) {
         batch.shred(|rel, t| self.process(rel, t));
     }
@@ -205,9 +200,8 @@ pub trait JoinSampler {
     ///
     /// Returns owned rows, one `Vec` each, whatever the engine stores: the
     /// `RSJoin` family and `SJoin` keep one flat buffer and copy out of
-    /// it here, the sharded executor merges its shards' samples on demand.
-    /// Readers that want the rows in place use the engine's inherent
-    /// `samples()`, which borrows them as `&[Value]` slices.
+    /// it here. Readers that want the rows in place use the engine's
+    /// inherent `samples()`, which borrows them as `&[Value]` slices.
     fn samples(&self) -> Vec<Vec<Value>>;
 
     /// Reservoir capacity `k`.
@@ -230,10 +224,13 @@ pub trait JoinSampler {
     /// into a freshly built engine with identical construction parameters
     /// reproduces the original byte-for-byte on any further stream.
     ///
-    /// `None` means exactly one thing: the engine has no canonical image
-    /// *right now*. Only a sharded executor that lost a shard past its
-    /// restart budget returns it; callers (checkpointing, the service)
-    /// report it as a failed snapshot and keep their previous one.
+    /// `None` means exactly one thing: the sampler is a wrapper with no
+    /// canonical image *right now*. No engine in this workspace returns it;
+    /// callers (checkpointing, the service) still report it as a failed
+    /// snapshot and keep their previous one. The `Option` stays because
+    /// the repo benchmark (`benchmark/`, which changes only in its own
+    /// commits) unwraps it; narrowing the return type belongs to the next
+    /// benchmark change.
     fn snapshot_state(&self) -> Option<Vec<u8>>;
 
     /// Restores state produced by

@@ -20,10 +20,6 @@
 //! * [`sampler_facade::DynamicSampleIndex`] — the "sampling over joins"
 //!   operation (draw a fresh uniform sample of `Q(R)` on demand,
 //!   `O(log N)` update and sample);
-//! * [`shard::ShardedSampler`] — the partition-parallel execution layer:
-//!   hash-partition the stream across `S` worker shards, run any
-//!   [`exec::JoinSampler`] per shard on its own thread, merge the
-//!   per-shard reservoirs by weighted reservoir union;
 //! * [`service::SamplerService`] — the resident sampler: one op stream in,
 //!   many registered queries sharing dynamic indexes, many concurrent
 //!   readers on never-blocking epoch snapshots.
@@ -36,7 +32,6 @@ mod group;
 pub mod reservoir_join;
 pub mod sampler_facade;
 pub mod service;
-pub mod shard;
 pub mod wcoj;
 
 pub use count::exact_result_count;
@@ -48,8 +43,4 @@ pub use sampler_facade::DynamicSampleIndex;
 pub use service::{
     QueryHandle, QueryOpts, RebuildFn, SampleReader, SampleSnapshot, SamplerService, ServiceError,
     ServiceOpts, SERVICE_ENGINE,
-};
-pub use shard::{
-    ShardError, ShardFault, ShardHealth, ShardPlan, ShardedSampler, SupervisorPolicy,
-    INJECTED_FAULT,
 };

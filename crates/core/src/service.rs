@@ -51,7 +51,7 @@
 //! [`SampleReader::snapshot`] retries on epoch mismatch and therefore
 //! always observes the state at some single published LSN — a reader can
 //! never pair one epoch's reservoir with another epoch's count
-//! (ARCHITECTURE.md, invariant 10).
+//! (ARCHITECTURE.md, invariant 8).
 //!
 //! # One count per op per group
 //!
@@ -161,8 +161,8 @@ pub enum ServiceError {
     /// The handle names no live registration.
     UnknownHandle(u64),
     /// A service snapshot was requested while the named boxed engine had
-    /// no canonical image (a sharded executor serving degraded); nothing
-    /// was written.
+    /// no canonical image (a wrapper whose `snapshot_state` returned
+    /// `None`); nothing was written.
     SnapshotUnavailable(&'static str),
 }
 

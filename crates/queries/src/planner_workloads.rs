@@ -1,6 +1,6 @@
 //! Plan-sensitive workloads: query/data shapes where the cost-based
-//! planner's choices (join tree, sampling root, partition attribute)
-//! actually change the measured cost.
+//! planner's choices (join tree, sampling root) actually change the
+//! measured cost.
 //!
 //! The paper's graph workloads are symmetric — every relation streams the
 //! same edge set — so the canonical orientation is as good as any. These

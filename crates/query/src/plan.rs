@@ -77,9 +77,8 @@ pub struct PlanCost {
     pub total: f64,
 }
 
-/// The planner's output: a join tree, a preferred sampling root, and a
-/// partition attribute for the sharded executor, plus the scores that
-/// justified them.
+/// The planner's output: a join tree and a preferred sampling root, plus
+/// the scores that justified them.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// The chosen join tree. When the winner is the canonical GYO tree
@@ -90,11 +89,6 @@ pub struct Plan {
     /// result sampling). Any root is statistically correct; this one
     /// minimizes the modeled slack.
     pub root: usize,
-    /// Hash-partition attribute for the sharded executor: contained in the
-    /// most relations, ties broken towards the highest observed distinct
-    /// count, then the smallest attribute id (the no-evidence tie matches
-    /// the historical `ShardPlan` choice).
-    pub partition_attr: usize,
     /// The winning candidate's scores.
     pub cost: PlanCost,
     /// How many feasible `(tree, root)` pairs were scored.
@@ -106,11 +100,10 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The historical hard-coded choice — canonical GYO tree, root 0,
-    /// most-shared partition attribute — scored with no evidence. This is
-    /// what [`Planner::plan`] returns on an empty [`TableStatistics`];
-    /// constructors on hot paths call this directly to skip candidate
-    /// enumeration. `None` for cyclic queries *only*: an acyclic query
+    /// The historical hard-coded choice — canonical GYO tree, root 0 —
+    /// scored with no evidence. This is what [`Planner::plan`] returns on
+    /// an empty [`TableStatistics`]; constructors on hot paths call this
+    /// directly to skip candidate enumeration. `None` for cyclic queries *only*: an acyclic query
     /// the index cannot materialize (a key wider than the arity cap)
     /// still gets its canonical plan with a zero cost, so index
     /// construction reports the real `KeyTooWide` error instead of this
@@ -124,7 +117,6 @@ impl Plan {
         Some(Plan {
             tree,
             root: 0,
-            partition_attr: partition_attr(q, &stats),
             cost,
             candidates: 1,
             is_canonical: true,
@@ -136,7 +128,6 @@ impl Plan {
     pub fn snapshot_to(&self, enc: &mut Encoder) {
         self.tree.snapshot_to(enc);
         enc.put_usize(self.root);
-        enc.put_usize(self.partition_attr);
         enc.put_f64(self.cost.insert);
         enc.put_f64(self.cost.delete);
         enc.put_f64(self.cost.sample);
@@ -154,7 +145,6 @@ impl Plan {
         }
         Ok(Plan {
             root,
-            partition_attr: dec.usize()?,
             cost: PlanCost {
                 insert: dec.f64()?,
                 delete: dec.f64()?,
@@ -434,39 +424,15 @@ impl Planner {
         }
         let (ti, root, cost) = per_tree[winner];
         let tree = trees[ti].clone();
-        let partition_attr = partition_attr(q, stats);
         let is_canonical = ti == 0 && root == 0;
         Some(Plan {
             tree,
             root,
-            partition_attr,
             cost,
             candidates,
             is_canonical,
         })
     }
-}
-
-/// The sharded executor's partition attribute: contained in the most
-/// relations (minimizing broadcast traffic), ties towards the highest
-/// total observed distinct count (maximizing shard balance), then the
-/// smallest attribute id. With no observations this reduces to the
-/// historical most-shared/smallest-id rule.
-pub fn partition_attr(q: &Query, stats: &TableStatistics) -> usize {
-    (0..q.num_attrs())
-        .max_by_key(|&a| {
-            let rels = q.relations_with_attr(a);
-            let distinct: u64 = rels
-                .iter()
-                .map(|&r| {
-                    q.relation(r)
-                        .position_of(a)
-                        .map_or(0, |p| stats.relation(r).columns[p].distinct())
-                })
-                .sum();
-            (rels.len(), distinct, usize::MAX - a)
-        })
-        .expect("query has attributes")
 }
 
 #[cfg(test)]
@@ -509,7 +475,6 @@ mod tests {
             let canon = Plan::canonical(&q).unwrap();
             assert_eq!(canon.tree.canonical_edges(), plan.tree.canonical_edges());
             assert_eq!(canon.root, plan.root);
-            assert_eq!(canon.partition_attr, plan.partition_attr);
             assert_eq!(canon.cost.total, plan.cost.total);
         }
     }
@@ -588,7 +553,6 @@ mod tests {
         let plan2 = Plan::restore_from(&mut dec).unwrap();
         dec.finish().unwrap();
         assert_eq!(plan2.root, plan.root);
-        assert_eq!(plan2.partition_attr, plan.partition_attr);
         assert_eq!(plan2.cost, plan.cost);
         assert_eq!(plan2.candidates, plan.candidates);
         assert_eq!(plan2.is_canonical, plan.is_canonical);
@@ -596,20 +560,6 @@ mod tests {
             assert_eq!(plan2.tree.neighbors(i), plan.tree.neighbors(i));
         }
         assert_eq!(snap(&plan2), bytes);
-    }
-
-    #[test]
-    fn partition_attr_prefers_shared_then_distinct() {
-        let q = line3();
-        // No evidence: B and C tie on 2 relations each; smallest id (B=1).
-        assert_eq!(partition_attr(&q, &empty_stats(&q)), 1);
-        // Give C far more distinct values: C (id 2) should win the tie.
-        let mut stats = empty_stats(&q);
-        for i in 0..32u64 {
-            stats.observe_insert(1, &[0, i]);
-            stats.observe_insert(2, &[i, i]);
-        }
-        assert_eq!(partition_attr(&q, &stats), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * **streaming** — [`TableStatistics::observe_insert`] /
 //!   [`observe_delete`](TableStatistics::observe_delete) per tuple, for
 //!   pipelines that want statistics without retaining the data (the
-//!   `fig_planner` pre-pass, the sharded router);
+//!   `fig_planner` pre-pass);
 //! * **snapshot** — [`TableStatistics::from_database`] scans the live
 //!   tuples of a [`Database`], for consumers that already store the
 //!   relations (the `RSJoin` driver's `replan()` hook).

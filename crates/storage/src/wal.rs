@@ -64,15 +64,19 @@ use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
 ///
-/// History: **7** — a posting list of at most two items keeps them in its
-/// header and owns no chunk, so arena images carry fewer chunks and the
-/// header words of a short list are items, not chunk ids. **6** — an index-group member's image ends at its insert and
-/// delete counters: the repair-period bookkeeping after them (the last
-/// repair's population and the deletes since) is gone, because every
-/// delete is a repair point. **5** — a sharded image holds each worker's engine bytes
-/// alone, without the per-shard live-tuple copy that followed them.
-/// **4** — the foreign-key combiner image is its relations plus
-/// its registry lists. **3** — `RSJoin`-family engine images are one index
+/// History: **8** — a plan image (embedded in every `RSJoin`-family
+/// engine image) no longer carries a partition attribute: the field
+/// served only the partition-parallel executor, which was removed.
+/// **7** — a posting list of at most two items keeps them in its header
+/// and owns no chunk, so arena images carry fewer chunks and the header
+/// words of a short list are items, not chunk ids. **6** — an index-group
+/// member's image ends at its insert and delete counters: the
+/// repair-period bookkeeping after them (the last repair's population and
+/// the deletes since) is gone, because every delete is a repair point.
+/// **5** — a sharded image holds each worker's engine bytes alone, without
+/// the per-shard live-tuple copy that followed them (that executor no
+/// longer exists). **4** — the foreign-key combiner image is its relations
+/// plus its registry lists. **3** — `RSJoin`-family engine images are one index
 /// group (options, tree, index state, members) followed by the two replan
 /// counters; record encoding is unchanged. **2** — `KeyMap` images carry a
 /// layout byte, 4-byte tags and, in narrow tables, bare `u64` keys;
@@ -80,7 +84,7 @@ use std::time::Duration;
 /// restore). **1** — the original format. Files of an older version are
 /// rejected, so such a directory must be re-ingested from its source
 /// stream.
-pub const FORMAT_VERSION: u32 = 7;
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Magic prefix of a WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"RSJW";

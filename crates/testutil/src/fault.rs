@@ -1,11 +1,11 @@
 //! Deterministic fault injection for the chaos harness.
 //!
 //! Everything here is reproducible from a `u64` seed: [`FaultPlan`]
-//! derives a schedule of worker kills, slow-shard stalls, and WAL I/O
-//! faults with a splitmix-seeded [`rsj_common::rng::RsjRng`], and
-//! [`FaultFs`] replays the I/O part of that schedule deterministically —
-//! the *n*-th call of each filesystem op either fails the way the plan
-//! says or passes through to the real filesystem ([`RealFs`]).
+//! derives a schedule of WAL I/O faults with a splitmix-seeded
+//! [`rsj_common::rng::RsjRng`], and [`FaultFs`] replays that schedule
+//! deterministically — the *n*-th call of each filesystem op either fails
+//! the way the plan says or passes through to the real filesystem
+//! ([`RealFs`]).
 //!
 //! The shim sits under `rsj_storage::wal::Wal` via
 //! [`Wal::open_with`](rsj_storage::wal::Wal::open_with) (or
@@ -15,9 +15,13 @@
 //! [`TestSleeper`] so retried backoff costs no wall-clock and the delay
 //! sequence itself becomes an assertable artifact.
 
+use rsj_common::codec::CodecError;
 use rsj_common::rng::RsjRng;
-use rsj_common::FxHashMap;
+use rsj_common::{FxHashMap, Value};
+use rsj_query::Query;
 use rsj_storage::wal::{RealFs, Sleeper, WalFs};
+use rsj_storage::{ColumnarBatch, SharedStoreError, StreamOp};
+use rsjoin::core::{JoinSampler, SamplerStats};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -247,18 +251,94 @@ impl Sleeper for TestSleeper {
     }
 }
 
-/// A seeded schedule of faults for one chaos run: which shard workers die
-/// after which routed op, which shards stall, and which WAL filesystem
-/// calls fail. Two plans built from the same `(seed, n_ops, shards)` are
+/// A test double that forwards every call to the engine it wraps, except
+/// that [`snapshot_state`](JoinSampler::snapshot_state) returns `None`
+/// while the image is switched off.
+///
+/// No engine in the workspace ever lacks an image, so this is how the
+/// no-image paths are driven: `ServiceError::SnapshotUnavailable`,
+/// `PersistError::NoImage`, and a failed checkpoint's count and window
+/// re-arm in `Persistent`.
+pub struct Imageless<S> {
+    inner: S,
+    image: bool,
+}
+
+impl<S: JoinSampler> Imageless<S> {
+    /// Wraps `inner` with its image switched on.
+    pub fn new(inner: S) -> Imageless<S> {
+        Imageless { inner, image: true }
+    }
+
+    /// Switches the image on or off.
+    pub fn set_image(&mut self, on: bool) {
+        self.image = on;
+    }
+}
+
+impl<S: JoinSampler> JoinSampler for Imageless<S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn output_query(&self) -> &Query {
+        self.inner.output_query()
+    }
+
+    fn input_query(&self) -> &Query {
+        self.inner.input_query()
+    }
+
+    fn process(&mut self, rel: usize, tuple: &[Value]) {
+        self.inner.process(rel, tuple)
+    }
+
+    fn delete(&mut self, rel: usize, tuple: &[Value]) {
+        self.inner.delete(rel, tuple)
+    }
+
+    fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        self.inner.check_ops(ops)
+    }
+
+    fn process_columnar(&mut self, batch: &ColumnarBatch) {
+        self.inner.process_columnar(batch)
+    }
+
+    fn replan(&mut self) -> bool {
+        self.inner.replan()
+    }
+
+    fn samples(&self) -> Vec<Vec<Value>> {
+        self.inner.samples()
+    }
+
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+
+    fn exact_count(&self) -> u128 {
+        self.inner.exact_count()
+    }
+
+    fn stats(&self) -> SamplerStats {
+        self.inner.stats()
+    }
+
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        self.inner.snapshot_state().filter(|_| self.image)
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        self.inner.restore_state(bytes)
+    }
+}
+
+/// A seeded schedule of faults for one chaos run: which WAL filesystem
+/// calls fail. Two plans built from the same `(seed, n_ops)` are
 /// identical, so every chaos failure reproduces from its seed alone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// `(shard, after_op)`: kill the worker of `shard` once `after_op`
-    /// ops of the stream have been routed.
-    pub kills: Vec<(usize, u64)>,
-    /// `(shard, millis)`: stall the worker of `shard` for `millis`
-    /// milliseconds at its next message.
-    pub stalls: Vec<(usize, u64)>,
     /// `(op, call_index, fault)`: WAL write-path faults, armed via
     /// [`FaultPlan::arm`]. Only retry-healable kinds — out-of-space and
     /// crash-torn tails are modeled deliberately, not sampled.
@@ -266,18 +346,11 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Derives the plan for `seed` over a stream of `n_ops` ops routed to
-    /// `shards` workers: 1–2 kills, 0–1 stalls, 1–3 retryable WAL faults.
-    pub fn from_seed(seed: u64, n_ops: u64, shards: usize) -> FaultPlan {
+    /// Derives the plan for `seed` over a stream of `n_ops` ops: 1–3
+    /// retryable WAL faults.
+    pub fn from_seed(seed: u64, n_ops: u64) -> FaultPlan {
         let mut rng = RsjRng::seed_from_u64(rsj_common::rng::splitmix64(seed));
         let n_ops = n_ops.max(1);
-        let shards = shards.max(1);
-        let kills = (0..1 + rng.index(2))
-            .map(|_| (rng.index(shards), rng.below_u64(n_ops)))
-            .collect();
-        let stalls = (0..rng.index(2))
-            .map(|_| (rng.index(shards), 1 + rng.below_u64(3)))
-            .collect();
         let wal_faults = (0..1 + rng.index(3))
             .map(|_| {
                 let op = if rng.index(4) == 0 {
@@ -294,11 +367,7 @@ impl FaultPlan {
                 (op, rng.below_u64(n_ops), fault)
             })
             .collect();
-        FaultPlan {
-            kills,
-            stalls,
-            wal_faults,
-        }
+        FaultPlan { wal_faults }
     }
 
     /// Arms the WAL half of the plan on a [`FaultFs`] handle.
@@ -317,19 +386,15 @@ mod tests {
     #[test]
     fn plans_are_reproducible_from_the_seed() {
         for seed in 0..50 {
-            let a = FaultPlan::from_seed(seed, 500, 4);
-            let b = FaultPlan::from_seed(seed, 500, 4);
+            let a = FaultPlan::from_seed(seed, 500);
+            let b = FaultPlan::from_seed(seed, 500);
             assert_eq!(a, b);
-            assert!(!a.kills.is_empty());
             assert!(!a.wal_faults.is_empty());
-            for &(shard, at) in &a.kills {
-                assert!(shard < 4 && at < 500);
+            for &(_, at, _) in &a.wal_faults {
+                assert!(at < 500);
             }
         }
-        assert_ne!(
-            FaultPlan::from_seed(1, 500, 4),
-            FaultPlan::from_seed(2, 500, 4)
-        );
+        assert_ne!(FaultPlan::from_seed(1, 500), FaultPlan::from_seed(2, 500));
     }
 
     #[test]

@@ -72,28 +72,6 @@ fn main() {
         );
     }
 
-    // The eighth row: the sharded wrapper, scaling the headline engine
-    // across worker threads through the very same trait.
-    let shards = 4;
-    let engine = Engine::sharded(Engine::Reservoir, shards);
-    let mut sampler = engine
-        .build(&query, k, 7, &EngineOpts::default())
-        .expect("sharding supports whatever its inner engine supports");
-    let t0 = Instant::now();
-    sampler.process_batch(stream.tuples());
-    let st = sampler.stats();
-    let elapsed = t0.elapsed();
-    let opt = |v: Option<String>| v.unwrap_or_else(|| "—".into());
-    println!(
-        "{:<18} {:>10} {:>9} {:>10} {:>12} {:>14}   ({engine}: {shards} worker threads)",
-        sampler.name(),
-        format!("{elapsed:.2?}"),
-        sampler.samples().len(),
-        opt(st.reservoir_stops.map(|v| v.to_string())),
-        opt(st.heap_bytes.map(|v| (v / 1024).to_string())),
-        sampler.exact_count(),
-    );
-
     println!(
         "\nall engines above drove the identical stream through the same\n\
          `dyn JoinSampler` loop; see tests/engine_conformance.rs for the\n\

@@ -2,11 +2,9 @@
 //! constructible behind one factory.
 //!
 //! [`Engine`] names the seven engines the paper's evaluation compares
-//! (§6.1) — plus the [`Engine::Sharded`] partition-parallel wrapper that
-//! scales any of them across worker threads — and [`Engine::build`]
-//! constructs any of them as a `Box<dyn JoinSampler + Send>`, so
-//! multi-engine tests, benches and examples are written once against the
-//! trait instead of once per engine:
+//! (§6.1), and [`Engine::build`] constructs any of them as a
+//! `Box<dyn JoinSampler + Send>`, so multi-engine tests, benches and
+//! examples are written once against the trait instead of once per engine:
 //!
 //! ```
 //! use rsjoin::engine::{Engine, EngineOpts};
@@ -32,10 +30,7 @@
 //! ```
 
 use rsj_baselines::{NaiveRebuild, SJoin, SJoinOpt, SymmetricSampler};
-use rsj_core::{
-    CyclicReservoirJoin, FkReservoirJoin, JoinSampler, ReservoirJoin, ShardedSampler,
-    SupervisorPolicy,
-};
+use rsj_core::{CyclicReservoirJoin, FkReservoirJoin, JoinSampler, ReservoirJoin};
 use rsj_index::IndexOptions;
 use rsj_queries::Workload;
 use rsj_query::{FkSchema, JoinTree, Plan, Query};
@@ -53,22 +48,16 @@ pub struct EngineOpts {
     pub fks: Option<FkSchema>,
     /// Dynamic-index tuning for the `RSJoin` family (grouping on/off).
     pub index: IndexOptions,
-    /// Explicit execution plan (join-tree orientation, sampling root,
-    /// partition attribute) — the explicit-rooting override. `None` lets
-    /// each engine start from the canonical plan and adapt at runtime via
-    /// `JoinSampler::replan`.
+    /// Explicit execution plan (join-tree orientation, sampling root) —
+    /// the explicit-rooting override. `None` lets each engine start from
+    /// the canonical plan and adapt at runtime via `JoinSampler::replan`.
     ///
     /// Honoured by `Engine::Reservoir` (the plan's query is the indexed
-    /// query) and by `Engine::Sharded` (partition attribute; the plan also
-    /// flows to a `Reservoir` inner engine). Engines that index a
-    /// *rewritten* query (`RSJoin_opt`, the cyclic GHD driver) or have no
-    /// plan choice (the baselines) reject an explicit plan with
-    /// [`EngineError::Build`] rather than silently ignoring it.
+    /// query). Engines that index a *rewritten* query (`RSJoin_opt`, the
+    /// cyclic GHD driver) or have no plan choice (the baselines) reject an
+    /// explicit plan with [`EngineError::Build`] rather than silently
+    /// ignoring it.
     pub plan: Option<Plan>,
-    /// Supervisor tuning for `Engine::Sharded` (restart budget, snapshot
-    /// cadence, replay cap — see [`SupervisorPolicy`]). `None` uses the
-    /// defaults; ignored by unsharded engines.
-    pub supervision: Option<SupervisorPolicy>,
 }
 
 /// Why an engine could not be constructed for a query.
@@ -92,8 +81,7 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// The seven join-sampling engines of the paper's evaluation, plus the
-/// sharded partition-parallel wrapper around any of them.
+/// The seven join-sampling engines of the paper's evaluation.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// `RSJoin` (Algorithm 6): the paper's near-linear engine for acyclic
@@ -118,23 +106,10 @@ pub enum Engine {
     /// Symmetric hash join + classic reservoir: the streaming two-table
     /// baseline.
     Symmetric,
-    /// The partition-parallel execution layer (`rsj-core::shard`): the
-    /// stream is hash-partitioned on the most-shared join attribute across
-    /// `shards` worker threads, each running an independent `inner` engine;
-    /// the per-shard reservoirs merge into one uniform sample by weighted
-    /// reservoir union. Supports whatever `inner` supports.
-    Sharded {
-        /// The engine to run inside every shard (any of the seven).
-        inner: Box<Engine>,
-        /// Number of worker shards `S >= 1`.
-        shards: usize,
-    },
 }
 
 impl Engine {
-    /// Every *base* engine, in the order the paper's tables list them
-    /// (the sharded wrapper is parameterized, so it is not enumerable
-    /// here — wrap any entry via [`Engine::sharded`]).
+    /// Every engine, in the order the paper's tables list them.
     pub const ALL: [Engine; 7] = [
         Engine::Reservoir,
         Engine::FkReservoir,
@@ -145,17 +120,7 @@ impl Engine {
         Engine::Symmetric,
     ];
 
-    /// Wraps `inner` in the partition-parallel sharded executor.
-    pub fn sharded(inner: Engine, shards: usize) -> Engine {
-        Engine::Sharded {
-            inner: Box::new(inner),
-            shards,
-        }
-    }
-
-    /// The engine's display name, matching the paper's figures. The
-    /// sharded wrapper reports `"Sharded"` regardless of its inner engine;
-    /// the [`Display`](std::fmt::Display) form spells out both.
+    /// The engine's display name, matching the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Reservoir => "RSJoin",
@@ -165,14 +130,30 @@ impl Engine {
             Engine::SJoin => "SJoin",
             Engine::SJoinOpt => "SJoin_opt",
             Engine::Symmetric => "SymmetricHashJoin",
-            Engine::Sharded { .. } => "Sharded",
         }
     }
 
     /// Whether this engine can run the query at all: the `RSJoin`/`SJoin`
     /// families need an acyclic query, the symmetric hash join needs
-    /// exactly two relations, `Cyclic`/`Naive` take anything, and the
-    /// sharded wrapper takes whatever its inner engine takes.
+    /// exactly two relations, and `Cyclic`/`Naive` take anything.
+    ///
+    /// ```
+    /// use rsjoin::engine::Engine;
+    /// use rsjoin::prelude::*;
+    ///
+    /// let mut qb = QueryBuilder::new();
+    /// qb.relation("R1", &["X", "Y"]);
+    /// qb.relation("R2", &["Y", "Z"]);
+    /// qb.relation("R3", &["Z", "X"]);
+    /// let triangle = qb.build().unwrap();
+    ///
+    /// let runs: Vec<&str> = Engine::ALL
+    ///     .iter()
+    ///     .filter(|e| e.supports(&triangle))
+    ///     .map(|e| e.name())
+    ///     .collect();
+    /// assert_eq!(runs, ["RSJoin_cyclic", "NaiveRebuild"]);
+    /// ```
     pub fn supports(&self, query: &Query) -> bool {
         match self {
             Engine::Cyclic | Engine::Naive => true,
@@ -180,7 +161,6 @@ impl Engine {
             Engine::Reservoir | Engine::FkReservoir | Engine::SJoin | Engine::SJoinOpt => {
                 JoinTree::build(query).is_some()
             }
-            Engine::Sharded { inner, .. } => inner.supports(query),
         }
     }
 
@@ -276,53 +256,13 @@ impl Engine {
                     .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
                     .map_err(EngineError::Build)
             }
-            Engine::Sharded { inner, shards } => {
-                if matches!(**inner, Engine::Sharded { .. }) {
-                    return Err(EngineError::Unsupported(
-                        "nested sharding is not supported".to_string(),
-                    ));
-                }
-                if opts.plan.is_some() && !matches!(**inner, Engine::Reservoir) {
-                    // The partition attribute applies to any inner engine,
-                    // but the plan's tree only to the plain RSJoin; keep
-                    // the contract simple and reject mixed cases.
-                    return Err(EngineError::Build(
-                        "explicit plans under Engine::Sharded require an \
-                         Engine::Reservoir inner engine"
-                            .to_string(),
-                    ));
-                }
-                let partition_attr = opts.plan.as_ref().map(|p| p.partition_attr);
-                let policy = opts.supervision.unwrap_or_default();
-                let inner_engine = (**inner).clone();
-                let build_query = query.clone();
-                let build_opts = opts.clone();
-                ShardedSampler::with_policy(
-                    query,
-                    k,
-                    seed,
-                    *shards,
-                    partition_attr,
-                    policy,
-                    move |shard_seed| {
-                        inner_engine
-                            .build(&build_query, k, shard_seed, &build_opts)
-                            .map_err(|e| e.to_string())
-                    },
-                )
-                .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
-                .map_err(|e| EngineError::Build(e.to_string()))
-            }
         }
     }
 }
 
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Sharded { inner, shards } => write!(f, "Sharded<{inner}x{shards}>"),
-            _ => f.write_str(self.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -367,6 +307,14 @@ mod tests {
         qb.build().unwrap()
     }
 
+    fn line3() -> Query {
+        let mut qb = rsj_query::QueryBuilder::new();
+        qb.relation("G1", &["A", "B"]);
+        qb.relation("G2", &["B", "C"]);
+        qb.relation("G3", &["C", "D"]);
+        qb.build().unwrap()
+    }
+
     fn triangle() -> Query {
         let mut qb = rsj_query::QueryBuilder::new();
         qb.relation("R1", &["X", "Y"]);
@@ -398,56 +346,6 @@ mod tests {
         assert!(Engine::Cyclic.supports(&q));
         assert!(Engine::Naive.supports(&q));
         assert!(!Engine::Symmetric.supports(&q), "3 relations");
-    }
-
-    #[test]
-    fn sharded_engine_builds_and_matches_unsharded_results() {
-        let q = two_table();
-        let mut stream = TupleStream::new();
-        let mut rng = rsj_common::rng::RsjRng::seed_from_u64(77);
-        for _ in 0..200 {
-            stream.push(rng.index(2), vec![rng.below_u64(6), rng.below_u64(6)]);
-        }
-        let collect = |engine: &Engine| {
-            let mut s = engine
-                .build(&q, 1 << 20, 3, &EngineOpts::default())
-                .unwrap();
-            s.process_batch(stream.tuples());
-            s.samples_named()
-                .into_iter()
-                .collect::<std::collections::BTreeSet<_>>()
-        };
-        let truth = collect(&Engine::Reservoir);
-        assert!(!truth.is_empty());
-        for shards in [1, 4] {
-            let sharded = Engine::sharded(Engine::Reservoir, shards);
-            assert_eq!(sharded.name(), "Sharded");
-            assert_eq!(format!("{sharded}"), format!("Sharded<RSJoinx{shards}>"));
-            assert_eq!(collect(&sharded), truth, "{sharded}");
-        }
-    }
-
-    #[test]
-    fn sharded_supports_mirrors_inner() {
-        let tri = triangle();
-        assert!(!Engine::sharded(Engine::Reservoir, 2).supports(&tri));
-        assert!(Engine::sharded(Engine::Cyclic, 2).supports(&tri));
-        assert!(!Engine::sharded(Engine::Symmetric, 2).supports(&tri));
-        assert!(Engine::sharded(Engine::Symmetric, 2).supports(&two_table()));
-    }
-
-    #[test]
-    fn sharded_rejects_degenerate_configurations() {
-        let q = two_table();
-        assert!(matches!(
-            Engine::sharded(Engine::Reservoir, 0).build(&q, 10, 1, &EngineOpts::default()),
-            Err(EngineError::Build(_))
-        ));
-        let nested = Engine::sharded(Engine::sharded(Engine::Reservoir, 2), 2);
-        assert!(matches!(
-            nested.build(&q, 10, 1, &EngineOpts::default()),
-            Err(EngineError::Unsupported(_))
-        ));
     }
 
     #[test]
@@ -484,6 +382,70 @@ mod tests {
             let with = run(true);
             assert!(!with.is_empty(), "{engine}");
             assert_eq!(with, run(false), "{engine}");
+        }
+    }
+
+    #[test]
+    fn explicit_plans_are_refused_where_they_cannot_be_honoured() {
+        let q = two_table();
+        let opts = EngineOpts {
+            plan: Plan::canonical(&q),
+            ..EngineOpts::default()
+        };
+        for engine in Engine::ALL {
+            match engine.build(&q, 10, 1, &opts) {
+                Ok(_) => assert_eq!(engine, Engine::Reservoir, "{engine} took a plan"),
+                Err(EngineError::Build(m)) => {
+                    assert_ne!(engine, Engine::Reservoir, "{m}");
+                    assert!(m.contains(engine.name()), "{engine}: {m}");
+                }
+                Err(e) => panic!("{engine}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_over_another_relation_count_is_a_build_error() {
+        let opts = EngineOpts {
+            plan: Plan::canonical(&two_table()),
+            ..EngineOpts::default()
+        };
+        match Engine::Reservoir.build(&line3(), 10, 1, &opts) {
+            Err(EngineError::Build(m)) => {
+                assert!(m.contains("spans 2 relations but the query has 3"), "{m}")
+            }
+            other => panic!("expected a build error, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn explicit_reservoir_roots_keep_the_result_set() {
+        // Re-rooting the plan changes how samples are drawn, never which
+        // results exist: with k >= |Q(R)| every root collects the default
+        // plan's full result set.
+        let q = line3();
+        let mut stream = TupleStream::new();
+        let mut rng = rsj_common::rng::RsjRng::seed_from_u64(8);
+        for _ in 0..150 {
+            stream.push(rng.index(3), vec![rng.below_u64(5), rng.below_u64(5)]);
+        }
+        let run = |opts: &EngineOpts| {
+            let mut s = Engine::Reservoir.build(&q, 1 << 20, 1, opts).unwrap();
+            s.process_batch(stream.tuples());
+            s.samples_named()
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        let expect = run(&EngineOpts::default());
+        assert!(!expect.is_empty());
+        for root in 0..q.num_relations() {
+            let mut plan = Plan::canonical(&q).unwrap();
+            plan.root = root;
+            let opts = EngineOpts {
+                plan: Some(plan),
+                ..EngineOpts::default()
+            };
+            assert_eq!(run(&opts), expect, "root {root}");
         }
     }
 }

@@ -37,7 +37,6 @@
 //! | Cyclic joins via GHDs + generic join | [`core`], [`query`] | §5 |
 //! | SJoin / symmetric / naive baselines | [`baselines`] | §6 |
 //! | `JoinSampler` executor trait + [`engine::Engine`] factory | [`core`], [`engine`] | §6.1 (the engines compared) |
-//! | Sharded parallel executor (`Engine::Sharded`) | [`core`], [`engine`] | beyond the paper |
 //! | Cost-based planner + adaptive re-rooting (`replan`) | [`query`], [`storage`], [`core`] | beyond the paper |
 //! | Durability: op-stream WAL + checkpoint/restore ([`persist`]) | [`storage`], facade | beyond the paper |
 //! | Resident `SamplerService`: many queries, shared indexes, epoch readers | [`common`], [`storage`], [`core`], facade | beyond the paper |
@@ -45,7 +44,7 @@
 //!
 //! Every figure and table of the paper's evaluation has a regenerating
 //! harness in `crates/bench` (see EXPERIMENTS.md); ARCHITECTURE.md maps
-//! the crates and the executor/shard layers.
+//! the crates and the executor layers.
 
 pub use rsj_baselines as baselines;
 pub use rsj_common as common;
@@ -79,8 +78,7 @@ pub mod prelude {
     pub use rsj_core::{
         CyclicReservoirJoin, DynamicSampleIndex, FkReservoirJoin, JoinSampler, QueryHandle,
         QueryOpts, ReplanPolicy, ReservoirJoin, SampleReader, SampleSnapshot, SamplerService,
-        SamplerStats, ServiceError, ServiceOpts, ShardError, ShardFault, ShardHealth, ShardPlan,
-        ShardedSampler, SupervisorPolicy, INJECTED_FAULT,
+        SamplerStats, ServiceError, ServiceOpts,
     };
     pub use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
     pub use rsj_query::{FkSchema, Ghd, JoinTree, Plan, PlanCost, Planner, Query, QueryBuilder};

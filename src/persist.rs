@@ -74,7 +74,7 @@ pub enum DurabilityHealth {
 pub enum PersistError {
     /// The named engine — the target itself or a boxed service member —
     /// had no state image to checkpoint ([`Durable::image`] failed: a
-    /// sharded executor serving degraded). The previous checkpoint and the
+    /// wrapper whose `snapshot_state` returned `None`). The previous checkpoint and the
     /// log stay valid.
     NoImage(&'static str),
     /// WAL or checkpoint I/O / integrity failure.

@@ -1,59 +1,31 @@
 //! The deterministic chaos harness: seeded fault schedules driven through
-//! the supervision and durability layers.
+//! the durability layer.
 //!
 //! Every run is reproducible from a `u64` seed ([`FaultPlan::from_seed`]).
-//! The sweeps check the three contracts of the fault-tolerance layer:
+//! The sweeps check the two contracts of the fault-tolerance layer
+//! (invariant 7 in ARCHITECTURE.md):
 //!
-//! 1. **Healing is invisible** — a sharded run whose workers are killed
-//!    and restarted ends with a reservoir *byte-identical* to its
-//!    fault-free twin (invariant 9 in ARCHITECTURE.md).
-//! 2. **Retry is invisible** — transient and torn WAL writes absorbed by
+//! 1. **Retry is invisible** — transient and torn WAL writes absorbed by
 //!    backoff leave recovery digests identical to a clean run, across
 //!    every persistent engine family.
-//! 3. **Degradation is honest and uniform** — out-of-space degrades
-//!    instead of corrupting, dead-past-budget shards serve a chi-square
-//!    uniform sample over the surviving population, and no injected panic
-//!    ever escapes the public API.
+//! 2. **Degradation is honest** — out-of-space degrades instead of
+//!    corrupting and heals on the next checkpoint, and a target with no
+//!    image fails its checkpoints without losing the previous one.
 //!
 //! The sweep width is `RSJ_CHAOS_SEEDS` (default 60; CI runs a smaller
 //! dedicated job — see .github/workflows/ci.yml).
 
 use rsj_testutil::{
-    digest, final_segment, line3, turnstile_ops, FaultFs, FaultPlan, FsOp, IoFault, Scratch,
-    TestSleeper,
+    digest, final_segment, line3, turnstile_ops, FaultFs, FaultPlan, FsOp, Imageless, IoFault,
+    Scratch, TestSleeper,
 };
 use rsjoin::engine::Engine;
 use rsjoin::prelude::*;
 use std::fs;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::Once;
 
 // ---------------------------------------------------------------------------
 // Harness plumbing
 // ---------------------------------------------------------------------------
-
-/// Silences the panic-hook noise of *injected* worker deaths (they are
-/// caught by the supervisor; the default hook would still print a
-/// backtrace per kill). Real panics keep the default report.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.contains(INJECTED_FAULT))
-                || info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.contains(INJECTED_FAULT));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
 
 fn sweep_seeds() -> u64 {
     std::env::var("RSJ_CHAOS_SEEDS")
@@ -71,34 +43,6 @@ fn two_rel() -> Query {
 
 const K: usize = 16;
 
-/// A supervised sharded sampler running `inner` engines per shard.
-fn sharded(
-    inner: &Engine,
-    query: &Query,
-    shards: usize,
-    policy: SupervisorPolicy,
-    seed: u64,
-) -> ShardedSampler {
-    let inner = inner.clone();
-    let q = query.clone();
-    ShardedSampler::with_policy(query, K, seed, shards, None, policy, move |shard_seed| {
-        inner
-            .build(&q, K, shard_seed, &EngineOpts::default())
-            .map_err(|e| e.to_string())
-    })
-    .unwrap()
-}
-
-/// The shardable inner families the kill sweep rotates through.
-fn kill_families() -> Vec<(Engine, Query)> {
-    vec![
-        (Engine::Reservoir, line3()),
-        (Engine::Naive, line3()),
-        (Engine::SJoin, line3()),
-        (Engine::Symmetric, two_rel()),
-    ]
-}
-
 /// The engine families the WAL fault sweep rotates
 /// through (the recovery suite's matrix).
 fn persist_families() -> Vec<(Engine, Query)> {
@@ -106,77 +50,12 @@ fn persist_families() -> Vec<(Engine, Query)> {
         (Engine::Reservoir, line3()),
         (Engine::Naive, line3()),
         (Engine::SJoin, line3()),
-        (Engine::sharded(Engine::Reservoir, 2), line3()),
         (Engine::Symmetric, two_rel()),
     ]
 }
 
 // ---------------------------------------------------------------------------
-// Sweep 1: killed-and-healed runs are byte-identical to fault-free twins
-// ---------------------------------------------------------------------------
-
-/// For every seed: derive a fault plan (1–2 worker kills, 0–1 stalls),
-/// drive the same turnstile stream through a fault-free twin and a faulted
-/// twin, restart-heal the faulted one along the way, and require the final
-/// reservoirs to be byte-identical. Rotates engine family, shard count,
-/// and snapshot cadence with the seed, so the sweep covers restart from
-/// snapshot image *and* restart by full replay.
-#[test]
-fn healed_runs_are_byte_identical_to_fault_free_twins() {
-    quiet_injected_panics();
-    let families = kill_families();
-    let n_ops = 200;
-    for seed in 0..sweep_seeds() {
-        let (inner, query) = &families[(seed as usize) % families.len()];
-        let shards = 2 + (seed as usize % 2);
-        let plan = FaultPlan::from_seed(seed, n_ops as u64, shards);
-        // Even seeds heal from snapshot images, odd seeds by full replay.
-        let policy = SupervisorPolicy {
-            snapshot_every: if seed % 2 == 0 { 32 } else { 0 },
-            ..SupervisorPolicy::default()
-        };
-        let ops = turnstile_ops(query, n_ops, 6, seed ^ 0xFEED);
-
-        let mut clean = sharded(inner, query, shards, policy, seed);
-        for op in &ops {
-            clean.process_op(op).unwrap();
-        }
-        let expect = digest(&clean.samples());
-
-        let mut faulted = sharded(inner, query, shards, policy, seed);
-        for (i, op) in ops.iter().enumerate() {
-            for &(shard, at) in &plan.kills {
-                if at == i as u64 {
-                    faulted.inject_fault(shard, ShardFault::Panic);
-                }
-            }
-            for &(shard, ms) in &plan.stalls {
-                if plan.kills.first().is_some_and(|&(_, at)| at == i as u64) {
-                    faulted.inject_fault(shard, ShardFault::Stall(ms));
-                }
-            }
-            faulted.process_op(op).unwrap();
-        }
-        assert_eq!(
-            digest(&faulted.samples()),
-            expect,
-            "seed {seed} ({inner} x{shards}): healed run diverged from its fault-free twin"
-        );
-        assert_eq!(
-            faulted.health(),
-            ShardHealth::Healthy,
-            "seed {seed}: every kill is within budget, so the pool must heal"
-        );
-        let restarts = faulted.stats().restarts.unwrap_or(0);
-        assert!(
-            restarts >= 1,
-            "seed {seed}: at least one kill must have caused a restart"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sweep 2: WAL write faults absorbed by retry leave recovery digests intact
+// Sweep: WAL write faults absorbed by retry leave recovery digests intact
 // ---------------------------------------------------------------------------
 
 /// For every seed and a rotating persistent engine family: arm the plan's
@@ -187,7 +66,6 @@ fn healed_runs_are_byte_identical_to_fault_free_twins() {
 /// recorded, not slept.
 #[test]
 fn wal_fault_sweep_recovers_byte_identically() {
-    quiet_injected_panics();
     let families = persist_families();
     let n_ops = 160;
     for seed in 0..sweep_seeds() {
@@ -201,7 +79,7 @@ fn wal_fault_sweep_recovers_byte_identically() {
         }
         let expect = digest(&clean.samples());
 
-        let plan = FaultPlan::from_seed(seed, n_ops as u64, 1);
+        let plan = FaultPlan::from_seed(seed, n_ops as u64);
         let (fs, handle) = FaultFs::new();
         plan.arm(&handle);
         if seed % 3 == 0 {
@@ -225,7 +103,7 @@ fn wal_fault_sweep_recovers_byte_identically() {
             Box::new(sleeper.clone()),
         )
         .unwrap();
-        let kill = (plan.kills[0].1 as usize).min(n_ops - 1).max(1);
+        let kill = 1 + RsjRng::seed_from_u64(seed ^ 0x4B11).index(n_ops - 1);
         for op in &ops[..kill] {
             p.process_op(op)
                 .unwrap_or_else(|e| panic!("seed {seed} ({engine}): {e}"));
@@ -264,6 +142,171 @@ fn wal_fault_sweep_recovers_byte_identically() {
             );
         }
     }
+}
+
+/// Three transient failures of one append, one short of the default
+/// four-attempt budget, are absorbed one backoff step at a time: the
+/// delays double from the 1 ms base, the count surfaces in `retries()` and
+/// the stats, the wrapper stays durable, and recovery lands on the clean
+/// digest.
+#[test]
+fn absorbed_append_faults_back_off_exponentially() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 60, 5, 0xB0FF);
+    let engine = || {
+        Engine::Reservoir
+            .build(&query, K, 7, &EngineOpts::default())
+            .unwrap()
+    };
+    let mut clean = engine();
+    for op in &ops {
+        clean.process_op(op).unwrap();
+    }
+    let expect = digest(&clean.samples());
+
+    let (fs, handle) = FaultFs::new();
+    let sleeper = TestSleeper::new();
+    let scratch = Scratch::new("backoff");
+    let mut p = Persistent::open_with(
+        engine(),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+        WalOptions {
+            auto_flush: 0,
+            ..WalOptions::default()
+        },
+        Box::new(fs),
+        Box::new(sleeper.clone()),
+    )
+    .unwrap();
+    for op in &ops[..20] {
+        p.process_op(op).unwrap();
+    }
+    let next = handle.calls(FsOp::Append);
+    for i in 0..3 {
+        handle.fail_at(FsOp::Append, next + i, IoFault::Transient);
+    }
+    for op in &ops[20..] {
+        p.process_op(op).unwrap();
+    }
+    assert_eq!(handle.fired(), 3);
+    assert_eq!(
+        sleeper.slept(),
+        [1, 2, 4].map(std::time::Duration::from_millis)
+    );
+    assert_eq!(p.retries(), 3);
+    assert_eq!(p.stats().retries, Some(3));
+    assert_eq!(p.health(), DurabilityHealth::Durable);
+    p.flush().unwrap();
+    drop(p);
+
+    let r = Persistent::open(engine(), scratch.path(), CheckpointPolicy::Manual).unwrap();
+    assert_eq!(r.next_lsn(), ops.len() as u64);
+    assert_eq!(digest(&r.engine().samples()), expect);
+}
+
+/// A retryable torn append leaves a partial frame on disk; the WAL cuts
+/// the segment back to its flushed length before the retry, so the log
+/// replays every op exactly once and no garbage frame survives.
+#[test]
+fn a_torn_append_is_cut_back_before_its_retry() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 30, 5, 0x7EA2);
+    let scratch = Scratch::new("torn-retry");
+    let (fs, handle) = FaultFs::new();
+    let sleeper = TestSleeper::new();
+    let mut wal = Wal::open_with(
+        scratch.path().join("wal"),
+        WalOptions {
+            auto_flush: 0,
+            ..WalOptions::default()
+        },
+        Box::new(fs),
+        Box::new(sleeper.clone()),
+    )
+    .unwrap();
+    let (next, cuts) = (handle.calls(FsOp::Append), handle.calls(FsOp::Truncate));
+    handle.fail_at(FsOp::Append, next + 10, IoFault::Torn(5));
+    for op in &ops {
+        wal.append(op).unwrap();
+    }
+    wal.flush().unwrap();
+    assert_eq!(wal.retries(), 1);
+    assert_eq!(sleeper.slept().len(), 1);
+    assert_eq!(
+        handle.calls(FsOp::Truncate),
+        cuts + 1,
+        "the partial frame is cut back once"
+    );
+    drop(wal);
+
+    let mut r = Wal::open(scratch.path().join("wal")).unwrap();
+    assert_eq!(r.replay_from(0).unwrap(), ops);
+    assert_eq!(r.next_lsn(), ops.len() as u64);
+}
+
+/// A checkpoint whose write fails is counted and leaves the previous
+/// checkpoint in place; it loses no logging, so the wrapper stays durable
+/// and recovery from the older checkpoint plus the log is byte-identical.
+#[test]
+fn a_failed_checkpoint_write_keeps_the_previous_checkpoint() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 120, 5, 0xC4EC);
+    let engine = || {
+        Engine::Reservoir
+            .build(&query, K, 7, &EngineOpts::default())
+            .unwrap()
+    };
+    let mut clean = engine();
+    for op in &ops {
+        clean.process_op(op).unwrap();
+    }
+    let expect = digest(&clean.samples());
+
+    let (fs, handle) = FaultFs::new();
+    let scratch = Scratch::new("cp-fail");
+    let mut p = Persistent::open_with(
+        engine(),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+        WalOptions {
+            auto_flush: 0,
+            ..WalOptions::default()
+        },
+        Box::new(fs),
+        Box::new(TestSleeper::new()),
+    )
+    .unwrap();
+    for op in &ops[..50] {
+        p.process_op(op).unwrap();
+    }
+    p.checkpoint().unwrap();
+    for op in &ops[50..80] {
+        p.process_op(op).unwrap();
+    }
+    handle.fail_at(
+        FsOp::WriteFile,
+        handle.calls(FsOp::WriteFile),
+        IoFault::Full,
+    );
+    let err = p.checkpoint().expect_err("the checkpoint write fails");
+    assert!(
+        matches!(err, PersistError::Wal(ref w) if w.is_out_of_space()),
+        "unexpected error: {err}"
+    );
+    assert_eq!(p.checkpoint_failures(), 1);
+    assert_eq!(p.health(), DurabilityHealth::Durable);
+    let cp = Checkpoint::read_from(scratch.path().join(rsjoin::persist::CHECKPOINT_FILE)).unwrap();
+    assert_eq!(cp.lsn, 50, "the previous checkpoint stays in place");
+    for op in &ops[80..] {
+        p.process_op(op).unwrap();
+    }
+    p.flush().unwrap();
+    drop(p);
+
+    let r = Persistent::open(engine(), scratch.path(), CheckpointPolicy::Manual).unwrap();
+    assert_eq!(r.next_lsn(), ops.len() as u64);
+    assert_eq!(digest(&r.engine().samples()), expect);
 }
 
 // ---------------------------------------------------------------------------
@@ -536,99 +579,22 @@ fn torn_write_matrix_recovers_the_flushed_prefix() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Degraded mode: uniform over the surviving population
-// ---------------------------------------------------------------------------
-
-/// Kill one of two shards past its restart budget and draw one sample per
-/// seed: the inclusion counts over many seeds must be chi-square uniform
-/// over the population owned by the *surviving* shard. Degradation loses
-/// coverage, never uniformity.
-#[test]
-fn degraded_samples_are_uniform_over_the_surviving_population() {
-    quiet_injected_panics();
-    let query = line3();
-    // One join result per B value: G1(b, b) x G2(b, b) x G3(b, 9).
-    let n_results = 6u64;
-    let mut ops = Vec::new();
-    for b in 0..n_results {
-        ops.push(StreamOp::insert(0, vec![b, b]));
-        ops.push(StreamOp::insert(1, vec![b, b]));
-    }
-    for b in 0..n_results {
-        ops.push(StreamOp::insert(2, vec![b, 9]));
-    }
-
-    let policy = SupervisorPolicy {
-        max_restarts: 0,
-        ..SupervisorPolicy::default()
-    };
-    // Partition on B (attr 1): each result's owner is its G1 tuple's route.
-    let probe = ShardedSampler::with_policy(&query, 1, 0, 2, Some(1), policy, |sd| {
-        Engine::Reservoir
-            .build(&line3(), 1, sd, &EngineOpts::default())
-            .map_err(|e| e.to_string())
-    })
-    .unwrap();
-    let survivors: Vec<u64> = (0..n_results)
-        .filter(|&b| probe.plan().route(0, &[b, b]) == Some(0))
-        .collect();
-    drop(probe);
-    assert!(
-        survivors.len() >= 2 && survivors.len() < n_results as usize,
-        "fixture must split results across both shards, got {survivors:?}"
-    );
-
-    let mut counts: rsjoin::common::FxHashMap<u64, u64> = Default::default();
-    let runs = 1400;
-    for seed in 0..runs {
-        let mut s = ShardedSampler::with_policy(&query, 1, seed, 2, Some(1), policy, |sd| {
-            Engine::Reservoir
-                .build(&line3(), 1, sd, &EngineOpts::default())
-                .map_err(|e| e.to_string())
-        })
-        .unwrap();
-        for op in &ops {
-            s.process_op(op).unwrap();
-        }
-        s.inject_fault(1, ShardFault::Panic);
-        let samples = s.samples();
-        assert!(
-            matches!(s.health(), ShardHealth::Degraded { ref dead_shards, .. } if dead_shards == &[1]),
-            "seed {seed}: budget 0 must leave shard 1 dead"
-        );
-        assert_eq!(samples.len(), 1, "seed {seed}");
-        let b = samples[0][0];
-        assert!(
-            survivors.contains(&b),
-            "seed {seed}: sample {b} is owned by the dead shard"
-        );
-        *counts.entry(b).or_default() += 1;
-        assert_eq!(s.stats().degraded, Some(1), "seed {seed}");
-    }
-    rsj_testutil::UniformityCheck::single().assert_uniform(
-        &counts,
-        survivors.len(),
-        "degraded sharded sampler",
-    );
-}
-
-/// A degraded sharded engine has no state image. Its checkpoints must
-/// fail like any other failed attempt — counted, window re-armed, the
-/// previous checkpoint and the log left valid — not silently re-attempt
-/// on every subsequent op.
+/// A target with no state image (an [`Imageless`] engine switched off)
+/// must fail its checkpoints like any other failed attempt — counted,
+/// window re-armed, the previous checkpoint and the log left valid — not
+/// silently re-attempt on every subsequent op.
 #[test]
 fn imageless_checkpoints_are_counted_and_rearm_the_window() {
-    quiet_injected_panics();
     let query = line3();
     let ops = turnstile_ops(&query, 200, 5, 3);
     let scratch = Scratch::new("noimage");
-    let no_restarts = SupervisorPolicy {
-        max_restarts: 0,
-        ..SupervisorPolicy::default()
+    let engine = || {
+        Engine::Reservoir
+            .build(&query, K, 7, &EngineOpts::default())
+            .unwrap()
     };
     let mut p = Persistent::open(
-        sharded(&Engine::Reservoir, &query, 2, no_restarts, 7),
+        Imageless::new(engine()),
         scratch.path(),
         CheckpointPolicy::EveryOps(40),
     )
@@ -637,13 +603,12 @@ fn imageless_checkpoints_are_counted_and_rearm_the_window() {
         p.process_op(op).unwrap();
     }
     assert_eq!(p.checkpoint_failures(), 0, "two healthy checkpoints so far");
-    p.engine_mut().inject_fault(1, ShardFault::Panic);
-    let _ = p.engine().samples(); // the read discovers the death
-    assert!(matches!(p.engine().health(), ShardHealth::Degraded { .. }));
+    p.engine_mut().set_image(false);
+    assert!(p.engine().snapshot_state().is_none());
 
     assert!(matches!(
         p.checkpoint(),
-        Err(PersistError::NoImage("Sharded"))
+        Err(PersistError::NoImage("RSJoin"))
     ));
     assert_eq!(p.checkpoint_failures(), 1);
     assert_eq!(p.ops_since_checkpoint(), 0, "a failed attempt re-arms");
@@ -660,61 +625,18 @@ fn imageless_checkpoints_are_counted_and_rearm_the_window() {
     drop(p);
 
     // The last good checkpoint (lsn 80) plus the log recover the whole
-    // stream into a healthy engine, byte-identical to a fault-free twin.
+    // stream into an engine with its image on, byte-identical to a
+    // fault-free twin.
     let r = Persistent::open(
-        sharded(&Engine::Reservoir, &query, 2, no_restarts, 7),
+        Imageless::new(engine()),
         scratch.path(),
         CheckpointPolicy::Manual,
     )
     .unwrap();
     assert_eq!(r.next_lsn(), 200);
-    let mut twin = sharded(&Engine::Reservoir, &query, 2, no_restarts, 7);
+    let mut twin = engine();
     for op in &ops {
         twin.process_op(op).unwrap();
     }
     assert_eq!(digest(&r.engine().samples()), digest(&twin.samples()));
-}
-
-// ---------------------------------------------------------------------------
-// No panic escapes the public API
-// ---------------------------------------------------------------------------
-
-/// Nasty schedules — kills before any op, repeated kills of the same
-/// shard past the budget, kills plus stalls interleaved — must never let
-/// a panic escape the `JoinSampler` surface: every call returns.
-#[test]
-fn no_injected_panic_escapes_the_facade() {
-    quiet_injected_panics();
-    let query = line3();
-    for seed in 0..20u64 {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            let policy = SupervisorPolicy {
-                max_restarts: seed % 3, // includes budget 0: degrade paths
-                snapshot_every: if seed % 2 == 0 { 16 } else { 0 },
-                ..SupervisorPolicy::default()
-            };
-            let mut s = sharded(&Engine::Reservoir, &query, 2, policy, seed);
-            let ops = turnstile_ops(&query, 80, 5, seed);
-            s.inject_fault(0, ShardFault::Panic); // before any op
-            for (i, op) in ops.iter().enumerate() {
-                if i % 17 == 3 {
-                    s.inject_fault((i / 17) % 2, ShardFault::Panic);
-                }
-                if i == 40 {
-                    s.inject_fault(1, ShardFault::Stall(1));
-                }
-                s.process_op(op).unwrap();
-            }
-            // Reads and stats must return regardless of pool health.
-            let _ = s.samples();
-            let _ = s.samples_named();
-            let _ = s.stats();
-            let _ = s.health();
-            drop(s);
-        }));
-        assert!(
-            outcome.is_ok(),
-            "seed {seed}: a panic escaped the public API"
-        );
-    }
 }

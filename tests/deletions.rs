@@ -35,7 +35,6 @@ fn dynamic_engines(query: &Query) -> Vec<Engine> {
         Engine::SJoin,
         Engine::SJoinOpt,
         Engine::Naive,
-        Engine::sharded(Engine::Reservoir, 2),
     ];
     if query.num_relations() == 2 {
         engines.push(Engine::Symmetric);
@@ -296,7 +295,6 @@ fn exact_result_counts_survive_turnstile() {
         Engine::SJoinOpt,
         Engine::Cyclic,
         Engine::SJoin,
-        Engine::sharded(Engine::Reservoir, 3),
     ] {
         let mut s = engine.build(&query, 8, 5, &EngineOpts::default()).unwrap();
         s.process_op_batch(ops.ops()).unwrap();
@@ -357,25 +355,43 @@ fn fk_combining_engines_stay_exact_under_pk_turnstile() {
     }
 }
 
+/// Deleting every live tuple, in a shuffled order, drains each engine to
+/// an empty sample and an exact count of zero; fresh inserts then fill
+/// the drained engine with exactly the results of the refill alone.
 #[test]
-fn deletes_interleave_with_sharded_batching() {
-    // Force multiple channel batches with interleaved deletes and verify
-    // the sharded engine tracks the live population exactly.
-    let query = two_table();
-    let stream = random_stream(&query, 2000, 12, 31);
-    let ops = TurnstileConfig {
-        delete_ratio: 0.3,
-        policy: VictimPolicy::Uniform,
-        seed: 13,
+fn draining_to_empty_then_refilling_tracks_the_live_join() {
+    let query = line3();
+    let stream = random_stream(&query, 150, 5, 41);
+    let mut ops = OpStream::from(&stream);
+    let mut victims = TupleStream::new();
+    for (rel, live) in live_sets(&query, &ops).into_iter().enumerate() {
+        let mut rows: Vec<Vec<Value>> = live.into_iter().collect();
+        rows.sort();
+        for row in rows {
+            victims.push(rel, row);
+        }
     }
-    .weave(&stream);
-    let expect = brute_join_named(&query, &live_sets(&query, &ops));
-    let mut s = Engine::sharded(Engine::Reservoir, 3)
-        .build(&query, 1 << 16, 7, &EngineOpts::default())
-        .unwrap();
-    s.process_op_batch(ops.ops()).unwrap();
-    let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
-    assert_eq!(got, expect);
-    assert_eq!(s.exact_count(), expect.len() as u128);
-    assert!(s.stats().deletes.unwrap() > 0);
+    victims.shuffle(&mut RsjRng::seed_from_u64(47));
+    for t in victims.iter() {
+        ops.push_delete(t.relation, t.values.clone());
+    }
+    assert!(live_sets(&query, &ops).iter().all(|l| l.is_empty()));
+    let refill = random_stream(&query, 60, 5, 43);
+    let expect = brute_join_named(&query, &live_sets(&query, &OpStream::from(&refill)));
+    assert!(!expect.is_empty(), "degenerate refill");
+    for engine in dynamic_engines(&query) {
+        let mut s = engine
+            .build(&query, 1 << 16, 5, &EngineOpts::default())
+            .unwrap();
+        s.process_op_batch(ops.ops()).unwrap();
+        assert!(
+            s.samples().is_empty(),
+            "{engine}: samples survived the drain"
+        );
+        assert_eq!(s.exact_count(), 0, "{engine}");
+        s.process_batch(refill.tuples());
+        let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
+        assert_eq!(got, expect, "{engine} after refill");
+        assert_eq!(s.exact_count(), expect.len() as u128, "{engine}");
+    }
 }

@@ -138,67 +138,45 @@ fn cyclic_engines_agree_on_triangle() {
 }
 
 #[test]
-fn sharded_wrapper_conforms_for_every_inner_engine() {
-    // Sharded<inner> must collect exactly the same result set as its inner
-    // engine (and therefore as NaiveRebuild): partitioning shuffles work
-    // across threads, never results.
+fn acyclic_engines_agree_on_star4() {
+    // Four relations sharing one hub attribute: every delta fans out into
+    // the product of the other three spokes.
     let mut qb = QueryBuilder::new();
-    qb.relation("R", &["X", "Y"]);
-    qb.relation("S", &["Y", "Z"]);
+    qb.relation("S1", &["A", "W"]);
+    qb.relation("S2", &["A", "X"]);
+    qb.relation("S3", &["A", "Y"]);
+    qb.relation("S4", &["A", "Z"]);
     let q = qb.build().unwrap();
     let opts = EngineOpts::default();
-    let stream = random_stream(2, 150, 6, 90);
-    let truth = collect(&Engine::Naive, &q, &opts, &stream);
-    assert!(!truth.is_empty(), "degenerate instance");
-    for inner in Engine::ALL {
-        for shards in [1, 3] {
-            let sharded = Engine::sharded(inner.clone(), shards);
-            assert_eq!(
-                collect(&sharded, &q, &opts, &stream),
-                truth,
-                "{sharded} disagrees with NaiveRebuild"
-            );
-        }
+    for seed in 0..2 {
+        let stream = random_stream(4, 100, 6, 120 + seed);
+        let n = conform(&q, &opts, &stream, "star-4");
+        assert!(n > 0, "degenerate instance at seed {seed}");
     }
 }
 
 #[test]
-fn sharded_wrapper_conforms_on_multiway_and_cyclic_queries() {
-    // Line-3 exercises the broadcast path (G3 has no partition attribute);
-    // the triangle exercises the cyclic merge path.
+fn cyclic_engines_agree_on_four_cycle() {
+    // The smallest cycle whose GHD needs bags of two relations each.
     let mut qb = QueryBuilder::new();
-    qb.relation("G1", &["A", "B"]);
-    qb.relation("G2", &["B", "C"]);
-    qb.relation("G3", &["C", "D"]);
-    let line3 = qb.build().unwrap();
-    let mut qb = QueryBuilder::new();
-    qb.relation("R1", &["X", "Y"]);
-    qb.relation("R2", &["Y", "Z"]);
-    qb.relation("R3", &["Z", "X"]);
-    let triangle = qb.build().unwrap();
+    qb.relation("R1", &["W", "X"]);
+    qb.relation("R2", &["X", "Y"]);
+    qb.relation("R3", &["Y", "Z"]);
+    qb.relation("R4", &["Z", "W"]);
+    let q = qb.build().unwrap();
     let opts = EngineOpts::default();
-    for (q, inner, label) in [
-        (&line3, Engine::Reservoir, "line-3"),
-        (&triangle, Engine::Cyclic, "triangle"),
-    ] {
-        let stream = random_stream(3, 150, 5, 95);
-        let truth = collect(&Engine::Naive, q, &opts, &stream);
-        assert!(!truth.is_empty(), "{label}: degenerate instance");
-        let sharded = Engine::sharded(inner, 4);
-        assert_eq!(
-            collect(&sharded, q, &opts, &stream),
-            truth,
-            "{label}: {sharded}"
-        );
+    for seed in 0..2 {
+        let stream = random_stream(4, 120, 4, 140 + seed);
+        let n = conform(&q, &opts, &stream, "4-cycle");
+        assert!(n > 0, "degenerate instance at seed {seed}");
     }
 }
 
 /// Every engine's own `exact_count` against the oracle
 /// (`exact_result_count` over a `Database` mirror of the live tuples), at
 /// every prefix of a turnstile stream and again on a twin restored from
-/// that prefix's image: the count is the merge weight of `Sharded` and the
-/// published population of a boxed service member, so it must be exact
-/// wherever the engine is.
+/// that prefix's image: the count is the published population of a boxed
+/// service member, so it must be exact wherever the engine is.
 #[test]
 fn every_engine_counts_exactly_at_every_prefix_and_across_restore() {
     let mut qb = QueryBuilder::new();
@@ -210,8 +188,6 @@ fn every_engine_counts_exactly_at_every_prefix_and_across_restore() {
     let mut qb = QueryBuilder::new();
     qb.relation("R", &["A", "B"]);
     let single = qb.build().unwrap();
-    let mut engines = Engine::ALL.to_vec();
-    engines.push(Engine::sharded(Engine::Reservoir, 3));
     for q in [single, two_table(), line3(), triangle] {
         let ops = rsj_testutil::turnstile_ops(&q, 240, 5, 23);
         assert!(ops.iter().any(StreamOp::is_delete));
@@ -219,7 +195,7 @@ fn every_engine_counts_exactly_at_every_prefix_and_across_restore() {
         for r in q.relations() {
             db.add_relation(r.name.clone(), r.attrs.len());
         }
-        for engine in engines.iter().filter(|e| e.supports(&q)) {
+        for engine in Engine::ALL.iter().filter(|e| e.supports(&q)) {
             let build = || engine.build(&q, 6, 5, &EngineOpts::default()).unwrap();
             let mut s = build();
             let mut mirror = db.clone();
@@ -276,13 +252,6 @@ fn stats_flow_through_the_trait() {
 // ---------------------------------------------------------------------------
 // One contract, every entry point
 // ---------------------------------------------------------------------------
-
-/// All seven engine families plus the sharded wrapper.
-fn every_engine() -> Vec<Engine> {
-    let mut engines = Engine::ALL.to_vec();
-    engines.push(Engine::sharded(Engine::Reservoir, 2));
-    engines
-}
 
 /// A quarter of the ops delete a live tuple, so every path below
 /// exercises repair as well as ingest.
@@ -345,7 +314,7 @@ fn every_ingest_path_yields_identical_bytes() {
     let ops = turnstile_ops(2, 320, 6, 77);
     let (head, tail) = ops.split_at(200);
     assert!(tail.iter().any(StreamOp::is_delete));
-    for engine in every_engine() {
+    for engine in Engine::ALL {
         let build = || engine.build(&q, 6, 11, &EngineOpts::default()).unwrap();
 
         let mut reference = build();
@@ -403,13 +372,12 @@ fn malformed_ops_return_a_typed_error_and_apply_nothing() {
     qb.relation("R3", &["Z", "X"]);
     let triangle = qb.build().unwrap();
     let plain = EngineOpts::default();
-    let mut cases: Vec<(Engine, Query, &EngineOpts)> = every_engine()
+    let mut cases: Vec<(Engine, Query, &EngineOpts)> = Engine::ALL
         .into_iter()
         .map(|e| (e, two_table(), &plain))
         .collect();
     cases.push((Engine::FkReservoir, chain.clone(), &fk_opts));
-    cases.push((Engine::SJoinOpt, chain.clone(), &fk_opts));
-    cases.push((Engine::sharded(Engine::FkReservoir, 2), chain, &fk_opts));
+    cases.push((Engine::SJoinOpt, chain, &fk_opts));
     cases.push((Engine::Cyclic, triangle, &plain));
 
     for (engine, q, opts) in cases {

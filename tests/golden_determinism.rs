@@ -49,15 +49,6 @@ fn rsjoin_reservoir_bytes_are_pinned() {
 }
 
 #[test]
-fn sharded_reservoir_bytes_are_pinned() {
-    assert_eq!(
-        run(&graph_workload(), Engine::sharded(Engine::Reservoir, 2)),
-        0xE1E4_CF08_D938_BC0C,
-        "Sharded<RSJoinx2>/line3"
-    );
-}
-
-#[test]
 fn rsjoin_grouped_reservoir_bytes_are_pinned() {
     assert_eq!(
         run(&relational_workload(), Engine::Reservoir),
@@ -75,27 +66,30 @@ fn rsjoin_opt_reservoir_bytes_are_pinned() {
     );
 }
 
+/// On an acyclic query every GHD bag is a single relation, so the cyclic
+/// engine's bag-level RSJoin sees RSJoin's arrivals and lands on its bytes.
+#[test]
+fn cyclic_reservoir_bytes_are_pinned() {
+    assert_eq!(
+        run(&graph_workload(), Engine::Cyclic),
+        0x42B7_36F8_2FB0_5316,
+        "RSJoin_cyclic/line3"
+    );
+}
+
 /// The columnar fast path must be byte-invisible: `run_workload` ships the
 /// preload and stream as struct-of-arrays batches with bulk-hashed keys, so
 /// the four pinned digests above already certify the columnar path. This
 /// test drives the identical arrivals tuple-at-a-time (the historical row
-/// shape) and checks both ingest shapes land on the same pinned bytes —
-/// including through the sharded router, whose columnar side partitions on
-/// vectorized column hashes instead of per-tuple hashing.
+/// shape) and checks both ingest shapes land on the same pinned bytes.
 #[test]
 fn row_shaped_ingest_reproduces_columnar_digests() {
-    let cases: [(&str, rsj_queries::Workload, Engine, u64); 4] = [
+    let cases: [(&str, rsj_queries::Workload, Engine, u64); 3] = [
         (
             "RSJoin/line3",
             graph_workload(),
             Engine::Reservoir,
             0x42B7_36F8_2FB0_5316,
-        ),
-        (
-            "Sharded<RSJoinx2>/line3",
-            graph_workload(),
-            Engine::sharded(Engine::Reservoir, 2),
-            0xE1E4_CF08_D938_BC0C,
         ),
         (
             "RSJoin/QY",
@@ -187,7 +181,7 @@ fn post_delete_reservoirs_are_pinned() {
 /// byte-identical across releases, or old logs stop being replayable.
 ///
 /// **Format-version bump rule**: these digests pin WAL/checkpoint
-/// `FORMAT_VERSION = 7` (crates/storage/src/wal.rs) *and* every engine's
+/// `FORMAT_VERSION = 8` (crates/storage/src/wal.rs) *and* every engine's
 /// canonical snapshot image. Any deliberate change to the record layout,
 /// the checkpoint layout, or a snapshot wire format MUST (1) bump
 /// `FORMAT_VERSION` so old files are rejected loudly instead of
@@ -205,7 +199,7 @@ fn post_delete_reservoirs_are_pinned() {
 ///
 /// **Migration note, 2 → 3**: `RSJoin`-family engine images (`RSJoin`,
 /// `RSJoin_opt`'s inner driver, the cyclic driver's bag-level driver, and
-/// every image embedding one — sharded workers, boxed service members) now
+/// every image embedding one — boxed service members) now
 /// use the index-group layout the sampler service already wrote per group:
 /// grouping flag, join tree, index state, member count, then the member's
 /// plan, reservoir, repair RNG and counters, followed by the driver's
@@ -251,6 +245,14 @@ fn post_delete_reservoirs_are_pinned() {
 /// (checked by bumping the version alone on the v6 code: same segment
 /// digest, 0x4B6256F957840053). v6 files are rejected with the version
 /// error, like every older version.
+///
+/// **Migration note, 7 → 8**: a plan image, which every `RSJoin`-family
+/// image embeds, no longer carries a partition attribute (it served only
+/// the partition-parallel executor, which was removed). The checkpoint
+/// digest moved for that reason. The segment digest moved only through
+/// the version word in its header (checked by bumping the version alone
+/// on the v7 code: same segment digest, 0xDE69A663F85E9F28). v7 files are
+/// rejected with the version error, like every older version.
 #[test]
 fn durability_images_are_pinned() {
     use rsjoin::prelude::{CheckpointPolicy, Persistent};
@@ -318,16 +320,16 @@ fn durability_images_are_pinned() {
         return;
     }
     assert_eq!(
-        checkpoint, 0x0A82_1BC5_04C8_55BC,
+        checkpoint, 0x61CB_DFF8_3334_4DAF,
         "checkpoint image moved — see the format-version bump rule above"
     );
     assert_eq!(
-        segment, 0x4B62_56F9_5784_0053,
+        segment, 0xDE69_A663_F85E_9F28,
         "WAL segment image moved — see the format-version bump rule above"
     );
 }
 
-/// Digest of a planner choice: tree edge set, root, partition attribute.
+/// Digest of a planner choice: tree edge set and root.
 fn plan_digest(plan: &Plan) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |x: u64| {
@@ -343,7 +345,6 @@ fn plan_digest(plan: &Plan) -> u64 {
         eat(j as u64);
     }
     eat(plan.root as u64);
-    eat(plan.partition_attr as u64);
     h
 }
 
@@ -362,7 +363,7 @@ fn default_plan(w: &rsj_queries::Workload) -> Plan {
     Planner::default().plan(&w.query, &stats).expect("acyclic")
 }
 
-/// Pin the planner's default tree/root/partition choices on the existing
+/// Pin the planner's default tree/root choices on the existing
 /// and new workloads. A silent cost-model change that moves any default
 /// choice fails here loudly; deliberate model changes must update these
 /// digests *knowingly* (and re-run `fig_planner` to show the new choices
@@ -370,22 +371,22 @@ fn default_plan(w: &rsj_queries::Workload) -> Plan {
 #[test]
 fn planner_default_choices_are_pinned() {
     let cases: [(&str, rsj_queries::Workload, u64); 5] = [
-        ("line-3", graph_workload(), 0xA93B_B823_B561_9E45),
-        ("QY", relational_workload(), 0x4EC9_42DD_7ADB_EFC1),
+        ("line-3", graph_workload(), 0x96E8_ED4C_AE81_F7A4),
+        ("QY", relational_workload(), 0x65A3_3853_936E_31A5),
         (
             "snowflake",
             rsj_queries::snowflake(192, 23),
-            0xD650_9511_7FB3_ABC4,
+            0xC5E1_883C_E202_9B47,
         ),
         (
             "self-line-3",
             rsj_queries::self_join_line(3, 96, 29),
-            0xA93B_B823_B561_9E45,
+            0x96E8_ED4C_AE81_F7A4,
         ),
         (
             "skewed-star-4",
             rsj_queries::skewed_star(4, 128, 31),
-            0xCB46_E9C7_16D0_1524,
+            0x4750_D333_8B61_98A4,
         ),
     ];
     for (name, w, expect) in cases {
@@ -393,21 +394,19 @@ fn planner_default_choices_are_pinned() {
         assert!(plan.tree.satisfies_connectedness(&w.query), "{name}");
         if std::env::var_os("RSJ_PIN_PLANS").is_some() {
             println!(
-                "{name}: 0x{:016X} (tree {:?}, root {}, partition {})",
+                "{name}: 0x{:016X} (tree {:?}, root {})",
                 plan_digest(&plan),
                 plan.tree.canonical_edges(),
-                plan.root,
-                plan.partition_attr
+                plan.root
             );
             continue;
         }
         assert_eq!(
             plan_digest(&plan),
             expect,
-            "{name}: planner default choice moved (tree {:?}, root {}, partition {})",
+            "{name}: planner default choice moved (tree {:?}, root {})",
             plan.tree.canonical_edges(),
-            plan.root,
-            plan.partition_attr
+            plan.root
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Cross-engine conformance over the plan-sensitive workloads
 //! (snowflake, self-join line, skewed star): every engine that supports
-//! the query — and its sharded wrapper — must collect exactly the true
+//! the query must collect exactly the true
 //! result set with `k >= |Q(R)|`, agreeing with the exact counter; and
 //! samples drawn *after* an adaptive `replan()` (including a forced index
 //! rebuild) must still be uniform over `Q(R)`.
@@ -32,14 +32,7 @@ fn all_engines_agree_with_exact_counts_on_planner_workloads() {
         let expect = brute_join_named(&w.query, &live_sets_of_stream(&w.query, &stream));
         assert!(!expect.is_empty(), "{}: degenerate instance", w.name);
         let exact = expect.len() as u128;
-        let mut engines: Vec<Engine> = Engine::ALL
-            .iter()
-            .filter(|e| e.supports(&w.query))
-            .cloned()
-            .collect();
-        engines.push(Engine::sharded(Engine::Reservoir, 2));
-        engines.push(Engine::sharded(Engine::SJoin, 3));
-        for engine in engines {
+        for engine in Engine::ALL.iter().filter(|e| e.supports(&w.query)) {
             let mut s = engine
                 .build(&w.query, 1 << 18, 11, &workload_opts(w))
                 .unwrap_or_else(|e| panic!("{}: {engine}: {e}", w.name));
@@ -53,8 +46,8 @@ fn all_engines_agree_with_exact_counts_on_planner_workloads() {
 
 #[test]
 fn replan_mid_stream_preserves_exactness_across_engines() {
-    // Drive half the stream, force a replan through the trait (sharded
-    // wrappers forward it to every worker), then the rest; with k >= |Q|
+    // Drive half the stream, force a replan through the trait, then the
+    // rest; with k >= |Q|
     // the final sample set must still be exactly the live results.
     let workloads = [
         snowflake(120, 13),
@@ -64,11 +57,7 @@ fn replan_mid_stream_preserves_exactness_across_engines() {
     for w in &workloads {
         let stream = full_stream(w);
         let expect = brute_join_named(&w.query, &live_sets_of_stream(&w.query, &stream));
-        for engine in [
-            Engine::Reservoir,
-            Engine::FkReservoir,
-            Engine::sharded(Engine::Reservoir, 2),
-        ] {
+        for engine in [Engine::Reservoir, Engine::FkReservoir] {
             if !engine.supports(&w.query) {
                 continue;
             }

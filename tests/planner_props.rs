@@ -72,7 +72,6 @@ proptest! {
         prop_assert_eq!(plan.tree.edges().len(), q.num_relations() - 1);
         prop_assert!(plan.tree.satisfies_connectedness(&q), "connectedness violated");
         prop_assert!(plan.root < q.num_relations());
-        prop_assert!(plan.partition_attr < q.num_attrs());
         prop_assert!(plan.cost.total.is_finite());
         // Every enumerated candidate is itself valid.
         for t in all_join_trees(&q, 64) {

@@ -53,7 +53,6 @@ fn recovery_engines() -> Vec<(Engine, Query)> {
         (Engine::Naive, line3()),
         (Engine::SJoin, line3()),
         (Engine::SJoinOpt, line3()),
-        (Engine::sharded(Engine::Reservoir, 2), line3()),
         (Engine::Symmetric, two_rel()),
     ]
 }
@@ -422,9 +421,7 @@ fn log_written_for_another_query_is_rejected_not_replayed() {
     p.flush().unwrap();
     drop(p);
 
-    let mut engines: Vec<Engine> = Engine::ALL.to_vec();
-    engines.push(Engine::sharded(Engine::Reservoir, 2));
-    for engine in engines {
+    for engine in Engine::ALL {
         let err = Persistent::open(
             build(&engine, &narrow),
             scratch.path(),

@@ -1,7 +1,7 @@
 //! Conformance, uniformity, and epoch-consistency suite for the resident
 //! [`SamplerService`].
 //!
-//! Four contracts (invariant 10 in ARCHITECTURE.md and its neighbours):
+//! Four contracts (invariant 8 in ARCHITECTURE.md and its neighbours):
 //!
 //! 1. **Sharing is invisible** — a query registered on the service (early
 //!    or mid-stream, row or columnar path, shared or boxed) ends with a
@@ -20,8 +20,8 @@
 //!    CI's service-sweep job runs more).
 
 use rsj_testutil::{
-    brute_join_named, digest, line3, live_sets, two_table, NamedSample, Schedule, Step, StepMix,
-    UniformityCheck,
+    brute_join_named, digest, line3, live_sets, two_table, Imageless, NamedSample, Schedule, Step,
+    StepMix, UniformityCheck,
 };
 use rsjoin::common::{FxHashMap, FxHashSet, HeapSize};
 use rsjoin::engine::{Engine, EngineOpts};
@@ -706,9 +706,9 @@ fn persistent_service_round_trips_checkpoint_and_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A boxed member with no state image — a sharded executor that lost a
-/// shard past its restart budget — fails the service snapshot with a typed
-/// error before a byte is written; the durable wrapper's checkpoint fails
+/// A boxed member with no state image — an [`Imageless`] engine switched
+/// off — fails the service snapshot with a typed error before a byte is
+/// written; the durable wrapper's checkpoint fails
 /// the same way, the previous checkpoint still restores, and ingest and
 /// reads carry on.
 #[test]
@@ -718,20 +718,15 @@ fn degraded_boxed_member_fails_the_snapshot_not_the_service() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let ops = turnstile_ops(&q, 220, 6, 5, 17);
-    fn sharded() -> ShardedSampler {
-        let policy = SupervisorPolicy {
-            max_restarts: 0,
-            ..SupervisorPolicy::default()
-        };
-        ShardedSampler::with_policy(&two_table(), 5, 9, 2, None, policy, |seed| {
+    fn member() -> Imageless<Box<dyn JoinSampler + Send>> {
+        Imageless::new(
             Engine::Reservoir
-                .build(&two_table(), 5, seed, &EngineOpts::default())
-                .map_err(|e| e.to_string())
-        })
-        .unwrap()
+                .build(&two_table(), 5, 9, &EngineOpts::default())
+                .unwrap(),
+        )
     }
     let mut rebuild = |name: &str, _k: usize| -> Option<Box<dyn JoinSampler + Send>> {
-        (name == "Sharded").then(|| Box::new(sharded()) as Box<dyn JoinSampler + Send>)
+        (name == "RSJoin").then(|| Box::new(member()) as Box<dyn JoinSampler + Send>)
     };
 
     let mut ps = PersistentService::open(
@@ -747,23 +742,22 @@ fn degraded_boxed_member_fails_the_snapshot_not_the_service() {
         .unwrap();
     let healthy = ps
         .service_mut()
-        .register_sampler(Box::new(sharded()))
+        .register_sampler(Box::new(member()))
         .unwrap();
     for op in ops.iter().take(120) {
         ps.process_op(op).unwrap();
     }
     ps.checkpoint().unwrap();
 
-    // The fault lands on the worker now; the backfill's closing read
-    // discovers the death, and a zero restart budget degrades the shard.
-    let mut doomed = sharded();
-    doomed.inject_fault(0, ShardFault::Panic);
+    // The member registers with its image already switched off.
+    let mut doomed = member();
+    doomed.set_image(false);
     let dead = ps.service_mut().register_sampler(Box::new(doomed)).unwrap();
 
     let mut enc = rsjoin::common::codec::Encoder::new();
     assert!(matches!(
         ps.service().snapshot_to(&mut enc),
-        Err(ServiceError::SnapshotUnavailable("Sharded"))
+        Err(ServiceError::SnapshotUnavailable("RSJoin"))
     ));
     assert!(enc.into_bytes().is_empty(), "a failed snapshot wrote bytes");
     for op in ops.iter().skip(120).take(40) {
@@ -771,7 +765,7 @@ fn degraded_boxed_member_fails_the_snapshot_not_the_service() {
     }
     assert!(matches!(
         ps.checkpoint(),
-        Err(PersistError::NoImage("Sharded"))
+        Err(PersistError::NoImage("RSJoin"))
     ));
     assert_eq!(ps.ops_since_checkpoint(), 0, "a failed attempt re-arms");
     for op in ops.iter().skip(160) {

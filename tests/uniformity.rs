@@ -109,128 +109,6 @@ fn uniform_at_intermediate_prefix() {
     UniformityCheck::single().assert_uniform(&counts, 8, "prefix");
 }
 
-/// A line-3 instance whose results are spread over several B values, so
-/// that a sharded run genuinely splits the population across shards (the
-/// plan partitions G1/G2 on B and broadcasts G3).
-///
-/// Results per partition value: B=1 → 3·(2+3) = 15, B=2 → 2, B=3 → 1;
-/// 18 results total, heavily skewed across shards.
-fn sharded_stream() -> TupleStream {
-    let mut s = TupleStream::new();
-    for a in 0..3u64 {
-        s.push(0, vec![a, 1]);
-    }
-    s.push(0, vec![0, 2]);
-    s.push(0, vec![0, 3]);
-    s.push(1, vec![1, 10]);
-    s.push(1, vec![1, 11]);
-    s.push(1, vec![2, 10]);
-    s.push(1, vec![3, 12]);
-    for d in 0..2u64 {
-        s.push(2, vec![10, d]);
-    }
-    for d in 0..3u64 {
-        s.push(2, vec![11, 20 + d]);
-    }
-    s.push(2, vec![12, 30]);
-    s
-}
-
-#[test]
-fn sharded_rsjoin_uniform_with_k3() {
-    // The scale-out statistical guarantee: the weighted reservoir union of
-    // per-shard RSJoin reservoirs is uniform over the full result set,
-    // even with shard populations skewed 15:2:1.
-    let counts = inclusion_counts(
-        &Engine::sharded(Engine::Reservoir, 3),
-        &line3_query(),
-        &EngineOpts::default(),
-        &sharded_stream(),
-        3,
-        0..6000,
-        true,
-    );
-    UniformityCheck::single().assert_uniform(&counts, 18, "sharded rsjoin k=3");
-}
-
-#[test]
-fn sharded_matches_naive_ground_truth_distributionally() {
-    // Sharded<RSJoin> and the NaiveRebuild ground truth on the same
-    // instance: per-result inclusion frequencies must both be k/|Q(R)|.
-    let stream = sharded_stream();
-    let q = line3_query();
-    let opts = EngineOpts::default();
-    let trials = 4000u64;
-    let k = 4;
-    let sharded = inclusion_counts(
-        &Engine::sharded(Engine::Reservoir, 3),
-        &q,
-        &opts,
-        &stream,
-        k,
-        0..trials,
-        true,
-    );
-    let naive = inclusion_counts(
-        &Engine::Naive,
-        &q,
-        &opts,
-        &stream,
-        k,
-        70_000..70_000 + trials,
-        true,
-    );
-    let expect = trials as f64 * k as f64 / 18.0;
-    for (r, c) in &sharded {
-        let c = *c as f64;
-        assert!(
-            (c - expect).abs() < expect * 0.25,
-            "sharded freq off for {r:?}: {c} vs {expect}"
-        );
-        let nc: f64 = naive.get(r).copied().unwrap_or(0) as f64;
-        assert!(
-            (nc - expect).abs() < expect * 0.25,
-            "naive freq off for {r:?}: {nc} vs {expect}"
-        );
-    }
-}
-
-#[test]
-fn sharded_cyclic_uniform() {
-    // Triangles spread over two X partition values (3 vs 1): the cyclic
-    // engine's merged reservoir must stay uniform.
-    let mut qb = QueryBuilder::new();
-    qb.relation("R1", &["X", "Y"]);
-    qb.relation("R2", &["Y", "Z"]);
-    qb.relation("R3", &["Z", "X"]);
-    let q = qb.build().unwrap();
-    let mut stream = TupleStream::new();
-    for (rel, t) in [
-        (0, vec![0, 1]),
-        (0, vec![0, 2]),
-        (0, vec![1, 1]),
-        (1, vec![1, 4]),
-        (1, vec![2, 4]),
-        (1, vec![1, 5]),
-        (2, vec![4, 0]),
-        (2, vec![5, 0]),
-        (2, vec![4, 1]),
-    ] {
-        stream.push(rel, t);
-    }
-    // Triangles: (0,1,4), (0,2,4), (0,1,5) on X=0; (1,1,4) on X=1.
-    let counts = inclusion_counts(
-        &Engine::sharded(Engine::Cyclic, 2),
-        &q,
-        &EngineOpts::default(),
-        &stream,
-        1,
-        0..6000,
-        true,
-    );
-    UniformityCheck::single().assert_uniform(&counts, 4, "sharded cyclic k=1");
-}
-
 #[test]
 fn fk_driver_uniform() {
     // fact ⋈ dim with k=1 over a 6-result instance.
@@ -257,6 +135,84 @@ fn fk_driver_uniform() {
     }
     let counts = inclusion_counts(&Engine::FkReservoir, &q, &opts, &stream, 1, 0..6000, true);
     UniformityCheck::single().assert_uniform(&counts, 6, "fk k=1");
+}
+
+/// `SJoin_opt` resolves a declared key through its own combiner in front
+/// of the exact-count index: facts arriving before and after their
+/// dimension row must be sampled alike.
+#[test]
+fn sjoin_opt_uniform_under_declared_keys() {
+    let mut qb = QueryBuilder::new();
+    qb.relation("fact", &["K", "M"]);
+    qb.relation("dim", &["K", "D"]);
+    let q = qb.build().unwrap();
+    let opts = EngineOpts {
+        fks: Some(FkSchema::none(2).with_pk(1, vec![0])),
+        ..EngineOpts::default()
+    };
+    let mut stream = TupleStream::new();
+    for m in 0..8u64 {
+        stream.push(0, vec![m % 3, 200 + m]);
+        if m == 3 {
+            stream.push(1, vec![0, 9]);
+            stream.push(1, vec![1, 9]);
+        }
+    }
+    stream.push(1, vec![2, 9]);
+    // Every one of the 8 facts finds its dimension row.
+    let counts = inclusion_counts(&Engine::SJoinOpt, &q, &opts, &stream, 2, 0..6000, true);
+    UniformityCheck::single().assert_uniform(&counts, 8, "SJoin_opt k=2");
+}
+
+/// The rebuild-and-redraw strawman is the ground truth other tests compare
+/// against, so its own draw must be uniform too.
+#[test]
+fn naive_rebuild_uniform_with_k2() {
+    let counts = inclusion_counts(
+        &Engine::Naive,
+        &line3_query(),
+        &EngineOpts::default(),
+        &skewed_stream(),
+        2,
+        0..4000,
+        true,
+    );
+    UniformityCheck::single().assert_uniform(&counts, 24, "NaiveRebuild k=2");
+}
+
+/// The symmetric hash join feeds a classic reservoir one delta at a time;
+/// results whose halves arrive in either order must be equally likely.
+#[test]
+fn symmetric_hash_join_uniform_with_k2() {
+    let mut qb = QueryBuilder::new();
+    qb.relation("R", &["X", "Y"]);
+    qb.relation("S", &["Y", "Z"]);
+    let q = qb.build().unwrap();
+    let mut stream = TupleStream::new();
+    for (rel, t) in [
+        (0, vec![0, 1]),
+        (1, vec![1, 10]),
+        (0, vec![1, 1]),
+        (1, vec![2, 20]),
+        (1, vec![1, 11]),
+        (0, vec![2, 1]),
+        (0, vec![3, 2]),
+        (1, vec![2, 21]),
+        (1, vec![2, 22]),
+    ] {
+        stream.push(rel, t);
+    }
+    // Y=1: 3 R rows x 2 S rows; Y=2: 1 x 3 => 9 results.
+    let counts = inclusion_counts(
+        &Engine::Symmetric,
+        &q,
+        &EngineOpts::default(),
+        &stream,
+        2,
+        0..6000,
+        true,
+    );
+    UniformityCheck::single().assert_uniform(&counts, 9, "SymmetricHashJoin k=2");
 }
 
 #[test]
