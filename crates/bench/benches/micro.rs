@@ -10,20 +10,19 @@
 use rsj_bench::{fig_name, record_json};
 use rsj_common::hash::{fx_hash_columns, fx_hash_columns_scalar};
 use rsj_common::rng::RsjRng;
-use rsj_common::{fx_hash_one, Key, KeyMap};
 use rsj_core::{exact_result_count, ReplanPolicy, ReservoirJoin};
 use rsj_datagen::{GraphConfig, TurnstileConfig, VictimPolicy};
 use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
 use rsj_queries::{line_k, star_k};
-use rsj_storage::{ColumnarBatch, StreamOp};
+use rsj_storage::StreamOp;
 use rsj_stream::{Reservoir, SliceBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Counts heap allocations so the steady-state columnar bench can report
-/// allocs/iter, not just wall time (a relaxed counter around `System`).
+/// Counts heap allocations so the counted cases can report allocs/iter,
+/// not just wall time (a relaxed counter around `System`).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -197,76 +196,13 @@ fn bench_columnar_hash() {
     });
 }
 
-/// The hash-grouped probe pipeline the columnar insert runs per node: sort
-/// 8192 probe requests (4-way duplicated keys, shuffled arrival order) by
-/// digest, coalesce equal-key runs, probe the `KeyMap` once per run.
-fn bench_keymap_grouped_probe() {
-    let mut map: KeyMap<u32> = KeyMap::default();
-    let mut rng = RsjRng::seed_from_u64(4);
-    let mut probes: Vec<(u64, Key)> = Vec::with_capacity(8192);
-    for i in 0..2048u64 {
-        let key = Key::from_slice(&[i, i.wrapping_mul(0x9e37_79b9)]);
-        let hash = fx_hash_one(&key);
-        map.get_or_insert_with(hash, key, || i as u32);
-        for _ in 0..4 {
-            probes.push((hash, key));
-        }
-    }
-    for i in (1..probes.len()).rev() {
-        probes.swap(i, rng.index(i + 1));
-    }
-    bench("keymap_grouped_probe_8k", 2_000, || {
-        let mut sorted = probes.clone();
-        sorted.sort_unstable_by_key(|&(h, _)| h);
-        let mut hits = 0usize;
-        let mut i = 0;
-        while i < sorted.len() {
-            let (h, k) = sorted[i];
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j] == (h, k) {
-                j += 1;
-            }
-            if map.get(h, &k).is_some() {
-                hits += j - i;
-            }
-            i = j;
-        }
-        black_box(hits);
-    });
-}
-
-/// Steady-state columnar re-ingest: the same 8k-tuple batch pushed into a
-/// warm index again, so every tuple takes the dedup fast path and the
-/// persistent per-index scratch (sort buffers, `out_changes`) is already
-/// grown (ROADMAP item 3). The headline number is **allocs/iter**, counted
-/// by the global allocator wrapper — the persistent-scratch fix makes the
-/// steady state allocation-free, which per-call scratch could never be.
-fn bench_columnar_steady_state() {
-    let edges = GraphConfig {
-        nodes: 1000,
-        edges: 8000,
-        zipf: 1.0,
-        seed: 42,
-    }
-    .generate();
-    let w = line_k(3, &edges, 1);
-    let rows: Vec<_> = w.stream.iter().cloned().collect();
-    let batch = ColumnarBatch::from_rows(&rows);
-    let mut idx = DynamicIndex::new(w.query.clone(), IndexOptions::default()).unwrap();
-    idx.insert_columnar(&batch); // warm: dedup sets filled, scratch grown
-    idx.insert_columnar(&batch); // bench()'s warmup, outside the count
-    bench_allocs("columnar_reingest_steady_state_8k", "-", 200, || {
-        black_box(idx.insert_columnar(&batch));
-    });
-}
-
 /// Exact `|Q(R)|` on line-3 at N = 15k (the `svc_churn_durable` shape),
 /// by both kernels: the index-resident pass over the index's own groups
 /// (`DynamicIndex::exact_count`) and the `Database` message pass
 /// (`exact_result_count`, which plans and hashes from scratch). One record
 /// per kernel, `engine` naming it, with the allocator calls of the timed
-/// loop in `inserts` like the columnar case above — CI gates the index
-/// kernel's allocations per count, a counted bound rather than a timed one.
+/// loop in `inserts` — CI gates the index kernel's allocations per count,
+/// a counted bound rather than a timed one.
 fn bench_exact_count() {
     let idx = loaded_index(5000);
     assert_eq!(
@@ -448,8 +384,6 @@ fn main() {
     bench_delta_retrieve();
     bench_reservoir_skip();
     bench_columnar_hash();
-    bench_keymap_grouped_probe();
-    bench_columnar_steady_state();
     bench_exact_count();
     bench_anchored_count();
     bench_stop_allocations();

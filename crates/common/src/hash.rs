@@ -152,9 +152,10 @@ pub fn fx_hash_columns_unrolled(prefix: u64, arity: usize, flat: &[u64], out: &m
     fx_hash_columns_scalar(prefix, arity, rows.remainder(), out);
 }
 
-/// Hashes whole key columns in one tight loop: the vectorized front door
-/// the columnar ingest path uses for relation dedup hashes and projected
-/// `Key` hashes alike.
+/// Hashes whole key columns in one tight loop, with digests equal to the
+/// per-row [`fx_hash_one`] chains relation dedup and `Key` probes use.
+/// No ingest path calls it; the repo benchmark's trace decomposition and
+/// the `micro` hash-kernel cases do.
 ///
 /// Dispatches to [`fx_hash_columns_unrolled`] by default; building
 /// `rsj-common` with the `scalar-hash` feature swaps in

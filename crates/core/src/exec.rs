@@ -23,7 +23,7 @@ use crate::service::RebuildFn;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::Value;
 use rsj_query::Query;
-use rsj_storage::{ColumnarBatch, InputTuple, SharedStoreError, StreamOp};
+use rsj_storage::{InputTuple, SharedStoreError, StreamOp};
 
 /// Uniform instrumentation snapshot across engines.
 ///
@@ -124,17 +124,6 @@ pub trait JoinSampler {
         }
     }
 
-    /// Inserts a columnar (struct-of-arrays) batch.
-    ///
-    /// The default adapter shreds the batch back to rows in arrival order
-    /// through [`process`](JoinSampler::process) — byte-identical to having
-    /// fed the source rows directly, so every engine accepts columnar
-    /// ingest. Engines with a columnar fast path (the `RSJoin` family)
-    /// override it; see ARCHITECTURE.md, "Columnar ingest".
-    fn process_columnar(&mut self, batch: &ColumnarBatch) {
-        batch.shred(|rel, t| self.process(rel, t));
-    }
-
     /// Checks one op as [`process_op`](JoinSampler::process_op) does, so
     /// callers can reject it before it reaches a log.
     fn check_op(&self, op: &StreamOp) -> Result<(), SharedStoreError> {
@@ -161,19 +150,11 @@ pub trait JoinSampler {
 
     /// Feeds a batch of turnstile ops in arrival order. The whole slice
     /// is checked before anything is applied, so a rejected batch leaves
-    /// the sampler byte-identical to its pre-batch state.
-    ///
-    /// Delete-free windows are routed through the columnar ingest path
-    /// ([`process_columnar`](JoinSampler::process_columnar)) — identical
-    /// samples and stats, batch-amortized hashing for engines with the
-    /// fast path. Windows containing any delete stay on the per-op path
-    /// (the columnar layout is insert-only).
+    /// the sampler byte-identical to its pre-batch state; an accepted
+    /// batch is then applied op by op, exactly as
+    /// [`process_op`](JoinSampler::process_op) would.
     fn process_op_batch(&mut self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
         self.check_ops(ops)?;
-        if let Some(batch) = ColumnarBatch::from_insert_ops(ops) {
-            self.process_columnar(&batch);
-            return Ok(());
-        }
         for op in ops {
             apply_op(self, op);
         }
@@ -291,10 +272,6 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
         (**self).check_ops(ops)
     }
 
-    fn process_columnar(&mut self, batch: &ColumnarBatch) {
-        (**self).process_columnar(batch)
-    }
-
     fn replan(&mut self) -> bool {
         (**self).replan()
     }
@@ -396,12 +373,6 @@ impl JoinSampler for ReservoirJoin {
     /// by eviction-and-backfill (see `rsj_core::reservoir_join`).
     fn delete(&mut self, rel: usize, tuple: &[Value]) {
         ReservoirJoin::delete(self, rel, tuple);
-    }
-
-    /// Columnar fast path: column-hashed dedup, per-tuple application —
-    /// byte-identical samples to the row path.
-    fn process_columnar(&mut self, batch: &ColumnarBatch) {
-        ReservoirJoin::process_columnar(self, batch);
     }
 
     fn replan(&mut self) -> bool {
@@ -635,63 +606,6 @@ mod tests {
                 ("Z".to_string(), 3)
             ]
         );
-    }
-
-    #[test]
-    fn insert_only_op_batches_match_columnar_ingest() {
-        // A delete-free op batch takes the columnar fast path; the stats
-        // and the reservoir bytes must match both an explicit columnar
-        // call and tuple-at-a-time processing of the same arrivals.
-        let mut rng = rsj_common::rng::RsjRng::seed_from_u64(77);
-        let mut ops = Vec::new();
-        for _ in 0..300 {
-            ops.push(StreamOp::insert(
-                rng.index(2),
-                vec![rng.below_u64(7), rng.below_u64(7)],
-            ));
-        }
-        let mut via_ops = ReservoirJoin::new(two_table(), 8, 5).unwrap();
-        let mut via_cols = ReservoirJoin::new(two_table(), 8, 5).unwrap();
-        let mut via_rows = ReservoirJoin::new(two_table(), 8, 5).unwrap();
-        JoinSampler::process_op_batch(&mut via_ops, &ops).unwrap();
-        let batch = ColumnarBatch::from_insert_ops(&ops).expect("insert-only");
-        JoinSampler::process_columnar(&mut via_cols, &batch);
-        for op in &ops {
-            let t = op.tuple();
-            via_rows.process(t.relation, &t.values);
-        }
-        assert_eq!(JoinSampler::stats(&via_ops), JoinSampler::stats(&via_cols));
-        assert_eq!(JoinSampler::stats(&via_ops), JoinSampler::stats(&via_rows));
-        assert_eq!(via_ops.samples(), via_cols.samples());
-        assert_eq!(via_ops.samples(), via_rows.samples());
-    }
-
-    #[test]
-    fn columnar_reservoir_bytes_match_row_path() {
-        // The byte-exactness contract of `ReservoirJoin::process_columnar`:
-        // identical reservoir contents (not just distribution) regardless
-        // of how the stream is chunked into columnar batches.
-        for seed in [1u64, 9, 42] {
-            let mut rng = rsj_common::rng::RsjRng::seed_from_u64(seed);
-            let mut row_engine = ReservoirJoin::new(two_table(), 6, seed).unwrap();
-            let mut col_engine = ReservoirJoin::new(two_table(), 6, seed).unwrap();
-            let mut rows = Vec::new();
-            for _ in 0..600 {
-                let rel = rng.index(2);
-                let t = vec![rng.below_u64(9), rng.below_u64(9)];
-                row_engine.process(rel, &t);
-                rows.push(InputTuple::new(rel, t));
-            }
-            for chunk in rows.chunks(128) {
-                JoinSampler::process_columnar(&mut col_engine, &ColumnarBatch::from_rows(chunk));
-            }
-            assert_eq!(row_engine.samples(), col_engine.samples(), "seed={seed}");
-            assert_eq!(
-                JoinSampler::stats(&row_engine),
-                JoinSampler::stats(&col_engine),
-                "seed={seed}"
-            );
-        }
     }
 
     #[test]

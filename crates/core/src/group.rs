@@ -9,18 +9,17 @@
 //! the sampler service keeps one group per (join tree, index options),
 //! whose members differ in sampling root, `k` and seed. This module is the
 //! only code that drives an index and its reservoirs: insert, delete with
-//! repair, the columnar hash pass, history replay, tree rebuild, heap
-//! accounting and the group image. Exact `|Q(R)|` is memoized per index
-//! state, so all members of a group share one count pass per accepted op.
+//! repair, history replay, tree rebuild, heap accounting and the group
+//! image. Exact `|Q(R)|` is memoized per index state, so all members of a
+//! group share one count pass per accepted op.
 
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::hash::fx_hash_columns;
 use rsj_common::rng::{child_seed, RsjRng};
 use rsj_common::{FxHashMap, TupleId, Value};
 use rsj_index::dynamic::IndexError;
 use rsj_index::{DeltaBatch, DynamicIndex, FullSampler, IndexOptions};
 use rsj_query::{JoinTree, Plan, Query};
-use rsj_storage::{ColumnarBatch, OpStream, StreamOp};
+use rsj_storage::{OpStream, StreamOp};
 use rsj_stream::{FnBatch, Reservoir};
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -352,25 +351,6 @@ impl CountMemo {
     }
 }
 
-/// Dedup hashes of every row of `batch`, one column-wise pass per
-/// relation, indexed `[relation][row]` — computed once per batch however
-/// many groups apply it.
-pub(crate) fn column_hashes(batch: &ColumnarBatch) -> Vec<Vec<u64>> {
-    let mut flat: Vec<Value> = Vec::new();
-    (0..batch.num_relations())
-        .map(|rel| {
-            let rc = batch.relation(rel);
-            let mut h = Vec::new();
-            if rc.rows() > 0 {
-                flat.clear();
-                rc.gather_rows(&mut flat);
-                fx_hash_columns(rc.arity() as u64, rc.arity(), &flat, &mut h);
-            }
-            h
-        })
-        .collect()
-}
-
 /// One dynamic index and the members sampling over it. Never empty: the
 /// service drops a group with its last member, and an image of an empty
 /// group is rejected.
@@ -481,28 +461,6 @@ impl Group {
     pub(crate) fn replay(&mut self, history: &OpStream) {
         for op in history.iter() {
             self.apply(op);
-        }
-    }
-
-    /// Inserts a columnar batch in arrival order with the dedup hashes
-    /// [`column_hashes`] computed for it, byte-identically to inserting its
-    /// rows one by one. `before_row` runs before each row (the standalone
-    /// driver's replan checkpoint).
-    pub(crate) fn insert_columnar(
-        &mut self,
-        batch: &ColumnarBatch,
-        hashes: &[Vec<u64>],
-        mut before_row: impl FnMut(&mut Group),
-    ) {
-        let mut row = Vec::new();
-        for &(rel, r) in batch.arrivals() {
-            before_row(self);
-            let (rel, r) = (rel as usize, r as usize);
-            row.clear();
-            batch.relation(rel).write_row(r, &mut row);
-            if let Some(tid) = self.index.insert_hashed(rel, &row, hashes[rel][r]) {
-                self.consume(rel, tid);
-            }
         }
     }
 

@@ -43,12 +43,12 @@
 //! members of an index group share the one settled count per op; see
 //! ARCHITECTURE.md, "Update model".
 
-use crate::group::{column_hashes, Group, SamplerCore};
+use crate::group::{Group, SamplerCore};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{TupleId, Value};
 use rsj_index::{DynamicIndex, FullSampler, IndexOptions, IndexStats};
 use rsj_query::{Plan, Planner, Query};
-use rsj_storage::{ColumnarBatch, TableStatistics};
+use rsj_storage::TableStatistics;
 use rsj_stream::Rows;
 
 /// When the driver re-evaluates its plan against observed statistics.
@@ -265,23 +265,6 @@ impl ReservoirJoin {
     pub fn process(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
         self.replanner.maybe_auto(&mut self.group);
         self.group.insert(rel, tuple)
-    }
-
-    /// Processes a columnar batch, byte-identically to shredding it
-    /// through [`process`](ReservoirJoin::process) in arrival order (the
-    /// golden-digest suite pins this).
-    ///
-    /// Reservoir skips, replan checkpoints, and delta batches are all
-    /// order-sensitive, so tuples still apply one at a time; the work
-    /// hoisted out of the loop is the plan-independent part — every row's
-    /// relation dedup hash, computed column-wise by the vectorized hash
-    /// kernel. Index-only pipelines that can accept physical reordering
-    /// use `DynamicIndex::insert_columnar` instead.
-    pub fn process_columnar(&mut self, batch: &ColumnarBatch) {
-        let hashes = column_hashes(batch);
-        let replanner = &mut self.replanner;
-        self.group
-            .insert_columnar(batch, &hashes, |group| replanner.maybe_auto(group));
     }
 
     /// Deletes one input tuple (turnstile streams — see the [module

@@ -40,12 +40,6 @@ impl DynamicSampleIndex {
         self.index.insert(rel, tuple)
     }
 
-    /// Inserts a delta batch of tuples in arrival order, returning the
-    /// number accepted (duplicates skipped).
-    pub fn insert_batch(&mut self, batch: &[rsj_storage::InputTuple]) -> u64 {
-        self.index.insert_batch(batch)
-    }
-
     /// Deletes a tuple (`O(log N)` amortized); subsequent [`Self::sample`]
     /// draws are uniform over the post-delete `Q(R)`. Deleting an absent
     /// tuple is a no-op returning `None`.
@@ -147,22 +141,6 @@ mod tests {
         // Exact: each y in 0..4 has 5 R-tuples and 3 S-tuples => 60.
         let est = ix.estimate_result_size(5000);
         assert!((est - 60.0).abs() < 8.0, "est {est}");
-    }
-
-    #[test]
-    fn batch_insert_matches_loop() {
-        let mut qb = QueryBuilder::new();
-        qb.relation("R", &["X", "Y"]);
-        qb.relation("S", &["Y", "Z"]);
-        let q = qb.build().unwrap();
-        let batch: Vec<rsj_storage::InputTuple> = vec![
-            rsj_storage::InputTuple::new(0, vec![1, 2]),
-            rsj_storage::InputTuple::new(1, vec![2, 3]),
-            rsj_storage::InputTuple::new(1, vec![2, 3]), // duplicate
-        ];
-        let mut ix = DynamicSampleIndex::new(q, 5).unwrap();
-        assert_eq!(ix.insert_batch(&batch), 2);
-        assert_eq!(ix.sample(), Some(vec![1, 2, 3]));
     }
 
     #[test]

@@ -64,14 +64,14 @@
 //! serialized, rebuilt on demand after a restore.
 
 use crate::exec::{apply_op, check_schema, Durable, JoinSampler};
-use crate::group::{column_hashes, Group};
+use crate::group::Group;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::RsjRng;
 use rsj_common::{EpochCell, FxHashSet, HeapSize, Value};
 use rsj_index::dynamic::IndexError;
 use rsj_index::IndexOptions;
 use rsj_query::{Plan, Query};
-use rsj_storage::{ColumnarBatch, SharedStore, SharedStoreError, StreamOp};
+use rsj_storage::{SharedStore, SharedStoreError, StreamOp};
 use std::sync::Arc;
 
 /// Service-wide configuration.
@@ -456,14 +456,8 @@ impl SamplerService {
     /// then every boxed member's own [`JoinSampler::check_op`].
     pub fn validate_op(&self, op: &StreamOp) -> Result<(), ServiceError> {
         check_schema(&self.universe, op)
-            .and_then(|()| self.check_boxed(std::slice::from_ref(op)))
+            .and_then(|()| self.boxed.iter().try_for_each(|b| b.sampler.check_op(op)))
             .map_err(ServiceError::Store)
-    }
-
-    /// Every boxed member's own [`JoinSampler::check_ops`] over `ops`, as
-    /// if applied in order.
-    fn check_boxed(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
-        self.boxed.iter().try_for_each(|b| b.sampler.check_ops(ops))
     }
 
     /// Ingests one op: validate, retain, apply to every registration,
@@ -499,47 +493,6 @@ impl SamplerService {
     /// Convenience: ingests one delete.
     pub fn delete(&mut self, rel: usize, tuple: &[Value]) -> Result<u64, ServiceError> {
         self.process_owned(StreamOp::delete(rel, tuple.to_vec()))
-    }
-
-    /// Ingests a columnar batch: each row's relation dedup hash is
-    /// computed once by the vectorized column kernel and shared by every
-    /// index group, so the batch amortization compounds with the storage
-    /// sharing. Byte-identical per member to feeding the batch's rows
-    /// through [`process_op`](SamplerService::process_op) in arrival
-    /// order. The batch is atomic with respect to publish points: the
-    /// cadence check runs once, after the whole batch. It is also atomic
-    /// with respect to rejection: the whole batch passes the checks of
-    /// [`validate_op`](SamplerService::validate_op) — the universe's
-    /// schema, then every boxed member's, as if applied in order — before
-    /// any row is retained or applied.
-    pub fn process_columnar(&mut self, batch: &ColumnarBatch) -> Result<(), ServiceError> {
-        for rel in 0..batch.num_relations() {
-            let rc = batch.relation(rel);
-            if rc.rows() > 0 {
-                let arity = self.universe.relations().get(rel).map(|r| r.attrs.len());
-                SharedStoreError::check(rel, arity, rc.arity()).map_err(ServiceError::Store)?;
-            }
-        }
-        let mut ops = Vec::with_capacity(batch.len());
-        batch.shred(|rel, row| ops.push(StreamOp::insert(rel, row.to_vec())));
-        self.check_boxed(&ops).map_err(ServiceError::Store)?;
-        // Retain first (the store is the authority every backfill and
-        // restore replays), then apply.
-        for op in ops {
-            self.store
-                .append_owned(op)
-                .expect("batch validated against the universe");
-        }
-        let hashes = column_hashes(batch);
-        for s in &mut self.groups {
-            s.group.insert_columnar(batch, &hashes, |_| {});
-        }
-        for b in &mut self.boxed {
-            b.sampler.process_columnar(batch);
-        }
-        self.ops_since_publish += batch.arrivals().len() as u64;
-        self.maybe_publish();
-        Ok(())
     }
 
     fn maybe_publish(&mut self) {
@@ -1174,8 +1127,8 @@ mod tests {
             svc.register_sampler(Box::new(ReservoirJoin::new(other, 4, 1).unwrap())),
             Err(ServiceError::UniverseMismatch)
         ));
-        // A malformed op is rejected before any member (shared or boxed)
-        // sees it, by the row path and the columnar path alike.
+        // A malformed op is rejected before any member, shared or boxed,
+        // sees it.
         let mut svc2 = SamplerService::new(q.clone());
         svc2.register_sampler(Box::new(ReservoirJoin::new(q.clone(), 4, 3).unwrap()))
             .unwrap();
@@ -1194,44 +1147,7 @@ mod tests {
                 got: 3
             }))
         ));
-        let mut wide = ColumnarBatch::new();
-        wide.push(0, &[7, 8]);
-        wide.push(3, &[1, 2]);
-        assert!(matches!(
-            svc2.process_columnar(&wide),
-            Err(ServiceError::Store(SharedStoreError::UnknownRelation(3)))
-        ));
         assert_eq!(svc2.samples(h).unwrap(), before, "no half-applied op");
         assert_eq!(svc2.lsn(), 1, "rejected ops are not retained");
-    }
-
-    #[test]
-    fn columnar_ingest_matches_row_ingest_per_member() {
-        let q = line3();
-        let mut rng = RsjRng::seed_from_u64(21);
-        let mut ops = Vec::new();
-        for _ in 0..240 {
-            ops.push(StreamOp::insert(
-                rng.index(3),
-                vec![rng.below_u64(6), rng.below_u64(6)],
-            ));
-        }
-        let mut by_rows = SamplerService::new(q.clone());
-        let mut by_cols = SamplerService::new(q.clone());
-        for svc in [&mut by_rows, &mut by_cols] {
-            svc.register(&q, &QueryOpts::new(5, 3)).unwrap();
-            svc.register(&q, &QueryOpts::new(9, 4)).unwrap();
-        }
-        for op in &ops {
-            by_rows.process_op(op).unwrap();
-        }
-        for chunk in ops.chunks(64) {
-            let batch = ColumnarBatch::from_insert_ops(chunk).expect("insert-only");
-            by_cols.process_columnar(&batch).unwrap();
-        }
-        assert_eq!(by_rows.lsn(), by_cols.lsn());
-        for (a, b) in by_rows.handles().into_iter().zip(by_cols.handles()) {
-            assert_eq!(by_rows.samples(a).unwrap(), by_cols.samples(b).unwrap());
-        }
     }
 }

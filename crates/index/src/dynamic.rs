@@ -40,14 +40,12 @@
 //! [`PostingArena`](rsj_common::PostingArena)s, and propagation reuses
 //! pooled scratch buffers.
 
-use crate::state::{GroupId, ItemId, NodeState};
+use crate::state::{ItemId, NodeState};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::hash::fx_hash_columns;
 use rsj_common::pow2::level_of;
-use rsj_common::{fx_hash_one, FxHashMap, FxHashSet, HeapSize, Key, TupleId, Value};
+use rsj_common::{fx_hash_one, FxHashMap, HeapSize, Key, TupleId, Value};
 use rsj_query::{NodeInfo, Query};
-use rsj_storage::{ColumnarBatch, Database};
-use std::collections::hash_map::Entry;
+use rsj_storage::Database;
 
 /// Construction options.
 ///
@@ -76,7 +74,9 @@ pub struct IndexStats {
     /// Executions of the propagation loop body (Algorithm 7 lines 9–11 /
     /// Algorithm 10 lines 11–15) — the Figure 9 metric, counted once per
     /// shared (node, parent) configuration. Deletion cascades count here
-    /// too.
+    /// too. Every accepted insert or delete runs its own cascade, so this
+    /// and [`tilde_changes`](IndexStats::tilde_changes) are per-tuple sums
+    /// that depend only on the arrival sequence.
     pub propagation_loops: u64,
     /// Number of `cnt~` level changes observed (doublings on insert,
     /// halvings on delete).
@@ -176,92 +176,6 @@ impl Pools {
     }
 }
 
-/// One configuration's *net* `cnt~` change at a group key over a whole
-/// columnar batch: recorded once when the batch is finalized for that
-/// configuration, consumed by every parent configuration's re-level pass.
-/// The per-tuple path would have cascaded each intermediate doubling
-/// separately; the net change subsumes them all (levels are pure functions
-/// of the final counts).
-#[derive(Clone, Copy, Debug)]
-struct TildeChange {
-    key: Key,
-    hash: u64,
-    old: Option<u32>,
-    new: Option<u32>,
-}
-
-/// One relation's accepted arrivals of a columnar batch: tuple ids plus,
-/// for each distinct projection set of the relation, the projected key
-/// column and its bulk-hashed digests (both parallel to `tids`). Empty
-/// `tids` marks a relation absent from (or fully deduplicated out of) the
-/// current batch.
-#[derive(Clone, Debug, Default)]
-struct RelBatch {
-    tids: Vec<TupleId>,
-    proj_keys: Vec<Vec<Key>>,
-    proj_hashes: Vec<Vec<u64>>,
-}
-
-/// Reusable scratch of the columnar ingest path, persisted in the index so
-/// repeated batch calls reallocate nothing once warm — the sort buffers,
-/// per-configuration net-change vectors and per-relation key/hash columns
-/// all keep their high-water capacity between batches. The `topo` and
-/// `cfg_slot_row` entries are static per index and computed on first use.
-#[derive(Clone, Debug, Default)]
-struct ColumnarScratch {
-    rel_batches: Vec<RelBatch>,
-    flat: Vec<Value>,
-    hashes: Vec<u64>,
-    rows: Vec<Value>,
-    proj_flat: Vec<Value>,
-    topo: Vec<u32>,
-    cfg_slot_row: Vec<usize>,
-    out_changes: Vec<Vec<TildeChange>>,
-    probes: Vec<(u32, TildeChange)>,
-    items_buf: Vec<ItemId>,
-    order_buf: Vec<(u64, u32)>,
-    recomputed: FxHashSet<ItemId>,
-    touched: FxHashMap<GroupId, (Key, u64, Option<u32>)>,
-    levels: Vec<Option<u32>>,
-    gids: Vec<GroupId>,
-}
-
-/// Children-first topological order of the shared-configuration DAG: every
-/// configuration appears after everything reachable through its
-/// `child_cfgs` edges, so a columnar pass over the order reads only
-/// finalized child `cnt~` values. The DAG is acyclic by construction (a
-/// configuration's children are oriented *away* from it in every rooted
-/// tree), so the iterative post-order DFS below visits each configuration
-/// exactly once.
-fn topo_children_first(child_cfgs: &[Vec<u32>]) -> Vec<u32> {
-    let n = child_cfgs.len();
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n as u32 {
-        if seen[root as usize] {
-            continue;
-        }
-        seen[root as usize] = true;
-        stack.push((root, 0));
-        while let Some(&(c, next)) = stack.last() {
-            let kids = &child_cfgs[c as usize];
-            if next < kids.len() {
-                stack.last_mut().expect("stack nonempty").1 += 1;
-                let d = kids[next];
-                if !seen[d as usize] {
-                    seen[d as usize] = true;
-                    stack.push((d, 0));
-                }
-            } else {
-                order.push(c);
-                stack.pop();
-            }
-        }
-    }
-    order
-}
-
 /// The dynamic sampling index over an acyclic join (Theorem 4.2).
 #[derive(Clone, Debug)]
 pub struct DynamicIndex {
@@ -286,7 +200,6 @@ pub struct DynamicIndex {
     plan: ProjectionPlan,
     scratch: Projections,
     pools: Pools,
-    columnar: ColumnarScratch,
     options: IndexOptions,
     stats: IndexStats,
 }
@@ -468,7 +381,6 @@ impl DynamicIndex {
             plan,
             scratch: Projections::default(),
             pools: Pools::default(),
-            columnar: ColumnarScratch::default(),
             options,
             stats: IndexStats::default(),
         })
@@ -590,17 +502,7 @@ impl DynamicIndex {
     /// then shared across every configuration (see the [module
     /// docs](self)).
     pub fn insert(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
-        self.insert_hashed(rel, tuple, fx_hash_one(&tuple))
-    }
-
-    /// [`insert`](DynamicIndex::insert) with the relation's dedup hash
-    /// precomputed. Byte-identical to `insert` — same cascades, same
-    /// stats — it merely lets a batch driver hash whole columns up front
-    /// with [`fx_hash_columns`] and then apply tuples one at a time in
-    /// arrival order (the byte-exact tier of the columnar ingest path,
-    /// where reservoir reproducibility forbids reordering).
-    pub fn insert_hashed(&mut self, rel: usize, tuple: &[Value], hash: u64) -> Option<TupleId> {
-        let tid = self.db.relation_mut(rel).insert_hashed(tuple, hash)?;
+        let tid = self.db.relation_mut(rel).insert(tuple)?;
         self.stats.inserts += 1;
         self.scratch.fill(tuple, &self.plan.rels[rel].sets);
         let mut pl = 0u64;
@@ -624,453 +526,6 @@ impl DynamicIndex {
         self.stats.propagation_loops += pl;
         self.stats.tilde_changes += tc;
         Some(tid)
-    }
-
-    /// Inserts a delta batch of tuples in order, returning the number
-    /// accepted (duplicates are skipped, exactly as [`insert`] would).
-    ///
-    /// Equivalent to calling [`insert`] per tuple — same ids, same index
-    /// state, same propagation — packaged as the batch entry point for
-    /// index-only ingest (sampling-disabled pipelines, the
-    /// `DynamicSampleIndex` facade). Per-tuple work is already amortized
-    /// internally: the projection scratch, propagation pools, and arena
-    /// free lists live in the index and stay warm across calls.
-    ///
-    /// [`insert`]: DynamicIndex::insert
-    pub fn insert_batch(&mut self, batch: &[rsj_storage::InputTuple]) -> u64 {
-        let mut accepted = 0;
-        for t in batch {
-            if self.insert(t.relation, &t.values).is_some() {
-                accepted += 1;
-            }
-        }
-        accepted
-    }
-
-    /// Columnar batch ingest: the struct-of-arrays fast path for
-    /// insert-only windows.
-    ///
-    /// Produces exactly the state [`insert`](DynamicIndex::insert) would:
-    /// the same tuples accepted with the same ids, and in every
-    /// configuration the same groups with the same `cnt`, `cnt~`, item
-    /// levels, and (for grouped nodes) `feq` — an item's level is a pure
-    /// function of the *final* tuple set, so arrival order inside the
-    /// batch cannot matter. What legitimately differs from the per-tuple
-    /// path is physical layout (posting-list order inside buckets,
-    /// internal group/intern ids) and the
-    /// [`propagation_loops`](IndexStats::propagation_loops) /
-    /// [`tilde_changes`](IndexStats::tilde_changes) counters, which here
-    /// count the *amortized* pass (one cascade per configuration per
-    /// batch) rather than one cascade per tuple; [`IndexStats::inserts`]
-    /// stays exact. Sampling pipelines that must reproduce the row path's
-    /// reservoir bytes therefore drive [`insert`](DynamicIndex::insert)
-    /// per tuple (see
-    /// `ReservoirJoin::process_columnar` in `rsj-core`); index-only
-    /// ingest — the Figure 6 update-time benchmark, `FullSampler`
-    /// pre-builds — takes this entry point.
-    ///
-    /// Per relation, the whole dedup-hash column and every distinct
-    /// projection's key/hash columns are computed by the vectorized
-    /// [`fx_hash_columns`] kernel in one tight loop each. Configurations
-    /// are then finalized children-first; within one configuration, probe
-    /// requests are sorted by `(child, hash)` so `KeyMap` bucket lines are
-    /// touched monotonically and duplicate keys coalesce into one probe
-    /// per run, and the upward cascade runs once over the children's *net*
-    /// `cnt~` changes (the signed per-batch generalization of the
-    /// per-tuple delta shift) instead of once per inserted tuple.
-    pub fn insert_columnar(&mut self, batch: &ColumnarBatch) -> u64 {
-        let nrels = self.query.num_relations();
-        assert!(
-            batch.num_relations() <= nrels,
-            "batch addresses relation {} but the query has {nrels}",
-            batch.num_relations(),
-        );
-
-        // Phase A: per relation, hash the dedup column in bulk, insert
-        // into storage (set semantics), and bulk-hash every distinct
-        // projection of the accepted rows. Every buffer lives in the
-        // persistent scratch, so steady-state batches reallocate nothing.
-        let cs = &mut self.columnar;
-        if cs.rel_batches.len() < nrels {
-            cs.rel_batches.resize_with(nrels, RelBatch::default);
-        }
-        for rb in &mut cs.rel_batches {
-            rb.tids.clear();
-        }
-        let mut accepted = 0u64;
-        for rel in 0..batch.num_relations() {
-            let rc = batch.relation(rel);
-            if rc.rows() == 0 {
-                continue;
-            }
-            let arity = rc.arity();
-            cs.flat.clear();
-            rc.gather_rows(&mut cs.flat);
-            cs.hashes.clear();
-            fx_hash_columns(arity as u64, arity, &cs.flat, &mut cs.hashes);
-            cs.rows.clear();
-            {
-                let r = self.db.relation_mut(rel);
-                let rb = &mut cs.rel_batches[rel];
-                for (row, &h) in cs.flat.chunks_exact(arity).zip(&cs.hashes) {
-                    if let Some(tid) = r.insert_hashed(row, h) {
-                        rb.tids.push(tid);
-                        cs.rows.extend_from_slice(row);
-                    }
-                }
-            }
-            let n = cs.rel_batches[rel].tids.len();
-            if n == 0 {
-                continue;
-            }
-            accepted += n as u64;
-            let sets = &self.plan.rels[rel].sets;
-            let rb = &mut cs.rel_batches[rel];
-            rb.proj_keys.resize_with(sets.len(), Vec::new);
-            rb.proj_hashes.resize_with(sets.len(), Vec::new);
-            for (si, set) in sets.iter().enumerate() {
-                rb.proj_keys[si].clear();
-                rb.proj_hashes[si].clear();
-                if set.is_empty() {
-                    // Root group keys project onto no attributes; the
-                    // kernel wants arity >= 1, so the constant digest is
-                    // computed once instead.
-                    rb.proj_keys[si].resize(n, Key::EMPTY);
-                    rb.proj_hashes[si].resize(n, fx_hash_one(&Key::EMPTY));
-                    continue;
-                }
-                cs.proj_flat.clear();
-                cs.proj_flat.reserve(n * set.len());
-                for row in cs.rows.chunks_exact(arity) {
-                    for &p in set {
-                        cs.proj_flat.push(row[p]);
-                    }
-                }
-                fx_hash_columns(
-                    set.len() as u64,
-                    set.len(),
-                    &cs.proj_flat,
-                    &mut rb.proj_hashes[si],
-                );
-                rb.proj_keys[si].extend(cs.proj_flat.chunks_exact(set.len()).map(Key::from_slice));
-            }
-        }
-        self.stats.inserts += accepted;
-        if accepted == 0 {
-            return 0;
-        }
-
-        // Phase B: finalize configurations children-first. Each pass (1)
-        // re-levels pre-batch items against the children's net cnt~
-        // changes, (2) registers the batch's new items with hash-grouped,
-        // duplicate-coalesced probes, then (3) records its own net cnt~
-        // changes for the parents.
-        let ncfg = self.configs.len();
-        if cs.topo.len() != ncfg {
-            // The traversal order and slot-row table are pure functions of
-            // the (fixed) tree topology: compute once, reuse forever.
-            cs.topo = topo_children_first(&self.child_cfgs);
-            cs.cfg_slot_row = vec![0usize; ncfg];
-            for cfgs in &self.rel_cfgs {
-                for (i, &c) in cfgs.iter().enumerate() {
-                    cs.cfg_slot_row[c as usize] = i;
-                }
-            }
-        }
-        if cs.out_changes.len() != ncfg {
-            cs.out_changes.resize_with(ncfg, Vec::new);
-        }
-        for v in &mut cs.out_changes {
-            v.clear();
-        }
-        let mut pl = 0u64;
-        let mut tc = 0u64;
-        for oi in 0..ncfg {
-            let c = cs.topo[oi];
-            let cu = c as usize;
-            let rel = self.infos[cu].relation;
-            cs.recomputed.clear();
-            cs.touched.clear();
-
-            // (1) Amortized re-level of pre-batch items: one probe per
-            // distinct (child, changed key), visited in (child, hash)
-            // order so bucket lines are touched monotonically. Live
-            // live-to-live changes shift matching items by the *net*
-            // level delta; a child group coming alive recomputes from
-            // scratch (once per item — the recompute reads final child
-            // state, so later probes skip it).
-            cs.probes.clear();
-            for (ci, &d) in self.child_cfgs[cu].iter().enumerate() {
-                for &ch in &cs.out_changes[d as usize] {
-                    cs.probes.push((ci as u32, ch));
-                }
-            }
-            cs.probes.sort_unstable_by(|a, b| {
-                (a.0, a.1.hash)
-                    .cmp(&(b.0, b.1.hash))
-                    .then_with(|| a.1.key.as_slice().cmp(b.1.key.as_slice()))
-            });
-            for &(ci, ch) in &cs.probes {
-                let shift = match (ch.old, ch.new) {
-                    (Some(o), Some(n)) => {
-                        debug_assert!(n >= o, "insert-only cnt~ must not shrink");
-                        Some(n as i64 - o as i64)
-                    }
-                    _ => None,
-                };
-                cs.items_buf.clear();
-                {
-                    let ns = &self.configs[cu];
-                    match ns.child_indexes[ci as usize].get(ch.hash, &ch.key) {
-                        Some(&list) => ns.postings.extend_into(list, &mut cs.items_buf),
-                        None => continue,
-                    }
-                }
-                for &item in &cs.items_buf {
-                    if cs.recomputed.contains(&item) {
-                        continue;
-                    }
-                    pl += 1;
-                    let pos = self.configs[cu].item_pos[item as usize];
-                    let new_level = match (shift, pos.level()) {
-                        (Some(d), Some(l)) => Some((l as i64 + d) as u32),
-                        (Some(_), None) => None,
-                        (None, _) => {
-                            cs.recomputed.insert(item);
-                            compute_item_level(
-                                &self.configs,
-                                &self.infos,
-                                &self.child_cfgs,
-                                &self.db,
-                                c,
-                                item,
-                            )
-                        }
-                    };
-                    if pos.level() != new_level {
-                        if let Entry::Vacant(e) = cs.touched.entry(pos.group) {
-                            let gkey = group_key_of(&self.configs, &self.infos, &self.db, c, item);
-                            let old = self.configs[cu].group(pos.group).tilde_level();
-                            e.insert((gkey, fx_hash_one(&gkey), old));
-                        }
-                        self.configs[cu].move_item(item, new_level);
-                    }
-                }
-            }
-
-            // (2) Register the batch's own arrivals for this relation.
-            // Probe requests are sorted by (hash, key); each run of equal
-            // keys costs one KeyMap probe however many rows share it.
-            // Children are already final, so new levels are absolute.
-            if rel < cs.rel_batches.len() && !cs.rel_batches[rel].tids.is_empty() {
-                let rb = &cs.rel_batches[rel];
-                let slots = &self.plan.rels[rel].cfgs[cs.cfg_slot_row[cu]];
-                let n = rb.tids.len();
-                if self.configs[cu].grouped {
-                    let es = slots.ebar as usize;
-                    let ekeys = &rb.proj_keys[es];
-                    let ehs = &rb.proj_hashes[es];
-                    cs.order_buf.clear();
-                    cs.order_buf
-                        .extend((0..n as u32).map(|j| (ehs[j as usize], j)));
-                    cs.order_buf.sort_unstable_by(|a, b| {
-                        a.0.cmp(&b.0)
-                            .then_with(|| {
-                                ekeys[a.1 as usize]
-                                    .as_slice()
-                                    .cmp(ekeys[b.1 as usize].as_slice())
-                            })
-                            .then(a.1.cmp(&b.1))
-                    });
-                    let mut i = 0usize;
-                    while i < n {
-                        let (eh, j0) = cs.order_buf[i];
-                        let ebar = ekeys[j0 as usize];
-                        let mut end = i + 1;
-                        while end < n {
-                            let (h2, j2) = cs.order_buf[end];
-                            if h2 != eh || ekeys[j2 as usize] != ebar {
-                                break;
-                            }
-                            end += 1;
-                        }
-                        // One intern + one feq bump per distinct ebar run.
-                        let (gt, created) = {
-                            let ns = &mut self.configs[cu];
-                            let (gt, created) = ns.grouped_data.intern(&mut ns.postings, eh, ebar);
-                            ns.grouped_data.feq[gt as usize] += (end - i) as u64;
-                            let base = ns.grouped_data.base[gt as usize];
-                            for &(_, j) in &cs.order_buf[i..end] {
-                                ns.postings.push(base, rb.tids[j as usize]);
-                            }
-                            (gt, created)
-                        };
-                        let feq = self.configs[cu].grouped_data.feq[gt as usize];
-                        let feq_level = level_of(feq as u128).expect("feq >= 1");
-                        let mut level = Some(feq_level);
-                        for (ci, &slot) in slots.children.iter().enumerate() {
-                            let k = rb.proj_keys[slot as usize][j0 as usize];
-                            let h = rb.proj_hashes[slot as usize][j0 as usize];
-                            let child = self.child_cfgs[cu][ci] as usize;
-                            level = match (level, self.configs[child].tilde_level_of(h, &k)) {
-                                (Some(s), Some(l)) => Some(s + l),
-                                _ => None,
-                            };
-                        }
-                        let gkey = rb.proj_keys[slots.key as usize][j0 as usize];
-                        let gh = rb.proj_hashes[slots.key as usize][j0 as usize];
-                        if created {
-                            for (ci, &slot) in slots.children.iter().enumerate() {
-                                let k = rb.proj_keys[slot as usize][j0 as usize];
-                                let h = rb.proj_hashes[slot as usize][j0 as usize];
-                                self.configs[cu].child_index_push(ci, h, k, gt);
-                            }
-                            let g = self.configs[cu].group_for(gh, gkey);
-                            if let Entry::Vacant(e) = cs.touched.entry(g) {
-                                let old = self.configs[cu].group(g).tilde_level();
-                                e.insert((gkey, gh, old));
-                            }
-                            self.configs[cu].place_new_item(gt, g, level);
-                        } else {
-                            // Existing group tuple: the absolute final
-                            // level overrides any step-(1) shift.
-                            let pos = self.configs[cu].item_pos[gt as usize];
-                            if pos.level() != level {
-                                if let Entry::Vacant(e) = cs.touched.entry(pos.group) {
-                                    let old = self.configs[cu].group(pos.group).tilde_level();
-                                    e.insert((gkey, gh, old));
-                                }
-                                self.configs[cu].move_item(gt, level);
-                            }
-                        }
-                        i = end;
-                    }
-                } else {
-                    // Plain configuration: per child, coalesced child-index
-                    // pushes plus one cnt~ lookup per distinct key run,
-                    // accumulated into per-row levels.
-                    cs.levels.clear();
-                    cs.levels.resize(n, Some(0));
-                    for (ci, &slot) in slots.children.iter().enumerate() {
-                        let keys = &rb.proj_keys[slot as usize];
-                        let hs = &rb.proj_hashes[slot as usize];
-                        cs.order_buf.clear();
-                        cs.order_buf
-                            .extend((0..n as u32).map(|j| (hs[j as usize], j)));
-                        cs.order_buf.sort_unstable_by(|a, b| {
-                            a.0.cmp(&b.0)
-                                .then_with(|| {
-                                    keys[a.1 as usize]
-                                        .as_slice()
-                                        .cmp(keys[b.1 as usize].as_slice())
-                                })
-                                .then(a.1.cmp(&b.1))
-                        });
-                        let child = self.child_cfgs[cu][ci] as usize;
-                        let mut i = 0usize;
-                        while i < n {
-                            let (h, j0) = cs.order_buf[i];
-                            let k = keys[j0 as usize];
-                            let mut end = i + 1;
-                            while end < n {
-                                let (h2, j2) = cs.order_buf[end];
-                                if h2 != h || keys[j2 as usize] != k {
-                                    break;
-                                }
-                                end += 1;
-                            }
-                            {
-                                let ns = &mut self.configs[cu];
-                                let list = {
-                                    let NodeState {
-                                        child_indexes,
-                                        postings,
-                                        ..
-                                    } = ns;
-                                    *child_indexes[ci]
-                                        .get_or_insert_with(h, k, || postings.new_list())
-                                        .0
-                                };
-                                // Within a run, j ascends (sort tiebreak),
-                                // so posting order stays tuple-id order.
-                                for &(_, j) in &cs.order_buf[i..end] {
-                                    ns.postings.push(list, rb.tids[j as usize]);
-                                }
-                            }
-                            let t = self.configs[child].tilde_level_of(h, &k);
-                            for &(_, j) in &cs.order_buf[i..end] {
-                                cs.levels[j as usize] = match (cs.levels[j as usize], t) {
-                                    (Some(s), Some(l)) => Some(s + l),
-                                    _ => None,
-                                };
-                            }
-                            i = end;
-                        }
-                    }
-                    // Group assignment, again one probe per distinct key.
-                    let gkeys = &rb.proj_keys[slots.key as usize];
-                    let ghs = &rb.proj_hashes[slots.key as usize];
-                    cs.order_buf.clear();
-                    cs.order_buf
-                        .extend((0..n as u32).map(|j| (ghs[j as usize], j)));
-                    cs.order_buf.sort_unstable_by(|a, b| {
-                        a.0.cmp(&b.0)
-                            .then_with(|| {
-                                gkeys[a.1 as usize]
-                                    .as_slice()
-                                    .cmp(gkeys[b.1 as usize].as_slice())
-                            })
-                            .then(a.1.cmp(&b.1))
-                    });
-                    cs.gids.clear();
-                    cs.gids.resize(n, 0);
-                    let mut i = 0usize;
-                    while i < n {
-                        let (h, j0) = cs.order_buf[i];
-                        let k = gkeys[j0 as usize];
-                        let mut end = i + 1;
-                        while end < n {
-                            let (h2, j2) = cs.order_buf[end];
-                            if h2 != h || gkeys[j2 as usize] != k {
-                                break;
-                            }
-                            end += 1;
-                        }
-                        let g = self.configs[cu].group_for(h, k);
-                        if let Entry::Vacant(e) = cs.touched.entry(g) {
-                            let old = self.configs[cu].group(g).tilde_level();
-                            e.insert((k, h, old));
-                        }
-                        for &(_, j) in &cs.order_buf[i..end] {
-                            cs.gids[j as usize] = g;
-                        }
-                        i = end;
-                    }
-                    // Plain item ids are tuple ids: place in id order.
-                    for j in 0..n {
-                        self.configs[cu].place_new_item(rb.tids[j], cs.gids[j], cs.levels[j]);
-                    }
-                }
-            }
-
-            // (3) Record this configuration's net cnt~ changes for the
-            // parents' pass.
-            for (&g, &(key, hash, old)) in &cs.touched {
-                let new = self.configs[cu].group(g).tilde_level();
-                if new != old {
-                    tc += 1;
-                    cs.out_changes[cu].push(TildeChange {
-                        key,
-                        hash,
-                        old,
-                        new,
-                    });
-                }
-            }
-        }
-        self.stats.propagation_loops += pl;
-        self.stats.tilde_changes += tc;
-        accepted
     }
 
     /// Deletes a tuple from relation `rel`; returns the id it occupied, or
@@ -1795,237 +1250,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_single_inserts() {
-        use rsj_common::rng::RsjRng;
-        use rsj_storage::InputTuple;
-        let mut rng = RsjRng::seed_from_u64(31);
-        let mut batch: Vec<InputTuple> = Vec::new();
-        for _ in 0..400 {
-            batch.push(InputTuple::new(
-                rng.index(3),
-                vec![rng.below_u64(9), rng.below_u64(9)],
-            ));
-        }
-        let mut one_by_one = line3_index(true);
-        let mut accepted = 0u64;
-        for t in &batch {
-            if one_by_one.insert(t.relation, &t.values).is_some() {
-                accepted += 1;
-            }
-        }
-        let mut batched = line3_index(true);
-        assert_eq!(batched.insert_batch(&batch), accepted);
-        assert_eq!(batched.stats().inserts, one_by_one.stats().inserts);
-        assert_eq!(
-            batched.stats().propagation_loops,
-            one_by_one.stats().propagation_loops
-        );
-        for root in 0..3 {
-            check_tree_counts(&batched, root);
-        }
-        // Same ids, same counts: the root group counts agree everywhere.
-        for root in 0..3 {
-            let a = batched.state_at(root, root);
-            let b = one_by_one.state_at(root, root);
-            let h = fx_hash_one(&Key::EMPTY);
-            assert_eq!(
-                a.group_id(h, &Key::EMPTY).map(|g| a.group(g).cnt),
-                b.group_id(h, &Key::EMPTY).map(|g| b.group(g).cnt),
-            );
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
-
-        /// Property form of `insert_batch_matches_single_inserts`, extended
-        /// across the columnar path: for random batches, (a) a
-        /// `ColumnarBatch` shreds back to the exact source rows, (b)
-        /// tuple-at-a-time `insert_batch` and `insert_columnar` accept the
-        /// same tuples and produce semantically identical index state, and
-        /// (c) the brute-force count invariants hold on the columnar
-        /// result.
-        #[test]
-        fn prop_columnar_batches_match_row_path(
-            seed in 0u64..1u64 << 40,
-            n in 1usize..260,
-            split in 0usize..260,
-            domain in 2u64..10,
-            grouping in proptest::prelude::any::<bool>(),
-        ) {
-            use proptest::prelude::prop_assert_eq;
-            use rsj_common::rng::RsjRng;
-            use rsj_storage::InputTuple;
-            let mut rng = RsjRng::seed_from_u64(seed);
-            let rows: Vec<InputTuple> = (0..n)
-                .map(|_| {
-                    InputTuple::new(
-                        rng.index(3),
-                        vec![rng.below_u64(domain), rng.below_u64(domain)],
-                    )
-                })
-                .collect();
-            let (pre, batch) = rows.split_at(split.min(n));
-            let cb = ColumnarBatch::from_rows(batch);
-            prop_assert_eq!(cb.to_rows(), batch.to_vec());
-
-            let mut row_idx = line3_index(grouping);
-            let mut col_idx = line3_index(grouping);
-            prop_assert_eq!(row_idx.insert_batch(pre), col_idx.insert_batch(pre));
-            let accepted = row_idx.insert_batch(batch);
-            prop_assert_eq!(col_idx.insert_columnar(&cb), accepted);
-            prop_assert_eq!(col_idx.stats().inserts, row_idx.stats().inserts);
-            for root in 0..3 {
-                check_tree_counts(&col_idx, root);
-            }
-            assert_same_group_state(&row_idx, &col_idx);
-        }
-    }
-
-    /// The columnar path's equivalence contract: every configuration holds
-    /// the same groups (by key) with the same `cnt` and `cnt~`, and grouped
-    /// configurations intern the same `ē` tuples with the same `feq` —
-    /// internal ids and posting order may differ.
-    fn assert_same_group_state(a: &DynamicIndex, b: &DynamicIndex) {
-        assert_eq!(a.configs.len(), b.configs.len());
-        for (cfg, (ca, cb)) in a.configs.iter().zip(&b.configs).enumerate() {
-            assert_eq!(ca.groups.len(), cb.groups.len(), "group count cfg={cfg}");
-            for (key, &g) in ca.groups.iter() {
-                let h = fx_hash_one(&key);
-                let bg = cb.group_id(h, &key).expect("group present in both");
-                assert_eq!(
-                    ca.group(g).cnt,
-                    cb.group(bg).cnt,
-                    "cnt mismatch cfg={cfg} key={key}"
-                );
-                assert_eq!(
-                    ca.group(g).tilde_level(),
-                    cb.group(bg).tilde_level(),
-                    "cnt~ mismatch cfg={cfg} key={key}"
-                );
-            }
-            assert_eq!(ca.grouped, cb.grouped);
-            if ca.grouped {
-                assert_eq!(ca.grouped_data.map.len(), cb.grouped_data.map.len());
-                for (ebar, &gt) in ca.grouped_data.map.iter() {
-                    let h = fx_hash_one(&ebar);
-                    let bgt = *cb
-                        .grouped_data
-                        .map
-                        .get(h, &ebar)
-                        .expect("ebar interned in both");
-                    assert_eq!(
-                        ca.grouped_data.feq[gt as usize], cb.grouped_data.feq[bgt as usize],
-                        "feq mismatch cfg={cfg} ebar={ebar}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_matches_row_path_semantics() {
-        use rsj_common::rng::RsjRng;
-        use rsj_storage::InputTuple;
-        for grouping in [false, true] {
-            let mut rng = RsjRng::seed_from_u64(97);
-            let mut rows: Vec<InputTuple> = Vec::new();
-            for _ in 0..500 {
-                rows.push(InputTuple::new(
-                    rng.index(3),
-                    vec![rng.below_u64(8), rng.below_u64(8)],
-                ));
-            }
-            let mut row_idx = line3_index(grouping);
-            let accepted = row_idx.insert_batch(&rows);
-            let mut col_idx = line3_index(grouping);
-            assert_eq!(
-                col_idx.insert_columnar(&ColumnarBatch::from_rows(&rows)),
-                accepted
-            );
-            assert_eq!(col_idx.stats().inserts, row_idx.stats().inserts);
-            for root in 0..3 {
-                check_tree_counts(&col_idx, root);
-            }
-            assert_same_group_state(&row_idx, &col_idx);
-        }
-        // And the trivial case: an empty batch is a no-op.
-        let mut idx = line3_index(true);
-        assert_eq!(idx.insert_columnar(&ColumnarBatch::new()), 0);
-        assert_eq!(idx.stats().inserts, 0);
-    }
-
-    #[test]
-    fn columnar_on_top_of_existing_state_matches() {
-        // Batch boundaries: seed state via the row path, then layer several
-        // columnar batches on top — exercising the amortized re-level pass
-        // over pre-batch items (net delta shifts and came-alive recomputes).
-        use rsj_common::rng::RsjRng;
-        use rsj_storage::InputTuple;
-        fn gen(rng: &mut RsjRng, n: usize) -> Vec<InputTuple> {
-            (0..n)
-                .map(|_| InputTuple::new(rng.index(3), vec![rng.below_u64(7), rng.below_u64(7)]))
-                .collect()
-        }
-        for grouping in [false, true] {
-            let mut rng = RsjRng::seed_from_u64(4242);
-            let seed_rows = gen(&mut rng, 150);
-            let batches: Vec<Vec<InputTuple>> = (0..4).map(|_| gen(&mut rng, 120)).collect();
-            let mut row_idx = line3_index(grouping);
-            row_idx.insert_batch(&seed_rows);
-            let mut col_idx = line3_index(grouping);
-            col_idx.insert_batch(&seed_rows);
-            for b in &batches {
-                row_idx.insert_batch(b);
-                col_idx.insert_columnar(&ColumnarBatch::from_rows(b));
-                for root in 0..3 {
-                    check_tree_counts(&col_idx, root);
-                }
-            }
-            assert_same_group_state(&row_idx, &col_idx);
-        }
-    }
-
-    #[test]
-    fn columnar_grouped_query_matches_row_path() {
-        // Example 4.5 shape — Rb is genuinely grouped, so the columnar
-        // grouped path (ebar-run interning, feq bulk bumps, absolute
-        // re-levels) gets real coverage, including skewed feq doublings.
-        use rsj_common::rng::RsjRng;
-        use rsj_storage::InputTuple;
-        let build = || {
-            let mut qb = QueryBuilder::new();
-            qb.relation("Ra", &["X", "Y"]);
-            qb.relation("Rb", &["Y", "Z", "W"]);
-            qb.relation("Rc", &["W", "U"]);
-            DynamicIndex::new(qb.build().unwrap(), IndexOptions { grouping: true }).unwrap()
-        };
-        let mut rng = RsjRng::seed_from_u64(777);
-        let mut rows: Vec<InputTuple> = Vec::new();
-        for _ in 0..600 {
-            let rel = rng.index(3);
-            let t = if rel == 1 {
-                // Skew Y and W so many Rb tuples share one ē projection.
-                vec![rng.below_u64(3), rng.below_u64(40), rng.below_u64(3)]
-            } else {
-                vec![rng.below_u64(3), rng.below_u64(12)]
-            };
-            rows.push(InputTuple::new(rel, t));
-        }
-        let (seed_rows, batch_rows) = rows.split_at(200);
-        let mut row_idx = build();
-        let mut col_idx = build();
-        row_idx.insert_batch(seed_rows);
-        col_idx.insert_batch(seed_rows);
-        row_idx.insert_batch(batch_rows);
-        col_idx.insert_columnar(&ColumnarBatch::from_rows(batch_rows));
-        for root in 0..3 {
-            check_tree_counts(&col_idx, root);
-        }
-        assert_same_group_state(&row_idx, &col_idx);
-    }
-
-    #[test]
     fn random_inserts_keep_invariants() {
         use rsj_common::rng::RsjRng;
         let mut rng = RsjRng::seed_from_u64(42);
@@ -2342,12 +1566,11 @@ mod tests {
         // identical further operation sequence (so positional sampling
         // draws see the very same posting order).
         use rsj_common::rng::RsjRng;
-        use rsj_storage::InputTuple;
         for grouping in [false, true] {
             let mut rng = RsjRng::seed_from_u64(0xD1CE);
             let mut idx = line3_index(grouping);
             let mut live: Vec<(usize, Vec<Value>)> = Vec::new();
-            // Mixed history: row inserts, deletes, then a columnar batch.
+            // Mixed history: inserts, deletes, then a burst of inserts.
             for _ in 0..250 {
                 if !live.is_empty() && rng.unit() < 0.3 {
                     let v = rng.index(live.len());
@@ -2361,10 +1584,9 @@ mod tests {
                     }
                 }
             }
-            let batch: Vec<InputTuple> = (0..120)
-                .map(|_| InputTuple::new(rng.index(3), vec![rng.below_u64(7), rng.below_u64(7)]))
-                .collect();
-            idx.insert_columnar(&ColumnarBatch::from_rows(&batch));
+            for _ in 0..120 {
+                idx.insert(rng.index(3), &[rng.below_u64(7), rng.below_u64(7)]);
+            }
 
             let mut e = Encoder::new();
             idx.snapshot_state_to(&mut e);
@@ -2382,13 +1604,10 @@ mod tests {
 
             // ...and stays that way after identical further mutations,
             // with return values (tuple ids!) in lockstep.
-            let more: Vec<InputTuple> = (0..150)
-                .map(|_| InputTuple::new(rng.index(3), vec![rng.below_u64(7), rng.below_u64(7)]))
-                .collect();
-            assert_eq!(
-                idx.insert_columnar(&ColumnarBatch::from_rows(&more)),
-                restored.insert_columnar(&ColumnarBatch::from_rows(&more))
-            );
+            for _ in 0..150 {
+                let (rel, t) = (rng.index(3), [rng.below_u64(7), rng.below_u64(7)]);
+                assert_eq!(idx.insert(rel, &t), restored.insert(rel, &t));
+            }
             for (rel, t) in live.iter().take(20) {
                 assert_eq!(idx.delete(*rel, t), restored.delete(*rel, t));
             }

@@ -18,9 +18,6 @@
 //!   stream fed to the drivers;
 //! * [`input::StreamOp`] / [`input::OpStream`] — the fully-dynamic
 //!   (turnstile) stream of interleaved inserts and deletes;
-//! * [`columnar::ColumnarBatch`] — an insert-only stream window in
-//!   struct-of-arrays form (one column vector per attribute, per relation),
-//!   the substrate of the columnar ingest fast path;
 //! * [`shared::SharedStore`] — the sampler service's retained op history
 //!   with per-relation registration reference counts (one copy of the
 //!   stream shared by every registered query);
@@ -31,7 +28,6 @@
 //!   segmented, checksummed write-ahead log of [`input::StreamOp`]s and the
 //!   checkpoint file format that truncates it.
 
-pub mod columnar;
 pub mod input;
 pub mod relation;
 pub mod semijoin;
@@ -39,7 +35,6 @@ pub mod shared;
 pub mod stats;
 pub mod wal;
 
-pub use columnar::{ColumnarBatch, RelationColumns};
 pub use input::{InputTuple, OpStream, StreamOp, TupleStream};
 pub use relation::{Database, Relation};
 pub use semijoin::SemijoinIndex;

@@ -20,7 +20,7 @@ use rsj_common::rng::RsjRng;
 use rsj_common::{FxHashMap, Value};
 use rsj_query::Query;
 use rsj_storage::wal::{RealFs, Sleeper, WalFs};
-use rsj_storage::{ColumnarBatch, SharedStoreError, StreamOp};
+use rsj_storage::{SharedStoreError, StreamOp};
 use rsjoin::core::{JoinSampler, SamplerStats};
 use std::io;
 use std::path::Path;
@@ -299,10 +299,6 @@ impl<S: JoinSampler> JoinSampler for Imageless<S> {
 
     fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
         self.inner.check_ops(ops)
-    }
-
-    fn process_columnar(&mut self, batch: &ColumnarBatch) {
-        self.inner.process_columnar(batch)
     }
 
     fn replan(&mut self) -> bool {

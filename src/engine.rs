@@ -286,12 +286,8 @@ pub fn run_workload(
     seed: u64,
 ) -> Result<Box<dyn JoinSampler + Send>, EngineError> {
     let mut s = engine.build(&w.query, k, seed, &workload_opts(w))?;
-    // Native columnar ingest: both phases ship as struct-of-arrays batches
-    // with bulk-hashed keys. Engines without a columnar override shred the
-    // batch back tuple-at-a-time, so every engine sees the same arrival
-    // order (and the RSJoin family the same bytes) as the row path.
-    s.process_columnar(&rsj_storage::ColumnarBatch::from_rows(&w.preload));
-    s.process_columnar(&rsj_storage::ColumnarBatch::from(&w.stream));
+    s.process_batch(&w.preload);
+    s.process_batch(w.stream.tuples());
     Ok(s)
 }
 
@@ -446,6 +442,26 @@ mod tests {
                 ..EngineOpts::default()
             };
             assert_eq!(run(&opts), expect, "root {root}");
+        }
+    }
+
+    /// `run_workload` streams the preload, then the stream, one tuple at a
+    /// time: for every engine it lands on the state of the same arrivals
+    /// fed through `process`. The order matters on QY, whose dimension
+    /// preload binds the keys the foreign-key engines check facts against.
+    #[test]
+    fn run_workload_feeds_the_preload_then_the_stream() {
+        let data = rsj_datagen::TpcdsLite::generate(1, 5);
+        let w = rsj_queries::qy(&data, 3);
+        assert!(!w.preload.is_empty() && !w.stream.is_empty());
+        for engine in [Engine::Reservoir, Engine::FkReservoir, Engine::SJoinOpt] {
+            let ran = run_workload(&w, &engine, 16, 9).unwrap();
+            let mut fed = engine.build(&w.query, 16, 9, &workload_opts(&w)).unwrap();
+            for t in w.preload.iter().chain(w.stream.iter()) {
+                fed.process(t.relation, &t.values);
+            }
+            assert_eq!(ran.snapshot_state(), fed.snapshot_state(), "{engine}");
+            assert_eq!(ran.samples(), fed.samples(), "{engine}");
         }
     }
 }

@@ -84,8 +84,7 @@ pub mod prelude {
     pub use rsj_query::{FkSchema, Ghd, JoinTree, Plan, PlanCost, Planner, Query, QueryBuilder};
     pub use rsj_storage::wal::{Checkpoint, RetryPolicy, Wal, WalError, WalFs, WalOptions};
     pub use rsj_storage::{
-        ColumnarBatch, Database, InputTuple, OpStream, RelationColumns, SharedStoreError, StreamOp,
-        TableStatistics, TupleStream,
+        Database, InputTuple, OpStream, SharedStoreError, StreamOp, TableStatistics, TupleStream,
     };
     pub use rsj_stream::{Batch, ClassicReservoir, FnBatch, Reservoir, Rows, SliceBatch, Slot};
 }

@@ -277,8 +277,8 @@ fn feed_primitives<S: JoinSampler + ?Sized>(s: &mut S, ops: &[StreamOp]) {
     }
 }
 
-/// Ragged chunks, so delete-free windows (columnar path) and mixed
-/// windows (per-op path) both occur at varying offsets.
+/// Ragged chunks, so delete-free windows and mixed windows both occur at
+/// varying offsets.
 fn feed_batches<S: JoinSampler + ?Sized>(s: &mut S, ops: &[StreamOp]) {
     let mut rest = ops;
     for len in [1usize, 7, 64, 3, 29].into_iter().cycle() {
@@ -349,6 +349,33 @@ fn every_ingest_path_yields_identical_bytes() {
     }
 }
 
+/// `process_batch` is `process` per tuple in arrival order, for every
+/// engine and on the outside of the box: ragged chunks of an insert-only
+/// stream land on the bytes of tuple-at-a-time ingest.
+#[test]
+fn process_batch_yields_the_bytes_of_per_tuple_process() {
+    let q = two_table();
+    let stream = random_stream(2, 200, 6, 91);
+    for engine in Engine::ALL {
+        let build = || engine.build(&q, 6, 11, &EngineOpts::default()).unwrap();
+        let mut reference = build();
+        for t in stream.iter() {
+            reference.process(t.relation, &t.values);
+        }
+        let mut batched = build();
+        let mut rest = stream.tuples();
+        for len in [1usize, 7, 64, 3, 29].into_iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            batched.process_batch(chunk);
+            rest = tail;
+        }
+        assert_eq!(observe(&batched), observe(&*reference), "{engine}");
+    }
+}
+
 /// Malformed ops — unknown relation, short tuple, long tuple — come back
 /// as the typed error from `process_op`, sink a whole `process_op_batch`
 /// when one sits in the middle, and leave the state image byte-identical.
@@ -408,8 +435,7 @@ fn malformed_ops_return_a_typed_error_and_apply_nothing() {
             (&long, arity(nrels - 1, 3)),
         ] {
             assert_eq!(s.process_op(bad), Err(want), "{engine}");
-            // Mid-batch, on the columnar (delete-free) route and on the
-            // per-op route alike.
+            // Mid-batch, in a delete-free batch and in a mixed one alike.
             let inserts = [valid.clone(), bad.clone(), valid.clone()];
             assert!(s.process_op_batch(&inserts).is_err(), "{engine}");
             let mixed = [StreamOp::delete(0, vec![40, 41]), bad.clone()];

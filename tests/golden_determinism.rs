@@ -77,43 +77,6 @@ fn cyclic_reservoir_bytes_are_pinned() {
     );
 }
 
-/// The columnar fast path must be byte-invisible: `run_workload` ships the
-/// preload and stream as struct-of-arrays batches with bulk-hashed keys, so
-/// the four pinned digests above already certify the columnar path. This
-/// test drives the identical arrivals tuple-at-a-time (the historical row
-/// shape) and checks both ingest shapes land on the same pinned bytes.
-#[test]
-fn row_shaped_ingest_reproduces_columnar_digests() {
-    let cases: [(&str, rsj_queries::Workload, Engine, u64); 3] = [
-        (
-            "RSJoin/line3",
-            graph_workload(),
-            Engine::Reservoir,
-            0x42B7_36F8_2FB0_5316,
-        ),
-        (
-            "RSJoin/QY",
-            relational_workload(),
-            Engine::Reservoir,
-            0x7B60_24CE_90D1_C2BE,
-        ),
-        (
-            "RSJoin_opt/QY",
-            relational_workload(),
-            Engine::FkReservoir,
-            0xD85D_8DF7_05E9_87FE,
-        ),
-    ];
-    for (name, w, engine, expect) in cases {
-        let mut s = engine
-            .build(&w.query, 64, 0xD15EA5E, &workload_opts(&w))
-            .unwrap();
-        s.process_batch(&w.preload);
-        s.process_batch(w.stream.tuples());
-        assert_eq!(digest(&s.samples()), expect, "{name}: row-shaped ingest");
-    }
-}
-
 /// Post-delete reservoirs are golden too: the signed delta pipelines
 /// (`_opt` FK combiner retraction, cyclic bag delta forwarding) and the
 /// eviction-and-backfill repair they feed are all deterministic for a

@@ -819,18 +819,28 @@ fn conflicting_primary_key_is_rejected_before_it_is_logged() {
         assert_eq!(r.engine().snapshot_state(), bare.snapshot_state());
         assert_eq!(bare.samples_named().len(), 1, "{engine}");
     }
-    // A boxed service member is asked before the op is retained.
+    // A boxed service member is asked before the op is retained or
+    // applied to any member, shared or boxed: the service image is
+    // byte-unchanged.
     let (query, s) = fk_engine(&Engine::FkReservoir);
-    let mut svc = SamplerService::new(query);
+    let mut svc = SamplerService::new(query.clone());
+    svc.register(&query, &QueryOpts::new(4, 1)).unwrap();
     svc.register_sampler(s).unwrap();
     for op in &ops {
         svc.process_op(op).unwrap();
     }
+    let image = |svc: &SamplerService| {
+        let mut enc = rsjoin::common::codec::Encoder::new();
+        svc.snapshot_to(&mut enc).unwrap();
+        enc.into_bytes()
+    };
+    let before = image(&svc);
     assert!(matches!(
         svc.process_op(&conflict),
         Err(ServiceError::Store(SharedStoreError::PrimaryKeyConflict(1)))
     ));
     assert_eq!(svc.store().lsn(), ops.len() as u64);
+    assert_eq!(image(&svc), before, "a rejected op mutated the service");
 }
 
 /// A combiner image lists every live fact in the registry its walk puts

@@ -4,10 +4,9 @@
 //! Four contracts (invariant 8 in ARCHITECTURE.md and its neighbours):
 //!
 //! 1. **Sharing is invisible** — a query registered on the service (early
-//!    or mid-stream, row or columnar path, shared or boxed) ends with a
-//!    reservoir *byte-identical* to a standalone sampler fed the same
-//!    stream. The shared index and the backfill replay are pure
-//!    optimizations.
+//!    or mid-stream, shared or boxed) ends with a reservoir
+//!    *byte-identical* to a standalone sampler fed the same stream. The
+//!    shared index and the backfill replay are pure optimizations.
 //! 2. **Reads are uniform** — a reader's `snapshot().sample(n)` taken
 //!    mid-ingest is a uniform draw from the live join result at the
 //!    snapshot's LSN (chi-square at the usual family-wise level).
@@ -146,58 +145,6 @@ fn mid_stream_registration_is_byte_identical_to_early() {
     assert_eq!(digest(&svc.samples(late).unwrap()), want);
 }
 
-/// The columnar ingest path is byte-identical to the row path for every
-/// member — shared and boxed — across uneven chunk boundaries.
-#[test]
-fn columnar_ingest_matches_row_ingest_for_every_member() {
-    let q = line3();
-    let mut rng = RsjRng::seed_from_u64(31);
-    let mut rows: Vec<InputTuple> = Vec::new();
-    for _ in 0..300 {
-        rows.push(InputTuple::new(
-            rng.index(q.num_relations()),
-            vec![rng.below_u64(7), rng.below_u64(7)],
-        ));
-    }
-    let build = |svc: &mut SamplerService| {
-        let a = svc.register(&q, &QueryOpts::new(6, 1)).unwrap();
-        let b = svc.register(&q, &QueryOpts::new(12, 2)).unwrap();
-        let c = svc
-            .register_sampler(
-                Engine::SJoin
-                    .build(&q, 5, 3, &EngineOpts::default())
-                    .unwrap(),
-            )
-            .unwrap();
-        (a, b, c)
-    };
-    let mut columnar = SamplerService::new(q.clone());
-    let hc = build(&mut columnar);
-    // Uneven chunks: 37 rows per batch exercises mid-batch group state.
-    for chunk in rows.chunks(37) {
-        columnar
-            .process_columnar(&ColumnarBatch::from_rows(chunk))
-            .unwrap();
-    }
-    let mut rowwise = SamplerService::new(q.clone());
-    let hr = build(&mut rowwise);
-    for t in &rows {
-        rowwise.process(t.relation, &t.values).unwrap();
-    }
-    assert_eq!(columnar.lsn(), rowwise.lsn());
-    for (a, b) in [(hc.0, hr.0), (hc.1, hr.1), (hc.2, hr.2)] {
-        assert_eq!(
-            digest(&columnar.samples(a).unwrap()),
-            digest(&rowwise.samples(b).unwrap()),
-            "columnar and row paths diverged"
-        );
-        assert_eq!(
-            columnar.exact_count(a).unwrap(),
-            rowwise.exact_count(b).unwrap()
-        );
-    }
-}
-
 /// Every boxed engine family conforms: registered mid-stream on the
 /// service (backfill + residency), its final reservoir is byte-identical
 /// to the same engine fed the stream directly, and the member's own
@@ -246,56 +193,50 @@ fn boxed_engine_matrix_conforms_to_direct_execution() {
     }
 }
 
-/// A columnar batch a boxed foreign-key member would reject — a primary
-/// key already bound to another tuple, by the live state or by an earlier
-/// row of the same batch — comes back as the member's typed error before
-/// any row is retained or applied: the service image is byte-identical
-/// and ingest carries on.
+/// An op the service rejects for its schema — unknown relation, short or
+/// long tuple — leaves the whole service image byte-unchanged, shared and
+/// boxed members alike, and the service then carries on exactly as a twin
+/// that never saw it.
 #[test]
-fn columnar_batch_runs_the_boxed_members_checks_first() {
-    let mut qb = QueryBuilder::new();
-    qb.relation("fact", &["K", "M"]);
-    qb.relation("c", &["K", "HD"]);
-    let q = qb.build().unwrap();
-    let opts = EngineOpts {
-        fks: Some(FkSchema::none(2).with_pk(1, vec![0])),
-        ..EngineOpts::default()
-    };
-    let mut svc = SamplerService::new(q.clone());
-    let shared = svc.register(&q, &QueryOpts::new(4, 1)).unwrap();
-    let boxed = svc
-        .register_sampler(Engine::FkReservoir.build(&q, 4, 2, &opts).unwrap())
+fn rejected_ops_leave_the_service_image_unchanged() {
+    let q = line3();
+    let build = || {
+        let mut svc = SamplerService::new(q.clone());
+        svc.register(&q, &QueryOpts::new(6, 1)).unwrap();
+        svc.register_sampler(
+            Engine::SJoin
+                .build(&q, 5, 3, &EngineOpts::default())
+                .unwrap(),
+        )
         .unwrap();
-    let rows = |rows: &[(usize, [Value; 2])]| {
-        let rows: Vec<InputTuple> = rows
-            .iter()
-            .map(|&(rel, t)| InputTuple::new(rel, t.to_vec()))
-            .collect();
-        ColumnarBatch::from_rows(&rows)
+        svc
     };
-    svc.process_columnar(&rows(&[(1, [1, 10]), (0, [1, 100])]))
-        .unwrap();
     let image = |svc: &SamplerService| {
         let mut enc = rsjoin::common::codec::Encoder::new();
         svc.snapshot_to(&mut enc).unwrap();
         enc.into_bytes()
     };
+    let ops = turnstile_ops(&q, 200, 6, 5, 13);
+    let (head, tail) = ops.ops().split_at(120);
+    let (mut svc, mut twin) = (build(), build());
+    for op in head {
+        svc.process_op(op).unwrap();
+        twin.process_op(op).unwrap();
+    }
     let before = image(&svc);
     for bad in [
-        rows(&[(0, [2, 200]), (1, [1, 11])]),
-        rows(&[(1, [2, 20]), (0, [2, 201]), (1, [2, 21])]),
+        StreamOp::insert(3, vec![1, 2]),
+        StreamOp::delete(0, vec![1]),
+        StreamOp::insert(2, vec![1, 2, 3]),
     ] {
-        assert!(matches!(
-            svc.process_columnar(&bad),
-            Err(ServiceError::Store(SharedStoreError::PrimaryKeyConflict(1)))
-        ));
-        assert_eq!(image(&svc), before, "a rejected batch mutated the service");
+        assert!(matches!(svc.process_op(&bad), Err(ServiceError::Store(_))));
+        assert_eq!(image(&svc), before, "a rejected op mutated the service");
     }
-    svc.process_columnar(&rows(&[(1, [2, 20]), (0, [2, 200])]))
-        .unwrap();
-    assert_eq!(svc.lsn(), 4);
-    assert_eq!(svc.exact_count(shared).unwrap(), 2);
-    assert_eq!(svc.exact_count(boxed).unwrap(), 2);
+    for op in tail {
+        svc.process_op(op).unwrap();
+        twin.process_op(op).unwrap();
+    }
+    assert_eq!(image(&svc), image(&twin));
 }
 
 // ---------------------------------------------------------------------------
