@@ -77,6 +77,35 @@ fn cyclic_reservoir_bytes_are_pinned() {
     );
 }
 
+/// Runs `engine` over `w`'s preload, then its stream woven with 20 %
+/// uniform deletes (seed 9).
+fn run_turnstile(w: &rsj_queries::Workload, engine: Engine) -> Box<dyn JoinSampler + Send> {
+    use rsj_datagen::{TurnstileConfig, VictimPolicy};
+    let mut s = engine
+        .build(&w.query, 64, 0xD15EA5E, &workload_opts(w))
+        .unwrap();
+    s.process_batch(&w.preload);
+    let ops = TurnstileConfig {
+        delete_ratio: 0.2,
+        policy: VictimPolicy::Uniform,
+        seed: 9,
+    }
+    .weave(&w.stream);
+    assert!(ops.num_deletes() > 0, "{engine}: weave produced no deletes");
+    s.process_op_batch(ops.ops()).unwrap();
+    s
+}
+
+/// FNV-1a over raw bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Post-delete reservoirs are golden too: the signed delta pipelines
 /// (`_opt` FK combiner retraction, cyclic bag delta forwarding) and the
 /// eviction-and-backfill repair they feed are all deterministic for a
@@ -90,7 +119,6 @@ fn cyclic_reservoir_bytes_are_pinned() {
 /// recalibration differently). The insert-only pins did not move.
 #[test]
 fn post_delete_reservoirs_are_pinned() {
-    use rsj_datagen::{TurnstileConfig, VictimPolicy};
     let cases: [(&str, rsj_queries::Workload, Engine, u64); 4] = [
         (
             "RSJoin_opt/line3+deletes",
@@ -118,24 +146,47 @@ fn post_delete_reservoirs_are_pinned() {
         ),
     ];
     for (name, w, engine, expect) in cases {
-        let mut s = engine
-            .build(&w.query, 64, 0xD15EA5E, &workload_opts(&w))
-            .unwrap();
-        s.process_batch(&w.preload);
-        let ops = TurnstileConfig {
-            delete_ratio: 0.2,
-            policy: VictimPolicy::Uniform,
-            seed: 9,
-        }
-        .weave(&w.stream);
-        assert!(ops.num_deletes() > 0, "{name}: weave produced no deletes");
-        s.process_op_batch(ops.ops()).unwrap();
-        let d = digest(&s.samples());
+        let d = digest(&run_turnstile(&w, engine).samples());
         if std::env::var_os("RSJ_PIN_PLANS").is_some() {
             println!("{name}: 0x{d:016X}");
             continue;
         }
         assert_eq!(d, expect, "{name}: post-delete reservoir bytes moved");
+    }
+}
+
+/// The rewriting engines' state images are golden too. Each is the
+/// rewrite's image (the foreign-key combiner's registries, or the GHD bag
+/// tries and counters) followed by the inner engine's, so these pin both
+/// halves and their order; the durability pins below cover only `RSJoin`.
+/// A digest shift here is a snapshot wire-format change and falls under
+/// the format-version bump rule below.
+#[test]
+fn rewriting_engine_images_are_pinned() {
+    let cases: [(&str, Box<dyn JoinSampler + Send>, u64); 3] = [
+        (
+            "RSJoin_opt/QY",
+            run_workload(&relational_workload(), &Engine::FkReservoir, 64, 0xD15EA5E).unwrap(),
+            0x96A0_2C8D_D12A_2792,
+        ),
+        (
+            "RSJoin_cyclic/line3+deletes",
+            run_turnstile(&graph_workload(), Engine::Cyclic),
+            0x5615_624E_0703_543C,
+        ),
+        (
+            "SJoin_opt/line3+deletes",
+            run_turnstile(&graph_workload(), Engine::SJoinOpt),
+            0xDBA3_0E2D_9673_0BB2,
+        ),
+    ];
+    for (name, s, expect) in cases {
+        let d = fnv(&s.snapshot_state().expect("every engine has an image"));
+        if std::env::var_os("RSJ_PIN_PLANS").is_some() {
+            println!("{name}: 0x{d:016X}");
+            continue;
+        }
+        assert_eq!(d, expect, "{name}: state image moved");
     }
 }
 
@@ -220,15 +271,7 @@ fn post_delete_reservoirs_are_pinned() {
 fn durability_images_are_pinned() {
     use rsjoin::prelude::{CheckpointPolicy, Persistent};
 
-    // FNV-1a over raw file bytes.
-    fn file_digest(path: &std::path::Path) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in std::fs::read(path).unwrap() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
+    let file_digest = |path: std::path::PathBuf| fnv(&std::fs::read(path).unwrap());
 
     // Fixed turnstile stream over line-3: inserts with every 5th op
     // deleting the tuple inserted four ops earlier.
@@ -273,10 +316,10 @@ fn durability_images_are_pinned() {
     p.flush().unwrap();
     drop(p);
 
-    let checkpoint = file_digest(&dir.join("checkpoint.rsjc"));
+    let checkpoint = file_digest(dir.join("checkpoint.rsjc"));
     // After truncation the live segment is wal-00000001.log, holding ops
     // 100..120.
-    let segment = file_digest(&dir.join("wal").join("wal-00000001.log"));
+    let segment = file_digest(dir.join("wal").join("wal-00000001.log"));
     std::fs::remove_dir_all(&dir).unwrap();
     if std::env::var_os("RSJ_PIN_PLANS").is_some() {
         println!("checkpoint: 0x{checkpoint:016X}\nsegment: 0x{segment:016X}");
