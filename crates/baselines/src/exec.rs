@@ -3,13 +3,15 @@
 //! join the same full-width-tuple interface as every other engine.
 
 use crate::naive::NaiveRebuild;
-use crate::sjoin::{SJoin, SJoinOpt};
+use crate::sjoin::{SJoin, SJoinIndex};
 use crate::symmetric::SymmetricHashJoin;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
+use rsj_common::rng::RsjRng;
 use rsj_common::{FxHashSet, Value};
 use rsj_core::exec::{JoinSampler, SamplerStats};
 use rsj_query::Query;
-use rsj_storage::{SharedStoreError, StreamOp};
+use rsj_storage::Database;
+use rsj_stream::Reservoir;
 
 impl JoinSampler for NaiveRebuild {
     fn name(&self) -> &'static str {
@@ -41,16 +43,40 @@ impl JoinSampler for NaiveRebuild {
         NaiveRebuild::exact_count(self)
     }
 
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut enc = Encoder::new();
-        NaiveRebuild::snapshot_to(self, &mut enc);
-        Some(enc.into_bytes())
+    /// The database, the RNG position and the current sample set. The
+    /// query and `k` are construction parameters, only checked on restore.
+    fn snapshot_to(&self, enc: &mut Encoder) {
+        self.db.snapshot_to(enc);
+        for w in self.rng.state() {
+            enc.put_u64(w);
+        }
+        enc.put_usize(self.samples.len());
+        for s in &self.samples {
+            enc.put_u64s(s);
+        }
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(bytes);
-        NaiveRebuild::restore_from_snapshot(self, &mut dec)?;
-        dec.finish()
+    fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
+        let db = Database::restore_from(dec)?;
+        if db.len() != self.query.num_relations() {
+            return Err(CodecError::Corrupt("snapshot relation count mismatch"));
+        }
+        for rel in 0..db.len() {
+            if db.relation(rel).arity() != self.query.relation(rel).attrs.len() {
+                return Err(CodecError::Corrupt("snapshot relation arity mismatch"));
+            }
+        }
+        let rng = restore_rng(dec)?;
+        let n = dec.seq_len(1)?;
+        if n > self.k {
+            return Err(CodecError::Corrupt("snapshot holds more samples than k"));
+        }
+        let samples = (0..n).map(|_| dec.u64s()).collect::<Result<_, _>>()?;
+        dec.finish()?;
+        self.db = db;
+        self.rng = rng;
+        self.samples = samples;
+        Ok(())
     }
 }
 
@@ -95,80 +121,39 @@ impl JoinSampler for SJoin {
         }
     }
 
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut enc = Encoder::new();
-        SJoin::snapshot_to(self, &mut enc);
-        Some(enc.into_bytes())
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(bytes);
-        SJoin::restore_from_snapshot(self, &mut dec)?;
-        dec.finish()
-    }
-}
-
-impl JoinSampler for SJoinOpt {
-    fn name(&self) -> &'static str {
-        "SJoin_opt"
-    }
-
-    fn output_query(&self) -> &Query {
-        self.rewritten_query()
-    }
-
-    fn input_query(&self) -> &Query {
-        &self.query
-    }
-
-    fn process(&mut self, rel: usize, tuple: &[Value]) {
-        SJoinOpt::process(self, rel, tuple);
-    }
-
-    /// The foreign-key combiner retracts combined tuples as signed deltas
-    /// and the inner SJoin repairs its reservoir against the exact live
-    /// count.
-    fn delete(&mut self, rel: usize, tuple: &[Value]) {
-        SJoinOpt::delete(self, rel, tuple);
-    }
-
-    fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
-        self.combiner().check_ops(&self.query, ops)
-    }
-
-    fn samples(&self) -> Vec<Vec<Value>> {
-        SJoinOpt::samples(self).to_vec()
-    }
-
-    fn k(&self) -> usize {
-        SJoinOpt::k(self)
-    }
-
-    fn exact_count(&self) -> u128 {
-        self.inner().index().total_results()
-    }
-
-    fn stats(&self) -> SamplerStats {
-        SamplerStats {
-            inserts: Some(self.combiner().inserts()),
-            deletes: Some(self.combiner().deletes()),
-            reservoir_stops: Some(self.inner().reservoir_stops()),
-            heap_bytes: Some(self.inner().heap_size() + self.combiner().heap_size()),
-            ..SamplerStats::default()
+    /// The exact index, the reservoir (samples, skip state, RNG), and the
+    /// turnstile repair RNG.
+    fn snapshot_to(&self, enc: &mut Encoder) {
+        self.index.snapshot_to(enc);
+        self.reservoir.snapshot_to(enc);
+        for w in self.repair_rng.state() {
+            enc.put_u64(w);
         }
     }
 
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut enc = Encoder::new();
-        SJoinOpt::snapshot_to(self, &mut enc);
-        Some(enc.into_bytes())
+    /// A wrong `k`, or a sample row not as wide as the query's attribute
+    /// set, rejects the image.
+    fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
+        let query = self.index.query();
+        let mut index = SJoinIndex::new(query.clone()).expect("acyclic: it built this driver");
+        index.restore_from_snapshot(dec)?;
+        let reservoir = Reservoir::restore_from(dec, query.num_attrs())?;
+        if reservoir.capacity() != self.reservoir.capacity() {
+            return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
+        }
+        let repair_rng = restore_rng(dec)?;
+        dec.finish()?;
+        self.index = index;
+        self.reservoir = reservoir;
+        self.repair_rng = repair_rng;
+        Ok(())
     }
+}
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(bytes);
-        SJoinOpt::restore_from_snapshot(self, &mut dec)?;
-        dec.finish()
-    }
+/// Reads an RNG state, rejecting the zero fixed point.
+fn restore_rng(dec: &mut Decoder) -> Result<RsjRng, CodecError> {
+    let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
+    RsjRng::restore_state(s).ok_or(CodecError::Corrupt("rng state is the zero fixed point"))
 }
 
 /// [`SymmetricHashJoin`] behind the executor interface.
@@ -299,9 +284,8 @@ impl JoinSampler for SymmetricSampler {
         }
     }
 
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut enc = Encoder::new();
-        self.inner.snapshot_to(&mut enc);
+    fn snapshot_to(&self, enc: &mut Encoder) {
+        self.inner.snapshot_to(enc);
         // The dedup sets are unordered; emit them sorted for a canonical
         // image.
         for side in &self.seen {
@@ -314,12 +298,10 @@ impl JoinSampler for SymmetricSampler {
         }
         enc.put_u64(self.inserts);
         enc.put_u64(self.deletes);
-        Some(enc.into_bytes())
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(bytes);
-        self.inner.restore_from_snapshot(&mut dec)?;
+    fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
+        let inner = self.inner.restore_from(dec)?;
         let mut seen = [FxHashSet::default(), FxHashSet::default()];
         for side in &mut seen {
             let n = dec.seq_len(1)?;
@@ -329,17 +311,27 @@ impl JoinSampler for SymmetricSampler {
                 }
             }
         }
+        let (inserts, deletes) = (dec.u64()?, dec.u64()?);
+        dec.finish()?;
+        self.inner = inner;
         self.seen = seen;
-        self.inserts = dec.u64()?;
-        self.deletes = dec.u64()?;
-        dec.finish()
+        self.inserts = inserts;
+        self.deletes = deletes;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SJoinOpt;
     use rsj_query::QueryBuilder;
+
+    /// `SJoin_opt` with no keys declared: the identity rewrite.
+    fn sjoin_opt(q: &Query, k: usize, seed: u64) -> SJoinOpt {
+        let fks = rsj_query::FkSchema::none(q.num_relations());
+        SJoinOpt::combined("SJoin_opt", q, &fks, |q| SJoin::new(q, k, seed)).unwrap()
+    }
 
     fn two_table() -> Query {
         let mut qb = QueryBuilder::new();
@@ -386,7 +378,7 @@ mod tests {
                 0 => Box::new(NaiveRebuild::new(q.clone(), 5, 3)),
                 1 => Box::new(SJoin::new(q.clone(), 5, 3).unwrap()),
                 2 => Box::new(SymmetricSampler::new(q.clone(), 5, 3).unwrap()),
-                _ => Box::new(SJoinOpt::new(&q, &rsj_query::FkSchema::none(2), 5, 3).unwrap()),
+                _ => Box::new(sjoin_opt(&q, 5, 3)),
             }
         };
         for which in 0..4 {
@@ -433,7 +425,7 @@ mod tests {
             Box::new(NaiveRebuild::new(q.clone(), 100, 1)),
             Box::new(SJoin::new(q.clone(), 100, 1).unwrap()),
             Box::new(SymmetricSampler::new(q.clone(), 100, 1).unwrap()),
-            Box::new(SJoinOpt::new(&q, &rsj_query::FkSchema::none(2), 100, 1).unwrap()),
+            Box::new(sjoin_opt(&q, 100, 1)),
         ];
         for e in &mut engines {
             e.process(0, &[1, 2]);

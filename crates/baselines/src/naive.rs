@@ -6,7 +6,6 @@
 //! slow (`Ω(N · |Q(R)|)`); it exists as ground truth for the statistical
 //! tests and as the lower anchor in benchmark plots.
 
-use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::RsjRng;
 use rsj_common::Value;
 use rsj_query::Query;
@@ -14,11 +13,11 @@ use rsj_storage::Database;
 
 /// Naive baseline: full recompute per step.
 pub struct NaiveRebuild {
-    query: Query,
-    db: Database,
-    k: usize,
-    rng: RsjRng,
-    samples: Vec<Vec<Value>>,
+    pub(crate) query: Query,
+    pub(crate) db: Database,
+    pub(crate) k: usize,
+    pub(crate) rng: RsjRng,
+    pub(crate) samples: Vec<Vec<Value>>,
 }
 
 impl NaiveRebuild {
@@ -121,50 +120,6 @@ impl NaiveRebuild {
     pub fn k(&self) -> usize {
         self.k
     }
-
-    /// Serializes the full dynamic state: database, RNG position, and the
-    /// current sample set. `query` and `k` are construction parameters and
-    /// are only validated on restore.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
-        self.db.snapshot_to(enc);
-        for w in self.rng.state() {
-            enc.put_u64(w);
-        }
-        enc.put_usize(self.samples.len());
-        for s in &self.samples {
-            enc.put_u64s(s);
-        }
-    }
-
-    /// Restores from a [`NaiveRebuild::snapshot_to`] image taken by an
-    /// engine built with the same `(query, k)`. On error the receiver is
-    /// unchanged.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let db = Database::restore_from(dec)?;
-        if db.len() != self.query.num_relations() {
-            return Err(CodecError::Corrupt("snapshot relation count mismatch"));
-        }
-        for rel in 0..db.len() {
-            if db.relation(rel).arity() != self.query.relation(rel).attrs.len() {
-                return Err(CodecError::Corrupt("snapshot relation arity mismatch"));
-            }
-        }
-        let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
-        let rng = RsjRng::restore_state(s)
-            .ok_or(CodecError::Corrupt("rng state is the zero fixed point"))?;
-        let n = dec.seq_len(1)?;
-        if n > self.k {
-            return Err(CodecError::Corrupt("snapshot holds more samples than k"));
-        }
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(dec.u64s()?);
-        }
-        self.db = db;
-        self.rng = rng;
-        self.samples = samples;
-        Ok(())
-    }
 }
 
 /// Uniform sample of `min(k, n)` items without replacement (partial
@@ -186,6 +141,7 @@ pub fn sample_without_replacement<T: Clone>(items: &[T], k: usize, rng: &mut Rsj
 mod tests {
     use super::*;
     use rsj_common::FxHashSet;
+    use rsj_core::JoinSampler;
     use rsj_query::QueryBuilder;
 
     fn two_table() -> Query {
@@ -240,14 +196,9 @@ mod tests {
                 nb.process(rel, &t);
             }
         }
-        let mut e = Encoder::new();
-        nb.snapshot_to(&mut e);
-        let bytes = e.into_bytes();
-
+        let bytes = nb.snapshot_state().unwrap();
         let mut restored = NaiveRebuild::new(two_table(), 6, 0);
-        let mut d = Decoder::new(&bytes);
-        restored.restore_from_snapshot(&mut d).unwrap();
-        d.finish().unwrap();
+        restored.restore_state(&bytes).unwrap();
         assert_eq!(restored.samples(), nb.samples());
 
         // Continue both in lockstep — identical draws step for step.
@@ -266,8 +217,7 @@ mod tests {
 
         // A mismatched k is rejected.
         let mut wrong = NaiveRebuild::new(two_table(), 1, 0);
-        let mut d = Decoder::new(&bytes);
-        assert!(wrong.restore_from_snapshot(&mut d).is_err());
+        assert!(wrong.restore_state(&bytes).is_err());
     }
 
     #[test]

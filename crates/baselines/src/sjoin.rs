@@ -16,6 +16,7 @@
 use crate::fenwick::Fenwick;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{FxHashMap, Key, TupleId, Value};
+use rsj_core::{FkCombiner, Rewritten};
 use rsj_query::{Query, RootedTree};
 use rsj_storage::Database;
 use rsj_stream::{FnBatch, Reservoir, Rows};
@@ -584,11 +585,11 @@ fn exact_retrieve_group(
 /// deletion (eviction-and-backfill uses exact positional draws, which
 /// never hit a dummy).
 pub struct SJoin {
-    index: SJoinIndex,
+    pub(crate) index: SJoinIndex,
     /// The samples: full-width value rows of the query.
-    reservoir: Reservoir,
+    pub(crate) reservoir: Reservoir,
     /// RNG for turnstile backfill draws (untouched on insert-only runs).
-    repair_rng: rsj_common::rng::RsjRng,
+    pub(crate) repair_rng: rsj_common::rng::RsjRng,
 }
 
 impl SJoin {
@@ -670,123 +671,12 @@ impl SJoin {
     pub fn heap_size(&self) -> usize {
         self.index.heap_size() + self.reservoir.heap_size()
     }
-
-    /// Serializes the full dynamic state: exact index, reservoir (samples,
-    /// skip state, RNG), and the turnstile repair RNG.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
-        self.index.snapshot_to(enc);
-        self.reservoir.snapshot_to(enc);
-        for w in self.repair_rng.state() {
-            enc.put_u64(w);
-        }
-    }
-
-    /// Restores from a [`SJoin::snapshot_to`] image taken by a driver built
-    /// with the same `(query, k)`. A rejected image — wrong `k`, a sample
-    /// row not as wide as the query's attribute set — leaves the receiver
-    /// unchanged.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let query = self.index.query();
-        let mut index = SJoinIndex::new(query.clone()).expect("acyclic: it built this driver");
-        index.restore_from_snapshot(dec)?;
-        let reservoir = Reservoir::restore_from(dec, query.num_attrs())?;
-        if reservoir.capacity() != self.reservoir.capacity() {
-            return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
-        }
-        let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
-        let repair_rng = rsj_common::rng::RsjRng::restore_state(s)
-            .ok_or(CodecError::Corrupt("rng state is the zero fixed point"))?;
-        self.index = index;
-        self.reservoir = reservoir;
-        self.repair_rng = repair_rng;
-        Ok(())
-    }
 }
 
-/// `SJoin_opt`: SJoin behind the foreign-key combination rewrite.
-pub struct SJoinOpt {
-    /// The original query, whose relations the input stream addresses.
-    pub(crate) query: Query,
-    combiner: rsj_core::FkCombiner,
-    inner: SJoin,
-}
-
-impl SJoinOpt {
-    /// Builds the optimized baseline.
-    pub fn new(
-        query: &Query,
-        fks: &rsj_query::FkSchema,
-        k: usize,
-        seed: u64,
-    ) -> Result<SJoinOpt, String> {
-        let plan = rsj_query::CombinePlan::build(query, fks).map_err(|e| e.to_string())?;
-        let inner = SJoin::new(plan.rewritten.clone(), k, seed)?;
-        Ok(SJoinOpt {
-            query: query.clone(),
-            combiner: rsj_core::FkCombiner::new(plan),
-            inner,
-        })
-    }
-
-    /// Processes one original-stream tuple.
-    pub fn process(&mut self, orig_rel: usize, tuple: &[Value]) {
-        let inner = &mut self.inner;
-        self.combiner.process(orig_rel, tuple, |rel, t| {
-            inner.process(rel, t);
-        });
-    }
-
-    /// Deletes one original-stream tuple: the combiner's `-1` deltas route
-    /// to the inner SJoin's delete path (exact eviction + backfill repair).
-    pub fn delete(&mut self, orig_rel: usize, tuple: &[Value]) {
-        let inner = &mut self.inner;
-        self.combiner.retract(orig_rel, tuple, |rel, t| {
-            inner.delete(rel, t);
-        });
-    }
-
-    /// The streaming combiner (op counters, heap accounting).
-    pub fn combiner(&self) -> &rsj_core::FkCombiner {
-        &self.combiner
-    }
-
-    /// Serializes the full dynamic state: combiner registries, then the
-    /// inner SJoin snapshot.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
-        self.combiner.snapshot_to(enc);
-        self.inner.snapshot_to(enc);
-    }
-
-    /// Restores from a [`SJoinOpt::snapshot_to`] image taken by a driver
-    /// built with the same `(query, fks, k, seed)`. On error — in the
-    /// combiner's image or the inner SJoin's — the receiver is unchanged.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let combiner = rsj_core::FkCombiner::restore_from(self.combiner.plan().clone(), dec)?;
-        self.inner.restore_from_snapshot(dec)?;
-        self.combiner = combiner;
-        Ok(())
-    }
-
-    /// Current samples (rewritten-query attribute order).
-    pub fn samples(&self) -> Rows<'_> {
-        self.inner.samples()
-    }
-
-    /// The rewritten query.
-    pub fn rewritten_query(&self) -> &Query {
-        self.combiner.rewritten_query()
-    }
-
-    /// The inner driver.
-    pub fn inner(&self) -> &SJoin {
-        &self.inner
-    }
-
-    /// Reservoir capacity `k`.
-    pub fn k(&self) -> usize {
-        self.inner.k()
-    }
-}
+/// `SJoin_opt`: [`SJoin`] over the foreign-key rewritten query, fed
+/// through an [`FkCombiner`] (§4.4). `Engine::build` in the `rsjoin` facade
+/// constructs it with [`Rewritten::combined`].
+pub type SJoinOpt = Rewritten<FkCombiner, SJoin>;
 
 #[cfg(test)]
 mod tests {
@@ -794,6 +684,7 @@ mod tests {
     use rsj_common::rng::RsjRng;
     use rsj_common::stats::{chi_square_critical, chi_square_uniform};
     use rsj_common::{FxHashMap, FxHashSet};
+    use rsj_core::{JoinSampler, Rewrite};
     use rsj_query::QueryBuilder;
 
     fn line3() -> Query {
@@ -929,21 +820,14 @@ mod tests {
                 }
             }
         }
-        let mut e = Encoder::new();
-        sj.snapshot_to(&mut e);
-        let bytes = e.into_bytes();
-
+        let bytes = sj.snapshot_state().unwrap();
         let mut restored = SJoin::new(line3(), 8, 0).unwrap();
-        let mut d = Decoder::new(&bytes);
-        restored.restore_from_snapshot(&mut d).unwrap();
-        d.finish().unwrap();
+        restored.restore_state(&bytes).unwrap();
         assert_eq!(restored.samples(), sj.samples());
         assert_eq!(restored.index().total_results(), sj.index().total_results());
 
         // Re-serialization is byte-identical (canonical image).
-        let mut e2 = Encoder::new();
-        restored.snapshot_to(&mut e2);
-        assert_eq!(e2.into_bytes(), bytes);
+        assert_eq!(restored.snapshot_state().unwrap(), bytes);
 
         // Lockstep continuation with mixed inserts/deletes.
         for i in 0..250u64 {
@@ -964,8 +848,7 @@ mod tests {
 
         // A mismatched k is rejected.
         let mut wrong = SJoin::new(line3(), 9, 0).unwrap();
-        let mut d = Decoder::new(&bytes);
-        assert!(wrong.restore_from_snapshot(&mut d).is_err());
+        assert!(wrong.restore_state(&bytes).is_err());
     }
 
     #[test]
@@ -1017,7 +900,8 @@ mod tests {
             stream.push((0, vec![rng.below_u64(8), rng.below_u64(50)]));
         }
         let mut plain = SJoin::new(q.clone(), 100_000, 1).unwrap();
-        let mut opt = SJoinOpt::new(&q, &fks, 100_000, 2).unwrap();
+        let mut opt =
+            SJoinOpt::combined("SJoin_opt", &q, &fks, |q| SJoin::new(q, 100_000, 2)).unwrap();
         for (rel, t) in &stream {
             plain.process(*rel, t);
             opt.process(*rel, t);
@@ -1039,7 +923,7 @@ mod tests {
         };
         assert_eq!(
             norm(plain.samples(), plain.index().query()),
-            norm(opt.samples(), opt.rewritten_query())
+            norm(opt.inner().samples(), opt.output_query())
         );
     }
 
@@ -1055,7 +939,8 @@ mod tests {
         let q = qb.build().unwrap();
         let fks = FkSchema::none(2).with_pk(1, vec![0]);
         let mut plain = SJoin::new(q.clone(), 100_000, 1).unwrap();
-        let mut opt = SJoinOpt::new(&q, &fks, 100_000, 2).unwrap();
+        let mut opt =
+            SJoinOpt::combined("SJoin_opt", &q, &fks, |q| SJoin::new(q, 100_000, 2)).unwrap();
         let mut apply = |ins: bool, rel: usize, t: &[u64]| {
             if ins {
                 plain.process(rel, t);
@@ -1093,13 +978,13 @@ mod tests {
                 .collect()
         };
         let a = norm(plain.samples(), plain.index().query());
-        let b = norm(opt.samples(), opt.rewritten_query());
+        let b = norm(opt.inner().samples(), opt.output_query());
         assert!(!a.is_empty());
         assert_eq!(a, b);
         assert_eq!(
             plain.index().total_results(),
             opt.inner().index().total_results()
         );
-        assert_eq!(opt.combiner().deletes(), 3);
+        assert_eq!(opt.rewrite().deletes(), 3);
     }
 }

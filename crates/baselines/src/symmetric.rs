@@ -157,10 +157,10 @@ impl SymmetricHashJoin {
         }
     }
 
-    /// Restores from a [`SymmetricHashJoin::snapshot_to`] image taken by an
-    /// operator built with the same key positions and `k`. The receiver is
-    /// unchanged on error.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
+    /// An operator like `self` holding the state a
+    /// [`SymmetricHashJoin::snapshot_to`] image of one built with the same
+    /// key positions and `k` carries; `self` is not changed.
+    pub fn restore_from(&self, dec: &mut Decoder) -> Result<SymmetricHashJoin, CodecError> {
         let nk = dec.seq_len(1)?;
         if nk != self.left_key.len() {
             return Err(CodecError::Corrupt("snapshot join-key width mismatch"));
@@ -195,12 +195,15 @@ impl SymmetricHashJoin {
         let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
         let repair_rng = RsjRng::restore_state(s)
             .ok_or(CodecError::Corrupt("rng state is the zero fixed point"))?;
-        self.left = left;
-        self.right = right;
-        self.reservoir = reservoir;
-        self.results_live = results_live;
-        self.repair_rng = repair_rng;
-        Ok(())
+        Ok(SymmetricHashJoin {
+            left_key: self.left_key.clone(),
+            right_key: self.right_key.clone(),
+            left,
+            right,
+            reservoir,
+            results_live,
+            repair_rng,
+        })
     }
 }
 
@@ -359,9 +362,10 @@ mod tests {
         shj.snapshot_to(&mut e);
         let bytes = e.into_bytes();
 
-        let mut restored = SymmetricHashJoin::new(vec![1], vec![0], 4, 0);
         let mut d = Decoder::new(&bytes);
-        restored.restore_from_snapshot(&mut d).unwrap();
+        let mut restored = SymmetricHashJoin::new(vec![1], vec![0], 4, 0)
+            .restore_from(&mut d)
+            .unwrap();
         d.finish().unwrap();
         assert_eq!(restored.samples(), shj.samples());
         assert_eq!(restored.live_results(), shj.live_results());
@@ -398,9 +402,8 @@ mod tests {
         }
 
         // Mismatched key positions are rejected.
-        let mut wrong = SymmetricHashJoin::new(vec![0], vec![1], 4, 0);
-        let mut d = Decoder::new(&bytes);
-        assert!(wrong.restore_from_snapshot(&mut d).is_err());
+        let wrong = SymmetricHashJoin::new(vec![0], vec![1], 4, 0);
+        assert!(wrong.restore_from(&mut Decoder::new(&bytes)).is_err());
     }
 
     #[test]

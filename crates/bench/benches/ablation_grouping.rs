@@ -1,13 +1,13 @@
 //! Ablation (beyond the paper): the grouping optimization across queries.
 //!
-//! DESIGN.md calls out grouping (§4.4) as a design choice whose benefit
-//! depends on the query shape: it only helps nodes whose schema has
+//! Grouping (§4.4) is a design choice whose benefit depends on the
+//! query shape: it only helps nodes whose schema has
 //! attributes outside the join attributes `ē`. This ablation quantifies
 //! that across the relational queries (wide tuples — groupable) and a
 //! graph query (binary tuples — nothing to group).
 
 use rsj_bench::*;
-use rsj_core::{FkReservoirJoin, ReservoirJoin};
+use rsj_core::{FkReservoirJoin, JoinSampler, ReservoirJoin};
 use rsj_datagen::{GraphConfig, TpcdsLite};
 use rsj_index::IndexOptions;
 use rsj_queries::{line_k, qy, qz, Workload};

@@ -3,7 +3,8 @@
 //! Paper setup: record memory after every 10% of the input; RSJoin uses
 //! ~60% of SJoin's memory on line-3 and RSJoin_opt ~31% of SJoin_opt's on
 //! Q10; all curves are linear in the input even when the join size grows
-//! polynomially. We report structural heap accounting (DESIGN.md).
+//! polynomially. We report structural heap accounting (ARCHITECTURE.md,
+//! "Hot-path memory layout").
 
 use rsj_bench::*;
 use rsj_datagen::{GraphConfig, LdbcLite};

@@ -11,7 +11,7 @@
 //! executions.
 
 use rsj_bench::*;
-use rsj_core::{FkReservoirJoin, ReservoirJoin};
+use rsj_core::{FkReservoirJoin, JoinSampler, ReservoirJoin};
 use rsj_datagen::TpcdsLite;
 use rsj_index::IndexOptions;
 use rsj_queries::qz;

@@ -146,11 +146,6 @@ impl Encoder {
         self.put_u64(v.to_bits());
     }
 
-    /// Writes raw bytes with no length prefix (framing is the caller's).
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Writes a `u64`-length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());

@@ -9,24 +9,32 @@
 //! the new results), and the cost is `O(N^w log N + k log N log(N/k))`
 //! (Theorem 5.4), `w` being the decomposition's width.
 //!
-//! Design note (documented in DESIGN.md): bags join their *assigned*
-//! relations only; the paper additionally semi-joins projections of
-//! overlapping relations from other bags, an optimization that does not
-//! affect correctness or the `N^w` bound.
+//! Deletes are the mirror: the bag's *dead* delta — every bag result that
+//! joined through the departing tuple — goes to the inner driver's delete
+//! path, which cascades across the other bags and repairs its reservoir.
+//! The bag deltas partition `Q(R) ⋉ t`, so retracting them retracts
+//! exactly the results lost.
+//!
+//! Design note: bags join their *assigned* relations only; the paper
+//! additionally semi-joins projections of overlapping relations from other
+//! bags, an optimization that does not affect correctness or the `N^w`
+//! bound.
 
 use crate::reservoir_join::ReservoirJoin;
+use crate::rewrite::{Rewrite, Rewritten};
 use crate::wcoj::BagJoin;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::Value;
+use rsj_index::IndexOptions;
 use rsj_query::{Ghd, Query};
-use rsj_stream::Rows;
+use std::error::Error;
 
-/// Reservoir sampling over a cyclic (or any) join query.
-pub struct CyclicReservoirJoin {
-    query: Query,
+/// The cyclic driver's rewrite: one [`BagJoin`] per GHD bag, each
+/// original relation routed to the bag it is assigned to, and every bag
+/// delta emitted as a tuple of the bag-level query.
+pub struct BagSet {
     ghd: Ghd,
     bags: Vec<BagJoin>,
-    inner: ReservoirJoin,
     /// Total bag-delta tuples produced (the simulated stream length, whose
     /// bound is `O(N^w)`).
     bag_tuples: u64,
@@ -35,46 +43,9 @@ pub struct CyclicReservoirJoin {
     deletes: u64,
 }
 
-impl CyclicReservoirJoin {
-    /// Builds the driver, searching for a minimum-width GHD automatically.
-    pub fn new(
-        query: Query,
-        k: usize,
-        seed: u64,
-    ) -> Result<CyclicReservoirJoin, Box<dyn std::error::Error>> {
-        Self::with_options(query, k, seed, rsj_index::IndexOptions::default())
-    }
-
-    /// Builds the driver with explicit index options for the inner
-    /// bag-level acyclic driver, searching for a minimum-width GHD.
-    pub fn with_options(
-        query: Query,
-        k: usize,
-        seed: u64,
-        options: rsj_index::IndexOptions,
-    ) -> Result<CyclicReservoirJoin, Box<dyn std::error::Error>> {
-        let ghd = Ghd::search(&query)?;
-        Self::with_ghd_options(query, ghd, k, seed, options)
-    }
-
-    /// Builds the driver with an explicit decomposition.
-    pub fn with_ghd(
-        query: Query,
-        ghd: Ghd,
-        k: usize,
-        seed: u64,
-    ) -> Result<CyclicReservoirJoin, Box<dyn std::error::Error>> {
-        Self::with_ghd_options(query, ghd, k, seed, rsj_index::IndexOptions::default())
-    }
-
-    /// Builds the driver with an explicit decomposition and index options.
-    pub fn with_ghd_options(
-        query: Query,
-        ghd: Ghd,
-        k: usize,
-        seed: u64,
-        options: rsj_index::IndexOptions,
-    ) -> Result<CyclicReservoirJoin, Box<dyn std::error::Error>> {
+impl BagSet {
+    /// Empty bags for `query` under the decomposition `ghd`.
+    pub(crate) fn new(query: &Query, ghd: Ghd) -> BagSet {
         // Attribute-id translation: bag attrs are ids of the *original*
         // query; the bag-level query re-interns the same names in bag
         // order, so a bag's sorted attr list maps positionally onto the
@@ -106,16 +77,13 @@ impl CyclicReservoirJoin {
                 BagJoin::new(bag.attrs.len(), &rel_attrs)
             })
             .collect();
-        let inner = ReservoirJoin::with_options(ghd.bag_query().clone(), k, seed, options)?;
-        Ok(CyclicReservoirJoin {
-            query,
+        BagSet {
             ghd,
             bags,
-            inner,
             bag_tuples: 0,
             inserts: 0,
             deletes: 0,
-        })
+        }
     }
 
     /// The bag index and within-bag relation index an original relation
@@ -130,9 +98,19 @@ impl CyclicReservoirJoin {
         (bag, ri)
     }
 
-    /// Processes one input tuple of the original query. A duplicate insert
-    /// is a no-op (set semantics).
-    pub fn process(&mut self, rel: usize, tuple: &[Value]) {
+    /// The decomposition in use.
+    pub fn ghd(&self) -> &Ghd {
+        &self.ghd
+    }
+
+    /// Bag-delta tuples produced so far (`O(N^w)`).
+    pub fn bag_tuples(&self) -> u64 {
+        self.bag_tuples
+    }
+}
+
+impl Rewrite for BagSet {
+    fn insert(&mut self, rel: usize, tuple: &[Value], mut emit: impl FnMut(usize, &[Value])) {
         let (bag, ri) = self.route(rel);
         let Some(deltas) = self.bags[bag].insert_and_delta(ri, tuple) else {
             return;
@@ -140,48 +118,23 @@ impl CyclicReservoirJoin {
         self.inserts += 1;
         for d in deltas {
             self.bag_tuples += 1;
-            self.inner.process(bag, &d);
+            emit(bag, &d);
         }
     }
 
-    /// Deletes one input tuple of the original query: the bag's *dead*
-    /// delta — every bag result that joined through the departing tuple —
-    /// routes to the inner driver's delete path, which cascades across the
-    /// other bags and repairs its reservoir by eviction-and-backfill.
-    /// Correct for the same reason insertion is: the bag deltas partition
-    /// `Q(R) ⋉ t`, so retracting them retracts exactly the results lost.
-    /// Deleting an absent tuple is a no-op.
-    pub fn delete(&mut self, rel: usize, tuple: &[Value]) {
+    fn retract(&mut self, rel: usize, tuple: &[Value], mut emit: impl FnMut(usize, &[Value])) {
         let (bag, ri) = self.route(rel);
         let Some(dead) = self.bags[bag].delete_and_delta(ri, tuple) else {
             return;
         };
         self.deletes += 1;
         for d in dead {
-            self.inner.delete(bag, &d);
+            emit(bag, &d);
         }
     }
 
-    /// Original-stream tuples accepted so far (set semantics).
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
-    /// Original-stream tuples deleted so far (present at deletion time).
-    pub fn deletes(&self) -> u64 {
-        self.deletes
-    }
-
-    /// Exact live `|Q(R)|`: the inner driver's memoized index count over
-    /// its bag-level groups (one `O(N^w)` worst-case pass after each
-    /// change, shared with the delete repair).
-    pub fn exact_result_count(&self) -> u128 {
-        self.inner.exact_count()
-    }
-
-    /// Serializes the full dynamic state: bag trie contents, the stream
-    /// counters, then the inner driver's snapshot.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
+    /// The bag trie contents, then the stream counters.
+    fn snapshot_to(&self, enc: &mut Encoder) {
         enc.put_usize(self.bags.len());
         for b in &self.bags {
             b.snapshot_to(enc);
@@ -189,88 +142,75 @@ impl CyclicReservoirJoin {
         enc.put_u64(self.bag_tuples);
         enc.put_u64(self.inserts);
         enc.put_u64(self.deletes);
-        self.inner.snapshot_to(enc);
     }
 
-    /// Restores from a [`CyclicReservoirJoin::snapshot_to`] image taken by
-    /// a driver built with the same `(query, ghd, k, seed, options)`. On
-    /// error the receiver may be partially overwritten and must be
-    /// discarded.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let n = dec.seq_len(2)?;
-        if n != self.bags.len() {
+    fn restore_from(&self, dec: &mut Decoder) -> Result<BagSet, CodecError> {
+        if dec.seq_len(2)? != self.bags.len() {
             return Err(CodecError::Corrupt("bag count mismatch"));
         }
-        for b in &mut self.bags {
-            b.restore_from_snapshot(dec)?;
-        }
-        self.bag_tuples = dec.u64()?;
-        self.inserts = dec.u64()?;
-        self.deletes = dec.u64()?;
-        self.inner.restore_from_snapshot(dec)
+        let bags = self.bags.iter().map(|b| b.restore_from(dec));
+        Ok(BagSet {
+            bags: bags.collect::<Result<_, _>>()?,
+            ghd: self.ghd.clone(),
+            bag_tuples: dec.u64()?,
+            inserts: dec.u64()?,
+            deletes: dec.u64()?,
+        })
     }
 
-    /// Current samples, as value tuples indexed by the bag-level query's
-    /// attribute ids (same attribute *names* as the original query; use
-    /// [`Self::sample_named`] for name–value pairs).
-    pub fn samples(&self) -> Rows<'_> {
-        self.inner.samples()
+    fn heap_size(&self) -> usize {
+        self.bags.iter().map(BagJoin::heap_size).sum()
     }
 
-    /// Samples as sorted `(attribute name, value)` pairs of the original
-    /// query — convenient for assertions and display.
-    pub fn sample_named(&self) -> Vec<Vec<(String, Value)>> {
-        let q = self.inner.index().query();
-        self.samples()
-            .iter()
-            .map(|s| {
-                let mut kv: Vec<(String, Value)> = q
-                    .attr_names()
-                    .iter()
-                    .cloned()
-                    .zip(s.iter().copied())
-                    .collect();
-                kv.sort();
-                kv
-            })
-            .collect()
+    fn inserts(&self) -> u64 {
+        self.inserts
     }
 
-    /// The decomposition in use.
-    pub fn ghd(&self) -> &Ghd {
-        &self.ghd
+    fn deletes(&self) -> u64 {
+        self.deletes
+    }
+}
+
+/// `RSJoin_cyclic`: reservoir sampling over a cyclic (or any) join query —
+/// a [`ReservoirJoin`] over the bag-level query, fed through a [`BagSet`].
+pub type CyclicReservoirJoin = Rewritten<BagSet, ReservoirJoin>;
+
+impl CyclicReservoirJoin {
+    /// Builds the driver, searching for a minimum-width GHD automatically.
+    pub fn new(query: Query, k: usize, seed: u64) -> Result<Self, Box<dyn Error>> {
+        Self::with_options(query, k, seed, IndexOptions::default())
     }
 
-    /// The original query.
-    pub fn query(&self) -> &Query {
-        &self.query
+    /// Builds the driver with explicit index options for the inner
+    /// bag-level acyclic driver, searching for a minimum-width GHD.
+    pub fn with_options(
+        query: Query,
+        k: usize,
+        seed: u64,
+        options: IndexOptions,
+    ) -> Result<Self, Box<dyn Error>> {
+        let ghd = Ghd::search(&query)?;
+        Self::with_ghd_options(query, ghd, k, seed, options)
     }
 
-    /// The inner acyclic driver (over the bag-level query).
-    pub fn inner(&self) -> &ReservoirJoin {
-        &self.inner
-    }
-
-    /// Mutable access to the inner acyclic driver (re-planning the
-    /// bag-level orientation).
-    pub fn inner_mut(&mut self) -> &mut ReservoirJoin {
-        &mut self.inner
-    }
-
-    /// Bag-delta tuples produced so far (`O(N^w)`).
-    pub fn bag_tuples(&self) -> u64 {
-        self.bag_tuples
-    }
-
-    /// Estimated heap bytes (bag tries + inner driver).
-    pub fn heap_size(&self) -> usize {
-        self.bags.iter().map(BagJoin::heap_size).sum::<usize>() + self.inner.heap_size()
+    /// Builds the driver with an explicit decomposition and index options.
+    pub fn with_ghd_options(
+        query: Query,
+        ghd: Ghd,
+        k: usize,
+        seed: u64,
+        options: IndexOptions,
+    ) -> Result<Self, Box<dyn Error>> {
+        let inner = ReservoirJoin::with_options(ghd.bag_query().clone(), k, seed, options)?;
+        let bags = BagSet::new(&query, ghd);
+        Ok(Rewritten::wrap("RSJoin_cyclic", query, bags, inner))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::JoinSampler;
     use rsj_common::rng::RsjRng;
     use rsj_common::stats::{chi_square_critical, chi_square_uniform};
     use rsj_common::{FxHashMap, FxHashSet};
@@ -320,7 +260,7 @@ mod tests {
         }
         assert!(!brute.is_empty());
         // Samples carry attrs X, Y, Z (bag query attr names).
-        let q = crj.inner().index().query().clone();
+        let q = crj.output_query().clone();
         let pos = |n: &str| q.attr_names().iter().position(|a| a == n).unwrap();
         let (px, py, pz) = (pos("X"), pos("Y"), pos("Z"));
         let got: FxHashSet<(u64, u64, u64)> = crj
@@ -382,7 +322,7 @@ mod tests {
         assert!(crj.samples().is_empty(), "no bridge yet");
         // Bridge R7(x3,x4) = (3,4).
         crj.process(6, &[3, 4]);
-        let named = crj.sample_named();
+        let named = crj.samples_named();
         assert_eq!(named.len(), 1);
         let expected: Vec<(String, u64)> = [
             ("x1", 1),
@@ -396,7 +336,7 @@ mod tests {
         .map(|(n, v)| (n.to_string(), *v))
         .collect();
         assert_eq!(named[0], expected);
-        assert!((crj.ghd().width() - 1.5).abs() < 1e-9);
+        assert!((crj.rewrite().ghd().width() - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -404,9 +344,9 @@ mod tests {
         let mut crj = CyclicReservoirJoin::new(triangle_query(), 10, 5).unwrap();
         crj.process(0, &[1, 2]);
         crj.process(1, &[2, 3]);
-        assert_eq!(crj.bag_tuples(), 0);
+        assert_eq!(crj.rewrite().bag_tuples(), 0);
         crj.process(2, &[3, 1]);
-        assert_eq!(crj.bag_tuples(), 1);
+        assert_eq!(crj.rewrite().bag_tuples(), 1);
     }
 
     #[test]
@@ -437,7 +377,7 @@ mod tests {
             }
         }
         assert!(!brute.is_empty(), "test instance lost all triangles");
-        let q = crj.inner().index().query().clone();
+        let q = crj.output_query().clone();
         let pos = |n: &str| q.attr_names().iter().position(|a| a == n).unwrap();
         let (px, py, pz) = (pos("X"), pos("Y"), pos("Z"));
         let got: FxHashSet<(u64, u64, u64)> = crj
@@ -447,8 +387,8 @@ mod tests {
             .collect();
         assert_eq!(got, brute);
         assert_eq!(crj.samples().len(), brute.len(), "stale duplicate samples");
-        assert_eq!(crj.exact_result_count(), brute.len() as u128);
-        assert!(crj.deletes() > 0);
+        assert_eq!(crj.exact_count(), brute.len() as u128);
+        assert!(crj.rewrite().deletes() > 0);
     }
 
     #[test]
@@ -460,13 +400,13 @@ mod tests {
         assert_eq!(crj.samples().len(), 1);
         crj.delete(1, &[2, 3]);
         assert!(crj.samples().is_empty());
-        assert_eq!(crj.exact_result_count(), 0);
+        assert_eq!(crj.exact_count(), 0);
         crj.process(1, &[2, 3]);
-        assert_eq!(crj.sample_named().len(), 1);
+        assert_eq!(crj.samples_named().len(), 1);
         // Deleting an absent tuple is a no-op.
         crj.delete(0, &[8, 8]);
         assert_eq!(crj.samples().len(), 1);
-        assert_eq!((crj.inserts(), crj.deletes()), (4, 1));
+        assert_eq!((crj.rewrite().inserts(), crj.rewrite().deletes()), (4, 1));
     }
 
     #[test]
@@ -492,13 +432,9 @@ mod tests {
                 crj.delete(*rel, t);
             }
         }
-        let mut enc = Encoder::new();
-        crj.snapshot_to(&mut enc);
-        let bytes = enc.into_bytes();
+        let bytes = crj.snapshot_state().unwrap();
         let mut restored = CyclicReservoirJoin::new(triangle_query(), 8, 11).unwrap();
-        restored
-            .restore_from_snapshot(&mut Decoder::new(&bytes))
-            .unwrap();
+        restored.restore_state(&bytes).unwrap();
         for (ins, rel, t) in &ops[200..] {
             if *ins {
                 crj.process(*rel, t);
@@ -509,14 +445,12 @@ mod tests {
             }
         }
         assert_eq!(crj.samples(), restored.samples());
-        assert_eq!(crj.bag_tuples(), restored.bag_tuples());
-        assert_eq!(crj.inserts(), restored.inserts());
-        assert_eq!(crj.deletes(), restored.deletes());
+        assert_eq!(crj.rewrite().bag_tuples(), restored.rewrite().bag_tuples());
+        assert_eq!(crj.rewrite().inserts(), restored.rewrite().inserts());
+        assert_eq!(crj.rewrite().deletes(), restored.rewrite().deletes());
         // Truncated images are rejected.
         let mut fresh = CyclicReservoirJoin::new(triangle_query(), 8, 11).unwrap();
-        assert!(fresh
-            .restore_from_snapshot(&mut Decoder::new(&bytes[..bytes.len() / 3]))
-            .is_err());
+        assert!(fresh.restore_state(&bytes[..bytes.len() / 3]).is_err());
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! restore the full state, inspect instrumentation. Every engine honours
 //! all of it — there is no capability to probe.
 //!
-//! Implementations for the three paper engines live here; the baselines
+//! `RSJoin`'s implementation lives here and the two rewriting paper
+//! engines share [`Rewritten`](crate::rewrite::Rewritten)'s; the baselines
 //! implement the trait in `rsj-baselines`, and the `Engine` factory that
 //! constructs any of the seven behind `Box<dyn JoinSampler>` lives in the
 //! `rsjoin` facade crate.
 
-use crate::cyclic::CyclicReservoirJoin;
-use crate::fk_runtime::FkReservoirJoin;
+use crate::group::Group;
 use crate::reservoir_join::ReservoirJoin;
 use crate::service::RebuildFn;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
@@ -199,27 +199,42 @@ pub trait JoinSampler {
         SamplerStats::default()
     }
 
-    /// Serializes the engine's complete dynamic state. The encoding
-    /// captures everything future behavior depends on — index physical
-    /// layout, sample slots, RNG positions, counters — so restoring it
-    /// into a freshly built engine with identical construction parameters
-    /// reproduces the original byte-for-byte on any further stream.
+    /// Serializes the engine's complete dynamic state into `enc`. The
+    /// encoding captures everything future behavior depends on — index
+    /// physical layout, sample slots, RNG positions, counters — so
+    /// restoring it into a freshly built engine with identical
+    /// construction parameters reproduces the original byte-for-byte on
+    /// any further stream.
+    fn snapshot_to(&self, enc: &mut Encoder);
+
+    /// Restores the image [`snapshot_to`](JoinSampler::snapshot_to) wrote
+    /// into `self`, which must have been built with the same construction
+    /// parameters (query, `k`, seed, options); any prior dynamic state of
+    /// `self` is discarded. `dec` holds that image and nothing after it:
+    /// the reader decodes the whole image and checks `dec` is at its end
+    /// before it assigns anything, so an `Err` leaves `self` unchanged.
+    fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError>;
+
+    /// The [`snapshot_to`](JoinSampler::snapshot_to) image as bytes.
     ///
     /// `None` means exactly one thing: the sampler is a wrapper with no
     /// canonical image *right now*. No engine in this workspace returns it;
     /// callers (checkpointing, the service) still report it as a failed
-    /// snapshot and keep their previous one. The `Option` stays because
-    /// the repo benchmark (`benchmark/`, which changes only in its own
-    /// commits) unwraps it; narrowing the return type belongs to the next
-    /// benchmark change.
-    fn snapshot_state(&self) -> Option<Vec<u8>>;
+    /// snapshot and keep their previous one. This method and
+    /// [`restore_state`](JoinSampler::restore_state) stay on the trait, and
+    /// the `Option` with them, because the repo benchmark (`benchmark/`,
+    /// which changes only in its own commits) calls them.
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        let mut enc = Encoder::new();
+        self.snapshot_to(&mut enc);
+        Some(enc.into_bytes())
+    }
 
-    /// Restores state produced by
-    /// [`snapshot_state`](JoinSampler::snapshot_state) into `self`, which
-    /// must have been built with the same construction parameters (query,
-    /// `k`, seed, options). Any prior dynamic state of `self` is
-    /// discarded.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError>;
+    /// [`restore_from`](JoinSampler::restore_from) over `bytes`, which
+    /// hold one whole image; an `Err` leaves `self` unchanged.
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        self.restore_from(&mut Decoder::new(bytes))
+    }
 
     /// Samples as sorted `(attribute name, value)` pairs — identical
     /// across engines regardless of internal attribute order, so
@@ -292,12 +307,16 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
         (**self).stats()
     }
 
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        (**self).snapshot_state()
+    fn snapshot_to(&self, enc: &mut Encoder) {
+        (**self).snapshot_to(enc)
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        (**self).restore_state(bytes)
+    fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
+        (**self).restore_from(dec)
+    }
+
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        (**self).snapshot_state()
     }
 }
 
@@ -401,159 +420,48 @@ impl JoinSampler for ReservoirJoin {
         }
     }
 
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut enc = Encoder::new();
-        ReservoirJoin::snapshot_to(self, &mut enc);
-        Some(enc.into_bytes())
+    /// The one-member group image — the tree the index is built over (it
+    /// may have been rebuilt since construction), the index's dynamic
+    /// state (physical layout included), and the member's plan, reservoir
+    /// (sample slots, skip parameters `(w, q)`, RNG position), repair RNG
+    /// and counters — followed by the replan counters. Construction
+    /// parameters (query, `k`, seed, planner, replan policy) are not
+    /// written.
+    fn snapshot_to(&self, enc: &mut Encoder) {
+        self.group.snapshot_to(enc, |_, _| {});
+        enc.put_u64(self.replanner.rebuilds);
+        enc.put_u64(self.replanner.checked_at);
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(bytes);
-        ReservoirJoin::restore_from_snapshot(self, &mut dec)?;
-        dec.finish()
-    }
-}
-
-impl JoinSampler for FkReservoirJoin {
-    fn name(&self) -> &'static str {
-        "RSJoin_opt"
-    }
-
-    fn output_query(&self) -> &Query {
-        self.rewritten_query()
-    }
-
-    fn input_query(&self) -> &Query {
-        &self.query
-    }
-
-    fn process(&mut self, rel: usize, tuple: &[Value]) {
-        FkReservoirJoin::process(self, rel, tuple);
-    }
-
-    /// The foreign-key combiner is a signed delta pipeline: retractions
-    /// withdraw combined tuples (and re-park rewound facts), and the inner
-    /// acyclic driver repairs its reservoir by eviction-and-backfill.
-    fn delete(&mut self, rel: usize, tuple: &[Value]) {
-        FkReservoirJoin::delete(self, rel, tuple);
-    }
-
-    fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
-        self.combiner().check_ops(&self.query, ops)
-    }
-
-    /// Re-plans the *rewritten* query's orientation (the foreign-key
-    /// combiner in front is plan-independent).
-    fn replan(&mut self) -> bool {
-        self.inner_mut().replan()
-    }
-
-    fn samples(&self) -> Vec<Vec<Value>> {
-        FkReservoirJoin::samples(self).to_vec()
-    }
-
-    fn k(&self) -> usize {
-        self.inner().k()
-    }
-
-    /// Recomputed on demand from the stored relations (`O(N)` walk — the
-    /// same pass the delete repair uses), not maintained per op.
-    fn exact_count(&self) -> u128 {
-        self.exact_result_count()
-    }
-
-    fn stats(&self) -> SamplerStats {
-        SamplerStats {
-            inserts: Some(self.combiner().inserts()),
-            deletes: Some(self.combiner().deletes()),
-            reservoir_stops: Some(self.inner().reservoir_stops()),
-            heap_bytes: Some(self.heap_size()),
-            ..SamplerStats::default()
+    /// The index is rebuilt over the image's join tree and its dynamic
+    /// state overlaid. Shape mismatches (wrong query, wrong `k` or index
+    /// options, a sample row of the wrong width) reject the image. The
+    /// planner and replan policy are configuration, not state: they keep
+    /// `self`'s current values.
+    fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
+        let (group, _) = Group::restore_from(dec, self.index().query(), |_| Ok(()))?;
+        if group.members.len() != 1 || group.index().options() != self.index().options() {
+            return Err(CodecError::Corrupt(
+                "snapshot is not a group of this driver",
+            ));
         }
-    }
-
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut enc = Encoder::new();
-        FkReservoirJoin::snapshot_to(self, &mut enc);
-        Some(enc.into_bytes())
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(bytes);
-        FkReservoirJoin::restore_from_snapshot(self, &mut dec)?;
-        dec.finish()
-    }
-}
-
-impl JoinSampler for CyclicReservoirJoin {
-    fn name(&self) -> &'static str {
-        "RSJoin_cyclic"
-    }
-
-    fn output_query(&self) -> &Query {
-        self.inner().index().query()
-    }
-
-    fn input_query(&self) -> &Query {
-        self.query()
-    }
-
-    fn process(&mut self, rel: usize, tuple: &[Value]) {
-        CyclicReservoirJoin::process(self, rel, tuple);
-    }
-
-    /// Deletions enumerate the bag's dead delta and forward it, signed,
-    /// into the inner acyclic driver's delete path.
-    fn delete(&mut self, rel: usize, tuple: &[Value]) {
-        CyclicReservoirJoin::delete(self, rel, tuple);
-    }
-
-    /// Re-plans the inner acyclic driver over the *bag-level* query (the
-    /// GHD itself stays fixed).
-    fn replan(&mut self) -> bool {
-        self.inner_mut().replan()
-    }
-
-    fn samples(&self) -> Vec<Vec<Value>> {
-        CyclicReservoirJoin::samples(self).to_vec()
-    }
-
-    fn k(&self) -> usize {
-        self.inner().k()
-    }
-
-    /// Recomputed on demand from the bag-level relations (worst case
-    /// `O(N^w)`, the delete-repair walk), not maintained per op.
-    fn exact_count(&self) -> u128 {
-        self.exact_result_count()
-    }
-
-    fn stats(&self) -> SamplerStats {
-        SamplerStats {
-            inserts: Some(self.inserts()),
-            deletes: Some(self.deletes()),
-            reservoir_stops: Some(self.inner().reservoir_stops()),
-            heap_bytes: Some(self.heap_size()),
-            ..SamplerStats::default()
+        if group.members[0].reservoir.capacity() != self.k() {
+            return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
         }
-    }
-
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut enc = Encoder::new();
-        CyclicReservoirJoin::snapshot_to(self, &mut enc);
-        Some(enc.into_bytes())
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(bytes);
-        CyclicReservoirJoin::restore_from_snapshot(self, &mut dec)?;
-        dec.finish()
+        let rebuilds = dec.u64()?;
+        let checked_at = dec.u64()?;
+        dec.finish()?;
+        self.group = group;
+        self.replanner.rebuilds = rebuilds;
+        self.replanner.checked_at = checked_at;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CyclicReservoirJoin;
     use rsj_query::QueryBuilder;
     use rsj_storage::{OpStream, TupleStream};
 

@@ -10,8 +10,8 @@
 //! matching the paper: "when a tuple t_j is inserted into R_j, we need to
 //! identify all tuples in R_i that can join with t_j".
 //!
-//! The combiner is a *signed* delta pipeline: [`FkCombiner::process`]
-//! emits `+1` combined tuples, [`FkCombiner::retract`] the `-1` mirror (a
+//! The combiner is a *signed* delta pipeline: [`Rewrite::insert`]
+//! emits `+1` combined tuples, [`Rewrite::retract`] the `-1` mirror (a
 //! deleted dimension tuple withdraws every combined tuple routed through
 //! it and re-parks those facts), so an engine fed both sides sees the
 //! rewritten query over the live database.
@@ -24,12 +24,16 @@
 //! step, so the lists are intrusive — a `[prev, next]` pair per fact and
 //! step — and keep their order, which fixes emission order.
 
+use crate::exec::{check_schema, JoinSampler};
+use crate::reservoir_join::ReservoirJoin;
+use crate::rewrite::{Rewrite, Rewritten};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{fx_hash_one, FxHashMap, HeapSize, IdTable, Key, Value};
+use rsj_index::IndexOptions;
 use rsj_query::foreign_key::{CombinePlan, CombinedRelation, DimJoin, Routing};
-use rsj_query::Query;
+use rsj_query::{FkSchema, Query};
 use rsj_storage::{Relation, SharedStoreError, StreamOp};
-use rsj_stream::Rows;
+use std::error::Error;
 
 /// The end of a list, and both ends of an empty one.
 const NIL: u32 = u32::MAX;
@@ -174,7 +178,7 @@ impl CombinedState {
         }
     }
 
-    /// Fills this fresh state from what [`FkCombiner::snapshot_to`] wrote
+    /// Fills this fresh state from what [`Rewrite::snapshot_to`] wrote
     /// (a rejected image leaves it half-filled), checking it whole:
     /// relation arities, one live dimension tuple per PK, and per step
     /// every live fact that walks that far listed exactly once, in the list
@@ -241,7 +245,8 @@ impl CombinedState {
 }
 
 /// Executes a [`CombinePlan`] over the input stream, emitting signed
-/// tuples of the rewritten query's relations.
+/// tuples of the rewritten query's relations: the [`Rewrite`] in front of
+/// `RSJoin_opt` and `SJoin_opt`.
 #[derive(Clone, Debug)]
 pub struct FkCombiner {
     plan: CombinePlan,
@@ -269,77 +274,13 @@ impl FkCombiner {
         &self.plan
     }
 
-    /// The rewritten query the emitted tuples belong to.
-    pub fn rewritten_query(&self) -> &Query {
-        &self.plan.rewritten
-    }
-
-    /// Original-stream tuples accepted so far (set semantics — duplicate
-    /// facts and idempotent dimension re-inserts are not counted).
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
-    /// Original-stream tuples deleted so far (present at deletion time).
-    pub fn deletes(&self) -> u64 {
-        self.deletes
-    }
-
-    /// Checks `ops` in order against `query`, the original query, and the
-    /// primary keys: a dimension insert whose PK the live state or an
-    /// earlier op binds to another tuple is a
-    /// [`SharedStoreError::PrimaryKeyConflict`].
-    pub fn check_ops(&self, query: &Query, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
-        // Bindings made or freed by the ops checked so far.
-        let mut pending: FxHashMap<(usize, Key), Option<&[Value]>> = FxHashMap::default();
-        for (i, op) in ops.iter().enumerate() {
-            let t = op.tuple();
-            let arity = query.relations().get(t.relation).map(|r| r.attrs.len());
-            SharedStoreError::check(t.relation, arity, t.values.len())?;
-            let Routing::Dim { combined, step } = self.plan.routing[t.relation] else {
-                continue;
-            };
-            let d = &self.plan.combined[combined].dims[step];
-            let pk = Key::project(&t.values, &d.pk_positions_in_dim);
-            let dim = &self.states[combined].dims[step];
-            let bound = match pending.get(&(t.relation, pk)) {
-                Some(&b) => b,
-                None => dim.find(d, &pk).map(|id| dim.tuples.tuple(id)),
-            };
-            let now = match (op.is_delete(), bound) {
-                (false, Some(b)) if b != t.values => {
-                    return Err(SharedStoreError::PrimaryKeyConflict(t.relation))
-                }
-                (false, _) => Some(t.values.as_slice()),
-                (true, b) => b.filter(|&b| b != t.values),
-            };
-            if i + 1 < ops.len() {
-                pending.insert((t.relation, pk), now);
-            }
-        }
-        Ok(())
-    }
-
-    /// Processes one original-stream insert, handing every combined tuple
-    /// it completes (none, one or many) to `emit(rewritten_relation,
-    /// tuple)`; the slice is the combiner's scratch row.
+    /// Inserts (`insert`) or retracts one original-stream tuple, emitting
+    /// each combined tuple it completes or withdraws.
     ///
     /// # Panics
-    /// On a dimension tuple whose primary key is bound to a different live
-    /// tuple — the FK contract, which [`check_ops`](Self::check_ops)
-    /// checks up front.
-    pub fn process(&mut self, orig_rel: usize, tuple: &[Value], emit: impl FnMut(usize, &[Value])) {
-        self.apply(true, orig_rel, tuple, emit);
-    }
-
-    /// Retracts one original-stream tuple, handing every combined tuple it
-    /// withdraws to `emit` — the `-1` side of the pipeline. Deleting an
-    /// absent tuple is a no-op. A retraction never emits on the `+` side:
-    /// removing input can only un-complete combined tuples.
-    pub fn retract(&mut self, orig_rel: usize, tuple: &[Value], emit: impl FnMut(usize, &[Value])) {
-        self.apply(false, orig_rel, tuple, emit);
-    }
-
+    /// On a dimension insert whose primary key is bound to a different
+    /// live tuple — the FK contract, which
+    /// [`check_ops`](Rewrite::check_ops) checks up front.
     fn apply(
         &mut self,
         insert: bool,
@@ -404,6 +345,54 @@ impl FkCombiner {
             (false, _) => {} // absent (or a different tuple): a no-op
         }
     }
+}
+
+impl Rewrite for FkCombiner {
+    /// Completes and emits every combined tuple the tuple's arrival
+    /// finishes; the emitted slice is the combiner's scratch row.
+    fn insert(&mut self, orig_rel: usize, tuple: &[Value], emit: impl FnMut(usize, &[Value])) {
+        self.apply(true, orig_rel, tuple, emit);
+    }
+
+    /// A retraction never emits on the `+` side: removing input can only
+    /// un-complete combined tuples, and a deleted dimension tuple re-parks
+    /// the facts routed through it.
+    fn retract(&mut self, orig_rel: usize, tuple: &[Value], emit: impl FnMut(usize, &[Value])) {
+        self.apply(false, orig_rel, tuple, emit);
+    }
+
+    /// Also checks the primary keys: a dimension insert whose PK the live
+    /// state or an earlier op binds to another tuple is a
+    /// [`SharedStoreError::PrimaryKeyConflict`].
+    fn check_ops(&self, query: &Query, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        // Bindings made or freed by the ops checked so far.
+        let mut pending: FxHashMap<(usize, Key), Option<&[Value]>> = FxHashMap::default();
+        for (i, op) in ops.iter().enumerate() {
+            check_schema(query, op)?;
+            let t = op.tuple();
+            let Routing::Dim { combined, step } = self.plan.routing[t.relation] else {
+                continue;
+            };
+            let d = &self.plan.combined[combined].dims[step];
+            let pk = Key::project(&t.values, &d.pk_positions_in_dim);
+            let dim = &self.states[combined].dims[step];
+            let bound = match pending.get(&(t.relation, pk)) {
+                Some(&b) => b,
+                None => dim.find(d, &pk).map(|id| dim.tuples.tuple(id)),
+            };
+            let now = match (op.is_delete(), bound) {
+                (false, Some(b)) if b != t.values => {
+                    return Err(SharedStoreError::PrimaryKeyConflict(t.relation))
+                }
+                (false, _) => Some(t.values.as_slice()),
+                (true, b) => b.filter(|&b| b != t.values),
+            };
+            if i + 1 < ops.len() {
+                pending.insert((t.relation, pk), now);
+            }
+        }
+        Ok(())
+    }
 
     /// Serializes the combiner's dynamic state: the op counters, then per
     /// combined relation the fact relation, every dimension relation, and
@@ -411,7 +400,7 @@ impl FkCombiner {
     /// `u32::MAX` — the `passed` list of each live dimension tuple in id
     /// order, then the waiting lists in key order. The lists name facts by
     /// id, so the relations are written whole, tombstones included.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
+    fn snapshot_to(&self, enc: &mut Encoder) {
         enc.put_u64(self.inserts);
         enc.put_u64(self.deletes);
         for st in &self.states {
@@ -432,11 +421,9 @@ impl FkCombiner {
         }
     }
 
-    /// A combiner for `plan` restored from a
-    /// [`snapshot_to`](Self::snapshot_to) image, which is checked whole
-    /// (see `CombinedState::restore`).
-    pub fn restore_from(plan: CombinePlan, dec: &mut Decoder) -> Result<FkCombiner, CodecError> {
-        let mut c = FkCombiner::new(plan);
+    /// The image is checked whole (see `CombinedState::restore`).
+    fn restore_from(&self, dec: &mut Decoder) -> Result<FkCombiner, CodecError> {
+        let mut c = FkCombiner::new(self.plan.clone());
         c.inserts = dec.u64()?;
         c.deletes = dec.u64()?;
         for (st, p) in c.states.iter_mut().zip(&c.plan.combined) {
@@ -447,7 +434,7 @@ impl FkCombiner {
 
     /// Heap bytes of the combiner state: the fact and dimension relations,
     /// the PK tables, the registries and the scratch row.
-    pub fn heap_size(&self) -> usize {
+    fn heap_size(&self) -> usize {
         let mut bytes = self.row.heap_size();
         for st in &self.states {
             bytes += st.facts.heap_size();
@@ -458,153 +445,60 @@ impl FkCombiner {
         }
         bytes
     }
-}
 
-/// How building an [`FkReservoirJoin`] can fail: the static rewrite
-/// rejected the schema, or the inner acyclic driver rejected the rewritten
-/// query.
-#[derive(Debug)]
-pub enum FkBuildError {
-    /// The foreign-key rewrite failed (see [`rsj_query::CombineError`]).
-    Rewrite(rsj_query::CombineError),
-    /// The inner dynamic index rejected the rewritten query.
-    Index(rsj_index::dynamic::IndexError),
-}
+    fn inserts(&self) -> u64 {
+        self.inserts
+    }
 
-impl std::fmt::Display for FkBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FkBuildError::Rewrite(e) => write!(f, "{e}"),
-            FkBuildError::Index(e) => write!(f, "{e}"),
-        }
+    fn deletes(&self) -> u64 {
+        self.deletes
     }
 }
 
-impl std::error::Error for FkBuildError {}
-
-impl From<rsj_query::CombineError> for FkBuildError {
-    fn from(e: rsj_query::CombineError) -> FkBuildError {
-        FkBuildError::Rewrite(e)
-    }
-}
-
-impl From<rsj_index::dynamic::IndexError> for FkBuildError {
-    fn from(e: rsj_index::dynamic::IndexError) -> FkBuildError {
-        FkBuildError::Index(e)
-    }
-}
-
-/// `RSJoin_opt`: a [`super::ReservoirJoin`] over the FK-rewritten query,
+/// `RSJoin_opt`: a [`ReservoirJoin`] over the foreign-key rewritten query,
 /// fed through an [`FkCombiner`].
-pub struct FkReservoirJoin {
-    /// The original query, whose relations the input stream addresses.
-    pub(crate) query: Query,
-    combiner: FkCombiner,
-    inner: super::ReservoirJoin,
+pub type FkReservoirJoin = Rewritten<FkCombiner, ReservoirJoin>;
+
+impl<S: JoinSampler> Rewritten<FkCombiner, S> {
+    /// The engine `name`: an [`FkCombiner`] executing `query`'s foreign-key
+    /// rewrite under `fks`, in front of the engine `build` makes over the
+    /// rewritten query.
+    pub fn combined<E: Into<Box<dyn Error>>>(
+        name: &'static str,
+        query: &Query,
+        fks: &FkSchema,
+        build: impl FnOnce(Query) -> Result<S, E>,
+    ) -> Result<Self, Box<dyn Error>> {
+        let plan = CombinePlan::build(query, fks)?;
+        let inner = build(plan.rewritten.clone()).map_err(Into::into)?;
+        Ok(Rewritten::wrap(
+            name,
+            query.clone(),
+            FkCombiner::new(plan),
+            inner,
+        ))
+    }
 }
 
 impl FkReservoirJoin {
     /// Builds the optimized driver from the original query, its FK schema,
     /// and reservoir parameters, with the default index options.
-    pub fn new(
-        query: &Query,
-        fks: &rsj_query::FkSchema,
-        k: usize,
-        seed: u64,
-    ) -> Result<FkReservoirJoin, FkBuildError> {
-        Self::with_options(query, fks, k, seed, rsj_index::IndexOptions::default())
+    pub fn new(query: &Query, fks: &FkSchema, k: usize, seed: u64) -> Result<Self, Box<dyn Error>> {
+        Self::with_options(query, fks, k, seed, IndexOptions::default())
     }
 
     /// Builds the optimized driver with explicit index options for the
     /// inner acyclic driver.
     pub fn with_options(
         query: &Query,
-        fks: &rsj_query::FkSchema,
+        fks: &FkSchema,
         k: usize,
         seed: u64,
-        options: rsj_index::IndexOptions,
-    ) -> Result<FkReservoirJoin, FkBuildError> {
-        let plan = CombinePlan::build(query, fks)?;
-        let inner = super::ReservoirJoin::with_options(plan.rewritten.clone(), k, seed, options)?;
-        Ok(FkReservoirJoin {
-            query: query.clone(),
-            combiner: FkCombiner::new(plan),
-            inner,
+        options: IndexOptions,
+    ) -> Result<Self, Box<dyn Error>> {
+        Self::combined("RSJoin_opt", query, fks, |q| {
+            ReservoirJoin::with_options(q, k, seed, options)
         })
-    }
-
-    /// Processes one original-stream tuple.
-    pub fn process(&mut self, orig_rel: usize, tuple: &[Value]) {
-        let inner = &mut self.inner;
-        self.combiner.process(orig_rel, tuple, |rel, t| {
-            inner.process(rel, t);
-        });
-    }
-
-    /// Deletes one original-stream tuple: the combiner's `-1` deltas route
-    /// to the inner driver's delete path, which repairs its reservoir by
-    /// eviction-and-backfill against the exact live count.
-    pub fn delete(&mut self, orig_rel: usize, tuple: &[Value]) {
-        let inner = &mut self.inner;
-        self.combiner.retract(orig_rel, tuple, |rel, t| {
-            inner.delete(rel, t);
-        });
-    }
-
-    /// Current samples, as value tuples of the *rewritten* query (attribute
-    /// names are preserved; use [`Self::rewritten_query`] to interpret).
-    pub fn samples(&self) -> Rows<'_> {
-        self.inner.samples()
-    }
-
-    /// The rewritten query.
-    pub fn rewritten_query(&self) -> &Query {
-        self.combiner.rewritten_query()
-    }
-
-    /// The streaming combiner.
-    pub fn combiner(&self) -> &FkCombiner {
-        &self.combiner
-    }
-
-    /// The inner acyclic driver.
-    pub fn inner(&self) -> &super::ReservoirJoin {
-        &self.inner
-    }
-
-    /// Mutable access to the inner acyclic driver (re-planning the
-    /// rewritten-query orientation).
-    pub fn inner_mut(&mut self) -> &mut super::ReservoirJoin {
-        &mut self.inner
-    }
-
-    /// Exact live `|Q(R)|`: the inner driver's memoized index count
-    /// (one `O(N)` pass after each change, shared with the delete repair).
-    pub fn exact_result_count(&self) -> u128 {
-        self.inner.exact_count()
-    }
-
-    /// Serializes the full dynamic state: combiner registries, then the
-    /// inner driver's snapshot.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
-        self.combiner.snapshot_to(enc);
-        self.inner.snapshot_to(enc);
-    }
-
-    /// Restores from a [`FkReservoirJoin::snapshot_to`] image taken by a
-    /// driver built with the same `(query, fks, k, seed, options)`. On
-    /// error — in the combiner's image or the inner driver's — the
-    /// receiver is unchanged.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let combiner = FkCombiner::restore_from(self.combiner.plan().clone(), dec)?;
-        self.inner.restore_from_snapshot(dec)?;
-        self.combiner = combiner;
-        Ok(())
-    }
-
-    /// Estimated heap bytes (combiner state + inner driver).
-    pub fn heap_size(&self) -> usize {
-        self.combiner.heap_size() + self.inner.heap_size()
     }
 }
 
@@ -613,18 +507,19 @@ mod tests {
     use super::*;
     use rsj_common::rng::RsjRng;
     use rsj_common::FxHashSet;
-    use rsj_query::{FkSchema, QueryBuilder};
+    use rsj_query::QueryBuilder;
+    use rsj_stream::Rows;
 
     type Emitted = Vec<(usize, Vec<u64>)>;
 
-    /// [`FkCombiner::process`], collecting what it emits.
+    /// [`Rewrite::insert`], collecting what it emits.
     fn ins(c: &mut FkCombiner, rel: usize, t: &[u64]) -> Emitted {
         let mut out = Vec::new();
-        c.process(rel, t, |r, t| out.push((r, t.to_vec())));
+        c.insert(rel, t, |r, t| out.push((r, t.to_vec())));
         out
     }
 
-    /// [`FkCombiner::retract`], collecting what it withdraws.
+    /// [`Rewrite::retract`], collecting what it withdraws.
     fn ret(c: &mut FkCombiner, rel: usize, t: &[u64]) -> Emitted {
         let mut out = Vec::new();
         c.retract(rel, t, |r, t| out.push((r, t.to_vec())));
@@ -882,8 +777,8 @@ mod tests {
             enc.into_bytes()
         };
         let bytes = snap(&c);
-        let mut restored =
-            FkCombiner::restore_from(chain_plan(), &mut Decoder::new(&bytes)).unwrap();
+        let fresh = FkCombiner::new(chain_plan());
+        let mut restored = fresh.restore_from(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(snap(&restored), bytes, "re-serialization drifted");
         // Identical emissions (and order) on the rest of the history.
         for (insert, rel, t) in &history[split..] {
@@ -898,7 +793,7 @@ mod tests {
         assert_eq!(c.deletes(), restored.deletes());
         // Truncated images are rejected, not mis-restored.
         let half = &bytes[..bytes.len() / 2];
-        assert!(FkCombiner::restore_from(chain_plan(), &mut Decoder::new(half)).is_err());
+        assert!(fresh.restore_from(&mut Decoder::new(half)).is_err());
     }
 
     #[test]
@@ -940,7 +835,7 @@ mod tests {
             s.swap(i, j);
         }
         // Plain driver over the original query.
-        let mut plain = super::super::ReservoirJoin::new(q.clone(), 100_000, 1).unwrap();
+        let mut plain = ReservoirJoin::new(q.clone(), 100_000, 1).unwrap();
         // Optimized driver.
         let mut opt = FkReservoirJoin::new(&q, &fks, 100_000, 2).unwrap();
         for (rel, t) in &s {
@@ -965,7 +860,7 @@ mod tests {
                 .collect()
         };
         let a = project(plain.samples(), &q);
-        let b = project(opt.samples(), opt.rewritten_query());
+        let b = project(opt.inner().samples(), opt.output_query());
         assert!(!a.is_empty(), "test instance produced no results");
         assert_eq!(a, b);
     }
@@ -981,7 +876,7 @@ mod tests {
         qb.relation("d1", &["HD1", "IB"]);
         let q = qb.build().unwrap();
         let fks = FkSchema::none(3).with_pk(1, vec![0]).with_pk(2, vec![2]);
-        let mut plain = super::super::ReservoirJoin::new(q.clone(), 100_000, 1).unwrap();
+        let mut plain = ReservoirJoin::new(q.clone(), 100_000, 1).unwrap();
         let mut opt = FkReservoirJoin::new(&q, &fks, 100_000, 2).unwrap();
         let mut apply = |ins: bool, rel: usize, t: &[u64]| {
             if ins {
@@ -1023,9 +918,9 @@ mod tests {
                 .collect()
         };
         let a = project(plain.samples(), &q);
-        let b = project(opt.samples(), opt.rewritten_query());
+        let b = project(opt.inner().samples(), opt.output_query());
         assert!(!a.is_empty(), "deletes emptied the test instance");
         assert_eq!(a, b);
-        assert_eq!(opt.exact_result_count(), a.len() as u128);
+        assert_eq!(opt.exact_count(), a.len() as u128);
     }
 }

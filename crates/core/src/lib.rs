@@ -10,13 +10,16 @@
 //!   `k` uniform samples without replacement of `Q(R_i)` for every prefix
 //!   `R_i` of an insert-only stream, over any acyclic join, in
 //!   `O(N log N + k log N log(N/k))` total expected time (Corollary 4.3);
+//! * [`rewrite::Rewritten`] — a stream rewrite in front of any sampler,
+//!   the one wrapper of the engines below;
 //! * [`fk_runtime`] — the foreign-key combination runtime (§4.4), yielding
 //!   `RSJoin_opt`;
 //! * [`wcoj`] — hash tries and generic worst-case-optimal delta enumeration,
 //!   the substrate for cyclic queries;
 //! * [`cyclic::CyclicReservoirJoin`] — the GHD driver of §5: bag sub-joins
-//!   are materialized incrementally by delta enumeration and fed as inserts
-//!   to an acyclic `ReservoirJoin` over the bag-level query (Theorem 5.4);
+//!   are materialized incrementally by delta enumeration and fed as signed
+//!   tuples to an acyclic `ReservoirJoin` over the bag-level query
+//!   (Theorem 5.4);
 //! * [`sampler_facade::DynamicSampleIndex`] — the "sampling over joins"
 //!   operation (draw a fresh uniform sample of `Q(R)` on demand,
 //!   `O(log N)` update and sample);
@@ -30,15 +33,17 @@ pub mod exec;
 pub mod fk_runtime;
 mod group;
 pub mod reservoir_join;
+pub mod rewrite;
 pub mod sampler_facade;
 pub mod service;
 pub mod wcoj;
 
 pub use count::exact_result_count;
-pub use cyclic::CyclicReservoirJoin;
+pub use cyclic::{BagSet, CyclicReservoirJoin};
 pub use exec::{Durable, JoinSampler, SamplerStats};
-pub use fk_runtime::{FkBuildError, FkCombiner, FkReservoirJoin};
+pub use fk_runtime::{FkCombiner, FkReservoirJoin};
 pub use reservoir_join::{ReplanPolicy, ReservoirJoin};
+pub use rewrite::{Rewrite, Rewritten};
 pub use sampler_facade::DynamicSampleIndex;
 pub use service::{
     QueryHandle, QueryOpts, RebuildFn, SampleReader, SampleSnapshot, SamplerService, ServiceError,

@@ -44,7 +44,6 @@
 //! ARCHITECTURE.md, "Update model".
 
 use crate::group::{Group, SamplerCore};
-use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::{TupleId, Value};
 use rsj_index::{DynamicIndex, FullSampler, IndexOptions, IndexStats};
 use rsj_query::{Plan, Planner, Query};
@@ -102,20 +101,20 @@ impl Default for ReplanPolicy {
 /// ```
 pub struct ReservoirJoin {
     /// The index and its one member.
-    group: Group,
-    replanner: Replanner,
+    pub(crate) group: Group,
+    pub(crate) replanner: Replanner,
 }
 
 /// The planning half of the driver: configuration plus the two counters
 /// its image carries.
-struct Replanner {
+pub(crate) struct Replanner {
     planner: Planner,
     policy: ReplanPolicy,
     /// Index rebuilds performed by [`replan`](Replanner::replan).
-    rebuilds: u64,
+    pub(crate) rebuilds: u64,
     /// Accepted-insert count at which the last automatic replan check
     /// fired (guards against duplicate arrivals re-firing a checkpoint).
-    checked_at: u64,
+    pub(crate) checked_at: u64,
 }
 
 impl Replanner {
@@ -309,11 +308,6 @@ impl ReservoirJoin {
         &self.core().plan
     }
 
-    /// The automatic re-planning policy.
-    pub fn replan_policy(&self) -> ReplanPolicy {
-        self.replanner.policy
-    }
-
     /// Replaces the planner [`replan`](ReservoirJoin::replan) consults
     /// (weights, enumeration cap, hold margin). A zero hold margin makes
     /// re-planning follow the cost model greedily — useful in tests that
@@ -386,51 +380,6 @@ impl ReservoirJoin {
         self.group.count_passes()
     }
 
-    /// Serializes the driver's complete dynamic state into `enc`: the
-    /// one-member group image — the tree the index is built over (it may
-    /// have been rebuilt since construction), the index's dynamic state
-    /// (physical layout included), and the member's plan, reservoir
-    /// (sample slots, skip parameters `(w, q)`, RNG position), repair RNG
-    /// and counters — followed by the replan counters.
-    ///
-    /// Construction parameters — query, `k`, seed, planner, replan policy
-    /// — are *not* written; a snapshot restores into a driver built with
-    /// identical ones (the durability layer's `Checkpoint` tags the
-    /// engine name so cross-engine restores fail loudly). Everything
-    /// future behavior depends on is captured, so a restored driver
-    /// reproduces the original byte-for-byte on any further stream.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
-        self.group.snapshot_to(enc, |_, _| {});
-        enc.put_u64(self.replanner.rebuilds);
-        enc.put_u64(self.replanner.checked_at);
-    }
-
-    /// Restores state written by [`snapshot_to`](ReservoirJoin::snapshot_to)
-    /// into `self`, which must have been built with the same construction
-    /// parameters. The index is rebuilt over the snapshot's join tree (the
-    /// snapshot may have re-rooted or re-oriented since construction) and
-    /// its dynamic state overlaid; shape mismatches (wrong query, wrong
-    /// `k` or index options, a sample row of the wrong width) reject the
-    /// snapshot and leave `self` unchanged. The planner and replan policy
-    /// are configuration, not state — they keep `self`'s current values.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let (group, _) = Group::restore_from(dec, self.index().query(), |_| Ok(()))?;
-        if group.members.len() != 1 || group.index().options() != self.index().options() {
-            return Err(CodecError::Corrupt(
-                "snapshot is not a group of this driver",
-            ));
-        }
-        if group.members[0].reservoir.capacity() != self.k() {
-            return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
-        }
-        let rebuilds = dec.u64()?;
-        let checked_at = dec.u64()?;
-        self.group = group;
-        self.replanner.rebuilds = rebuilds;
-        self.replanner.checked_at = checked_at;
-        Ok(())
-    }
-
     /// Estimated heap bytes of index + reservoir (the sample buffer's
     /// whole capacity).
     pub fn heap_size(&self) -> usize {
@@ -441,6 +390,7 @@ impl ReservoirJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::JoinSampler;
     use rsj_common::rng::RsjRng;
     use rsj_common::stats::{chi_square_critical, chi_square_uniform};
     use rsj_common::{FxHashMap, FxHashSet};
@@ -758,16 +708,10 @@ mod tests {
             }
         }
         assert!(rj.replan() && rj.rebuilds() == 1, "no rebuild to snapshot");
-        let image = |rj: &ReservoirJoin| {
-            let mut enc = Encoder::new();
-            rj.snapshot_to(&mut enc);
-            enc.into_bytes()
-        };
+        let image = |rj: &ReservoirJoin| rj.snapshot_state().unwrap();
         let bytes = image(&rj);
         let mut restored = build();
-        let mut dec = Decoder::new(&bytes);
-        restored.restore_from_snapshot(&mut dec).unwrap();
-        dec.finish().unwrap();
+        restored.restore_state(&bytes).unwrap();
         assert_eq!(image(&restored), bytes, "restore lost rebuilt state");
         assert_eq!(restored.rebuilds(), 1);
         let mut rng = RsjRng::seed_from_u64(6);
@@ -872,12 +816,9 @@ mod tests {
                 }
             }
         }
-        let mut enc = Encoder::new();
-        rj.snapshot_to(&mut enc);
-        let bytes = enc.into_bytes();
+        let bytes = rj.snapshot_state().unwrap();
         let mut restored = ReservoirJoin::new(line3(), 8, 42).unwrap();
-        let mut dec = Decoder::new(&bytes);
-        restored.restore_from_snapshot(&mut dec).unwrap();
+        restored.restore_state(&bytes).unwrap();
         assert_eq!(rj.samples(), restored.samples());
         assert_eq!(rj.inserts(), restored.inserts());
         assert_eq!(rj.deletes(), restored.deletes());
@@ -900,9 +841,7 @@ mod tests {
         }
         // A wrong-k target rejects the snapshot.
         let mut wrong_k = ReservoirJoin::new(line3(), 9, 42).unwrap();
-        assert!(wrong_k
-            .restore_from_snapshot(&mut Decoder::new(&bytes))
-            .is_err());
+        assert!(wrong_k.restore_state(&bytes).is_err());
     }
 
     #[test]

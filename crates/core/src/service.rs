@@ -657,7 +657,9 @@ impl SamplerService {
     /// with the same parameters it was originally registered with
     /// (returning `None` rejects the snapshot). Registration ids must be
     /// distinct and below the image's next id, or a later registration
-    /// could mint a live handle again. A fresh epoch is published for
+    /// could mint a live handle again. `dec` holds the image and nothing
+    /// after it: its end is checked before anything is assigned, so an
+    /// `Err` leaves the service unchanged. A fresh epoch is published for
     /// every member, so readers attached afterwards see the restored
     /// state immediately.
     pub fn restore_from_snapshot(
@@ -727,6 +729,7 @@ impl SamplerService {
             let cell = Arc::new(EpochCell::new(4 + k * arity));
             boxed.push(BoxedMember { id, sampler, cell });
         }
+        dec.finish()?;
         self.store = store;
         self.groups = groups;
         self.boxed = boxed;
@@ -769,9 +772,7 @@ impl Durable for SamplerService {
     }
 
     fn restore(&mut self, image: &[u8], rebuild: &mut RebuildFn) -> Result<(), CodecError> {
-        let mut dec = Decoder::new(image);
-        self.restore_from_snapshot(&mut dec, rebuild)?;
-        dec.finish()
+        self.restore_from_snapshot(&mut Decoder::new(image), rebuild)
     }
 }
 

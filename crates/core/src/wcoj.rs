@@ -374,29 +374,37 @@ impl BagJoin {
         }
     }
 
-    /// Restores contents produced by [`BagJoin::snapshot_to`] into a bag
-    /// built with the same structure. On error the receiver may be partially
-    /// overwritten and must be discarded.
-    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let n = dec.seq_len(2)?;
-        if n != self.rels.len() {
+    /// A bag with `self`'s structure holding the contents
+    /// [`BagJoin::snapshot_to`] wrote; `self` is not changed.
+    pub fn restore_from(&self, dec: &mut Decoder) -> Result<BagJoin, CodecError> {
+        if dec.seq_len(2)? != self.rels.len() {
             return Err(CodecError::Corrupt("bag relation count mismatch"));
         }
-        for r in &mut self.rels {
+        let mut rels = Vec::with_capacity(self.rels.len());
+        for r in &self.rels {
             let depth = r.attr_order_idx.len();
-            r.trie = HashTrie::new(depth);
+            let mut trie = HashTrie::new(depth);
             let count = dec.seq_len(2)?;
             for _ in 0..count {
                 let t = dec.u64s()?;
                 if t.len() != depth {
                     return Err(CodecError::Corrupt("bag tuple arity mismatch"));
                 }
-                if !r.trie.insert(&t) {
+                if !trie.insert(&t) {
                     return Err(CodecError::Corrupt("duplicate bag tuple in snapshot"));
                 }
             }
+            rels.push(BagRel {
+                trie,
+                attr_order_idx: r.attr_order_idx.clone(),
+                schema_positions: r.schema_positions.clone(),
+            });
         }
-        Ok(())
+        Ok(BagJoin {
+            num_attrs: self.num_attrs,
+            rels,
+            attr_rels: self.attr_rels.clone(),
+        })
     }
 }
 

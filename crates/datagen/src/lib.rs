@@ -6,8 +6,7 @@
 //! LDBC-SNB. None of those artifacts can be redistributed here, so this
 //! crate generates seeded synthetic equivalents that preserve the
 //! properties the algorithms are sensitive to — degree skew, foreign-key
-//! structure, and cardinality ratios (see DESIGN.md, "Simulated
-//! substitutions"):
+//! structure, and cardinality ratios:
 //!
 //! * [`graph`] — Zipf-degree directed graphs standing in for Epinions, plus
 //!   the per-relation shuffle streaming protocol;

@@ -104,11 +104,6 @@ impl DeltaBatch<'_> {
         self.rel
     }
 
-    /// The generating tuple.
-    pub fn tuple_id(&self) -> TupleId {
-        self.tid
-    }
-
     /// The element at position `z`, written as one tuple id per relation
     /// into `ids` (length: the query's relation count). Returns `false`
     /// for a dummy position, leaving `ids` unspecified.

@@ -15,7 +15,7 @@
 //! [`TestSleeper`] so retried backoff costs no wall-clock and the delay
 //! sequence itself becomes an assertable artifact.
 
-use rsj_common::codec::CodecError;
+use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::RsjRng;
 use rsj_common::{FxHashMap, Value};
 use rsj_query::Query;
@@ -321,12 +321,16 @@ impl<S: JoinSampler> JoinSampler for Imageless<S> {
         self.inner.stats()
     }
 
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        self.inner.snapshot_state().filter(|_| self.image)
+    fn snapshot_to(&self, enc: &mut Encoder) {
+        self.inner.snapshot_to(enc)
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        self.inner.restore_state(bytes)
+    fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
+        self.inner.restore_from(dec)
+    }
+
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        self.inner.snapshot_state().filter(|_| self.image)
     }
 }
 

@@ -55,8 +55,8 @@ fn main() {
     let mut crj = CyclicReservoirJoin::new(tri, 20, 9).expect("GHD found");
     println!(
         "\ntriangles: GHD width {} ({} bag(s))",
-        crj.ghd().width(),
-        crj.ghd().bags().len()
+        crj.rewrite().ghd().width(),
+        crj.rewrite().ghd().bags().len()
     );
     // Stream the same edge set into all three aliases, shuffled.
     let stream = rsjoin::datagen::graph::stream_from_edges(&edges, 3, 3);
@@ -66,10 +66,10 @@ fn main() {
     println!(
         "  {} triangle closures observed (simulated bag stream); \
          {} samples held:",
-        crj.bag_tuples(),
+        crj.rewrite().bag_tuples(),
         crj.samples().len()
     );
-    for s in crj.sample_named().iter().take(5) {
+    for s in crj.samples_named().iter().take(5) {
         let vals: Vec<String> = s.iter().map(|(n, v)| format!("{n}={v}")).collect();
         println!("    {}", vals.join(" "));
     }

@@ -246,9 +246,9 @@ impl Engine {
             }
             Engine::SJoinOpt => {
                 reject_plan()?;
-                SJoinOpt::new(query, &fks(), k, seed)
+                SJoinOpt::combined(self.name(), query, &fks(), |q| SJoin::new(q, k, seed))
                     .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
-                    .map_err(EngineError::Build)
+                    .map_err(|e| EngineError::Build(e.to_string()))
             }
             Engine::Symmetric => {
                 reject_plan()?;

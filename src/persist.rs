@@ -455,11 +455,6 @@ impl PersistentService {
     pub fn service_mut(&mut self) -> &mut SamplerService {
         self.0.engine_mut()
     }
-
-    /// Unwraps the service, dropping durability.
-    pub fn into_service(self) -> SamplerService {
-        self.0.into_engine()
-    }
 }
 
 impl Deref for PersistentService {

@@ -230,7 +230,7 @@ proptest! {
                 db.relation_mut(t.relation).insert(&t.values);
             }
             let brute = brute_join_named(&q, &live).len() as u128;
-            prop_assert_eq!(crj.exact_result_count(), brute, "driver, step {}", step);
+            prop_assert_eq!(crj.exact_count(), brute, "driver, step {}", step);
             prop_assert_eq!(exact_result_count(&q, &db), brute, "backtracking, step {}", step);
         }
     }
@@ -335,11 +335,9 @@ proptest! {
 
             // A restore starts unanchored; the twin and the original then
             // count (and sample) identically through more churn.
-            let mut enc = Encoder::new();
-            rj.snapshot_to(&mut enc);
-            let bytes = enc.into_bytes();
+            let bytes = rj.snapshot_state().unwrap();
             let mut twin = driver(&q, &tree, root, grouping);
-            twin.restore_from_snapshot(&mut Decoder::new(&bytes)).unwrap();
+            twin.restore_state(&bytes).unwrap();
             for (step, op) in bursty_ops(&q, 40, dom, &mut rng).iter().enumerate() {
                 if op.is_delete() && !live[op.tuple().relation].contains(&op.tuple().values) {
                     continue;

@@ -7,7 +7,7 @@
 //! reused row — and `heap_size()` must agree with the bytes the allocator
 //! holds for it.
 
-use rsjoin::core::FkCombiner;
+use rsjoin::core::{FkCombiner, Rewrite};
 use rsjoin::query::CombinePlan;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,7 +64,7 @@ fn combiner_allocates_almost_nothing_per_op_and_reports_its_heap() {
     let mut combiner = FkCombiner::new(plan);
     let mut emitted = 0u64;
     for t in &ops {
-        combiner.process(t.relation, &t.values, |_, _| emitted += 1);
+        combiner.insert(t.relation, &t.values, |_, _| emitted += 1);
     }
     COUNTING.with(|c| c.set(false));
 

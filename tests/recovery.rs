@@ -745,6 +745,77 @@ fn service_snapshot_that_could_hand_out_a_live_handle_twice_is_rejected_whole() 
     }
 }
 
+/// Image `a` cut at `len − 1`, `len − 9` and `len / 2`, and with one
+/// trailing byte.
+fn mangled(a: &[u8]) -> Vec<Vec<u8>> {
+    let mut cuts: Vec<Vec<u8>> = [a.len() - 1, a.len() - 9, a.len() / 2]
+        .map(|n| a[..n].to_vec())
+        .into();
+    cuts.push([a, &[0]].concat());
+    cuts
+}
+
+/// A restore that returns `Err` changes nothing. Image A, mangled, is
+/// restored into a receiver holding image B: every engine and the service
+/// must reject it and still hold B, byte for byte — whether the image
+/// stops short (the reader fails midway) or runs on (every reader
+/// succeeds and only the end check fails).
+#[test]
+fn a_failed_restore_leaves_the_receiver_as_it_was() {
+    use rsjoin::core::Durable;
+    for (engine, query) in recovery_engines() {
+        let run = |seed: u64| {
+            let mut s = build(&engine, &query);
+            for op in &turnstile_ops(&query, 200, 6, seed) {
+                s.process_op(op).unwrap();
+            }
+            s
+        };
+        let a = run(1).snapshot_state().unwrap();
+        let mut receiver = run(2);
+        let b = receiver.snapshot_state().unwrap();
+        assert_ne!(a, b, "{engine}: the two streams must differ");
+        for hostile in mangled(&a) {
+            let len = hostile.len();
+            assert!(
+                receiver.restore_state(&hostile).is_err(),
+                "{engine}: {len} bytes"
+            );
+            assert!(
+                receiver.snapshot_state().unwrap() == b,
+                "{engine}: a failed restore of {len} bytes changed the receiver"
+            );
+        }
+    }
+
+    let query = line3();
+    let mut rebuild = |name: &str, _k: usize| -> Option<BoxedSampler> {
+        (name == "RSJoin_opt").then(|| build(&Engine::FkReservoir, &line3()))
+    };
+    let run = |seed: u64| {
+        let mut svc = SamplerService::new(query.clone());
+        svc.register(&query, &QueryOpts::new(8, 1)).unwrap();
+        svc.register_sampler(build(&Engine::FkReservoir, &query))
+            .unwrap();
+        for op in &turnstile_ops(&query, 200, 6, seed) {
+            svc.process_op(op).unwrap();
+        }
+        svc
+    };
+    let a = run(1).image().unwrap();
+    let mut receiver = run(2);
+    let b = receiver.image().unwrap();
+    for hostile in mangled(&a) {
+        let len = hostile.len();
+        assert!(Durable::restore(&mut receiver, &hostile, &mut rebuild).is_err());
+        assert!(
+            receiver.image().unwrap() == b,
+            "service: a failed restore of {len} bytes changed the receiver"
+        );
+    }
+    Durable::restore(&mut receiver, &a, &mut rebuild).unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Foreign-key engines: primary keys and combiner images
 // ---------------------------------------------------------------------------
