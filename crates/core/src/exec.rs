@@ -19,7 +19,6 @@
 
 use crate::group::Group;
 use crate::reservoir_join::ReservoirJoin;
-use crate::service::RebuildFn;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::Value;
 use rsj_query::Query;
@@ -215,15 +214,14 @@ pub trait JoinSampler {
     /// before it assigns anything, so an `Err` leaves `self` unchanged.
     fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError>;
 
-    /// The [`snapshot_to`](JoinSampler::snapshot_to) image as bytes.
+    /// The [`snapshot_to`](JoinSampler::snapshot_to) image as bytes;
+    /// always `Some`.
     ///
-    /// `None` means exactly one thing: the sampler is a wrapper with no
-    /// canonical image *right now*. No engine in this workspace returns it;
-    /// callers (checkpointing, the service) still report it as a failed
-    /// snapshot and keep their previous one. This method and
-    /// [`restore_state`](JoinSampler::restore_state) stay on the trait, and
-    /// the `Option` with them, because the repo benchmark (`benchmark/`,
-    /// which changes only in its own commits) calls them.
+    /// The `Option` is kept only because the repo benchmark (`benchmark/`,
+    /// which changes only in its own commits) calls `.expect` on it; nothing
+    /// in the library reads a `None`. This method and
+    /// [`restore_state`](JoinSampler::restore_state) stay on the trait
+    /// because that benchmark calls them.
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         let mut enc = Encoder::new();
         self.snapshot_to(&mut enc);
@@ -314,10 +312,6 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
     fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
         (**self).restore_from(dec)
     }
-
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        (**self).snapshot_state()
-    }
 }
 
 /// What the facade's durability wrapper (`rsjoin::persist::Persistent`)
@@ -341,14 +335,13 @@ pub trait Durable {
     /// Applies one op.
     fn apply(&mut self, op: &StreamOp) -> Result<(), Self::Error>;
 
-    /// The canonical state image, or the name of the engine that has no
-    /// image right now (see [`JoinSampler::snapshot_state`]).
-    fn image(&self) -> Result<Vec<u8>, &'static str>;
+    /// The canonical state image.
+    fn image(&self) -> Vec<u8>;
 
     /// Restores an [`image`](Durable::image) into `self`, freshly built
-    /// with the original construction parameters. The service rebuilds
-    /// its boxed members through `rebuild`; engines ignore it.
-    fn restore(&mut self, image: &[u8], rebuild: &mut RebuildFn) -> Result<(), CodecError>;
+    /// with the original construction parameters; an `Err` leaves `self`
+    /// unchanged.
+    fn restore(&mut self, image: &[u8]) -> Result<(), CodecError>;
 }
 
 impl<S: JoinSampler> Durable for S {
@@ -366,11 +359,13 @@ impl<S: JoinSampler> Durable for S {
         self.process_op(op)
     }
 
-    fn image(&self) -> Result<Vec<u8>, &'static str> {
-        self.snapshot_state().ok_or(self.name())
+    fn image(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        self.snapshot_to(&mut enc);
+        enc.into_bytes()
     }
 
-    fn restore(&mut self, image: &[u8], _rebuild: &mut RebuildFn) -> Result<(), CodecError> {
+    fn restore(&mut self, image: &[u8]) -> Result<(), CodecError> {
         self.restore_state(image)
     }
 }

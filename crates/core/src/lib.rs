@@ -46,6 +46,6 @@ pub use reservoir_join::{ReplanPolicy, ReservoirJoin};
 pub use rewrite::{Rewrite, Rewritten};
 pub use sampler_facade::DynamicSampleIndex;
 pub use service::{
-    QueryHandle, QueryOpts, RebuildFn, SampleReader, SampleSnapshot, SamplerService, ServiceError,
+    QueryHandle, QueryOpts, SampleReader, SampleSnapshot, SamplerService, ServiceError,
     ServiceOpts, SERVICE_ENGINE,
 };

@@ -19,8 +19,8 @@
 //! per (canonical tree edges, [`IndexOptions`])**; members of a group
 //! freely differ in root, `k`, and seed. Registering 16 same-tree queries
 //! costs one index insert per op plus 16 cheap reservoir consumptions —
-//! not 16 index inserts. The service itself holds only the groups, each
-//! member's registration id and epoch cell, and the boxed members.
+//! not 16 index inserts. The service itself holds only the groups and each
+//! member's registration id and epoch cell.
 //!
 //! # Registration dataflow
 //!
@@ -34,11 +34,12 @@
 //! joins its group (or the fresh group becomes a new one). Registration
 //! cost is `O(history)`; ingest cost is unchanged.
 //!
-//! Engines other than the shared `RSJoin` core enter through
-//! [`register_sampler`](SamplerService::register_sampler): resident, with
-//! backfill and epoch reads, but no storage sharing (they own their state
-//! behind [`JoinSampler`]). Every op is schema-checked against the
-//! universe **before** it is applied to anyone, so the service never
+//! Every member is an index group's reservoir, so the service serves
+//! acyclic queries only. Cyclic queries (`RSJoin_cyclic`) and the
+//! foreign-key rewrite (`RSJoin_opt`) run as engines
+//! ([`JoinSampler`](crate::JoinSampler)), standalone or under the
+//! durability wrapper. Every op is schema-checked against the
+//! universe **before** it is applied to any group, so the service never
 //! half-applies an op.
 //!
 //! # The epoch-read invariant
@@ -63,7 +64,7 @@
 //! next accepted op on that index forgets it. The memo is transient: never
 //! serialized, rebuilt on demand after a restore.
 
-use crate::exec::{apply_op, check_schema, Durable, JoinSampler};
+use crate::exec::{check_schema, Durable};
 use crate::group::Group;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::RsjRng;
@@ -134,11 +135,6 @@ impl QueryHandle {
     }
 }
 
-/// Rebuilds a boxed engine from its snapshot identity `(name, k)` during
-/// [`restore_from_snapshot`](SamplerService::restore_from_snapshot);
-/// returning `None` rejects the snapshot.
-pub type RebuildFn = dyn FnMut(&str, usize) -> Option<Box<dyn JoinSampler + Send>>;
-
 /// A registration or ingest failure. Failed calls leave the service
 /// unchanged.
 #[derive(Debug)]
@@ -147,9 +143,8 @@ pub enum ServiceError {
     UniverseMismatch,
     /// Reservoir capacity `k = 0`.
     ZeroCapacity,
-    /// The query is cyclic — the shared path needs a join tree (cyclic
-    /// queries go through [`SamplerService::register_sampler`] with the
-    /// GHD engine).
+    /// The query is cyclic — an index group needs a join tree. Cyclic
+    /// queries run as the GHD engine (`RSJoin_cyclic`), not in the service.
     Cyclic,
     /// An explicit plan's tree or root does not fit the universe.
     PlanMismatch,
@@ -160,10 +155,6 @@ pub enum ServiceError {
     Store(SharedStoreError),
     /// The handle names no live registration.
     UnknownHandle(u64),
-    /// A service snapshot was requested while the named boxed engine had
-    /// no canonical image (a wrapper whose `snapshot_state` returned
-    /// `None`); nothing was written.
-    SnapshotUnavailable(&'static str),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -182,9 +173,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Index(e) => write!(f, "index construction failed: {e}"),
             ServiceError::Store(e) => write!(f, "op rejected: {e}"),
             ServiceError::UnknownHandle(id) => write!(f, "no live registration with id {id}"),
-            ServiceError::SnapshotUnavailable(engine) => {
-                write!(f, "{engine} has no state image to snapshot right now")
-            }
         }
     }
 }
@@ -200,13 +188,6 @@ struct Shared {
 
 struct Member {
     id: u64,
-    cell: Arc<EpochCell>,
-}
-
-/// One boxed-engine member: resident and backfilled, but unshared.
-struct BoxedMember {
-    id: u64,
-    sampler: Box<dyn JoinSampler + Send>,
     cell: Arc<EpochCell>,
 }
 
@@ -238,7 +219,6 @@ pub struct SamplerService {
     universe: Query,
     store: SharedStore,
     groups: Vec<Shared>,
-    boxed: Vec<BoxedMember>,
     next_id: u64,
     publish_every: u64,
     ops_since_publish: u64,
@@ -263,7 +243,6 @@ impl SamplerService {
             universe,
             store: SharedStore::new(schema),
             groups: Vec::new(),
-            boxed: Vec::new(),
             next_id: 1,
             publish_every: opts.publish_every,
             ops_since_publish: 0,
@@ -286,9 +265,9 @@ impl SamplerService {
         self.store.lsn()
     }
 
-    /// Live registrations (shared and boxed).
+    /// Live registrations.
     pub fn num_queries(&self) -> usize {
-        self.groups.iter().map(|s| s.members.len()).sum::<usize>() + self.boxed.len()
+        self.groups.iter().map(|s| s.members.len()).sum()
     }
 
     /// Live index groups — `num_queries()` registrations share exactly
@@ -297,13 +276,12 @@ impl SamplerService {
         self.groups.len()
     }
 
-    /// Handles of every live registration, in registration order per path.
+    /// Handles of every live registration, in registration order.
     pub fn handles(&self) -> Vec<QueryHandle> {
         let mut out: Vec<QueryHandle> = self
             .groups
             .iter()
             .flat_map(|s| s.members.iter().map(|m| QueryHandle(m.id)))
-            .chain(self.boxed.iter().map(|b| QueryHandle(b.id)))
             .collect();
         out.sort_by_key(|h| h.0);
         out
@@ -380,52 +358,17 @@ impl SamplerService {
         Ok(QueryHandle(id))
     }
 
-    /// Registers an arbitrary engine (any [`JoinSampler`] built over the
-    /// service universe) as a resident member: backfilled from the
-    /// retained history and published to its own epoch cell, but with no
-    /// storage sharing.
-    pub fn register_sampler(
-        &mut self,
-        sampler: Box<dyn JoinSampler + Send>,
-    ) -> Result<QueryHandle, ServiceError> {
-        self.check_universe(sampler.input_query())?;
-        if sampler.k() == 0 {
-            return Err(ServiceError::ZeroCapacity);
-        }
-        let arity = sampler.output_query().num_attrs();
-        let mut member = BoxedMember {
-            id: self.admit(),
-            cell: Arc::new(EpochCell::new(4 + sampler.k() * arity)),
-            sampler,
-        };
-        // The history was checked against the universe op by op, and the
-        // engine takes exactly the universe's tuples.
-        for op in self.store.history().iter() {
-            apply_op(&mut member.sampler, op);
-        }
-        let id = member.id;
-        self.boxed.push(member);
-        self.publish();
-        Ok(QueryHandle(id))
-    }
-
     /// Removes a registration, releasing its store references; the last
     /// member out of an index group drops the group's index with it.
     pub fn deregister(&mut self, handle: QueryHandle) -> Result<(), ServiceError> {
-        let nrels = self.universe.num_relations();
-        if let Some((gi, mi)) = self.find_shared(handle.0) {
-            let s = &mut self.groups[gi];
-            s.group.members.remove(mi);
-            s.members.remove(mi);
-            if s.members.is_empty() {
-                self.groups.remove(gi);
-            }
-        } else if let Some(bi) = self.find_boxed(handle.0) {
-            self.boxed.remove(bi);
-        } else {
-            return Err(ServiceError::UnknownHandle(handle.0));
+        let (gi, mi) = self.find(handle)?;
+        let s = &mut self.groups[gi];
+        s.group.members.remove(mi);
+        s.members.remove(mi);
+        if s.members.is_empty() {
+            self.groups.remove(gi);
         }
-        for rel in 0..nrels {
+        for rel in 0..self.universe.num_relations() {
             self.store
                 .release(rel)
                 .expect("registration held one reference per relation");
@@ -435,29 +378,28 @@ impl SamplerService {
 
     /// Whether `handle` names a live registration.
     pub fn registered(&self, handle: QueryHandle) -> bool {
-        self.find_shared(handle.0).is_some() || self.find_boxed(handle.0).is_some()
+        self.find(handle).is_ok()
     }
 
-    fn find_shared(&self, id: u64) -> Option<(usize, usize)> {
+    /// The `(group, member)` position of a live registration.
+    fn find(&self, handle: QueryHandle) -> Result<(usize, usize), ServiceError> {
         self.groups
             .iter()
             .enumerate()
-            .find_map(|(gi, s)| s.members.iter().position(|m| m.id == id).map(|mi| (gi, mi)))
+            .find_map(|(gi, s)| {
+                let mi = s.members.iter().position(|m| m.id == handle.0)?;
+                Some((gi, mi))
+            })
+            .ok_or(ServiceError::UnknownHandle(handle.0))
     }
 
-    fn find_boxed(&self, id: u64) -> Option<usize> {
-        self.boxed.iter().position(|b| b.id == id)
-    }
-
-    /// The checks [`process_op`](SamplerService::process_op) performs
+    /// The check [`process_op`](SamplerService::process_op) performs
     /// before any mutation, without applying anything — what the
     /// durability wrapper runs before logging an op, so nothing ever
-    /// reaches the WAL that replay would reject: the universe's schema,
-    /// then every boxed member's own [`JoinSampler::check_op`].
+    /// reaches the WAL that replay would reject: the op must fit the
+    /// universe's schema.
     pub fn validate_op(&self, op: &StreamOp) -> Result<(), ServiceError> {
-        check_schema(&self.universe, op)
-            .and_then(|()| self.boxed.iter().try_for_each(|b| b.sampler.check_op(op)))
-            .map_err(ServiceError::Store)
+        check_schema(&self.universe, op).map_err(ServiceError::Store)
     }
 
     /// Ingests one op: validate, retain, apply to every registration,
@@ -476,9 +418,6 @@ impl SamplerService {
         let op = &self.store.history().ops()[lsn as usize];
         for s in &mut self.groups {
             s.group.apply(op);
-        }
-        for b in &mut self.boxed {
-            apply_op(&mut b.sampler, op);
         }
         self.ops_since_publish += 1;
         self.maybe_publish();
@@ -505,8 +444,8 @@ impl SamplerService {
     /// cell — the only write side of the reader path. A group's exact
     /// count comes from its memo (see the [module docs](self)), so a
     /// publish point right after a delete repair counts nothing again. A
-    /// shared member's payload is the four header words plus one copy of
-    /// its flat sample buffer.
+    /// member's payload is the four header words `[lsn, |Q(R)| low, high,
+    /// sample count]` plus one copy of its flat sample buffer.
     pub fn publish(&mut self) {
         self.ops_since_publish = 0;
         let lsn = self.store.lsn();
@@ -515,121 +454,64 @@ impl SamplerService {
             let population = s.group.population();
             for (m, core) in s.members.iter().zip(&s.group.members) {
                 let samples = core.reservoir.samples();
-                Self::begin_payload(words, &m.cell, lsn, population, samples.len());
+                words.clear();
+                words.reserve(m.cell.capacity());
+                words.push(lsn);
+                words.push(population as u64);
+                words.push((population >> 64) as u64);
+                words.push(samples.len() as u64);
                 words.extend_from_slice(samples.flat());
                 m.cell.publish(words);
             }
         }
-        for b in &self.boxed {
-            let samples = b.sampler.samples();
-            Self::begin_payload(words, &b.cell, lsn, b.sampler.exact_count(), samples.len());
-            for s in &samples {
-                words.extend_from_slice(s);
-            }
-            b.cell.publish(words);
-        }
-    }
-
-    /// Starts `cell`'s next payload in `words`: the four header words the
-    /// sample rows follow.
-    fn begin_payload(
-        words: &mut Vec<u64>,
-        cell: &EpochCell,
-        lsn: u64,
-        population: u128,
-        samples: usize,
-    ) {
-        words.clear();
-        words.reserve(cell.capacity());
-        words.push(lsn);
-        words.push(population as u64);
-        words.push((population >> 64) as u64);
-        words.push(samples as u64);
     }
 
     /// A clonable, thread-safe reader over the registration's epoch cell.
     /// Readers stay valid (serving the last published epoch) after the
     /// registration is deregistered.
     pub fn reader(&self, handle: QueryHandle) -> Result<SampleReader, ServiceError> {
-        if let Some((gi, mi)) = self.find_shared(handle.0) {
-            let s = &self.groups[gi];
-            Ok(SampleReader {
-                cell: Arc::clone(&s.members[mi].cell),
-                arity: self.universe.num_attrs(),
-                k: s.group.members[mi].reservoir.capacity(),
-            })
-        } else if let Some(bi) = self.find_boxed(handle.0) {
-            let b = &self.boxed[bi];
-            Ok(SampleReader {
-                cell: Arc::clone(&b.cell),
-                arity: b.sampler.output_query().num_attrs(),
-                k: b.sampler.k(),
-            })
-        } else {
-            Err(ServiceError::UnknownHandle(handle.0))
-        }
+        let (gi, mi) = self.find(handle)?;
+        let s = &self.groups[gi];
+        Ok(SampleReader {
+            cell: Arc::clone(&s.members[mi].cell),
+            arity: self.universe.num_attrs(),
+            k: s.group.members[mi].reservoir.capacity(),
+        })
     }
 
     /// The registration's current samples (owner-side read; readers use
     /// [`reader`](SamplerService::reader)).
     pub fn samples(&self, handle: QueryHandle) -> Result<Vec<Vec<Value>>, ServiceError> {
-        if let Some((gi, mi)) = self.find_shared(handle.0) {
-            Ok(self.groups[gi].group.members[mi]
-                .reservoir
-                .samples()
-                .to_vec())
-        } else if let Some(bi) = self.find_boxed(handle.0) {
-            Ok(self.boxed[bi].sampler.samples())
-        } else {
-            Err(ServiceError::UnknownHandle(handle.0))
-        }
+        let (gi, mi) = self.find(handle)?;
+        Ok(self.groups[gi].group.members[mi]
+            .reservoir
+            .samples()
+            .to_vec())
     }
 
-    /// Exact live `|Q(R)|` for the registration. Shared registrations read
-    /// their group's memo — one index pass per accepted op however many
-    /// handles ask; boxed ones ask their engine
-    /// ([`JoinSampler::exact_count`]).
+    /// Exact live `|Q(R)|` for the registration, read from its group's
+    /// memo — one index pass per accepted op however many handles ask.
     pub fn exact_count(&self, handle: QueryHandle) -> Result<u128, ServiceError> {
-        if let Some((gi, _)) = self.find_shared(handle.0) {
-            Ok(self.groups[gi].group.population())
-        } else if let Some(bi) = self.find_boxed(handle.0) {
-            Ok(self.boxed[bi].sampler.exact_count())
-        } else {
-            Err(ServiceError::UnknownHandle(handle.0))
-        }
+        let (gi, _) = self.find(handle)?;
+        Ok(self.groups[gi].group.population())
     }
 
     /// Structural heap bytes: retained store + shared indexes + per-member
-    /// reservoirs and cells + boxed engines. With zero registrations this
-    /// is exactly `store().heap_size()` — the baseline the leak property
-    /// test measures against.
+    /// reservoirs and cells. With zero registrations this is exactly
+    /// `store().heap_size()` — the baseline the leak property test
+    /// measures against.
     pub fn heap_size(&self) -> usize {
         let mut total = self.store.heap_size();
         for s in &self.groups {
             total += s.group.heap_size();
             total += s.members.iter().map(|m| m.cell.heap_size()).sum::<usize>();
         }
-        for b in &self.boxed {
-            total += b.sampler.stats().heap_bytes.unwrap_or(0) + b.cell.heap_size();
-        }
         total
     }
 
-    /// Serializes the whole service: store, groups (each member's image
-    /// tagged with its registration id), and boxed members (engine state
-    /// bytes). Fails with [`ServiceError::SnapshotUnavailable`], before
-    /// the first byte reaches `enc`, if any boxed engine has no image
-    /// right now.
-    pub fn snapshot_to(&self, enc: &mut Encoder) -> Result<(), ServiceError> {
-        let boxed_states = self
-            .boxed
-            .iter()
-            .map(|b| {
-                b.sampler
-                    .snapshot_state()
-                    .ok_or(ServiceError::SnapshotUnavailable(b.sampler.name()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    /// Serializes the whole service: the store, then the groups, each
+    /// member's image tagged with its registration id.
+    pub fn snapshot_to(&self, enc: &mut Encoder) {
         self.store.snapshot_to(enc);
         enc.put_u64(self.next_id);
         enc.put_u64(self.publish_every);
@@ -639,34 +521,19 @@ impl SamplerService {
             s.group
                 .snapshot_to(enc, |mi, enc| enc.put_u64(s.members[mi].id));
         }
-        enc.put_usize(self.boxed.len());
-        for (b, state) in self.boxed.iter().zip(&boxed_states) {
-            enc.put_u64(b.id);
-            enc.put_str(b.sampler.name());
-            enc.put_usize(b.sampler.k());
-            enc.put_bytes(state);
-        }
-        Ok(())
     }
 
     /// Restores a service written by
     /// [`snapshot_to`](SamplerService::snapshot_to) into `self`, which
     /// must have been built over the same universe; any prior
-    /// registrations of `self` are discarded. Boxed members are rebuilt
-    /// through `rebuild(engine_name, k)`, which must construct each engine
-    /// with the same parameters it was originally registered with
-    /// (returning `None` rejects the snapshot). Registration ids must be
+    /// registrations of `self` are discarded. Registration ids must be
     /// distinct and below the image's next id, or a later registration
     /// could mint a live handle again. `dec` holds the image and nothing
     /// after it: its end is checked before anything is assigned, so an
     /// `Err` leaves the service unchanged. A fresh epoch is published for
     /// every member, so readers attached afterwards see the restored
     /// state immediately.
-    pub fn restore_from_snapshot(
-        &mut self,
-        dec: &mut Decoder,
-        rebuild: &mut RebuildFn,
-    ) -> Result<(), CodecError> {
+    pub fn restore_from_snapshot(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
         let store = SharedStore::restore_from(dec)?;
         let expected: Vec<(String, usize)> = self
             .universe
@@ -708,31 +575,9 @@ impl SamplerService {
                 .collect();
             groups.push(Shared { group, members });
         }
-        let nboxed = dec.seq_len(1)?;
-        let mut boxed = Vec::with_capacity(nboxed);
-        for _ in 0..nboxed {
-            let id = fresh_id(dec.u64()?)?;
-            let name = dec.str()?.to_string();
-            let k = dec.usize()?;
-            let state = dec.bytes()?.to_vec();
-            let mut sampler = rebuild(&name, k).ok_or(CodecError::Corrupt(
-                "no builder for boxed engine in snapshot",
-            ))?;
-            let fits = self.check_universe(sampler.input_query()).is_ok();
-            if sampler.name() != name || sampler.k() != k || !fits {
-                return Err(CodecError::Corrupt(
-                    "rebuilt engine does not match snapshot",
-                ));
-            }
-            sampler.restore_state(&state)?;
-            let arity = sampler.output_query().num_attrs();
-            let cell = Arc::new(EpochCell::new(4 + k * arity));
-            boxed.push(BoxedMember { id, sampler, cell });
-        }
         dec.finish()?;
         self.store = store;
         self.groups = groups;
-        self.boxed = boxed;
         self.next_id = next_id;
         self.publish_every = publish_every;
         self.ops_since_publish = ops_since_publish;
@@ -762,17 +607,14 @@ impl Durable for SamplerService {
         self.process_op(op).map(drop)
     }
 
-    fn image(&self) -> Result<Vec<u8>, &'static str> {
+    fn image(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        self.snapshot_to(&mut enc).map_err(|e| match e {
-            ServiceError::SnapshotUnavailable(name) => name,
-            _ => unreachable!("snapshot_to fails only for a missing image"),
-        })?;
-        Ok(enc.into_bytes())
+        self.snapshot_to(&mut enc);
+        enc.into_bytes()
     }
 
-    fn restore(&mut self, image: &[u8], rebuild: &mut RebuildFn) -> Result<(), CodecError> {
-        self.restore_from_snapshot(&mut Decoder::new(image), rebuild)
+    fn restore(&mut self, image: &[u8]) -> Result<(), CodecError> {
+        self.restore_from_snapshot(&mut Decoder::new(image))
     }
 }
 
@@ -876,6 +718,7 @@ impl SampleSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::JoinSampler;
     use crate::reservoir_join::{ReplanPolicy, ReservoirJoin};
     use rsj_query::QueryBuilder;
     use rsj_storage::OpStream;
@@ -968,7 +811,7 @@ mod tests {
             rj.process_op_batch(ops.ops()).unwrap();
             assert_eq!(
                 svc.samples(*h).unwrap(),
-                crate::exec::JoinSampler::samples(&rj),
+                JoinSampler::samples(&rj),
                 "member {i} diverged from its standalone twin"
             );
             assert_eq!(svc.exact_count(*h).unwrap(), rj.index().exact_count());
@@ -1032,24 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_member_is_resident_and_counted() {
-        let q = line3();
-        let mut svc = SamplerService::new(q.clone());
-        svc.process(0, &[1, 10]).unwrap();
-        let h = svc
-            .register_sampler(Box::new(ReservoirJoin::new(q.clone(), 8, 3).unwrap()))
-            .unwrap();
-        svc.process(1, &[10, 20]).unwrap();
-        svc.process(2, &[20, 30]).unwrap();
-        assert_eq!(svc.exact_count(h).unwrap(), 1);
-        assert_eq!(svc.samples(h).unwrap(), vec![vec![1, 10, 20, 30]]);
-        svc.delete(1, &[10, 20]).unwrap();
-        assert_eq!(svc.exact_count(h).unwrap(), 0);
-        svc.deregister(h).unwrap();
-        assert_eq!(svc.store().live_refs(), 0);
-    }
-
-    #[test]
     fn reader_snapshot_decodes_published_state() {
         let q = line3();
         let mut svc = SamplerService::new(q.clone());
@@ -1082,21 +907,18 @@ mod tests {
             svc.process_op(op).unwrap();
         }
         svc.register(&q, &QueryOpts::new(3, 9)).unwrap();
-        svc.register_sampler(Box::new(ReservoirJoin::new(q.clone(), 4, 7).unwrap()))
-            .unwrap();
+        let mut ungrouped = QueryOpts::new(4, 7);
+        ungrouped.index = IndexOptions { grouping: false };
+        svc.register(&q, &ungrouped).unwrap();
+        assert_eq!(svc.num_groups(), 2);
         let mut enc = Encoder::new();
-        svc.snapshot_to(&mut enc).unwrap();
+        svc.snapshot_to(&mut enc);
         let bytes = enc.into_bytes();
         let mut back = SamplerService::new(q.clone());
         let mut dec = Decoder::new(&bytes);
-        back.restore_from_snapshot(&mut dec, &mut |name, k| {
-            (name == "RSJoin").then(|| {
-                Box::new(ReservoirJoin::new(line3(), k, 7).unwrap()) as Box<dyn JoinSampler + Send>
-            })
-        })
-        .unwrap();
+        back.restore_from_snapshot(&mut dec).unwrap();
         dec.finish().unwrap();
-        assert_eq!(back.num_queries(), 3);
+        assert_eq!((back.num_queries(), back.num_groups()), (3, 2));
         assert_eq!(back.lsn(), svc.lsn());
         for op in ops.iter().skip(150) {
             svc.process_op(op).unwrap();
@@ -1123,19 +945,19 @@ mod tests {
             svc.register(&q, &QueryOpts::new(0, 1)),
             Err(ServiceError::ZeroCapacity)
         ));
-        // A boxed engine built for another schema never becomes a member.
-        assert!(matches!(
-            svc.register_sampler(Box::new(ReservoirJoin::new(other, 4, 1).unwrap())),
-            Err(ServiceError::UniverseMismatch)
-        ));
-        // A malformed op is rejected before any member, shared or boxed,
-        // sees it.
+        assert_eq!(
+            svc.num_queries(),
+            0,
+            "a rejected registration joins nothing"
+        );
+        // A malformed op is rejected before any group sees it.
         let mut svc2 = SamplerService::new(q.clone());
-        svc2.register_sampler(Box::new(ReservoirJoin::new(q.clone(), 4, 3).unwrap()))
-            .unwrap();
+        let mut ungrouped = QueryOpts::new(4, 3);
+        ungrouped.index = IndexOptions { grouping: false };
+        let g = svc2.register(&q, &ungrouped).unwrap();
         let h = svc2.register(&q, &QueryOpts::new(4, 2)).unwrap();
         svc2.process(0, &[1, 2]).unwrap();
-        let before = svc2.samples(h).unwrap();
+        let before = (svc2.samples(g).unwrap(), svc2.samples(h).unwrap());
         assert!(matches!(
             svc2.delete(3, &[1, 2]),
             Err(ServiceError::Store(SharedStoreError::UnknownRelation(3)))
@@ -1148,7 +970,11 @@ mod tests {
                 got: 3
             }))
         ));
-        assert_eq!(svc2.samples(h).unwrap(), before, "no half-applied op");
+        assert_eq!(
+            (svc2.samples(g).unwrap(), svc2.samples(h).unwrap()),
+            before,
+            "no half-applied op"
+        );
         assert_eq!(svc2.lsn(), 1, "rejected ops are not retained");
     }
 }

@@ -64,7 +64,9 @@ use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
 ///
-/// History: **8** — a plan image (embedded in every `RSJoin`-family
+/// History: **9** — a service image ends at its index groups: the
+/// count of boxed (non-shared) members that followed them is gone with
+/// that member kind. **8** — a plan image (embedded in every `RSJoin`-family
 /// engine image) no longer carries a partition attribute: the field
 /// served only the partition-parallel executor, which was removed.
 /// **7** — a posting list of at most two items keeps them in its header
@@ -84,7 +86,7 @@ use std::time::Duration;
 /// restore). **1** — the original format. Files of an older version are
 /// rejected, so such a directory must be re-ingested from its source
 /// stream.
-pub const FORMAT_VERSION: u32 = 8;
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Magic prefix of a WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"RSJW";
@@ -624,9 +626,12 @@ impl Wal {
     }
 
     /// Appends one op and returns its LSN. Buffered; see
-    /// [`flush`](Wal::flush). An error means the buffered bytes did not
-    /// reach the OS — they stay pending, and a later `flush` retries them.
+    /// [`flush`](Wal::flush). An error means the op was not logged: its
+    /// frame is dropped and its LSN goes to the next append. Frames of
+    /// earlier appends that have not reached the OS stay pending, and a
+    /// later `flush` retries them.
     pub fn append(&mut self, op: &StreamOp) -> Result<u64, WalError> {
+        let mark = self.pending.len();
         self.scratch.clear();
         op.encode_to(&mut self.scratch);
         let payload_len = self.scratch.as_slice().len();
@@ -639,7 +644,11 @@ impl Wal {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         if self.pending.len() >= self.auto_flush {
-            self.flush_pending()?;
+            if let Err(e) = self.flush_pending() {
+                self.pending.truncate(mark);
+                self.next_lsn = lsn;
+                return Err(e);
+            }
         }
         Ok(lsn)
     }
@@ -1145,11 +1154,20 @@ mod tests {
     }
 
     fn flaky_wal(dir: &Path, fail_appends: u32, dirty: bool) -> (Wal, RecordingSleeper) {
+        flaky_wal_flushing_at(dir, fail_appends, dirty, 0)
+    }
+
+    fn flaky_wal_flushing_at(
+        dir: &Path,
+        fail_appends: u32,
+        dirty: bool,
+        auto_flush: usize,
+    ) -> (Wal, RecordingSleeper) {
         let sleeper = RecordingSleeper::default();
         let wal = Wal::open_with(
             dir,
             WalOptions {
-                auto_flush: 0,
+                auto_flush,
                 ..WalOptions::default()
             },
             Box::new(FlakyFs {
@@ -1201,22 +1219,27 @@ mod tests {
     }
 
     #[test]
-    fn retry_exhaustion_surfaces_the_error_and_keeps_ops_pending() {
+    fn retry_exhaustion_drops_the_failed_op_and_keeps_earlier_ones_pending() {
         let scratch = Scratch::new("exhaust");
-        let ops = sample_ops(2);
-        // Default policy allows 4 attempts; 10 consecutive faults exhaust it.
-        let (mut wal, _sleeper) = flaky_wal(&scratch.0, 10, false);
-        assert!(matches!(wal.append(&ops[0]), Err(WalError::Io(_))));
-        // The op stayed buffered: once the fault clears (6 faults remain,
-        // the policy retries past them? no — 4 attempts burn 4), keep
-        // flushing until the shim runs dry, then everything lands.
-        assert!(wal.flush().is_err()); // burns the remaining faults
-        wal.flush().unwrap();
-        assert_eq!(wal.flushed_lsn(), 1);
+        let ops = sample_ops(3);
+        let mut enc = Encoder::new();
+        ops[0].encode_to(&mut enc);
+        // Op 0's frame alone stays below the flush threshold; op 1's
+        // crosses it, and the flush's 4 attempts all hit faults.
+        let threshold = 8 + enc.as_slice().len() + 1;
+        let (mut wal, _sleeper) = flaky_wal_flushing_at(&scratch.0, 6, false, threshold);
+        assert_eq!(wal.append(&ops[0]).unwrap(), 0);
+        assert!(matches!(wal.append(&ops[1]), Err(WalError::Io(_))));
+        // Op 1 was not logged: its LSN goes to the next append.
+        assert_eq!((wal.next_lsn(), wal.flushed_lsn()), (1, 0));
+        // Op 0 stayed pending. Two faults remain, so this append's flush
+        // lands on its third attempt.
+        assert_eq!(wal.append(&ops[2]).unwrap(), 1);
+        assert_eq!(wal.flushed_lsn(), 2);
         drop(wal);
         assert_eq!(
             Wal::open(&scratch.0).unwrap().replay_from(0).unwrap(),
-            ops[..1]
+            vec![ops[0].clone(), ops[2].clone()]
         );
     }
 

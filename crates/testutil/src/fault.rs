@@ -15,13 +15,9 @@
 //! [`TestSleeper`] so retried backoff costs no wall-clock and the delay
 //! sequence itself becomes an assertable artifact.
 
-use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::RsjRng;
-use rsj_common::{FxHashMap, Value};
-use rsj_query::Query;
+use rsj_common::FxHashMap;
 use rsj_storage::wal::{RealFs, Sleeper, WalFs};
-use rsj_storage::{SharedStoreError, StreamOp};
-use rsjoin::core::{JoinSampler, SamplerStats};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -248,89 +244,6 @@ impl TestSleeper {
 impl Sleeper for TestSleeper {
     fn sleep(&mut self, d: Duration) {
         self.0.lock().unwrap().push(d);
-    }
-}
-
-/// A test double that forwards every call to the engine it wraps, except
-/// that [`snapshot_state`](JoinSampler::snapshot_state) returns `None`
-/// while the image is switched off.
-///
-/// No engine in the workspace ever lacks an image, so this is how the
-/// no-image paths are driven: `ServiceError::SnapshotUnavailable`,
-/// `PersistError::NoImage`, and a failed checkpoint's count and window
-/// re-arm in `Persistent`.
-pub struct Imageless<S> {
-    inner: S,
-    image: bool,
-}
-
-impl<S: JoinSampler> Imageless<S> {
-    /// Wraps `inner` with its image switched on.
-    pub fn new(inner: S) -> Imageless<S> {
-        Imageless { inner, image: true }
-    }
-
-    /// Switches the image on or off.
-    pub fn set_image(&mut self, on: bool) {
-        self.image = on;
-    }
-}
-
-impl<S: JoinSampler> JoinSampler for Imageless<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn output_query(&self) -> &Query {
-        self.inner.output_query()
-    }
-
-    fn input_query(&self) -> &Query {
-        self.inner.input_query()
-    }
-
-    fn process(&mut self, rel: usize, tuple: &[Value]) {
-        self.inner.process(rel, tuple)
-    }
-
-    fn delete(&mut self, rel: usize, tuple: &[Value]) {
-        self.inner.delete(rel, tuple)
-    }
-
-    fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
-        self.inner.check_ops(ops)
-    }
-
-    fn replan(&mut self) -> bool {
-        self.inner.replan()
-    }
-
-    fn samples(&self) -> Vec<Vec<Value>> {
-        self.inner.samples()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn exact_count(&self) -> u128 {
-        self.inner.exact_count()
-    }
-
-    fn stats(&self) -> SamplerStats {
-        self.inner.stats()
-    }
-
-    fn snapshot_to(&self, enc: &mut Encoder) {
-        self.inner.snapshot_to(enc)
-    }
-
-    fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        self.inner.restore_from(dec)
-    }
-
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        self.inner.snapshot_state().filter(|_| self.image)
     }
 }
 

@@ -33,7 +33,7 @@
 pub mod fault;
 pub mod schedule;
 
-pub use fault::{FaultFs, FaultHandle, FaultPlan, FsOp, Imageless, IoFault, TestSleeper};
+pub use fault::{FaultFs, FaultHandle, FaultPlan, FsOp, IoFault, TestSleeper};
 pub use schedule::{Schedule, Step, StepMix};
 
 use rsj_common::stats::{chi_square_critical, chi_square_uniform};

@@ -26,11 +26,12 @@
 //! sample digest as a run that never crashed. See ARCHITECTURE.md,
 //! "Durability".
 
-use rsj_core::{Durable, JoinSampler, RebuildFn, SamplerService, SamplerStats};
+use rsj_core::{Durable, JoinSampler, SamplerService, SamplerStats};
 use rsj_storage::wal::{
     Checkpoint, RealFs, Sleeper, SystemSleeper, Wal, WalError, WalFs, WalOptions,
 };
 use rsj_storage::StreamOp;
+use std::convert::Infallible;
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 
@@ -72,11 +73,6 @@ pub enum DurabilityHealth {
 /// Why a durable operation failed.
 #[derive(Debug)]
 pub enum PersistError {
-    /// The named engine — the target itself or a boxed service member —
-    /// had no state image to checkpoint ([`Durable::image`] failed: a
-    /// wrapper whose `snapshot_state` returned `None`). The previous checkpoint and the
-    /// log stay valid.
-    NoImage(&'static str),
     /// WAL or checkpoint I/O / integrity failure.
     Wal(WalError),
     /// The engine rejected restored state or a replayed op.
@@ -86,9 +82,6 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::NoImage(engine) => {
-                write!(f, "engine {engine} has no state image to checkpoint")
-            }
             PersistError::Wal(e) => write!(f, "wal failure: {e}"),
             PersistError::Engine(m) => write!(f, "engine failure: {m}"),
         }
@@ -165,7 +158,7 @@ impl<S: JoinSampler> Persistent<S> {
         sleeper: Box<dyn Sleeper>,
     ) -> Result<Persistent<S>, PersistError> {
         let wal = Wal::open_with(dir.as_ref().join("wal"), opts, fs, sleeper)?;
-        Persistent::recover(inner, wal, dir.as_ref(), policy, &mut |_, _| None)
+        Persistent::recover(inner, wal, dir.as_ref(), policy)
     }
 
     /// Convenience insert mirroring [`JoinSampler::process`].
@@ -193,7 +186,6 @@ impl<T: Durable> Persistent<T> {
         mut wal: Wal,
         dir: &Path,
         policy: CheckpointPolicy,
-        rebuild: &mut RebuildFn,
     ) -> Result<Persistent<T>, PersistError> {
         let checkpoint_path = dir.join(CHECKPOINT_FILE);
         let mut from_lsn = 0;
@@ -207,7 +199,7 @@ impl<T: Durable> Persistent<T> {
                 )));
             }
             inner
-                .restore(&cp.state, rebuild)
+                .restore(&cp.state)
                 .map_err(|e| PersistError::Engine(format!("checkpoint state rejected: {e}")))?;
             from_lsn = cp.lsn;
         }
@@ -240,7 +232,8 @@ impl<T: Durable> Persistent<T> {
     /// durability. Subsequent ops skip the log silently, are counted as
     /// lost, and keep serving reads; a later successful checkpoint heals
     /// the wrapper (its image covers the unlogged ops). Any other WAL
-    /// error is returned without applying the op, and an op
+    /// error is returned without applying the op, and the log drops it
+    /// too (see `Wal::append`), so replay never applies it either. An op
     /// [`Durable::check`] rejects is rejected before it is logged —
     /// nothing reaches the WAL that replay would reject.
     pub fn process_op(&mut self, op: &StreamOp) -> Result<(), PersistError> {
@@ -284,8 +277,7 @@ impl<T: Durable> Persistent<T> {
     /// writes it atomically (tmp + rename), then truncates the log so it
     /// holds only ops after the checkpoint.
     ///
-    /// A failed attempt — an I/O error, or a target with no image to give
-    /// ([`PersistError::NoImage`]) — never damages recoverability: the
+    /// A failed attempt (an I/O error) never damages recoverability: the
     /// write is atomic, so the previous checkpoint (and the log) stay
     /// valid, the failure is counted
     /// ([`checkpoint_failures`](Persistent::checkpoint_failures)), and the
@@ -297,7 +289,7 @@ impl<T: Durable> Persistent<T> {
             let cp = Checkpoint {
                 engine: self.inner.checkpoint_tag().to_string(),
                 lsn: self.wal.next_lsn(),
-                state: self.inner.image().map_err(PersistError::NoImage)?,
+                state: self.inner.image(),
             };
             self.wal
                 .write_atomic(&self.checkpoint_path, &cp.to_bytes())?;
@@ -391,34 +383,36 @@ impl<T: Durable> Persistent<T> {
 /// The durable resident [`SamplerService`]: a [`Persistent`] whose target
 /// is the whole service, so one log covers every registered query. It
 /// dereferences to that wrapper for ops, checkpoints and health, and adds
-/// the constructors that take a [`RebuildFn`] for boxed members.
+/// the service's constructors and accessors.
 ///
 /// **Registrations** are part of checkpoints, not the log: a checkpoint
-/// captures the full service (store, shared indexes, member cores, boxed
-/// engine states). A query registered after the last checkpoint is
-/// absent after recovery — re-registering it backfills from the recovered
-/// history and lands byte-identical, so the loss is recoverable;
-/// checkpoint after registration churn to avoid it entirely.
+/// captures the full service (store, index groups, member cores). A query
+/// registered after the last checkpoint is absent after recovery —
+/// re-registering it backfills from the recovered history and lands
+/// byte-identical, so the loss is recoverable; checkpoint after
+/// registration churn to avoid it entirely.
 pub struct PersistentService(Persistent<SamplerService>);
 
 impl PersistentService {
     /// Wraps `inner` (freshly built over the original run's universe)
     /// with durability rooted at `dir`, recovering any state already
-    /// there: an existing checkpoint is restored into `inner` — boxed
-    /// members are rebuilt through `rebuild(engine_name, k)`, see
-    /// [`SamplerService::restore_from_snapshot`] — and the log suffix is
+    /// there: an existing checkpoint is restored into `inner` (see
+    /// [`SamplerService::restore_from_snapshot`]) and the log suffix is
     /// replayed through the service.
+    ///
+    /// `_unused` is ignored and nothing calls it. It stays only so the
+    /// repo benchmark (`benchmark/`, which changes only in its own commits)
+    /// compiles unmodified: it passes `&mut |_: &str, _: usize| None`.
     pub fn open(
         inner: SamplerService,
         dir: impl AsRef<Path>,
         policy: CheckpointPolicy,
-        rebuild: &mut RebuildFn,
+        _unused: &mut dyn FnMut(&str, usize) -> Option<Infallible>,
     ) -> Result<PersistentService, PersistError> {
         Self::open_with(
             inner,
             dir,
             policy,
-            rebuild,
             WalOptions::default(),
             Box::new(RealFs::new()),
             Box::new(SystemSleeper),
@@ -432,13 +426,12 @@ impl PersistentService {
         inner: SamplerService,
         dir: impl AsRef<Path>,
         policy: CheckpointPolicy,
-        rebuild: &mut RebuildFn,
         opts: WalOptions,
         fs: Box<dyn WalFs>,
         sleeper: Box<dyn Sleeper>,
     ) -> Result<PersistentService, PersistError> {
         let wal = Wal::open_with(dir.as_ref().join("wal"), opts, fs, sleeper)?;
-        Persistent::recover(inner, wal, dir.as_ref(), policy, rebuild).map(PersistentService)
+        Persistent::recover(inner, wal, dir.as_ref(), policy).map(PersistentService)
     }
 
     /// The wrapped service, for reads and registration

@@ -9,15 +9,15 @@
 //!    backoff leave recovery digests identical to a clean run, across
 //!    every persistent engine family.
 //! 2. **Degradation is honest** — out-of-space degrades instead of
-//!    corrupting and heals on the next checkpoint, and a target with no
-//!    image fails its checkpoints without losing the previous one.
+//!    corrupting and heals on the next checkpoint, a failed checkpoint
+//!    keeps the previous one, and a failed append logs nothing.
 //!
 //! The sweep width is `RSJ_CHAOS_SEEDS` (default 60; CI runs a smaller
 //! dedicated job — see .github/workflows/ci.yml).
 
 use rsj_testutil::{
-    digest, final_segment, line3, turnstile_ops, FaultFs, FaultPlan, FsOp, Imageless, IoFault,
-    Scratch, TestSleeper,
+    digest, final_segment, line3, turnstile_ops, FaultFs, FaultPlan, FsOp, IoFault, Scratch,
+    TestSleeper,
 };
 use rsjoin::engine::Engine;
 use rsjoin::prelude::*;
@@ -309,6 +309,207 @@ fn a_failed_checkpoint_write_keeps_the_previous_checkpoint() {
     assert_eq!(digest(&r.engine().samples()), expect);
 }
 
+/// Checkpoint writes that keep failing cost one attempt per policy
+/// window, not one per op: every failed attempt — explicit or
+/// policy-driven — is counted and re-arms the `EveryOps` window, and the
+/// last good checkpoint plus the log still recover the whole stream.
+#[test]
+fn failed_checkpoints_are_counted_and_rearm_the_window() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 200, 5, 3);
+    let engine = || {
+        Engine::Reservoir
+            .build(&query, K, 7, &EngineOpts::default())
+            .unwrap()
+    };
+    let (fs, handle) = FaultFs::new();
+    let scratch = Scratch::new("cp-rearm");
+    let mut p = Persistent::open_with(
+        engine(),
+        scratch.path(),
+        CheckpointPolicy::EveryOps(40),
+        WalOptions {
+            auto_flush: 0,
+            ..WalOptions::default()
+        },
+        Box::new(fs),
+        Box::new(TestSleeper::new()),
+    )
+    .unwrap();
+    for op in &ops[..100] {
+        p.process_op(op).unwrap();
+    }
+    assert_eq!(p.checkpoint_failures(), 0, "two healthy checkpoints so far");
+    // Every checkpoint write from here on fails: a failed attempt makes
+    // one write call, so an attempt per op would burn all of these.
+    let next = handle.calls(FsOp::WriteFile);
+    for i in 0..20 {
+        handle.fail_at(FsOp::WriteFile, next + i, IoFault::Full);
+    }
+
+    assert!(p.checkpoint().is_err());
+    assert_eq!(p.checkpoint_failures(), 1);
+    assert_eq!(p.ops_since_checkpoint(), 0, "a failed attempt re-arms");
+    for (i, op) in ops[100..].iter().enumerate() {
+        p.process_op(op).unwrap();
+        assert_eq!(p.ops_since_checkpoint(), (i as u64 + 1) % 40, "op {i}");
+    }
+    assert_eq!(
+        p.checkpoint_failures(),
+        3,
+        "100 ops at a 40-op window are two more attempts, not one per op"
+    );
+    assert_eq!(handle.fired(), 3);
+    assert_eq!(p.health(), DurabilityHealth::Durable);
+    p.flush().unwrap();
+    drop(p);
+
+    // The last good checkpoint (lsn 80) plus the log recover the whole
+    // stream, byte-identical to a fault-free twin.
+    let cp = Checkpoint::read_from(scratch.path().join(rsjoin::persist::CHECKPOINT_FILE)).unwrap();
+    assert_eq!(cp.lsn, 80);
+    let r = Persistent::open(engine(), scratch.path(), CheckpointPolicy::Manual).unwrap();
+    assert_eq!(r.next_lsn(), 200);
+    let mut twin = engine();
+    for op in &ops {
+        twin.process_op(op).unwrap();
+    }
+    assert_eq!(digest(&r.engine().samples()), digest(&twin.samples()));
+}
+
+/// An append whose flush exhausts its retries is rejected without being
+/// applied, and it is not logged either: the WAL drops its frame, so the
+/// next op takes its LSN and recovery replays exactly the applied ops.
+/// Swept over every failure position of the stream.
+#[test]
+fn a_rejected_append_is_neither_applied_nor_replayed() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 60, 5, 0xB0FF);
+    let engine = || {
+        Engine::Reservoir
+            .build(&query, K, 7, &EngineOpts::default())
+            .unwrap()
+    };
+    for fail_at in 5..55 {
+        let (fs, handle) = FaultFs::new();
+        let scratch = Scratch::new("append-reject");
+        let mut p = Persistent::open_with(
+            engine(),
+            scratch.path(),
+            CheckpointPolicy::Manual,
+            WalOptions {
+                auto_flush: 0,
+                ..WalOptions::default()
+            },
+            Box::new(fs),
+            Box::new(TestSleeper::new()),
+        )
+        .unwrap();
+        let mut applied = 0u64;
+        for (i, op) in ops.iter().enumerate() {
+            if i == fail_at {
+                // As many transient faults as the default retry policy
+                // has attempts: every attempt of this append fails.
+                let next = handle.calls(FsOp::Append);
+                for j in 0..4 {
+                    handle.fail_at(FsOp::Append, next + j, IoFault::Transient);
+                }
+                assert!(
+                    matches!(p.process_op(op), Err(PersistError::Wal(_))),
+                    "op {i}: retries exhausted"
+                );
+            } else {
+                p.process_op(op).unwrap();
+                applied += 1;
+            }
+        }
+        assert_eq!(p.next_lsn(), applied, "fail at {fail_at}: lsn");
+        let live = (digest(&p.engine().samples()), p.engine().exact_count());
+        p.flush().unwrap();
+        drop(p);
+
+        let r = Persistent::open(engine(), scratch.path(), CheckpointPolicy::Manual).unwrap();
+        assert_eq!(r.next_lsn(), applied, "fail at {fail_at}: replayed ops");
+        assert_eq!(
+            (digest(&r.engine().samples()), r.engine().exact_count()),
+            live,
+            "fail at {fail_at}: recovered state differs from the live engine"
+        );
+    }
+}
+
+/// The same for the durable service over a buffering log: the ops
+/// acknowledged before the failed append are still pending when its flush
+/// gives up, and they land with the next flush; the failed op is neither
+/// retained by the service nor logged.
+#[test]
+fn a_rejected_service_append_keeps_earlier_buffered_ops() {
+    const M: usize = 45;
+    let query = line3();
+    let ops = turnstile_ops(&query, 90, 5, 0x5E4F);
+    let (fs, handle) = FaultFs::new();
+    let scratch = Scratch::new("svc-append-reject");
+    let mut p = PersistentService::open_with(
+        SamplerService::new(query.clone()),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+        WalOptions {
+            auto_flush: 256,
+            ..WalOptions::default()
+        },
+        Box::new(fs),
+        Box::new(TestSleeper::new()),
+    )
+    .unwrap();
+    let h = p
+        .service_mut()
+        .register(&query, &QueryOpts::new(K, 1))
+        .unwrap();
+    p.checkpoint().unwrap();
+    let mut failed = None;
+    for (i, op) in ops.iter().enumerate() {
+        if i == M {
+            // Nothing is pending; the next flush, which carries op M and
+            // whatever follows it up to the threshold, fails.
+            p.flush().unwrap();
+            let next = handle.calls(FsOp::Append);
+            for j in 0..4 {
+                handle.fail_at(FsOp::Append, next + j, IoFault::Transient);
+            }
+        }
+        let lsn = p.service().lsn();
+        match p.process_op(op) {
+            Ok(()) => {}
+            Err(PersistError::Wal(_)) if failed.is_none() => {
+                assert_eq!(p.service().lsn(), lsn, "op {i} was retained");
+                failed = Some(i);
+            }
+            Err(e) => panic!("op {i}: {e}"),
+        }
+    }
+    let failed = failed.expect("a flush failed");
+    assert!(failed > M, "acknowledged ops were pending at the failure");
+    assert_eq!(p.next_lsn(), ops.len() as u64 - 1);
+    assert_eq!(p.service().lsn(), p.next_lsn());
+    let live = digest(&p.service().samples(h).unwrap());
+    p.flush().unwrap();
+    drop(p);
+
+    let r = PersistentService::open(
+        SamplerService::new(query.clone()),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+        &mut |_, _| None,
+    )
+    .unwrap();
+    assert_eq!(
+        r.service().lsn(),
+        ops.len() as u64 - 1,
+        "failed at op {failed}"
+    );
+    assert_eq!(digest(&r.service().samples(h).unwrap()), live);
+}
+
 // ---------------------------------------------------------------------------
 // Out-of-space: degrade, keep serving, heal on checkpoint
 // ---------------------------------------------------------------------------
@@ -412,15 +613,13 @@ fn service_out_of_space_degrades_then_heals_on_checkpoint() {
     const M: usize = 40;
     let query = line3();
     let ops = turnstile_ops(&query, 120, 5, 0x5ACE);
+    // Two index groups: the second registration's options differ.
     let register = |svc: &mut SamplerService| -> Vec<QueryHandle> {
+        let mut ungrouped = QueryOpts::new(K, 7);
+        ungrouped.index = IndexOptions { grouping: false };
         vec![
             svc.register(&query, &QueryOpts::new(K, 1)).unwrap(),
-            svc.register_sampler(
-                Engine::Naive
-                    .build(&query, K, 7, &EngineOpts::default())
-                    .unwrap(),
-            )
-            .unwrap(),
+            svc.register(&query, &ungrouped).unwrap(),
         ]
     };
     let digests = |svc: &SamplerService, handles: &[QueryHandle]| -> Vec<u64> {
@@ -429,15 +628,9 @@ fn service_out_of_space_degrades_then_heals_on_checkpoint() {
             .map(|&h| digest(&svc.samples(h).unwrap()))
             .collect()
     };
-    let mut rebuild = |name: &str, k: usize| -> Option<Box<dyn JoinSampler + Send>> {
-        (name == "NaiveRebuild").then(|| {
-            Engine::Naive
-                .build(&line3(), k, 7, &EngineOpts::default())
-                .unwrap()
-        })
-    };
     let mut clean = SamplerService::new(query.clone());
     let handles = register(&mut clean);
+    assert_eq!(clean.num_groups(), 2);
     for op in &ops {
         clean.process_op(op).unwrap();
     }
@@ -450,7 +643,6 @@ fn service_out_of_space_degrades_then_heals_on_checkpoint() {
         SamplerService::new(query.clone()),
         scratch.path(),
         CheckpointPolicy::Manual,
-        &mut rebuild,
         WalOptions {
             auto_flush: 0,
             ..WalOptions::default()
@@ -500,7 +692,7 @@ fn service_out_of_space_degrades_then_heals_on_checkpoint() {
         SamplerService::new(query.clone()),
         scratch.path(),
         CheckpointPolicy::Manual,
-        &mut rebuild,
+        &mut |_, _| None,
     )
     .unwrap();
     assert_eq!(r.service().lsn(), clean.lsn());
@@ -577,66 +769,4 @@ fn torn_write_matrix_recovers_the_flushed_prefix() {
         );
         assert_eq!(r.next_lsn(), ops.len() as u64 - 1);
     }
-}
-
-/// A target with no state image (an [`Imageless`] engine switched off)
-/// must fail its checkpoints like any other failed attempt — counted,
-/// window re-armed, the previous checkpoint and the log left valid — not
-/// silently re-attempt on every subsequent op.
-#[test]
-fn imageless_checkpoints_are_counted_and_rearm_the_window() {
-    let query = line3();
-    let ops = turnstile_ops(&query, 200, 5, 3);
-    let scratch = Scratch::new("noimage");
-    let engine = || {
-        Engine::Reservoir
-            .build(&query, K, 7, &EngineOpts::default())
-            .unwrap()
-    };
-    let mut p = Persistent::open(
-        Imageless::new(engine()),
-        scratch.path(),
-        CheckpointPolicy::EveryOps(40),
-    )
-    .unwrap();
-    for op in &ops[..100] {
-        p.process_op(op).unwrap();
-    }
-    assert_eq!(p.checkpoint_failures(), 0, "two healthy checkpoints so far");
-    p.engine_mut().set_image(false);
-    assert!(p.engine().snapshot_state().is_none());
-
-    assert!(matches!(
-        p.checkpoint(),
-        Err(PersistError::NoImage("RSJoin"))
-    ));
-    assert_eq!(p.checkpoint_failures(), 1);
-    assert_eq!(p.ops_since_checkpoint(), 0, "a failed attempt re-arms");
-    for (i, op) in ops[100..].iter().enumerate() {
-        p.process_op(op).unwrap();
-        assert_eq!(p.ops_since_checkpoint(), (i as u64 + 1) % 40, "op {i}");
-    }
-    assert_eq!(
-        p.checkpoint_failures(),
-        3,
-        "100 ops at a 40-op window are two more attempts, not one per op"
-    );
-    p.flush().unwrap();
-    drop(p);
-
-    // The last good checkpoint (lsn 80) plus the log recover the whole
-    // stream into an engine with its image on, byte-identical to a
-    // fault-free twin.
-    let r = Persistent::open(
-        Imageless::new(engine()),
-        scratch.path(),
-        CheckpointPolicy::Manual,
-    )
-    .unwrap();
-    assert_eq!(r.next_lsn(), 200);
-    let mut twin = engine();
-    for op in &ops {
-        twin.process_op(op).unwrap();
-    }
-    assert_eq!(digest(&r.engine().samples()), digest(&twin.samples()));
 }

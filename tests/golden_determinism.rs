@@ -195,7 +195,7 @@ fn rewriting_engine_images_are_pinned() {
 /// byte-identical across releases, or old logs stop being replayable.
 ///
 /// **Format-version bump rule**: these digests pin WAL/checkpoint
-/// `FORMAT_VERSION = 8` (crates/storage/src/wal.rs) *and* every engine's
+/// `FORMAT_VERSION = 9` (crates/storage/src/wal.rs) *and* every engine's
 /// canonical snapshot image. Any deliberate change to the record layout,
 /// the checkpoint layout, or a snapshot wire format MUST (1) bump
 /// `FORMAT_VERSION` so old files are rejected loudly instead of
@@ -267,6 +267,14 @@ fn rewriting_engine_images_are_pinned() {
 /// the version word in its header (checked by bumping the version alone
 /// on the v7 code: same segment digest, 0xDE69A663F85E9F28). v7 files are
 /// rejected with the version error, like every older version.
+///
+/// **Migration note, 8 → 9**: a service image ends at its index groups;
+/// v8 followed them with a count of boxed (non-shared) members and their
+/// engine images, and that member kind is gone. The pinned images are
+/// `RSJoin`'s, so both digests moved only through the version word in
+/// their headers (checked by bumping the version alone on the v8 code:
+/// same two digests). v8 files are rejected with the version error, like
+/// every older version.
 #[test]
 fn durability_images_are_pinned() {
     use rsjoin::prelude::{CheckpointPolicy, Persistent};
@@ -326,11 +334,11 @@ fn durability_images_are_pinned() {
         return;
     }
     assert_eq!(
-        checkpoint, 0x61CB_DFF8_3334_4DAF,
+        checkpoint, 0x2FFE_A43C_A446_9320,
         "checkpoint image moved — see the format-version bump rule above"
     );
     assert_eq!(
-        segment, 0xDE69_A663_F85E_9F28,
+        segment, 0xBFC3_6894_41B7_7629,
         "WAL segment image moved — see the format-version bump rule above"
     );
 }

@@ -113,15 +113,18 @@ fn kill_at_random_op_recovers_byte_identically() {
         }
     }
 
-    // The resident service through the same wrapper: two shared members
-    // and a boxed one, checkpointed after registration.
+    // The resident service through the same wrapper: two members sharing
+    // one index group and a third in a second group (its index options
+    // differ), checkpointed after registration.
     let query = line3();
     let ops = turnstile_ops(&query, n_ops, 6, 0xFEED);
     let register = |svc: &mut SamplerService| -> Vec<QueryHandle> {
+        let mut ungrouped = QueryOpts::new(16, 3);
+        ungrouped.index = IndexOptions { grouping: false };
         vec![
             svc.register(&query, &QueryOpts::new(16, 1)).unwrap(),
             svc.register(&query, &QueryOpts::new(8, 2)).unwrap(),
-            svc.register_sampler(build(&Engine::Naive, &query)).unwrap(),
+            svc.register(&query, &ungrouped).unwrap(),
         ]
     };
     let digests = |svc: &SamplerService, handles: &[QueryHandle]| -> Vec<u64> {
@@ -130,11 +133,9 @@ fn kill_at_random_op_recovers_byte_identically() {
             .map(|&h| digest(&svc.samples(h).unwrap()))
             .collect()
     };
-    let mut rebuild = |name: &str, _k: usize| -> Option<BoxedSampler> {
-        (name == "NaiveRebuild").then(|| build(&Engine::Naive, &line3()))
-    };
     let mut clean = SamplerService::new(query.clone());
     let handles = register(&mut clean);
+    assert_eq!(clean.num_groups(), 2);
     for op in &ops {
         clean.process_op(op).unwrap();
     }
@@ -143,12 +144,12 @@ fn kill_at_random_op_recovers_byte_identically() {
     kills.extend((0..4).map(|_| rng.index(n_ops)));
     for kill in kills {
         let scratch = Scratch::new("service");
-        let mut open = || {
+        let open = || {
             PersistentService::open(
                 SamplerService::new(query.clone()),
                 scratch.path(),
                 CheckpointPolicy::EveryOps(71),
-                &mut rebuild,
+                &mut |_, _| None,
             )
             .unwrap()
         };
@@ -639,7 +640,7 @@ fn service_snapshot_with_a_ragged_sample_row_is_rejected_whole() {
     svc.publish();
     let snapshot = |svc: &SamplerService| {
         let mut enc = rsjoin::common::Encoder::new();
-        svc.snapshot_to(&mut enc).unwrap();
+        svc.snapshot_to(&mut enc);
         enc.into_bytes()
     };
     let image = snapshot(&svc);
@@ -648,9 +649,7 @@ fn service_snapshot_with_a_ragged_sample_row_is_rejected_whole() {
     for claimed in [row.len() - 1, row.len() + 1] {
         let hostile = splice_row_length(&image, row, claimed);
         let err = svc
-            .restore_from_snapshot(&mut rsjoin::common::Decoder::new(&hostile), &mut |_, _| {
-                None
-            })
+            .restore_from_snapshot(&mut rsjoin::common::Decoder::new(&hostile))
             .expect_err("ragged snapshot accepted");
         assert!(
             matches!(err, rsjoin::common::CodecError::Corrupt(_)),
@@ -679,19 +678,18 @@ fn service_snapshot_that_could_hand_out_a_live_handle_twice_is_rejected_whole() 
     let query = line3();
     let snapshot = |svc: &SamplerService| {
         let mut enc = Encoder::new();
-        svc.snapshot_to(&mut enc).unwrap();
+        svc.snapshot_to(&mut enc);
         enc.into_bytes()
     };
     let u64_at =
         |image: &[u8], at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
-    let mut rebuild = |name: &str, k: usize| {
-        (name == "RSJoin").then(|| {
-            Box::new(ReservoirJoin::new(line3(), k, 7).unwrap()) as Box<dyn JoinSampler + Send>
-        })
-    };
+    let first = QueryOpts::new(8, 1);
+    let mut second = QueryOpts::new(4, 7);
+    second.index = IndexOptions { grouping: false };
+    let ops = turnstile_ops(&query, 80, 4, 31);
     let mut svc = SamplerService::new(query.clone());
-    let shared = svc.register(&query, &QueryOpts::new(8, 1)).unwrap();
-    for op in &turnstile_ops(&query, 80, 4, 31) {
+    let shared = svc.register(&query, &first).unwrap();
+    for op in &ops {
         svc.process_op(op).unwrap();
     }
     // The store image comes first; `next_id` is the word right after it.
@@ -703,24 +701,38 @@ fn service_snapshot_that_could_hand_out_a_live_handle_twice_is_rejected_whole() 
     let mut past_next = one_member.clone();
     past_next[next_id_at..next_id_at + 8].copy_from_slice(&1u64.to_le_bytes());
 
-    // A boxed member's id sits right before its engine name.
-    svc.register_sampler(Box::new(ReservoirJoin::new(query.clone(), 4, 7).unwrap()))
-        .unwrap();
+    // A second member, in a second group, gets id 2. Its id is tagged
+    // inside its group's image: a twin whose second member got id 3 (a
+    // registration came and went first) differs from this image only in
+    // `next_id` and that tag, which locates it.
+    svc.register(&query, &second).unwrap();
     let two_members = snapshot(&svc);
-    let mut name = ("RSJoin".len() as u64).to_le_bytes().to_vec();
-    name.extend_from_slice(b"RSJoin");
-    let boxed_id_at = two_members
-        .windows(name.len())
-        .rposition(|w| w == name)
-        .expect("the image names the boxed engine")
-        - 8;
-    assert_eq!(u64_at(&two_members, boxed_id_at), 2);
+    let mut twin = SamplerService::new(query.clone());
+    twin.register(&query, &first).unwrap();
+    for op in &ops {
+        twin.process_op(op).unwrap();
+    }
+    let gone = twin.register(&query, &first).unwrap();
+    twin.deregister(gone).unwrap();
+    twin.register(&query, &second).unwrap();
+    let twin_image = snapshot(&twin);
+    assert_eq!(twin_image.len(), two_members.len());
+    let differ: Vec<usize> = (0..two_members.len())
+        .filter(|&i| two_members[i] != twin_image[i])
+        .collect();
+    assert_eq!(differ.len(), 2, "only the next id and one tag differ");
+    assert_eq!(differ[0], next_id_at);
+    let tag_at = differ[1];
+    assert_eq!(
+        (u64_at(&two_members, tag_at), u64_at(&twin_image, tag_at)),
+        (2, 3)
+    );
     let mut repeated = two_members.clone();
-    repeated[boxed_id_at..boxed_id_at + 8].copy_from_slice(&1u64.to_le_bytes());
+    repeated[tag_at..tag_at + 8].copy_from_slice(&1u64.to_le_bytes());
 
     for hostile in [&past_next, &repeated] {
         let err = svc
-            .restore_from_snapshot(&mut Decoder::new(hostile), &mut rebuild)
+            .restore_from_snapshot(&mut Decoder::new(hostile))
             .expect_err("an image that hands out a live handle twice was accepted");
         assert_eq!(
             err,
@@ -734,8 +746,7 @@ fn service_snapshot_that_could_hand_out_a_live_handle_twice_is_rejected_whole() 
     }
     // The untouched images restore, and the next registration is new.
     for image in [&one_member, &two_members] {
-        svc.restore_from_snapshot(&mut Decoder::new(image), &mut rebuild)
-            .unwrap();
+        svc.restore_from_snapshot(&mut Decoder::new(image)).unwrap();
         let before = svc.handles();
         let fresh = svc.register(&query, &QueryOpts::new(8, 1)).unwrap();
         assert!(!before.contains(&fresh), "{fresh:?} handed out twice");
@@ -789,31 +800,29 @@ fn a_failed_restore_leaves_the_receiver_as_it_was() {
     }
 
     let query = line3();
-    let mut rebuild = |name: &str, _k: usize| -> Option<BoxedSampler> {
-        (name == "RSJoin_opt").then(|| build(&Engine::FkReservoir, &line3()))
-    };
     let run = |seed: u64| {
+        let mut ungrouped = QueryOpts::new(8, 2);
+        ungrouped.index = IndexOptions { grouping: false };
         let mut svc = SamplerService::new(query.clone());
         svc.register(&query, &QueryOpts::new(8, 1)).unwrap();
-        svc.register_sampler(build(&Engine::FkReservoir, &query))
-            .unwrap();
+        svc.register(&query, &ungrouped).unwrap();
         for op in &turnstile_ops(&query, 200, 6, seed) {
             svc.process_op(op).unwrap();
         }
         svc
     };
-    let a = run(1).image().unwrap();
+    let a = run(1).image();
     let mut receiver = run(2);
-    let b = receiver.image().unwrap();
+    let b = receiver.image();
     for hostile in mangled(&a) {
         let len = hostile.len();
-        assert!(Durable::restore(&mut receiver, &hostile, &mut rebuild).is_err());
+        assert!(Durable::restore(&mut receiver, &hostile).is_err());
         assert!(
-            receiver.image().unwrap() == b,
+            receiver.image() == b,
             "service: a failed restore of {len} bytes changed the receiver"
         );
     }
-    Durable::restore(&mut receiver, &a, &mut rebuild).unwrap();
+    Durable::restore(&mut receiver, &a).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -890,28 +899,6 @@ fn conflicting_primary_key_is_rejected_before_it_is_logged() {
         assert_eq!(r.engine().snapshot_state(), bare.snapshot_state());
         assert_eq!(bare.samples_named().len(), 1, "{engine}");
     }
-    // A boxed service member is asked before the op is retained or
-    // applied to any member, shared or boxed: the service image is
-    // byte-unchanged.
-    let (query, s) = fk_engine(&Engine::FkReservoir);
-    let mut svc = SamplerService::new(query.clone());
-    svc.register(&query, &QueryOpts::new(4, 1)).unwrap();
-    svc.register_sampler(s).unwrap();
-    for op in &ops {
-        svc.process_op(op).unwrap();
-    }
-    let image = |svc: &SamplerService| {
-        let mut enc = rsjoin::common::codec::Encoder::new();
-        svc.snapshot_to(&mut enc).unwrap();
-        enc.into_bytes()
-    };
-    let before = image(&svc);
-    assert!(matches!(
-        svc.process_op(&conflict),
-        Err(ServiceError::Store(SharedStoreError::PrimaryKeyConflict(1)))
-    ));
-    assert_eq!(svc.store().lsn(), ops.len() as u64);
-    assert_eq!(image(&svc), before, "a rejected op mutated the service");
 }
 
 /// A combiner image lists every live fact in the registry its walk puts

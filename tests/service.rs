@@ -4,7 +4,7 @@
 //! Four contracts (invariant 8 in ARCHITECTURE.md and its neighbours):
 //!
 //! 1. **Sharing is invisible** — a query registered on the service (early
-//!    or mid-stream, shared or boxed) ends with a reservoir
+//!    or mid-stream, in any index group) ends with a reservoir
 //!    *byte-identical* to a standalone sampler fed the same stream. The
 //!    shared index and the backfill replay are pure optimizations.
 //! 2. **Reads are uniform** — a reader's `snapshot().sample(n)` taken
@@ -19,7 +19,7 @@
 //!    CI's service-sweep job runs more).
 
 use rsj_testutil::{
-    brute_join_named, digest, line3, live_sets, two_table, Imageless, NamedSample, Schedule, Step,
+    brute_join_named, digest, line3, live_sets, two_table, NamedSample, Schedule, Scratch, Step,
     StepMix, UniformityCheck,
 };
 use rsjoin::common::{FxHashMap, FxHashSet, HeapSize};
@@ -145,75 +145,25 @@ fn mid_stream_registration_is_byte_identical_to_early() {
     assert_eq!(digest(&svc.samples(late).unwrap()), want);
 }
 
-/// Every boxed engine family conforms: registered mid-stream on the
-/// service (backfill + residency), its final reservoir is byte-identical
-/// to the same engine fed the stream directly, and the member's own
-/// exact count agrees with the brute-force oracle.
-#[test]
-fn boxed_engine_matrix_conforms_to_direct_execution() {
-    let q = two_table();
-    let engines = [
-        Engine::Naive,
-        Engine::SJoin,
-        Engine::SJoinOpt,
-        Engine::Symmetric,
-        Engine::FkReservoir,
-        Engine::Cyclic,
-    ];
-    for engine in &engines {
-        let ops = turnstile_ops(&q, 240, 6, 5, 47);
-        let mut svc = SamplerService::new(q.clone());
-        for op in ops.iter().take(150) {
-            svc.process_op(op).unwrap();
-        }
-        let h = svc
-            .register_sampler(engine.build(&q, 7, 9, &EngineOpts::default()).unwrap())
-            .unwrap();
-        for op in ops.iter().skip(150) {
-            svc.process_op(op).unwrap();
-        }
-        let mut twin = engine.build(&q, 7, 9, &EngineOpts::default()).unwrap();
-        twin.process_op_batch(ops.ops()).unwrap();
-        assert_eq!(
-            digest(&svc.samples(h).unwrap()),
-            digest(&twin.samples()),
-            "{engine}: service residency diverged from direct execution"
-        );
-        let brute = brute_of_ops(&q, &ops);
-        assert_eq!(
-            svc.exact_count(h).unwrap(),
-            brute.len() as u128,
-            "{engine}: exact count disagrees with brute force"
-        );
-        svc.publish();
-        let snap = svc.reader(h).unwrap().snapshot();
-        assert_eq!(snap.lsn, ops.len() as u64);
-        assert_eq!(snap.population, brute.len() as u128);
-        assert_eq!(digest(&snap.samples), digest(&svc.samples(h).unwrap()));
-    }
-}
-
 /// An op the service rejects for its schema — unknown relation, short or
-/// long tuple — leaves the whole service image byte-unchanged, shared and
-/// boxed members alike, and the service then carries on exactly as a twin
+/// long tuple — leaves the whole service image byte-unchanged, every
+/// index group alike, and the service then carries on exactly as a twin
 /// that never saw it.
 #[test]
 fn rejected_ops_leave_the_service_image_unchanged() {
     let q = line3();
     let build = || {
         let mut svc = SamplerService::new(q.clone());
+        let mut ungrouped = QueryOpts::new(5, 3);
+        ungrouped.index = IndexOptions { grouping: false };
         svc.register(&q, &QueryOpts::new(6, 1)).unwrap();
-        svc.register_sampler(
-            Engine::SJoin
-                .build(&q, 5, 3, &EngineOpts::default())
-                .unwrap(),
-        )
-        .unwrap();
+        svc.register(&q, &ungrouped).unwrap();
+        assert_eq!(svc.num_groups(), 2);
         svc
     };
     let image = |svc: &SamplerService| {
         let mut enc = rsjoin::common::codec::Encoder::new();
-        svc.snapshot_to(&mut enc).unwrap();
+        svc.snapshot_to(&mut enc);
         enc.into_bytes()
     };
     let ops = turnstile_ops(&q, 200, 6, 5, 13);
@@ -237,6 +187,50 @@ fn rejected_ops_leave_the_service_image_unchanged() {
         twin.process_op(op).unwrap();
     }
     assert_eq!(image(&svc), image(&twin));
+}
+
+/// The service holds index groups only, so a cyclic query is refused
+/// with a typed error and registers nothing. The same query runs as the
+/// GHD engine, durable under the same wrapper the service uses.
+#[test]
+fn cyclic_queries_are_refused_and_run_as_an_engine() {
+    let mut qb = QueryBuilder::new();
+    qb.relation("R1", &["X", "Y"]);
+    qb.relation("R2", &["Y", "Z"]);
+    qb.relation("R3", &["Z", "X"]);
+    let q = qb.build().unwrap();
+    let mut svc = SamplerService::new(q.clone());
+    assert!(matches!(
+        svc.register(&q, &QueryOpts::new(4, 1)),
+        Err(ServiceError::Cyclic)
+    ));
+    assert_eq!((svc.num_queries(), svc.store().live_refs()), (0, 0));
+
+    let ops = turnstile_ops(&q, 150, 4, 5, 23);
+    let brute = brute_of_ops(&q, &ops);
+    assert!(!brute.is_empty(), "the stream closes triangles");
+    let scratch = Scratch::new("cyclic");
+    let open = || {
+        Persistent::open(
+            Engine::Cyclic
+                .build(&q, 4, 1, &EngineOpts::default())
+                .unwrap(),
+            scratch.path(),
+            CheckpointPolicy::EveryOps(50),
+        )
+        .unwrap()
+    };
+    let mut p = open();
+    for op in ops.iter() {
+        p.process_op(op).unwrap();
+    }
+    p.flush().unwrap();
+    assert_eq!(p.engine().exact_count(), brute.len() as u128);
+    let want = digest(&p.engine().samples());
+    drop(p);
+    let r = open();
+    assert_eq!(r.next_lsn(), ops.len() as u64);
+    assert_eq!(digest(&r.engine().samples()), want);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,21 +454,18 @@ fn run_interleaving(seed: u64) -> u64 {
         let k = 2 + aux.index(5);
         let reg_seed = 1000 * seed + *next_reg;
         *next_reg += 1;
-        let h = if aux.index(4) == 0 {
-            // One in four registrations takes the boxed path.
-            svc.register_sampler(
-                Engine::Naive
-                    .build(&q, k, reg_seed, &EngineOpts::default())
-                    .unwrap(),
-            )
-            .unwrap()
-        } else {
-            let mut opts = QueryOpts::new(k, reg_seed);
-            opts.index = IndexOptions {
-                grouping: aux.index(2) == 0,
-            };
-            svc.register(&q, &opts).unwrap()
+        let mut opts = QueryOpts::new(k, reg_seed);
+        if aux.index(4) == 0 {
+            // One in four registrations pins a plan rooted at the second
+            // relation instead of the canonical one.
+            let mut plan = Plan::canonical(&q).expect("acyclic");
+            plan.root = 1;
+            opts.plan = Some(plan);
+        }
+        opts.index = IndexOptions {
+            grouping: aux.index(2) == 0,
         };
+        let h = svc.register(&q, &opts).unwrap();
         // Backfill correctness at an arbitrary point of the history.
         let brute = brute_join_named(&q, model);
         assert_eq!(svc.exact_count(h).unwrap(), brute.len() as u128);
@@ -582,8 +573,9 @@ fn interleaving_sweep_is_deterministic_and_correct() {
 // ---------------------------------------------------------------------------
 
 /// The durable service recovers registrations from the checkpoint and the
-/// log suffix from the WAL: after crash-reopen, every member — shared and
-/// boxed — continues byte-identically to the uninterrupted original.
+/// log suffix from the WAL: after crash-reopen, every member — in either
+/// of two index groups — continues byte-identically to the uninterrupted
+/// original.
 #[test]
 fn persistent_service_round_trips_checkpoint_and_wal() {
     let q = two_table();
@@ -591,30 +583,25 @@ fn persistent_service_round_trips_checkpoint_and_wal() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let ops = turnstile_ops(&q, 220, 6, 5, 13);
-    let mut rebuild = |name: &str, k: usize| -> Option<Box<dyn JoinSampler + Send>> {
-        (name == "NaiveRebuild")
-            .then(|| Box::new(NaiveRebuild::new(two_table(), k, 9)) as Box<dyn JoinSampler + Send>)
+    let open = || {
+        PersistentService::open(
+            SamplerService::new(q.clone()),
+            &dir,
+            CheckpointPolicy::Manual,
+            &mut |_, _| None,
+        )
+        .unwrap()
     };
 
-    let mut ps = PersistentService::open(
-        SamplerService::new(q.clone()),
-        &dir,
-        CheckpointPolicy::Manual,
-        &mut rebuild,
-    )
-    .unwrap();
+    let mut ps = open();
     let shared = ps
         .service_mut()
         .register(&q, &QueryOpts::new(8, 4))
         .unwrap();
-    let boxed = ps
-        .service_mut()
-        .register_sampler(
-            Engine::Naive
-                .build(&q, 5, 9, &EngineOpts::default())
-                .unwrap(),
-        )
-        .unwrap();
+    let mut ungrouped = QueryOpts::new(5, 9);
+    ungrouped.index = IndexOptions { grouping: false };
+    let other = ps.service_mut().register(&q, &ungrouped).unwrap();
+    assert_eq!(ps.service().num_groups(), 2);
     for op in ops.iter().take(150) {
         ps.process_op(op).unwrap();
     }
@@ -624,112 +611,23 @@ fn persistent_service_round_trips_checkpoint_and_wal() {
     }
     ps.flush().unwrap();
     let want_shared = digest(&ps.service().samples(shared).unwrap());
-    let want_boxed = digest(&ps.service().samples(boxed).unwrap());
+    let want_other = digest(&ps.service().samples(other).unwrap());
     let want_lsn = ps.service().lsn();
     drop(ps);
 
-    let restored = PersistentService::open(
-        SamplerService::new(q.clone()),
-        &dir,
-        CheckpointPolicy::Manual,
-        &mut rebuild,
-    )
-    .unwrap();
+    let restored = open();
     let svc = restored.service();
     assert_eq!(svc.lsn(), want_lsn, "WAL suffix not replayed");
-    assert_eq!(svc.num_queries(), 2, "registrations lost in recovery");
+    assert_eq!(
+        (svc.num_queries(), svc.num_groups()),
+        (2, 2),
+        "registrations lost in recovery"
+    );
     // Handles survive the checkpoint with their ids.
     assert_eq!(digest(&svc.samples(shared).unwrap()), want_shared);
-    assert_eq!(digest(&svc.samples(boxed).unwrap()), want_boxed);
+    assert_eq!(digest(&svc.samples(other).unwrap()), want_other);
     let brute = brute_of_ops(&q, &ops);
     assert_eq!(svc.exact_count(shared).unwrap(), brute.len() as u128);
-    assert_eq!(svc.exact_count(boxed).unwrap(), brute.len() as u128);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A boxed member with no state image — an [`Imageless`] engine switched
-/// off — fails the service snapshot with a typed error before a byte is
-/// written; the durable wrapper's checkpoint fails
-/// the same way, the previous checkpoint still restores, and ingest and
-/// reads carry on.
-#[test]
-fn degraded_boxed_member_fails_the_snapshot_not_the_service() {
-    let q = two_table();
-    let dir = std::env::temp_dir().join(format!("rsj-service-degraded-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let ops = turnstile_ops(&q, 220, 6, 5, 17);
-    fn member() -> Imageless<Box<dyn JoinSampler + Send>> {
-        Imageless::new(
-            Engine::Reservoir
-                .build(&two_table(), 5, 9, &EngineOpts::default())
-                .unwrap(),
-        )
-    }
-    let mut rebuild = |name: &str, _k: usize| -> Option<Box<dyn JoinSampler + Send>> {
-        (name == "RSJoin").then(|| Box::new(member()) as Box<dyn JoinSampler + Send>)
-    };
-
-    let mut ps = PersistentService::open(
-        SamplerService::new(q.clone()),
-        &dir,
-        CheckpointPolicy::Manual,
-        &mut rebuild,
-    )
-    .unwrap();
-    let shared = ps
-        .service_mut()
-        .register(&q, &QueryOpts::new(8, 4))
-        .unwrap();
-    let healthy = ps
-        .service_mut()
-        .register_sampler(Box::new(member()))
-        .unwrap();
-    for op in ops.iter().take(120) {
-        ps.process_op(op).unwrap();
-    }
-    ps.checkpoint().unwrap();
-
-    // The member registers with its image already switched off.
-    let mut doomed = member();
-    doomed.set_image(false);
-    let dead = ps.service_mut().register_sampler(Box::new(doomed)).unwrap();
-
-    let mut enc = rsjoin::common::codec::Encoder::new();
-    assert!(matches!(
-        ps.service().snapshot_to(&mut enc),
-        Err(ServiceError::SnapshotUnavailable("RSJoin"))
-    ));
-    assert!(enc.into_bytes().is_empty(), "a failed snapshot wrote bytes");
-    for op in ops.iter().skip(120).take(40) {
-        ps.process_op(op).unwrap();
-    }
-    assert!(matches!(
-        ps.checkpoint(),
-        Err(PersistError::NoImage("RSJoin"))
-    ));
-    assert_eq!(ps.ops_since_checkpoint(), 0, "a failed attempt re-arms");
-    for op in ops.iter().skip(160) {
-        ps.process_op(op).unwrap();
-    }
-    assert!(ps.service().samples(dead).unwrap().len() <= 5);
-    ps.flush().unwrap();
-    let want_shared = digest(&ps.service().samples(shared).unwrap());
-    let want_healthy = digest(&ps.service().samples(healthy).unwrap());
-    let want_lsn = ps.service().lsn();
-    drop(ps);
-
-    let restored = PersistentService::open(
-        SamplerService::new(q.clone()),
-        &dir,
-        CheckpointPolicy::Manual,
-        &mut rebuild,
-    )
-    .unwrap();
-    let svc = restored.service();
-    assert_eq!(svc.lsn(), want_lsn, "WAL suffix not replayed");
-    assert_eq!(svc.num_queries(), 2, "the last good checkpoint's members");
-    assert_eq!(digest(&svc.samples(shared).unwrap()), want_shared);
-    assert_eq!(digest(&svc.samples(healthy).unwrap()), want_healthy);
+    assert_eq!(svc.exact_count(other).unwrap(), brute.len() as u128);
     let _ = std::fs::remove_dir_all(&dir);
 }

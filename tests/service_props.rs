@@ -16,7 +16,6 @@ use proptest::prelude::*;
 use rsj_testutil::{brute_join_named, two_table, NamedSample};
 use rsjoin::common::codec::{Decoder, Encoder};
 use rsjoin::common::{FxHashSet, HeapSize};
-use rsjoin::engine::{Engine, EngineOpts};
 use rsjoin::prelude::*;
 
 fn named(q: &Query, row: &[Value]) -> NamedSample {
@@ -63,19 +62,14 @@ fn apply_action(
             svc.process(rel, &vals).unwrap();
             model[rel].insert(vals);
         }
-        // Register (weighted 2/8): shared path or a boxed NaiveRebuild.
+        // Register (weighted 2/8), in one of two index groups.
         5 | 6 => {
             let k = 1 + (raw % 6) as usize;
-            let h = if raw.is_multiple_of(2) {
-                svc.register(q, &QueryOpts::new(k, raw)).unwrap()
-            } else {
-                svc.register_sampler(
-                    Engine::Naive
-                        .build(q, k, raw, &EngineOpts::default())
-                        .unwrap(),
-                )
-                .unwrap()
+            let mut opts = QueryOpts::new(k, raw);
+            opts.index = IndexOptions {
+                grouping: raw.is_multiple_of(2),
             };
+            let h = svc.register(q, &opts).unwrap();
             live.push((h, k));
         }
         // Deregister (weighted 1/8), plus the double-free probe.
@@ -168,16 +162,11 @@ proptest! {
             apply_action(&q, &mut svc, &mut model, &mut live, tag, raw);
         }
         let mut enc = Encoder::new();
-        svc.snapshot_to(&mut enc).unwrap();
+        svc.snapshot_to(&mut enc);
         let bytes = enc.into_bytes();
-        let mut rebuild = |name: &str, k: usize| -> Option<Box<dyn JoinSampler + Send>> {
-            (name == "NaiveRebuild").then(|| {
-                Box::new(NaiveRebuild::new(two_table(), k, 0)) as Box<dyn JoinSampler + Send>
-            })
-        };
         let mut twin = SamplerService::new(q.clone());
         let mut dec = Decoder::new(&bytes);
-        twin.restore_from_snapshot(&mut dec, &mut rebuild).unwrap();
+        twin.restore_from_snapshot(&mut dec).unwrap();
         dec.finish().unwrap();
         prop_assert_eq!(twin.lsn(), svc.lsn());
         prop_assert_eq!(twin.num_queries(), svc.num_queries());
