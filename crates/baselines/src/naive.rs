@@ -57,7 +57,7 @@ impl NaiveRebuild {
 
     /// Enumerates the full current join result (exponential; small inputs
     /// only).
-    pub fn enumerate_join(&self) -> Vec<Vec<Value>> {
+    fn enumerate_join(&self) -> Vec<Vec<Value>> {
         let q = &self.query;
         let mut out = Vec::new();
         let mut partial: Vec<Option<Value>> = vec![None; q.num_attrs()];
@@ -124,7 +124,7 @@ impl NaiveRebuild {
 
 /// Uniform sample of `min(k, n)` items without replacement (partial
 /// Fisher–Yates).
-pub fn sample_without_replacement<T: Clone>(items: &[T], k: usize, rng: &mut RsjRng) -> Vec<T> {
+fn sample_without_replacement<T: Clone>(items: &[T], k: usize, rng: &mut RsjRng) -> Vec<T> {
     let n = items.len();
     if n <= k {
         return items.to_vec();

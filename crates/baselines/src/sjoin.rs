@@ -292,7 +292,7 @@ impl SJoinIndex {
     /// current result array — exact positional access, no dummies, so one
     /// uniform draw of `z` is one uniform join result (the turnstile
     /// repair path).
-    pub fn result_at(&self, z: u128) -> Vec<(usize, TupleId)> {
+    fn result_at(&self, z: u128) -> Vec<(usize, TupleId)> {
         let ts = &self.trees[0];
         exact_retrieve_group(ts, &self.db, ts.tree.root(), &Key::EMPTY, z)
     }
@@ -321,7 +321,7 @@ impl SJoinIndex {
     /// Materializes a result into `row`, a full-width value tuple (a
     /// sample row of the reservoir's flat buffer). A result names every
     /// relation, so all of `row` is overwritten.
-    pub fn materialize_into(&self, result: &[(usize, TupleId)], row: &mut [Value]) {
+    fn materialize_into(&self, result: &[(usize, TupleId)], row: &mut [Value]) {
         for &(rel, tid) in result {
             let tuple = self.db.tuple(rel, tid);
             for (pos, &attr) in self.query.relation(rel).attrs.iter().enumerate() {

@@ -53,7 +53,7 @@ impl SymmetricHashJoin {
     }
 
     /// Inserts a left tuple, offering all new matches to the reservoir.
-    pub fn insert_left(&mut self, tuple: &[Value]) {
+    pub(crate) fn insert_left(&mut self, tuple: &[Value]) {
         let key = Key::project(tuple, &self.left_key);
         for r in self.right.get(&key).into_iter().flatten() {
             self.results_live += 1;
@@ -63,7 +63,7 @@ impl SymmetricHashJoin {
     }
 
     /// Inserts a right tuple, offering all new matches to the reservoir.
-    pub fn insert_right(&mut self, tuple: &[Value]) {
+    pub(crate) fn insert_right(&mut self, tuple: &[Value]) {
         let key = Key::project(tuple, &self.right_key);
         for l in self.left.get(&key).into_iter().flatten() {
             self.results_live += 1;
@@ -75,7 +75,7 @@ impl SymmetricHashJoin {
     /// Deletes one occurrence of a left tuple; returns whether it was
     /// present. Kills its matches, repairs the reservoir, and re-points
     /// the classic acceptance counter at the live population — all exact.
-    pub fn delete_left(&mut self, tuple: &[Value]) -> bool {
+    pub(crate) fn delete_left(&mut self, tuple: &[Value]) -> bool {
         let key = Key::project(tuple, &self.left_key);
         if !remove_one(&mut self.left, &key, tuple) {
             return false;
@@ -89,7 +89,7 @@ impl SymmetricHashJoin {
 
     /// Deletes one occurrence of a right tuple; returns whether it was
     /// present. Mirror of [`delete_left`](SymmetricHashJoin::delete_left).
-    pub fn delete_right(&mut self, tuple: &[Value]) -> bool {
+    pub(crate) fn delete_right(&mut self, tuple: &[Value]) -> bool {
         let key = Key::project(tuple, &self.right_key);
         if !remove_one(&mut self.right, &key, tuple) {
             return false;

@@ -98,7 +98,7 @@ pub fn timed_stream(
 
 /// Applies the untimed preload, then drives the timed stream through the
 /// executor trait — the single driver loop every figure harness shares.
-pub fn run_sampler(w: &Workload, sampler: &mut dyn JoinSampler) -> Outcome {
+fn run_sampler(w: &Workload, sampler: &mut dyn JoinSampler) -> Outcome {
     for t in &w.preload {
         sampler.process(t.relation, &t.values);
     }
@@ -158,7 +158,7 @@ pub fn run_engine(
 }
 
 /// Drives a turnstile op stream through the executor trait with the soft
-/// cap — the fully-dynamic counterpart of [`run_sampler`].
+/// cap — the fully-dynamic counterpart of `run_sampler`.
 pub fn run_sampler_ops(ops: &rsj_storage::OpStream, sampler: &mut dyn JoinSampler) -> Outcome {
     let start = Instant::now();
     let cap = run_cap();

@@ -209,7 +209,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// True when every byte has been consumed.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.remaining() == 0
     }
 

@@ -128,7 +128,7 @@ pub fn fx_hash_columns_scalar(prefix: u64, arity: usize, flat: &[u64], out: &mut
 /// [`fx_hash_columns_scalar`], but four rows' hash states advance per loop
 /// iteration so the rotate/xor/multiply chains of independent rows overlap
 /// in the pipeline.
-pub fn fx_hash_columns_unrolled(prefix: u64, arity: usize, flat: &[u64], out: &mut Vec<u64>) {
+fn fx_hash_columns_unrolled(prefix: u64, arity: usize, flat: &[u64], out: &mut Vec<u64>) {
     assert!(arity > 0, "column hashing needs at least one column");
     assert_eq!(
         flat.len() % arity,
@@ -157,7 +157,7 @@ pub fn fx_hash_columns_unrolled(prefix: u64, arity: usize, flat: &[u64], out: &m
 /// No ingest path calls it; the repo benchmark's trace decomposition and
 /// the `micro` hash-kernel cases do.
 ///
-/// Dispatches to [`fx_hash_columns_unrolled`] by default; building
+/// Dispatches to `fx_hash_columns_unrolled` by default; building
 /// `rsj-common` with the `scalar-hash` feature swaps in
 /// [`fx_hash_columns_scalar`] (identical digests, no unrolling).
 #[inline]

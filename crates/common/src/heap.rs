@@ -71,11 +71,6 @@ impl HeapSize for String {
     }
 }
 
-/// Sums the heap sizes of a slice of sized items, including per-item heap.
-pub fn heap_size_of_nested<T: HeapSize>(items: &[T]) -> usize {
-    std::mem::size_of_val(items) + items.iter().map(HeapSize::heap_size).sum::<usize>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,13 +91,6 @@ mod tests {
             m.insert(i, i);
         }
         assert!(m.heap_size() > empty + 1000 * 16);
-    }
-
-    #[test]
-    fn nested_counts_inner() {
-        let v: Vec<Vec<u32>> = vec![Vec::with_capacity(10), Vec::with_capacity(20)];
-        let got = heap_size_of_nested(&v);
-        assert_eq!(got, 2 * std::mem::size_of::<Vec<u32>>() + 40 + 80);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 /// This is the paper's `cnt~` operator. The zero case is meaningful: a key
 /// that no tuple matches yet has an empty (not merely small) delta batch.
 #[inline]
-pub fn round_up_pow2(n: u128) -> u128 {
+fn round_up_pow2(n: u128) -> u128 {
     if n == 0 {
         0
     } else {
@@ -26,7 +26,7 @@ pub fn round_up_pow2(n: u128) -> u128 {
 /// # Panics
 /// Panics (debug) if `n` is not a positive power of two.
 #[inline]
-pub fn log2_exact(n: u128) -> u32 {
+fn log2_exact(n: u128) -> u32 {
     debug_assert!(n.is_power_of_two(), "log2_exact on non-power-of-two {n}");
     127 - n.leading_zeros()
 }
@@ -40,12 +40,6 @@ pub fn level_of(cnt: u128) -> Option<u32> {
     } else {
         Some(log2_exact(round_up_pow2(cnt)))
     }
-}
-
-/// `2^level` as a `u128` weight.
-#[inline]
-pub fn weight_of_level(level: u32) -> u128 {
-    1u128 << level
 }
 
 #[cfg(test)]
@@ -80,7 +74,6 @@ mod tests {
         assert_eq!(level_of(2), Some(1));
         assert_eq!(level_of(3), Some(2));
         assert_eq!(level_of(8), Some(3));
-        assert_eq!(weight_of_level(10), 1024);
     }
 
     #[test]

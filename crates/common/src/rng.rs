@@ -11,7 +11,7 @@
 //! * [`RsjRng::below_u128`] — unbiased uniform draw from `[0, n)` for
 //!   128-bit batch positions, via rejection sampling.
 //! * [`RsjRng::kth_smallest_uniform`] — the `k`-th smallest of `n`
-//!   uniforms in `O(1)` from its Beta law (two [`RsjRng::gamma`] draws),
+//!   uniforms in `O(1)` from its Beta law (two `RsjRng::gamma` draws),
 //!   for `n` up to `u128::MAX`: the turnstile repair's skip-state redraw.
 
 /// The splitmix64 golden-ratio increment.
@@ -19,7 +19,7 @@ const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Skip probabilities below which [`RsjRng::geometric`] takes its
 /// logarithm through `ln_1p`.
-pub const TINY_W: f64 = 1.0 / (1u64 << 40) as f64;
+const TINY_W: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// `ln(1+y) − y + y²/2 − y³/3`, the residue of Marsaglia and Tsang's log
 /// test: its series `Σ_{n≥4} (−1)^{n+1} yⁿ/n` for `|y| < 0.1`, where the
@@ -140,7 +140,7 @@ impl RsjRng {
     /// before the next reservoir stop, computed as
     /// `floor(ln(u) / ln(1-w))`.
     ///
-    /// Below [`TINY_W`] the denominator is `ln_1p(-w)`: `1 - w` would
+    /// Below `TINY_W` the denominator is `ln_1p(-w)`: `1 - w` would
     /// round to (or next to) 1 there, which made every skip infinite once
     /// the population passed about `k · 2^53`.
     ///
@@ -168,7 +168,7 @@ impl RsjRng {
 
     /// Standard normal draw (Box–Muller, two uniforms per draw).
     #[inline]
-    pub fn normal(&mut self) -> f64 {
+    fn normal(&mut self) -> f64 {
         let r = (-2.0 * self.unit().ln()).sqrt();
         r * (std::f64::consts::TAU * self.unit()).cos()
     }
@@ -183,7 +183,7 @@ impl RsjRng {
     /// cancelling terms are summed as a series for small `y`; and the draw
     /// `d·v` keeps `v − 1` apart from the 1, so its spread survives when
     /// `y` is below the machine epsilon.
-    pub fn gamma(&mut self, shape: f64) -> f64 {
+    fn gamma(&mut self, shape: f64) -> f64 {
         debug_assert!(shape >= 1.0, "gamma shape below 1: {shape}");
         let d = shape - 1.0 / 3.0;
         let c = 1.0 / (9.0 * d).sqrt();

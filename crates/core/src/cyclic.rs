@@ -1,7 +1,7 @@
 //! Reservoir sampling over cyclic joins via GHDs (paper §5).
 //!
 //! Each GHD bag incrementally materializes the join of its assigned
-//! relations with worst-case-optimal delta enumeration ([`crate::wcoj`]);
+//! relations with worst-case-optimal delta enumeration (`wcoj`);
 //! every delta tuple is then inserted into an acyclic [`ReservoirJoin`]
 //! over the *bag-level* query, whose join results are exactly the original
 //! query's results. Correctness rests on
@@ -29,7 +29,7 @@ use rsj_index::IndexOptions;
 use rsj_query::{Ghd, Query};
 use std::error::Error;
 
-/// The cyclic driver's rewrite: one [`BagJoin`] per GHD bag, each
+/// The cyclic driver's rewrite: one `BagJoin` per GHD bag, each
 /// original relation routed to the bag it is assigned to, and every bag
 /// delta emitted as a tuple of the bag-level query.
 pub struct BagSet {

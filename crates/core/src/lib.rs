@@ -12,15 +12,15 @@
 //!   `O(N log N + k log N log(N/k))` total expected time (Corollary 4.3);
 //! * [`rewrite::Rewritten`] — a stream rewrite in front of any sampler,
 //!   the one wrapper of the engines below;
-//! * [`fk_runtime`] — the foreign-key combination runtime (§4.4), yielding
+//! * [`FkCombiner`] — the foreign-key combination runtime (§4.4), yielding
 //!   `RSJoin_opt`;
-//! * [`wcoj`] — hash tries and generic worst-case-optimal delta enumeration,
+//! * `wcoj` — hash tries and generic worst-case-optimal delta enumeration,
 //!   the substrate for cyclic queries;
 //! * [`cyclic::CyclicReservoirJoin`] — the GHD driver of §5: bag sub-joins
 //!   are materialized incrementally by delta enumeration and fed as signed
 //!   tuples to an acyclic `ReservoirJoin` over the bag-level query
 //!   (Theorem 5.4);
-//! * [`sampler_facade::DynamicSampleIndex`] — the "sampling over joins"
+//! * [`DynamicSampleIndex`] — the "sampling over joins"
 //!   operation (draw a fresh uniform sample of `Q(R)` on demand,
 //!   `O(log N)` update and sample);
 //! * [`service::SamplerService`] — the resident sampler: one op stream in,
@@ -30,13 +30,13 @@
 pub mod count;
 pub mod cyclic;
 pub mod exec;
-pub mod fk_runtime;
+mod fk_runtime;
 mod group;
 pub mod reservoir_join;
 pub mod rewrite;
-pub mod sampler_facade;
+mod sampler_facade;
 pub mod service;
-pub mod wcoj;
+mod wcoj;
 
 pub use count::exact_result_count;
 pub use cyclic::{BagSet, CyclicReservoirJoin};

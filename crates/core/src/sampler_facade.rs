@@ -75,11 +75,6 @@ impl DynamicSampleIndex {
         (0..n).filter_map(|_| self.sample()).collect()
     }
 
-    /// Upper bound on `|Q(R)|` (within the density constant).
-    pub fn result_size_bound(&self) -> u128 {
-        self.sampler.implicit_size(&self.index)
-    }
-
     /// Unbiased estimate of `|Q(R)|` from `trials` sampling probes
     /// (see [`FullSampler::estimate_result_size`]).
     pub fn estimate_result_size(&mut self, trials: usize) -> f64 {
@@ -176,6 +171,5 @@ mod tests {
         ix.insert(1, &[2, 4]);
         let s = ix.sample().unwrap();
         assert!(s == vec![1, 2, 3] || s == vec![1, 2, 4]);
-        assert!(ix.result_size_bound() >= 2);
     }
 }

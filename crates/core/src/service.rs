@@ -398,7 +398,7 @@ impl SamplerService {
     /// durability wrapper runs before logging an op, so nothing ever
     /// reaches the WAL that replay would reject: the op must fit the
     /// universe's schema.
-    pub fn validate_op(&self, op: &StreamOp) -> Result<(), ServiceError> {
+    fn validate_op(&self, op: &StreamOp) -> Result<(), ServiceError> {
         check_schema(&self.universe, op).map_err(ServiceError::Store)
     }
 

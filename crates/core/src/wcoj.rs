@@ -23,7 +23,7 @@ use rsj_common::{FxHashMap, Value};
 /// A hash trie over tuples of a fixed arity, one map level per attribute in
 /// a fixed order.
 #[derive(Clone, Debug)]
-pub struct HashTrie {
+struct HashTrie {
     depth: usize,
     /// Node arena; node 0 is the root. Leaf-level nodes store no children.
     nodes: Vec<TrieNode>,
@@ -188,7 +188,7 @@ struct BagRel {
 /// Attributes are identified by their index in the bag's (sorted) attribute
 /// list; enumeration output tuples follow that order.
 #[derive(Clone, Debug)]
-pub struct BagJoin {
+pub(crate) struct BagJoin {
     num_attrs: usize,
     rels: Vec<BagRel>,
     /// Relations containing each attribute (by bag-relation index).
@@ -229,7 +229,11 @@ impl BagJoin {
     /// schema order) and returns the *delta*: every full bag-attribute
     /// assignment newly joined through this tuple, in bag attribute order.
     /// A duplicate insert returns `None` (set semantics, nothing changed).
-    pub fn insert_and_delta(&mut self, ri: usize, tuple: &[Value]) -> Option<Vec<Vec<Value>>> {
+    pub(crate) fn insert_and_delta(
+        &mut self,
+        ri: usize,
+        tuple: &[Value],
+    ) -> Option<Vec<Vec<Value>>> {
         // Reorder into trie order and insert.
         let reordered: Vec<Value> = self.rels[ri]
             .schema_positions
@@ -247,7 +251,11 @@ impl BagJoin {
     /// (enumerated before removal, so it is exactly the mirror of the delta
     /// its insertion produced against the same co-relations). Deleting an
     /// absent tuple returns `None`.
-    pub fn delete_and_delta(&mut self, ri: usize, tuple: &[Value]) -> Option<Vec<Vec<Value>>> {
+    pub(crate) fn delete_and_delta(
+        &mut self,
+        ri: usize,
+        tuple: &[Value],
+    ) -> Option<Vec<Vec<Value>>> {
         let reordered: Vec<Value> = self.rels[ri]
             .schema_positions
             .iter()

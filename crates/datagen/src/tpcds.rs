@@ -101,11 +101,6 @@ impl TpcdsLite {
             catalog_sales,
         }
     }
-
-    /// Total number of fact-table rows (the streamed portion).
-    pub fn fact_rows(&self) -> usize {
-        self.store_sales.len() + self.store_returns.len() + self.catalog_sales.len()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +113,9 @@ mod tests {
         let a = TpcdsLite::generate(1, 1);
         let b = TpcdsLite::generate(3, 1);
         assert!(b.store_sales.len() == 3 * a.store_sales.len());
-        assert!(b.fact_rows() > 2 * a.fact_rows());
+        let facts =
+            |d: &TpcdsLite| d.store_sales.len() + d.store_returns.len() + d.catalog_sales.len();
+        assert!(facts(&b) > 2 * facts(&a));
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //!   its own relation: leaf groups count their posting lists, inner items
 //!   multiply the exact counts of their child groups, grouped items weigh
 //!   `feq`. It counts the results a tuple joins
-//!   ([`count_joining`](DynamicIndex::count_joining), also behind
-//!   `ProbeBatch::exact_count`), and summed over the tuples inserted since
-//!   a watermark, how much `|Q(R)|` grew
+//!   ([`count_joining`](DynamicIndex::count_joining)), and summed over
+//!   the tuples inserted since a watermark, how much `|Q(R)|` grew
 //!   ([`count_since`](DynamicIndex::count_since)) — a delta join applied
 //!   to a count: the change is the join of the changed tuples with the
 //!   current state, not a recount of the state. Walks are budgeted in

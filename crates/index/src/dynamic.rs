@@ -8,7 +8,7 @@
 //! parent**, not on which relation the tree is rooted at. Two rooted trees
 //! that orient node `e` the same way hold byte-identical copies of `e`'s
 //! state. So instead of `n` trees × `n` nodes, the index keeps one
-//! [`NodeState`] per distinct *(node, parent)* orientation — `deg(e) + 1`
+//! `NodeState` per distinct *(node, parent)* orientation — `deg(e) + 1`
 //! configurations per node, `3n - 2` in total — and each rooted tree is
 //! just a view (`rel → config`) over the shared pool. An insert updates
 //! `deg(rel) + 1` configurations instead of `n` tree copies, and a
@@ -407,7 +407,7 @@ impl DynamicIndex {
     }
 
     /// Serializes the dynamic portion of the index — tuple storage, every
-    /// configuration's [`NodeState`], and the instrumentation counters —
+    /// configuration's `NodeState`, and the instrumentation counters —
     /// into `enc`. The static topology (configuration graph, projection
     /// plan, tree views) is a pure function of `(query, tree, options)`
     /// and is *not* written: a restore target must be freshly built over

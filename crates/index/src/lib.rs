@@ -32,8 +32,8 @@ mod count;
 pub mod dynamic;
 pub mod retrieve;
 pub mod sampler;
-pub mod state;
+mod state;
 
 pub use dynamic::{DynamicIndex, HeapLine, IndexOptions, IndexStats};
-pub use retrieve::{materialize, DeltaBatch, JoinResult, ProbeBatch};
+pub use retrieve::{materialize, DeltaBatch};
 pub use sampler::FullSampler;

@@ -17,7 +17,7 @@
 //! All three are one kernel (`retrieve_in_group` / `retrieve_below`,
 //! mutually recursive) that writes the result as one tuple id per relation
 //! into a caller-provided slice and allocates nothing: every reservoir
-//! stop, repair draw and probe goes through it. The `Vec`-returning
+//! stop and repair draw goes through it. The `Vec`-returning
 //! `retrieve` / `sample` methods are adapters over the same kernel.
 
 use crate::dynamic::DynamicIndex;
@@ -27,9 +27,8 @@ use rsj_common::{fx_hash_one, Key, TupleId, Value};
 use rsj_storage::Database;
 
 /// A join result as `(relation, tuple id)` pairs in relation order: one
-/// pair per relation of the query (a [`ProbeBatch`] result leaves out the
-/// probed relation, whose tuple is hypothetical).
-pub type JoinResult = Vec<(usize, TupleId)>;
+/// pair per relation of the query.
+pub(crate) type JoinResult = Vec<(usize, TupleId)>;
 
 impl DynamicIndex {
     /// The delta batch `ΔJ ⊇ ΔQ(R, t)` for tuple `tid` just inserted into
@@ -122,92 +121,6 @@ impl DeltaBatch<'_> {
         let mut ids = vec![0; self.index.query().num_relations()];
         self.retrieve_into(z, &mut ids)
             .then(|| ids.into_iter().enumerate().collect())
-    }
-}
-
-/// The implicit delta batch of a *hypothetical* tuple: the paper's
-/// operation (3) in full generality — `ΔQ(R, t)` is "supported for the
-/// delta query ... for any tuple `t ∉ R`", without inserting `t`.
-///
-/// Useful for what-if probing and stream enrichment: "how many results
-/// would this tuple create, and what are they?".
-#[derive(Clone)]
-pub struct ProbeBatch<'a> {
-    index: &'a DynamicIndex,
-    rel: usize,
-    values: Vec<Value>,
-    size: u128,
-}
-
-impl DynamicIndex {
-    /// Builds the delta batch of a tuple **without inserting it**
-    /// (operation (3) of Theorem 4.2).
-    ///
-    /// If the tuple is later inserted, its real delta will be exactly the
-    /// real items of this batch (assuming no intervening inserts).
-    pub fn probe_delta(&self, rel: usize, tuple: &[Value]) -> ProbeBatch<'_> {
-        assert_eq!(
-            tuple.len(),
-            self.query().relation(rel).attrs.len(),
-            "probe arity mismatch"
-        );
-        let info = self.info_at(rel, rel);
-        // Π over root children of cnt~; 0 when some child group is empty.
-        let level = info
-            .child_key_positions
-            .iter()
-            .zip(&info.children)
-            .try_fold(0u32, |sum, (positions, &child)| {
-                let key = Key::project(tuple, positions);
-                let l = self
-                    .state_at(rel, child)
-                    .tilde_level_of(fx_hash_one(&key), &key)?;
-                Some(sum + l)
-            });
-        ProbeBatch {
-            index: self,
-            rel,
-            values: tuple.to_vec(),
-            size: level.map_or(0, |l| 1u128 << l),
-        }
-    }
-}
-
-impl ProbeBatch<'_> {
-    /// `|ΔJ|` for the hypothetical insert (0 when some join partner is
-    /// missing entirely).
-    pub fn size(&self) -> u128 {
-        self.size
-    }
-
-    /// The element at position `z` as one tuple id per relation; the
-    /// probed relation's own slot is left untouched (the probe tuple is
-    /// not part of any relation). Returns `false` for a dummy position;
-    /// every position at or past [`size`](ProbeBatch::size) is one (an
-    /// empty batch has a child group missing — nothing to descend).
-    pub fn retrieve_into(&self, z: u128, ids: &mut [TupleId]) -> bool {
-        z < self.size && retrieve_below(self.index, self.rel, self.rel, &self.values, z, ids)
-    }
-
-    /// The element at position `z`: the would-be join result (partner
-    /// tuples only), or `None` for a dummy position. Allocating adapter
-    /// over [`retrieve_into`](ProbeBatch::retrieve_into).
-    pub fn retrieve(&self, z: u128) -> Option<JoinResult> {
-        let mut ids = vec![0; self.index.query().num_relations()];
-        self.retrieve_into(z, &mut ids).then(|| {
-            let partners = ids.into_iter().enumerate();
-            partners.filter(|&(rel, _)| rel != self.rel).collect()
-        })
-    }
-
-    /// Exact number of real results the insert would create: the rooted
-    /// walk over the probed tuple's neighbourhood
-    /// ([`DynamicIndex::count_joining`]), not an enumeration of the batch.
-    pub fn exact_count(&self) -> u128 {
-        let mut unbounded = u64::MAX;
-        self.index
-            .count_joining(self.rel, &self.values, &[], &mut unbounded)
-            .expect("an unbounded walk completes")
     }
 }
 
@@ -471,64 +384,6 @@ mod tests {
             .expect("one real result");
         // Attr order A,B,C,D.
         assert_eq!(idx.materialize(&res), vec![1, 10, 20, 30]);
-    }
-
-    #[test]
-    fn probe_matches_actual_insert() {
-        use rsj_common::rng::RsjRng;
-        let mut rng = RsjRng::seed_from_u64(55);
-        let mut idx = line3(false);
-        for _ in 0..200 {
-            let rel = rng.index(3);
-            idx.insert(rel, &[rng.below_u64(5), rng.below_u64(5)]);
-        }
-        for _ in 0..30 {
-            let rel = rng.index(3);
-            let t = [rng.below_u64(5), rng.below_u64(5)];
-            let probe = idx.probe_delta(rel, &t);
-            let probe_size = probe.size();
-            let probe_results: Vec<Vec<Value>> = (0..probe_size)
-                .filter_map(|z| probe.retrieve(z))
-                .map(|mut r| {
-                    // Complete the partial result with the probe values
-                    // for comparison: materialize partners then overlay t.
-                    let mut m = idx.materialize(&r);
-                    for (pos, &attr) in idx.query().relation(rel).attrs.iter().enumerate() {
-                        m[attr] = t[pos];
-                    }
-                    r.clear();
-                    m
-                })
-                .collect();
-            drop(probe);
-            // Now actually insert and compare with the real delta.
-            if let Some(tid) = idx.insert(rel, &t) {
-                let batch = idx.delta_batch(rel, tid);
-                assert_eq!(batch.size(), probe_size, "size parity");
-                let mut actual: Vec<Vec<Value>> = (0..batch.size())
-                    .filter_map(|z| batch.retrieve(z))
-                    .map(|r| idx.materialize(&r))
-                    .collect();
-                let mut probed = probe_results;
-                actual.sort();
-                probed.sort();
-                assert_eq!(actual, probed);
-            }
-        }
-    }
-
-    #[test]
-    fn probe_empty_when_partner_missing() {
-        let mut idx = line3(false);
-        idx.insert(1, &[1, 2]).unwrap();
-        // G3 has nothing for C=2: probing a G1 tuple yields size 0.
-        assert_eq!(idx.probe_delta(0, &[9, 1]).size(), 0);
-        idx.insert(2, &[2, 3]).unwrap();
-        let p = idx.probe_delta(0, &[9, 1]);
-        assert_eq!(p.size(), 1);
-        assert_eq!(p.exact_count(), 1);
-        // The probe did not modify the index.
-        assert_eq!(idx.database().relation(0).len(), 0);
     }
 
     #[test]

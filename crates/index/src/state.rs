@@ -33,16 +33,16 @@ use rsj_common::{HeapSize, Key, KeyMap, ListId, PostingArena};
 
 /// Index of an item within a node: a base [`TupleId`](rsj_common::TupleId)
 /// for ungrouped nodes, or a group-tuple id for grouped nodes.
-pub type ItemId = u32;
+pub(crate) type ItemId = u32;
 
 /// Identifier of a group within a node.
-pub type GroupId = u32;
+pub(crate) type GroupId = u32;
 
 /// Where an item currently lives: 12 bytes, read on every propagation
 /// loop iteration, so the weight level is packed as a code instead of an
 /// 8-byte `Option<u32>`.
 #[derive(Clone, Copy, Debug)]
-pub struct ItemPos {
+pub(crate) struct ItemPos {
     /// Owning group.
     pub group: GroupId,
     /// Position within the bucket / zero list.
@@ -58,7 +58,7 @@ impl ItemPos {
     /// Builds a position from a level (`Some(i)` = bucket `Φ_i`, `None` =
     /// zero list).
     #[inline]
-    pub fn new(group: GroupId, level: Option<u32>, pos: u32) -> ItemPos {
+    pub(crate) fn new(group: GroupId, level: Option<u32>, pos: u32) -> ItemPos {
         ItemPos {
             group,
             pos,
@@ -68,7 +68,7 @@ impl ItemPos {
 
     /// Weight level: `Some(i)` for bucket `Φ_i`, `None` for the zero list.
     #[inline]
-    pub fn level(&self) -> Option<u32> {
+    pub(crate) fn level(&self) -> Option<u32> {
         match self.level_code {
             0 => None,
             c => Some(c - 1),
@@ -78,7 +78,7 @@ impl ItemPos {
 
 /// One weight bucket `Φ_i`: a level and the arena list holding its items.
 #[derive(Clone, Copy, Debug)]
-pub struct BucketRef {
+pub(crate) struct BucketRef {
     /// The level `i`; items here have weight `2^i`.
     pub level: u32,
     /// The bucket's item list in the node's [`PostingArena`].
@@ -87,7 +87,7 @@ pub struct BucketRef {
 
 /// One key group of a node.
 #[derive(Clone, Debug)]
-pub struct Group {
+pub(crate) struct Group {
     /// The paper's `cnt[T, e, t]`: total weight of all bucketed items.
     pub cnt: u128,
     /// Cached `cnt~` level: `0` for an empty group, else `level + 1`.
@@ -113,15 +113,9 @@ impl Default for Group {
 }
 
 impl Group {
-    /// `cnt~`: the rounded count. Zero for an empty group.
-    #[inline]
-    pub fn cnt_tilde(&self) -> u128 {
-        rsj_common::pow2::round_up_pow2(self.cnt)
-    }
-
     /// Level of `cnt~` (`None` when `cnt == 0`).
     #[inline]
-    pub fn tilde_level(&self) -> Option<u32> {
+    pub(crate) fn tilde_level(&self) -> Option<u32> {
         match self.tilde_code {
             0 => None,
             c => Some(c as u32 - 1),
@@ -137,7 +131,7 @@ impl Group {
     }
 
     /// Inserts `item` at `level` (or the zero list), returning its position.
-    pub fn insert_item(
+    fn insert_item(
         &mut self,
         postings: &mut PostingArena,
         item: ItemId,
@@ -172,7 +166,7 @@ impl Group {
     /// Removes the item at (`level`, `pos`), returning the id of the item
     /// that was moved into `pos` by the swap-remove (if any). The caller
     /// must update that item's stored position.
-    pub fn remove_item(
+    fn remove_item(
         &mut self,
         postings: &mut PostingArena,
         level: Option<u32>,
@@ -203,7 +197,7 @@ impl Group {
     /// that item's conceptual sub-batch. This is the bucket scan of
     /// Algorithm 9 lines 15–18 (`O(#buckets + log len) = O(log N)` per
     /// call; the second term is the arena's chunk walk).
-    pub fn locate(&self, postings: &PostingArena, z: u128) -> (ItemId, u128) {
+    pub(crate) fn locate(&self, postings: &PostingArena, z: u128) -> (ItemId, u128) {
         debug_assert!(z < self.cnt, "locate past cnt");
         let mut acc = 0u128;
         for b in &self.buckets {
@@ -220,17 +214,8 @@ impl Group {
     }
 
     /// Number of bucketed (non-zero-weight) items.
-    pub fn bucketed_len(&self, postings: &PostingArena) -> usize {
+    pub(crate) fn bucketed_len(&self, postings: &PostingArena) -> usize {
         self.buckets.iter().map(|b| postings.len(b.list)).sum()
-    }
-
-    /// Number of zero-weight items.
-    pub fn zero_len(&self, postings: &PostingArena) -> usize {
-        if self.zero == NO_LIST {
-            0
-        } else {
-            postings.len(self.zero)
-        }
     }
 }
 
@@ -244,7 +229,7 @@ impl HeapSize for Group {
 /// Grouped-node payload (§4.4): the distinct `ē`-projections with their
 /// multiplicities and base-tuple lists.
 #[derive(Clone, Debug, Default)]
-pub struct GroupedData {
+pub(crate) struct GroupedData {
     /// `ē`-projection -> group-tuple id.
     pub map: KeyMap<ItemId>,
     /// Group-tuple `ē` values.
@@ -259,7 +244,12 @@ pub struct GroupedData {
 impl GroupedData {
     /// Looks up or creates the group tuple for an `ē` projection (hashed by
     /// the caller). Returns `(id, created)`.
-    pub fn intern(&mut self, postings: &mut PostingArena, hash: u64, ebar: Key) -> (ItemId, bool) {
+    pub(crate) fn intern(
+        &mut self,
+        postings: &mut PostingArena,
+        hash: u64,
+        ebar: Key,
+    ) -> (ItemId, bool) {
         let next = self.ebar_vals.len() as ItemId;
         let (&mut id, created) = self.map.get_or_insert_with(hash, ebar, || next);
         if created {
@@ -282,7 +272,7 @@ impl HeapSize for GroupedData {
 
 /// Full per-node state within one rooted tree.
 #[derive(Clone, Debug)]
-pub struct NodeState {
+pub(crate) struct NodeState {
     /// `key(e)` value -> group id.
     pub groups: KeyMap<GroupId>,
     /// Group arena.
@@ -304,7 +294,7 @@ pub struct NodeState {
 
 impl NodeState {
     /// Creates empty state for a node with `num_children` children.
-    pub fn new(num_children: usize, grouped: bool) -> NodeState {
+    pub(crate) fn new(num_children: usize, grouped: bool) -> NodeState {
         NodeState {
             groups: KeyMap::default(),
             arena: Vec::new(),
@@ -318,7 +308,7 @@ impl NodeState {
 
     /// Group id for a key (hashed by the caller), creating an empty group
     /// when absent.
-    pub fn group_for(&mut self, hash: u64, key: Key) -> GroupId {
+    pub(crate) fn group_for(&mut self, hash: u64, key: Key) -> GroupId {
         let next = self.arena.len() as GroupId;
         let (&mut g, created) = self.groups.get_or_insert_with(hash, key, || next);
         if created {
@@ -329,26 +319,26 @@ impl NodeState {
 
     /// Group id for a key, if present.
     #[inline]
-    pub fn group_id(&self, hash: u64, key: &Key) -> Option<GroupId> {
+    pub(crate) fn group_id(&self, hash: u64, key: &Key) -> Option<GroupId> {
         self.groups.get(hash, key).copied()
     }
 
     /// The group for an existing id.
     #[inline]
-    pub fn group(&self, id: GroupId) -> &Group {
+    pub(crate) fn group(&self, id: GroupId) -> &Group {
         &self.arena[id as usize]
     }
 
     /// `cnt~` level of the group at `key` (`None` for missing/empty groups).
     #[inline]
-    pub fn tilde_level_of(&self, hash: u64, key: &Key) -> Option<u32> {
+    pub(crate) fn tilde_level_of(&self, hash: u64, key: &Key) -> Option<u32> {
         self.group_id(hash, key)
             .and_then(|g| self.arena[g as usize].tilde_level())
     }
 
     /// Appends `item` to the posting list of `key` in child index `ci`,
     /// creating the list on first use.
-    pub fn child_index_push(&mut self, ci: usize, hash: u64, key: Key, item: ItemId) {
+    pub(crate) fn child_index_push(&mut self, ci: usize, hash: u64, key: Key, item: ItemId) {
         let postings = &mut self.postings;
         let (&mut list, _) =
             self.child_indexes[ci].get_or_insert_with(hash, key, || postings.new_list());
@@ -365,7 +355,7 @@ impl NodeState {
     /// violation).
     ///
     /// [`child_index_push`]: NodeState::child_index_push
-    pub fn child_index_remove(&mut self, ci: usize, hash: u64, key: &Key, item: ItemId) {
+    pub(crate) fn child_index_remove(&mut self, ci: usize, hash: u64, key: &Key, item: ItemId) {
         let &list = self.child_indexes[ci]
             .get(hash, key)
             .expect("deleted item's child key must be indexed");
@@ -380,7 +370,7 @@ impl NodeState {
     /// [`place_new_item`](NodeState::place_new_item)). The item's own
     /// `item_pos` slot goes stale — ids are never reused, so no reader can
     /// reach it afterwards.
-    pub fn remove_existing_item(&mut self, item: ItemId) {
+    pub(crate) fn remove_existing_item(&mut self, item: ItemId) {
         let ip = self.item_pos[item as usize];
         let g = &mut self.arena[ip.group as usize];
         if let Some(moved) = g.remove_item(&mut self.postings, ip.level(), ip.pos) {
@@ -390,7 +380,7 @@ impl NodeState {
 
     /// Places a brand-new item into its group at `level` and records its
     /// position. `item` must equal `item_pos.len()`.
-    pub fn place_new_item(&mut self, item: ItemId, group: GroupId, level: Option<u32>) {
+    pub(crate) fn place_new_item(&mut self, item: ItemId, group: GroupId, level: Option<u32>) {
         debug_assert_eq!(item as usize, self.item_pos.len());
         let pos = self.arena[group as usize].insert_item(&mut self.postings, item, level);
         self.item_pos.push(ItemPos::new(group, level, pos));
@@ -401,7 +391,7 @@ impl NodeState {
     /// payload — exactly, so a restored node continues every future
     /// operation (and re-serializes) byte-identically. Physical layout is
     /// sample-relevant here: retrieval is positional within posting lists.
-    pub fn snapshot_to(&self, enc: &mut Encoder) {
+    pub(crate) fn snapshot_to(&self, enc: &mut Encoder) {
         self.groups.snapshot_to(enc, |e, g| e.put_u32(*g));
         enc.put_usize(self.arena.len());
         for g in &self.arena {
@@ -439,7 +429,7 @@ impl NodeState {
 
     /// Reconstructs node state from [`snapshot_to`](NodeState::snapshot_to)
     /// bytes.
-    pub fn restore_from(dec: &mut Decoder) -> Result<NodeState, CodecError> {
+    pub(crate) fn restore_from(dec: &mut Decoder) -> Result<NodeState, CodecError> {
         let groups = KeyMap::restore_from(dec, |d| d.u32())?;
         let narena = dec.seq_len(18)?;
         let mut arena = Vec::with_capacity(narena);
@@ -515,7 +505,7 @@ impl NodeState {
     /// Moves an existing item to a new level within its group, fixing the
     /// displaced item's position. `cnt` is adjusted internally by
     /// insert/remove (weights are implied by levels).
-    pub fn move_item(&mut self, item: ItemId, new_level: Option<u32>) {
+    pub(crate) fn move_item(&mut self, item: ItemId, new_level: Option<u32>) {
         let ip = self.item_pos[item as usize];
         let (group, level, pos) = (ip.group, ip.level(), ip.pos);
         if level == new_level {
@@ -530,7 +520,7 @@ impl NodeState {
     }
 
     /// [`HeapSize::heap_size`] by named part (the index's byte ledger).
-    pub fn heap_parts(&self) -> [(&'static str, usize); 9] {
+    pub(crate) fn heap_parts(&self) -> [(&'static str, usize); 9] {
         let [posting_data, posting_chunks, posting_lists] = self.postings.heap_parts();
         let child_tables = self.child_indexes.capacity() * std::mem::size_of::<KeyMap<ListId>>()
             + self
@@ -584,10 +574,9 @@ mod tests {
         g.insert_item(&mut a, 1, Some(2)); // weight 4
         g.insert_item(&mut a, 2, None); // zero
         assert_eq!(g.cnt, 5);
-        assert_eq!(g.cnt_tilde(), 8);
         assert_eq!(g.tilde_level(), Some(3));
         assert_eq!(g.bucketed_len(&a), 2);
-        assert_eq!(g.zero_len(&a), 1);
+        assert_eq!(zero_items(&g, &a), vec![2]);
     }
 
     #[test]
@@ -697,7 +686,7 @@ mod tests {
         assert_eq!(ns.group(g).cnt, 0);
         ns.move_item(0, Some(4));
         assert_eq!(ns.group(g).cnt, 16);
-        assert_eq!(ns.group(g).zero_len(&ns.postings), 0);
+        assert!(zero_items(ns.group(g), &ns.postings).is_empty());
         ns.move_item(0, None);
         assert_eq!(ns.group(g).cnt, 0);
         assert_eq!(zero_items(ns.group(g), &ns.postings), vec![0]);

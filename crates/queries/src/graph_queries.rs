@@ -68,12 +68,6 @@ pub fn dumbbell(edges: &[(Value, Value)], seed: u64) -> Workload {
     }
 }
 
-/// The canonical GHD grouping for the dumbbell: left triangle, bridge,
-/// right triangle (width 1.5).
-pub fn dumbbell_ghd_groups() -> Vec<Vec<usize>> {
-    vec![vec![0, 1, 2], vec![6], vec![3, 4, 5]]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,14 +92,6 @@ mod tests {
             assert_eq!(w.query.shared_attrs(0, i).len(), 1);
         }
         assert_eq!(w.query.num_attrs(), 6);
-    }
-
-    #[test]
-    fn dumbbell_ghd_groups_valid() {
-        let edges = vec![(1, 2)];
-        let w = dumbbell(&edges, 1);
-        let ghd = rsj_query::Ghd::manual(&w.query, &dumbbell_ghd_groups()).unwrap();
-        assert!((ghd.width() - 1.5).abs() < 1e-9);
     }
 
     #[test]

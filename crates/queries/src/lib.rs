@@ -10,8 +10,8 @@
 //! QZ over `tpcds-lite`, Q10 over `ldbc-lite`) pre-load the small static
 //! tables and stream the rest.
 
-pub mod graph_queries;
-pub mod planner_workloads;
+mod graph_queries;
+mod planner_workloads;
 pub mod relational;
 
 pub use graph_queries::{dumbbell, line_k, star_k};

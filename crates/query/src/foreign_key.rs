@@ -295,11 +295,6 @@ impl CombinePlan {
             routing,
         })
     }
-
-    /// True when the rewrite changed nothing.
-    pub fn is_identity(&self) -> bool {
-        self.combined.iter().all(|c| c.dims.is_empty())
-    }
 }
 
 #[cfg(test)]
@@ -333,7 +328,7 @@ mod tests {
         qb.relation("S", &["Y", "Z"]);
         let q = qb.build().unwrap();
         let plan = CombinePlan::build(&q, &FkSchema::none(2)).unwrap();
-        assert!(plan.is_identity());
+        assert!(plan.combined.iter().all(|c| c.dims.is_empty()));
         assert_eq!(plan.rewritten.num_relations(), 2);
         assert_eq!(plan.routing[0], Routing::Fact { combined: 0 });
     }
@@ -431,7 +426,7 @@ mod tests {
         let q = qb.build().unwrap();
         let fks = FkSchema::none(2).with_pk(1, vec![0, 1]); // PK = (A, B)
         let plan = CombinePlan::build(&q, &fks).unwrap();
-        assert!(plan.is_identity());
+        assert!(plan.combined.iter().all(|c| c.dims.is_empty()));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! pays more than weight 1 on an edge (coefficients are 0/1), so the
 //! `w_e <= 1` cap of Definition 5.1 is not binding and is omitted.
 
-use crate::hypergraph::{AttrId, Query};
+use crate::hypergraph::Query;
 
 /// Solves `min Σ w` s.t. `cover_rows · w >= 1`, `w >= 0` by vertex
 /// enumeration. `rows[r]` lists the variable indices with coefficient 1 in
@@ -23,7 +23,7 @@ use crate::hypergraph::{AttrId, Query};
 /// # Panics
 /// Panics if some row is empty (an attribute covered by no edge — an
 /// ill-formed hypergraph).
-pub fn min_fractional_cover(num_vars: usize, rows: &[Vec<usize>]) -> (f64, Vec<f64>) {
+pub(crate) fn min_fractional_cover(num_vars: usize, rows: &[Vec<usize>]) -> (f64, Vec<f64>) {
     assert!(num_vars > 0);
     for r in rows {
         assert!(!r.is_empty(), "attribute covered by no relation");
@@ -75,18 +75,6 @@ pub fn rho_star(q: &Query) -> f64 {
     let rows: Vec<Vec<usize>> = (0..q.num_attrs())
         .map(|a| q.relations_with_attr(a))
         .collect();
-    min_fractional_cover(q.num_relations(), &rows).0
-}
-
-/// Fractional edge cover number of the subquery induced by an attribute set
-/// `lambda` — the width contribution of one GHD bag
-/// (`ρ*(Q_u)`, Definition 5.2). Edges enter as their intersections with
-/// `lambda`.
-pub fn rho_star_induced(q: &Query, lambda: &[AttrId]) -> f64 {
-    if lambda.is_empty() {
-        return 0.0;
-    }
-    let rows: Vec<Vec<usize>> = lambda.iter().map(|&a| q.relations_with_attr(a)).collect();
     min_fractional_cover(q.num_relations(), &rows).0
 }
 
@@ -224,26 +212,6 @@ mod tests {
         ]);
         // Odd cycle: every vertex-cover LP argument gives k/2.
         assert!((rho_star(&c) - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn induced_subquery_width() {
-        // The dumbbell's triangle bag: induced on {x1,x2,x3} the three
-        // triangle edges cover fractionally at 1.5; the bridge only brings
-        // {x3} which doesn't help.
-        let d = q(&[
-            ("R1", &["x1", "x2"]),
-            ("R2", &["x1", "x3"]),
-            ("R3", &["x2", "x3"]),
-            ("R7", &["x3", "x4"]),
-            ("R4", &["x5", "x6"]),
-            ("R5", &["x4", "x5"]),
-            ("R6", &["x4", "x6"]),
-        ]);
-        // Attr ids follow interning order: x1=0, x2=1, x3=2, x4=3.
-        assert!((rho_star_induced(&d, &[0, 1, 2]) - 1.5).abs() < 1e-9);
-        assert!((rho_star_induced(&d, &[2, 3]) - 1.0).abs() < 1e-9);
-        assert_eq!(rho_star_induced(&d, &[]), 0.0);
     }
 
     #[test]

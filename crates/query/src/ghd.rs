@@ -44,8 +44,6 @@ pub struct Ghd {
     /// The acyclic *bag-level query*: one relation per bag with schema
     /// `λ(u)` (attribute names borrowed from the original query).
     bag_query: Query,
-    /// Join tree over the bag-level query.
-    bag_tree: JoinTree,
     width: f64,
 }
 
@@ -162,12 +160,11 @@ impl Ghd {
             });
         }
         let bag_query = qb.build().ok()?;
-        let bag_tree = JoinTree::build(&bag_query)?;
+        JoinTree::build(&bag_query)?;
         let width = bags.iter().map(|b| b.rho).fold(0.0, f64::max);
         Some(Ghd {
             bags,
             bag_query,
-            bag_tree,
             width,
         })
     }
@@ -180,11 +177,6 @@ impl Ghd {
     /// The acyclic bag-level query.
     pub fn bag_query(&self) -> &Query {
         &self.bag_query
-    }
-
-    /// Join tree of the bag-level query.
-    pub fn bag_tree(&self) -> &JoinTree {
-        &self.bag_tree
     }
 
     /// The decomposition's width (`max_u ρ*(Q_u)`).
@@ -273,7 +265,7 @@ mod tests {
         let bridge_bag = ghd.bag_of(6);
         assert!((ghd.bags()[bridge_bag].rho - 1.0).abs() < 1e-9);
         // Bag-level join is a path, hence acyclic by construction.
-        assert_eq!(ghd.bag_tree().edges().len(), 2);
+        assert_eq!(JoinTree::build(ghd.bag_query()).unwrap().edges().len(), 2);
     }
 
     #[test]

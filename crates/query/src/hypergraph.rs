@@ -7,7 +7,7 @@
 use rsj_common::FxHashMap;
 
 /// Dense attribute identifier within one query.
-pub type AttrId = usize;
+pub(crate) type AttrId = usize;
 
 /// One relation's schema within a query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct Query {
 }
 
 impl Query {
-    /// All attribute names, indexed by [`AttrId`].
+    /// All attribute names, indexed by `AttrId`.
     pub fn attr_names(&self) -> &[String] {
         &self.attr_names
     }
@@ -88,7 +88,7 @@ impl Query {
     /// True if the query's join graph is connected (every pair of relations
     /// linked through shared attributes). The drivers require connectivity;
     /// a disconnected query is a Cartesian product of independent joins.
-    pub fn is_connected(&self) -> bool {
+    fn is_connected(&self) -> bool {
         let n = self.relations.len();
         if n <= 1 {
             return true;

@@ -6,8 +6,8 @@
 //! attributes, `E` the relation schemas. This crate provides everything the
 //! index and drivers need to *reason about* a query before any tuple flows:
 //!
-//! * [`hypergraph`] — the [`hypergraph::Query`] type and its builder;
-//! * [`join_tree`] — GYO reduction: α-acyclicity testing and join-tree
+//! * `hypergraph` — the [`Query`] type and its builder;
+//! * `join_tree` — GYO reduction: α-acyclicity testing and join-tree
 //!   construction (Definition 4.1);
 //! * [`rooted`] — the rooted views of a join tree, one per relation, with
 //!   all the key/child attribute bookkeeping the dynamic index needs
@@ -18,14 +18,14 @@
 //!   (Definitions 5.2–5.3), with automatic search for small queries;
 //! * [`foreign_key`] — the foreign-key combination rewrite of §4.4;
 //! * [`plan`] — cost-based plan selection: enumerate candidate join trees
-//!   ([`join_tree::all_join_trees`]), score every tree × root against
+//!   ([`all_join_trees`]), score every tree × root against
 //!   observed stream statistics, return the winning [`plan::Plan`].
 
 pub mod foreign_key;
 pub mod fractional;
 pub mod ghd;
-pub mod hypergraph;
-pub mod join_tree;
+mod hypergraph;
+mod join_tree;
 pub mod plan;
 pub mod rooted;
 

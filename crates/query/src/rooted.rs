@@ -211,7 +211,7 @@ impl RootedTree {
     }
 
     /// Relations in BFS order (parents before children).
-    pub fn bfs_order(&self) -> &[usize] {
+    pub(crate) fn bfs_order(&self) -> &[usize] {
         &self.order
     }
 

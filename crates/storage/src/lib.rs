@@ -11,9 +11,6 @@
 //! * [`relation::Relation`] — a flat, arena-backed tuple store with
 //!   set-semantics deduplication and tombstone-based removal;
 //! * [`relation::Database`] — the collection of relations a query runs over;
-//! * [`semijoin::SemijoinIndex`] — hash index from a composite key to the
-//!   positional list of matching tuples (`R_e ⋉ t` in the paper), the
-//!   building block of both the dynamic index and the baselines;
 //! * [`input::InputTuple`] / [`input::TupleStream`] — the insert-only input
 //!   stream fed to the drivers;
 //! * [`input::StreamOp`] / [`input::OpStream`] — the fully-dynamic
@@ -30,14 +27,12 @@
 
 pub mod input;
 pub mod relation;
-pub mod semijoin;
 pub mod shared;
 pub mod stats;
 pub mod wal;
 
 pub use input::{InputTuple, OpStream, StreamOp, TupleStream};
 pub use relation::{Database, Relation};
-pub use semijoin::SemijoinIndex;
 pub use shared::{SharedStore, SharedStoreError};
-pub use stats::{ColumnStats, RelationStats, TableStatistics};
+pub use stats::{RelationStats, TableStatistics};
 pub use wal::{Checkpoint, Wal, WalError, FORMAT_VERSION};

@@ -16,7 +16,7 @@ use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::HeapSize;
 
 /// The schema of one relation slot: display name and arity.
-pub type RelationSchema = (String, usize);
+type RelationSchema = (String, usize);
 
 /// A validation or accounting failure in the shared store.
 #[derive(Debug, PartialEq, Eq)]
@@ -158,11 +158,6 @@ impl SharedStore {
         Ok(())
     }
 
-    /// Live registration references on `rel`.
-    pub fn ref_count(&self, rel: usize) -> u64 {
-        self.refs.get(rel).copied().unwrap_or(0)
-    }
-
     /// Total live references across all relations. Zero when no query is
     /// registered — the leak property tests pin that deregistration always
     /// gets back here.
@@ -268,7 +263,7 @@ mod tests {
         store.acquire(0).unwrap();
         store.acquire(0).unwrap();
         store.acquire(1).unwrap();
-        assert_eq!(store.ref_count(0), 2);
+        assert_eq!(store.refs[0], 2);
         assert_eq!(store.live_refs(), 3);
         store.release(0).unwrap();
         store.release(0).unwrap();
@@ -293,7 +288,7 @@ mod tests {
         dec.finish().unwrap();
         assert_eq!(back.schema(), store.schema());
         assert_eq!(back.history().ops(), store.history().ops());
-        assert_eq!(back.ref_count(1), 1);
+        assert_eq!(back.refs[1], 1);
     }
 
     #[test]

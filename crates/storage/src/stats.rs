@@ -27,7 +27,7 @@ use rsj_common::{FxHashMap, Value};
 /// Exact per-column frequency sketch: distinct count, maximum per-key
 /// frequency, and the live row count behind them.
 #[derive(Clone, Debug, Default)]
-pub struct ColumnStats {
+pub(crate) struct ColumnStats {
     freq: FxHashMap<Value, u64>,
     rows: u64,
 }
@@ -41,7 +41,7 @@ impl ColumnStats {
 
     /// Removes one occurrence of `v` (no-op if `v` was never observed —
     /// the caller is expected to mirror the relation's set semantics).
-    pub fn unobserve(&mut self, v: Value) {
+    fn unobserve(&mut self, v: Value) {
         if let Some(c) = self.freq.get_mut(&v) {
             *c -= 1;
             self.rows -= 1;
@@ -51,28 +51,14 @@ impl ColumnStats {
         }
     }
 
-    /// Number of live rows observed through this column.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
     /// Number of distinct live values.
     pub fn distinct(&self) -> u64 {
         self.freq.len() as u64
     }
 
     /// Frequency of the heaviest live value (0 when empty).
-    pub fn max_frequency(&self) -> u64 {
+    fn max_frequency(&self) -> u64 {
         self.freq.values().copied().max().unwrap_or(0)
-    }
-
-    /// Mean rows per distinct value (1.0 when empty).
-    pub fn avg_fanout(&self) -> f64 {
-        if self.freq.is_empty() {
-            1.0
-        } else {
-            self.rows as f64 / self.freq.len() as f64
-        }
     }
 
     /// Serializes the sketch. The frequency map is written in sorted value
@@ -110,7 +96,7 @@ impl ColumnStats {
     }
 }
 
-/// Per-relation statistics: live cardinality plus one [`ColumnStats`] per
+/// Per-relation statistics: live cardinality plus one `ColumnStats` per
 /// schema position.
 #[derive(Clone, Debug, Default)]
 pub struct RelationStats {
@@ -118,7 +104,7 @@ pub struct RelationStats {
     /// excluded, exactly like [`crate::Relation::len`]).
     pub cardinality: u64,
     /// One sketch per schema position.
-    pub columns: Vec<ColumnStats>,
+    pub(crate) columns: Vec<ColumnStats>,
 }
 
 impl RelationStats {
@@ -134,7 +120,7 @@ impl RelationStats {
     /// the true set-distinct count, so the derived fan-out
     /// ([`fanout`](RelationStats::fanout)) is an upper estimate. An empty
     /// projection (a root's empty key) has one distinct value.
-    pub fn distinct_at(&self, positions: &[usize]) -> u64 {
+    fn distinct_at(&self, positions: &[usize]) -> u64 {
         positions
             .iter()
             .map(|&p| self.columns[p].distinct())
@@ -157,7 +143,7 @@ impl RelationStats {
     /// smallest single-column max frequency among them (an upper bound on
     /// the projection's true max frequency; the cardinality for an empty
     /// projection).
-    pub fn max_fanout(&self, positions: &[usize]) -> u64 {
+    fn max_fanout(&self, positions: &[usize]) -> u64 {
         positions
             .iter()
             .map(|&p| self.columns[p].max_frequency())
@@ -253,7 +239,7 @@ impl TableStatistics {
     }
 
     /// Total live tuples across all relations.
-    pub fn total_live(&self) -> u64 {
+    fn total_live(&self) -> u64 {
         self.rels.iter().map(|r| r.cardinality).sum()
     }
 
@@ -337,10 +323,9 @@ mod tests {
         for v in [1u64, 1, 1, 2, 3] {
             c.observe(v);
         }
-        assert_eq!(c.rows(), 5);
+        assert_eq!(c.rows, 5);
         assert_eq!(c.distinct(), 3);
         assert_eq!(c.max_frequency(), 3);
-        assert!((c.avg_fanout() - 5.0 / 3.0).abs() < 1e-12);
         c.unobserve(1);
         c.unobserve(3);
         assert_eq!(c.distinct(), 2);
@@ -428,7 +413,7 @@ mod tests {
             {
                 assert_eq!(a.distinct(), b.distinct());
                 assert_eq!(a.max_frequency(), b.max_frequency());
-                assert_eq!(a.rows(), b.rows());
+                assert_eq!(a.rows, b.rows);
             }
         }
         assert_eq!(snap(&s2), bytes, "re-serialization drifted");

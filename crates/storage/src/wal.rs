@@ -89,10 +89,10 @@ use std::time::Duration;
 pub const FORMAT_VERSION: u32 = 9;
 
 /// Magic prefix of a WAL segment file.
-pub const WAL_MAGIC: [u8; 4] = *b"RSJW";
+const WAL_MAGIC: [u8; 4] = *b"RSJW";
 
 /// Magic prefix of a checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RSJC";
+const CHECKPOINT_MAGIC: [u8; 4] = *b"RSJC";
 
 const SEGMENT_HEADER_LEN: u64 = 16;
 
@@ -834,7 +834,7 @@ impl Checkpoint {
     }
 
     /// Parses checkpoint file bytes, validating magic, version and CRC.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, WalError> {
+    fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, WalError> {
         if bytes.len() < 12 {
             return Err(WalError::Corrupt("checkpoint shorter than its header"));
         }
@@ -858,23 +858,8 @@ impl Checkpoint {
         Ok(Checkpoint { engine, lsn, state })
     }
 
-    /// Writes the checkpoint atomically: to `<path>.tmp`, then renamed over
-    /// `path`, so a crash mid-write leaves the previous checkpoint intact.
-    /// (The durability wrapper routes this through [`Wal::write_atomic`]
-    /// instead, so checkpoint writes share the log's fault shim.)
-    pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), WalError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Reads a checkpoint written by [`write_to`](Checkpoint::write_to).
+    /// Reads a checkpoint file, as [`Wal::write_atomic`] wrote
+    /// [`to_bytes`](Checkpoint::to_bytes) to it.
     pub fn read_from(path: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
         let mut bytes = Vec::new();
         File::open(path.as_ref())?.read_to_end(&mut bytes)?;
@@ -1059,8 +1044,10 @@ mod tests {
             lsn: 12345,
             state: (0..200u8).collect(),
         };
+        assert_eq!(Checkpoint::from_bytes(&ck.to_bytes()).unwrap(), ck);
         let path = scratch.0.join("engine.ckpt");
-        ck.write_to(&path).unwrap();
+        let mut wal = Wal::open(scratch.0.join("wal")).unwrap();
+        wal.write_atomic(&path, &ck.to_bytes()).unwrap();
         assert_eq!(Checkpoint::read_from(&path).unwrap(), ck);
         let mut bytes = ck.to_bytes();
         bytes[20] ^= 1;

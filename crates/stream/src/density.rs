@@ -26,11 +26,6 @@ pub fn density(flags: &[bool]) -> f64 {
     phi
 }
 
-/// Number of real items in the stream.
-pub fn real_count(flags: &[bool]) -> usize {
-    flags.iter().filter(|&&f| f).count()
-}
-
 /// Concatenation of two streams (Lemma 3.6: density >= min(φ1, φ2)).
 pub fn concat(a: &[bool], b: &[bool]) -> Vec<bool> {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -96,7 +91,8 @@ mod tests {
         assert_eq!(p.len(), 12);
         assert!(density(&p) >= density(&a) * density(&b) / 2.0 - 1e-12);
         // Real pairs = reals(a) * reals(b).
-        assert_eq!(real_count(&p), real_count(&a) * real_count(&b));
+        let reals = |s: &[bool]| s.iter().filter(|&&f| f).count();
+        assert_eq!(reals(&p), reals(&a) * reals(&b));
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl<T> ClassicReservoir<T> {
         self.seen
     }
 
-    /// Consumes the reservoir, returning the samples.
-    pub fn into_samples(self) -> Vec<T> {
-        self.samples
-    }
-
     /// Removes every sample matching `dead`, returning how many were
     /// evicted. Part of the turnstile repair protocol (see
     /// [`set_population`](ClassicReservoir::set_population)).
@@ -165,12 +160,21 @@ impl<T> ClassicReservoir<T> {
         if k == 0 {
             return Err(CodecError::Corrupt("reservoir capacity zero"));
         }
+        // No `Vec<T>` holds more than `isize::MAX` bytes, so a larger
+        // capacity was never written by `snapshot_to`.
+        if k.saturating_mul(std::mem::size_of::<T>()) > isize::MAX as usize {
+            return Err(CodecError::Corrupt(
+                "reservoir capacity past the address space",
+            ));
+        }
         let seen = dec.u128()?;
+        // The buffer is sized by the input-bounded sample count, not by
+        // `k`: a capacity word is checked, never allocated.
         let n = dec.seq_len(1)?;
         if n > k {
             return Err(CodecError::Corrupt("more samples than capacity"));
         }
-        let mut samples = Vec::with_capacity(k);
+        let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
             samples.push(get(dec)?);
         }
@@ -650,7 +654,7 @@ mod tests {
         for x in 0..5u64 {
             r.offer(x);
         }
-        let mut s = r.into_samples();
+        let mut s = r.samples().to_vec();
         s.sort_unstable();
         assert_eq!(s, vec![0, 1, 2, 3, 4]);
     }
@@ -877,6 +881,23 @@ mod tests {
             assert_eq!(tail.samples(), whole.samples(), "split at {p}");
             assert_eq!(tail.seen(), whole.seen(), "split at {p}");
         }
+    }
+
+    #[test]
+    fn classic_restore_rejects_a_capacity_no_buffer_can_hold() {
+        let mut r = ClassicReservoir::new(4, 3);
+        for x in 0..10u64 {
+            r.offer(x);
+        }
+        let mut enc = rsj_common::codec::Encoder::new();
+        r.snapshot_to(&mut enc, |e, v| e.put_u64(*v));
+        let mut bytes = enc.into_bytes();
+        bytes[..8].copy_from_slice(&(u64::MAX >> 2).to_le_bytes());
+        let mut dec = rsj_common::codec::Decoder::new(&bytes);
+        assert!(matches!(
+            ClassicReservoir::restore_from(&mut dec, |d| d.u64()),
+            Err(CodecError::Corrupt(_))
+        ));
     }
 
     #[test]

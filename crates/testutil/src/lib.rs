@@ -15,7 +15,7 @@
 //! # Alpha levels and Bonferroni correction
 //!
 //! Every uniformity check tests at the family-wise significance level
-//! [`BASE_ALPHA`] = `1e-4`: under a *fixed seed* the test statistic is
+//! `BASE_ALPHA` = `1e-4`: under a *fixed seed* the test statistic is
 //! deterministic, so the level only describes how extreme a draw the
 //! committed seed would have to be for the suite to have been born red —
 //! one in ten thousand keeps accidental borderline seeds out while still
@@ -24,7 +24,7 @@
 //!
 //! A suite that runs the *same* check across `m` engines (or workloads)
 //! performs `m` comparisons; to keep the family-wise level at
-//! [`BASE_ALPHA`], [`bonferroni`] divides the per-comparison alpha by `m`
+//! `BASE_ALPHA`, `bonferroni` divides the per-comparison alpha by `m`
 //! and [`rsj_common::stats::chi_square_critical`] rounds the corrected
 //! level down to the next tabulated decade (conservative: the true
 //! family-wise rate stays below the requested one). Use
@@ -45,11 +45,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Family-wise significance level of every uniformity assertion: `1e-4`.
-pub const BASE_ALPHA: f64 = 1e-4;
+const BASE_ALPHA: f64 = 1e-4;
 
 /// The per-comparison alpha keeping a family of `comparisons` checks at
 /// family-wise level `alpha` (Bonferroni).
-pub fn bonferroni(alpha: f64, comparisons: usize) -> f64 {
+fn bonferroni(alpha: f64, comparisons: usize) -> f64 {
     alpha / comparisons.max(1) as f64
 }
 
@@ -73,12 +73,12 @@ pub struct UniformityCheck {
 }
 
 impl UniformityCheck {
-    /// One comparison at [`BASE_ALPHA`].
+    /// One comparison at `BASE_ALPHA`.
     pub fn single() -> UniformityCheck {
         UniformityCheck { alpha: BASE_ALPHA }
     }
 
-    /// A family of `comparisons` checks sharing the [`BASE_ALPHA`] budget
+    /// A family of `comparisons` checks sharing the `BASE_ALPHA` budget
     /// (Bonferroni-corrected per-comparison level).
     pub fn across(comparisons: usize) -> UniformityCheck {
         UniformityCheck {

@@ -364,20 +364,6 @@ impl<T: Durable> Persistent<T> {
     pub fn engine(&self) -> &T {
         &self.inner
     }
-
-    /// The wrapped target, mutably — for maintenance calls like
-    /// [`JoinSampler::replan`] or service registration that do not consume
-    /// stream ops. Feeding it ops through this reference bypasses the log
-    /// and forfeits recovery; use [`process_op`](Persistent::process_op).
-    pub fn engine_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
-    /// Unwraps the target, dropping durability (the log is flushed by
-    /// `Wal`'s drop).
-    pub fn into_engine(self) -> T {
-        self.inner
-    }
 }
 
 /// The durable resident [`SamplerService`]: a [`Persistent`] whose target
@@ -446,7 +432,7 @@ impl PersistentService {
     /// the log and forfeits recovery; use
     /// [`process_op`](Persistent::process_op).
     pub fn service_mut(&mut self) -> &mut SamplerService {
-        self.0.engine_mut()
+        &mut self.0.inner
     }
 }
 

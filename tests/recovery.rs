@@ -799,6 +799,39 @@ fn a_failed_restore_leaves_the_receiver_as_it_was() {
         }
     }
 
+    // A capacity word no buffer can hold is rejected before anything is
+    // allocated for it: the symmetric join's reservoir capacity, patched
+    // to 2^62 - 1, used to panic or abort the process.
+    let (query, k) = (two_rel(), 4099);
+    let run = |seed: u64| {
+        let opts = EngineOpts::default();
+        let mut s = Engine::Symmetric
+            .build(&query, k, 0xD15EA5E, &opts)
+            .unwrap();
+        for op in &turnstile_ops(&query, 200, 6, seed) {
+            s.process_op(op).unwrap();
+        }
+        s
+    };
+    let mut hostile = run(1).snapshot_state().unwrap();
+    let mut receiver = run(2);
+    let b = receiver.snapshot_state().unwrap();
+    let word = (k as u64).to_le_bytes();
+    let at: Vec<usize> = (hostile.windows(8).enumerate())
+        .filter_map(|(i, w)| (w == word).then_some(i))
+        .collect();
+    assert_eq!(
+        at.len(),
+        1,
+        "the capacity word is the only {k} in the image"
+    );
+    hostile[at[0]..at[0] + 8].copy_from_slice(&(u64::MAX >> 2).to_le_bytes());
+    assert!(receiver.restore_state(&hostile).is_err());
+    assert!(
+        receiver.snapshot_state().unwrap() == b,
+        "symmetric: a failed restore of a huge capacity changed the receiver"
+    );
+
     let query = line3();
     let run = |seed: u64| {
         let mut ungrouped = QueryOpts::new(8, 2);
