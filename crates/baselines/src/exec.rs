@@ -31,8 +31,8 @@ impl JoinSampler for NaiveRebuild {
         NaiveRebuild::delete(self, rel, tuple);
     }
 
-    fn samples(&self) -> Vec<Vec<Value>> {
-        NaiveRebuild::samples(self).to_vec()
+    fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
+        self.samples.iter().for_each(|row| f(row))
     }
 
     fn k(&self) -> usize {
@@ -56,6 +56,9 @@ impl JoinSampler for NaiveRebuild {
         }
     }
 
+    /// Relations of the wrong count or arity, more samples than `k`, or a
+    /// sample row not as wide as the query's attribute set reject the
+    /// image.
     fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
         let db = Database::restore_from(dec)?;
         if db.len() != self.query.num_relations() {
@@ -71,7 +74,10 @@ impl JoinSampler for NaiveRebuild {
         if n > self.k {
             return Err(CodecError::Corrupt("snapshot holds more samples than k"));
         }
-        let samples = (0..n).map(|_| dec.u64s()).collect::<Result<_, _>>()?;
+        let samples: Vec<Vec<Value>> = (0..n).map(|_| dec.u64s()).collect::<Result<_, _>>()?;
+        if samples.iter().any(|s| s.len() != self.query.num_attrs()) {
+            return Err(CodecError::Corrupt("snapshot sample row width mismatch"));
+        }
         dec.finish()?;
         self.db = db;
         self.rng = rng;
@@ -99,8 +105,8 @@ impl JoinSampler for SJoin {
         SJoin::delete(self, rel, tuple);
     }
 
-    fn samples(&self) -> Vec<Vec<Value>> {
-        SJoin::samples(self).to_vec()
+    fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
+        SJoin::samples(self).iter().for_each(f)
     }
 
     fn k(&self) -> usize {
@@ -251,21 +257,18 @@ impl JoinSampler for SymmetricSampler {
         }
     }
 
-    fn samples(&self) -> Vec<Vec<Value>> {
-        self.inner
-            .samples()
-            .iter()
-            .map(|(l, r)| {
-                let mut out = vec![0; self.query.num_attrs()];
-                for (pos, &attr) in self.query.relation(0).attrs.iter().enumerate() {
-                    out[attr] = l[pos];
+    /// Each `(left, right)` pair is spread into one scratch row, reused
+    /// across the visit.
+    fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
+        let mut row = vec![0; self.query.num_attrs()];
+        for (l, r) in self.inner.samples() {
+            for (side, t) in [l, r].into_iter().enumerate() {
+                for (&attr, &v) in self.query.relation(side).attrs.iter().zip(t) {
+                    row[attr] = v;
                 }
-                for (pos, &attr) in self.query.relation(1).attrs.iter().enumerate() {
-                    out[attr] = r[pos];
-                }
-                out
-            })
-            .collect()
+            }
+            f(&row);
+        }
     }
 
     fn k(&self) -> usize {
@@ -300,8 +303,12 @@ impl JoinSampler for SymmetricSampler {
         enc.put_u64(self.deletes);
     }
 
+    /// Tuples of the wrong width, tuples stored under a key they do not
+    /// project to, and dedup sets that are not exactly the stored tuples
+    /// reject the image.
     fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
-        let inner = self.inner.restore_from(dec)?;
+        let arity = [0, 1].map(|rel| self.query.relation(rel).attrs.len());
+        let inner = self.inner.restore_from(dec, arity)?;
         let mut seen = [FxHashSet::default(), FxHashSet::default()];
         for side in &mut seen {
             let n = dec.seq_len(1)?;
@@ -313,6 +320,14 @@ impl JoinSampler for SymmetricSampler {
         }
         let (inserts, deletes) = (dec.u64()?, dec.u64()?);
         dec.finish()?;
+        for (rel, side) in seen.iter().enumerate() {
+            let mut unmatched: FxHashSet<&Vec<Value>> = side.iter().collect();
+            if !inner.side(rel).all(|t| unmatched.remove(t)) || !unmatched.is_empty() {
+                return Err(CodecError::Corrupt(
+                    "dedup set differs from the stored tuples",
+                ));
+            }
+        }
         self.inner = inner;
         self.seen = seen;
         self.inserts = inserts;
@@ -325,6 +340,7 @@ impl JoinSampler for SymmetricSampler {
 mod tests {
     use super::*;
     use crate::SJoinOpt;
+    use rsj_core::exec::SamplerExt;
     use rsj_query::QueryBuilder;
 
     /// `SJoin_opt` with no keys declared: the identity rewrite.
@@ -345,7 +361,7 @@ mod tests {
         let mut s = SymmetricSampler::new(two_table(), 10, 1).unwrap();
         JoinSampler::process(&mut s, 0, &[1, 2]);
         JoinSampler::process(&mut s, 1, &[2, 3]);
-        assert_eq!(JoinSampler::samples(&s), vec![vec![1, 2, 3]]);
+        assert_eq!(SamplerExt::samples(&s), vec![vec![1, 2, 3]]);
         assert_eq!(s.exact_count(), 1);
     }
 
@@ -416,6 +432,171 @@ mod tests {
             let mut fresh = build(which);
             assert!(fresh.restore_state(&bytes[..bytes.len() / 2]).is_err());
         }
+    }
+
+    /// One hash side of a hand-written image: `(key, bucket)` entries.
+    type Side<'a> = &'a [(u64, &'a [&'a [u64]])];
+
+    /// Hand-writes a `SymmetricSampler` image over `two_table()` with
+    /// `k = 10`; the join key is `Y`, at left position 1 and right position
+    /// 0. Each side lists `(key, bucket)` entries, `pairs` are the
+    /// reservoir's samples and `seen` the two dedup sets.
+    fn symmetric_image(
+        sides: [Side; 2],
+        pairs: &[(&[u64], &[u64])],
+        seen: [&[&[u64]]; 2],
+    ) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        for pos in [1, 1, 0] {
+            enc.put_usize(pos);
+        }
+        for side in sides {
+            enc.put_usize(side.len());
+            for &(key, bucket) in side {
+                rsj_common::Key::project(&[key], &[0]).encode_to(&mut enc);
+                enc.put_usize(bucket.len());
+                bucket.iter().for_each(|t| enc.put_u64s(t));
+            }
+        }
+        let rng = RsjRng::seed_from_u64(1).state();
+        enc.put_usize(10);
+        enc.put_u128(pairs.len() as u128);
+        enc.put_usize(pairs.len());
+        for (l, r) in pairs {
+            enc.put_u64s(l);
+            enc.put_u64s(r);
+        }
+        rng.iter().for_each(|&w| enc.put_u64(w));
+        let mut live = 0;
+        for (lk, l) in sides[0] {
+            for (rk, r) in sides[1] {
+                if lk == rk {
+                    live += l.len() * r.len();
+                }
+            }
+        }
+        enc.put_u128(live as u128);
+        rng.iter().for_each(|&w| enc.put_u64(w));
+        for side in seen {
+            enc.put_usize(side.len());
+            side.iter().for_each(|t| enc.put_u64s(t));
+        }
+        enc.put_u64(2);
+        enc.put_u64(0);
+        enc.into_bytes()
+    }
+
+    /// Restores `image` into a `SymmetricSampler` holding one result and
+    /// returns the outcome, asserting a rejection changed nothing.
+    fn restore_symmetric(image: &[u8]) -> Result<SymmetricSampler, CodecError> {
+        let mut s = SymmetricSampler::new(two_table(), 10, 1).unwrap();
+        JoinSampler::process(&mut s, 0, &[7, 8]);
+        JoinSampler::process(&mut s, 1, &[8, 9]);
+        let before = s.snapshot_state();
+        match s.restore_state(image) {
+            Ok(()) => Ok(s),
+            Err(e) => {
+                assert_eq!(
+                    s.snapshot_state(),
+                    before,
+                    "a rejected image changed the receiver"
+                );
+                Err(e)
+            }
+        }
+    }
+
+    #[test]
+    fn symmetric_restores_a_hand_written_image() {
+        let image = symmetric_image(
+            [&[(2, &[&[1, 2]])], &[(2, &[&[2, 3]])]],
+            &[(&[1, 2], &[2, 3])],
+            [&[&[1, 2]], &[&[2, 3]]],
+        );
+        let s = restore_symmetric(&image).unwrap();
+        assert_eq!(s.samples(), vec![vec![1, 2, 3]]);
+        assert_eq!(s.exact_count(), 1);
+    }
+
+    #[test]
+    fn symmetric_rejects_a_stored_tuple_of_the_wrong_width() {
+        let image = symmetric_image(
+            [&[(2, &[&[1, 2, 5]])], &[(2, &[&[2, 3]])]],
+            &[(&[1, 2], &[2, 3])],
+            [&[&[1, 2, 5]], &[&[2, 3]]],
+        );
+        assert!(matches!(
+            restore_symmetric(&image),
+            Err(CodecError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn symmetric_rejects_a_sample_of_the_wrong_width() {
+        let image = symmetric_image(
+            [&[(2, &[&[1, 2]])], &[(2, &[&[2, 3]])]],
+            &[(&[1], &[2, 3])],
+            [&[&[1, 2]], &[&[2, 3]]],
+        );
+        assert!(matches!(
+            restore_symmetric(&image),
+            Err(CodecError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn symmetric_rejects_a_tuple_stored_under_another_key() {
+        let image = symmetric_image(
+            [&[(2, &[&[1, 2], &[4, 5]])], &[(2, &[&[2, 3]])]],
+            &[(&[1, 2], &[2, 3])],
+            [&[&[1, 2], &[4, 5]], &[&[2, 3]]],
+        );
+        assert!(matches!(
+            restore_symmetric(&image),
+            Err(CodecError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn symmetric_rejects_dedup_sets_that_are_not_the_stored_tuples() {
+        let sides: [Side; 2] = [&[(2, &[&[1, 2]])], &[(2, &[&[2, 3]])]];
+        let pairs: &[(&[u64], &[u64])] = &[(&[1, 2], &[2, 3])];
+        for seen in [
+            [&[][..], &[&[2, 3][..]][..]],
+            [&[&[1, 2]], &[&[2, 3], &[2, 4]]],
+            [&[&[1, 5]], &[&[2, 3]]],
+        ] {
+            let image = symmetric_image(sides, pairs, seen);
+            assert!(
+                matches!(restore_symmetric(&image), Err(CodecError::Corrupt(_))),
+                "{seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn naive_rejects_a_sample_row_of_the_wrong_width() {
+        let mut s = NaiveRebuild::new(two_table(), 10, 1);
+        JoinSampler::process(&mut s, 0, &[1, 2]);
+        JoinSampler::process(&mut s, 1, &[2, 3]);
+        let image = |row: &[u64]| {
+            let mut enc = Encoder::new();
+            s.db.snapshot_to(&mut enc);
+            s.rng.state().iter().for_each(|&w| enc.put_u64(w));
+            enc.put_usize(1);
+            enc.put_u64s(row);
+            enc.into_bytes()
+        };
+        let (good, short) = (image(&[1, 2, 3]), image(&[1, 2]));
+        let mut fresh = NaiveRebuild::new(two_table(), 10, 1);
+        let before = fresh.snapshot_state();
+        assert!(matches!(
+            fresh.restore_state(&short),
+            Err(CodecError::Corrupt(_))
+        ));
+        assert_eq!(fresh.snapshot_state(), before);
+        fresh.restore_state(&good).unwrap();
+        assert_eq!(fresh.samples(), vec![vec![1, 2, 3]]);
     }
 
     #[test]

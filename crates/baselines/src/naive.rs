@@ -141,7 +141,7 @@ fn sample_without_replacement<T: Clone>(items: &[T], k: usize, rng: &mut RsjRng)
 mod tests {
     use super::*;
     use rsj_common::FxHashSet;
-    use rsj_core::JoinSampler;
+    use rsj_core::SamplerExt;
     use rsj_query::QueryBuilder;
 
     fn two_table() -> Query {

@@ -684,7 +684,7 @@ mod tests {
     use rsj_common::rng::RsjRng;
     use rsj_common::stats::{chi_square_critical, chi_square_uniform};
     use rsj_common::{FxHashMap, FxHashSet};
-    use rsj_core::{JoinSampler, Rewrite};
+    use rsj_core::{JoinSampler, Rewrite, SamplerExt};
     use rsj_query::QueryBuilder;
 
     fn line3() -> Query {

@@ -123,6 +123,11 @@ impl SymmetricHashJoin {
         self.reservoir.set_population(self.results_live);
     }
 
+    /// The tuples stored on the left (`side == 0`) or right side.
+    pub(crate) fn side(&self, side: usize) -> impl Iterator<Item = &Vec<Value>> {
+        [&self.left, &self.right][side].values().flatten()
+    }
+
     /// Samples: `(left_tuple, right_tuple)` pairs.
     pub fn samples(&self) -> &[(Vec<Value>, Vec<Value>)] {
         self.reservoir.samples()
@@ -159,8 +164,15 @@ impl SymmetricHashJoin {
 
     /// An operator like `self` holding the state a
     /// [`SymmetricHashJoin::snapshot_to`] image of one built with the same
-    /// key positions and `k` carries; `self` is not changed.
-    pub fn restore_from(&self, dec: &mut Decoder) -> Result<SymmetricHashJoin, CodecError> {
+    /// key positions and `k` carries; `self` is not changed. `arity` is
+    /// the width of a left and of a right tuple: a stored or sampled tuple
+    /// of another width, or one stored under a key it does not project
+    /// to, rejects the image.
+    pub fn restore_from(
+        &self,
+        dec: &mut Decoder,
+        arity: [usize; 2],
+    ) -> Result<SymmetricHashJoin, CodecError> {
         let nk = dec.seq_len(1)?;
         if nk != self.left_key.len() {
             return Err(CodecError::Corrupt("snapshot join-key width mismatch"));
@@ -175,11 +187,15 @@ impl SymmetricHashJoin {
                 return Err(CodecError::Corrupt("snapshot right key positions differ"));
             }
         }
-        let left = read_side(dec)?;
-        let right = read_side(dec)?;
+        let left = read_side(dec, &self.left_key, arity[0])?;
+        let right = read_side(dec, &self.right_key, arity[1])?;
         let reservoir = ClassicReservoir::restore_from(dec, |d| Ok((d.u64s()?, d.u64s()?)))?;
         if reservoir.capacity() != self.reservoir.capacity() {
             return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
+        }
+        let widths = |(l, r): &(Vec<Value>, Vec<Value>)| [l.len(), r.len()] == arity;
+        if !reservoir.samples().iter().all(widths) {
+            return Err(CodecError::Corrupt("snapshot sample width mismatch"));
         }
         let results_live = dec.u128()?;
         let computed: u128 = left
@@ -221,8 +237,13 @@ fn put_side(enc: &mut Encoder, side: &FxHashMap<Key, Vec<Vec<Value>>>) {
     }
 }
 
-/// Reads back one hash side written by [`put_side`].
-fn read_side(dec: &mut Decoder) -> Result<FxHashMap<Key, Vec<Vec<Value>>>, CodecError> {
+/// Reads back one hash side written by [`put_side`], whose tuples are
+/// `arity` wide and keyed on positions `key`.
+fn read_side(
+    dec: &mut Decoder,
+    key: &[usize],
+    arity: usize,
+) -> Result<FxHashMap<Key, Vec<Vec<Value>>>, CodecError> {
     let n = dec.seq_len(2)?;
     let mut side = FxHashMap::default();
     for _ in 0..n {
@@ -233,7 +254,14 @@ fn read_side(dec: &mut Decoder) -> Result<FxHashMap<Key, Vec<Vec<Value>>>, Codec
         }
         let mut bucket = Vec::with_capacity(nb);
         for _ in 0..nb {
-            bucket.push(dec.u64s()?);
+            let t = dec.u64s()?;
+            if t.len() != arity {
+                return Err(CodecError::Corrupt("snapshot tuple width mismatch"));
+            }
+            if Key::project(&t, key) != k {
+                return Err(CodecError::Corrupt("snapshot tuple under a foreign key"));
+            }
+            bucket.push(t);
         }
         if side.insert(k, bucket).is_some() {
             return Err(CodecError::Corrupt("duplicate key in side snapshot"));
@@ -364,7 +392,7 @@ mod tests {
 
         let mut d = Decoder::new(&bytes);
         let mut restored = SymmetricHashJoin::new(vec![1], vec![0], 4, 0)
-            .restore_from(&mut d)
+            .restore_from(&mut d, [2, 2])
             .unwrap();
         d.finish().unwrap();
         assert_eq!(restored.samples(), shj.samples());
@@ -403,7 +431,9 @@ mod tests {
 
         // Mismatched key positions are rejected.
         let wrong = SymmetricHashJoin::new(vec![0], vec![1], 4, 0);
-        assert!(wrong.restore_from(&mut Decoder::new(&bytes)).is_err());
+        assert!(wrong
+            .restore_from(&mut Decoder::new(&bytes), [2, 2])
+            .is_err());
     }
 
     #[test]

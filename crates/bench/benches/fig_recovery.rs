@@ -21,7 +21,7 @@ use rsj_datagen::{GraphConfig, TurnstileConfig, VictimPolicy};
 use rsj_queries::line_k;
 use rsj_storage::OpStream;
 use rsjoin::engine::{Engine, EngineOpts};
-use rsjoin::prelude::{CheckpointPolicy, Persistent};
+use rsjoin::prelude::{CheckpointPolicy, Persistent, SamplerExt};
 use std::path::PathBuf;
 use std::time::Instant;
 

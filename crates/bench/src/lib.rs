@@ -18,7 +18,7 @@
 //! baselines). Runs driven through [`run_engine`] record automatically;
 //! custom harnesses call [`record_json`] themselves.
 
-use rsj_core::JoinSampler;
+use rsj_core::{JoinSampler, SamplerExt};
 use rsj_queries::Workload;
 pub use rsjoin::engine::workload_opts;
 use rsjoin::engine::Engine;

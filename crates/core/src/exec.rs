@@ -3,13 +3,14 @@
 //!
 //! The paper's evaluation (§6) compares seven engines — `RSJoin`,
 //! `RSJoin_opt`, the cyclic GHD driver, and the `NaiveRebuild` / `SJoin` /
-//! `SJoin_opt` / `SymmetricHashJoin` baselines. Each historically exposed
-//! its own ad-hoc `process` method, so every test, bench and example
-//! re-implemented the same driver loop per engine. [`JoinSampler`] is the
-//! shared operator interface: insert and delete original-stream tuples in
-//! arrival order, read back the current uniform sample, snapshot and
+//! `SJoin_opt` / `SymmetricHashJoin` baselines. [`JoinSampler`] is the
+//! shared operator interface, cut to what an engine must answer itself:
+//! insert and delete original-stream tuples in arrival order, check ops,
+//! lend the current uniform sample rows to a visitor, snapshot and
 //! restore the full state, inspect instrumentation. Every engine honours
-//! all of it — there is no capability to probe.
+//! all of it — there is no capability to probe. [`SamplerExt`] composes
+//! the rest (checked op ingest, owned and named samples, byte images) once
+//! over those primitives, for every engine alike.
 //!
 //! `RSJoin`'s implementation lives here and the two rewriting paper
 //! engines share [`Rewritten`](crate::rewrite::Rewritten)'s; the baselines
@@ -22,7 +23,7 @@ use crate::reservoir_join::ReservoirJoin;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::Value;
 use rsj_query::Query;
-use rsj_storage::{InputTuple, SharedStoreError, StreamOp};
+use rsj_storage::{SharedStoreError, StreamOp};
 
 /// Uniform instrumentation snapshot across engines.
 ///
@@ -56,44 +57,36 @@ pub(crate) fn check_schema(query: &Query, op: &StreamOp) -> Result<(), SharedSto
     SharedStoreError::check(t.relation, arity, t.values.len())
 }
 
-/// Applies an already-checked op through the engine's ingest primitives.
-pub(crate) fn apply_op<S: JoinSampler + ?Sized>(sampler: &mut S, op: &StreamOp) {
-    let t = op.tuple();
-    match op {
-        StreamOp::Insert(_) => sampler.process(t.relation, &t.values),
-        StreamOp::Delete(_) => sampler.delete(t.relation, &t.values),
-    }
-}
-
 /// A streaming join-sampling engine: maintains `k` uniform samples without
 /// replacement of `Q(R)` while tuples of `R` are inserted and deleted.
 ///
-/// Every engine is fully dynamic and snapshot-capable — that is the
-/// contract, not a capability to probe. The ingest primitives are
-/// [`process`](JoinSampler::process) and [`delete`](JoinSampler::delete):
-/// one tuple of the *original* query's stream in, or out. Engines that
-/// internally rewrite the query (foreign-key combination, GHD bag-level
-/// queries) still accept original relation indices — those of
-/// [`input_query`](JoinSampler::input_query) — and translate internally;
-/// their samples are tuples of
+/// The trait holds only what an engine must answer itself; everything
+/// composed from it (checked op ingest, owned and named sample views,
+/// byte images) is written once in [`SamplerExt`]. Every engine is fully
+/// dynamic and snapshot-capable — that is the contract, not a capability
+/// to probe. The ingest primitives are [`process`](JoinSampler::process)
+/// and [`delete`](JoinSampler::delete): one tuple of the *original*
+/// query's stream in, or out. Engines that internally rewrite the query
+/// (foreign-key combination, GHD bag-level queries) still accept original
+/// relation indices — those of [`input_query`](JoinSampler::input_query) —
+/// and translate internally; their samples are tuples of
 /// [`output_query`](JoinSampler::output_query), which may order attributes
-/// differently from the original. [`samples_named`](JoinSampler::samples_named)
-/// is the engine-independent view used for cross-engine comparison.
+/// differently from the original. [`SamplerExt::samples_named`] is the
+/// engine-independent view used for cross-engine comparison.
 ///
 /// The primitives trust their caller: a relation index or tuple width
 /// that does not fit `input_query`, or a primary key bound twice, is a
 /// caller bug and panics. Input from outside the program (a log, a
-/// socket) goes through [`process_op`](JoinSampler::process_op) /
-/// [`process_op_batch`](JoinSampler::process_op_batch), which check it
-/// first and return the rejection as a value.
+/// socket) goes through [`SamplerExt::apply_ops`], which checks it first
+/// and returns the rejection as a value.
 pub trait JoinSampler {
     /// Short display name (`"RSJoin"`, `"SJoin_opt"`, ...).
     fn name(&self) -> &'static str;
 
-    /// The query whose attribute ids index the rows of
-    /// [`samples`](JoinSampler::samples). For rewriting engines this is
-    /// the rewritten/bag-level query; attribute *names* always match the
-    /// original query's.
+    /// The query whose attribute ids index the rows
+    /// [`for_each_sample`](JoinSampler::for_each_sample) visits. For
+    /// rewriting engines this is the rewritten/bag-level query; attribute
+    /// *names* always match the original query's.
     fn output_query(&self) -> &Query;
 
     /// The query whose relation indices and arities
@@ -115,20 +108,6 @@ pub trait JoinSampler {
     /// Deleting an absent tuple is a no-op (set semantics).
     fn delete(&mut self, rel: usize, tuple: &[Value]);
 
-    /// Inserts a delta batch of original-stream tuples in arrival order —
-    /// identical to calling [`process`](JoinSampler::process) per tuple.
-    fn process_batch(&mut self, batch: &[InputTuple]) {
-        for t in batch {
-            self.process(t.relation, &t.values);
-        }
-    }
-
-    /// Checks one op as [`process_op`](JoinSampler::process_op) does, so
-    /// callers can reject it before it reaches a log.
-    fn check_op(&self, op: &StreamOp) -> Result<(), SharedStoreError> {
-        self.check_ops(std::slice::from_ref(op))
-    }
-
     /// Checks ops as if applied in order. The default checks each against
     /// [`input_query`](JoinSampler::input_query)'s schema; the foreign-key
     /// engines also reject an insert whose primary key is bound to a
@@ -136,28 +115,6 @@ pub trait JoinSampler {
     fn check_ops(&self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
         ops.iter()
             .try_for_each(|op| check_schema(self.input_query(), op))
-    }
-
-    /// Feeds one turnstile stream op: checks it, then applies it through
-    /// [`process`](JoinSampler::process) or
-    /// [`delete`](JoinSampler::delete). A rejected op applies nothing.
-    fn process_op(&mut self, op: &StreamOp) -> Result<(), SharedStoreError> {
-        self.check_op(op)?;
-        apply_op(self, op);
-        Ok(())
-    }
-
-    /// Feeds a batch of turnstile ops in arrival order. The whole slice
-    /// is checked before anything is applied, so a rejected batch leaves
-    /// the sampler byte-identical to its pre-batch state; an accepted
-    /// batch is then applied op by op, exactly as
-    /// [`process_op`](JoinSampler::process_op) would.
-    fn process_op_batch(&mut self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
-        self.check_ops(ops)?;
-        for op in ops {
-            apply_op(self, op);
-        }
-        Ok(())
     }
 
     /// Re-evaluates the engine's execution plan against statistics
@@ -174,15 +131,12 @@ pub trait JoinSampler {
         false
     }
 
-    /// The current samples as materialized full-width value tuples of
-    /// [`output_query`](JoinSampler::output_query): uniform without
-    /// replacement over `Q(R)`, fewer than `k` while `|Q(R)| < k`.
-    ///
-    /// Returns owned rows, one `Vec` each, whatever the engine stores: the
-    /// `RSJoin` family and `SJoin` keep one flat buffer and copy out of
-    /// it here. Readers that want the rows in place use the engine's
-    /// inherent `samples()`, which borrows them as `&[Value]` slices.
-    fn samples(&self) -> Vec<Vec<Value>>;
+    /// Hands each current sample to `f` in slot order, as a full-width
+    /// value tuple of [`output_query`](JoinSampler::output_query): uniform
+    /// without replacement over `Q(R)`, fewer than `k` while `|Q(R)| < k`.
+    /// The rows are lent from the engine's own storage, so a visit
+    /// allocates nothing.
+    fn for_each_sample(&self, f: &mut dyn FnMut(&[Value]));
 
     /// Reservoir capacity `k`.
     fn k(&self) -> usize;
@@ -213,15 +167,68 @@ pub trait JoinSampler {
     /// the reader decodes the whole image and checks `dec` is at its end
     /// before it assigns anything, so an `Err` leaves `self` unchanged.
     fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError>;
+}
+
+/// Everything composed from the [`JoinSampler`] primitives, written once.
+///
+/// The blanket impl covers every engine, boxed or not, and no engine can
+/// override a method, so each has one body whatever sits behind it.
+pub trait SamplerExt: JoinSampler {
+    /// Feeds turnstile ops in arrival order: the whole slice is checked
+    /// through [`check_ops`](JoinSampler::check_ops) before anything is
+    /// applied, so a rejected slice leaves the sampler byte-identical;
+    /// an accepted one is then applied op by op through
+    /// [`process`](JoinSampler::process) or
+    /// [`delete`](JoinSampler::delete).
+    fn apply_ops(&mut self, ops: &[StreamOp]) -> Result<(), SharedStoreError> {
+        self.check_ops(ops)?;
+        for op in ops {
+            let t = op.tuple();
+            match op {
+                StreamOp::Insert(_) => self.process(t.relation, &t.values),
+                StreamOp::Delete(_) => self.delete(t.relation, &t.values),
+            }
+        }
+        Ok(())
+    }
+
+    /// [`apply_ops`](SamplerExt::apply_ops) over one op.
+    fn process_op(&mut self, op: &StreamOp) -> Result<(), SharedStoreError> {
+        self.apply_ops(std::slice::from_ref(op))
+    }
+
+    /// The current samples copied out, one `Vec` each, in slot order. The
+    /// outer `Vec` is sized by a counting visit first, so a read makes one
+    /// allocation per row plus one.
+    fn samples(&self) -> Vec<Vec<Value>> {
+        let mut n = 0;
+        self.for_each_sample(&mut |_| n += 1);
+        let mut rows = Vec::with_capacity(n);
+        self.for_each_sample(&mut |row| rows.push(row.to_vec()));
+        rows
+    }
+
+    /// Samples as sorted `(attribute name, value)` pairs — identical
+    /// across engines regardless of internal attribute order, so
+    /// cross-engine tests compare these.
+    fn samples_named(&self) -> Vec<Vec<(String, Value)>> {
+        let names = self.output_query().attr_names();
+        let mut rows = Vec::new();
+        self.for_each_sample(&mut |row| {
+            let mut kv: Vec<(String, Value)> =
+                names.iter().cloned().zip(row.iter().copied()).collect();
+            kv.sort();
+            rows.push(kv);
+        });
+        rows
+    }
 
     /// The [`snapshot_to`](JoinSampler::snapshot_to) image as bytes;
     /// always `Some`.
     ///
     /// The `Option` is kept only because the repo benchmark (`benchmark/`,
     /// which changes only in its own commits) calls `.expect` on it; nothing
-    /// in the library reads a `None`. This method and
-    /// [`restore_state`](JoinSampler::restore_state) stay on the trait
-    /// because that benchmark calls them.
+    /// in the library reads a `None`.
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         let mut enc = Encoder::new();
         self.snapshot_to(&mut enc);
@@ -233,33 +240,14 @@ pub trait JoinSampler {
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         self.restore_from(&mut Decoder::new(bytes))
     }
-
-    /// Samples as sorted `(attribute name, value)` pairs — identical
-    /// across engines regardless of internal attribute order, so
-    /// cross-engine tests compare these.
-    fn samples_named(&self) -> Vec<Vec<(String, Value)>> {
-        let q = self.output_query();
-        self.samples()
-            .iter()
-            .map(|s| {
-                let mut kv: Vec<(String, Value)> = q
-                    .attr_names()
-                    .iter()
-                    .cloned()
-                    .zip(s.iter().copied())
-                    .collect();
-                kv.sort();
-                kv
-            })
-            .collect()
-    }
 }
 
-/// Boxed engines forward the required methods and the ones some engine
-/// overrides, so `Box<dyn JoinSampler + Send>` (what the `Engine` factory
-/// hands out) satisfies generic bounds like [`Durable`]'s blanket impl
-/// without unwrapping. The remaining provided methods are the same
-/// adapters over these on either side of the box.
+impl<S: JoinSampler + ?Sized> SamplerExt for S {}
+
+/// Boxed engines forward every method, so `Box<dyn JoinSampler + Send>`
+/// (what the `Engine` factory hands out) satisfies generic bounds like
+/// [`Durable`]'s blanket impl without unwrapping, and no method runs a
+/// default on one side of the box and an engine's own body on the other.
 impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -289,8 +277,8 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
         (**self).replan()
     }
 
-    fn samples(&self) -> Vec<Vec<Value>> {
-        (**self).samples()
+    fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
+        (**self).for_each_sample(f)
     }
 
     fn k(&self) -> usize {
@@ -352,7 +340,7 @@ impl<S: JoinSampler> Durable for S {
     }
 
     fn check(&self, op: &StreamOp) -> Result<(), SharedStoreError> {
-        self.check_op(op)
+        self.check_ops(std::slice::from_ref(op))
     }
 
     fn apply(&mut self, op: &StreamOp) -> Result<(), SharedStoreError> {
@@ -393,8 +381,8 @@ impl JoinSampler for ReservoirJoin {
         ReservoirJoin::replan(self)
     }
 
-    fn samples(&self) -> Vec<Vec<Value>> {
-        ReservoirJoin::samples(self).to_vec()
+    fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
+        ReservoirJoin::samples(self).iter().for_each(f)
     }
 
     fn k(&self) -> usize {
@@ -458,7 +446,7 @@ mod tests {
     use super::*;
     use crate::CyclicReservoirJoin;
     use rsj_query::QueryBuilder;
-    use rsj_storage::{OpStream, TupleStream};
+    use rsj_storage::OpStream;
 
     fn two_table() -> Query {
         let mut qb = QueryBuilder::new();
@@ -470,10 +458,8 @@ mod tests {
     #[test]
     fn trait_object_drives_rsjoin() {
         let mut s: Box<dyn JoinSampler> = Box::new(ReservoirJoin::new(two_table(), 10, 1).unwrap());
-        let mut stream = TupleStream::new();
-        stream.push(0, vec![1, 2]);
-        stream.push(1, vec![2, 3]);
-        s.process_batch(stream.tuples());
+        s.process(0, &[1, 2]);
+        s.process(1, &[2, 3]);
         assert_eq!(s.samples(), vec![vec![1, 2, 3]]);
         assert_eq!(s.k(), 10);
         assert_eq!(s.name(), "RSJoin");
@@ -488,7 +474,7 @@ mod tests {
         ops.push_insert(0, vec![1, 2]);
         ops.push_insert(1, vec![2, 3]);
         ops.push_delete(0, vec![1, 2]);
-        s.process_op_batch(ops.ops()).unwrap();
+        s.apply_ops(ops.ops()).unwrap();
         assert!(s.samples().is_empty());
         assert_eq!(s.stats().inserts, Some(2));
         assert_eq!(s.stats().deletes, Some(1));

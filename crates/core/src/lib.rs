@@ -40,7 +40,7 @@ mod wcoj;
 
 pub use count::exact_result_count;
 pub use cyclic::{BagSet, CyclicReservoirJoin};
-pub use exec::{Durable, JoinSampler, SamplerStats};
+pub use exec::{Durable, JoinSampler, SamplerExt, SamplerStats};
 pub use fk_runtime::{FkCombiner, FkReservoirJoin};
 pub use reservoir_join::{ReplanPolicy, ReservoirJoin};
 pub use rewrite::{Rewrite, Rewritten};

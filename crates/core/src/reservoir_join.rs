@@ -390,7 +390,7 @@ impl ReservoirJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::JoinSampler;
+    use crate::exec::SamplerExt;
     use rsj_common::rng::RsjRng;
     use rsj_common::stats::{chi_square_critical, chi_square_uniform};
     use rsj_common::{FxHashMap, FxHashSet};

@@ -126,8 +126,8 @@ impl<R: Rewrite, S: JoinSampler> JoinSampler for Rewritten<R, S> {
         self.inner.replan()
     }
 
-    fn samples(&self) -> Vec<Vec<Value>> {
-        self.inner.samples()
+    fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
+        self.inner.for_each_sample(f)
     }
 
     fn k(&self) -> usize {

@@ -718,7 +718,7 @@ impl SampleSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::JoinSampler;
+    use crate::exec::SamplerExt;
     use crate::reservoir_join::{ReplanPolicy, ReservoirJoin};
     use rsj_query::QueryBuilder;
     use rsj_storage::OpStream;
@@ -808,10 +808,10 @@ mod tests {
         );
         for (i, h) in handles.iter().enumerate() {
             let mut rj = standalone(&q, 4 + i, 100 + i as u64);
-            rj.process_op_batch(ops.ops()).unwrap();
+            rj.apply_ops(ops.ops()).unwrap();
             assert_eq!(
                 svc.samples(*h).unwrap(),
-                JoinSampler::samples(&rj),
+                SamplerExt::samples(&rj),
                 "member {i} diverged from its standalone twin"
             );
             assert_eq!(svc.exact_count(*h).unwrap(), rj.index().exact_count());

@@ -3,7 +3,7 @@
 
 use rsj_common::rng::RsjRng;
 use rsj_common::FxHashSet;
-use rsj_core::{CyclicReservoirJoin, JoinSampler};
+use rsj_core::{CyclicReservoirJoin, JoinSampler, SamplerExt};
 use rsj_query::{Ghd, QueryBuilder};
 
 fn cycle4_query() -> rsj_query::Query {

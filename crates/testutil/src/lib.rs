@@ -54,7 +54,7 @@ fn bonferroni(alpha: f64, comparisons: usize) -> f64 {
 }
 
 /// An engine-independent sample row: sorted `(attribute name, value)`
-/// pairs, as produced by `JoinSampler::samples_named`.
+/// pairs, as produced by `SamplerExt::samples_named`.
 pub type NamedSample = Vec<(String, Value)>;
 
 /// A chi-square uniformity assertion at a documented family-wise level.
@@ -121,38 +121,11 @@ impl UniformityCheck {
     }
 }
 
-/// Streams `stream` through a fresh `engine` instance per seed and counts
-/// how often each (normalized) result lands in the reservoir. With
-/// `expect_full`, asserts every run fills all `k` slots.
-pub fn inclusion_counts(
-    engine: &Engine,
-    q: &Query,
-    opts: &EngineOpts,
-    stream: &TupleStream,
-    k: usize,
-    seeds: std::ops::Range<u64>,
-    expect_full: bool,
-) -> FxHashMap<NamedSample, u64> {
-    let mut counts: FxHashMap<NamedSample, u64> = FxHashMap::default();
-    for seed in seeds {
-        let mut s = engine
-            .build(q, k, seed, opts)
-            .unwrap_or_else(|e| panic!("{engine}: {e}"));
-        s.process_batch(stream.tuples());
-        let named = s.samples_named();
-        if expect_full {
-            assert_eq!(named.len(), k, "{engine} seed {seed}");
-        }
-        for sample in named {
-            *counts.entry(sample).or_default() += 1;
-        }
-    }
-    counts
-}
-
-/// The turnstile counterpart of [`inclusion_counts`]: drives an op stream
-/// (inserts + deletes) per seed, asserting every sample is in `expect`
-/// (the live result set) and every run holds `min(k, |expect|)` samples.
+/// Streams `ops` (inserts and deletes; an insert-only stream is passed as
+/// `OpStream::from(&stream)`) through a fresh `engine` instance per seed
+/// and counts how often each (normalized) result lands in the reservoir,
+/// asserting every sample is in `expect` (the live result set) and every
+/// run holds `min(k, |expect|)` samples.
 pub fn op_inclusion_counts(
     engine: &Engine,
     q: &Query,
@@ -167,7 +140,7 @@ pub fn op_inclusion_counts(
         let mut s = engine
             .build(q, k, seed, opts)
             .unwrap_or_else(|e| panic!("{engine}: {e}"));
-        s.process_op_batch(ops.ops())
+        s.apply_ops(ops.ops())
             .unwrap_or_else(|e| panic!("{engine}: {e}"));
         let named = s.samples_named();
         assert_eq!(named.len(), k.min(expect.len()), "{engine} seed {seed}");
@@ -180,7 +153,8 @@ pub fn op_inclusion_counts(
 }
 
 /// Replays an op stream into per-relation live tuple sets (the reference
-/// model of set-semantics turnstile state).
+/// model of set-semantics turnstile state); an insert-only stream is
+/// passed as `OpStream::from(&stream)`.
 pub fn live_sets(query: &Query, ops: &OpStream) -> Vec<FxHashSet<Vec<Value>>> {
     let mut live = vec![FxHashSet::default(); query.num_relations()];
     for op in ops.iter() {
@@ -197,17 +171,8 @@ pub fn live_sets(query: &Query, ops: &OpStream) -> Vec<FxHashSet<Vec<Value>>> {
     live
 }
 
-/// Live tuple sets of an insert-only stream.
-pub fn live_sets_of_stream(query: &Query, stream: &TupleStream) -> Vec<FxHashSet<Vec<Value>>> {
-    let mut live = vec![FxHashSet::default(); query.num_relations()];
-    for t in stream.iter() {
-        live[t.relation].insert(t.values.clone());
-    }
-    live
-}
-
 /// Brute-force join over live tuple sets, as engine-independent
-/// [`NamedSample`] rows — the ground truth every engine's `samples_named`
+/// [`NamedSample`] rows — the ground truth every engine's `SamplerExt::samples_named`
 /// is compared against.
 pub fn brute_join_named(query: &Query, live: &[FxHashSet<Vec<Value>>]) -> FxHashSet<NamedSample> {
     let mut out = FxHashSet::default();
@@ -397,7 +362,7 @@ mod tests {
         stream.push(0, vec![1, 2]);
         stream.push(0, vec![3, 2]);
         stream.push(1, vec![2, 9]);
-        let live = live_sets_of_stream(&q, &stream);
+        let live = live_sets(&q, &OpStream::from(&stream));
         let results = brute_join_named(&q, &live);
         assert_eq!(results.len(), 2);
     }
@@ -420,20 +385,22 @@ mod tests {
     }
 
     #[test]
-    fn inclusion_counts_drives_an_engine() {
+    fn op_inclusion_counts_drives_an_engine() {
         let q = two_table();
         let mut stream = TupleStream::new();
         stream.push(0, vec![1, 2]);
         stream.push(1, vec![2, 3]);
         stream.push(1, vec![2, 4]);
-        let counts = inclusion_counts(
+        let ops = OpStream::from(&stream);
+        let expect = brute_join_named(&q, &live_sets(&q, &ops));
+        let counts = op_inclusion_counts(
             &Engine::Reservoir,
             &q,
             &EngineOpts::default(),
-            &stream,
+            &ops,
+            &expect,
             1,
             0..200,
-            true,
         );
         assert_eq!(counts.len(), 2);
         assert_eq!(counts.values().sum::<u64>(), 200);

@@ -15,16 +15,16 @@
 //! qb.relation("S", &["Y", "Z"]);
 //! let query = qb.build().unwrap();
 //!
-//! let mut stream = TupleStream::new();
-//! stream.push(0, vec![1, 2]);
-//! stream.push(1, vec![2, 3]);
+//! let mut ops = OpStream::new();
+//! ops.push_insert(0, vec![1, 2]);
+//! ops.push_insert(1, vec![2, 3]);
 //!
 //! for engine in Engine::ALL {
 //!     if !engine.supports(&query) {
 //!         continue;
 //!     }
 //!     let mut s = engine.build(&query, 10, 7, &EngineOpts::default()).unwrap();
-//!     s.process_batch(stream.tuples());
+//!     s.apply_ops(ops.ops()).unwrap();
 //!     assert_eq!(s.samples_named().len(), 1, "{engine}");
 //! }
 //! ```
@@ -286,15 +286,17 @@ pub fn run_workload(
     seed: u64,
 ) -> Result<Box<dyn JoinSampler + Send>, EngineError> {
     let mut s = engine.build(&w.query, k, seed, &workload_opts(w))?;
-    s.process_batch(&w.preload);
-    s.process_batch(w.stream.tuples());
+    for t in w.preload.iter().chain(w.stream.tuples()) {
+        s.process(t.relation, &t.values);
+    }
     Ok(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsj_storage::TupleStream;
+    use rsj_core::SamplerExt;
+    use rsj_storage::{OpStream, TupleStream};
 
     fn two_table() -> Query {
         let mut qb = rsj_query::QueryBuilder::new();
@@ -370,7 +372,7 @@ mod tests {
                     ..EngineOpts::default()
                 };
                 let mut s = engine.build(&q, 1 << 20, 1, &opts).unwrap();
-                s.process_batch(stream.tuples());
+                s.apply_ops(OpStream::from(&stream).ops()).unwrap();
                 s.samples_named()
                     .into_iter()
                     .collect::<std::collections::BTreeSet<_>>()
@@ -427,7 +429,7 @@ mod tests {
         }
         let run = |opts: &EngineOpts| {
             let mut s = Engine::Reservoir.build(&q, 1 << 20, 1, opts).unwrap();
-            s.process_batch(stream.tuples());
+            s.apply_ops(OpStream::from(&stream).ops()).unwrap();
             s.samples_named()
                 .into_iter()
                 .collect::<std::collections::BTreeSet<_>>()

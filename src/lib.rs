@@ -77,8 +77,8 @@ pub mod prelude {
     pub use rsj_common::{Key, TupleId, Value};
     pub use rsj_core::{
         CyclicReservoirJoin, DynamicSampleIndex, FkReservoirJoin, JoinSampler, QueryHandle,
-        QueryOpts, ReplanPolicy, ReservoirJoin, SampleReader, SampleSnapshot, SamplerService,
-        SamplerStats, ServiceError, ServiceOpts,
+        QueryOpts, ReplanPolicy, ReservoirJoin, SampleReader, SampleSnapshot, SamplerExt,
+        SamplerService, SamplerStats, ServiceError, ServiceOpts,
     };
     pub use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
     pub use rsj_query::{FkSchema, Ghd, JoinTree, Plan, PlanCost, Planner, Query, QueryBuilder};

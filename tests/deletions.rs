@@ -59,7 +59,7 @@ fn turnstile_end_to_end_across_the_engine_matrix() {
                 let mut s = engine
                     .build(&query, 1 << 16, 9, &EngineOpts::default())
                     .unwrap_or_else(|e| panic!("{engine}: {e}"));
-                s.process_op_batch(ops.ops()).unwrap();
+                s.apply_ops(ops.ops()).unwrap();
                 let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
                 // k >= |Q(R)|: the maintained sample must be exactly the
                 // live result set — insertions collected, deletions'
@@ -86,7 +86,7 @@ fn sample_cardinality_tracks_live_population() {
     // 12 results now; delete the middle tuple -> 0; re-add -> 12.
     for engine in dynamic_engines(&query) {
         let mut s = engine.build(&query, k, 2, &EngineOpts::default()).unwrap();
-        s.process_op_batch(ops.ops()).unwrap();
+        s.apply_ops(ops.ops()).unwrap();
         assert_eq!(s.samples().len(), k, "{engine} full");
         s.process_op(&StreamOp::delete(1, vec![1, 2])).unwrap();
         assert_eq!(s.samples().len(), 0, "{engine} emptied");
@@ -218,7 +218,7 @@ fn uniform_at_mid_stream_prefixes_under_twenty_and_fifty_percent_deletes() {
                     .unwrap();
                 let mut done = 0;
                 for (i, &end) in ends.iter().enumerate() {
-                    s.process_op_batch(&ops.ops()[done..end]).unwrap();
+                    s.apply_ops(&ops.ops()[done..end]).unwrap();
                     done = end;
                     let named = s.samples_named();
                     assert_eq!(named.len(), k, "{engine} seed {seed} after {end} ops");
@@ -261,14 +261,14 @@ fn delete_then_reinsert_matches_fresh_insert_only_run() {
         let mut fresh = engine
             .build(&query, 1 << 16, 3, &EngineOpts::default())
             .unwrap();
-        fresh.process_batch(stream.tuples());
+        fresh.apply_ops(OpStream::from(&stream).ops()).unwrap();
         let fresh_set: FxHashSet<Vec<(String, Value)>> =
             fresh.samples_named().into_iter().collect();
         assert_eq!(fresh_set, expect, "{engine} fresh");
         let mut rt = engine
             .build(&query, 1 << 16, 3, &EngineOpts::default())
             .unwrap();
-        rt.process_op_batch(round_trip.ops()).unwrap();
+        rt.apply_ops(round_trip.ops()).unwrap();
         let rt_set: FxHashSet<Vec<(String, Value)>> = rt.samples_named().into_iter().collect();
         assert_eq!(rt_set, expect, "{engine} round-trip");
     }
@@ -297,7 +297,7 @@ fn exact_result_counts_survive_turnstile() {
         Engine::SJoin,
     ] {
         let mut s = engine.build(&query, 8, 5, &EngineOpts::default()).unwrap();
-        s.process_op_batch(ops.ops()).unwrap();
+        s.apply_ops(ops.ops()).unwrap();
         assert_eq!(s.exact_count(), expect, "{engine}");
         assert!(
             s.stats().deletes.unwrap() > 0,
@@ -344,7 +344,7 @@ fn fk_combining_engines_stay_exact_under_pk_turnstile() {
     };
     for engine in [Engine::FkReservoir, Engine::SJoinOpt] {
         let mut s = engine.build(&query, 1 << 16, 7, &opts).unwrap();
-        s.process_op_batch(ops.ops()).unwrap();
+        s.apply_ops(ops.ops()).unwrap();
         let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
         assert_eq!(got, expect, "{engine}");
         assert_eq!(s.exact_count(), expect.len() as u128, "{engine}");
@@ -383,13 +383,13 @@ fn draining_to_empty_then_refilling_tracks_the_live_join() {
         let mut s = engine
             .build(&query, 1 << 16, 5, &EngineOpts::default())
             .unwrap();
-        s.process_op_batch(ops.ops()).unwrap();
+        s.apply_ops(ops.ops()).unwrap();
         assert!(
             s.samples().is_empty(),
             "{engine}: samples survived the drain"
         );
         assert_eq!(s.exact_count(), 0, "{engine}");
-        s.process_batch(refill.tuples());
+        s.apply_ops(OpStream::from(&refill).ops()).unwrap();
         let got: FxHashSet<Vec<(String, Value)>> = s.samples_named().into_iter().collect();
         assert_eq!(got, expect, "{engine} after refill");
         assert_eq!(s.exact_count(), expect.len() as u128, "{engine}");

@@ -24,7 +24,7 @@ fn collect(engine: &Engine, query: &Query, opts: &EngineOpts, stream: &TupleStre
     let mut sampler = engine
         .build(query, K_ALL, 7, opts)
         .unwrap_or_else(|e| panic!("{engine}: {e}"));
-    sampler.process_batch(stream.tuples());
+    sampler.apply_ops(OpStream::from(stream).ops()).unwrap();
     sampler.samples_named().into_iter().collect()
 }
 
@@ -243,7 +243,7 @@ fn stats_flow_through_the_trait() {
     let stream = random_stream(2, 100, 5, 1);
     for engine in [Engine::Reservoir, Engine::SJoin, Engine::Symmetric] {
         let mut s = engine.build(&q, 10, 1, &EngineOpts::default()).unwrap();
-        s.process_batch(stream.tuples());
+        s.apply_ops(OpStream::from(&stream).ops()).unwrap();
         let st = s.stats();
         assert!(st.inserts.unwrap() > 0, "{engine} tracks accepted tuples");
     }
@@ -286,7 +286,7 @@ fn feed_batches<S: JoinSampler + ?Sized>(s: &mut S, ops: &[StreamOp]) {
             break;
         }
         let (chunk, tail) = rest.split_at(len.min(rest.len()));
-        s.process_op_batch(chunk).unwrap();
+        s.apply_ops(chunk).unwrap();
         rest = tail;
     }
 }
@@ -304,8 +304,8 @@ fn observe<S: JoinSampler + ?Sized>(s: &S) -> (Vec<Vec<Value>>, SamplerStats, Ve
 }
 
 /// The same turnstile stream through the primitives, through
-/// `process_op`, through ragged `process_op_batch` chunks, and through
-/// the `Box` forwarding impl leaves every engine in the same bytes —
+/// `process_op`, through ragged `apply_ops` chunks, and through the
+/// `Box` forwarding impl leaves every engine in the same bytes —
 /// samples, stats and state image — and an engine restored from that
 /// image continues identically.
 #[test]
@@ -329,10 +329,10 @@ fn every_ingest_path_yields_identical_bytes() {
 
         let mut via_batches = build();
         feed_batches(&mut *via_batches, head);
-        assert_eq!(observe(&*via_batches), want, "{engine}: process_op_batch");
+        assert_eq!(observe(&*via_batches), want, "{engine}: apply_ops");
 
-        // `S = Box<dyn JoinSampler + Send>`: the forwarding impl, with the
-        // provided methods running on the outside of the box.
+        // `S = Box<dyn JoinSampler + Send>`: the forwarding impl, with
+        // `SamplerExt` running on the outside of the box.
         let mut boxed = build();
         feed_batches(&mut boxed, head);
         assert_eq!(observe(&boxed), want, "{engine}: through Box");
@@ -349,35 +349,8 @@ fn every_ingest_path_yields_identical_bytes() {
     }
 }
 
-/// `process_batch` is `process` per tuple in arrival order, for every
-/// engine and on the outside of the box: ragged chunks of an insert-only
-/// stream land on the bytes of tuple-at-a-time ingest.
-#[test]
-fn process_batch_yields_the_bytes_of_per_tuple_process() {
-    let q = two_table();
-    let stream = random_stream(2, 200, 6, 91);
-    for engine in Engine::ALL {
-        let build = || engine.build(&q, 6, 11, &EngineOpts::default()).unwrap();
-        let mut reference = build();
-        for t in stream.iter() {
-            reference.process(t.relation, &t.values);
-        }
-        let mut batched = build();
-        let mut rest = stream.tuples();
-        for len in [1usize, 7, 64, 3, 29].into_iter().cycle() {
-            if rest.is_empty() {
-                break;
-            }
-            let (chunk, tail) = rest.split_at(len.min(rest.len()));
-            batched.process_batch(chunk);
-            rest = tail;
-        }
-        assert_eq!(observe(&batched), observe(&*reference), "{engine}");
-    }
-}
-
 /// Malformed ops — unknown relation, short tuple, long tuple — come back
-/// as the typed error from `process_op`, sink a whole `process_op_batch`
+/// as the typed error from `process_op`, sink a whole `apply_ops` slice
 /// when one sits in the middle, and leave the state image byte-identical.
 /// The rewriting engines are checked on queries they actually rewrite:
 /// relation 2 exists in their *input* query but not in the single-relation
@@ -437,9 +410,9 @@ fn malformed_ops_return_a_typed_error_and_apply_nothing() {
             assert_eq!(s.process_op(bad), Err(want), "{engine}");
             // Mid-batch, in a delete-free batch and in a mixed one alike.
             let inserts = [valid.clone(), bad.clone(), valid.clone()];
-            assert!(s.process_op_batch(&inserts).is_err(), "{engine}");
+            assert!(s.apply_ops(&inserts).is_err(), "{engine}");
             let mixed = [StreamOp::delete(0, vec![40, 41]), bad.clone()];
-            assert!(s.process_op_batch(&mixed).is_err(), "{engine}");
+            assert!(s.apply_ops(&mixed).is_err(), "{engine}");
         }
         assert_eq!(
             s.snapshot_state().unwrap(),
@@ -447,8 +420,7 @@ fn malformed_ops_return_a_typed_error_and_apply_nothing() {
             "{engine}: a rejected op or batch mutated the engine"
         );
         // ... and the engine keeps working.
-        s.process_op_batch(&[StreamOp::insert(0, vec![50, 51])])
-            .unwrap();
+        s.apply_ops(&[StreamOp::insert(0, vec![50, 51])]).unwrap();
         assert_ne!(s.snapshot_state().unwrap(), before, "{engine}");
     }
 }

@@ -84,7 +84,9 @@ fn run_turnstile(w: &rsj_queries::Workload, engine: Engine) -> Box<dyn JoinSampl
     let mut s = engine
         .build(&w.query, 64, 0xD15EA5E, &workload_opts(w))
         .unwrap();
-    s.process_batch(&w.preload);
+    for t in &w.preload {
+        s.process(t.relation, &t.values);
+    }
     let ops = TurnstileConfig {
         delete_ratio: 0.2,
         policy: VictimPolicy::Uniform,
@@ -92,7 +94,7 @@ fn run_turnstile(w: &rsj_queries::Workload, engine: Engine) -> Box<dyn JoinSampl
     }
     .weave(&w.stream);
     assert!(ops.num_deletes() > 0, "{engine}: weave produced no deletes");
-    s.process_op_batch(ops.ops()).unwrap();
+    s.apply_ops(ops.ops()).unwrap();
     s
 }
 
@@ -427,7 +429,7 @@ fn planner_default_choices_are_pinned() {
 
 /// The turnstile machinery must be invisible to insert-only runs: driving
 /// the identical insert-only stream through the `StreamOp` path
-/// (`process_op_batch`) consumes the same randomness and must reproduce
+/// (`apply_ops`) consumes the same randomness and must reproduce
 /// the exact pinned digest — repair RNGs exist but are never touched.
 #[test]
 fn op_stream_path_reproduces_insert_only_digests() {
@@ -443,7 +445,7 @@ fn op_stream_path_reproduces_insert_only_digests() {
             .chain(w.stream.iter())
             .map(|t| rsj_storage::StreamOp::Insert(t.clone()))
             .collect();
-        s.process_op_batch(ops.ops()).unwrap();
+        s.apply_ops(ops.ops()).unwrap();
         s
     };
     assert_eq!(

@@ -6,7 +6,7 @@
 //! rebuild) must still be uniform over `Q(R)`.
 
 use rsj_common::{FxHashMap, FxHashSet};
-use rsj_testutil::{brute_join_named, live_sets_of_stream, NamedSample, UniformityCheck};
+use rsj_testutil::{brute_join_named, live_sets, NamedSample, UniformityCheck};
 use rsjoin::engine::{workload_opts, Engine};
 use rsjoin::prelude::*;
 use rsjoin::queries::{self_join_line, skewed_star, snowflake, Workload};
@@ -29,14 +29,14 @@ fn all_engines_agree_with_exact_counts_on_planner_workloads() {
     ];
     for w in &workloads {
         let stream = full_stream(w);
-        let expect = brute_join_named(&w.query, &live_sets_of_stream(&w.query, &stream));
+        let expect = brute_join_named(&w.query, &live_sets(&w.query, &OpStream::from(&stream)));
         assert!(!expect.is_empty(), "{}: degenerate instance", w.name);
         let exact = expect.len() as u128;
         for engine in Engine::ALL.iter().filter(|e| e.supports(&w.query)) {
             let mut s = engine
                 .build(&w.query, 1 << 18, 11, &workload_opts(w))
                 .unwrap_or_else(|e| panic!("{}: {engine}: {e}", w.name));
-            s.process_batch(stream.tuples());
+            s.apply_ops(OpStream::from(&stream).ops()).unwrap();
             let got: FxHashSet<NamedSample> = s.samples_named().into_iter().collect();
             assert_eq!(got, expect, "{}: {engine}", w.name);
             assert_eq!(s.exact_count(), exact, "{}: {engine} exact count", w.name);
@@ -56,7 +56,7 @@ fn replan_mid_stream_preserves_exactness_across_engines() {
     ];
     for w in &workloads {
         let stream = full_stream(w);
-        let expect = brute_join_named(&w.query, &live_sets_of_stream(&w.query, &stream));
+        let expect = brute_join_named(&w.query, &live_sets(&w.query, &OpStream::from(&stream)));
         for engine in [Engine::Reservoir, Engine::FkReservoir] {
             if !engine.supports(&w.query) {
                 continue;
@@ -86,7 +86,7 @@ fn post_rebuild_samples_stay_uniform() {
     // A tiny skewed-star-3 instance small enough to enumerate.
     let w = skewed_star(3, 24, 21);
     let stream = full_stream(&w);
-    let expect = brute_join_named(&w.query, &live_sets_of_stream(&w.query, &stream));
+    let expect = brute_join_named(&w.query, &live_sets(&w.query, &OpStream::from(&stream)));
     let support = expect.len();
     assert!(
         (6..=200).contains(&support),

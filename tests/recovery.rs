@@ -521,7 +521,7 @@ fn sample_row_of_the_wrong_width_is_corruption_on_every_row_storing_engine() {
         (Engine::SJoinOpt, true),
     ] {
         let mut live = build(&engine, &query);
-        live.process_op_batch(&ops).unwrap();
+        live.apply_ops(&ops).unwrap();
         let image = live.snapshot_state().expect("image");
         let samples = live.samples();
         let row = samples.last().expect("the stream joins");
@@ -608,7 +608,7 @@ fn relation_live_count_is_verified_on_restore() {
     let query = line3();
     let ops = turnstile_ops(&query, 160, 4, 29);
     let mut live = build(&Engine::Reservoir, &query);
-    live.process_op_batch(&ops).unwrap();
+    live.apply_ops(&ops).unwrap();
     let image = live.snapshot_state().expect("image");
     let at = live_count_at(&image, "G2");
     let count = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
@@ -919,13 +919,13 @@ fn conflicting_primary_key_is_rejected_before_it_is_logged() {
         // Freeing the key first makes the same insert legal, in one batch too.
         let rebind = [StreamOp::delete(1, vec![7, 100]), conflict.clone()];
         let (_, mut bare) = fk_engine(&engine);
-        bare.process_op_batch(&ops).unwrap();
+        bare.apply_ops(&ops).unwrap();
         let before = bare.snapshot_state();
         let rejected = Err(SharedStoreError::PrimaryKeyConflict(1));
         assert_eq!(bare.process_op(&conflict), rejected, "{engine}");
-        assert_eq!(bare.process_op_batch(&[rebind[1].clone()]), rejected);
+        assert_eq!(bare.apply_ops(&[rebind[1].clone()]), rejected);
         assert_eq!(bare.snapshot_state(), before, "{engine}: rejection applied");
-        bare.process_op_batch(&rebind).unwrap();
+        bare.apply_ops(&rebind).unwrap();
         for op in &rebind {
             r.process_op(op).unwrap();
         }
@@ -966,7 +966,7 @@ fn combiner_image_that_misfiles_a_fact_is_rejected_whole() {
     ];
     for engine in [Engine::FkReservoir, Engine::SJoinOpt] {
         let (_, mut live) = fk_engine(&engine);
-        live.process_op_batch(&ops).unwrap();
+        live.apply_ops(&ops).unwrap();
         let image = live.snapshot_state().unwrap();
         let at = image
             .windows(good.len())

@@ -103,10 +103,10 @@ fn shared_members_conform_to_standalone_samplers() {
     }
     for (&(k, seed), h) in params.iter().zip(&handles) {
         let mut twin = standalone(&q, k, seed);
-        twin.process_op_batch(ops.ops()).unwrap();
+        twin.apply_ops(ops.ops()).unwrap();
         assert_eq!(
             digest(&svc.samples(*h).unwrap()),
-            digest(&JoinSampler::samples(&twin)),
+            digest(&SamplerExt::samples(&twin)),
             "shared member (k={k}, seed={seed}) diverged from its twin"
         );
     }
@@ -139,8 +139,8 @@ fn mid_stream_registration_is_byte_identical_to_early() {
         svc.process_op(op).unwrap();
     }
     let mut twin = standalone(&q, 8, 42);
-    twin.process_op_batch(ops.ops()).unwrap();
-    let want = digest(&JoinSampler::samples(&twin));
+    twin.apply_ops(ops.ops()).unwrap();
+    let want = digest(&SamplerExt::samples(&twin));
     assert_eq!(digest(&svc.samples(early).unwrap()), want);
     assert_eq!(digest(&svc.samples(late).unwrap()), want);
 }

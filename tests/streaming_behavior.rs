@@ -97,7 +97,7 @@ fn heavy_duplicates_are_no_ops_everywhere() {
         }
         let mut s = engine.build(&q, 100, 1, &EngineOpts::default()).unwrap();
         for round in 0..5 {
-            s.process_batch(stream.tuples());
+            s.apply_ops(OpStream::from(&stream).ops()).unwrap();
             if let Some(n) = s.stats().inserts {
                 assert_eq!(n, 4, "{engine} round {round}");
             }

@@ -5,10 +5,26 @@
 //! crate docs for the documented base level and the Bonferroni correction
 //! applied when one family of checks spans several engines.
 
-use rsj_testutil::{inclusion_counts, UniformityCheck};
+use rsj_testutil::{brute_join_named, live_sets, op_inclusion_counts, UniformityCheck};
+use rsjoin::common::FxHashMap;
 use rsjoin::prelude::*;
 
 type NamedSample = rsj_testutil::NamedSample;
+
+/// Inclusion counts of `engine` over the insert-only `stream`, one run per
+/// seed, each run checked against the brute-force result set.
+fn insert_only_counts(
+    engine: &Engine,
+    q: &Query,
+    opts: &EngineOpts,
+    stream: &TupleStream,
+    k: usize,
+    seeds: std::ops::Range<u64>,
+) -> FxHashMap<NamedSample, u64> {
+    let ops = OpStream::from(stream);
+    let expect = brute_join_named(q, &live_sets(q, &ops));
+    op_inclusion_counts(engine, q, opts, &ops, &expect, k, seeds)
+}
 
 fn line3_query() -> Query {
     let mut qb = QueryBuilder::new();
@@ -41,15 +57,14 @@ fn skewed_stream() -> TupleStream {
 #[test]
 fn rsjoin_and_sjoin_uniform_with_k3() {
     let check = UniformityCheck::across(2);
-    for (engine, expect_full) in [(Engine::Reservoir, true), (Engine::SJoin, false)] {
-        let counts = inclusion_counts(
+    for engine in [Engine::Reservoir, Engine::SJoin] {
+        let counts = insert_only_counts(
             &engine,
             &line3_query(),
             &EngineOpts::default(),
             &skewed_stream(),
             3,
             0..6000,
-            expect_full,
         );
         check.assert_uniform(&counts, 24, &format!("{engine} k=3"));
     }
@@ -64,15 +79,14 @@ fn rsjoin_and_sjoin_agree_distributionally() {
     let opts = EngineOpts::default();
     let trials = 4000u64;
     let k = 4;
-    let rs_counts = inclusion_counts(&Engine::Reservoir, &q, &opts, &stream, k, 0..trials, true);
-    let sj_counts = inclusion_counts(
+    let rs_counts = insert_only_counts(&Engine::Reservoir, &q, &opts, &stream, k, 0..trials);
+    let sj_counts = insert_only_counts(
         &Engine::SJoin,
         &q,
         &opts,
         &stream,
         k,
         50_000..50_000 + trials,
-        false,
     );
     let expect = trials as f64 * k as f64 / 24.0;
     for (r, c) in &rs_counts {
@@ -97,14 +111,13 @@ fn uniform_at_intermediate_prefix() {
     // Prefix: 4 G1 tuples + both G2 tuples + the two C=2 G3 tuples
     // => 4 * 2 = 8 results.
     let prefix: TupleStream = full.iter().take(8).cloned().collect();
-    let counts = inclusion_counts(
+    let counts = insert_only_counts(
         &Engine::Reservoir,
         &line3_query(),
         &EngineOpts::default(),
         &prefix,
         2,
         90_000..95_000,
-        false,
     );
     UniformityCheck::single().assert_uniform(&counts, 8, "prefix");
 }
@@ -133,7 +146,7 @@ fn fk_driver_uniform() {
     ] {
         stream.push(rel, t);
     }
-    let counts = inclusion_counts(&Engine::FkReservoir, &q, &opts, &stream, 1, 0..6000, true);
+    let counts = insert_only_counts(&Engine::FkReservoir, &q, &opts, &stream, 1, 0..6000);
     UniformityCheck::single().assert_uniform(&counts, 6, "fk k=1");
 }
 
@@ -160,7 +173,7 @@ fn sjoin_opt_uniform_under_declared_keys() {
     }
     stream.push(1, vec![2, 9]);
     // Every one of the 8 facts finds its dimension row.
-    let counts = inclusion_counts(&Engine::SJoinOpt, &q, &opts, &stream, 2, 0..6000, true);
+    let counts = insert_only_counts(&Engine::SJoinOpt, &q, &opts, &stream, 2, 0..6000);
     UniformityCheck::single().assert_uniform(&counts, 8, "SJoin_opt k=2");
 }
 
@@ -168,14 +181,13 @@ fn sjoin_opt_uniform_under_declared_keys() {
 /// against, so its own draw must be uniform too.
 #[test]
 fn naive_rebuild_uniform_with_k2() {
-    let counts = inclusion_counts(
+    let counts = insert_only_counts(
         &Engine::Naive,
         &line3_query(),
         &EngineOpts::default(),
         &skewed_stream(),
         2,
         0..4000,
-        true,
     );
     UniformityCheck::single().assert_uniform(&counts, 24, "NaiveRebuild k=2");
 }
@@ -203,14 +215,13 @@ fn symmetric_hash_join_uniform_with_k2() {
         stream.push(rel, t);
     }
     // Y=1: 3 R rows x 2 S rows; Y=2: 1 x 3 => 9 results.
-    let counts = inclusion_counts(
+    let counts = insert_only_counts(
         &Engine::Symmetric,
         &q,
         &EngineOpts::default(),
         &stream,
         2,
         0..6000,
-        true,
     );
     UniformityCheck::single().assert_uniform(&counts, 9, "SymmetricHashJoin k=2");
 }
@@ -237,14 +248,13 @@ fn cyclic_driver_uniform() {
         stream.push(rel, t);
     }
     // Triangles: (0,1,4), (0,2,4), (0,1,5), (0,2,5).
-    let counts = inclusion_counts(
+    let counts = insert_only_counts(
         &Engine::Cyclic,
         &q,
         &EngineOpts::default(),
         &stream,
         1,
         0..6000,
-        true,
     );
     UniformityCheck::single().assert_uniform(&counts, 4, "cyclic k=1");
 }
@@ -253,14 +263,13 @@ fn cyclic_driver_uniform() {
 /// check the shape once here rather than per test.
 #[test]
 fn named_samples_are_sorted_pairs() {
-    let counts = inclusion_counts(
+    let counts = insert_only_counts(
         &Engine::Reservoir,
         &line3_query(),
         &EngineOpts::default(),
         &skewed_stream(),
         1,
         0..1,
-        true,
     );
     let sample: &NamedSample = counts.keys().next().unwrap();
     let names: Vec<&str> = sample.iter().map(|(n, _)| n.as_str()).collect();
