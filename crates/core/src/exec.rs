@@ -60,16 +60,14 @@ pub(crate) fn check_schema(query: &Query, op: &StreamOp) -> Result<(), SharedSto
 /// A streaming join-sampling engine: maintains `k` uniform samples without
 /// replacement of `Q(R)` while tuples of `R` are inserted and deleted.
 ///
-/// The trait holds only what an engine must answer itself; everything
-/// composed from it (checked op ingest, owned and named sample views,
-/// byte images) is written once in [`SamplerExt`]. Every engine is fully
-/// dynamic and snapshot-capable — that is the contract, not a capability
-/// to probe. The ingest primitives are [`process`](JoinSampler::process)
-/// and [`delete`](JoinSampler::delete): one tuple of the *original*
-/// query's stream in, or out. Engines that internally rewrite the query
-/// (foreign-key combination, GHD bag-level queries) still accept original
-/// relation indices — those of [`input_query`](JoinSampler::input_query) —
-/// and translate internally; their samples are tuples of
+/// Every engine is fully dynamic and snapshot-capable — that is the
+/// contract, not a capability to probe. The ingest primitives are
+/// [`process`](JoinSampler::process) and [`delete`](JoinSampler::delete):
+/// one tuple of the *original* query's stream in, or out. Engines that
+/// internally rewrite the query (foreign-key combination, GHD bag-level
+/// queries) still accept original relation indices — those of
+/// [`input_query`](JoinSampler::input_query) — and translate internally;
+/// their samples are tuples of
 /// [`output_query`](JoinSampler::output_query), which may order attributes
 /// differently from the original. [`SamplerExt::samples_named`] is the
 /// engine-independent view used for cross-engine comparison.
@@ -134,8 +132,8 @@ pub trait JoinSampler {
     /// Hands each current sample to `f` in slot order, as a full-width
     /// value tuple of [`output_query`](JoinSampler::output_query): uniform
     /// without replacement over `Q(R)`, fewer than `k` while `|Q(R)| < k`.
-    /// The rows are lent from the engine's own storage, so a visit
-    /// allocates nothing.
+    /// Engines lend the rows from their own storage (or one scratch row),
+    /// so a visit need not allocate.
     fn for_each_sample(&self, f: &mut dyn FnMut(&[Value]));
 
     /// Reservoir capacity `k`.

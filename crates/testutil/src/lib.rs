@@ -172,8 +172,8 @@ pub fn live_sets(query: &Query, ops: &OpStream) -> Vec<FxHashSet<Vec<Value>>> {
 }
 
 /// Brute-force join over live tuple sets, as engine-independent
-/// [`NamedSample`] rows — the ground truth every engine's `SamplerExt::samples_named`
-/// is compared against.
+/// [`NamedSample`] rows — the ground truth every engine's
+/// `SamplerExt::samples_named` is compared against.
 pub fn brute_join_named(query: &Query, live: &[FxHashSet<Vec<Value>>]) -> FxHashSet<NamedSample> {
     let mut out = FxHashSet::default();
     let mut partial: Vec<Option<Value>> = vec![None; query.num_attrs()];

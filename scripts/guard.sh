@@ -41,7 +41,7 @@ No shard layer | Sharded|ShardedSampler|SupervisorPolicy|ShardHealth|ShardFault|
 One ingest path | ColumnarBatch|RelationColumns|insert_columnar|process_columnar|column_hashes|ColumnarScratch|insert_batch | src crates tests examples | all | - | bbcc89f | Every tuple reaches the index through DynamicIndex::insert/delete; batch ingest returns only with a caller and a workload.
 One rewriting wrapper | pub struct (FkReservoirJoin|SJoinOpt|CyclicReservoirJoin)([^[:alnum:]_]|$)|impl JoinSampler for (FkReservoirJoin|SJoinOpt|CyclicReservoirJoin)([^[:alnum:]_]|$) | src crates tests examples | all | - | eb63dca | RSJoin_opt, SJoin_opt and RSJoin_cyclic are one Rewritten<R, S>; a hand-written wrapper is a fourth copy of the reduction.
 One image codec | fn snapshot_state([^[:alnum:]_]|$) | src crates tests examples | all | crates/core/src/exec.rs | eb63dca | The byte-vector image pair is provided by SamplerExt alone, so nothing can report a missing image.
-One checked entry point | (^|[^[:alnum:]_])(check_op|process_op_batch)([^[:alnum:]_]|$)|fn process_batch[(]|[.:]process_batch[(]([^&]|&[^m]|$) | src crates tests examples | all | crates/stream/tests/reservoir_properties.rs | COMMIT | Ops enter an engine through SamplerExt::apply_ops (process_op is its one-op slice) or the process/delete primitives; a per-tuple batch adapter or a second check is another door to keep in step. Reservoir::process_batch(&mut batch, ..) is the predicate reservoir, not this.
+One checked entry point | (^|[^[:alnum:]_])(check_op|process_op_batch)([^[:alnum:]_]|$)|fn process_batch[(]|[.:]process_batch[(]([^&]|&[^m]|$) | src crates tests examples | all | crates/stream/tests/reservoir_properties.rs | 30bf42e | Ops enter an engine through SamplerExt::apply_ops (process_op is its one-op slice) or the process/delete primitives; a per-tuple batch adapter or a second check is another door to keep in step. Reservoir::process_batch(&mut batch, ..) is the predicate reservoir, not this.
 One member kind | register_sampler|BoxedMember|SnapshotUnavailable|NoImage|Imageless | src crates tests examples | all | - | cd80931 | A SamplerService is a list of index groups and its image cannot fail.
 One member kind | RebuildFn | crates | all | - | cd80931 | The boxed-member rebuild hook stays deleted.
 '
