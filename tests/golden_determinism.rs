@@ -77,6 +77,45 @@ fn cyclic_reservoir_bytes_are_pinned() {
     );
 }
 
+/// Star-4 with `k` four times the stream (the paper's `k > N` regime,
+/// Fig. 8): every node is grouped on its hub value, and stops dominate —
+/// most of them on rounding dummies. Besides the samples this pins how
+/// many positions the reservoir stopped at and how many of those replaced
+/// a sample, so a faster stop path must stop, and write, exactly where the
+/// old one did. Both counters are read from the engine's image: its last
+/// ten words are the reservoir's stops and replacements, the repair RNG
+/// (four words), the insert and delete counters and the two replan
+/// counters.
+#[test]
+fn star4_bigk_reservoir_bytes_are_pinned() {
+    let edges = rsj_datagen::GraphConfig {
+        nodes: 150,
+        edges: 750,
+        zipf: 1.0,
+        seed: 4545,
+    }
+    .generate();
+    let w = rsj_queries::star_k(4, &edges, 46);
+    let sampler = run_workload(&w, &Engine::Reservoir, 4 * w.stream.len(), 0xD15EA5E).unwrap();
+    let image = sampler.snapshot_state().expect("RSJoin has an image");
+    let word = |from_end: usize| {
+        let at = image.len() - 8 * from_end;
+        u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
+    };
+    let (stops, replacements) = (word(10), word(9));
+    assert_eq!(Some(stops), sampler.stats().reservoir_stops, "image layout");
+    let d = digest(&sampler.samples());
+    if std::env::var_os("RSJ_PIN_PLANS").is_some() {
+        println!("star-4: 0x{d:016X} stops {stops} replacements {replacements}");
+        return;
+    }
+    assert_eq!(
+        (d, stops, replacements),
+        (0xDE68_8AC5_339D_0FA9, 284_668, 94_300),
+        "RSJoin/star-4, k = 4N: samples, stops, replacements"
+    );
+}
+
 /// Runs `engine` over `w`'s preload, then its stream woven with 20 %
 /// uniform deletes (seed 9).
 fn run_turnstile(w: &rsj_queries::Workload, engine: Engine) -> Box<dyn JoinSampler + Send> {
