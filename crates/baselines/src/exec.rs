@@ -56,8 +56,9 @@ impl JoinSampler for NaiveRebuild {
         }
     }
 
-    /// Relations of the wrong count or arity, more samples than `k`, or a
-    /// sample row not as wide as the query's attribute set reject the
+    /// Relations of the wrong count or arity, more samples than `k`, a
+    /// sample row not as wide as the query's attribute set, or samples
+    /// that are not distinct results of the restored database reject the
     /// image.
     fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
         let db = Database::restore_from(dec)?;
@@ -77,6 +78,20 @@ impl JoinSampler for NaiveRebuild {
         let samples: Vec<Vec<Value>> = (0..n).map(|_| dec.u64s()).collect::<Result<_, _>>()?;
         if samples.iter().any(|s| s.len() != self.query.num_attrs()) {
             return Err(CodecError::Corrupt("snapshot sample row width mismatch"));
+        }
+        // A full-width row is a result of the natural join iff each
+        // relation holds its projection.
+        let is_result = |row: &Vec<Value>| {
+            self.query.relations().iter().enumerate().all(|(rel, r)| {
+                let t: Vec<Value> = r.attrs.iter().map(|&a| row[a]).collect();
+                db.relation(rel).contains(&t)
+            })
+        };
+        let mut distinct = FxHashSet::default();
+        if !samples.iter().all(|s| is_result(s) && distinct.insert(s)) {
+            return Err(CodecError::Corrupt(
+                "snapshot sample is not a distinct join result",
+            ));
         }
         dec.finish()?;
         self.db = db;
@@ -558,6 +573,19 @@ mod tests {
     }
 
     #[test]
+    fn symmetric_rejects_a_sample_pair_that_is_not_stored() {
+        let image = symmetric_image(
+            [&[(2, &[&[1, 2]])], &[(2, &[&[2, 3]])]],
+            &[(&[1, 2], &[5, 3])],
+            [&[&[1, 2]], &[&[2, 3]]],
+        );
+        assert!(matches!(
+            restore_symmetric(&image),
+            Err(CodecError::Corrupt(_))
+        ));
+    }
+
+    #[test]
     fn symmetric_rejects_dedup_sets_that_are_not_the_stored_tuples() {
         let sides: [Side; 2] = [&[(2, &[&[1, 2]])], &[(2, &[&[2, 3]])]];
         let pairs: &[(&[u64], &[u64])] = &[(&[1, 2], &[2, 3])];
@@ -597,6 +625,33 @@ mod tests {
         assert_eq!(fresh.snapshot_state(), before);
         fresh.restore_state(&good).unwrap();
         assert_eq!(fresh.samples(), vec![vec![1, 2, 3]]);
+    }
+
+    #[test]
+    fn naive_rejects_a_sample_row_that_is_not_a_distinct_result() {
+        let mut s = NaiveRebuild::new(two_table(), 10, 1);
+        JoinSampler::process(&mut s, 0, &[1, 2]);
+        JoinSampler::process(&mut s, 1, &[2, 3]);
+        let image = |rows: &[&[u64]]| {
+            let mut enc = Encoder::new();
+            s.db.snapshot_to(&mut enc);
+            s.rng.state().iter().for_each(|&w| enc.put_u64(w));
+            enc.put_usize(rows.len());
+            rows.iter().for_each(|row| enc.put_u64s(row));
+            enc.into_bytes()
+        };
+        let mut fresh = NaiveRebuild::new(two_table(), 10, 1);
+        let before = fresh.snapshot_state();
+        for rows in [&[&[9, 9, 9][..]][..], &[&[1, 2, 3], &[1, 2, 3]]] {
+            assert!(
+                matches!(
+                    fresh.restore_state(&image(rows)),
+                    Err(CodecError::Corrupt(_))
+                ),
+                "{rows:?}"
+            );
+            assert_eq!(fresh.snapshot_state(), before);
+        }
     }
 
     #[test]

@@ -166,8 +166,9 @@ impl SymmetricHashJoin {
     /// [`SymmetricHashJoin::snapshot_to`] image of one built with the same
     /// key positions and `k` carries; `self` is not changed. `arity` is
     /// the width of a left and of a right tuple: a stored or sampled tuple
-    /// of another width, or one stored under a key it does not project
-    /// to, rejects the image.
+    /// of another width, one stored under a key it does not project to,
+    /// or a sample pair not stored on both sides under one key rejects
+    /// the image.
     pub fn restore_from(
         &self,
         dec: &mut Decoder,
@@ -196,6 +197,15 @@ impl SymmetricHashJoin {
         let widths = |(l, r): &(Vec<Value>, Vec<Value>)| [l.len(), r.len()] == arity;
         if !reservoir.samples().iter().all(widths) {
             return Err(CodecError::Corrupt("snapshot sample width mismatch"));
+        }
+        let stored = |(l, r): &(Vec<Value>, Vec<Value>)| {
+            let key = Key::project(l, &self.left_key);
+            Key::project(r, &self.right_key) == key
+                && left.get(&key).is_some_and(|ls| ls.contains(l))
+                && right.get(&key).is_some_and(|rs| rs.contains(r))
+        };
+        if !reservoir.samples().iter().all(stored) {
+            return Err(CodecError::Corrupt("snapshot sample is not a stored pair"));
         }
         let results_live = dec.u128()?;
         let computed: u128 = left
