@@ -7,7 +7,8 @@
 //! * [`RsjRng::geometric`] — the skip-length draw `q ~ Geo(w)` computed as
 //!   `floor(ln(u) / ln(1-w))` (paper Algorithm 1, lines 7/15). Skip lengths
 //!   over a simulated join-result stream can reach `N^{ρ*}`, so the result
-//!   saturates into `u128`.
+//!   saturates into `u128`. A reservoir draws through a [`SkipLaw`], which
+//!   takes the denominator once per `w` rather than once per draw.
 //! * [`RsjRng::below_u128`] — unbiased uniform draw from `[0, n)` for
 //!   128-bit batch positions, via rejection sampling.
 //! * [`RsjRng::kth_smallest_uniform`] — the `k`-th smallest of `n`
@@ -20,6 +21,78 @@ const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Skip probabilities below which [`RsjRng::geometric`] takes its
 /// logarithm through `ln_1p`.
 const TINY_W: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// `2^64`: skips below it convert through `u64`, whose conversion is one
+/// instruction; `f64 → u128` is a software routine.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
+/// The law `Geo(w)` of one skip parameter `w`, with its denominator
+/// `ln(1 − w)` taken once. Algorithm L changes `w` only at a replacement,
+/// so a reservoir keeps one law across the stops in between; every
+/// [`RsjRng::skip`] draw is bit-identical to [`RsjRng::geometric`] of the
+/// same `w`.
+#[derive(Clone, Copy, Debug)]
+pub struct SkipLaw {
+    w: f64,
+    /// `ln(1 − w)`, through `ln_1p` below [`TINY_W`]: `1 - w` would round
+    /// to (or next to) 1 there, which made every skip infinite once the
+    /// population passed about `k · 2^53`.
+    ln_stay: f64,
+}
+
+impl SkipLaw {
+    /// The law of parameter `w` (`w >= 1` draws no skip at all).
+    pub fn new(w: f64) -> SkipLaw {
+        let ln_stay = if w < TINY_W {
+            (-w).ln_1p()
+        } else {
+            (1.0 - w).ln()
+        };
+        SkipLaw { w, ln_stay }
+    }
+
+    /// The parameter `w`.
+    #[inline]
+    pub fn w(&self) -> f64 {
+        self.w
+    }
+}
+
+/// A uniform draw from `[0, n)` with its rejection zone computed once:
+/// [`RsjRng::below`] then costs one division per accepted draw, where
+/// [`RsjRng::below_u64`] pays two more to find the zone. For a reservoir's
+/// fixed `k`.
+#[derive(Clone, Copy, Debug)]
+pub struct Below {
+    n: u64,
+    /// The largest draw kept: draws above it fall in the tail where the
+    /// `u64::MAX % n` residues would be over-represented.
+    zone: u64,
+}
+
+impl Below {
+    /// The draw from `[0, n)`, `n > 0`.
+    pub fn new(n: u64) -> Below {
+        assert!(n > 0, "below_u64(0)");
+        Below {
+            n,
+            zone: u64::MAX - u64::MAX.wrapping_rem(n).wrapping_add(1) % n,
+        }
+    }
+}
+
+/// A skip length from the real quotient `q`: its floor, saturating at
+/// `u128::MAX` (practically: never re-stop in this stream).
+#[inline]
+fn skip_length(q: f64) -> u128 {
+    if !q.is_finite() || q >= u128::MAX as f64 {
+        u128::MAX
+    } else if q < TWO_POW_64 {
+        q as u64 as u128
+    } else {
+        q as u128
+    }
+}
 
 /// `ln(1+y) − y + y²/2 − y³/3`, the residue of Marsaglia and Tsang's log
 /// test: its series `Σ_{n≥4} (−1)^{n+1} yⁿ/n` for `|y| < 0.1`, where the
@@ -138,32 +211,24 @@ impl RsjRng {
 
     /// Geometric skip length `q ~ Geo(w)`: the number of items to skip
     /// before the next reservoir stop, computed as
-    /// `floor(ln(u) / ln(1-w))`.
-    ///
-    /// Below `TINY_W` the denominator is `ln_1p(-w)`: `1 - w` would
-    /// round to (or next to) 1 there, which made every skip infinite once
-    /// the population passed about `k · 2^53`.
+    /// `floor(ln(u) / ln(1-w))` (see [`SkipLaw`] for the denominator).
     ///
     /// Saturates at `u128::MAX` when `w` is so small that the draw exceeds
     /// 128 bits (practically: never re-stop in this stream).
     #[inline]
     pub fn geometric(&mut self, w: f64) -> u128 {
-        debug_assert!((0.0..=1.0).contains(&w), "w out of range: {w}");
-        if w >= 1.0 {
+        self.skip(&SkipLaw::new(w))
+    }
+
+    /// A skip length drawn from `law`: [`geometric`](RsjRng::geometric)
+    /// with the denominator already taken.
+    #[inline]
+    pub fn skip(&mut self, law: &SkipLaw) -> u128 {
+        debug_assert!((0.0..=1.0).contains(&law.w), "w out of range: {}", law.w);
+        if law.w >= 1.0 {
             return 0;
         }
-        let u = self.unit();
-        let q = u.ln()
-            / if w < TINY_W {
-                (-w).ln_1p()
-            } else {
-                (1.0 - w).ln()
-            };
-        if !q.is_finite() || q >= u128::MAX as f64 {
-            u128::MAX
-        } else {
-            q as u128
-        }
+        skip_length(self.unit().ln() / law.ln_stay)
     }
 
     /// Standard normal draw (Box–Muller, two uniforms per draw).
@@ -239,14 +304,17 @@ impl RsjRng {
     /// Uniform `u64` from `[0, n)` via rejection sampling (unbiased).
     #[inline]
     pub fn below_u64(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "below_u64(0)");
-        // Reject draws from the tail zone where `u64::MAX % n` residues
-        // would be over-represented.
-        let zone = u64::MAX - u64::MAX.wrapping_rem(n).wrapping_add(1) % n;
+        self.below(&Below::new(n))
+    }
+
+    /// A uniform draw from `[0, n)` for the `n` of `b`: the same draws as
+    /// [`below_u64`](RsjRng::below_u64), with the zone precomputed.
+    #[inline]
+    pub fn below(&mut self, b: &Below) -> u64 {
         loop {
             let x = self.inner.next_u64();
-            if x <= zone {
-                return x % n;
+            if x <= b.zone {
+                return x % b.n;
             }
         }
     }
@@ -423,6 +491,114 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((mean * w - 1.0).abs() < 0.1, "mean skip {mean}");
+    }
+
+    /// The skip draw as it was before [`SkipLaw`]: the denominator and
+    /// the `f64 → u128` conversion at every draw.
+    fn geometric_reference(rng: &mut RsjRng, w: f64) -> u128 {
+        if w >= 1.0 {
+            return 0;
+        }
+        let u = rng.unit();
+        let q = u.ln()
+            / if w < TINY_W {
+                (-w).ln_1p()
+            } else {
+                (1.0 - w).ln()
+            };
+        if !q.is_finite() || q >= u128::MAX as f64 {
+            u128::MAX
+        } else {
+            q as u128
+        }
+    }
+
+    #[test]
+    fn skip_law_draws_are_bit_identical_to_geometric() {
+        let mut ws = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            2f64.powi(-120),
+            TINY_W / 2.0,
+            f64::from_bits(TINY_W.to_bits() - 1),
+            TINY_W,
+            f64::from_bits(TINY_W.to_bits() + 1),
+            2.0 * TINY_W,
+            1e-9,
+            1e-3,
+            0.25,
+            0.5,
+            0.9,
+            1.0 - 1e-9,
+            f64::from_bits(1f64.to_bits() - 1),
+            1.0,
+        ];
+        ws.extend((1..64).map(|i| 2f64.powi(-i)));
+        let mut saturated = 0;
+        for (i, &w) in ws.iter().enumerate() {
+            let law = SkipLaw::new(w);
+            let mut a = RsjRng::seed_from_u64(31 + i as u64);
+            let (mut b, mut c) = (a.clone(), a.clone());
+            for _ in 0..200 {
+                let want = geometric_reference(&mut a, w);
+                assert_eq!(b.skip(&law), want, "w = {w:e}");
+                assert_eq!(c.geometric(w), want, "w = {w:e}");
+                saturated += usize::from(want == u128::MAX);
+            }
+            assert_eq!(a.state(), b.state(), "w = {w:e}: draws consumed");
+        }
+        assert!(saturated >= 200, "w = 0 saturates every draw");
+    }
+
+    #[test]
+    fn skip_lengths_convert_as_u128_does_on_both_sides_of_2_64() {
+        let edge = TWO_POW_64;
+        let below = f64::from_bits(edge.to_bits() - 1);
+        let above = f64::from_bits(edge.to_bits() + 1);
+        for q in [
+            0.0,
+            0.5,
+            1.0,
+            1.5,
+            4096.75,
+            1e18,
+            below,
+            edge,
+            above,
+            1e30,
+            f64::from_bits((u128::MAX as f64).to_bits() - 1),
+        ] {
+            assert_eq!(skip_length(q), q as u128, "q = {q:e}");
+        }
+        assert_eq!(skip_length(below), below as u64 as u128);
+        for q in [u128::MAX as f64, f64::INFINITY, f64::NAN] {
+            assert_eq!(skip_length(q), u128::MAX, "q = {q:e}");
+        }
+    }
+
+    #[test]
+    fn zoned_draws_are_bit_identical_to_below_u64() {
+        // The draw as it was before `Below`: the zone found per call.
+        let reference = |rng: &mut RsjRng, n: u64| {
+            let zone = u64::MAX - u64::MAX.wrapping_rem(n).wrapping_add(1) % n;
+            loop {
+                let x = rng.inner.next_u64();
+                if x <= zone {
+                    return x % n;
+                }
+            }
+        };
+        for n in [1, 2, 3, 1000, 120_000, (1u64 << 63) + 1] {
+            let b = Below::new(n);
+            let mut a = RsjRng::seed_from_u64(n);
+            let (mut z, mut c) = (a.clone(), a.clone());
+            for _ in 0..2000 {
+                let want = reference(&mut a, n);
+                assert_eq!(z.below(&b), want, "n = {n}");
+                assert_eq!(c.below_u64(n), want, "n = {n}");
+            }
+            assert_eq!(a.state(), z.state(), "n = {n}: draws consumed");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::batch::Batch;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::rng::RsjRng;
+use rsj_common::rng::{Below, RsjRng, SkipLaw};
 
 fn put_rng(enc: &mut Encoder, rng: &RsjRng) {
     for w in rng.state() {
@@ -262,15 +262,22 @@ impl<'a> IntoIterator for Rows<'a> {
 /// (`∞` until the reservoir first fills — see Algorithm 4 line 1), and the
 /// pending skip count `q` (what remains of the last geometric draw after the
 /// previous batch ended; Algorithm 5 line 15).
+///
+/// A stop costs constant work beyond its retrieve: `w` is held as its
+/// [`SkipLaw`], whose logarithm is taken only when a replacement changes
+/// `w`, and the victim draw's rejection zone for `k` is computed once.
 #[derive(Clone, Debug)]
 pub struct Reservoir {
     k: usize,
     width: usize,
     /// The sample rows, back to back in slot order.
     rows: Vec<u64>,
-    w: f64,
+    /// `Geo(w)`: the parameter `w` and its skip law.
+    skip: SkipLaw,
     q: u128,
     rng: RsjRng,
+    /// The victim draw from `[0, k)`.
+    victims: Below,
     stops: u64,
     replacements: u64,
 }
@@ -290,7 +297,7 @@ impl<'a> Slot<'a> {
         let r = self.reservoir;
         let slot = if r.is_full() {
             r.replacements += 1;
-            r.rng.index(r.k)
+            r.rng.below(&r.victims) as usize
         } else {
             r.push_row()
         };
@@ -307,9 +314,10 @@ impl Reservoir {
             k,
             width,
             rows: Vec::new(),
-            w: f64::INFINITY,
+            skip: SkipLaw::new(f64::INFINITY),
             q: 0,
             rng: RsjRng::seed_from_u64(seed),
+            victims: Below::new(k as u64),
             stops: 0,
             replacements: 0,
         }
@@ -354,9 +362,9 @@ impl Reservoir {
         }
         // One-time initialization of (w, q) the first time the reservoir is
         // full (Alg. 5 lines 5–7; w stays <= 1 forever after).
-        if self.w > 1.0 {
-            self.w = self.rng.unit().powf(1.0 / self.k as f64);
-            self.q = self.rng.geometric(self.w);
+        if self.skip.w() > 1.0 {
+            self.skip = SkipLaw::new(self.rng.unit().powf(1.0 / self.k as f64));
+            self.q = self.rng.skip(&self.skip);
         }
         // Skip phase (Alg. 5 lines 8–14). An accepted slot drew its victim
         // and counted the replacement.
@@ -366,9 +374,9 @@ impl Reservoir {
             let replaced = self.replacements;
             stop(x, Slot { reservoir: self });
             if self.replacements != replaced {
-                self.w = self.rng.decay_w(self.w, self.k);
+                self.skip = SkipLaw::new(self.rng.decay_w(self.skip.w(), self.k));
             }
-            self.q = self.rng.geometric(self.w);
+            self.q = self.rng.skip(&self.skip);
         }
         // The rest of the batch is skipped wholesale; carry the remainder of
         // the geometric draw into the next batch (Alg. 5 line 15).
@@ -385,7 +393,7 @@ impl Reservoir {
     /// Callers use this to spare building the batch's retrieval machinery
     /// at all; randomness consumption is identical either way.
     pub fn try_skip(&mut self, n: u128) -> bool {
-        if self.is_full() && self.w <= 1.0 && n <= self.q {
+        if self.is_full() && self.skip.w() <= 1.0 && n <= self.q {
             self.q -= n;
             true
         } else {
@@ -516,13 +524,13 @@ impl Reservoir {
     /// random streams are untouched.
     pub fn recalibrate(&mut self, population: u128) {
         if population <= self.len() as u128 {
-            self.w = f64::INFINITY;
+            self.skip = SkipLaw::new(f64::INFINITY);
             self.q = 0;
             return;
         }
         debug_assert_eq!(self.len(), self.k, "full before population");
-        self.w = self.rng.kth_smallest_uniform(self.k as u128, population);
-        self.q = self.rng.geometric(self.w);
+        self.skip = SkipLaw::new(self.rng.kth_smallest_uniform(self.k as u128, population));
+        self.q = self.rng.skip(&self.skip);
     }
 
     /// Serializes the full sampler state — samples in slot order (each row
@@ -536,7 +544,7 @@ impl Reservoir {
         for row in self.samples() {
             enc.put_u64s(row);
         }
-        enc.put_f64(self.w);
+        enc.put_f64(self.skip.w());
         enc.put_u128(self.q);
         put_rng(enc, &self.rng);
         enc.put_u64(self.stops);
@@ -567,7 +575,7 @@ impl Reservoir {
             let words = dec.take(8 * width)?.chunks_exact(8);
             rows.extend(words.map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))));
         }
-        let w = dec.f64()?;
+        let skip = SkipLaw::new(dec.f64()?);
         let q = dec.u128()?;
         let rng = get_rng(dec)?;
         let stops = dec.u64()?;
@@ -576,9 +584,10 @@ impl Reservoir {
             k,
             width,
             rows,
-            w,
+            skip,
             q,
             rng,
+            victims: Below::new(k as u64),
             stops,
             replacements,
         })
