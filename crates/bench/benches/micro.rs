@@ -12,7 +12,7 @@ use rsj_common::hash::{fx_hash_columns, fx_hash_columns_scalar};
 use rsj_common::rng::RsjRng;
 use rsj_core::{exact_result_count, ReplanPolicy, ReservoirJoin};
 use rsj_datagen::{GraphConfig, TurnstileConfig, VictimPolicy};
-use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
+use rsj_index::{DescentMemo, DynamicIndex, FullSampler, IndexOptions};
 use rsj_queries::{line_k, star_k};
 use rsj_storage::StreamOp;
 use rsj_stream::{Reservoir, SliceBatch};
@@ -365,10 +365,11 @@ fn bench_stop_allocations() {
     let sampler = FullSampler::default();
     let mut rng = RsjRng::seed_from_u64(5);
     let mut ids = vec![0; w.query.num_relations()];
+    let mut memo = DescentMemo::new(&twin);
     let mut row = vec![0; w.query.num_attrs()];
     let mut real = 0u32;
     bench_allocs("reservoir_stop_star4", "draw", 10_000, || {
-        if sampler.try_sample_into(&twin, &mut rng, &mut ids) {
+        if sampler.try_sample_into(&twin, &mut rng, &mut ids, &mut memo) {
             twin.materialize_ids(&ids, &mut row);
             real += 1;
         }

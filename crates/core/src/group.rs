@@ -17,7 +17,7 @@ use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::{child_seed, RsjRng};
 use rsj_common::{FxHashMap, TupleId, Value};
 use rsj_index::dynamic::IndexError;
-use rsj_index::{DeltaBatch, DynamicIndex, FullSampler, IndexOptions};
+use rsj_index::{DeltaBatch, DescentMemo, DynamicIndex, FullSampler, IndexOptions};
 use rsj_query::{JoinTree, Plan, Query};
 use rsj_storage::{OpStream, StreamOp};
 use rsj_stream::{FnBatch, Reservoir};
@@ -57,14 +57,21 @@ impl DeltaCache {
     }
 
     /// The materialized row at batch position `z`, or `None` for a dummy —
-    /// retrieved on first touch, served from the buffer on every later one.
-    fn row(&mut self, index: &DynamicIndex, batch: &DeltaBatch<'_>, z: u128) -> Option<&[Value]> {
+    /// retrieved through `memo` on first touch, served from the buffer on
+    /// every later one.
+    fn row(
+        &mut self,
+        index: &DynamicIndex,
+        batch: &DeltaBatch<'_>,
+        z: u128,
+        memo: &mut DescentMemo,
+    ) -> Option<&[Value]> {
         let width = index.query().num_attrs();
         let offset = match self.offsets.entry(z) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 self.ids.resize(index.query().num_relations(), 0);
-                *e.insert(if batch.retrieve_into(z, &mut self.ids) {
+                *e.insert(if batch.retrieve_into(z, &mut self.ids, memo) {
                     let offset = self.rows.len();
                     self.rows.resize(offset + width, 0);
                     index.materialize_ids(&self.ids, &mut self.rows[offset..]);
@@ -118,12 +125,14 @@ impl SamplerCore {
     /// through their shared `cache` — byte-identically: the reservoir sees
     /// the same batch size and stops at the same positions (its RNG never
     /// touches the cache), and a cached row equals a fresh retrieval
-    /// because retrieval is a pure function of the index state.
+    /// because retrieval is a pure function of the index state. `memo` was
+    /// reset for this batch.
     fn consume_delta(
         &mut self,
         index: &DynamicIndex,
         batch: &DeltaBatch<'_>,
         mut cache: Option<&mut DeltaCache>,
+        memo: &mut DescentMemo,
     ) {
         self.inserts += 1;
         if batch.size() > 0 && !self.reservoir.try_skip(batch.size()) {
@@ -132,12 +141,12 @@ impl SamplerCore {
             self.reservoir
                 .process_batch(&mut positions, |z, slot| match cache.as_deref_mut() {
                     Some(cache) => {
-                        if let Some(row) = cache.row(index, batch, z) {
+                        if let Some(row) = cache.row(index, batch, z, memo) {
                             slot.accept().copy_from_slice(row);
                         }
                     }
                     None => {
-                        if batch.retrieve_into(z, ids) {
+                        if batch.retrieve_into(z, ids, memo) {
                             index.materialize_ids(ids, slot.accept());
                         }
                     }
@@ -155,6 +164,7 @@ impl SamplerCore {
         rel: usize,
         tuple: &[Value],
         population: u128,
+        memo: &mut DescentMemo,
     ) {
         self.deletes += 1;
         // A materialized sample used the deleted tuple iff its projection
@@ -163,13 +173,15 @@ impl SamplerCore {
         let attrs = &index.query().relation(rel).attrs;
         self.reservoir
             .evict_where(|s| attrs.iter().enumerate().all(|(pos, &a)| s[a] == tuple[pos]));
-        self.repair(index, population);
+        self.repair(index, population, memo);
     }
 
     /// A repair point: sample backfill to `min(k, |Q(R)|)` distinct
     /// uniform results and skip-state recalibration against `population`,
-    /// the exact live `|Q(R)|` of `index`.
-    fn repair(&mut self, index: &DynamicIndex, population: u128) {
+    /// the exact live `|Q(R)|` of `index`. The backfill draws through
+    /// `memo`, reset here.
+    fn repair(&mut self, index: &DynamicIndex, population: u128, memo: &mut DescentMemo) {
+        memo.reset();
         let target = (self.reservoir.capacity() as u128).min(population) as usize;
         let full = FullSampler {
             root: self.plan.root,
@@ -187,7 +199,7 @@ impl SamplerCore {
             .saturating_mul(1usize << (2 * (nrels.max(1) - 1)).min(16))
             .min(1 << 24);
         let filled = self.reservoir.backfill_distinct(target, per_slot, |row| {
-            let real = full.try_sample_into(index, rng, ids);
+            let real = full.try_sample_into(index, rng, ids, memo);
             if real {
                 index.materialize_ids(ids, row);
             }
@@ -365,6 +377,9 @@ pub(crate) struct Group {
     /// serialized). Only exercised with two or more members; a lone member
     /// keeps the zero-allocation path.
     cache: DeltaCache,
+    /// The retrieval kernel's memo (transient — reset at every batch and
+    /// every repair, rebuilt with the index, never serialized).
+    memo: DescentMemo,
     count: CountMemo,
 }
 
@@ -379,8 +394,10 @@ impl Group {
         seed: u64,
     ) -> Result<Group, IndexError> {
         let core = SamplerCore::new(&query, plan, k, seed);
+        let index = DynamicIndex::with_tree(query, &core.plan.tree, options)?;
         Ok(Group {
-            index: DynamicIndex::with_tree(query, &core.plan.tree, options)?,
+            memo: DescentMemo::new(&index),
+            index,
             tree: core.plan.tree.clone(),
             members: vec![core],
             cache: DeltaCache::default(),
@@ -417,16 +434,18 @@ impl Group {
     /// Feeds the delta batch of the just-accepted tuple `tid` to every
     /// member. A lone member retrieves into its own buffer; two or more
     /// share each batch position's `O(log N)` retrieval through the
-    /// [`DeltaCache`].
+    /// [`DeltaCache`]. Either way every retrieval of the batch shares one
+    /// [`DescentMemo`], reset here.
     fn consume(&mut self, rel: usize, tid: TupleId) {
         self.count.population.take();
+        self.memo.reset();
         let batch = self.index.delta_batch(rel, tid);
         let mut cache = (self.members.len() > 1).then(|| {
             self.cache.begin_op();
             &mut self.cache
         });
         for m in &mut self.members {
-            m.consume_delta(&self.index, &batch, cache.as_deref_mut());
+            m.consume_delta(&self.index, &batch, cache.as_deref_mut(), &mut self.memo);
         }
     }
 
@@ -439,7 +458,7 @@ impl Group {
         let tid = self.index.delete(rel, tuple)?;
         let population = self.count.after_delete(&self.index, rel, tuple, budget);
         for m in &mut self.members {
-            m.apply_delete(&self.index, rel, tuple, population);
+            m.apply_delete(&self.index, rel, tuple, population, &mut self.memo);
         }
         Some(tid)
     }
@@ -487,13 +506,14 @@ impl Group {
                 fresh.insert(rel, t);
             }
         }
+        self.memo = DescentMemo::new(&fresh);
         self.index = fresh;
         self.tree = tree.clone();
         self.count.unanchor();
         let population = self.count.get(&self.index);
         for m in &mut self.members {
             retarget(&self.index, &mut m.plan);
-            m.repair(&self.index, population);
+            m.repair(&self.index, population, &mut self.memo);
         }
         true
     }
@@ -558,6 +578,7 @@ impl Group {
         }
         let group = Group {
             tree,
+            memo: DescentMemo::new(&index),
             index,
             members,
             cache: DeltaCache::default(),

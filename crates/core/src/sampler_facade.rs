@@ -9,7 +9,7 @@
 
 use rsj_common::rng::RsjRng;
 use rsj_common::{TupleId, Value};
-use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
+use rsj_index::{DescentMemo, DynamicIndex, FullSampler, IndexOptions};
 use rsj_query::Query;
 
 /// A dynamic index supporting uniform sampling of the full join result.
@@ -19,6 +19,8 @@ pub struct DynamicSampleIndex {
     rng: RsjRng,
     /// The draw in flight: one tuple id per relation.
     ids: Vec<TupleId>,
+    /// The retrieval kernel's memo, reset whenever the index changes.
+    memo: DescentMemo,
 }
 
 impl DynamicSampleIndex {
@@ -27,9 +29,12 @@ impl DynamicSampleIndex {
         query: Query,
         seed: u64,
     ) -> Result<DynamicSampleIndex, rsj_index::dynamic::IndexError> {
+        let ids = vec![0; query.num_relations()];
+        let index = DynamicIndex::new(query, IndexOptions::default())?;
         Ok(DynamicSampleIndex {
-            ids: vec![0; query.num_relations()],
-            index: DynamicIndex::new(query, IndexOptions::default())?,
+            ids,
+            memo: DescentMemo::new(&index),
+            index,
             sampler: FullSampler::default(),
             rng: RsjRng::seed_from_u64(seed),
         })
@@ -37,6 +42,7 @@ impl DynamicSampleIndex {
 
     /// Inserts a tuple (`O(log N)` amortized).
     pub fn insert(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
+        self.memo.reset();
         self.index.insert(rel, tuple)
     }
 
@@ -44,6 +50,7 @@ impl DynamicSampleIndex {
     /// draws are uniform over the post-delete `Q(R)`. Deleting an absent
     /// tuple is a no-op returning `None`.
     pub fn delete(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
+        self.memo.reset();
         self.index.delete(rel, tuple)
     }
 
@@ -59,9 +66,9 @@ impl DynamicSampleIndex {
     /// sample in a loop can reuse one buffer instead of allocating per
     /// sample.
     pub fn sample_into(&mut self, out: &mut Vec<Value>) -> bool {
-        let drawn = self
-            .sampler
-            .sample_into(&self.index, &mut self.rng, &mut self.ids);
+        let drawn =
+            self.sampler
+                .sample_into(&self.index, &mut self.rng, &mut self.ids, &mut self.memo);
         if drawn {
             out.clear();
             out.resize(self.index.query().num_attrs(), 0);

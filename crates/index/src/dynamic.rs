@@ -488,12 +488,6 @@ impl DynamicIndex {
         &self.configs[self.trees[root].cfg[rel] as usize]
     }
 
-    /// Rooted-tree metadata of node `rel` in the tree rooted at `root`.
-    #[inline]
-    pub(crate) fn info_at(&self, root: usize, rel: usize) -> &NodeInfo {
-        &self.infos[self.trees[root].cfg[rel] as usize]
-    }
-
     /// Inserts a tuple into relation `rel`; returns its id, or `None` for a
     /// duplicate (set semantics — no index work happens).
     ///

@@ -35,5 +35,5 @@ pub mod sampler;
 mod state;
 
 pub use dynamic::{DynamicIndex, HeapLine, IndexOptions, IndexStats};
-pub use retrieve::{materialize, DeltaBatch};
+pub use retrieve::{materialize, DeltaBatch, DescentMemo};
 pub use sampler::FullSampler;

@@ -19,9 +19,19 @@
 //! into a caller-provided slice and allocates nothing: every reservoir
 //! stop and repair draw goes through it. The `Vec`-returning
 //! `retrieve` / `sample` methods are adapters over the same kernel.
+//!
+//! The kernel's per-edge work — project the key, hash it, probe the
+//! child's group table, read its `cnt~` level — depends only on the item
+//! being expanded, so it goes through a caller-owned [`DescentMemo`]
+//! holding, per configuration, the last item expanded and its children's
+//! `(group, level)`. A delta batch's stops all expand the same generating
+//! tuple and, under grouping, few distinct group tuples, so after the
+//! first stop most edges probe nothing. A memo is valid for one index
+//! state: the caller resets it at the start of every batch and every
+//! repair backfill.
 
 use crate::dynamic::DynamicIndex;
-use crate::state::GroupId;
+use crate::state::{GroupId, ItemId};
 use rsj_common::pow2::level_of;
 use rsj_common::{fx_hash_one, Key, TupleId, Value};
 use rsj_storage::Database;
@@ -105,54 +115,137 @@ impl DeltaBatch<'_> {
 
     /// The element at position `z`, written as one tuple id per relation
     /// into `ids` (length: the query's relation count). Returns `false`
-    /// for a dummy position, leaving `ids` unspecified.
+    /// for a dummy position, leaving `ids` unspecified. `memo` must have
+    /// been reset since the index last changed.
     ///
     /// `O(log N)` and allocation-free (Theorem 4.2(2), Algorithm 9).
-    pub fn retrieve_into(&self, z: u128, ids: &mut [TupleId]) -> bool {
+    pub fn retrieve_into(&self, z: u128, ids: &mut [TupleId], memo: &mut DescentMemo) -> bool {
         debug_assert!(z < self.size, "position out of batch");
+        // The root is never grouped, so its item is the tuple itself.
         ids[self.rel] = self.tid;
-        let tuple = self.index.database().relation(self.rel).tuple(self.tid);
-        retrieve_below(self.index, self.rel, self.rel, tuple, z, ids)
+        retrieve_below(self.index, self.rel, self.rel, self.tid, z, ids, memo)
     }
 
     /// The element at position `z`: a real join result or `None` (dummy).
-    /// Allocating adapter over [`retrieve_into`](DeltaBatch::retrieve_into).
+    /// Allocating adapter over [`retrieve_into`](DeltaBatch::retrieve_into)
+    /// with a fresh memo.
     pub fn retrieve(&self, z: u128) -> Option<JoinResult> {
         let mut ids = vec![0; self.index.query().num_relations()];
-        self.retrieve_into(z, &mut ids)
+        self.retrieve_into(z, &mut ids, &mut DescentMemo::new(self.index))
             .then(|| ids.into_iter().enumerate().collect())
     }
 }
 
-/// Algorithm 9, tuple case (`t ∈ R_e`): `tuple` is a tuple of node `rel`
-/// (stored or hypothetical) whose children are all live, `z` a position in
-/// the row-major product of its children's group batches. Later children
-/// are the low digits, so each child's coordinate is peeled off `z` as the
-/// walk reaches it — one `KeyMap` probe per join edge. `root` names the
-/// rooted-tree view resolving each relation to its configuration.
+/// The retrieval kernel's memo: per configuration of one index, the item
+/// last expanded there and its children's `(group, cnt~ level)`. Sized
+/// from the index's configurations when built, so using it allocates
+/// nothing; transient, never serialized.
+///
+/// Valid for one index state: within it, an item's child groups and their
+/// levels are fixed — for a plain node the item is the tuple, for a
+/// grouped node (§4.4) the group tuple, whose children's keys factor
+/// through `ē`. Whoever owns a memo [`reset`](DescentMemo::reset)s it at
+/// the start of every delta batch and every repair backfill. Debug builds
+/// check every hit against a fresh probe.
+#[derive(Clone, Debug)]
+pub struct DescentMemo {
+    /// Per configuration: the item last expanded there (`None` since the
+    /// last reset), and where its children's entries start in `children`.
+    heads: Vec<(Option<ItemId>, u32)>,
+    /// Per child of each configuration, in child order: the group its key
+    /// selects and that group's `cnt~` level.
+    children: Vec<(GroupId, u32)>,
+}
+
+impl DescentMemo {
+    /// An empty memo sized for `idx`'s configurations.
+    pub fn new(idx: &DynamicIndex) -> DescentMemo {
+        let mut heads = Vec::with_capacity(idx.infos.len());
+        let mut width = 0;
+        for info in &idx.infos {
+            heads.push((None, width));
+            width += info.children.len() as u32;
+        }
+        DescentMemo {
+            heads,
+            children: vec![(0, 0); width as usize],
+        }
+    }
+
+    /// Forgets every expansion: the index may have changed since.
+    pub fn reset(&mut self) {
+        for head in &mut self.heads {
+            head.0 = None;
+        }
+    }
+
+    /// Where configuration `cfg`'s children's entries for `item` start in
+    /// `children`, probing them from `item`'s tuple `tid` on a miss.
+    fn expand(&mut self, idx: &DynamicIndex, cfg: usize, item: ItemId, tid: TupleId) -> usize {
+        debug_assert_eq!(self.heads.len(), idx.infos.len(), "memo of another index");
+        let (last, start) = self.heads[cfg];
+        let start = start as usize;
+        let tuple = || idx.database().relation(idx.infos[cfg].relation).tuple(tid);
+        let entries = start..start + idx.infos[cfg].children.len();
+        if last == Some(item) {
+            debug_assert!(
+                entries
+                    .zip(0..)
+                    .all(|(e, ci)| self.children[e] == probe_child(idx, cfg, ci, tuple())),
+                "memo hit differs from a fresh probe"
+            );
+            return start;
+        }
+        for (e, ci) in entries.zip(0..) {
+            self.children[e] = probe_child(idx, cfg, ci, tuple());
+        }
+        self.heads[cfg].0 = Some(item);
+        start
+    }
+}
+
+/// Child `ci` of configuration `cfg` under `tuple`: the group of the
+/// child's configuration that the tuple's key selects, and its `cnt~`
+/// level — one projection, one hash and one `KeyMap` probe.
+fn probe_child(idx: &DynamicIndex, cfg: usize, ci: usize, tuple: &[Value]) -> (GroupId, u32) {
+    let key = Key::project(tuple, &idx.infos[cfg].child_key_positions[ci]);
+    let ns = &idx.configs[idx.child_cfgs[cfg][ci] as usize];
+    let g = ns
+        .group_id(fx_hash_one(&key), &key)
+        .expect("bucketed tuple has live children");
+    let level = ns
+        .group(g)
+        .tilde_level()
+        .expect("bucketed tuple has live children");
+    (g, level)
+}
+
+/// Algorithm 9, tuple case (`t ∈ R_e`): `ids[rel]` is a stored tuple of
+/// node `rel`, bucketed as `item`, whose children are all live; `z` a
+/// position in the row-major product of its children's group batches.
+/// Later children are the low digits, so each child's coordinate is peeled
+/// off `z` as the walk reaches it. The children's groups come from `memo`
+/// — one `KeyMap` probe per join edge when it misses, none when it hits.
+/// `root` names the rooted-tree view resolving each relation to its
+/// configuration.
 pub(crate) fn retrieve_below(
     idx: &DynamicIndex,
     root: usize,
     rel: usize,
-    tuple: &[Value],
+    item: ItemId,
     z: u128,
     ids: &mut [TupleId],
+    memo: &mut DescentMemo,
 ) -> bool {
-    let info = idx.info_at(root, rel);
+    let cfg = idx.trees[root].cfg[rel] as usize;
+    let start = memo.expand(idx, cfg, item, ids[rel]);
+    let children = &idx.infos[cfg].children;
     let mut rest = z;
-    for (positions, &child) in info.child_key_positions.iter().zip(&info.children).rev() {
-        let key = Key::project(tuple, positions);
-        let ns = idx.state_at(root, child);
-        let g = ns
-            .group_id(fx_hash_one(&key), &key)
-            .expect("bucketed tuple has live children");
-        let level = ns
-            .group(g)
-            .tilde_level()
-            .expect("bucketed tuple has live children");
+    for (ci, &child) in children.iter().enumerate().rev() {
+        let (g, level) = memo.children[start + ci];
         let coord = rest & ((1u128 << level) - 1);
         rest >>= level;
-        if !retrieve_in_group(idx, root, child, g, coord, ids) {
+        if !retrieve_in_group(idx, root, child, g, coord, ids, memo) {
             return false;
         }
     }
@@ -170,6 +263,7 @@ pub(crate) fn retrieve_in_group(
     g: GroupId,
     z: u128,
     ids: &mut [TupleId],
+    memo: &mut DescentMemo,
 ) -> bool {
     let ns = idx.state_at(root, rel);
     let group = ns.group(g);
@@ -197,8 +291,7 @@ pub(crate) fn retrieve_in_group(
             .get(ns.grouped_data.base[item as usize], idx_in_base as u32);
     }
     ids[rel] = tid;
-    let tuple = idx.database().relation(rel).tuple(tid);
-    retrieve_below(idx, root, rel, tuple, within, ids)
+    retrieve_below(idx, root, rel, item, within, ids, memo)
 }
 
 #[cfg(test)]
@@ -262,8 +355,9 @@ mod tests {
         let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
         let mut ids = vec![TupleId::MAX; idx.query().num_relations()];
         let mut row = vec![0; idx.query().num_attrs()];
+        let mut memo = DescentMemo::new(idx);
         for z in 0..batch.size() {
-            let real = batch.retrieve_into(z, &mut ids);
+            let real = batch.retrieve_into(z, &mut ids, &mut memo);
             let adapted = batch.retrieve(z);
             assert_eq!(real, adapted.is_some(), "dummy disagreement at z={z}");
             let Some(res) = adapted else { continue };
@@ -282,6 +376,67 @@ mod tests {
             batch.size() == 0 || !expect.is_empty(),
             "non-empty batch with zero real results"
         );
+    }
+
+    fn star4(grouping: bool) -> DynamicIndex {
+        let mut qb = QueryBuilder::new();
+        for i in 1..=4 {
+            qb.relation(&format!("G{i}"), &["HUB", &format!("B{i}")]);
+        }
+        DynamicIndex::new(qb.build().unwrap(), IndexOptions { grouping }).unwrap()
+    }
+
+    /// One memo carried across a whole stream, reset at every batch,
+    /// retrieves exactly what a fresh memo does at every position of every
+    /// batch — walked in order (consecutive stops share expansions) and
+    /// shuffled (expansions alternate, so the memo keeps missing and
+    /// refilling).
+    #[test]
+    fn memo_retrieval_matches_a_fresh_memo_in_any_order() {
+        use rsj_common::rng::RsjRng;
+        for name in ["line-3", "star-4"] {
+            for grouping in [false, true] {
+                let mut rng = RsjRng::seed_from_u64(45);
+                let mut idx = match name {
+                    "line-3" => line3(grouping),
+                    _ => star4(grouping),
+                };
+                let n = idx.query().num_relations();
+                let (mut memo, mut fresh) = (DescentMemo::new(&idx), DescentMemo::new(&idx));
+                let (mut ids, mut want) = (vec![0; n], vec![0; n]);
+                let mut checked = 0;
+                for _ in 0..160 {
+                    let rel = rng.index(n);
+                    let Some(tid) = idx.insert(rel, &[rng.below_u64(4), rng.below_u64(6)]) else {
+                        continue;
+                    };
+                    let batch = idx.delta_batch(rel, tid);
+                    let mut order: Vec<u128> = (0..batch.size()).collect();
+                    for shuffled in [false, true] {
+                        if shuffled {
+                            for i in (1..order.len()).rev() {
+                                order.swap(i, rng.index(i + 1));
+                            }
+                        }
+                        memo.reset();
+                        for &z in &order {
+                            fresh.reset();
+                            let real = batch.retrieve_into(z, &mut ids, &mut memo);
+                            let expect = batch.retrieve_into(z, &mut want, &mut fresh);
+                            assert_eq!(real, expect, "{name} grouping={grouping} z={z}");
+                            if real {
+                                assert_eq!(ids, want, "{name} grouping={grouping} z={z}");
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+                assert!(
+                    checked > 300,
+                    "{name} grouping={grouping}: {checked} results"
+                );
+            }
+        }
     }
 
     #[test]

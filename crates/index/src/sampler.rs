@@ -8,7 +8,7 @@
 //! time — the dynamic counterpart of the static indexes of [12, 30].
 
 use crate::dynamic::DynamicIndex;
-use crate::retrieve::{retrieve_in_group, JoinResult};
+use crate::retrieve::{retrieve_in_group, DescentMemo, JoinResult};
 use crate::state::GroupId;
 use rsj_common::rng::RsjRng;
 use rsj_common::{fx_hash_one, Key, TupleId};
@@ -51,19 +51,21 @@ impl FullSampler {
     }
 
     /// One sampling trial: a uniform position of the implicit array,
-    /// retrieved into `ids` (one tuple id per relation). Returns `false`
-    /// if it hit a dummy or the result is empty — an empty result draws
-    /// nothing from `rng`. Allocation-free.
+    /// retrieved into `ids` (one tuple id per relation) through `memo`,
+    /// which must have been reset since the index last changed. Returns
+    /// `false` if it hit a dummy or the result is empty — an empty result
+    /// draws nothing from `rng`. Allocation-free.
     pub fn try_sample_into(
         &self,
         idx: &DynamicIndex,
         rng: &mut RsjRng,
         ids: &mut [TupleId],
+        memo: &mut DescentMemo,
     ) -> bool {
         match self.array(idx) {
             Some((g, size)) if size > 0 => {
                 let z = rng.below_u128(size);
-                retrieve_in_group(idx, self.root, self.root, g, z, ids)
+                retrieve_in_group(idx, self.root, self.root, g, z, ids, memo)
             }
             _ => false,
         }
@@ -71,29 +73,36 @@ impl FullSampler {
 
     /// One sampling trial: uniform position, `None` if it hit a dummy (or
     /// the result is empty). Allocating adapter over
-    /// [`try_sample_into`](FullSampler::try_sample_into).
+    /// [`try_sample_into`](FullSampler::try_sample_into) with a fresh memo.
     pub fn try_sample(&self, idx: &DynamicIndex, rng: &mut RsjRng) -> Option<JoinResult> {
         let mut ids = vec![0; idx.query().num_relations()];
-        self.try_sample_into(idx, rng, &mut ids)
+        self.try_sample_into(idx, rng, &mut ids, &mut DescentMemo::new(idx))
             .then(|| ids.into_iter().enumerate().collect())
     }
 
     /// Samples one uniform join result into `ids` (one tuple id per
-    /// relation), retrying dummies up to `max_tries`. Allocation-free.
+    /// relation), retrying dummies up to `max_tries`. `memo` as for
+    /// [`try_sample_into`](FullSampler::try_sample_into). Allocation-free.
     ///
     /// Returns `false` only when `Q(R)` is empty (or the defensive cap is
     /// hit, which would indicate a density-invariant violation).
-    pub fn sample_into(&self, idx: &DynamicIndex, rng: &mut RsjRng, ids: &mut [TupleId]) -> bool {
+    pub fn sample_into(
+        &self,
+        idx: &DynamicIndex,
+        rng: &mut RsjRng,
+        ids: &mut [TupleId],
+        memo: &mut DescentMemo,
+    ) -> bool {
         self.implicit_size(idx) > 0
-            && (0..self.max_tries).any(|_| self.try_sample_into(idx, rng, ids))
+            && (0..self.max_tries).any(|_| self.try_sample_into(idx, rng, ids, memo))
     }
 
     /// Samples one uniform join result, `None` where
     /// [`sample_into`](FullSampler::sample_into) returns `false`.
-    /// Allocating adapter over it.
+    /// Allocating adapter over it with a fresh memo.
     pub fn sample(&self, idx: &DynamicIndex, rng: &mut RsjRng) -> Option<JoinResult> {
         let mut ids = vec![0; idx.query().num_relations()];
-        self.sample_into(idx, rng, &mut ids)
+        self.sample_into(idx, rng, &mut ids, &mut DescentMemo::new(idx))
             .then(|| ids.into_iter().enumerate().collect())
     }
 
@@ -111,8 +120,9 @@ impl FullSampler {
             return 0.0;
         }
         let mut ids = vec![0; idx.query().num_relations()];
+        let mut memo = DescentMemo::new(idx);
         let hits = (0..trials)
-            .filter(|_| self.try_sample_into(idx, rng, &mut ids))
+            .filter(|_| self.try_sample_into(idx, rng, &mut ids, &mut memo))
             .count();
         size as f64 * hits as f64 / trials as f64
     }
@@ -137,9 +147,9 @@ mod tests {
     /// Exact `|Q(R)|` by enumerating root 0's whole implicit array.
     fn real_positions(idx: &DynamicIndex) -> u128 {
         let (g, size) = FullSampler::default().array(idx).expect("root group");
-        let mut ids = [0; 3];
+        let (mut ids, mut memo) = ([0; 3], DescentMemo::new(idx));
         (0..size)
-            .filter(|&z| retrieve_in_group(idx, 0, 0, g, z, &mut ids))
+            .filter(|&z| retrieve_in_group(idx, 0, 0, g, z, &mut ids, &mut memo))
             .count() as u128
     }
 
@@ -179,12 +189,13 @@ mod tests {
         let mut counts: FxHashMap<Vec<u64>, u64> = FxHashMap::default();
         let trials = 14_000;
         let (mut ids, mut row) = ([0; 3], [0; 4]);
+        let mut memo = DescentMemo::new(&idx);
         for _ in 0..trials {
             // The allocating adapter and the slice kernel, fed the same
             // random stream, land on the same id tuple.
             let mut twin = rng.clone();
             let r = s.sample(&idx, &mut rng).expect("nonempty");
-            while !s.try_sample_into(&idx, &mut twin, &mut ids) {}
+            while !s.try_sample_into(&idx, &mut twin, &mut ids, &mut memo) {}
             let pairs: JoinResult = ids.iter().copied().enumerate().collect();
             assert_eq!(r, pairs);
             idx.materialize_ids(&ids, &mut row);
