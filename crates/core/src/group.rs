@@ -15,75 +15,14 @@
 
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::{child_seed, RsjRng};
-use rsj_common::{FxHashMap, TupleId, Value};
+use rsj_common::{TupleId, Value};
 use rsj_index::dynamic::IndexError;
 use rsj_index::{DeltaBatch, DescentMemo, DynamicIndex, FullSampler, IndexOptions};
 use rsj_query::{JoinTree, Plan, Query};
 use rsj_storage::{OpStream, StreamOp};
 use rsj_stream::{FnBatch, Reservoir};
-use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-/// Memoizes one op's delta-batch retrievals across the members of a
-/// group. Within one op every member walks the *same* implicit batch
-/// (same index state, same generating tuple), so the first member to
-/// touch position `z` pays the `O(log N)` retrieval and materialization;
-/// the rest copy the cached row into their own slot. The win concentrates
-/// in the fill phase, where every still-filling member scans the batch
-/// prefix position by position.
-///
-/// Rows sit back to back in one buffer, found by position through the
-/// map. Cleared per op ([`begin_op`](DeltaCache::begin_op)) with both
-/// allocations retained, so steady-state ingest stays allocation-free on
-/// the cache side.
-#[derive(Default)]
-struct DeltaCache {
-    /// Batch position → offset of its row in `rows`, [`DUMMY`] for a
-    /// dummy position.
-    offsets: FxHashMap<u128, usize>,
-    rows: Vec<Value>,
-    ids: Vec<TupleId>,
-}
-
-/// [`DeltaCache`] offset of a position that retrieved as a dummy.
-const DUMMY: usize = usize::MAX;
-
-impl DeltaCache {
-    /// Forgets the previous op's rows (the batch they came from is gone).
-    fn begin_op(&mut self) {
-        self.offsets.clear();
-        self.rows.clear();
-    }
-
-    /// The materialized row at batch position `z`, or `None` for a dummy —
-    /// retrieved through `memo` on first touch, served from the buffer on
-    /// every later one.
-    fn row(
-        &mut self,
-        index: &DynamicIndex,
-        batch: &DeltaBatch<'_>,
-        z: u128,
-        memo: &mut DescentMemo,
-    ) -> Option<&[Value]> {
-        let width = index.query().num_attrs();
-        let offset = match self.offsets.entry(z) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                self.ids.resize(index.query().num_relations(), 0);
-                *e.insert(if batch.retrieve_into(z, &mut self.ids, memo) {
-                    let offset = self.rows.len();
-                    self.rows.resize(offset + width, 0);
-                    index.materialize_ids(&self.ids, &mut self.rows[offset..]);
-                    offset
-                } else {
-                    DUMMY
-                })
-            }
-        };
-        (offset != DUMMY).then(|| &self.rows[offset..offset + width])
-    }
-}
 
 /// One member of a group: everything that *reads* the group's index
 /// without owning it — the reservoir and its skip state, the repair RNG
@@ -121,36 +60,25 @@ impl SamplerCore {
 
     /// Feeds an accepted insert's implicit delta batch to the reservoir
     /// (Algorithm 6 lines 5–7). A stop retrieves its position into this
-    /// member's own buffer or, when other members walk the same batch,
-    /// through their shared `cache` — byte-identically: the reservoir sees
-    /// the same batch size and stops at the same positions (its RNG never
-    /// touches the cache), and a cached row equals a fresh retrieval
-    /// because retrieval is a pure function of the index state. `memo` was
-    /// reset for this batch.
+    /// member's own buffer and materializes a real result straight into
+    /// the sample row; a dummy reports its run, which the reservoir passes.
+    /// `memo` was reset for this batch.
     fn consume_delta(
         &mut self,
         index: &DynamicIndex,
         batch: &DeltaBatch<'_>,
-        mut cache: Option<&mut DeltaCache>,
         memo: &mut DescentMemo,
     ) {
         self.inserts += 1;
         if batch.size() > 0 && !self.reservoir.try_skip(batch.size()) {
             let ids = &mut self.ids;
             let mut positions = FnBatch::new(batch.size(), std::convert::identity);
-            self.reservoir
-                .process_batch(&mut positions, |z, slot| match cache.as_deref_mut() {
-                    Some(cache) => {
-                        if let Some(row) = cache.row(index, batch, z, memo) {
-                            slot.accept().copy_from_slice(row);
-                        }
-                    }
-                    None => {
-                        if batch.retrieve_into(z, ids, memo) {
-                            index.materialize_ids(ids, slot.accept());
-                        }
-                    }
-                });
+            self.reservoir.process_batch(&mut positions, |z, slot| {
+                match batch.retrieve_into(z, ids, memo) {
+                    0 => index.materialize_ids(ids, slot.accept()),
+                    run => slot.reject_run(run),
+                }
+            });
         }
     }
 
@@ -373,12 +301,9 @@ pub(crate) struct Group {
     tree: JoinTree,
     index: DynamicIndex,
     pub(crate) members: Vec<SamplerCore>,
-    /// Per-op retrieval memo (transient — cleared every op, never
-    /// serialized). Only exercised with two or more members; a lone member
-    /// keeps the zero-allocation path.
-    cache: DeltaCache,
     /// The retrieval kernel's memo (transient — reset at every batch and
-    /// every repair, rebuilt with the index, never serialized).
+    /// every repair, rebuilt with the index, never serialized). Members
+    /// share it: within one batch they all read one index state.
     memo: DescentMemo,
     count: CountMemo,
 }
@@ -400,7 +325,6 @@ impl Group {
             index,
             tree: core.plan.tree.clone(),
             members: vec![core],
-            cache: DeltaCache::default(),
             count: CountMemo::default(),
         })
     }
@@ -432,20 +356,14 @@ impl Group {
     }
 
     /// Feeds the delta batch of the just-accepted tuple `tid` to every
-    /// member. A lone member retrieves into its own buffer; two or more
-    /// share each batch position's `O(log N)` retrieval through the
-    /// [`DeltaCache`]. Either way every retrieval of the batch shares one
+    /// member. Every retrieval of the batch, by any member, shares one
     /// [`DescentMemo`], reset here.
     fn consume(&mut self, rel: usize, tid: TupleId) {
         self.count.population.take();
         self.memo.reset();
         let batch = self.index.delta_batch(rel, tid);
-        let mut cache = (self.members.len() > 1).then(|| {
-            self.cache.begin_op();
-            &mut self.cache
-        });
         for m in &mut self.members {
-            m.consume_delta(&self.index, &batch, cache.as_deref_mut(), &mut self.memo);
+            m.consume_delta(&self.index, &batch, &mut self.memo);
         }
     }
 
@@ -581,7 +499,6 @@ impl Group {
             memo: DescentMemo::new(&index),
             index,
             members,
-            cache: DeltaCache::default(),
             count: CountMemo::default(),
         };
         Ok((group, tags))

@@ -20,6 +20,14 @@
 //! stop and repair draw goes through it. The `Vec`-returning
 //! `retrieve` / `sample` methods are adapters over the same kernel.
 //!
+//! A dummy is never alone: it lies in a run of dummies that the level
+//! which found it already bounds — the group's padding up to `cnt~`, or
+//! the rest of a grouped item's sub-batch past its `feq` base tuples.
+//! The kernel returns that run's length from the dummy onward (0 for a
+//! real result), lifted through each tuple level by the radix of the
+//! lower digits, so a caller can pass the whole run at `O(1)` extra work
+//! per level.
+//!
 //! The kernel's per-edge work — project the key, hash it, probe the
 //! child's group table, read its `cnt~` level — depends only on the item
 //! being expanded, so it goes through a caller-owned [`DescentMemo`]
@@ -114,12 +122,14 @@ impl DeltaBatch<'_> {
     }
 
     /// The element at position `z`, written as one tuple id per relation
-    /// into `ids` (length: the query's relation count). Returns `false`
-    /// for a dummy position, leaving `ids` unspecified. `memo` must have
-    /// been reset since the index last changed.
+    /// into `ids` (length: the query's relation count). Returns 0 for a
+    /// real result; for a dummy position, leaving `ids` unspecified, the
+    /// length `run >= 1` of a run of dummies starting at `z` — positions
+    /// `z..z + run` are all dummies. `memo` must have been reset since the
+    /// index last changed.
     ///
     /// `O(log N)` and allocation-free (Theorem 4.2(2), Algorithm 9).
-    pub fn retrieve_into(&self, z: u128, ids: &mut [TupleId], memo: &mut DescentMemo) -> bool {
+    pub fn retrieve_into(&self, z: u128, ids: &mut [TupleId], memo: &mut DescentMemo) -> u128 {
         debug_assert!(z < self.size, "position out of batch");
         // The root is never grouped, so its item is the tuple itself.
         ids[self.rel] = self.tid;
@@ -131,7 +141,7 @@ impl DeltaBatch<'_> {
     /// with a fresh memo.
     pub fn retrieve(&self, z: u128) -> Option<JoinResult> {
         let mut ids = vec![0; self.index.query().num_relations()];
-        self.retrieve_into(z, &mut ids, &mut DescentMemo::new(self.index))
+        (self.retrieve_into(z, &mut ids, &mut DescentMemo::new(self.index)) == 0)
             .then(|| ids.into_iter().enumerate().collect())
     }
 }
@@ -227,7 +237,8 @@ fn probe_child(idx: &DynamicIndex, cfg: usize, ci: usize, tuple: &[Value]) -> (G
 /// off `z` as the walk reaches it. The children's groups come from `memo`
 /// — one `KeyMap` probe per join edge when it misses, none when it hits.
 /// `root` names the rooted-tree view resolving each relation to its
-/// configuration.
+/// configuration. Returns 0 or a dummy run, as
+/// [`DeltaBatch::retrieve_into`].
 pub(crate) fn retrieve_below(
     idx: &DynamicIndex,
     root: usize,
@@ -236,26 +247,31 @@ pub(crate) fn retrieve_below(
     z: u128,
     ids: &mut [TupleId],
     memo: &mut DescentMemo,
-) -> bool {
+) -> u128 {
     let cfg = idx.trees[root].cfg[rel] as usize;
     let start = memo.expand(idx, cfg, item, ids[rel]);
     let children = &idx.infos[cfg].children;
-    let mut rest = z;
+    let (mut rest, mut shift) = (z, 0);
     for (ci, &child) in children.iter().enumerate().rev() {
         let (g, level) = memo.children[start + ci];
         let coord = rest & ((1u128 << level) - 1);
-        rest >>= level;
-        if !retrieve_in_group(idx, root, child, g, coord, ids, memo) {
-            return false;
+        let run = retrieve_in_group(idx, root, child, g, coord, ids, memo);
+        if run > 0 {
+            // The child's run, counted in the positions its lower digits
+            // (radix 2^shift) interleave, from z's own lower digits on.
+            return (run << shift) - (z & ((1u128 << shift) - 1));
         }
+        rest >>= level;
+        shift += level;
     }
     debug_assert_eq!(rest, 0, "z within batch size");
-    true
+    0
 }
 
 /// Algorithm 9 group case / Algorithm 11 grouped case
 /// (`t ∈ π_key(e) R_e`): find the item of group `g` of node `rel` owning
 /// position `z < cnt~`, record its tuple in `ids[rel]`, then descend.
+/// Returns 0 or a dummy run, as [`DeltaBatch::retrieve_into`].
 pub(crate) fn retrieve_in_group(
     idx: &DynamicIndex,
     root: usize,
@@ -264,11 +280,13 @@ pub(crate) fn retrieve_in_group(
     z: u128,
     ids: &mut [TupleId],
     memo: &mut DescentMemo,
-) -> bool {
+) -> u128 {
     let ns = idx.state_at(root, rel);
     let group = ns.group(g);
     if z >= group.cnt {
-        return false; // padding up to cnt~ — dummy
+        // Padding up to cnt~ — dummy to the group's end.
+        let level = group.tilde_level().expect("z < cnt~ of a live group");
+        return (1u128 << level) - z;
     }
     let (item, mut within) = group.locate(&ns.postings, z);
     let mut tid = item as TupleId;
@@ -279,11 +297,12 @@ pub(crate) fn retrieve_in_group(
         // levels, so the split point needs no child probe.
         let feq = ns.grouped_data.feq[item as usize];
         let level = ns.item_pos[item as usize].level();
-        let children = level.expect("located item is bucketed")
-            - level_of(feq as u128).expect("bucketed group tuple has members");
+        let level = level.expect("located item is bucketed");
+        let children = level - level_of(feq as u128).expect("bucketed group tuple has members");
         let idx_in_base = within >> children;
         if idx_in_base >= feq as u128 {
-            return false; // feq~ rounding slack — dummy
+            // feq~ rounding slack — dummy to the item's sub-batch end.
+            return (1u128 << level) - within;
         }
         within &= (1u128 << children) - 1;
         tid = ns
@@ -357,7 +376,7 @@ mod tests {
         let mut row = vec![0; idx.query().num_attrs()];
         let mut memo = DescentMemo::new(idx);
         for z in 0..batch.size() {
-            let real = batch.retrieve_into(z, &mut ids, &mut memo);
+            let real = batch.retrieve_into(z, &mut ids, &mut memo) == 0;
             let adapted = batch.retrieve(z);
             assert_eq!(real, adapted.is_some(), "dummy disagreement at z={z}");
             let Some(res) = adapted else { continue };
@@ -384,6 +403,80 @@ mod tests {
             qb.relation(&format!("G{i}"), &["HUB", &format!("B{i}")]);
         }
         DynamicIndex::new(qb.build().unwrap(), IndexOptions { grouping }).unwrap()
+    }
+
+    /// Ra(X,Y) ⋈ Rb(Y,Z,W) ⋈ Rc(W,U): the wide middle relation is
+    /// groupable.
+    fn wide_middle(grouping: bool) -> DynamicIndex {
+        let mut qb = QueryBuilder::new();
+        qb.relation("Ra", &["X", "Y"]);
+        qb.relation("Rb", &["Y", "Z", "W"]);
+        qb.relation("Rc", &["W", "U"]);
+        DynamicIndex::new(qb.build().unwrap(), IndexOptions { grouping }).unwrap()
+    }
+
+    /// Walks every position of one delta batch: the positions that report
+    /// no run retrieve the brute-force delta, each result once, so a
+    /// position reports a run iff it is a dummy; and every position of a
+    /// reported run lies in the batch and retrieves as a dummy. Returns how
+    /// many positions the reported runs cover past their first.
+    fn check_runs(idx: &DynamicIndex, rel: usize, tid: TupleId) -> u128 {
+        let batch = idx.delta_batch(rel, tid);
+        let mut ids = vec![0; idx.query().num_relations()];
+        let mut row = vec![0; idx.query().num_attrs()];
+        let mut memo = DescentMemo::new(idx);
+        let mut reals = FxHashSet::default();
+        let mut covered = 0;
+        for z in 0..batch.size() {
+            let run = batch.retrieve_into(z, &mut ids, &mut memo);
+            if run == 0 {
+                idx.materialize_ids(&ids, &mut row);
+                assert!(reals.insert(row.clone()), "duplicate result at z={z}");
+                continue;
+            }
+            assert!(
+                z + run <= batch.size(),
+                "run {run} at z={z} leaves the batch"
+            );
+            for d in z + 1..z + run {
+                let inner = batch.retrieve_into(d, &mut ids, &mut memo);
+                assert!(inner > 0, "run {run} at z={z} covers the real d={d}");
+            }
+            covered += run - 1;
+        }
+        assert_eq!(reals, brute_delta(idx, rel, tid), "delta contents");
+        covered
+    }
+
+    #[test]
+    fn reported_dummy_runs_are_sound() {
+        use rsj_common::rng::RsjRng;
+        for name in ["line-3", "star-4", "wide-middle"] {
+            for grouping in [false, true] {
+                let mut rng = RsjRng::seed_from_u64(46);
+                let mut idx = match name {
+                    "line-3" => line3(grouping),
+                    "star-4" => star4(grouping),
+                    _ => wide_middle(grouping),
+                };
+                let n = idx.query().num_relations();
+                let (mut batches, mut covered) = (0, 0);
+                for _ in 0..200 {
+                    let rel = rng.index(n);
+                    let arity = idx.query().relation(rel).attrs.len();
+                    let t: Vec<Value> = (0..arity).map(|_| rng.below_u64(7)).collect();
+                    let Some(tid) = idx.insert(rel, &t) else {
+                        continue;
+                    };
+                    covered += check_runs(&idx, rel, tid);
+                    batches += 1;
+                }
+                assert!(
+                    batches > 80 && covered > 0,
+                    "{name} grouping={grouping}: {batches} batches, {covered} passed"
+                );
+            }
+        }
     }
 
     /// One memo carried across a whole stream, reset at every batch,
@@ -421,10 +514,10 @@ mod tests {
                         memo.reset();
                         for &z in &order {
                             fresh.reset();
-                            let real = batch.retrieve_into(z, &mut ids, &mut memo);
+                            let run = batch.retrieve_into(z, &mut ids, &mut memo);
                             let expect = batch.retrieve_into(z, &mut want, &mut fresh);
-                            assert_eq!(real, expect, "{name} grouping={grouping} z={z}");
-                            if real {
+                            assert_eq!(run, expect, "{name} grouping={grouping} z={z}");
+                            if run == 0 {
                                 assert_eq!(ids, want, "{name} grouping={grouping} z={z}");
                                 checked += 1;
                             }

@@ -65,7 +65,7 @@ impl FullSampler {
         match self.array(idx) {
             Some((g, size)) if size > 0 => {
                 let z = rng.below_u128(size);
-                retrieve_in_group(idx, self.root, self.root, g, z, ids, memo)
+                retrieve_in_group(idx, self.root, self.root, g, z, ids, memo) == 0
             }
             _ => false,
         }
@@ -149,7 +149,7 @@ mod tests {
         let (g, size) = FullSampler::default().array(idx).expect("root group");
         let (mut ids, mut memo) = ([0; 3], DescentMemo::new(idx));
         (0..size)
-            .filter(|&z| retrieve_in_group(idx, 0, 0, g, z, &mut ids, &mut memo))
+            .filter(|&z| retrieve_in_group(idx, 0, 0, g, z, &mut ids, &mut memo) == 0)
             .count() as u128
     }
 

@@ -33,6 +33,10 @@ pub trait Batch {
     fn next(&mut self) -> Option<Self::Item> {
         self.skip(0)
     }
+
+    /// Discards the next `n` items without producing any (all that
+    /// remain if fewer do).
+    fn advance(&mut self, n: u128);
 }
 
 /// A batch over a slice, cloning items out. Mostly used in tests and by the
@@ -67,6 +71,10 @@ impl<T: Clone> Batch for SliceBatch<'_, T> {
         let item = self.items[self.pos].clone();
         self.pos += 1;
         Some(item)
+    }
+
+    fn advance(&mut self, n: u128) {
+        self.pos += n.min(self.remain()) as usize;
     }
 }
 
@@ -109,6 +117,11 @@ impl<T, F: FnMut(u128) -> T> Batch for FnBatch<T, F> {
         let item = (self.f)(self.pos);
         self.pos += 1;
         Some(item)
+    }
+
+    /// Pure arithmetic: the accessor is not called.
+    fn advance(&mut self, n: u128) {
+        self.pos += n.min(self.remain());
     }
 }
 
@@ -163,6 +176,41 @@ mod tests {
         }
         // Accessor called only at stop positions — that's the whole point.
         assert_eq!(calls, vec![3, 4, 9]);
+    }
+
+    #[test]
+    fn slice_batch_advance() {
+        let data = [10, 20, 30, 40, 50];
+        let mut b = SliceBatch::new(&data);
+        b.advance(0);
+        assert_eq!(b.next(), Some(10));
+        b.advance(2);
+        assert_eq!(b.remain(), 2);
+        assert_eq!(b.next(), Some(40));
+        b.advance(7);
+        assert_eq!(b.remain(), 0);
+        assert_eq!(b.next(), None);
+    }
+
+    #[test]
+    fn fn_batch_advance_never_calls_the_accessor() {
+        let mut calls = Vec::new();
+        {
+            let mut b = FnBatch::new(1u128 << 90, |z| {
+                calls.push(z);
+                z
+            });
+            b.advance(5);
+            assert_eq!(b.skip(1), Some(6));
+            b.advance((1u128 << 89) - 7);
+            assert_eq!(b.remain(), 1u128 << 89);
+            assert_eq!(b.next(), Some(1u128 << 89));
+            b.advance(u128::MAX);
+            assert_eq!(b.remain(), 0);
+            b.advance(1);
+            assert_eq!(b.next(), None);
+        }
+        assert_eq!(calls, vec![6, 1u128 << 89]);
     }
 
     #[test]

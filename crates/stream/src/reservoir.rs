@@ -249,9 +249,17 @@ impl<'a> IntoIterator for Rows<'a> {
 /// The predicate is fused with payload extraction: each stop hands the
 /// stream item and a [`Slot`] to a `stop` closure, which calls
 /// [`Slot::accept`] for a real item — receiving the row to write the
-/// payload into — and drops the slot for a dummy. For join batches the
-/// "predicate evaluation" *is* the positional retrieve — a dummy position
-/// is one the retrieve reports as such.
+/// payload into — and drops the slot for a dummy, or reports with
+/// [`Slot::reject_run`] that the dummy begins a run of them. For join
+/// batches the "predicate evaluation" *is* the positional retrieve — a
+/// dummy position is one the retrieve reports as such, with its run.
+///
+/// A reported run is passed whole. A dummy changes neither `w` nor the
+/// sample, and the skip is memoryless (each position is a stop with
+/// probability `w`, independently), so the next stop after the run lies
+/// at its end plus a fresh `Geo(w)` — the law of stopping at every dummy
+/// in it in turn. The fill phase draws nothing, so passing a run there
+/// leaves the samples as they were; only the stop count falls.
 ///
 /// Samples are fixed-width rows of `u64` words in one flat buffer (`len ×
 /// width` words, grown on demand and never past `k × width`), so a stop
@@ -286,6 +294,8 @@ pub struct Reservoir {
 /// the item turn out real. Dropping the slot rejects the item (a dummy).
 pub struct Slot<'a> {
     reservoir: &'a mut Reservoir,
+    /// Items after this one known to be dummies too.
+    past: &'a mut u128,
 }
 
 impl<'a> Slot<'a> {
@@ -302,6 +312,13 @@ impl<'a> Slot<'a> {
             r.push_row()
         };
         &mut r.rows[slot * r.width..][..r.width]
+    }
+
+    /// Rejects the item as the first of `run` consecutive dummies (0 and
+    /// 1 both mean this item alone): the reservoir passes the rest of the
+    /// run without stopping in it.
+    pub fn reject_run(self, run: u128) {
+        *self.past = run.saturating_sub(1);
     }
 }
 
@@ -343,11 +360,31 @@ impl Reservoir {
         len / width
     }
 
+    /// Hands the item stopped at to `stop`, then passes the rest of the
+    /// dummy run it reported.
+    fn stop_at<B: Batch>(
+        &mut self,
+        batch: &mut B,
+        x: B::Item,
+        stop: &mut impl FnMut(B::Item, Slot<'_>),
+    ) {
+        self.stops += 1;
+        let mut past = 0;
+        stop(
+            x,
+            Slot {
+                reservoir: self,
+                past: &mut past,
+            },
+        );
+        batch.advance(past);
+    }
+
     /// Processes one batch (Algorithm 5, `BatchUpdate`).
     ///
     /// `stop` is invoked once per *stop* with the item stopped at; it
     /// accepts the [`Slot`] and fills the returned row for a real item,
-    /// and drops the slot for a dummy.
+    /// and drops the slot — or reports its dummy run — for a dummy.
     pub fn process_batch<B, F>(&mut self, batch: &mut B, mut stop: F)
     where
         B: Batch,
@@ -357,8 +394,7 @@ impl Reservoir {
         // real items, until the reservoir holds k samples.
         while !self.is_full() {
             let Some(x) = batch.next() else { return };
-            self.stops += 1;
-            stop(x, Slot { reservoir: self });
+            self.stop_at(batch, x, &mut stop);
         }
         // One-time initialization of (w, q) the first time the reservoir is
         // full (Alg. 5 lines 5–7; w stays <= 1 forever after).
@@ -367,12 +403,12 @@ impl Reservoir {
             self.q = self.rng.skip(&self.skip);
         }
         // Skip phase (Alg. 5 lines 8–14). An accepted slot drew its victim
-        // and counted the replacement.
+        // and counted the replacement; a rejected run was passed, and the
+        // next skip starts at its end.
         while batch.remain() > self.q {
             let x = batch.skip(self.q).expect("stop within batch");
-            self.stops += 1;
             let replaced = self.replacements;
-            stop(x, Slot { reservoir: self });
+            self.stop_at(batch, x, &mut stop);
             if self.replacements != replaced {
                 self.skip = SkipLaw::new(self.rng.decay_w(self.skip.w(), self.k));
             }
@@ -431,8 +467,9 @@ impl Reservoir {
     }
 
     /// Instrumentation: number of stream positions the algorithm stopped at
-    /// (and thus evaluated the predicate on). Theorem 3.2 bounds its
-    /// expectation by `(p-1) + Σ_{i>=p} k/(r_i+1)`.
+    /// and evaluated the predicate on. The positions of a dummy run passed
+    /// after a stop are not counted, so Theorem 3.2's
+    /// `(p-1) + Σ_{i>=p} k/(r_i+1)` bounds its expectation from above.
     pub fn stops(&self) -> u64 {
         self.stops
     }

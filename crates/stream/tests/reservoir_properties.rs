@@ -1,11 +1,13 @@
 //! Property and boundary tests for the reservoir algorithms beyond the
 //! in-module unit tests: stop-count bounds against Theorem 3.2's formula,
-//! k = 1 analytics, adversarial real/dummy layouts, and a model test of
-//! the flat sample arena against a plain `Vec<Vec<u64>>` reservoir.
+//! k = 1 analytics, adversarial real/dummy layouts, passing reported dummy
+//! runs, and a model test of the flat sample arena against a plain
+//! `Vec<Vec<u64>>` reservoir.
 
 use proptest::prelude::*;
 use rsj_common::codec::{Decoder, Encoder};
 use rsj_common::rng::RsjRng;
+use rsj_common::stats::{chi_square_critical, chi_square_uniform};
 use rsj_stream::{ClassicReservoir, Reservoir, SliceBatch, Slot};
 
 /// A width-1 stop closure over `(scalar, is_real)` items.
@@ -385,4 +387,123 @@ fn stops_scale_logarithmically_in_stream_length() {
         s2 - s1,
         50.0 * std::f64::consts::LN_2
     );
+}
+
+/// A batch stream of `(id, run)` items, as a join driver sees it:
+/// `run == 0` marks a real item, and a dummy carries the length of its
+/// dummy run from itself to the run's end — what the retrieval kernel
+/// reports. The first batch holds `k` reals and then a run, so the
+/// reservoir fills right before it and its first skip-phase stops land in
+/// it; later batches mix reals with runs of up to 40 dummies, and every
+/// other one ends in a run. Returns the batches and the number of reals,
+/// whose ids are `0..reals`.
+fn dummy_run_stream(k: usize, batches: usize, seed: u64) -> (Vec<Vec<(u64, u128)>>, u64) {
+    let mut rng = RsjRng::seed_from_u64(seed);
+    let mut reals = 0u64;
+    let mut real = |batch: &mut Vec<(u64, u128)>| {
+        batch.push((reals, 0));
+        reals += 1;
+    };
+    let run = |batch: &mut Vec<(u64, u128)>, len: u128| {
+        batch.extend((1..=len).rev().map(|left| (u64::MAX, left)));
+    };
+    let mut out = Vec::new();
+    let mut first = Vec::new();
+    for _ in 0..k {
+        real(&mut first);
+    }
+    run(&mut first, 25);
+    out.push(first);
+    for b in 1..batches {
+        let mut batch = Vec::new();
+        for _ in 0..rng.index(12) {
+            if rng.index(2) == 0 {
+                real(&mut batch);
+            } else {
+                run(&mut batch, 1 + rng.index(40) as u128);
+            }
+        }
+        if b % 2 == 0 {
+            run(&mut batch, 1 + rng.index(40) as u128);
+        }
+        out.push(batch);
+    }
+    (out, reals)
+}
+
+/// Feeds `batches` to a reservoir that passes the reported runs
+/// (`runs = true`) or drops every dummy's slot alone.
+fn run_stream(r: &mut Reservoir, batches: &[Vec<(u64, u128)>], runs: bool) {
+    for items in batches {
+        let mut b = SliceBatch::new(items);
+        r.process_batch(&mut b, |(x, run), slot| match run {
+            0 => slot.accept()[0] = x,
+            run if runs => slot.reject_run(run),
+            _ => {} // the slot drops: one dummy
+        });
+    }
+}
+
+/// Passing a reported run keeps the law: over many seeds, both the
+/// run-passing reservoir and the one stopping at every dummy hold each
+/// real with frequency `k/n` (chi-square), and never a dummy; passing the
+/// runs makes fewer stops.
+#[test]
+fn passing_dummy_runs_keeps_inclusion_uniform() {
+    let k = 8;
+    let (batches, n) = dummy_run_stream(k, 60, 46);
+    assert!(n > 100, "{n} reals");
+    let trials = 4000;
+    let trial = |runs: bool| {
+        let (mut counts, mut stops) = (vec![0u64; n as usize], 0);
+        for t in 0..trials {
+            let mut r = Reservoir::new(k, 1, 46_000 + t);
+            run_stream(&mut r, &batches, runs);
+            assert_eq!(r.len(), k);
+            for &x in r.samples().flat() {
+                assert!(x < n, "dummy sampled");
+                counts[x as usize] += 1;
+            }
+            stops += r.stops();
+        }
+        (counts, stops as f64 / trials as f64)
+    };
+    let (passing, passing_stops) = trial(true);
+    let (stopping, stopping_stops) = trial(false);
+    for (name, counts) in [("run-passing", passing), ("per-dummy", stopping)] {
+        let (stat, df) = chi_square_uniform(&counts);
+        assert!(
+            stat < chi_square_critical(df, 0.0001),
+            "{name}: chi2={stat} df={df}"
+        );
+    }
+    assert!(
+        passing_stops < 0.9 * stopping_stops,
+        "run-passing stops {passing_stops} vs per-dummy stops {stopping_stops}"
+    );
+}
+
+/// While the reservoir fills, passing a run draws nothing: a stream that
+/// never fills it leaves the same samples, skip state and RNG position as
+/// stopping at every dummy — only the stop count falls.
+#[test]
+fn passing_dummy_runs_in_the_fill_phase_keeps_the_bytes() {
+    for seed in 0..20 {
+        let (batches, n) = dummy_run_stream(3, 40, seed);
+        let k = n as usize + 1;
+        let (mut passed, mut stopped) = (Reservoir::new(k, 1, seed), Reservoir::new(k, 1, seed));
+        run_stream(&mut passed, &batches, true);
+        run_stream(&mut stopped, &batches, false);
+        assert!(passed.stops() < stopped.stops(), "seed {seed}");
+        let (a, b) = (snapshot(&passed), snapshot(&stopped));
+        // The image ends with the stop and replacement counters.
+        let at = a.len() - 16;
+        assert_eq!(a.len(), b.len());
+        assert_eq!(
+            a[..at],
+            b[..at],
+            "seed {seed}: samples, skip state or RNG moved"
+        );
+        assert_eq!(a[at + 8..], b[at + 8..], "seed {seed}: replacements moved");
+    }
 }
