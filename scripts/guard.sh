@@ -44,7 +44,8 @@ One image codec | fn snapshot_state([^[:alnum:]_]|$) | src crates tests examples
 One checked entry point | (^|[^[:alnum:]_])(check_op|process_op_batch)([^[:alnum:]_]|$)|fn process_batch[(]|[.:]process_batch[(]([^&]|&[^m]|$) | src crates tests examples | all | crates/stream/tests/reservoir_properties.rs | 30bf42e | Ops enter an engine through SamplerExt::apply_ops (process_op is its one-op slice) or the process/delete primitives; a per-tuple batch adapter or a second check is another door to keep in step. Reservoir::process_batch(&mut batch, ..) is the predicate reservoir, not this.
 One member kind | register_sampler|BoxedMember|SnapshotUnavailable|NoImage|Imageless | src crates tests examples | all | - | cd80931 | A SamplerService is a list of index groups and its image cannot fail.
 One member kind | RebuildFn | crates | all | - | cd80931 | The boxed-member rebuild hook stays deleted.
-One retrieval kernel | fn (retrieve_below|retrieve_in_group) | src crates tests examples | all | crates/index/src/retrieve.rs:2 | 77c1af7 | Every positional retrieval (reservoir stop, DeltaCache fill, repair draw, allocating adapter) descends through retrieve_below/retrieve_in_group and its DescentMemo; a second descent, a *_memo twin included, is a copy that the debug cross-check of the memo does not cover.
+One retrieval kernel | fn (retrieve_below|retrieve_in_group) | src crates tests examples | all | crates/index/src/retrieve.rs:2 | 77c1af7 | Every positional retrieval (reservoir stop, repair draw, allocating adapter) descends through retrieve_below/retrieve_in_group and its DescentMemo, which also report the dummy run a dummy begins; a second descent, a *_memo twin included, is a copy that the debug cross-check of the memo does not cover.
+One stop path | DeltaCache | crates src tests examples | all | - | aa1bae5 | Every member of a group walks a delta batch through one stop closure (retrieve_into, then materialize or pass the dummy run) over the one DescentMemo of the group; a per-op row cache is a second stop path that must copy the run logic.
 '
 
 # `pub` items no other file names, each with the reason it stays public.
