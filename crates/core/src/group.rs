@@ -17,10 +17,10 @@ use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::{child_seed, RsjRng};
 use rsj_common::{TupleId, Value};
 use rsj_index::dynamic::IndexError;
-use rsj_index::{DeltaBatch, DescentMemo, DynamicIndex, FullSampler, IndexOptions};
+use rsj_index::{DeltaBatch, DescentMemo, DynamicIndex, FullSampler, HeapLine, IndexOptions};
 use rsj_query::{JoinTree, Plan, Query};
 use rsj_storage::{OpStream, StreamOp};
-use rsj_stream::{FnBatch, Reservoir};
+use rsj_stream::{remove_slots, FnBatch, Reservoir};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -39,6 +39,9 @@ pub(crate) struct SamplerCore {
     /// The retrieval in flight, one tuple id per relation: the index
     /// writes it, and it is materialized straight into the sample row.
     ids: Vec<TupleId>,
+    /// The tuple ids the sample rows hold, beside them; what delete
+    /// repair reads instead of the rows.
+    sample_ids: SampleIds,
     /// RNG for repair backfill draws, independent of the reservoir's skip
     /// stream (insert-only runs never touch it).
     repair_rng: RsjRng,
@@ -52,6 +55,7 @@ impl SamplerCore {
             plan,
             reservoir: Reservoir::new(k, query.num_attrs(), seed),
             ids: vec![0; query.num_relations()],
+            sample_ids: SampleIds::default(),
             repair_rng: RsjRng::seed_from_u64(child_seed(seed, u64::from_le_bytes(*b"turnstil"))),
             inserts: 0,
             deletes: 0,
@@ -61,8 +65,9 @@ impl SamplerCore {
     /// Feeds an accepted insert's implicit delta batch to the reservoir
     /// (Algorithm 6 lines 5–7). A stop retrieves its position into this
     /// member's own buffer and materializes a real result straight into
-    /// the sample row; a dummy reports its run, which the reservoir passes.
-    /// `memo` was reset for this batch.
+    /// the sample row, its ids into the slot's id columns once they are
+    /// built; a dummy reports its run, which the reservoir passes. `memo`
+    /// was reset for this batch.
     fn consume_delta(
         &mut self,
         index: &DynamicIndex,
@@ -71,36 +76,45 @@ impl SamplerCore {
     ) {
         self.inserts += 1;
         if batch.size() > 0 && !self.reservoir.try_skip(batch.size()) {
-            let ids = &mut self.ids;
+            let (ids, columns) = (&mut self.ids, &mut self.sample_ids);
+            let k = self.reservoir.capacity();
             let mut positions = FnBatch::new(batch.size(), std::convert::identity);
             self.reservoir.process_batch(&mut positions, |z, slot| {
                 match batch.retrieve_into(z, ids, memo) {
-                    0 => index.materialize_ids(ids, slot.accept()),
+                    0 => {
+                        let (slot, row) = slot.accept_slot();
+                        index.materialize_ids(ids, row);
+                        columns.put(slot, ids, k);
+                    }
                     run => slot.reject_run(run),
                 }
             });
         }
     }
 
-    /// The reservoir side of a deletion `index` has already applied:
-    /// evict samples using the tuple, then repair against `population`,
+    /// Builds the id columns from the rows if they are not built yet.
+    /// Every tuple a row holds must be live in `index`.
+    fn ensure_ids(&mut self, index: &DynamicIndex) {
+        if !self.sample_ids.is_built() {
+            self.sample_ids = SampleIds::derive(index, &self.reservoir);
+        }
+    }
+
+    /// The reservoir side of a deletion `index` has already applied to
+    /// tuple `tid` of `rel`, with the id columns built before it: evict
+    /// the samples holding the tuple, then repair against `population`,
     /// the exact post-delete `|Q(R)|` — every delete is a repair point (see
     /// `crate::reservoir_join`).
     fn apply_delete(
         &mut self,
         index: &DynamicIndex,
         rel: usize,
-        tuple: &[Value],
+        tid: TupleId,
         population: u128,
         memo: &mut DescentMemo,
     ) {
         self.deletes += 1;
-        // A materialized sample used the deleted tuple iff its projection
-        // onto the relation's schema equals the deleted values (set
-        // semantics: values identify the tuple).
-        let attrs = &index.query().relation(rel).attrs;
-        self.reservoir
-            .evict_where(|s| attrs.iter().enumerate().all(|(pos, &a)| s[a] == tuple[pos]));
+        self.sample_ids.evict(&mut self.reservoir, rel, tid);
         self.repair(index, population, memo);
     }
 
@@ -115,23 +129,30 @@ impl SamplerCore {
             root: self.plan.root,
             ..FullSampler::default()
         };
-        let (rng, ids) = (&mut self.repair_rng, &mut self.ids);
+        if self.reservoir.len() < target {
+            self.ensure_ids(index);
+        }
+        let (rng, ids, columns) = (&mut self.repair_rng, &mut self.ids, &mut self.sample_ids);
         // Rejection sampling to distinctness: each accepted draw is
         // uniform over the live results not yet in the sample, which is
-        // exactly sequential SRS. The per-slot budget covers the two
-        // rejection sources — dummy positions, bounded by the density
-        // invariant at (1/2)^(2|T|-2), and duplicate hits, worst around
-        // O(k) when the population barely exceeds the sample.
-        let nrels = index.query().num_relations();
-        let per_slot = (4096 + 256 * self.reservoir.capacity())
+        // exactly sequential SRS. Distinctness compares the draw's ids with
+        // the id columns — set semantics make equal ids and equal rows the
+        // same result — and only a taken draw is materialized. The
+        // per-slot budget covers the two rejection sources — dummy
+        // positions, bounded by the density invariant at (1/2)^(2|T|-2),
+        // and duplicate hits, worst around O(k) when the population barely
+        // exceeds the sample.
+        let (k, nrels) = (self.reservoir.capacity(), index.query().num_relations());
+        let per_slot = (4096 + 256 * k)
             .saturating_mul(1usize << (2 * (nrels.max(1) - 1)).min(16))
             .min(1 << 24);
-        let filled = self.reservoir.backfill_distinct(target, per_slot, |row| {
-            let real = full.try_sample_into(index, rng, ids, memo);
-            if real {
-                index.materialize_ids(ids, row);
+        let filled = self.reservoir.backfill(target, per_slot, |slot, row| {
+            if !full.try_sample_into(index, rng, ids, memo) || columns.holds(ids) {
+                return false;
             }
-            real
+            index.materialize_ids(ids, row);
+            columns.put(slot, ids, k);
+            true
         });
         debug_assert!(filled, "backfill exhausted its rejection cap");
         self.reservoir.recalibrate(population);
@@ -168,11 +189,149 @@ impl SamplerCore {
             plan,
             reservoir,
             ids: vec![0; query.num_relations()],
+            sample_ids: SampleIds::default(),
             repair_rng,
             inserts: dec.u64()?,
             deletes: dec.u64()?,
         })
     }
+}
+
+/// The tuple ids a member's sample rows hold, one column per relation:
+/// `columns[rel][slot]` names the tuple of relation `rel` in the row of
+/// slot `slot`, so every column is as long as the reservoir. A row's
+/// values and its id tuple name the same result (set semantics), so
+/// delete repair reads these instead of the rows: eviction scans one
+/// `u32` column for the deleted tuple and touches rows only on a hit, and
+/// backfill distinctness compares ids, first relation first.
+///
+/// Transient, like the group's [`DescentMemo`]: never serialized, empty
+/// until the member's first repair point — so an insert-only stream never
+/// builds them — and derived again from the rows when a rebuild reassigns
+/// tuple ids. Once built, the stop path writes each accepted retrieval's
+/// ids into its slot and backfill appends the drawn ids.
+#[derive(Default)]
+struct SampleIds {
+    columns: Vec<Vec<TupleId>>,
+}
+
+impl SampleIds {
+    /// Reads the ids off `reservoir`'s rows, looking each row's tuple of
+    /// each relation up in `index`, where it must be live.
+    fn derive(index: &DynamicIndex, reservoir: &Reservoir) -> SampleIds {
+        let (query, rows) = (index.query(), reservoir.samples());
+        let mut tuple = Vec::new();
+        let columns = (0..query.num_relations())
+            .map(|rel| {
+                let (attrs, relation) =
+                    (&query.relation(rel).attrs, index.database().relation(rel));
+                let mut column = Vec::with_capacity(rows.len());
+                for row in rows {
+                    tuple.clear();
+                    tuple.extend(attrs.iter().map(|&a| row[a]));
+                    column.push(
+                        relation
+                            .id_of(&tuple)
+                            .expect("a sample row holds live tuples"),
+                    );
+                }
+                column
+            })
+            .collect();
+        SampleIds { columns }
+    }
+
+    fn is_built(&self) -> bool {
+        !self.columns.is_empty()
+    }
+
+    /// Records `ids` as slot `slot`'s: an overwrite, or — for the new
+    /// last slot — an append that grows a column the way the reservoir
+    /// grows its rows, doubling but never past `k`. Nothing before the
+    /// columns are built.
+    fn put(&mut self, slot: usize, ids: &[TupleId], k: usize) {
+        for (column, &id) in self.columns.iter_mut().zip(ids) {
+            if let Some(held) = column.get_mut(slot) {
+                *held = id;
+                continue;
+            }
+            debug_assert_eq!(slot, column.len(), "a new slot is the last one");
+            if column.len() == column.capacity() {
+                let grown = (2 * column.capacity()).max(4).min(k);
+                column.reserve_exact(grown.saturating_sub(column.len()));
+            }
+            column.push(id);
+        }
+    }
+
+    /// Whether some held sample is the result `ids` names.
+    fn holds(&self, ids: &[TupleId]) -> bool {
+        let Some((first, rest)) = self.columns.split_first() else {
+            return false;
+        };
+        let mut from = 0;
+        while let Some(at) = find(&first[from..], ids[0]) {
+            let slot = from + at;
+            if rest
+                .iter()
+                .zip(&ids[1..])
+                .all(|(column, &id)| column[slot] == id)
+            {
+                return true;
+            }
+            from = slot + 1;
+        }
+        false
+    }
+
+    /// Evicts from `reservoir` every sample holding tuple `tid` of `rel`.
+    /// The dead slots are where `rel`'s column holds `tid`: rows, the
+    /// other columns and that column last are compacted by them through
+    /// the one routine, [`remove_slots`], one move per run of kept slots.
+    /// A miss — most members at most deletes — reads one column and
+    /// nothing else.
+    fn evict(&mut self, reservoir: &mut Reservoir, rel: usize, tid: TupleId) {
+        let dead = |column: &[TupleId], from: usize| find(&column[from..], tid).map(|at| from + at);
+        let (others, rest) = self.columns.split_at_mut(rel);
+        let (key, later) = rest.split_first_mut().expect("a column per relation");
+        if dead(key, 0).is_none() {
+            return;
+        }
+        reservoir.evict_slots(|from| dead(key, from));
+        for column in others.iter_mut().chain(later) {
+            remove_slots(column, 1, |_, from| dead(key, from));
+        }
+        remove_slots(key, 1, dead);
+        debug_assert!(self.columns.iter().all(|c| c.len() == reservoir.len()));
+    }
+
+    fn heap_size(&self) -> usize {
+        self.columns.capacity() * std::mem::size_of::<Vec<TupleId>>()
+            + self
+                .columns
+                .iter()
+                .map(|c| c.capacity() * std::mem::size_of::<TupleId>())
+                .sum::<usize>()
+    }
+}
+
+/// The first position of `tid` in `column`. Compared 16 ids at a time
+/// without an early exit inside a block, so the scan of a column that
+/// does not hold the id vectorizes.
+fn find(column: &[TupleId], tid: TupleId) -> Option<usize> {
+    const BLOCK: usize = 16;
+    let blocks = column.chunks_exact(BLOCK);
+    let tail = blocks.remainder();
+    for (b, block) in blocks.enumerate() {
+        if block.iter().fold(false, |hit, &id| hit | (id == tid)) {
+            return block
+                .iter()
+                .position(|&id| id == tid)
+                .map(|at| b * BLOCK + at);
+        }
+    }
+    let base = column.len() - tail.len();
+    tail.iter().position(|&id| id == tid).map(|at| base + at)
 }
 
 /// The exact `|Q(R)|` of a group's index state: an anchored ledger folded
@@ -373,10 +532,15 @@ impl Group {
     /// absent (no effect on the samples).
     pub(crate) fn delete(&mut self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
         let budget = self.count.settle(&self.index);
+        // The id columns are read off the rows while every tuple they hold
+        // is still live, the deleted one included.
+        for m in &mut self.members {
+            m.ensure_ids(&self.index);
+        }
         let tid = self.index.delete(rel, tuple)?;
         let population = self.count.after_delete(&self.index, rel, tuple, budget);
         for m in &mut self.members {
-            m.apply_delete(&self.index, rel, tuple, population, &mut self.memo);
+            m.apply_delete(&self.index, rel, tid, population, &mut self.memo);
         }
         Some(tid)
     }
@@ -406,9 +570,11 @@ impl Group {
     /// rebuilt index, then makes a repair point for every member: exact
     /// live count, sample backfill to `min(k, |Q(R)|)` distinct uniform
     /// results, skip-state recalibration. Materialized samples stay valid —
-    /// `Q(R)` is unchanged and sample rows hold values, not the tuple ids
-    /// the rebuild reassigns. Returns `false`, changing nothing, when
-    /// `tree` is not a join tree of the query.
+    /// `Q(R)` is unchanged and the rows hold values — but the rebuild
+    /// reassigns tuple ids, so a member's id columns, if built, are
+    /// derived again from its rows against the rebuilt index. Returns
+    /// `false`, changing nothing, when `tree` is not a join tree of the
+    /// query.
     pub(crate) fn rebuild(
         &mut self,
         tree: &JoinTree,
@@ -431,20 +597,43 @@ impl Group {
         let population = self.count.get(&self.index);
         for m in &mut self.members {
             retarget(&self.index, &mut m.plan);
+            if m.sample_ids.is_built() {
+                m.sample_ids = SampleIds::derive(&self.index, &m.reservoir);
+            }
             m.repair(&self.index, population, &mut self.memo);
         }
         true
     }
 
-    /// Heap bytes of the index and every member's sample buffer (its whole
-    /// capacity).
+    /// Heap bytes of the index and every member's sample buffer and id
+    /// columns (their whole capacity).
     pub(crate) fn heap_size(&self) -> usize {
         self.index.heap_size()
             + self
                 .members
                 .iter()
-                .map(|m| m.reservoir.heap_size())
+                .map(|m| m.reservoir.heap_size() + m.sample_ids.heap_size())
                 .sum::<usize>()
+    }
+
+    /// [`heap_size`](Group::heap_size) as a ledger: the index's lines,
+    /// then two per member (owner `member i`) — its sample rows and its
+    /// id columns.
+    pub(crate) fn heap_breakdown(&self) -> Vec<HeapLine> {
+        let mut lines = self.index.heap_breakdown();
+        for (i, m) in self.members.iter().enumerate() {
+            for (part, bytes) in [
+                ("member.rows", m.reservoir.heap_size()),
+                ("member.ids", m.sample_ids.heap_size()),
+            ] {
+                lines.push(HeapLine {
+                    owner: format!("member {i}"),
+                    part,
+                    bytes,
+                });
+            }
+        }
+        lines
     }
 
     /// Serializes the group: index options, tree, index state, and every
@@ -502,5 +691,192 @@ impl Group {
             count: CountMemo::default(),
         };
         Ok((group, tags))
+    }
+}
+
+#[cfg(test)]
+impl Group {
+    /// Member `member`'s id columns (empty until built).
+    pub(crate) fn sample_id_columns(&self, member: usize) -> &[Vec<TupleId>] {
+        &self.members[member].sample_ids.columns
+    }
+
+    /// The differential check of the id columns: every member's columns,
+    /// once built, name exactly the tuples its rows hold — one column per
+    /// relation, as long as the reservoir, each id a live tuple whose
+    /// values are the row's projection onto its relation. Panics on a
+    /// mismatch; returns how many members have their columns built.
+    pub(crate) fn check_sample_ids(&self) -> usize {
+        let (query, db) = (self.index.query(), self.index.database());
+        let mut built = 0;
+        for (i, m) in self.members.iter().enumerate() {
+            let columns = &m.sample_ids.columns;
+            if columns.is_empty() {
+                continue;
+            }
+            built += 1;
+            assert_eq!(columns.len(), query.num_relations(), "member {i}");
+            let rows = m.reservoir.samples();
+            for (rel, column) in columns.iter().enumerate() {
+                assert_eq!(column.len(), rows.len(), "member {i}, relation {rel}");
+                let (attrs, relation) = (&query.relation(rel).attrs, db.relation(rel));
+                for (slot, (row, &tid)) in rows.iter().zip(column).enumerate() {
+                    let at = format!("member {i}, slot {slot}, relation {rel}, id {tid}");
+                    assert!((tid as usize) < relation.num_slots(), "{at}: no such tuple");
+                    assert!(relation.is_live(tid), "{at}: a deleted tuple");
+                    let tuple = relation.tuple(tid);
+                    assert!(
+                        attrs.iter().zip(tuple).all(|(&a, &v)| row[a] == v),
+                        "{at}: names {tuple:?}, the row holds {row:?}"
+                    );
+                }
+            }
+        }
+        built
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::exec::SamplerExt;
+    use crate::reservoir_join::{ReplanPolicy, ReservoirJoin};
+    use rsj_datagen::{GraphConfig, TpcdsLite, TurnstileConfig, VictimPolicy};
+    use rsj_queries::Workload;
+    use rsj_storage::{OpStream, StreamOp, TupleStream};
+
+    /// `w`'s preload, then its stream with 20 % uniform deletes woven in,
+    /// cut to `n` ops in all.
+    fn churn(w: &Workload, n: usize) -> Vec<StreamOp> {
+        let mut ops = OpStream::new();
+        for t in &w.preload {
+            ops.push_insert(t.relation, t.values.clone());
+        }
+        let woven = TurnstileConfig {
+            delete_ratio: 0.2,
+            policy: VictimPolicy::Uniform,
+            seed: 11,
+        }
+        .weave(&w.stream);
+        let mut ops: Vec<StreamOp> = ops.ops().to_vec();
+        ops.extend(woven.ops().iter().cloned());
+        ops.truncate(n);
+        ops
+    }
+
+    fn fixed(query: &rsj_query::Query, k: usize, seed: u64) -> ReservoirJoin {
+        let mut rj = ReservoirJoin::new(query.clone(), k, seed).unwrap();
+        rj.set_replan_policy(ReplanPolicy {
+            auto: false,
+            min_inserts: u64::MAX,
+        });
+        rj
+    }
+
+    /// Runs `ops` through `rj`, checking the id columns after every op:
+    /// exact whenever built, and built from the first delete on.
+    fn drive_checked(rj: &mut ReservoirJoin, ops: &[StreamOp]) {
+        let mut deleted = false;
+        for (i, op) in ops.iter().enumerate() {
+            rj.process_op(op).unwrap();
+            deleted |= op.is_delete();
+            let built = rj.group.check_sample_ids();
+            assert_eq!(
+                built == 1,
+                deleted,
+                "op {i}: columns built iff a delete came"
+            );
+        }
+    }
+
+    #[test]
+    fn line3_columns_name_the_rows_tuples_at_every_op() {
+        let edges = GraphConfig {
+            nodes: 60,
+            edges: 400,
+            zipf: 0.9,
+            seed: 3,
+        }
+        .generate();
+        let w = rsj_queries::line_k(3, &edges, 5);
+        let ops = churn(&w, 500);
+        assert!(ops.iter().filter(|op| op.is_delete()).count() > 50);
+        let mut rj = fixed(&w.query, 24, 7);
+        drive_checked(&mut rj, &ops);
+        assert_eq!(rj.samples().len(), 24, "the reservoir stays full");
+    }
+
+    #[test]
+    fn qy_grouped_columns_name_the_rows_tuples_at_every_op() {
+        let w = rsj_queries::qy(&TpcdsLite::generate(1, 5), 5);
+        let mut rj = fixed(&w.query, 32, 9);
+        assert!(rj.index().options().grouping, "QY runs grouped");
+        let ops = churn(&w, w.preload.len() + 900);
+        drive_checked(&mut rj, &ops);
+        assert!(rj.deletes() > 100);
+    }
+
+    /// A restored driver starts without columns (they are not in the
+    /// image), builds them at its next delete, and stays byte-identical to
+    /// the driver it was copied from.
+    #[test]
+    fn restored_columns_are_built_again_at_the_next_delete() {
+        let edges = GraphConfig {
+            nodes: 50,
+            edges: 300,
+            zipf: 0.9,
+            seed: 8,
+        }
+        .generate();
+        let w = rsj_queries::line_k(3, &edges, 2);
+        let ops = churn(&w, 420);
+        let (head, tail) = ops.split_at(200);
+        let mut rj = fixed(&w.query, 16, 4);
+        drive_checked(&mut rj, head);
+        assert_eq!(rj.group.check_sample_ids(), 1);
+        let mut restored = fixed(&w.query, 16, 4);
+        restored
+            .restore_state(&rj.snapshot_state().unwrap())
+            .unwrap();
+        assert_eq!(
+            restored.group.check_sample_ids(),
+            0,
+            "images hold no columns"
+        );
+        let mut deleted = false;
+        for (i, op) in tail.iter().enumerate() {
+            rj.process_op(op).unwrap();
+            restored.process_op(op).unwrap();
+            deleted |= op.is_delete();
+            assert_eq!(restored.group.check_sample_ids() == 1, deleted, "op {i}");
+            rj.group.check_sample_ids();
+            assert_eq!(rj.samples(), restored.samples(), "op {i}");
+        }
+        assert!(deleted);
+    }
+
+    /// Insert-only streams never build the columns, and their heap ledger
+    /// holds no bytes for them.
+    #[test]
+    fn insert_only_streams_build_no_columns() {
+        let edges = GraphConfig {
+            nodes: 40,
+            edges: 200,
+            zipf: 0.9,
+            seed: 1,
+        }
+        .generate();
+        let w = rsj_queries::line_k(3, &edges, 1);
+        let mut rj = fixed(&w.query, 16, 2);
+        let stream: &TupleStream = &w.stream;
+        for t in stream.tuples() {
+            rj.process(t.relation, &t.values);
+            assert_eq!(rj.group.check_sample_ids(), 0);
+        }
+        let ids = rj
+            .heap_breakdown()
+            .iter()
+            .find(|l| l.part == "member.ids")
+            .map(|l| l.bytes);
+        assert_eq!(ids, Some(0));
     }
 }

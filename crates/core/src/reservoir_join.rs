@@ -19,12 +19,14 @@
 //! is the exact mirror of insertion (cascading count decrements). The
 //! reservoir side follows the eviction-and-backfill protocol:
 //!
-//! 1. **Evict** every sample that used the deleted tuple (set semantics
-//!    make the test a projection comparison).
+//! 1. **Evict** every sample that used the deleted tuple. Set semantics
+//!    make a row's values and its tuple ids name the same result, so the
+//!    test reads the tuple-id columns kept beside the rows (built at the
+//!    first delete), not the rows.
 //! 2. **Backfill** the vacated slots with fresh uniform draws from the
-//!    index's full-query sampler, rejected to distinctness — sequential
-//!    simple random sampling, so the sample set is exactly uniform without
-//!    replacement over the post-delete `Q(R)`.
+//!    index's full-query sampler, rejected to distinctness by their tuple
+//!    ids — sequential simple random sampling, so the sample set is
+//!    exactly uniform without replacement over the post-delete `Q(R)`.
 //! 3. **Recalibrate** the skip state `(w, q)` against the *exact* live
 //!    `|Q(R)|`, so subsequent inserts are weighted as if the reservoir had
 //!    run over the live population from the start: `w` is redrawn from its
@@ -45,7 +47,7 @@
 
 use crate::group::{Group, SamplerCore};
 use rsj_common::{TupleId, Value};
-use rsj_index::{DynamicIndex, FullSampler, IndexOptions, IndexStats};
+use rsj_index::{DynamicIndex, FullSampler, HeapLine, IndexOptions, IndexStats};
 use rsj_query::{Plan, Planner, Query};
 use rsj_storage::TableStatistics;
 use rsj_stream::Rows;
@@ -384,6 +386,15 @@ impl ReservoirJoin {
     /// whole capacity).
     pub fn heap_size(&self) -> usize {
         self.group.heap_size()
+    }
+
+    /// [`heap_size`](ReservoirJoin::heap_size) as a ledger:
+    /// [`DynamicIndex::heap_breakdown`]'s lines, then the member's sample
+    /// rows (`member.rows`) and the tuple-id columns delete repair keeps
+    /// beside them (`member.ids`, empty until the first delete). The lines
+    /// sum to `heap_size()` exactly.
+    pub fn heap_breakdown(&self) -> Vec<HeapLine> {
+        self.group.heap_breakdown()
     }
 }
 
@@ -730,6 +741,57 @@ mod tests {
             assert_eq!(rj.samples(), restored.samples(), "diverged at {step}");
         }
         assert!(rj.deletes() > 0);
+    }
+
+    /// A rebuild reassigns tuple ids, so it derives the member's id
+    /// columns again from the rows; they then stay exact through a
+    /// turnstile continuation.
+    #[test]
+    fn a_rebuild_derives_the_id_columns_again() {
+        let (q, plan, stream) = star4_off_tree();
+        let mut rj = ReservoirJoin::with_plan(q, 8, 5, IndexOptions::default(), plan).unwrap();
+        rj.set_planner(greedy());
+        let mut live = Vec::new();
+        for &(rel, t) in &stream {
+            if rj.process(rel, &t).is_some() {
+                live.push((rel, t));
+            }
+            assert_eq!(rj.group.check_sample_ids(), 0, "insert-only: no columns");
+        }
+        // A delete and its re-insert build the columns and leave the
+        // statistics the planner reads as they were, tombstone aside.
+        let (rel, t) = live[0];
+        assert!(rj.delete(rel, &t).is_some());
+        assert!(rj.process(rel, &t).is_some());
+        assert_eq!(rj.group.check_sample_ids(), 1);
+        let ids_before = rj.group.sample_id_columns(0).to_vec();
+        assert!(
+            rj.replan() && rj.rebuilds() == 1,
+            "the off-tree start rebuilds"
+        );
+        assert_eq!(
+            rj.group.check_sample_ids(),
+            1,
+            "derived again on the new ids"
+        );
+        assert_ne!(
+            rj.group.sample_id_columns(0),
+            ids_before,
+            "the rebuild compacted the tombstone away, moving ids"
+        );
+        let mut rng = RsjRng::seed_from_u64(12);
+        for step in 0..300 {
+            if step % 3 == 2 && !live.is_empty() {
+                let (rel, t) = live.swap_remove(rng.index(live.len()));
+                assert!(rj.delete(rel, &t).is_some());
+            } else {
+                let (rel, t) = (rng.index(4), [rng.below_u64(8), rng.below_u64(40)]);
+                if rj.process(rel, &t).is_some() {
+                    live.push((rel, t));
+                }
+            }
+            assert_eq!(rj.group.check_sample_ids(), 1, "step {step}");
+        }
     }
 
     #[test]

@@ -763,6 +763,34 @@ mod tests {
         rj
     }
 
+    /// Eight members on one index, the last registered mid-stream from
+    /// the retained history: after every op, every member's id columns
+    /// name exactly the tuples its rows hold, and from the first delete on
+    /// every member has them.
+    #[test]
+    fn every_members_id_columns_name_its_rows_tuples() {
+        let q = line3();
+        let mut svc = SamplerService::with_opts(q.clone(), ServiceOpts { publish_every: 0 });
+        for i in 0..7 {
+            svc.register(&q, &QueryOpts::new(3 + 2 * i, 40 + i as u64))
+                .unwrap();
+        }
+        let ops = turnstile_ops(400, 12);
+        let mut deleted = false;
+        for (i, op) in ops.iter().enumerate() {
+            if i == 180 {
+                svc.register(&q, &QueryOpts::new(9, 77)).unwrap();
+                assert_eq!(svc.num_groups(), 1);
+            }
+            svc.process_op(op).unwrap();
+            deleted |= op.is_delete();
+            let built: usize = svc.groups.iter().map(|s| s.group.check_sample_ids()).sum();
+            let expect = if deleted { svc.num_queries() } else { 0 };
+            assert_eq!(built, expect, "op {i}");
+        }
+        assert_eq!(svc.num_queries(), 8);
+    }
+
     #[test]
     fn members_share_one_index_and_match_standalone() {
         let q = line3();

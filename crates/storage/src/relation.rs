@@ -157,11 +157,16 @@ impl Relation {
         row(&self.data, self.arity, id)
     }
 
-    /// True if `tuple` is currently stored (live).
-    pub fn contains(&self, tuple: &[Value]) -> bool {
+    /// The id of `tuple` if it is currently stored (live): set semantics
+    /// make the values name one live tuple.
+    pub fn id_of(&self, tuple: &[Value]) -> Option<TupleId> {
         self.dedup
             .find(fx_hash_one(&tuple), |o| self.tuple(o) == tuple)
-            .is_some()
+    }
+
+    /// True if `tuple` is currently stored (live).
+    pub fn contains(&self, tuple: &[Value]) -> bool {
+        self.id_of(tuple).is_some()
     }
 
     /// Iterates over live `(id, tuple)` pairs in insertion order.
@@ -485,10 +490,13 @@ mod tests {
         let seen: Vec<TupleId> = r.iter().map(|(id, _)| id).collect();
         assert_eq!(seen, vec![b]);
         // Re-insert gets a fresh id past every old slot.
+        assert_eq!(r.id_of(&[3, 4]), Some(b));
+        assert_eq!(r.id_of(&[1, 2]), None);
         let c = r.insert(&[1, 2]).unwrap();
         assert_eq!(c, 2);
         assert_eq!(r.len(), 2);
         assert!(r.contains(&[1, 2]));
+        assert_eq!(r.id_of(&[1, 2]), Some(c), "the live id, not the tombstone");
     }
 
     #[test]

@@ -243,6 +243,35 @@ impl<'a> IntoIterator for Rows<'a> {
     }
 }
 
+/// Removes slots from `buf`, a sequence of `width`-item slots, closing
+/// the gaps in slot order with one move per run of kept slots, and
+/// returns how many went. `next_dead(buf, from)` names the first slot at
+/// or after `from` to remove; it is asked with `from` ascending, and
+/// since moves only write below `from`, what it reads at or past `from`
+/// — in `buf` itself or in per-slot data being compacted by the same
+/// list — is still as it was. The compaction of a [`Reservoir`]'s rows
+/// by slot ([`Reservoir::evict_slots`]) and of any per-slot data a
+/// caller keeps beside them, so that the two stay in step.
+pub fn remove_slots<T: Copy>(
+    buf: &mut Vec<T>,
+    width: usize,
+    mut next_dead: impl FnMut(&[T], usize) -> Option<usize>,
+) -> usize {
+    let slots = buf.len() / width;
+    let Some(mut to) = next_dead(buf, 0) else {
+        return 0;
+    };
+    let mut from = to + 1;
+    while from < slots {
+        let end = next_dead(buf, from).unwrap_or(slots);
+        buf.copy_within(from * width..end * width, to * width);
+        to += end - from;
+        from = end + 1;
+    }
+    buf.truncate(to * width);
+    slots - to
+}
+
 /// Reservoir sampling with a predicate over a stream of batches
 /// (paper Algorithms 1, 4 and 5).
 ///
@@ -304,6 +333,13 @@ impl<'a> Slot<'a> {
     /// row while the reservoir is filling, a uniformly drawn victim's row
     /// once it is full.
     pub fn accept(self) -> &'a mut [u64] {
+        self.accept_slot().1
+    }
+
+    /// [`accept`](Slot::accept), also naming the slot whose row it is —
+    /// for callers that keep per-slot data of their own beside the rows.
+    /// While the reservoir fills, the slot is the new last one.
+    pub fn accept_slot(self) -> (usize, &'a mut [u64]) {
         let r = self.reservoir;
         let slot = if r.is_full() {
             r.replacements += 1;
@@ -311,7 +347,7 @@ impl<'a> Slot<'a> {
         } else {
             r.push_row()
         };
-        &mut r.rows[slot * r.width..][..r.width]
+        (slot, &mut r.rows[slot * r.width..][..r.width])
     }
 
     /// Rejects the item as the first of `run` consecutive dummies (0 and
@@ -499,6 +535,15 @@ impl Reservoir {
         before - kept
     }
 
+    /// [`evict_where`](Reservoir::evict_where) by slot, for a caller that
+    /// keeps per-slot data beside the rows and decides from it alone:
+    /// [`remove_slots`] over the rows, with the same `next_dead`. No row
+    /// is read, and rows move only from the first evicted slot on, one
+    /// move per run of kept rows.
+    pub fn evict_slots(&mut self, mut next_dead: impl FnMut(usize) -> Option<usize>) -> usize {
+        remove_slots(&mut self.rows, self.width, |_, from| next_dead(from))
+    }
+
     /// Backfills vacated slots to `min(target, k)` distinct samples
     /// (turnstile repair). `draw` writes one candidate into the row it is
     /// given and returns whether the trial succeeded (`false` = a dummy
@@ -513,11 +558,42 @@ impl Reservoir {
         per_slot_tries: usize,
         mut draw: impl FnMut(&mut [u64]) -> bool,
     ) -> bool {
-        let (target, width) = (target.min(self.k), self.width);
+        let width = self.width;
+        self.fill(target, per_slot_tries, |have, _, candidate| {
+            draw(candidate) && have.chunks_exact(width).all(|s| s != candidate)
+        })
+    }
+
+    /// [`backfill_distinct`](Reservoir::backfill_distinct) where the draw
+    /// decides distinctness: `draw(slot, row)` returns whether it took a
+    /// candidate — real and distinct from every held sample, by whatever
+    /// the caller keeps beside the rows — and then must have written it
+    /// into `row`, the new last slot `slot`. The reservoir compares no
+    /// rows; a declined draw counts against the budget like a dummy.
+    pub fn backfill(
+        &mut self,
+        target: usize,
+        per_slot_tries: usize,
+        mut draw: impl FnMut(usize, &mut [u64]) -> bool,
+    ) -> bool {
+        self.fill(target, per_slot_tries, |_, slot, candidate| {
+            draw(slot, candidate)
+        })
+    }
+
+    /// The one backfill loop: `take(held rows, slot, candidate row)` per
+    /// trial, up to `per_slot_tries` trials per slot.
+    fn fill(
+        &mut self,
+        target: usize,
+        per_slot_tries: usize,
+        mut take: impl FnMut(&[u64], usize, &mut [u64]) -> bool,
+    ) -> bool {
+        let target = target.min(self.k);
         while self.len() < target {
             // Candidates are drawn straight into the next slot's row.
             let held = self.rows.len();
-            self.push_row();
+            let slot = self.push_row();
             let (have, candidate) = self.rows.split_at_mut(held);
             let mut tries = per_slot_tries;
             loop {
@@ -526,7 +602,7 @@ impl Reservoir {
                     return false;
                 }
                 tries -= 1;
-                if draw(candidate) && have.chunks_exact(width).all(|s| s != candidate) {
+                if take(have, slot, candidate) {
                     break;
                 }
             }
@@ -555,9 +631,11 @@ impl Reservoir {
     /// With `population <= samples.len()` the reservoir holds the whole
     /// result set and `(w, q)` reverts to the unfilled state.
     ///
-    /// Call after [`evict_where`](Reservoir::evict_where) /
-    /// [`backfill_distinct`](Reservoir::backfill_distinct) have restored
-    /// the sample itself; insert-only runs never call this, so their
+    /// Call after eviction ([`evict_where`](Reservoir::evict_where) or
+    /// [`evict_slots`](Reservoir::evict_slots)) and backfill
+    /// ([`backfill_distinct`](Reservoir::backfill_distinct) or
+    /// [`backfill`](Reservoir::backfill)) have restored the sample
+    /// itself; insert-only runs never call this, so their
     /// random streams are untouched.
     pub fn recalibrate(&mut self, population: u128) {
         if population <= self.len() as u128 {

@@ -1,14 +1,14 @@
 //! Property and boundary tests for the reservoir algorithms beyond the
 //! in-module unit tests: stop-count bounds against Theorem 3.2's formula,
 //! k = 1 analytics, adversarial real/dummy layouts, passing reported dummy
-//! runs, and a model test of the flat sample arena against a plain
-//! `Vec<Vec<u64>>` reservoir.
+//! runs, and a model test of the flat sample arena — by row and by slot —
+//! against a plain `Vec<Vec<u64>>` reservoir.
 
 use proptest::prelude::*;
 use rsj_common::codec::{Decoder, Encoder};
 use rsj_common::rng::RsjRng;
 use rsj_common::stats::{chi_square_critical, chi_square_uniform};
-use rsj_stream::{ClassicReservoir, Reservoir, SliceBatch, Slot};
+use rsj_stream::{remove_slots, ClassicReservoir, Reservoir, SliceBatch, Slot};
 
 /// A width-1 stop closure over `(scalar, is_real)` items.
 fn keep_flagged((x, real): (u64, bool), slot: Slot<'_>) {
@@ -230,6 +230,15 @@ proptest! {
     /// rows in the same slots, same counters, and — through the snapshot
     /// bytes — the same `(w, q)` and RNG position. The arena never holds
     /// more than `k` rows of memory.
+    ///
+    /// A second arena runs the same steps by slot, the way a caller that
+    /// keeps per-slot data beside the rows does: `Slot::accept_slot`
+    /// records each accepted row in a side table at the slot it names,
+    /// `evict_slots` evicts the slots the side table alone names while
+    /// `remove_slots` compacts the side table by the same list, and
+    /// `backfill`'s draw decides distinctness against it.
+    /// It must match the model — and `evict_where` / `backfill_distinct`
+    /// — byte for byte, and its side table must equal its rows.
     #[test]
     fn flat_arena_matches_vec_of_vecs_model(
         k in 1usize..12,
@@ -238,6 +247,9 @@ proptest! {
         ops in proptest::collection::vec((0u8..7, 0u64..1000, 0u64..1000), 1..60)
     ) {
         let mut flat = Reservoir::new(k, width, seed);
+        let mut slotted = Reservoir::new(k, width, seed);
+        // The side table: `width` words per slot, back to back.
+        let mut side: Vec<u64> = Vec::new();
         let mut model = Model::new(k, seed);
         // Rows come from a small domain so evictions hit and backfill
         // candidates collide with held samples.
@@ -259,14 +271,39 @@ proptest! {
                             slot.accept().copy_from_slice(&row);
                         }
                     });
+                    let mut batch = SliceBatch::new(&items);
+                    slotted.process_batch(&mut batch, |(row, real), slot| {
+                        if real {
+                            let (at, dst) = slot.accept_slot();
+                            dst.copy_from_slice(&row);
+                            match side.get_mut(at * width..(at + 1) * width) {
+                                Some(held) => held.copy_from_slice(&row),
+                                None => {
+                                    assert_eq!(at * width, side.len(), "a new slot is the last one");
+                                    side.extend_from_slice(&row);
+                                }
+                            }
+                        }
+                    });
                     model.process_batch(&items);
                 }
                 3 => {
                     let dead = |row: &[u64]| row[0] % (2 + a % 5) == b % 2;
                     let evicted = flat.evict_where(dead);
+                    // The dead slots, read off the side table alone; the
+                    // rows and the side table compact by the same list.
+                    let doomed: Vec<usize> = side
+                        .chunks_exact(width)
+                        .enumerate()
+                        .filter_map(|(at, held)| dead(held).then_some(at))
+                        .collect();
+                    let next_dead = |from: usize| doomed.iter().copied().find(|&at| at >= from);
+                    let by_slot = slotted.evict_slots(next_dead);
+                    prop_assert_eq!(remove_slots(&mut side, width, |_, from| next_dead(from)), by_slot);
                     let before = model.samples.len();
                     model.samples.retain(|row| !dead(row));
                     prop_assert_eq!(evicted, before - model.samples.len());
+                    prop_assert_eq!(by_slot, evicted);
                 }
                 4 => {
                     // Every third trial is a dummy; a tight budget makes
@@ -278,12 +315,24 @@ proptest! {
                         n += 1;
                         candidate(n).map(|c| row.copy_from_slice(&c)).is_some()
                     });
+                    let mut s = 0;
+                    let by_slot = slotted.backfill(k, tries, |at, row| {
+                        s += 1;
+                        let Some(c) = candidate(s).filter(|c| side.chunks_exact(width).all(|held| held != c)) else {
+                            return false;
+                        };
+                        assert_eq!(at * width, side.len(), "a backfilled slot is the new last one");
+                        row.copy_from_slice(&c);
+                        side.extend_from_slice(&c);
+                        true
+                    });
                     let mut m = 0;
                     let expect = model.backfill_distinct(k, tries, || {
                         m += 1;
                         candidate(m)
                     });
                     prop_assert_eq!((reached, n), (expect, m), "step {}", step);
+                    prop_assert_eq!((by_slot, s), (expect, m), "step {}", step);
                 }
                 5 => {
                     // Recalibration against a larger population needs a
@@ -291,6 +340,7 @@ proptest! {
                     let held = model.samples.len() as u128;
                     let population = if model.samples.len() == k { held + 1 + a as u128 } else { held };
                     flat.recalibrate(population);
+                    slotted.recalibrate(population);
                     model.recalibrate(population);
                 }
                 _ => {
@@ -299,6 +349,10 @@ proptest! {
                     flat = Reservoir::restore_from(&mut dec, width).unwrap();
                     dec.finish().unwrap();
                     prop_assert_eq!(flat.capacity(), k);
+                    let bytes = snapshot(&slotted);
+                    let mut dec = Decoder::new(&bytes);
+                    slotted = Reservoir::restore_from(&mut dec, width).unwrap();
+                    dec.finish().unwrap();
                 }
             }
             prop_assert_eq!(flat.samples().to_vec(), model.samples.clone(), "step {}", step);
@@ -306,6 +360,8 @@ proptest! {
             prop_assert_eq!(flat.stops(), model.stops, "step {}", step);
             prop_assert_eq!(flat.replacements(), model.replacements, "step {}", step);
             prop_assert_eq!(snapshot(&flat), model.snapshot(), "step {}", step);
+            prop_assert_eq!(snapshot(&slotted), model.snapshot(), "step {}", step);
+            prop_assert_eq!(slotted.samples().flat(), &side[..], "step {}", step);
             prop_assert!(
                 flat.heap_size() <= k * width * 8,
                 "step {}: arena of {} bytes for k={} width={}",

@@ -94,3 +94,57 @@ fn qz_ledger_is_pinned() {
         ],
     );
 }
+
+/// A turnstile stream through `ReservoirJoin`: the driver's ledger is the
+/// index's lines plus the member's sample rows and the tuple-id columns
+/// delete repair keeps beside them, and it still sums to `heap_size()`
+/// exactly. Once the reservoir is full both hold exactly `k` slots: one
+/// row of `num_attrs` words, and one `u32` per relation (each column's
+/// `Vec` header is heap too, in the column list).
+#[test]
+fn turnstile_ledger_counts_the_member_rows_and_id_columns() {
+    let edges = rsj_datagen::GraphConfig {
+        nodes: 200,
+        edges: 1200,
+        zipf: 0.8,
+        seed: 4242,
+    }
+    .generate();
+    let w = rsj_queries::line_k(3, &edges, 7);
+    let ops = rsj_datagen::TurnstileConfig::default().weave(&w.stream);
+    let k = 64;
+    let mut rj = ReservoirJoin::new(w.query.clone(), k, 3).unwrap();
+    let mut insert_only = ReservoirJoin::new(w.query.clone(), k, 3).unwrap();
+    for op in ops.ops() {
+        rj.process_op(op).unwrap();
+        if !op.is_delete() {
+            insert_only.process_op(op).unwrap();
+        }
+    }
+    assert!(rj.deletes() > 0 && rj.samples().len() == k);
+    let part = |rj: &ReservoirJoin, part: &str| {
+        let lines = rj.heap_breakdown();
+        let total: usize = lines.iter().map(|l| l.bytes).sum();
+        assert_eq!(total, rj.heap_size(), "the ledger must be exact");
+        let index_lines = rj.index().heap_breakdown();
+        assert_eq!(
+            lines[..index_lines.len()],
+            index_lines[..],
+            "index lines first"
+        );
+        lines
+            .iter()
+            .filter(|l| l.part == part)
+            .map(|l| l.bytes)
+            .sum::<usize>()
+    };
+    let (nrels, width) = (w.query.num_relations(), w.query.num_attrs());
+    assert_eq!(part(&rj, "member.rows"), k * width * 8);
+    let header = std::mem::size_of::<Vec<TupleId>>();
+    assert_eq!(part(&rj, "member.ids"), nrels * (k * 4 + header));
+    assert_eq!(
+        part(&insert_only, "member.ids"),
+        0,
+        "insert-only builds none"
+    );
+}
