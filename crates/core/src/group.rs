@@ -146,12 +146,12 @@ impl SamplerCore {
         let per_slot = (4096 + 256 * k)
             .saturating_mul(1usize << (2 * (nrels.max(1) - 1)).min(16))
             .min(1 << 24);
-        let filled = self.reservoir.backfill(target, per_slot, |slot, row| {
+        let filled = self.reservoir.backfill(target, per_slot, |held, row| {
             if !full.try_sample_into(index, rng, ids, memo) || columns.holds(ids) {
                 return false;
             }
             index.materialize_ids(ids, row);
-            columns.put(slot, ids, k);
+            columns.put(held.len(), ids, k);
             true
         });
         debug_assert!(filled, "backfill exhausted its rejection cap");
@@ -742,14 +742,14 @@ mod tests {
     use crate::reservoir_join::{ReplanPolicy, ReservoirJoin};
     use rsj_datagen::{GraphConfig, TpcdsLite, TurnstileConfig, VictimPolicy};
     use rsj_queries::Workload;
-    use rsj_storage::{OpStream, StreamOp, TupleStream};
+    use rsj_storage::{OpStream, StreamOp};
 
     /// `w`'s preload, then its stream with 20 % uniform deletes woven in,
     /// cut to `n` ops in all.
     fn churn(w: &Workload, n: usize) -> Vec<StreamOp> {
-        let mut ops = OpStream::new();
+        let mut preload = OpStream::new();
         for t in &w.preload {
-            ops.push_insert(t.relation, t.values.clone());
+            preload.push_insert(t.relation, t.values.clone());
         }
         let woven = TurnstileConfig {
             delete_ratio: 0.2,
@@ -757,10 +757,13 @@ mod tests {
             seed: 11,
         }
         .weave(&w.stream);
-        let mut ops: Vec<StreamOp> = ops.ops().to_vec();
-        ops.extend(woven.ops().iter().cloned());
-        ops.truncate(n);
-        ops
+        preload
+            .ops()
+            .iter()
+            .chain(woven.ops())
+            .take(n)
+            .cloned()
+            .collect()
     }
 
     fn fixed(query: &rsj_query::Query, k: usize, seed: u64) -> ReservoirJoin {
@@ -852,31 +855,5 @@ mod tests {
             assert_eq!(rj.samples(), restored.samples(), "op {i}");
         }
         assert!(deleted);
-    }
-
-    /// Insert-only streams never build the columns, and their heap ledger
-    /// holds no bytes for them.
-    #[test]
-    fn insert_only_streams_build_no_columns() {
-        let edges = GraphConfig {
-            nodes: 40,
-            edges: 200,
-            zipf: 0.9,
-            seed: 1,
-        }
-        .generate();
-        let w = rsj_queries::line_k(3, &edges, 1);
-        let mut rj = fixed(&w.query, 16, 2);
-        let stream: &TupleStream = &w.stream;
-        for t in stream.tuples() {
-            rj.process(t.relation, &t.values);
-            assert_eq!(rj.group.check_sample_ids(), 0);
-        }
-        let ids = rj
-            .heap_breakdown()
-            .iter()
-            .find(|l| l.part == "member.ids")
-            .map(|l| l.bytes);
-        assert_eq!(ids, Some(0));
     }
 }

@@ -520,19 +520,10 @@ impl Reservoir {
     /// turnstile repair protocol (see
     /// [`recalibrate`](Reservoir::recalibrate)).
     pub fn evict_where(&mut self, mut dead: impl FnMut(&[u64]) -> bool) -> usize {
-        let (before, width) = (self.len(), self.width);
-        let mut kept = 0;
-        for slot in 0..before {
-            let row = slot * width..(slot + 1) * width;
-            if !dead(&self.rows[row.clone()]) {
-                if kept != slot {
-                    self.rows.copy_within(row, kept * width);
-                }
-                kept += 1;
-            }
-        }
-        self.rows.truncate(kept * width);
-        before - kept
+        let (slots, width) = (self.len(), self.width);
+        remove_slots(&mut self.rows, width, |rows, from| {
+            (from..slots).find(|&slot| dead(&rows[slot * width..][..width]))
+        })
     }
 
     /// [`evict_where`](Reservoir::evict_where) by slot, for a caller that
@@ -558,43 +549,30 @@ impl Reservoir {
         per_slot_tries: usize,
         mut draw: impl FnMut(&mut [u64]) -> bool,
     ) -> bool {
-        let width = self.width;
-        self.fill(target, per_slot_tries, |have, _, candidate| {
-            draw(candidate) && have.chunks_exact(width).all(|s| s != candidate)
+        self.backfill(target, per_slot_tries, |held, candidate| {
+            draw(candidate) && held.iter().all(|s| s != candidate)
         })
     }
 
     /// [`backfill_distinct`](Reservoir::backfill_distinct) where the draw
-    /// decides distinctness: `draw(slot, row)` returns whether it took a
-    /// candidate — real and distinct from every held sample, by whatever
-    /// the caller keeps beside the rows — and then must have written it
-    /// into `row`, the new last slot `slot`. The reservoir compares no
-    /// rows; a declined draw counts against the budget like a dummy.
+    /// decides distinctness: `draw(held, row)` returns whether it took a
+    /// candidate — real and distinct from the `held` samples, by their
+    /// rows or by whatever the caller keeps beside them — and then must
+    /// have written it into `row`, slot `held.len()`. A declined draw
+    /// counts against the budget like a dummy.
     pub fn backfill(
         &mut self,
         target: usize,
         per_slot_tries: usize,
-        mut draw: impl FnMut(usize, &mut [u64]) -> bool,
+        mut draw: impl FnMut(Rows<'_>, &mut [u64]) -> bool,
     ) -> bool {
-        self.fill(target, per_slot_tries, |_, slot, candidate| {
-            draw(slot, candidate)
-        })
-    }
-
-    /// The one backfill loop: `take(held rows, slot, candidate row)` per
-    /// trial, up to `per_slot_tries` trials per slot.
-    fn fill(
-        &mut self,
-        target: usize,
-        per_slot_tries: usize,
-        mut take: impl FnMut(&[u64], usize, &mut [u64]) -> bool,
-    ) -> bool {
-        let target = target.min(self.k);
+        let (target, width) = (target.min(self.k), self.width);
         while self.len() < target {
             // Candidates are drawn straight into the next slot's row.
             let held = self.rows.len();
-            let slot = self.push_row();
+            self.push_row();
             let (have, candidate) = self.rows.split_at_mut(held);
+            let have = Rows { flat: have, width };
             let mut tries = per_slot_tries;
             loop {
                 if tries == 0 {
@@ -602,7 +580,7 @@ impl Reservoir {
                     return false;
                 }
                 tries -= 1;
-                if take(have, slot, candidate) {
+                if draw(have, candidate) {
                     break;
                 }
             }

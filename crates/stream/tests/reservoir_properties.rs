@@ -316,7 +316,8 @@ proptest! {
                         candidate(n).map(|c| row.copy_from_slice(&c)).is_some()
                     });
                     let mut s = 0;
-                    let by_slot = slotted.backfill(k, tries, |at, row| {
+                    let by_slot = slotted.backfill(k, tries, |held, row| {
+                        let at = held.len();
                         s += 1;
                         let Some(c) = candidate(s).filter(|c| side.chunks_exact(width).all(|held| held != c)) else {
                             return false;

@@ -5,7 +5,9 @@
 //! growth policy or a struct's width shows up here as a diff naming the
 //! structure — before a benchmark run shows it as `heap_bytes_per_tuple`.
 //! Re-pin with `RSJ_PIN_PLANS=1 cargo test --test heap_ledger -- --nocapture`
-//! and say in the PR which line moved and why.
+//! and say in the PR which line moved and why. `ReservoirJoin`'s ledger
+//! adds the member's sample rows and tuple-id columns to the index's and
+//! must sum to its `heap_size()` as well, on a turnstile stream too.
 
 use rsjoin::prelude::*;
 
