@@ -10,7 +10,7 @@
 use rsj_bench::{fig_name, record_json};
 use rsj_common::hash::{fx_hash_columns, fx_hash_columns_scalar};
 use rsj_common::rng::RsjRng;
-use rsj_core::{exact_result_count, ReplanPolicy, ReservoirJoin};
+use rsj_core::{exact_result_count, ReservoirJoin};
 use rsj_datagen::{GraphConfig, TurnstileConfig, VictimPolicy};
 use rsj_index::{DescentMemo, DynamicIndex, FullSampler, IndexOptions};
 use rsj_queries::{line_k, star_k};
@@ -247,10 +247,6 @@ fn bench_anchored_count() {
         "the warm half anchors"
     );
     let mut rj = ReservoirJoin::new(w.query.clone(), 64, 7).unwrap();
-    rj.set_replan_policy(ReplanPolicy {
-        auto: false,
-        min_inserts: u64::MAX,
-    });
     let mut twin =
         DynamicIndex::with_tree(w.query.clone(), &rj.plan().tree, rj.index().options()).unwrap();
     for op in warm {
@@ -332,11 +328,6 @@ fn bench_stop_allocations() {
     let w = star_k(4, &edges, 1);
     let (warm, timed) = w.stream.tuples().split_at(6000);
     let mut rj = ReservoirJoin::new(w.query.clone(), 20_000, 7).unwrap();
-    // The planner allocates; it is not what this case counts.
-    rj.set_replan_policy(ReplanPolicy {
-        auto: false,
-        min_inserts: u64::MAX,
-    });
     let mut twin =
         DynamicIndex::with_tree(w.query.clone(), &rj.plan().tree, rj.index().options()).unwrap();
     for t in warm {

@@ -115,20 +115,6 @@ pub trait JoinSampler {
             .try_for_each(|op| check_schema(self.input_query(), op))
     }
 
-    /// Re-evaluates the engine's execution plan against statistics
-    /// observed so far and adapts it — for the `RSJoin` family, the
-    /// adaptive re-rooting hook (see `rsj_core::reservoir_join`): a
-    /// cost-model pass over the live stored relations that may switch the
-    /// sampling root in place or rebuild the dynamic index into a better
-    /// join-tree orientation, repopulating the reservoir exactly.
-    ///
-    /// Returns `true` when anything about the plan changed. The default is
-    /// a no-op for engines without plan choice (the exact-count baselines,
-    /// the two-table symmetric join).
-    fn replan(&mut self) -> bool {
-        false
-    }
-
     /// Hands each current sample to `f` in slot order, as a full-width
     /// value tuple of [`output_query`](JoinSampler::output_query): uniform
     /// without replacement over `Q(R)`, fewer than `k` while `|Q(R)| < k`.
@@ -271,10 +257,6 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
         (**self).check_ops(ops)
     }
 
-    fn replan(&mut self) -> bool {
-        (**self).replan()
-    }
-
     fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
         (**self).for_each_sample(f)
     }
@@ -375,10 +357,6 @@ impl JoinSampler for ReservoirJoin {
         ReservoirJoin::delete(self, rel, tuple);
     }
 
-    fn replan(&mut self) -> bool {
-        ReservoirJoin::replan(self)
-    }
-
     fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
         ReservoirJoin::samples(self).iter().for_each(f)
     }
@@ -401,24 +379,18 @@ impl JoinSampler for ReservoirJoin {
         }
     }
 
-    /// The one-member group image — the tree the index is built over (it
-    /// may have been rebuilt since construction), the index's dynamic
-    /// state (physical layout included), and the member's plan, reservoir
-    /// (sample slots, skip parameters `(w, q)`, RNG position), repair RNG
-    /// and counters — followed by the replan counters. Construction
-    /// parameters (query, `k`, seed, planner, replan policy) are not
-    /// written.
+    /// The one-member group image — the tree the index is built over, the
+    /// index's dynamic state (physical layout included), and the member's
+    /// plan, reservoir (sample slots, skip parameters `(w, q)`, RNG
+    /// position), repair RNG and counters. Construction parameters (query,
+    /// `k`, seed) are not written.
     fn snapshot_to(&self, enc: &mut Encoder) {
         self.group.snapshot_to(enc, |_, _| {});
-        enc.put_u64(self.replanner.rebuilds);
-        enc.put_u64(self.replanner.checked_at);
     }
 
     /// The index is rebuilt over the image's join tree and its dynamic
     /// state overlaid. Shape mismatches (wrong query, wrong `k` or index
-    /// options, a sample row of the wrong width) reject the image. The
-    /// planner and replan policy are configuration, not state: they keep
-    /// `self`'s current values.
+    /// options, a sample row of the wrong width) reject the image.
     fn restore_from(&mut self, dec: &mut Decoder) -> Result<(), CodecError> {
         let (group, _) = Group::restore_from(dec, self.index().query(), |_| Ok(()))?;
         if group.members.len() != 1 || group.index().options() != self.index().options() {
@@ -429,12 +401,8 @@ impl JoinSampler for ReservoirJoin {
         if group.members[0].reservoir.capacity() != self.k() {
             return Err(CodecError::Corrupt("snapshot reservoir capacity mismatch"));
         }
-        let rebuilds = dec.u64()?;
-        let checked_at = dec.u64()?;
         dec.finish()?;
         self.group = group;
-        self.replanner.rebuilds = rebuilds;
-        self.replanner.checked_at = checked_at;
         Ok(())
     }
 }

@@ -9,7 +9,7 @@
 //! the sampler service keeps one group per (join tree, index options),
 //! whose members differ in sampling root, `k` and seed. This module is the
 //! only code that drives an index and its reservoirs: insert, delete with
-//! repair, history replay, tree rebuild, heap accounting and the group
+//! repair, history replay, heap accounting and the group
 //! image. Exact `|Q(R)|` is memoized per index state, so all members of a
 //! group share one count pass per accepted op.
 
@@ -207,8 +207,7 @@ impl SamplerCore {
 ///
 /// Transient, like the group's [`DescentMemo`]: never serialized, empty
 /// until the member's first repair point — so an insert-only stream never
-/// builds them — and derived again from the rows when a rebuild reassigns
-/// tuple ids. Once built, the stop path writes each accepted retrieval's
+/// builds them. Once built, the stop path writes each accepted retrieval's
 /// ids into its slot and backfill appends the drawn ids.
 #[derive(Default)]
 struct SampleIds {
@@ -352,14 +351,14 @@ fn find(column: &[TupleId], tid: TupleId) -> Option<usize> {
 /// cost more runs the pass instead, so no count need costs more than two
 /// passes. An insert-only stream never anchors and counts by the pass.
 ///
-/// Transient: never serialized; a rebuild or a restore starts unanchored.
+/// Transient: never serialized; a restore starts unanchored.
 /// Built from `Sync` parts (a `Cell` would do for the service alone) so
 /// that `ReservoirJoin` stays `Sync`.
 #[derive(Default)]
 struct CountMemo {
     population: OnceLock<u128>,
     /// The ledger's `|Q(R)|` at the watermarks; `None` until the first
-    /// delete (and after a rebuild, a restore, or a dropped settle).
+    /// delete (and after a restore, or a dropped settle).
     anchor: Option<u128>,
     /// Each relation's next tuple id when `anchor` was last folded.
     watermarks: Vec<TupleId>,
@@ -382,13 +381,6 @@ impl CountMemo {
             );
             settled.unwrap_or_else(|| self.pass(index))
         })
-    }
-
-    /// Forgets the memo and the anchor: the index was replaced, and its
-    /// tuple ids with it.
-    fn unanchor(&mut self) {
-        self.population.take();
-        self.anchor = None;
     }
 
     /// One full index count pass.
@@ -461,7 +453,7 @@ pub(crate) struct Group {
     index: DynamicIndex,
     pub(crate) members: Vec<SamplerCore>,
     /// The retrieval kernel's memo (transient — reset at every batch and
-    /// every repair, rebuilt with the index, never serialized). Members
+    /// every repair, never serialized). Members
     /// share it: within one batch they all read one index state.
     memo: DescentMemo,
     count: CountMemo,
@@ -469,7 +461,9 @@ pub(crate) struct Group {
 
 impl Group {
     /// A group of one member with reservoir capacity `k` and `seed`, over
-    /// a fresh index of `query` built on `plan`'s tree.
+    /// a fresh index of `query` built on `plan`'s tree. The plan must fit
+    /// `query`: its tree a join tree of it (index construction checks
+    /// that), its root one of its relations.
     pub(crate) fn new(
         query: Query,
         plan: Plan,
@@ -477,6 +471,13 @@ impl Group {
         k: usize,
         seed: u64,
     ) -> Result<Group, IndexError> {
+        if plan.root >= query.num_relations() {
+            return Err(IndexError::InvalidTree(format!(
+                "plan root {} is not one of the query's {} relations",
+                plan.root,
+                query.num_relations()
+            )));
+        }
         let core = SamplerCore::new(&query, plan, k, seed);
         let index = DynamicIndex::with_tree(query, &core.plan.tree, options)?;
         Ok(Group {
@@ -563,46 +564,6 @@ impl Group {
         for op in history.iter() {
             self.apply(op);
         }
-    }
-
-    /// Rebuilds the index over `tree` by re-inserting the stored live
-    /// relations, lets `retarget` set each member's plan against the
-    /// rebuilt index, then makes a repair point for every member: exact
-    /// live count, sample backfill to `min(k, |Q(R)|)` distinct uniform
-    /// results, skip-state recalibration. Materialized samples stay valid —
-    /// `Q(R)` is unchanged and the rows hold values — but the rebuild
-    /// reassigns tuple ids, so a member's id columns, if built, are
-    /// derived again from its rows against the rebuilt index. Returns
-    /// `false`, changing nothing, when `tree` is not a join tree of the
-    /// query.
-    pub(crate) fn rebuild(
-        &mut self,
-        tree: &JoinTree,
-        mut retarget: impl FnMut(&DynamicIndex, &mut Plan),
-    ) -> bool {
-        let query = self.index.query();
-        let Ok(mut fresh) = DynamicIndex::with_tree(query.clone(), tree, self.index.options())
-        else {
-            return false;
-        };
-        for rel in 0..query.num_relations() {
-            for (_, t) in self.index.database().relation(rel).iter() {
-                fresh.insert(rel, t);
-            }
-        }
-        self.memo = DescentMemo::new(&fresh);
-        self.index = fresh;
-        self.tree = tree.clone();
-        self.count.unanchor();
-        let population = self.count.get(&self.index);
-        for m in &mut self.members {
-            retarget(&self.index, &mut m.plan);
-            if m.sample_ids.is_built() {
-                m.sample_ids = SampleIds::derive(&self.index, &m.reservoir);
-            }
-            m.repair(&self.index, population, &mut self.memo);
-        }
-        true
     }
 
     /// Heap bytes of the index and every member's sample buffer and id
@@ -696,11 +657,6 @@ impl Group {
 
 #[cfg(test)]
 impl Group {
-    /// Member `member`'s id columns (empty until built).
-    pub(crate) fn sample_id_columns(&self, member: usize) -> &[Vec<TupleId>] {
-        &self.members[member].sample_ids.columns
-    }
-
     /// The differential check of the id columns: every member's columns,
     /// once built, name exactly the tuples its rows hold — one column per
     /// relation, as long as the reservoir, each id a live tuple whose
@@ -739,7 +695,7 @@ impl Group {
 #[cfg(test)]
 mod tests {
     use crate::exec::SamplerExt;
-    use crate::reservoir_join::{ReplanPolicy, ReservoirJoin};
+    use crate::reservoir_join::ReservoirJoin;
     use rsj_datagen::{GraphConfig, TpcdsLite, TurnstileConfig, VictimPolicy};
     use rsj_queries::Workload;
     use rsj_storage::{OpStream, StreamOp};
@@ -764,15 +720,6 @@ mod tests {
             .take(n)
             .cloned()
             .collect()
-    }
-
-    fn fixed(query: &rsj_query::Query, k: usize, seed: u64) -> ReservoirJoin {
-        let mut rj = ReservoirJoin::new(query.clone(), k, seed).unwrap();
-        rj.set_replan_policy(ReplanPolicy {
-            auto: false,
-            min_inserts: u64::MAX,
-        });
-        rj
     }
 
     /// Runs `ops` through `rj`, checking the id columns after every op:
@@ -803,7 +750,7 @@ mod tests {
         let w = rsj_queries::line_k(3, &edges, 5);
         let ops = churn(&w, 500);
         assert!(ops.iter().filter(|op| op.is_delete()).count() > 50);
-        let mut rj = fixed(&w.query, 24, 7);
+        let mut rj = ReservoirJoin::new(w.query.clone(), 24, 7).unwrap();
         drive_checked(&mut rj, &ops);
         assert_eq!(rj.samples().len(), 24, "the reservoir stays full");
     }
@@ -811,7 +758,7 @@ mod tests {
     #[test]
     fn qy_grouped_columns_name_the_rows_tuples_at_every_op() {
         let w = rsj_queries::qy(&TpcdsLite::generate(1, 5), 5);
-        let mut rj = fixed(&w.query, 32, 9);
+        let mut rj = ReservoirJoin::new(w.query.clone(), 32, 9).unwrap();
         assert!(rj.index().options().grouping, "QY runs grouped");
         let ops = churn(&w, w.preload.len() + 900);
         drive_checked(&mut rj, &ops);
@@ -833,10 +780,10 @@ mod tests {
         let w = rsj_queries::line_k(3, &edges, 2);
         let ops = churn(&w, 420);
         let (head, tail) = ops.split_at(200);
-        let mut rj = fixed(&w.query, 16, 4);
+        let mut rj = ReservoirJoin::new(w.query.clone(), 16, 4).unwrap();
         drive_checked(&mut rj, head);
         assert_eq!(rj.group.check_sample_ids(), 1);
-        let mut restored = fixed(&w.query, 16, 4);
+        let mut restored = ReservoirJoin::new(w.query.clone(), 16, 4).unwrap();
         restored
             .restore_state(&rj.snapshot_state().unwrap())
             .unwrap();

@@ -42,7 +42,7 @@ pub use count::exact_result_count;
 pub use cyclic::{BagSet, CyclicReservoirJoin};
 pub use exec::{Durable, JoinSampler, SamplerExt, SamplerStats};
 pub use fk_runtime::{FkCombiner, FkReservoirJoin};
-pub use reservoir_join::{ReplanPolicy, ReservoirJoin};
+pub use reservoir_join::ReservoirJoin;
 pub use rewrite::{Rewrite, Rewritten};
 pub use sampler_facade::DynamicSampleIndex;
 pub use service::{

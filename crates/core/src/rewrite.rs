@@ -120,12 +120,6 @@ impl<R: Rewrite, S: JoinSampler> JoinSampler for Rewritten<R, S> {
         self.rewrite.check_ops(&self.query, ops)
     }
 
-    /// Re-plans the inner engine over the *rewritten* query; the rewrite
-    /// itself is plan-independent.
-    fn replan(&mut self) -> bool {
-        self.inner.replan()
-    }
-
     fn for_each_sample(&self, f: &mut dyn FnMut(&[Value])) {
         self.inner.for_each_sample(f)
     }

@@ -25,9 +25,8 @@
 //! # Registration dataflow
 //!
 //! [`register`](SamplerService::register) validates the query against the
-//! service's relation universe, pins its [`Plan`] (the service never
-//! re-plans — a registered query behaves like a standalone driver with
-//! `ReplanPolicy { auto: false, .. }`), and **backfills**: the retained op
+//! service's relation universe, pins its [`Plan`] (as a standalone driver
+//! does, at construction), and **backfills**: the retained op
 //! history ([`SharedStore`]) is replayed through a fresh one-member group
 //! over the target group's tree, so a query registered mid-stream ends up
 //! byte-identical to one registered before the first op; the member then
@@ -146,9 +145,8 @@ pub enum ServiceError {
     /// The query is cyclic — an index group needs a join tree. Cyclic
     /// queries run as the GHD engine (`RSJoin_cyclic`), not in the service.
     Cyclic,
-    /// An explicit plan's tree or root does not fit the universe.
-    PlanMismatch,
-    /// Index construction rejected the plan's tree.
+    /// Index construction rejected the plan: its tree is not a join tree
+    /// of the query, or its root is not one of the query's relations.
     Index(IndexError),
     /// The op failed validation (unknown relation, arity, a primary key
     /// bound to another tuple).
@@ -166,9 +164,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::ZeroCapacity => write!(f, "reservoir capacity k must be positive"),
             ServiceError::Cyclic => {
                 write!(f, "cyclic query: the shared path requires a join tree")
-            }
-            ServiceError::PlanMismatch => {
-                write!(f, "plan tree or root does not fit the service universe")
             }
             ServiceError::Index(e) => write!(f, "index construction failed: {e}"),
             ServiceError::Store(e) => write!(f, "op rejected: {e}"),
@@ -318,14 +313,10 @@ impl SamplerService {
         if opts.k == 0 {
             return Err(ServiceError::ZeroCapacity);
         }
-        let nrels = self.universe.num_relations();
         let mut plan = match &opts.plan {
             Some(p) => p.clone(),
             None => Plan::canonical(query).ok_or(ServiceError::Cyclic)?,
         };
-        if plan.tree.len() != nrels || plan.root >= nrels {
-            return Err(ServiceError::PlanMismatch);
-        }
         let edges = plan.tree.canonical_edges();
         let gi = self.groups.iter().position(|s| {
             s.group.tree().canonical_edges() == edges && s.group.index().options() == opts.index
@@ -719,7 +710,7 @@ impl SampleSnapshot {
 mod tests {
     use super::*;
     use crate::exec::SamplerExt;
-    use crate::reservoir_join::{ReplanPolicy, ReservoirJoin};
+    use crate::reservoir_join::ReservoirJoin;
     use rsj_query::QueryBuilder;
     use rsj_storage::OpStream;
 
@@ -755,12 +746,7 @@ mod tests {
     }
 
     fn standalone(q: &Query, k: usize, seed: u64) -> ReservoirJoin {
-        let mut rj = ReservoirJoin::new(q.clone(), k, seed).unwrap();
-        rj.set_replan_policy(ReplanPolicy {
-            auto: false,
-            min_inserts: u64::MAX,
-        });
-        rj
+        ReservoirJoin::new(q.clone(), k, seed).unwrap()
     }
 
     /// Eight members on one index, the last registered mid-stream from

@@ -144,7 +144,7 @@ impl HashTrie {
 
     /// Number of children under `node`.
     #[inline]
-    pub fn fanout(&self, node: u32) -> usize {
+    fn fanout(&self, node: u32) -> usize {
         self.nodes[node as usize].children.len()
     }
 

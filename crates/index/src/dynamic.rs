@@ -237,12 +237,11 @@ impl DynamicIndex {
     }
 
     /// Builds an (empty) index over an explicit join tree — the entry point
-    /// the cost-based planner (`rsj_query::plan`) uses to materialize a
-    /// non-canonical orientation. The tree is validated to actually be a
-    /// join tree for `query` (everything the planner emits is; a
-    /// hand-rolled `EngineOpts::plan` might not be — a silently accepted
-    /// invalid tree would produce wrong join results, so the check is a
-    /// real error, not a debug assertion). All rooted views are derived
+    /// a hand-rooted plan (`rsj_query::Plan`) materializes a non-canonical
+    /// orientation through. The tree is validated to actually be a join
+    /// tree for `query` (a hand-rolled `EngineOpts::plan` might not be — a
+    /// silently accepted invalid tree would produce wrong join results, so
+    /// the check is a real error, not a debug assertion). All rooted views are derived
     /// from it exactly as [`DynamicIndex::new`] derives them from the GYO
     /// tree.
     pub fn with_tree(

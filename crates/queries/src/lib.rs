@@ -11,11 +11,9 @@
 //! tables and stream the rest.
 
 mod graph_queries;
-mod planner_workloads;
 pub mod relational;
 
 pub use graph_queries::{dumbbell, line_k, star_k};
-pub use planner_workloads::{self_join_line, skewed_star, snowflake};
 pub use relational::{q10, qx, qy, qz};
 
 use rsj_query::{FkSchema, Query};

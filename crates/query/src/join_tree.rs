@@ -105,11 +105,10 @@ impl JoinTree {
     /// Builds a tree from an explicit edge list over `n` relations, with
     /// adjacency lists in deterministic (ascending) order.
     ///
-    /// This is how the planner materializes a candidate orientation it
-    /// enumerated as an edge set. The caller is responsible for the edges
-    /// forming a spanning tree that satisfies the join-tree property for
-    /// its query ([`JoinTree::satisfies_connectedness`] checks the latter;
-    /// everything [`all_join_trees`] emits satisfies both by construction).
+    /// This is how a caller hand-builds a non-GYO orientation. The caller
+    /// is responsible for the edges satisfying the join-tree property for
+    /// its query ([`JoinTree::satisfies_connectedness`] checks it, and
+    /// index construction rejects a tree that fails it).
     ///
     /// # Panics
     /// Panics if the edges do not form a spanning tree of `n` nodes.
@@ -148,9 +147,8 @@ impl JoinTree {
     /// The tree's edge set in canonical form: `(min, max)` pairs, sorted.
     /// Two `JoinTree`s describe the same unrooted tree iff their canonical
     /// edge sets are equal (adjacency-list *order* may still differ, and
-    /// does change node-state discovery order downstream — which is why the
-    /// planner returns the GYO-built instance verbatim when the winning
-    /// candidate is the GYO tree).
+    /// does change node-state discovery order downstream — which is why a
+    /// plan carries the tree instance, not its edge set).
     pub fn canonical_edges(&self) -> Vec<(usize, usize)> {
         let mut e = self.edges();
         e.sort_unstable();
@@ -252,104 +250,6 @@ impl JoinTree {
         }
         true
     }
-}
-
-/// Enumerates *all* join trees of an acyclic query (up to `cap` of them),
-/// deterministically, with the canonical GYO tree first.
-///
-/// A join tree is reachable by some GYO reduction order: any leaf of a
-/// valid join tree is an ear (its private attributes become isolated, its
-/// shared attributes are contained in its tree neighbour by the
-/// connectedness property), so branching the reduction over every
-/// `(ear, witness)` choice visits every tree. Search states are
-/// deduplicated on `(alive set, accumulated edges)` — the isolated-attribute
-/// clearing step is a function of the alive set alone, so two orders that
-/// removed the same ears with the same witnesses continue identically.
-/// Queries in this system have a handful of relations; the cap (and a
-/// visited-state cap at 64·`cap`) bounds the star-query worst case, where
-/// the tree count is `n^(n-2)`.
-///
-/// Returns an empty vector for cyclic queries.
-pub fn all_join_trees(q: &Query, cap: usize) -> Vec<JoinTree> {
-    let Some(gyo) = JoinTree::build(q) else {
-        return Vec::new();
-    };
-    let n = q.num_relations();
-    let mut out: Vec<JoinTree> = vec![gyo.clone()];
-    if n <= 2 || n >= 64 || cap <= 1 {
-        // Two relations have a unique tree; 64+ would overflow the alive
-        // mask (and no workload is near that).
-        return out;
-    }
-    let gyo_edges = gyo.canonical_edges();
-    let mut seen_trees: std::collections::BTreeSet<Vec<(usize, usize)>> =
-        [gyo_edges].into_iter().collect();
-    let mut seen_states: std::collections::BTreeSet<(u64, Vec<(usize, usize)>)> =
-        std::collections::BTreeSet::new();
-    let state_cap = cap.saturating_mul(64);
-
-    // Remaining attribute sets after clearing isolated attributes are a
-    // function of the alive mask; recompute per state from the query.
-    let attrs_after_clear = |alive: u64| -> Vec<Vec<bool>> {
-        let mut attrs: Vec<Vec<bool>> = (0..n)
-            .map(|i| {
-                let mut b = vec![false; q.num_attrs()];
-                if alive & (1 << i) != 0 {
-                    for &a in &q.relation(i).attrs {
-                        b[a] = true;
-                    }
-                }
-                b
-            })
-            .collect();
-        for a in 0..q.num_attrs() {
-            let holders: Vec<usize> = (0..n)
-                .filter(|&i| alive & (1 << i) != 0 && attrs[i][a])
-                .collect();
-            if holders.len() == 1 {
-                attrs[holders[0]][a] = false;
-            }
-        }
-        attrs
-    };
-
-    let mut stack: Vec<(u64, Vec<(usize, usize)>)> = vec![((1u64 << n) - 1, Vec::new())];
-    while let Some((alive, edges)) = stack.pop() {
-        if out.len() >= cap || seen_states.len() >= state_cap {
-            break;
-        }
-        if alive.count_ones() == 1 {
-            let mut canon = edges.clone();
-            canon.sort_unstable();
-            if seen_trees.insert(canon.clone()) {
-                out.push(JoinTree::from_edges(n, &canon));
-            }
-            continue;
-        }
-        let attrs = attrs_after_clear(alive);
-        for i in 0..n {
-            if alive & (1 << i) == 0 {
-                continue;
-            }
-            for j in 0..n {
-                if i == j || alive & (1 << j) == 0 {
-                    continue;
-                }
-                let contained = (0..q.num_attrs()).all(|a| !attrs[i][a] || attrs[j][a]);
-                if !contained {
-                    continue;
-                }
-                let next_alive = alive & !(1 << i);
-                let mut next_edges = edges.clone();
-                next_edges.push((i.min(j), i.max(j)));
-                next_edges.sort_unstable();
-                if seen_states.insert((next_alive, next_edges.clone())) {
-                    stack.push((next_alive, next_edges));
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -522,75 +422,5 @@ mod tests {
         e.put_usize(0); // 2 -> [0]  (asymmetric: 0 does not list 2)
         let bytes = e.into_bytes();
         assert!(JoinTree::restore_from(&mut Decoder::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn line3_has_a_unique_join_tree() {
-        let q = build(&[
-            ("G1", &["A", "B"]),
-            ("G2", &["B", "C"]),
-            ("G3", &["C", "D"]),
-        ]);
-        let trees = all_join_trees(&q, 64);
-        assert_eq!(trees.len(), 1);
-        assert_eq!(trees[0].canonical_edges(), vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn star4_enumerates_all_sixteen_spanning_trees() {
-        // All 4 relations share A, so every spanning tree of K4 is a join
-        // tree: Cayley gives 4^2 = 16.
-        let q = build(&[
-            ("G1", &["A", "B1"]),
-            ("G2", &["A", "B2"]),
-            ("G3", &["A", "B3"]),
-            ("G4", &["A", "B4"]),
-        ]);
-        let trees = all_join_trees(&q, 1024);
-        assert_eq!(trees.len(), 16);
-        // First entry is the GYO tree; all are valid and distinct.
-        assert_eq!(
-            trees[0].canonical_edges(),
-            JoinTree::build(&q).unwrap().canonical_edges()
-        );
-        let mut edge_sets = std::collections::BTreeSet::new();
-        for t in &trees {
-            assert!(t.satisfies_connectedness(&q));
-            assert!(edge_sets.insert(t.canonical_edges()));
-        }
-    }
-
-    #[test]
-    fn enumeration_respects_the_cap() {
-        let q = build(&[
-            ("G1", &["A", "B1"]),
-            ("G2", &["A", "B2"]),
-            ("G3", &["A", "B3"]),
-            ("G4", &["A", "B4"]),
-        ]);
-        let trees = all_join_trees(&q, 5);
-        assert_eq!(trees.len(), 5);
-    }
-
-    #[test]
-    fn snowflake_tree_is_unique() {
-        let q = build(&[
-            ("fact", &["K1", "K2", "M"]),
-            ("dim1", &["K1", "D1"]),
-            ("dim1b", &["D1", "E1"]),
-            ("dim2", &["K2", "D2"]),
-        ]);
-        let trees = all_join_trees(&q, 64);
-        assert_eq!(trees.len(), 1);
-    }
-
-    #[test]
-    fn cyclic_query_enumerates_nothing() {
-        let q = build(&[
-            ("R1", &["X", "Y"]),
-            ("R2", &["Y", "Z"]),
-            ("R3", &["Z", "X"]),
-        ]);
-        assert!(all_join_trees(&q, 64).is_empty());
     }
 }

@@ -17,9 +17,9 @@
 //! * [`ghd`] — generalized hypertree decompositions for cyclic queries
 //!   (Definitions 5.2–5.3), with automatic search for small queries;
 //! * [`foreign_key`] — the foreign-key combination rewrite of §4.4;
-//! * [`plan`] — cost-based plan selection: enumerate candidate join trees
-//!   ([`all_join_trees`]), score every tree × root against
-//!   observed stream statistics, return the winning [`plan::Plan`].
+//! * [`plan`] — the execution plan of an acyclic query: the join tree the
+//!   index is built over and the root sampling draws through, fixed when
+//!   the sampler is built.
 
 pub mod foreign_key;
 pub mod fractional;
@@ -32,6 +32,6 @@ pub mod rooted;
 pub use foreign_key::{CombineError, CombinePlan, FkSchema};
 pub use ghd::Ghd;
 pub use hypergraph::{Query, QueryBuilder, RelSchema};
-pub use join_tree::{all_join_trees, JoinTree};
-pub use plan::{CostWeights, Plan, PlanCost, Planner};
+pub use join_tree::JoinTree;
+pub use plan::Plan;
 pub use rooted::{NodeInfo, RootedTree};

@@ -56,8 +56,6 @@ pub struct RootedTree {
     root: usize,
     /// Indexed by relation id.
     nodes: Vec<NodeInfo>,
-    /// Relations in BFS order from the root (parents before children).
-    order: Vec<usize>,
 }
 
 /// Errors from rooted-tree construction.
@@ -192,7 +190,7 @@ impl RootedTree {
                 child_key_positions_in_ebar: child_keys.iter().map(|ck| pos_in_ebar(ck)).collect(),
             });
         }
-        Ok(RootedTree { root, nodes, order })
+        Ok(RootedTree { root, nodes })
     }
 
     /// The root relation.
@@ -208,11 +206,6 @@ impl RootedTree {
     /// All nodes, indexed by relation id.
     pub fn nodes(&self) -> &[NodeInfo] {
         &self.nodes
-    }
-
-    /// Relations in BFS order (parents before children).
-    pub(crate) fn bfs_order(&self) -> &[usize] {
-        &self.order
     }
 
     /// Number of relations.
@@ -283,19 +276,6 @@ mod tests {
         assert_eq!(rt.node(2).parent, Some(1));
         // G1's key with its parent G2 is {B}, at position 1 in (A, B).
         assert_eq!(rt.node(0).key_positions, vec![1]);
-    }
-
-    #[test]
-    fn bfs_order_parents_first() {
-        let (q, t) = line3();
-        let rt = RootedTree::build(&q, &t, 2).unwrap();
-        let order = rt.bfs_order();
-        let pos = |r: usize| order.iter().position(|&x| x == r).unwrap();
-        for n in rt.nodes() {
-            if let Some(p) = n.parent {
-                assert!(pos(p) < pos(n.relation));
-            }
-        }
     }
 
     #[test]

@@ -18,9 +18,6 @@
 //! * [`shared::SharedStore`] — the sampler service's retained op history
 //!   with per-relation registration reference counts (one copy of the
 //!   stream shared by every registered query);
-//! * [`stats::TableStatistics`] — observed per-relation/per-column stream
-//!   statistics, the evidence the cost-based planner (`rsj-query::plan`)
-//!   scores candidate join trees with;
 //! * [`wal::Wal`] / [`wal::Checkpoint`] — the durability layer: a
 //!   segmented, checksummed write-ahead log of [`input::StreamOp`]s and the
 //!   checkpoint file format that truncates it.
@@ -28,11 +25,9 @@
 pub mod input;
 pub mod relation;
 pub mod shared;
-pub mod stats;
 pub mod wal;
 
 pub use input::{InputTuple, OpStream, StreamOp, TupleStream};
 pub use relation::{Database, Relation};
 pub use shared::{SharedStore, SharedStoreError};
-pub use stats::{RelationStats, TableStatistics};
 pub use wal::{Checkpoint, Wal, WalError, FORMAT_VERSION};

@@ -3,7 +3,7 @@
 //! Shared statistical test harness for the engine matrix.
 //!
 //! The integration suites (`tests/uniformity.rs`, `tests/deletions.rs`,
-//! the planner conformance tests) all need the same machinery: run an
+//! `tests/service.rs`) all need the same machinery: run an
 //! engine many times over a fixed instance, count per-result inclusion
 //! frequencies, compare against the uniform distribution with a chi-square
 //! test, and brute-force the true result set to validate support. This

@@ -49,8 +49,8 @@ pub struct EngineOpts {
     /// Dynamic-index tuning for the `RSJoin` family (grouping on/off).
     pub index: IndexOptions,
     /// Explicit execution plan (join-tree orientation, sampling root) —
-    /// the explicit-rooting override. `None` lets each engine start from
-    /// the canonical plan and adapt at runtime via `JoinSampler::replan`.
+    /// the explicit-rooting override. `None` runs each engine on the
+    /// canonical plan. Either way the plan is fixed at build time.
     ///
     /// Honoured by `Engine::Reservoir` (the plan's query is the indexed
     /// query). Engines that index a *rewritten* query (`RSJoin_opt`, the
@@ -207,13 +207,6 @@ impl Engine {
         match self {
             Engine::Reservoir => match &opts.plan {
                 Some(plan) => {
-                    if plan.tree.len() != query.num_relations() {
-                        return Err(EngineError::Build(format!(
-                            "plan tree spans {} relations but the query has {}",
-                            plan.tree.len(),
-                            query.num_relations()
-                        )));
-                    }
                     ReservoirJoin::with_plan(query.clone(), k, seed, opts.index, plan.clone())
                         .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
                         .map_err(|e| EngineError::Build(e.to_string()))
@@ -404,15 +397,28 @@ mod tests {
 
     #[test]
     fn a_plan_over_another_relation_count_is_a_build_error() {
-        let opts = EngineOpts {
-            plan: Plan::canonical(&two_table()),
-            ..EngineOpts::default()
-        };
-        match Engine::Reservoir.build(&line3(), 10, 1, &opts) {
-            Err(EngineError::Build(m)) => {
-                assert!(m.contains("spans 2 relations but the query has 3"), "{m}")
+        let mut far_root = Plan::canonical(&two_table()).unwrap();
+        far_root.root = 7;
+        for (query, plan, expect) in [
+            (
+                line3(),
+                Plan::canonical(&two_table()).unwrap(),
+                "spans 2 relations but the query has 3",
+            ),
+            (
+                two_table(),
+                far_root,
+                "plan root 7 is not one of the query's 2 relations",
+            ),
+        ] {
+            let opts = EngineOpts {
+                plan: Some(plan),
+                ..EngineOpts::default()
+            };
+            match Engine::Reservoir.build(&query, 10, 1, &opts) {
+                Err(EngineError::Build(m)) => assert!(m.contains(expect), "{m}"),
+                other => panic!("expected a build error, got {:?}", other.err()),
             }
-            other => panic!("expected a build error, got {:?}", other.err()),
         }
     }
 

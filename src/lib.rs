@@ -37,7 +37,6 @@
 //! | Cyclic joins via GHDs + generic join | [`core`], [`query`] | §5 |
 //! | SJoin / symmetric / naive baselines | [`baselines`] | §6 |
 //! | `JoinSampler` executor trait + [`engine::Engine`] factory | [`core`], [`engine`] | §6.1 (the engines compared) |
-//! | Cost-based planner + adaptive re-rooting (`replan`) | [`query`], [`storage`], [`core`] | beyond the paper |
 //! | Durability: op-stream WAL + checkpoint/restore ([`persist`]) | [`storage`], facade | beyond the paper |
 //! | Resident `SamplerService`: many queries, shared indexes, epoch readers | [`common`], [`storage`], [`core`], facade | beyond the paper |
 //! | Workload generators & benchmark queries | [`datagen`], [`queries`] | §6.1, §6.3 |
@@ -77,14 +76,14 @@ pub mod prelude {
     pub use rsj_common::{Key, TupleId, Value};
     pub use rsj_core::{
         CyclicReservoirJoin, DynamicSampleIndex, FkReservoirJoin, JoinSampler, QueryHandle,
-        QueryOpts, ReplanPolicy, ReservoirJoin, SampleReader, SampleSnapshot, SamplerExt,
-        SamplerService, SamplerStats, ServiceError, ServiceOpts,
+        QueryOpts, ReservoirJoin, SampleReader, SampleSnapshot, SamplerExt, SamplerService,
+        SamplerStats, ServiceError, ServiceOpts,
     };
     pub use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
-    pub use rsj_query::{FkSchema, Ghd, JoinTree, Plan, PlanCost, Planner, Query, QueryBuilder};
+    pub use rsj_query::{FkSchema, Ghd, JoinTree, Plan, Query, QueryBuilder};
     pub use rsj_storage::wal::{Checkpoint, RetryPolicy, Wal, WalError, WalFs, WalOptions};
     pub use rsj_storage::{
-        Database, InputTuple, OpStream, SharedStoreError, StreamOp, TableStatistics, TupleStream,
+        Database, InputTuple, OpStream, SharedStoreError, StreamOp, TupleStream,
     };
     pub use rsj_stream::{Batch, ClassicReservoir, FnBatch, Reservoir, Rows, SliceBatch, Slot};
 }

@@ -9,17 +9,16 @@
 //! (star-4 over explicit trees — the per-item scratch path), §4.4 grouped
 //! nodes with one and with two children, and the cyclic dumbbell, whose
 //! index lives over bag-level relations inside the GHD driver. The same
-//! agreement is then checked after a snapshot/restore, after
-//! delete-everything-then-reinsert, and after a `replan()` that rebuilds
-//! the index over another tree.
+//! agreement is then checked after a snapshot/restore and after
+//! delete-everything-then-reinsert.
 //!
 //! The anchored count — the ledger an index group settles at deletes with
 //! rooted walks, behind `ReservoirJoin::exact_count` and a service group's
 //! `exact_count` — is held to the stateless pass and brute force the same
 //! way: at every step, over every shape and several sampling roots, with
 //! insert bursts whose new tuples join each other (the walks' attribution
-//! mask), a hub whose settle outweighs a pass (the budget drop), across a
-//! snapshot/restore and across a replan rebuild.
+//! mask), a hub whose settle outweighs a pass (the budget drop) and
+//! across a snapshot/restore.
 
 use proptest::prelude::*;
 use rsj_testutil::brute_join_named;
@@ -261,29 +260,22 @@ fn bursty_ops(q: &Query, steps: usize, dom: u64, rng: &mut RsjRng) -> Vec<Stream
     ops
 }
 
-/// A driver that never replans on its own, over `tree` with sampling root
-/// `root`.
+/// A driver over `tree` with sampling root `root`.
 fn driver(q: &Query, tree: &Option<JoinTree>, root: usize, grouping: bool) -> ReservoirJoin {
-    let mut rj = ReservoirJoin::with_plan(
+    ReservoirJoin::with_plan(
         q.clone(),
         4,
         7,
         IndexOptions { grouping },
         plan_over(q, tree, root),
     )
-    .unwrap();
-    rj.set_replan_policy(ReplanPolicy {
-        auto: false,
-        min_inserts: u64::MAX,
-    });
-    rj
+    .unwrap()
 }
 
 fn plan_over(q: &Query, tree: &Option<JoinTree>, root: usize) -> Plan {
     let mut plan = Plan::canonical(q).unwrap();
     if let Some(t) = tree {
         plan.tree = t.clone();
-        plan.is_canonical = false;
     }
     plan.root = root;
     plan
@@ -397,91 +389,6 @@ fn a_hub_burst_drops_the_settle_for_a_pass() {
         apply(&mut rj, &mut live, StreamOp::delete(2, vec![1000 + a, 1]));
     }
     assert_eq!(rj.count_passes(), before + 1);
-}
-
-/// `replan()` swaps in an index rebuilt over another tree (fresh tuple
-/// ids, fresh groups): its count must still be the live `|Q(R)|`.
-#[test]
-fn count_survives_a_replan_rebuild() {
-    let q = star4();
-    let greedy = Planner {
-        hold_margin: 0.0,
-        ..Planner::default()
-    };
-    let mut rng = RsjRng::seed_from_u64(4);
-    let mut live: Live = vec![FxHashSet::default(); 4];
-    let mut ops = Vec::new();
-    for _ in 0..200 {
-        // Mild hub skew gives the cost model something to prefer.
-        let op = if rng.below_u64(4) == 0 && live.iter().any(|s| !s.is_empty()) {
-            random_op(&q, &live, 8, &mut rng)
-        } else {
-            let hub = if rng.below_u64(3) == 0 {
-                0
-            } else {
-                rng.below_u64(8)
-            };
-            StreamOp::insert(rng.index(4), vec![hub, rng.below_u64(40)])
-        };
-        apply_live(&mut live, &op);
-        ops.push(op);
-    }
-    let feed = |rj: &mut ReservoirJoin| {
-        for op in &ops {
-            let t = op.tuple();
-            if op.is_delete() {
-                rj.delete(t.relation, &t.values);
-            } else {
-                rj.process(t.relation, &t.values);
-            }
-        }
-    };
-    // Scout the tree the greedy planner settles on, then start elsewhere
-    // so the replan has to rebuild.
-    let winner = {
-        let mut scout = ReservoirJoin::new(q.clone(), 4, 0).unwrap();
-        feed(&mut scout);
-        scout.set_planner(greedy);
-        scout.replan();
-        scout.plan().tree.canonical_edges()
-    };
-    let start = rsjoin::query::all_join_trees(&q, 32)
-        .into_iter()
-        .find(|t| t.canonical_edges() != winner)
-        .expect("star-4 has 16 join trees");
-    let mut plan = Plan::canonical(&q).unwrap();
-    plan.tree = start;
-    plan.is_canonical = false;
-    let mut rj = ReservoirJoin::with_plan(q, 16, 3, IndexOptions::default(), plan).unwrap();
-    rj.set_replan_policy(ReplanPolicy {
-        auto: false,
-        min_inserts: u64::MAX,
-    });
-    feed(&mut rj);
-    assert_counts_agree(rj.index(), &live, "before the replan");
-    rj.set_planner(greedy);
-    assert!(rj.replan(), "the greedy planner leaves the start tree");
-    assert_eq!(rj.rebuilds(), 1);
-    assert_counts_agree(rj.index(), &live, "after the rebuild");
-    assert_eq!(
-        rj.exact_count(),
-        rj.index().exact_count(),
-        "after the rebuild"
-    );
-    // And the rebuilt index keeps counting through further churn, the
-    // anchored count too (the rebuild dropped the anchor: its watermarks
-    // named the old tuple ids).
-    for _ in 0..60 {
-        let op = random_op(rj.index().query(), &live, 8, &mut rng);
-        apply_live(&mut live, &op);
-        apply_driver(&mut rj, &op);
-        assert_counts_agree(rj.index(), &live, "churn after the rebuild");
-        assert_eq!(
-            rj.exact_count(),
-            rj.index().exact_count(),
-            "churn after the rebuild"
-        );
-    }
 }
 
 /// ROADMAP item 4, "counts cannot silently overflow": both kernels

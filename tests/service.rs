@@ -53,15 +53,10 @@ fn turnstile_ops(query: &Query, n: usize, dom: u64, del_every: usize, seed: u64)
     ops
 }
 
-/// The standalone twin of a shared-path registration: same engine, plans
-/// pinned (the service never replans, so neither may the reference).
+/// The standalone twin of a shared-path registration: a one-member
+/// index group, as every member is.
 fn standalone(q: &Query, k: usize, seed: u64) -> ReservoirJoin {
-    let mut rj = ReservoirJoin::new(q.clone(), k, seed).unwrap();
-    rj.set_replan_policy(ReplanPolicy {
-        auto: false,
-        min_inserts: u64::MAX,
-    });
-    rj
+    ReservoirJoin::new(q.clone(), k, seed).unwrap()
 }
 
 /// A service sample row (universe attribute order) as the engine-neutral
@@ -87,33 +82,65 @@ fn brute_of_ops(q: &Query, ops: &OpStream) -> FxHashSet<NamedSample> {
 
 /// Four members of one shared index (different `k` and seeds) each end
 /// byte-identical to their standalone twin over a turnstile stream.
-#[test]
-fn shared_members_conform_to_standalone_samplers() {
-    let q = line3();
-    let ops = turnstile_ops(&q, 400, 6, 5, 11);
+/// `ops` runs the four and their twins; returns the handles.
+fn conform_to_standalone(q: &Query, ops: &OpStream) -> (SamplerService, Vec<QueryHandle>) {
     let mut svc = SamplerService::new(q.clone());
     let params: Vec<(usize, u64)> = vec![(4, 100), (7, 101), (16, 102), (1, 103)];
     let handles: Vec<QueryHandle> = params
         .iter()
-        .map(|&(k, seed)| svc.register(&q, &QueryOpts::new(k, seed)).unwrap())
+        .map(|&(k, seed)| svc.register(q, &QueryOpts::new(k, seed)).unwrap())
         .collect();
     assert_eq!(svc.num_groups(), 1, "identical tree + options must share");
     for op in ops.iter() {
         svc.process_op(op).unwrap();
     }
     for (&(k, seed), h) in params.iter().zip(&handles) {
-        let mut twin = standalone(&q, k, seed);
+        let mut twin = standalone(q, k, seed);
         twin.apply_ops(ops.ops()).unwrap();
         assert_eq!(
             digest(&svc.samples(*h).unwrap()),
             digest(&SamplerExt::samples(&twin)),
             "shared member (k={k}, seed={seed}) diverged from its twin"
         );
+        assert_eq!(svc.exact_count(*h).unwrap(), twin.exact_count());
     }
+    (svc, handles)
+}
+
+#[test]
+fn shared_members_conform_to_standalone_samplers() {
+    let q = line3();
+    let ops = turnstile_ops(&q, 400, 6, 5, 11);
+    let (svc, handles) = conform_to_standalone(&q, &ops);
     let brute = brute_of_ops(&q, &ops);
     for h in &handles {
         assert_eq!(svc.exact_count(*h).unwrap(), brute.len() as u128);
     }
+}
+
+/// The same over a long stream: line-3 over a 5 000-edge Zipf graph
+/// (about 15 000 inserts) with 20 % uniform deletes woven in. A
+/// standalone driver keeps its plan for the whole stream, as a member
+/// does, so their repair draws agree at every delete.
+#[test]
+fn shared_members_conform_to_standalone_samplers_on_a_long_churn() {
+    let edges = rsj_datagen::GraphConfig {
+        nodes: 1_000,
+        edges: 5_000,
+        zipf: 1.0,
+        seed: 42,
+    }
+    .generate();
+    let w = rsj_queries::line_k(3, &edges, 43);
+    let ops = rsj_datagen::TurnstileConfig {
+        delete_ratio: 0.2,
+        policy: rsj_datagen::VictimPolicy::Uniform,
+        seed: 40,
+    }
+    .weave(&w.stream);
+    let inserts = ops.len() - ops.num_deletes();
+    assert!(inserts > 3 * 4096, "{inserts} inserts");
+    conform_to_standalone(&w.query, &ops);
 }
 
 /// A query registered mid-stream backfills from the retained history to
