@@ -64,7 +64,11 @@ use std::time::Duration;
 
 /// On-disk format version of WAL segments and checkpoint files.
 ///
-/// History: **9** — a service image ends at its index groups: the
+/// History: **10** — an `RSJoin` image ends at its index group (the two
+/// replan counters after it are gone), and a plan image is its tree and
+/// root alone (the four cost scores, the candidate count and the
+/// canonical flag are gone): plans are fixed at build time. **9** — a
+/// service image ends at its index groups: the
 /// count of boxed (non-shared) members that followed them is gone with
 /// that member kind. **8** — a plan image (embedded in every `RSJoin`-family
 /// engine image) no longer carries a partition attribute: the field
@@ -86,7 +90,7 @@ use std::time::Duration;
 /// restore). **1** — the original format. Files of an older version are
 /// rejected, so such a directory must be re-ingested from its source
 /// stream.
-pub const FORMAT_VERSION: u32 = 9;
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Magic prefix of a WAL segment file.
 const WAL_MAGIC: [u8; 4] = *b"RSJW";
