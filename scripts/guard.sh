@@ -47,6 +47,7 @@ One member kind | RebuildFn | crates | all | - | cd80931 | The boxed-member rebu
 One retrieval kernel | fn (retrieve_below|retrieve_in_group) | src crates tests examples | all | crates/index/src/retrieve.rs:2 | 77c1af7 | Every positional retrieval (reservoir stop, repair draw, allocating adapter) descends through retrieve_below/retrieve_in_group and its DescentMemo, which also report the dummy run a dummy begins; a second descent, a *_memo twin included, is a copy that the debug cross-check of the memo does not cover.
 One stop path | DeltaCache | crates src tests examples | all | - | aa1bae5 | Every member of a group walks a delta batch through one stop closure (retrieve_into, then materialize or pass the dummy run) over the one DescentMemo of the group; a per-op row cache is a second stop path that must copy the run logic.
 Eviction by tuple id | \[a\] == tuple\[pos\]|evict_where\(|backfill_distinct\( | crates/core/src | nontest | - | 812d1dc | Delete repair in rsj-core reads the tuple-id columns of each member: eviction scans one u32 column and dedup compares ids; a value-comparing eviction closure or a row-comparing backfill brings back the O(k·width) scan of every row per member per delete.
+No planner | Planner|ReplanPolicy|TableStatistics|all_join_trees|PlanCost|CostWeights|fn replan\(|\.replan\( | crates src tests examples | all | - | ace165d | Plans are fixed at build time, as the one join tree of Alg. 6 is: an on/off record of automatic replanning found no workload where it won and 0 index rebuilds, while each check cost a full statistics scan. A cost model, a statistics collector or a replan hook brings that back; a caller that wants another tree or root passes a Plan.
 '
 
 # `pub` items no other file names, each with the reason it stays public.
