@@ -208,13 +208,11 @@ impl Engine {
             Engine::Reservoir => match &opts.plan {
                 Some(plan) => {
                     ReservoirJoin::with_plan(query.clone(), k, seed, opts.index, plan.clone())
-                        .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
-                        .map_err(|e| EngineError::Build(e.to_string()))
                 }
-                None => ReservoirJoin::with_options(query.clone(), k, seed, opts.index)
-                    .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
-                    .map_err(|e| EngineError::Build(e.to_string())),
-            },
+                None => ReservoirJoin::with_options(query.clone(), k, seed, opts.index),
+            }
+            .map(|e| Box::new(e) as Box<dyn JoinSampler + Send>)
+            .map_err(|e| EngineError::Build(e.to_string())),
             Engine::FkReservoir => {
                 reject_plan()?;
                 FkReservoirJoin::with_options(query, &fks(), k, seed, opts.index)
