@@ -260,6 +260,53 @@ fn cyclic_queries_are_refused_and_run_as_an_engine() {
     assert_eq!(digest(&r.engine().samples()), want);
 }
 
+/// A plan whose root is not one of the query's relations is refused at
+/// registration and registers nothing; the service keeps serving, and a
+/// member at the last real root repairs through it.
+#[test]
+fn a_plan_root_out_of_range_is_a_registration_error() {
+    let q = line3();
+    let mut svc = SamplerService::new(q.clone());
+    let mut far = Plan::canonical(&q).unwrap();
+    far.root = 7;
+    let opts = QueryOpts {
+        plan: Some(far),
+        ..QueryOpts::new(4, 1)
+    };
+    match svc.register(&q, &opts) {
+        Err(e @ ServiceError::Index(_)) => assert!(
+            e.to_string()
+                .contains("plan root 7 is not one of the query's 3 relations"),
+            "{e}"
+        ),
+        other => panic!("expected an index error, got {:?}", other.err()),
+    }
+    assert_eq!((svc.num_queries(), svc.store().live_refs()), (0, 0));
+
+    let mut last = Plan::canonical(&q).unwrap();
+    last.root = 2;
+    let h = svc
+        .register(
+            &q,
+            &QueryOpts {
+                plan: Some(last),
+                ..QueryOpts::new(4, 1)
+            },
+        )
+        .unwrap();
+    let ops = turnstile_ops(&q, 300, 5, 4, 29);
+    for op in ops.iter() {
+        svc.process_op(op).unwrap();
+    }
+    let brute = brute_of_ops(&q, &ops);
+    assert_eq!(svc.exact_count(h).unwrap(), brute.len() as u128);
+    let samples = svc.samples(h).unwrap();
+    assert_eq!(samples.len(), 4.min(brute.len()));
+    for row in &samples {
+        assert!(brute.contains(&named(&q, row)), "dead sample");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 2. Uniformity: reader subsamples mid-ingest
 // ---------------------------------------------------------------------------
