@@ -352,28 +352,7 @@ fn durability_images_are_pinned() {
     use rsjoin::prelude::{CheckpointPolicy, Persistent};
 
     let file_digest = |path: std::path::PathBuf| fnv(&std::fs::read(path).unwrap());
-
-    // Fixed turnstile stream over line-3: inserts with every 5th op
-    // deleting the tuple inserted four ops earlier.
-    let mut qb = QueryBuilder::new();
-    qb.relation("G1", &["A", "B"]);
-    qb.relation("G2", &["B", "C"]);
-    qb.relation("G3", &["C", "D"]);
-    let query = qb.build().unwrap();
-    let mut rng = RsjRng::seed_from_u64(0x90_1D);
-    let mut ops: Vec<StreamOp> = Vec::new();
-    let mut recent: Vec<(usize, Vec<Value>)> = Vec::new();
-    for i in 0..120usize {
-        if i % 5 == 4 {
-            let (rel, t) = recent.remove(0);
-            ops.push(StreamOp::delete(rel, t));
-        } else {
-            let rel = rng.index(3);
-            let t = vec![rng.below_u64(6), rng.below_u64(6)];
-            recent.push((rel, t.clone()));
-            ops.push(StreamOp::insert(rel, t));
-        }
-    }
+    let (query, ops) = durability_stream();
 
     let dir = std::env::temp_dir().join(format!("rsj-golden-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -412,6 +391,88 @@ fn durability_images_are_pinned() {
     assert_eq!(
         segment, 0x85FD_7EB2_8FC7_2FC6,
         "WAL segment image moved — see the format-version bump rule above"
+    );
+}
+
+/// The fixed turnstile stream both durability pins log: 120 ops over
+/// line-3, inserts with every 5th op deleting the tuple inserted four ops
+/// earlier.
+fn durability_stream() -> (Query, Vec<StreamOp>) {
+    let mut qb = QueryBuilder::new();
+    qb.relation("G1", &["A", "B"]);
+    qb.relation("G2", &["B", "C"]);
+    qb.relation("G3", &["C", "D"]);
+    let query = qb.build().unwrap();
+    let mut rng = RsjRng::seed_from_u64(0x90_1D);
+    let mut ops: Vec<StreamOp> = Vec::new();
+    let mut recent: Vec<(usize, Vec<Value>)> = Vec::new();
+    for i in 0..120usize {
+        if i % 5 == 4 {
+            let (rel, t) = recent.remove(0);
+            ops.push(StreamOp::delete(rel, t));
+        } else {
+            let rel = rng.index(3);
+            let t = vec![rng.below_u64(6), rng.below_u64(6)];
+            recent.push((rel, t.clone()));
+            ops.push(StreamOp::insert(rel, t));
+        }
+    }
+    (query, ops)
+}
+
+/// The service checkpoint is pinned beside the engine one: the same
+/// stream through a durable `SamplerService` with two index groups (a
+/// grouped and an ungrouped registration), checkpointed at op 100. The
+/// service image frames its store, groups and member cores, so a change
+/// to how a checkpoint is framed or checksummed shows here too.
+#[test]
+fn service_durability_images_are_pinned() {
+    let file_digest = |path: std::path::PathBuf| fnv(&std::fs::read(path).unwrap());
+    let (query, ops) = durability_stream();
+
+    let dir = std::env::temp_dir().join(format!(
+        "rsj-golden-service-durability-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut p = PersistentService::open(
+        SamplerService::new(query.clone()),
+        &dir,
+        CheckpointPolicy::Manual,
+        &mut |_, _| None,
+    )
+    .unwrap();
+    let mut ungrouped = QueryOpts::new(16, 7);
+    ungrouped.index = IndexOptions { grouping: false };
+    p.service_mut()
+        .register(&query, &QueryOpts::new(16, 0xD15EA5E))
+        .unwrap();
+    p.service_mut().register(&query, &ungrouped).unwrap();
+    for op in &ops[..100] {
+        p.process_op(op).unwrap();
+    }
+    p.checkpoint().unwrap(); // checkpoint @ lsn 100, log truncated
+    for op in &ops[100..] {
+        p.process_op(op).unwrap();
+    }
+    p.flush().unwrap();
+    drop(p);
+
+    let checkpoint = file_digest(dir.join("checkpoint.rsjc"));
+    // The segment holds ops 100..120 alone, so it matches the engine pin.
+    let segment = file_digest(dir.join("wal").join("wal-00000001.log"));
+    std::fs::remove_dir_all(&dir).unwrap();
+    if std::env::var_os("RSJ_PIN_PLANS").is_some() {
+        println!("service checkpoint: 0x{checkpoint:016X}\nservice segment: 0x{segment:016X}");
+        return;
+    }
+    assert_eq!(
+        checkpoint, 0xA183_1221_E156_FE6E,
+        "service checkpoint image moved — see the format-version bump rule above"
+    );
+    assert_eq!(
+        segment, 0x85FD_7EB2_8FC7_2FC6,
+        "service WAL segment image moved — see the format-version bump rule above"
     );
 }
 
