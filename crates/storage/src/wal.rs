@@ -756,11 +756,13 @@ impl Wal {
     /// segment, so the log holds exactly the ops after the checkpoint.
     ///
     /// Appends still pending against the old segment are pre-checkpoint by
-    /// definition (the caller snapshots before rotating), so they are
-    /// dropped rather than flushed — this is what lets a successful
-    /// checkpoint heal a log that ran out of space.
+    /// definition (the caller snapshots before rotating), so once the new
+    /// segment exists they are dropped rather than flushed — this is what
+    /// lets a successful checkpoint heal a log that ran out of space. If
+    /// the new segment's header cannot be written they stay pending: the
+    /// old segment is still the active one, and later appends must follow
+    /// them there to keep their LSNs.
     pub fn truncate_at_checkpoint(&mut self) -> Result<(), WalError> {
-        self.pending.clear();
         let new_seq = self.active_seq + 1;
         let path = segment_path(&self.dir, new_seq);
         let header = segment_header(self.next_lsn);
@@ -771,6 +773,7 @@ impl Wal {
             &mut self.retries,
             |fs| fs.write_file(&path, &header),
         )?;
+        self.pending.clear();
         let old_seq = self.active_seq;
         self.active_seq = new_seq;
         self.active_path = path;

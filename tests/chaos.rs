@@ -309,6 +309,67 @@ fn a_failed_checkpoint_write_keeps_the_previous_checkpoint() {
     assert_eq!(digest(&r.engine().samples()), expect);
 }
 
+/// A checkpoint whose file lands but whose log rotation fails keeps the
+/// frames still buffered for the old segment: the new segment's header
+/// write fails, the old segment stays the active one, and the buffered
+/// frames (ops 50..80) must reach it ahead of later appends. Dropping them
+/// there would shift every later op down 30 LSNs, below the new
+/// checkpoint's, and replay would skip them.
+#[test]
+fn a_failed_log_rotation_keeps_the_buffered_frames() {
+    let query = line3();
+    let ops = turnstile_ops(&query, 200, 5, 0x207A);
+    let engine = || {
+        Engine::Reservoir
+            .build(&query, K, 7, &EngineOpts::default())
+            .unwrap()
+    };
+    let mut clean = engine();
+    for op in &ops {
+        clean.process_op(op).unwrap();
+    }
+    let expect = digest(&clean.samples());
+
+    let (fs, handle) = FaultFs::new();
+    let scratch = Scratch::new("rotate-fail");
+    let mut p = Persistent::open_with(
+        engine(),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+        WalOptions::default(),
+        Box::new(fs),
+        Box::new(TestSleeper::new()),
+    )
+    .unwrap();
+    for op in &ops[..50] {
+        p.process_op(op).unwrap();
+    }
+    p.flush().unwrap();
+    for op in &ops[50..80] {
+        p.process_op(op).unwrap(); // buffered: below the auto-flush size
+    }
+    // Write call n is the checkpoint file, n + 1 the new segment header.
+    handle.fail_at(
+        FsOp::WriteFile,
+        handle.calls(FsOp::WriteFile) + 1,
+        IoFault::Full,
+    );
+    assert!(p.checkpoint().is_err(), "the rotation fails");
+    assert_eq!(p.checkpoint_failures(), 1);
+    let cp = Checkpoint::read_from(scratch.path().join(rsjoin::persist::CHECKPOINT_FILE)).unwrap();
+    assert_eq!(cp.lsn, 80, "the checkpoint file itself landed");
+    for op in &ops[80..] {
+        p.process_op(op).unwrap();
+    }
+    assert_eq!(p.next_lsn(), 200);
+    p.flush().unwrap();
+    drop(p);
+
+    let r = Persistent::open(engine(), scratch.path(), CheckpointPolicy::Manual).unwrap();
+    assert_eq!(r.next_lsn(), 200, "no logged op lost its LSN");
+    assert_eq!(digest(&r.engine().samples()), expect);
+}
+
 /// Checkpoint writes that keep failing cost one attempt per policy
 /// window, not one per op: every failed attempt — explicit or
 /// policy-driven — is counted and re-arms the `EveryOps` window, and the
