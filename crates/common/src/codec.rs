@@ -145,6 +145,12 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// Overwrites bytes already written, from offset `at` — for length
+    /// and checksum fields whose values are known only after what follows.
+    pub fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

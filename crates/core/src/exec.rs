@@ -303,10 +303,11 @@ pub trait Durable {
     /// Applies one op.
     fn apply(&mut self, op: &StreamOp) -> Result<(), Self::Error>;
 
-    /// The canonical state image.
-    fn image(&self) -> Vec<u8>;
+    /// Appends the canonical state image to `enc` (the checkpoint frame
+    /// it lands in is already there).
+    fn image_to(&self, enc: &mut Encoder);
 
-    /// Restores an [`image`](Durable::image) into `self`, freshly built
+    /// Restores an [`image_to`](Durable::image_to) image into `self`, freshly built
     /// with the original construction parameters; an `Err` leaves `self`
     /// unchanged.
     fn restore(&mut self, image: &[u8]) -> Result<(), CodecError>;
@@ -327,10 +328,8 @@ impl<S: JoinSampler> Durable for S {
         self.process_op(op)
     }
 
-    fn image(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        self.snapshot_to(&mut enc);
-        enc.into_bytes()
+    fn image_to(&self, enc: &mut Encoder) {
+        self.snapshot_to(enc)
     }
 
     fn restore(&mut self, image: &[u8]) -> Result<(), CodecError> {

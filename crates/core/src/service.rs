@@ -598,10 +598,8 @@ impl Durable for SamplerService {
         self.process_op(op).map(drop)
     }
 
-    fn image(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        self.snapshot_to(&mut enc);
-        enc.into_bytes()
+    fn image_to(&self, enc: &mut Encoder) {
+        self.snapshot_to(enc)
     }
 
     fn restore(&mut self, image: &[u8]) -> Result<(), CodecError> {

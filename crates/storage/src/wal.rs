@@ -802,8 +802,8 @@ impl Drop for Wal {
 
 /// A point-in-time snapshot of one engine's complete dynamic state.
 ///
-/// The payload is opaque to this layer — engines produce it via their
-/// `snapshot_state` hook — and is integrity-checked with a CRC32 plus a
+/// The payload is opaque to this layer — the target appends it through
+/// `Durable::image_to` — and is integrity-checked with a CRC32 plus a
 /// length-prefixed engine name, so restoring a checkpoint into the wrong
 /// engine fails loudly instead of deserializing garbage.
 ///
@@ -820,57 +820,77 @@ pub struct Checkpoint {
     /// LSN of the first op *not* reflected in the state: replay the log
     /// from here.
     pub lsn: u64,
-    /// Opaque engine state bytes.
-    pub state: Vec<u8>,
+    /// The whole file; the state bytes are its tail from `state_at`.
+    file: Vec<u8>,
+    state_at: usize,
 }
 
+/// Magic, version and CRC: the bytes before a checkpoint's checksummed tail.
+const CHECKPOINT_HEADER_LEN: usize = 12;
+
 impl Checkpoint {
-    /// Serializes the checkpoint to its file bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut tail = Encoder::new();
-        tail.put_str(&self.engine);
-        tail.put_u64(self.lsn);
-        tail.put_bytes(&self.state);
-        let tail = tail.into_bytes();
-        let mut out = Vec::with_capacity(12 + tail.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&crc32(&tail).to_le_bytes());
-        out.extend_from_slice(&tail);
-        out
+    /// The file bytes of a checkpoint of `engine` at `lsn`, framed in one
+    /// buffer: the header and the tail up to the state's length prefix are
+    /// written first, `image_to` appends the state behind them, and the
+    /// length and the CRC are patched in over it.
+    pub fn frame(engine: &str, lsn: u64, image_to: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_u32(u32::from_le_bytes(CHECKPOINT_MAGIC));
+        enc.put_u32(FORMAT_VERSION);
+        enc.put_u32(0); // crc, patched below
+        enc.put_str(engine);
+        enc.put_u64(lsn);
+        let len_at = enc.len();
+        enc.put_u64(0); // state length, patched below
+        image_to(&mut enc);
+        let state_len = (enc.len() - len_at - 8) as u64;
+        enc.patch(len_at, &state_len.to_le_bytes());
+        let crc = crc32(&enc.as_slice()[CHECKPOINT_HEADER_LEN..]);
+        enc.patch(8, &crc.to_le_bytes());
+        enc.into_bytes()
+    }
+
+    /// The engine state bytes.
+    pub fn state(&self) -> &[u8] {
+        &self.file[self.state_at..]
     }
 
     /// Parses checkpoint file bytes, validating magic, version and CRC.
-    fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, WalError> {
-        if bytes.len() < 12 {
+    fn from_bytes(file: Vec<u8>) -> Result<Checkpoint, WalError> {
+        if file.len() < CHECKPOINT_HEADER_LEN {
             return Err(WalError::Corrupt("checkpoint shorter than its header"));
         }
-        if bytes[..4] != CHECKPOINT_MAGIC {
+        if file[..4] != CHECKPOINT_MAGIC {
             return Err(WalError::Corrupt("checkpoint magic mismatch"));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        let version = u32::from_le_bytes(file[4..8].try_into().unwrap());
         if version != FORMAT_VERSION {
             return Err(WalError::Corrupt("checkpoint format version mismatch"));
         }
-        let crc = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        let tail = &bytes[12..];
+        let crc = u32::from_le_bytes(file[8..12].try_into().unwrap());
+        let tail = &file[CHECKPOINT_HEADER_LEN..];
         if crc32(tail) != crc {
             return Err(WalError::Corrupt("checkpoint checksum mismatch"));
         }
         let mut dec = Decoder::new(tail);
         let engine = dec.str()?.to_string();
         let lsn = dec.u64()?;
-        let state = dec.bytes()?.to_vec();
+        let state_at = file.len() - dec.bytes()?.len();
         dec.finish()?;
-        Ok(Checkpoint { engine, lsn, state })
+        Ok(Checkpoint {
+            engine,
+            lsn,
+            file,
+            state_at,
+        })
     }
 
-    /// Reads a checkpoint file, as [`Wal::write_atomic`] wrote
-    /// [`to_bytes`](Checkpoint::to_bytes) to it.
+    /// Reads a checkpoint file, as [`Wal::write_atomic`] wrote a
+    /// [`frame`](Checkpoint::frame) to it.
     pub fn read_from(path: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
         let mut bytes = Vec::new();
         File::open(path.as_ref())?.read_to_end(&mut bytes)?;
-        Checkpoint::from_bytes(&bytes)
+        Checkpoint::from_bytes(bytes)
     }
 }
 
@@ -1046,28 +1066,44 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_and_rejects_damage() {
         let scratch = Scratch::new("ckpt");
-        let ck = Checkpoint {
-            engine: "rsjoin".to_string(),
-            lsn: 12345,
-            state: (0..200u8).collect(),
+        let state: Vec<u8> = (0..200u8).collect();
+        let frame = || {
+            Checkpoint::frame("rsjoin", 12345, |enc| {
+                for &b in &state {
+                    enc.put_u8(b);
+                }
+            })
         };
-        assert_eq!(Checkpoint::from_bytes(&ck.to_bytes()).unwrap(), ck);
+        // The frame is the header around the tail a plain encode gives.
+        let mut tail = Encoder::new();
+        tail.put_str("rsjoin");
+        tail.put_u64(12345);
+        tail.put_bytes(&state);
+        let tail = tail.into_bytes();
+        let bytes = frame();
+        assert_eq!(bytes[..4], CHECKPOINT_MAGIC);
+        assert_eq!(bytes[4..8], FORMAT_VERSION.to_le_bytes());
+        assert_eq!(bytes[8..12], crc32(&tail).to_le_bytes());
+        assert_eq!(bytes[12..], tail[..]);
+        let ck = Checkpoint::from_bytes(frame()).unwrap();
+        assert_eq!((ck.engine.as_str(), ck.lsn), ("rsjoin", 12345));
+        assert_eq!(ck.state(), &state[..]);
         let path = scratch.0.join("engine.ckpt");
         let mut wal = Wal::open(scratch.0.join("wal")).unwrap();
-        wal.write_atomic(&path, &ck.to_bytes()).unwrap();
+        wal.write_atomic(&path, &frame()).unwrap();
         assert_eq!(Checkpoint::read_from(&path).unwrap(), ck);
-        let mut bytes = ck.to_bytes();
+        let mut bytes = frame();
         bytes[20] ^= 1;
         assert!(matches!(
-            Checkpoint::from_bytes(&bytes),
+            Checkpoint::from_bytes(bytes),
             Err(WalError::Corrupt("checkpoint checksum mismatch"))
         ));
         // Every previous format is refused as loudly as a future one.
         for version in (1..FORMAT_VERSION).chain([FORMAT_VERSION + 1]) {
-            let mut wrong_version = ck.to_bytes();
+            let mut wrong_version = frame();
             wrong_version[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
-                Checkpoint::from_bytes(&wrong_version),
+                Checkpoint::from_bytes(wrong_version),
                 Err(WalError::Corrupt("checkpoint format version mismatch"))
             ));
             let mut segment = segment_header(7);

@@ -6,7 +6,7 @@
 //! recovery with **byte-identical** semantics: every op is checked, then
 //! appended to a segmented, checksummed WAL (`rsj_storage::wal::Wal`)
 //! *before* it is applied, and on a checkpoint the target's complete
-//! dynamic state ([`Durable::image`]) is written atomically next to the
+//! dynamic state ([`Durable::image_to`]) is written atomically next to the
 //! log, which is then truncated. Recovery restores the last checkpoint
 //! and replays the log suffix — the recovered target is byte-for-byte the
 //! one that would have resulted from an uninterrupted run of the same
@@ -199,7 +199,7 @@ impl<T: Durable> Persistent<T> {
                 )));
             }
             inner
-                .restore(&cp.state)
+                .restore(cp.state())
                 .map_err(|e| PersistError::Engine(format!("checkpoint state rejected: {e}")))?;
             from_lsn = cp.lsn;
         }
@@ -286,13 +286,11 @@ impl<T: Durable> Persistent<T> {
     /// ops that were applied without log coverage.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
         let attempt = (|| -> Result<(), PersistError> {
-            let cp = Checkpoint {
-                engine: self.inner.checkpoint_tag().to_string(),
-                lsn: self.wal.next_lsn(),
-                state: self.inner.image(),
-            };
-            self.wal
-                .write_atomic(&self.checkpoint_path, &cp.to_bytes())?;
+            let inner = &self.inner;
+            let file = Checkpoint::frame(inner.checkpoint_tag(), self.wal.next_lsn(), |enc| {
+                inner.image_to(enc)
+            });
+            self.wal.write_atomic(&self.checkpoint_path, &file)?;
             self.wal.truncate_at_checkpoint()?;
             Ok(())
         })();

@@ -11,6 +11,9 @@
 //!   allocate nothing on every engine that stores its sample rows, and
 //!   `SamplerExt::samples` must make exactly one allocation per row plus
 //!   one for the outer `Vec`: what a read adds to `allocs_per_op`.
+//! - A checkpoint of an engine or of the service must peak at no more
+//!   than twice its file's length above the live heap: the image is
+//!   framed in the one buffer that is written, with no second copy.
 
 use rsjoin::core::{FkCombiner, Rewrite};
 use rsjoin::engine::{Engine, EngineOpts};
@@ -25,12 +28,16 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static NET_BYTES: Cell<isize> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count(calls: u64, bytes: isize) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         let _ = CALLS.try_with(|c| c.set(c.get() + calls));
-        let _ = NET_BYTES.try_with(|b| b.set(b.get() + bytes));
+        let _ = NET_BYTES.try_with(|b| {
+            b.set(b.get() + bytes);
+            let _ = PEAK_BYTES.try_with(|p| p.set(p.get().max(b.get())));
+        });
     }
 }
 
@@ -62,6 +69,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, isize) {
     CALLS.with(|c| c.set(0));
     NET_BYTES.with(|b| b.set(0));
+    PEAK_BYTES.with(|p| p.set(0));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
@@ -139,4 +147,66 @@ fn the_sample_visitor_allocates_nothing_and_samples_one_per_row() {
         assert_eq!(samples.len(), k, "{engine}");
         assert_eq!(calls, k as u64 + 1, "{engine}: samples() allocator calls");
     }
+}
+
+/// Runs `f` and returns its result with the most bytes it held allocated
+/// at any one time, above what was live when it started.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let (out, _, _) = counted(f);
+    (out, PEAK_BYTES.with(Cell::get))
+}
+
+#[test]
+fn a_checkpoint_peaks_below_twice_its_file() {
+    let query = rsj_testutil::line3();
+    let ops = rsj_testutil::turnstile_ops(&query, 3000, 40, 11);
+    let scratch = rsj_testutil::Scratch::new("counted-checkpoint");
+    let file_len = |dir: &std::path::Path| {
+        let file = dir.join(rsjoin::persist::CHECKPOINT_FILE);
+        std::fs::metadata(file).unwrap().len() as isize
+    };
+
+    let mut svc = SamplerService::new(query.clone());
+    let mut ungrouped = QueryOpts::new(64, 7);
+    ungrouped.index = IndexOptions { grouping: false };
+    svc.register(&query, &QueryOpts::new(64, 1)).unwrap();
+    svc.register(&query, &ungrouped).unwrap();
+    let mut p = PersistentService::open(
+        svc,
+        scratch.path().join("service"),
+        CheckpointPolicy::Manual,
+        &mut |_, _| None,
+    )
+    .unwrap();
+    for op in &ops {
+        p.process_op(op).unwrap();
+    }
+    let (done, peak) = peak_of(|| p.checkpoint());
+    done.unwrap();
+    let len = file_len(&scratch.path().join("service"));
+    assert!(
+        peak <= 2 * len,
+        "service: a {len}-byte checkpoint peaked at {peak} bytes"
+    );
+    drop(p);
+
+    let mut p = Persistent::open(
+        Engine::Reservoir
+            .build(&query, 64, 3, &EngineOpts::default())
+            .unwrap(),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+    )
+    .unwrap();
+    for op in &ops {
+        p.process_op(op).unwrap();
+    }
+    let (done, peak) = peak_of(|| p.checkpoint());
+    done.unwrap();
+    let len = file_len(scratch.path());
+    assert!(
+        peak <= 2 * len,
+        "{}: a {len}-byte checkpoint peaked at {peak} bytes",
+        Engine::Reservoir
+    );
 }

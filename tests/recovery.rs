@@ -844,14 +844,19 @@ fn a_failed_restore_leaves_the_receiver_as_it_was() {
         }
         svc
     };
-    let a = run(1).image();
+    let image = |svc: &SamplerService| {
+        let mut enc = rsjoin::common::codec::Encoder::new();
+        svc.image_to(&mut enc);
+        enc.into_bytes()
+    };
+    let a = image(&run(1));
     let mut receiver = run(2);
-    let b = receiver.image();
+    let b = image(&receiver);
     for hostile in mangled(&a) {
         let len = hostile.len();
         assert!(Durable::restore(&mut receiver, &hostile).is_err());
         assert!(
-            receiver.image() == b,
+            image(&receiver) == b,
             "service: a failed restore of {len} bytes changed the receiver"
         );
     }
