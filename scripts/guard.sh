@@ -48,6 +48,9 @@ One retrieval kernel | fn (retrieve_below|retrieve_in_group) | src crates tests 
 One stop path | DeltaCache | crates src tests examples | all | - | aa1bae5 | Every member of a group walks a delta batch through one stop closure (retrieve_into, then materialize or pass the dummy run) over the one DescentMemo of the group; a per-op row cache is a second stop path that must copy the run logic.
 Eviction by tuple id | \[a\] == tuple\[pos\]|evict_where\(|backfill_distinct\( | crates/core/src | nontest | - | 812d1dc | Delete repair in rsj-core reads the tuple-id columns of each member: eviction scans one u32 column and dedup compares ids; a value-comparing eviction closure or a row-comparing backfill brings back the O(k·width) scan of every row per member per delete.
 No planner | Planner|ReplanPolicy|TableStatistics|all_join_trees|PlanCost|CostWeights|fn replan\(|\.replan\( | crates src tests examples | all | - | ace165d | Plans are fixed at build time, as the one join tree of Alg. 6 is: an on/off record of automatic replanning found no workload where it won and 0 index rebuilds, while each check cost a full statistics scan. A cost model, a statistics collector or a replan hook brings that back; a caller that wants another tree or root passes a Plan.
+One checksum kernel, one checkpoint frame | fn crc32([^[:alnum:]_]|$) | src crates tests examples | all | crates/common/src/codec.rs:1 | 98371ca | WAL records and checkpoints are checked by the one slicing-by-16 kernel in rsj-common::codec, held to the bytewise loop by its differential test (a reference named bytewise_crc32, not matched here); a second CRC is a copy that test does not cover.
+One checksum kernel, one checkpoint frame | Checkpoint::to_bytes|fn to_bytes[(] | src crates tests examples | all | - | 72092da | A checkpoint is framed in place by Checkpoint::frame: the target writes its image into the file buffer and the length and CRC are patched over it. A to_bytes that re-encodes an image held in a separate Vec brings back two copies of every image.
+One checksum kernel, one checkpoint frame | CHECKPOINT_MAGIC | src crates | nontest | crates/storage/src/wal.rs:3 | 72092da | The checkpoint magic is defined once, written by Checkpoint::frame and checked by Checkpoint::from_bytes; any further use is a second framing or a second parser.
 '
 
 # `pub` items no other file names, each with the reason it stays public.
