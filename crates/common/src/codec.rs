@@ -79,30 +79,20 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 
 /// IEEE CRC-32 (the zlib/PNG polynomial) of `bytes`, 16 bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
     let mut c = !0u32;
     let mut blocks = bytes.chunks_exact(16);
-    for b in &mut blocks {
-        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        c = t[15][(x & 0xFF) as usize]
-            ^ t[14][((x >> 8) & 0xFF) as usize]
-            ^ t[13][((x >> 16) & 0xFF) as usize]
-            ^ t[12][(x >> 24) as usize]
-            ^ t[11][b[4] as usize]
-            ^ t[10][b[5] as usize]
-            ^ t[9][b[6] as usize]
-            ^ t[8][b[7] as usize]
-            ^ t[7][b[8] as usize]
-            ^ t[6][b[9] as usize]
-            ^ t[5][b[10] as usize]
-            ^ t[4][b[11] as usize]
-            ^ t[3][b[12] as usize]
-            ^ t[2][b[13] as usize]
-            ^ t[1][b[14] as usize]
-            ^ t[0][b[15] as usize];
+    for block in &mut blocks {
+        let mut b: [u8; 16] = block.try_into().unwrap();
+        let head = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        b[..4].copy_from_slice(&head.to_le_bytes());
+        // Byte i of the block is followed by 15 - i more.
+        c = 0;
+        for (i, &v) in b.iter().enumerate() {
+            c ^= CRC_TABLES[15 - i][v as usize];
+        }
     }
     for &b in blocks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
