@@ -82,7 +82,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     let mut blocks = bytes.chunks_exact(16);
     for block in &mut blocks {
-        let mut b: [u8; 16] = block.try_into().unwrap();
+        let mut b: [u8; 16] = block.try_into().expect("chunks_exact(16)");
         let head = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
         b[..4].copy_from_slice(&head.to_le_bytes());
         // Byte i of the block is followed by 15 - i more.
@@ -137,6 +137,7 @@ impl Encoder {
 
     /// Overwrites bytes already written, from offset `at` — for length
     /// and checksum fields whose values are known only after what follows.
+    /// Panics if the range was not written yet.
     pub fn patch(&mut self, at: usize, bytes: &[u8]) {
         self.buf[at..at + bytes.len()].copy_from_slice(bytes);
     }
