@@ -307,9 +307,9 @@ pub trait Durable {
     /// it lands in is already there).
     fn image_to(&self, enc: &mut Encoder);
 
-    /// Restores an [`image_to`](Durable::image_to) image into `self`, freshly built
-    /// with the original construction parameters; an `Err` leaves `self`
-    /// unchanged.
+    /// Restores an image written by [`image_to`](Durable::image_to) into
+    /// `self`, freshly built with the original construction parameters; an
+    /// `Err` leaves `self` unchanged.
     fn restore(&mut self, image: &[u8]) -> Result<(), CodecError>;
 }
 
