@@ -286,9 +286,8 @@ impl<T: Durable> Persistent<T> {
     /// ops that were applied without log coverage.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
         let attempt = (|| -> Result<(), PersistError> {
-            let inner = &self.inner;
-            let file = Checkpoint::frame(inner.checkpoint_tag(), self.wal.next_lsn(), |enc| {
-                inner.image_to(enc)
+            let file = Checkpoint::frame(self.inner.checkpoint_tag(), self.wal.next_lsn(), |enc| {
+                self.inner.image_to(enc)
             });
             self.wal.write_atomic(&self.checkpoint_path, &file)?;
             self.wal.truncate_at_checkpoint()?;
